@@ -19,6 +19,12 @@ pub struct LinkParams {
 }
 
 impl LinkParams {
+    /// The LAN link of `mar-simnet`'s `LatencyModel::lan()` (the default).
+    pub const LAN: LinkParams = LinkParams {
+        base_us: 1_000,
+        per_kb_us: 100,
+    };
+
     /// One-way latency for a message of `bytes` payload bytes.
     pub fn message_us(&self, bytes: usize) -> u64 {
         self.base_us + self.per_kb_us * (bytes as u64) / 1024
@@ -27,11 +33,7 @@ impl LinkParams {
 
 impl Default for LinkParams {
     fn default() -> Self {
-        // Matches `LatencyModel::lan()`.
-        LinkParams {
-            base_us: 1_000,
-            per_kb_us: 100,
-        }
+        LinkParams::LAN
     }
 }
 

@@ -19,12 +19,10 @@
 //!   is maintained incrementally from cached sizes; entries are encoded at
 //!   most once to be measured, never cloned.
 //!
-//! The cached sizes use interior mutability (`Cell` by default), so the log
-//! is not `Sync`; the platform is single-threaded per node, and a migrating
-//! agent is owned by exactly one node at a time (§2), so nothing shares a
-//! log across threads. The opt-in `sync-log` feature swaps the caches for
-//! atomics/locks (wire format and behaviour unchanged), making the log
-//! `Sync` for a future multi-threaded simulator.
+//! The cached sizes use interior mutability through atomics, so the log is
+//! `Send + Sync` — the sharded simulator moves nodes, and the logs of the
+//! agents queued on them, onto worker threads. A migrating agent is still
+//! owned by exactly one node at a time (§2).
 
 use serde::de::{SeqAccess, Visitor};
 use serde::ser::{SerializeSeq, SerializeStruct};
@@ -1150,10 +1148,8 @@ mod tests {
         assert!(!back.is_dirty());
     }
 
-    /// The whole point of the `sync-log` feature: the size caches stop
-    /// blocking `Sync`, so a future multi-threaded simulator can share
-    /// read access to a log.
-    #[cfg(feature = "sync-log")]
+    /// The size caches must not block `Sync`: the sharded simulator shares
+    /// read access to logs across worker threads.
     #[test]
     fn sync_log_feature_makes_the_log_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

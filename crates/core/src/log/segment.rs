@@ -14,31 +14,12 @@
 
 use crate::log::entry::LogEntry;
 
-/// The lazily computed entry-size cache: a plain `Cell` by default, an
-/// atomic under the `sync-log` feature (making [`Stored`] — and with the
-/// sibling [`RollupCell`] the whole log — `Sync` for a future
-/// multi-threaded simulator). Same API, same observable behaviour.
-#[cfg(not(feature = "sync-log"))]
-#[derive(Debug, Default)]
-pub(crate) struct SizeCell(std::cell::Cell<usize>);
-
-#[cfg(not(feature = "sync-log"))]
-impl SizeCell {
-    pub(crate) fn get(&self) -> usize {
-        self.0.get()
-    }
-
-    pub(crate) fn set(&self, v: usize) {
-        self.0.set(v);
-    }
-}
-
-/// Atomic variant of the entry-size cache (`sync-log`).
-#[cfg(feature = "sync-log")]
+/// The lazily computed entry-size cache: an atomic, so [`Stored`] — and
+/// with the sibling [`RollupCell`] the whole log — is `Sync`, which the
+/// sharded simulator requires.
 #[derive(Debug, Default)]
 pub(crate) struct SizeCell(std::sync::atomic::AtomicUsize);
 
-#[cfg(feature = "sync-log")]
 impl SizeCell {
     pub(crate) fn get(&self) -> usize {
         self.0.load(std::sync::atomic::Ordering::Relaxed)
@@ -57,31 +38,13 @@ impl Clone for SizeCell {
     }
 }
 
-/// The lazily built per-kind byte-rollup cache ([`ByteRollup`]): `Cell` by
-/// default, a lock under `sync-log`. Accessed only through copy-in/copy-out
-/// `get`/`set`, so the lock is held for a copy of three words.
-#[cfg(not(feature = "sync-log"))]
-#[derive(Debug, Default)]
-pub(crate) struct RollupCell(std::cell::Cell<Option<ByteRollup>>);
-
-#[cfg(not(feature = "sync-log"))]
-impl RollupCell {
-    pub(crate) fn get(&self) -> Option<ByteRollup> {
-        self.0.get()
-    }
-
-    pub(crate) fn set(&self, v: Option<ByteRollup>) {
-        self.0.set(v);
-    }
-}
-
-/// Lock-free variant of the rollup cache (`sync-log`). Mutation only ever
+/// The lazily built per-kind byte-rollup cache ([`ByteRollup`]), lock-free
+/// and accessed only through copy-in/copy-out `get`/`set`. Mutation only ever
 /// happens through `&mut RollbackLog` methods, so the only concurrent
 /// access is read-vs-read — including two `stats()` calls racing to fill
 /// the cache, which write identical values. The `valid` flag is published
 /// with release ordering after the fields, so a reader that observes
 /// `valid` sees fully written fields.
-#[cfg(feature = "sync-log")]
 #[derive(Debug, Default)]
 pub(crate) struct RollupCell {
     valid: std::sync::atomic::AtomicBool,
@@ -90,7 +53,6 @@ pub(crate) struct RollupCell {
     frame_bytes: std::sync::atomic::AtomicUsize,
 }
 
-#[cfg(feature = "sync-log")]
 impl RollupCell {
     pub(crate) fn get(&self) -> Option<ByteRollup> {
         use std::sync::atomic::Ordering::{Acquire, Relaxed};

@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use mar_core::AgentId;
 use mar_platform::{audit_wallets, AgentHandle, AgentReport, AgentSpec, DriverCore, DriverStable};
-use mar_simnet::{MetricsSnapshot, NodeId, RemoteEvent, SimDuration, World};
+use mar_simnet::{window_end, MetricsSnapshot, NodeId, RemoteEvent, SimDuration, World};
 
 use crate::proto::{
     ownership, recv_ctl, send_ctl, NetMsg, Peer, RpcOp, RpcReply, PROTOCOL_VERSION,
@@ -405,11 +405,7 @@ impl NetPlatform {
                     *merged.counters.entry(k).or_insert(0) += v;
                 }
                 for (k, other) in snap.hists {
-                    let h = merged.hists.entry(k).or_default();
-                    h.count += other.count;
-                    h.sum += other.sum;
-                    h.min = h.min.min(other.min);
-                    h.max = h.max.max(other.max);
+                    merged.hists.entry(k).or_default().merge(&other);
                 }
             }
         }
@@ -766,14 +762,7 @@ impl NetState {
                 Some(m) if m <= target_us => m,
                 _ => break,
             };
-            // The conservative window: nothing created inside it can land
-            // before `end`, because every delivery costs at least the
-            // latency model's minimum. Same formula as the in-process
-            // sharded engine.
-            let end = m
-                .saturating_add(self.lookahead_us)
-                .min(target_us.saturating_add(1))
-                .max(m + 1);
+            let end = window_end(m, self.lookahead_us, target_us);
             let mut running = Vec::with_capacity(self.slots.len());
             for h in 0..self.slots.len() {
                 if !self.slots[h].failed && self.send_to(h, &NetMsg::RunWindow { end_us: end }) {

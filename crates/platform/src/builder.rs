@@ -169,12 +169,6 @@ impl PlatformBuilder {
         self
     }
 
-    /// Overrides node runtime tunables.
-    pub fn mole_cfg(mut self, cfg: MoleCfg) -> Self {
-        self.mole_cfg = cfg;
-        self
-    }
-
     /// Enables (or disables) rollback-log compaction before every remote
     /// agent transfer: duplicate savepoint images and empty deltas are
     /// demoted to markers, shrinking `agent.transfer_bytes.*` without
@@ -202,13 +196,6 @@ impl PlatformBuilder {
     /// agent ([`crate::RollbackRouting::CostModel`]).
     pub fn rollback_routing(mut self, routing: crate::RollbackRouting) -> Self {
         self.mole_cfg.rollback_routing = routing;
-        self
-    }
-
-    /// Overrides the link cost model used by the compaction gate and by
-    /// cost-model rollback routing. Defaults to the LAN parameters.
-    pub fn cost_model(mut self, cost: mar_core::CostModel) -> Self {
-        self.mole_cfg.cost_model = cost;
         self
     }
 

@@ -19,7 +19,7 @@ use mar_core::comp::CompOpRegistry;
 use mar_core::itinspan::{classify_span, encode_ref, itinerary_span, splice_span, SpanKind};
 use mar_core::{
     plan_batch, plan_single, start_rollback, AfterRound, AgentRecord, AgentStatus, CompError,
-    CostModel, Destination, ItinerarySlot, ResidentRecord, StartPlan,
+    CostModel, Destination, ItinerarySlot, LinkParams, ResidentRecord, StartPlan,
 };
 use mar_simnet::{Address, Ctx, NodeId, Service, SimDuration};
 use mar_txn::{
@@ -42,6 +42,25 @@ const ITEM_TAG_BASE: u64 = 1 << 32;
 /// microseconds — the measured `log/compact/segment/*` microbench rate
 /// (~0.75 µs/KiB in `BENCH_log.json`), rounded up.
 const COMPACTION_CPU_US_PER_KB: u64 = 1;
+
+/// Virtual execution time of one step (or compensation round).
+const STEP_COST: SimDuration = SimDuration::from_millis(5);
+/// Base retry backoff after transient failures.
+const RETRY_BASE: SimDuration = SimDuration::from_millis(20);
+/// Exponential backoff cap (`RETRY_BASE * 2^cap`).
+const RETRY_MAX_EXP: u32 = 6;
+/// 2PC retransmission period.
+const TM_RETRY: SimDuration = SimDuration::from_millis(50);
+/// After this many failed attempts on one queue item the agent is failed
+/// instead of retried — the escalation strategy for unresolvable
+/// (compensation) failures the paper defers to \[4\]/\[10\].
+const MAX_ATTEMPTS: u32 = 40;
+/// Link cost model of the compaction gate and of
+/// [`RollbackRouting::CostModel`]: the LAN parameters of the simulator's
+/// default latency model.
+const COST_MODEL: CostModel = CostModel {
+    link: LinkParams::LAN,
+};
 
 const KEY_QSEQ: &str = "qseq";
 const KEY_TXNSEQ: &str = "txnseq";
@@ -191,33 +210,22 @@ pub enum RollbackRouting {
     /// The \[16\]-style decision of §4.4.1
     /// ([`CostModel::migrate_for_batch`]): per batch, compare shipping the
     /// fused RCE list against migrating the agent (record + log) to the
-    /// resource node, and take the cheaper route under
-    /// [`MoleCfg::cost_model`].
+    /// resource node, and take the cheaper route over a LAN link.
     CostModel,
 }
 
-/// Tunables of a node runtime.
+/// The switches of a node runtime — each has a [`PlatformBuilder`](crate::PlatformBuilder)
+/// setter with a caller; timings, the retry policy and the link cost model
+/// are constants of this module.
 #[derive(Debug, Clone)]
 pub struct MoleCfg {
-    /// Virtual execution time of one step (or compensation round).
-    pub step_cost: SimDuration,
-    /// Base retry backoff after transient failures.
-    pub retry_base: SimDuration,
-    /// Exponential backoff cap (`retry_base * 2^cap`).
-    pub retry_max_exp: u32,
-    /// 2PC retransmission period.
-    pub tm_retry: SimDuration,
-    /// After this many failed attempts on one queue item the agent is
-    /// failed instead of retried — the escalation strategy for
-    /// unresolvable (compensation) failures the paper defers to \[4\]/\[10\].
-    pub max_attempts: u32,
     /// Compact the rollback log before every *remote* transfer
     /// ([`mar_core::RollbackLog::compact`]): duplicate savepoint images and
     /// empty deltas become markers, shrinking `agent.transfer_bytes.*`.
     /// Local re-enqueues are never compacted (nothing crosses the wire),
     /// and a pass is skipped when the log is clean since its last pass or
-    /// the [`cost_model`](Self::cost_model) says the CPU time cannot pay
-    /// for the bytes saved. On by default now that the experiment baselines
+    /// the link cost model says the CPU time cannot pay for the bytes
+    /// saved. On by default now that the experiment baselines
     /// carry compacted numbers (`BENCH_macro.json` keeps a raw-bytes
     /// control run); disable via
     /// [`PlatformBuilder::compact_on_transfer`](crate::PlatformBuilder::compact_on_transfer)
@@ -230,10 +238,6 @@ pub struct MoleCfg {
     pub batch_rollback: bool,
     /// Where a batch's remote resource compensation entries execute.
     pub rollback_routing: RollbackRouting,
-    /// Link cost model used by the compaction gate and by
-    /// [`RollbackRouting::CostModel`]. Defaults to the LAN parameters of
-    /// the simulator's default latency model.
-    pub cost_model: CostModel,
     /// Keep the decoded record of an agent resident in volatile memory
     /// between steps on the same node (keyed by queue key, installed only
     /// when the step transaction commits). Steps served from the cache
@@ -261,15 +265,9 @@ pub struct MoleCfg {
 impl Default for MoleCfg {
     fn default() -> Self {
         MoleCfg {
-            step_cost: SimDuration::from_millis(5),
-            retry_base: SimDuration::from_millis(20),
-            retry_max_exp: 6,
-            tm_retry: SimDuration::from_millis(50),
-            max_attempts: 40,
             compact_on_transfer: true,
             batch_rollback: true,
             rollback_routing: RollbackRouting::default(),
-            cost_model: CostModel::default(),
             resident_cache: true,
             itinerary_interning: true,
             itinerary_cache: 256,
@@ -317,6 +315,40 @@ enum ItemError {
 enum NextHop {
     Step(u32),
     Finished,
+}
+
+/// The one next place of a processed queue item (§2, Fig. 4/5) — see
+/// [`MoleService::hand_off`].
+enum Exit {
+    /// Back into this node's queue, under the same key.
+    Stay,
+    /// Into node `to`'s queue, as 2PC work of `kind` (`enqueue-fwd` in
+    /// forward execution, `enqueue-rbk` while rolling back).
+    Move { to: u32, kind: &'static str },
+    /// Out of the system, as a final report with this outcome.
+    Done(ReportOutcome),
+}
+
+impl Exit {
+    /// The exit towards the queue of `node`, which may be this one.
+    fn towards(ctx: &Ctx<'_>, node: u32, kind: &'static str) -> Exit {
+        if node == ctx.node().0 {
+            Exit::Stay
+        } else {
+            Exit::Move { to: node, kind }
+        }
+    }
+
+    /// The exit of a record that keeps rolling back at `dest`.
+    fn rolling_back(dest: Destination) -> Exit {
+        match dest {
+            Destination::Local => Exit::Stay,
+            Destination::Node(to) => Exit::Move {
+                to,
+                kind: "enqueue-rbk",
+            },
+        }
+    }
 }
 
 /// The per-node runtime service.
@@ -662,8 +694,8 @@ impl MoleService {
     fn schedule_retry(&mut self, ctx: &mut Ctx<'_>, key: &str) {
         let attempts = self.attempts.entry(key.to_owned()).or_insert(0);
         *attempts += 1;
-        let exp = (*attempts).min(self.cfg.retry_max_exp);
-        let base = self.cfg.retry_base * (1u64 << exp);
+        let exp = (*attempts).min(RETRY_MAX_EXP);
+        let base = RETRY_BASE * (1u64 << exp);
         // Randomized backoff desynchronizes no-wait lock retries.
         let jitter = 0.5 + ctx.rng().f64();
         let delay = base.mul_f64(jitter);
@@ -675,8 +707,7 @@ impl MoleService {
         let keys = ctx.stable().keys_with_prefix(Q_PREFIX);
         for key in keys {
             if !self.processing.contains(&key) {
-                let delay = self.cfg.step_cost;
-                self.schedule_item(ctx, &key, delay);
+                self.schedule_item(ctx, &key, STEP_COST);
             }
         }
     }
@@ -838,7 +869,7 @@ impl MoleService {
     /// empty, so every surviving entry retransmits immediately.
     fn retransmit_reports(&mut self, ctx: &mut Ctx<'_>) {
         let now_us = ctx.now().as_micros();
-        let period_us = self.cfg.tm_retry.as_micros();
+        let period_us = TM_RETRY.as_micros();
         let live = ctx.stable().keys_with_prefix(OUTBOX_PREFIX);
         // Send times for entries that no longer exist in stable storage
         // (acked, or garbage-collected by the driver before the ack
@@ -1013,27 +1044,12 @@ impl MoleService {
                         self.prime_record(ctx, &mut r);
                         r
                     }
-                    Err(e) => {
-                        // Unreadable queue item: drop it (cannot even fail
-                        // the agent).
-                        ctx.trace("bad-queue-item", e.to_string());
-                        ctx.stable_delete(key);
-                        self.processing.remove(key);
-                        return;
-                    }
+                    Err(e) => return self.drop_item(ctx, key, e.to_string()),
                 }
             }
         };
-        if self.attempts.get(key).copied().unwrap_or(0) > self.cfg.max_attempts {
-            match resident.into_record() {
-                Ok(record) => self.fail_agent(ctx, key, record, "retries exhausted".to_owned()),
-                Err(e) => {
-                    ctx.trace("bad-queue-item", e.to_string());
-                    ctx.stable_delete(key);
-                    self.processing.remove(key);
-                }
-            }
-            return;
+        if self.attempts.get(key).copied().unwrap_or(0) > MAX_ATTEMPTS {
+            return self.fail_agent(ctx, key, resident, "retries exhausted".to_owned());
         }
         enum Kind {
             Forward,
@@ -1065,13 +1081,9 @@ impl MoleService {
             Err(ItemError::Permanent(reason)) => {
                 // The working copy was consumed by the failed attempt; the
                 // pristine pre-step record is still in stable storage.
-                match self.stable_record(ctx, key) {
-                    Some(record) => self.fail_agent(ctx, key, record, reason),
-                    None => {
-                        ctx.trace("bad-queue-item", reason);
-                        ctx.stable_delete(key);
-                        self.processing.remove(key);
-                    }
+                match self.stable_resident(ctx, key) {
+                    Some(rec) => self.fail_agent(ctx, key, rec, reason),
+                    None => self.drop_item(ctx, key, reason),
                 }
             }
         }
@@ -1094,44 +1106,22 @@ impl MoleService {
         Some(rec)
     }
 
-    fn fail_agent(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        key: &str,
-        mut record: AgentRecord,
-        reason: String,
-    ) {
+    /// Drops an unreadable queue item (it cannot even fail its agent).
+    fn drop_item(&mut self, ctx: &mut Ctx<'_>, key: &str, why: String) {
+        ctx.trace("bad-queue-item", why);
+        ctx.stable_delete(key);
+        self.processing.remove(key);
+    }
+
+    /// Gives up on the agent: its record leaves as a `Failed` report.
+    fn fail_agent(&mut self, ctx: &mut Ctx<'_>, key: &str, rec: ResidentRecord, reason: String) {
         let txn = self.alloc_txn(ctx);
-        record.status = AgentStatus::Failed(reason.clone());
-        let home = record.home;
-        let report = AgentReport {
-            id: record.id,
-            outcome: ReportOutcome::Failed(reason),
-            finished_at_us: ctx.now().as_micros(),
-            steps_committed: record.step_seq,
-            finished_node: ctx.node().0,
-            // The record moves into its own report — nothing is cloned.
-            record,
-        };
-        let effects = Effects {
-            delete_queue: vec![key.to_owned()],
-            put_queue: Vec::new(),
-            report: Some((home, report.encode())),
-            metrics: vec![(keys::AGENT_FAILED, 1)],
-        };
-        self.active.insert(
-            txn,
-            ActiveTxn {
-                queue_key: key.to_owned(),
-                effects,
-                resident: None,
-                record_branches: Vec::new(),
-                stripped: Vec::new(),
-                advertise: Vec::new(),
-            },
-        );
-        let actions = self.co.commit_request(txn, Vec::new());
-        self.run_actions(ctx, actions);
+        let exit = Exit::Done(ReportOutcome::Failed(reason));
+        if let Err(ItemError::Permanent(e) | ItemError::Transient(e)) =
+            self.hand_off(ctx, txn, key, rec, Vec::new(), Vec::new(), exit)
+        {
+            self.drop_item(ctx, key, e);
+        }
     }
 
     /// Walks the cursor to the next step, constituting savepoints for
@@ -1215,61 +1205,69 @@ impl MoleService {
         }
     }
 
-    /// Builds the commit effects of a completed agent. Consumes the record:
-    /// it moves into its own report (materializing the log — the report
-    /// carries the full final record).
-    fn finalize_effects(
+    /// The one hand-off (§2): commits transaction `txn`, which takes the
+    /// item `key` off this node's queue and puts `rec` into exactly one next
+    /// place. Only a record that stays is splice-encoded and (cache on)
+    /// kept resident; only one that moves passes the compaction gate and the
+    /// transfer encoding, joining `branches` (the round's RCE list, if any)
+    /// as one more piece of 2PC work; only one that is done materializes its
+    /// log, to move into its own report.
+    #[allow(clippy::too_many_arguments)]
+    fn hand_off(
         &mut self,
         ctx: &mut Ctx<'_>,
+        txn: TxnId,
         key: &str,
-        rec: ResidentRecord,
-        extra_metrics: Vec<(&'static str, u64)>,
-    ) -> Result<Effects, ItemError> {
-        let record = rec
-            .into_record()
-            .map_err(|e| ItemError::Permanent(e.to_string()))?;
-        let home = record.home;
-        let report = AgentReport {
-            id: record.id,
-            outcome: ReportOutcome::Completed,
-            finished_at_us: ctx.now().as_micros(),
-            steps_committed: record.step_seq,
-            finished_node: ctx.node().0,
-            record,
-        };
-        let mut metrics = vec![(keys::AGENT_COMPLETED, 1)];
-        metrics.extend(extra_metrics);
-        Ok(Effects {
+        mut rec: ResidentRecord,
+        metrics: Vec<(&'static str, u64)>,
+        mut branches: Vec<(NodeId, RemoteWork)>,
+        exit: Exit,
+    ) -> Result<(), ItemError> {
+        let mut effects = Effects {
             delete_queue: vec![key.to_owned()],
-            put_queue: Vec::new(),
-            report: Some((home, report.encode())),
             metrics,
-        })
-    }
-
-    fn commit_with(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        txn: TxnId,
-        key: &str,
-        effects: Effects,
-        branches: Vec<(NodeId, RemoteWork)>,
-    ) {
-        self.commit_with_resident(ctx, txn, key, effects, branches, None);
-    }
-
-    /// Like [`commit_with`](Self::commit_with), additionally carrying the
-    /// post-step resident record to install in the volatile cache when (and
-    /// only when) the transaction commits.
-    fn commit_with_resident(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        txn: TxnId,
-        key: &str,
-        effects: Effects,
-        branches: Vec<(NodeId, RemoteWork)>,
-        resident: Option<ResidentRecord>,
-    ) {
+            ..Effects::default()
+        };
+        let mut resident = None;
+        match exit {
+            Exit::Stay => {
+                // The agent still goes through stable storage between steps
+                // (§2) — spliced, so the write is O(delta).
+                let bytes = rec
+                    .to_bytes()
+                    .map_err(|e| ItemError::Permanent(e.to_string()))?;
+                effects.put_queue.push((key.to_owned(), bytes));
+                resident = self.cfg.resident_cache.then_some(rec);
+            }
+            Exit::Move { to, kind } => {
+                let bytes = self.encode_for_transfer(ctx, &mut rec)?;
+                branches.push((NodeId(to), RemoteWork::new(kind, bytes)));
+            }
+            Exit::Done(outcome) => {
+                let (status, metric) = match &outcome {
+                    ReportOutcome::Completed => (AgentStatus::Completed, keys::AGENT_COMPLETED),
+                    ReportOutcome::Failed(why) => {
+                        (AgentStatus::Failed(why.clone()), keys::AGENT_FAILED)
+                    }
+                };
+                effects.metrics.push((metric, 1));
+                let mut record = rec
+                    .into_record()
+                    .map_err(|e| ItemError::Permanent(e.to_string()))?;
+                record.status = status;
+                let home = record.home;
+                let report = AgentReport {
+                    id: record.id,
+                    outcome,
+                    finished_at_us: ctx.now().as_micros(),
+                    steps_committed: record.step_seq,
+                    finished_node: ctx.node().0,
+                    // The record moves into its own report — nothing is cloned.
+                    record,
+                };
+                effects.report = Some((home, report.encode()));
+            }
+        }
         // 2PC tracks one branch per participant: multiple works for the
         // same node (e.g. an RCE list plus the agent transfer of a
         // compensation round) merge into a single "batch" work item.
@@ -1326,6 +1324,7 @@ impl MoleService {
         );
         let actions = self.co.commit_request(txn, branches);
         self.run_actions(ctx, actions);
+        Ok(())
     }
 
     /// Serializes a record that is about to cross the network, compacting
@@ -1339,7 +1338,7 @@ impl MoleService {
     /// redundancy-introducing mutation since its last pass
     /// ([`mar_core::RollbackLog::is_dirty`]), or one whose savepoint
     /// payload is too small for the wire savings to pay for the CPU time
-    /// under [`MoleCfg::cost_model`] (ROADMAP "Compaction policy").
+    /// under [`COST_MODEL`] (ROADMAP "Compaction policy").
     fn encode_for_transfer(
         &self,
         ctx: &mut Ctx<'_>,
@@ -1352,11 +1351,7 @@ impl MoleService {
             // total that cannot pay proves the precise check could not
             // either — the steady-state small-log case ships without ever
             // materializing.
-            if !self
-                .cfg
-                .cost_model
-                .compaction_pays(rec.log.size_bytes(), COMPACTION_CPU_US_PER_KB)
-            {
+            if !COST_MODEL.compaction_pays(rec.log.size_bytes(), COMPACTION_CPU_US_PER_KB) {
                 ctx.metrics().inc(keys::LOG_COMPACTIONS_SKIPPED);
             } else {
                 let log = rec
@@ -1366,9 +1361,7 @@ impl MoleService {
                 // Savepoint payloads are the only bytes a pass can reclaim;
                 // short-circuiting keeps the stats read off the clean path.
                 if !log.is_dirty()
-                    || !self
-                        .cfg
-                        .cost_model
+                    || !COST_MODEL
                         .compaction_pays(log.stats().savepoint_bytes, COMPACTION_CPU_US_PER_KB)
                 {
                     ctx.metrics().inc(keys::LOG_COMPACTIONS_SKIPPED);
@@ -1408,21 +1401,12 @@ impl MoleService {
 
         // A fresh launch (or an explicit-savepoint restore) has no current
         // step yet: advance first.
-        if !rec.cursor.is_finished() && rec.cursor.current_step(&itinerary).is_none() {
-            match self.advance_and_book(ctx, &mut rec)? {
-                NextHop::Finished => {
-                    rec.status = AgentStatus::Completed;
-                    let effects = self.finalize_effects(ctx, key, rec, vec![])?;
-                    self.commit_with(ctx, txn, key, effects, Vec::new());
-                    return Ok(());
-                }
-                NextHop::Step(_) => {}
-            }
-        } else if rec.cursor.is_finished() {
-            rec.status = AgentStatus::Completed;
-            let effects = self.finalize_effects(ctx, key, rec, vec![])?;
-            self.commit_with(ctx, txn, key, effects, Vec::new());
-            return Ok(());
+        let finished = rec.cursor.is_finished()
+            || (rec.cursor.current_step(&itinerary).is_none()
+                && matches!(self.advance_and_book(ctx, &mut rec)?, NextHop::Finished));
+        if finished {
+            let exit = Exit::Done(ReportOutcome::Completed);
+            return self.hand_off(ctx, txn, key, rec, Vec::new(), Vec::new(), exit);
         }
 
         let (method, primary, alternatives) = {
@@ -1444,14 +1428,11 @@ impl MoleService {
         // Misplaced agent (e.g. after a restore): forward it to the step's
         // node without executing anything.
         if primary != ctx.node().0 {
-            let bytes = self.encode_for_transfer(ctx, &mut rec)?;
-            let effects = Effects {
-                delete_queue: vec![key.to_owned()],
-                ..Effects::default()
+            let exit = Exit::Move {
+                to: primary,
+                kind: "enqueue-fwd",
             };
-            let work = RemoteWork::new("enqueue-fwd", bytes);
-            self.commit_with(ctx, txn, key, effects, vec![(NodeId(primary), work)]);
-            return Ok(());
+            return self.hand_off(ctx, txn, key, rec, Vec::new(), Vec::new(), exit);
         }
 
         // Execute the step method inside the step transaction.
@@ -1530,47 +1511,13 @@ impl MoleService {
                         rec.logging_mode,
                     );
                 }
-                // Advance to the next step and ship the agent there.
-                let mut effects = Effects {
-                    delete_queue: vec![key.to_owned()],
-                    metrics: vec![(keys::STEPS_COMMITTED, 1)],
-                    ..Effects::default()
+                // Advance to the next step and hand the agent over to it.
+                let exit = match self.advance_and_book(ctx, &mut rec)? {
+                    NextHop::Finished => Exit::Done(ReportOutcome::Completed),
+                    NextHop::Step(next) => Exit::towards(ctx, next, "enqueue-fwd"),
                 };
-                match self.advance_and_book(ctx, &mut rec)? {
-                    NextHop::Finished => {
-                        rec.status = AgentStatus::Completed;
-                        let fx =
-                            self.finalize_effects(ctx, key, rec, vec![(keys::STEPS_COMMITTED, 1)])?;
-                        self.commit_with(ctx, txn, key, fx, Vec::new());
-                        Ok(())
-                    }
-                    NextHop::Step(next_node) => {
-                        if next_node == ctx.node().0 {
-                            // Next step is local: the agent still goes through
-                            // stable storage between steps (§2) — spliced, so
-                            // the write is O(delta) — but nothing crosses the
-                            // wire (no compaction), and the decoded record
-                            // stays resident for the next step.
-                            let bytes = rec
-                                .to_bytes()
-                                .map_err(|e| ItemError::Permanent(e.to_string()))?;
-                            effects.put_queue.push((key.to_owned(), bytes));
-                            let resident = self.cfg.resident_cache.then_some(rec);
-                            self.commit_with_resident(ctx, txn, key, effects, Vec::new(), resident);
-                        } else {
-                            let bytes = self.encode_for_transfer(ctx, &mut rec)?;
-                            let work = RemoteWork::new("enqueue-fwd", bytes);
-                            self.commit_with(
-                                ctx,
-                                txn,
-                                key,
-                                effects,
-                                vec![(NodeId(next_node), work)],
-                            );
-                        }
-                        Ok(())
-                    }
-                }
+                let metrics = vec![(keys::STEPS_COMMITTED, 1)];
+                self.hand_off(ctx, txn, key, rec, metrics, Vec::new(), exit)
             }
         }
     }
@@ -1600,75 +1547,33 @@ impl MoleService {
         let plan = start_rollback(&rb, target)
             .map_err(|e| ItemError::Permanent(format!("rollback: {e}")))?;
         let txn = self.alloc_txn(ctx);
-        let mut effects = Effects {
-            delete_queue: vec![key.to_owned()],
-            metrics: vec![(keys::ROLLBACK_STARTED, 1)],
-            ..Effects::default()
-        };
+        let mut metrics = vec![(keys::ROLLBACK_STARTED, 1)];
         let mut rb =
             ResidentRecord::from_record(rb).map_err(|e| ItemError::Permanent(e.to_string()))?;
         self.prime_record(ctx, &mut rb);
-        match plan {
+        let exit = match plan {
             StartPlan::AlreadyAtTarget(restore) => {
                 rb.apply_restore(*restore);
-                effects.metrics.push((keys::ROLLBACK_COMPLETED, 1));
-                self.route_record(ctx, txn, key, rb, effects, "enqueue-fwd")
+                metrics.push((keys::ROLLBACK_COMPLETED, 1));
+                Self::exit_to_step(ctx, &rb)?
             }
-            StartPlan::Go(Destination::Local) => {
-                let bytes = rb
-                    .to_bytes()
-                    .map_err(|e| ItemError::Permanent(e.to_string()))?;
-                effects.put_queue.push((key.to_owned(), bytes));
-                let resident = self.cfg.resident_cache.then_some(rb);
-                self.commit_with_resident(ctx, txn, key, effects, Vec::new(), resident);
-                Ok(())
-            }
-            StartPlan::Go(Destination::Node(n)) => {
-                let bytes = self.encode_for_transfer(ctx, &mut rb)?;
-                let work = RemoteWork::new("enqueue-rbk", bytes);
-                self.commit_with(ctx, txn, key, effects, vec![(NodeId(n), work)]);
-                Ok(())
-            }
-        }
+            StartPlan::Go(dest) => Exit::rolling_back(dest),
+        };
+        self.hand_off(ctx, txn, key, rb, metrics, Vec::new(), exit)
     }
 
-    /// Routes an updated record to wherever its current step runs (local
-    /// re-enqueue or remote transfer), as part of transaction `txn`. Local
-    /// re-enqueues keep the record resident.
-    fn route_record(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        txn: TxnId,
-        key: &str,
-        mut rec: ResidentRecord,
-        mut effects: Effects,
-        kind: &str,
-    ) -> Result<(), ItemError> {
+    /// The exit of a record back in forward execution (a restore was just
+    /// applied): towards the node of its current step — or staying, when it
+    /// has none yet and the next processing advances.
+    fn exit_to_step(ctx: &Ctx<'_>, rec: &ResidentRecord) -> Result<Exit, ItemError> {
         let itinerary = rec
             .itinerary
             .tree()
             .map_err(|e| ItemError::Permanent(format!("itinerary: {e}")))?;
-        let dest = rec
-            .cursor
-            .current_step(&itinerary)
-            .map(|s| s.loc.primary().0);
-        match dest {
-            Some(n) if n != ctx.node().0 => {
-                let bytes = self.encode_for_transfer(ctx, &mut rec)?;
-                let work = RemoteWork::new(kind, bytes);
-                self.commit_with(ctx, txn, key, effects, vec![(NodeId(n), work)]);
-            }
-            _ => {
-                // Local (or no current step yet: next processing advances).
-                let bytes = rec
-                    .to_bytes()
-                    .map_err(|e| ItemError::Permanent(e.to_string()))?;
-                effects.put_queue.push((key.to_owned(), bytes));
-                let resident = self.cfg.resident_cache.then_some(rec);
-                self.commit_with_resident(ctx, txn, key, effects, Vec::new(), resident);
-            }
-        }
-        Ok(())
+        Ok(match rec.cursor.current_step(&itinerary) {
+            Some(step) => Exit::towards(ctx, step.loc.primary().0, "enqueue-fwd"),
+            None => Exit::Stay,
+        })
     }
 
     /// One batched compensation transaction: a maximal same-destination run
@@ -1721,28 +1626,24 @@ impl MoleService {
         if let Some(payload) = &rce_payload {
             if self.cfg.rollback_routing == RollbackRouting::CostModel
                 && !batch.mixed()
-                && self.cfg.cost_model.migrate_for_batch(
+                && COST_MODEL.migrate_for_batch(
                     pristine_agent_bytes,
                     pristine_log_bytes,
                     payload.len(),
                 )
             {
-                // Ship the *unplanned* record (the batch re-plans at the
-                // destination): re-read it from the stable queue, sharing
-                // the interned itinerary instead of a full decode.
-                let mut fresh = self
+                // Planning popped log entries: re-read the record from the
+                // stable queue, sharing the interned itinerary instead of a
+                // full decode.
+                let fresh = self
                     .stable_resident(ctx, key)
                     .ok_or_else(|| ItemError::Permanent("queue item vanished".to_owned()))?;
-                let bytes = self.encode_for_transfer(ctx, &mut fresh)?;
-                let effects = Effects {
-                    delete_queue: vec![key.to_owned()],
-                    metrics: vec![(keys::ROLLBACK_COST_MIGRATIONS, 1)],
-                    ..Effects::default()
+                let metrics = vec![(keys::ROLLBACK_COST_MIGRATIONS, 1)];
+                let exit = Exit::Move {
+                    to: batch.step_node().expect("has_remote_rces implies steps"),
+                    kind: "enqueue-rbk",
                 };
-                let node = batch.step_node().expect("has_remote_rces implies steps");
-                let work = RemoteWork::new("enqueue-rbk", bytes);
-                self.commit_with(ctx, txn, key, effects, vec![(NodeId(node), work)]);
-                return Ok(());
+                return self.hand_off(ctx, txn, key, fresh, metrics, Vec::new(), exit);
             }
         }
 
@@ -1800,63 +1701,23 @@ impl MoleService {
         // batched and unbatched runs report identical `rollback.rounds`;
         // the transaction savings show up in `batched_rounds`/`rounds_saved`.
         let rounds = batch.rounds_fused().max(1) as u64;
-        let mut effects = Effects {
-            delete_queue: vec![key.to_owned()],
-            metrics: vec![
-                (keys::ROLLBACK_ROUNDS, rounds),
-                (keys::ROLLBACK_BATCHED_ROUNDS, 1),
-                (keys::ROLLBACK_ROUNDS_SAVED, rounds - 1),
-            ],
-            ..Effects::default()
-        };
+        let mut metrics = vec![
+            (keys::ROLLBACK_ROUNDS, rounds),
+            (keys::ROLLBACK_BATCHED_ROUNDS, 1),
+            (keys::ROLLBACK_ROUNDS_SAVED, rounds - 1),
+        ];
         let mut rb =
             ResidentRecord::from_record(rb).map_err(|e| ItemError::Permanent(e.to_string()))?;
         self.prime_record(ctx, &mut rb);
-        match batch.after {
+        let exit = match batch.after {
             AfterRound::Reached(restore) => {
                 rb.apply_restore(*restore);
-                effects.metrics.push((keys::ROLLBACK_COMPLETED, 1));
-                let itinerary = rb
-                    .itinerary
-                    .tree()
-                    .map_err(|e| ItemError::Permanent(format!("itinerary: {e}")))?;
-                let dest = rb
-                    .cursor
-                    .current_step(&itinerary)
-                    .map(|s| s.loc.primary().0);
-                match dest {
-                    Some(n) if n != ctx.node().0 => {
-                        let bytes = self.encode_for_transfer(ctx, &mut rb)?;
-                        branches.push((NodeId(n), RemoteWork::new("enqueue-fwd", bytes)));
-                        self.commit_with(ctx, txn, key, effects, branches);
-                    }
-                    _ => {
-                        let bytes = rb
-                            .to_bytes()
-                            .map_err(|e| ItemError::Permanent(e.to_string()))?;
-                        effects.put_queue.push((key.to_owned(), bytes));
-                        let resident = self.cfg.resident_cache.then_some(rb);
-                        self.commit_with_resident(ctx, txn, key, effects, branches, resident);
-                    }
-                }
-                Ok(())
+                metrics.push((keys::ROLLBACK_COMPLETED, 1));
+                Self::exit_to_step(ctx, &rb)?
             }
-            AfterRound::Continue(Destination::Local) => {
-                let bytes = rb
-                    .to_bytes()
-                    .map_err(|e| ItemError::Permanent(e.to_string()))?;
-                effects.put_queue.push((key.to_owned(), bytes));
-                let resident = self.cfg.resident_cache.then_some(rb);
-                self.commit_with_resident(ctx, txn, key, effects, branches, resident);
-                Ok(())
-            }
-            AfterRound::Continue(Destination::Node(n)) => {
-                let bytes = self.encode_for_transfer(ctx, &mut rb)?;
-                branches.push((NodeId(n), RemoteWork::new("enqueue-rbk", bytes)));
-                self.commit_with(ctx, txn, key, effects, branches);
-                Ok(())
-            }
-        }
+            AfterRound::Continue(dest) => Exit::rolling_back(dest),
+        };
+        self.hand_off(ctx, txn, key, rb, metrics, branches, exit)
     }
 }
 
@@ -1961,7 +1822,7 @@ impl Service for MoleService {
                 actions.extend(self.pa.on_retry());
                 self.run_actions(ctx, actions);
                 self.retransmit_reports(ctx);
-                ctx.set_timer(self.cfg.tm_retry, TAG_RETRY_2PC);
+                ctx.set_timer(TM_RETRY, TAG_RETRY_2PC);
             }
             TAG_KICK => self.scan_queue(ctx),
             t => {
@@ -1973,22 +1834,14 @@ impl Service for MoleService {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // A crash rebuilds the service from its factory, so the resident
-        // cache is naturally empty here; clear defensively anyway — the
-        // crash contract is that recovery re-decodes queue items from
-        // stable bytes only. The same goes for the itinerary intern table
-        // and known-hash sets (the crash-cold invariant): nothing of the
-        // cache is persisted, and a recovered sender ships inline until it
-        // re-advertises. Receivers, however, may be named in peers' known
-        // sets (nobody is told about the restart), so re-derive intern
-        // entries from the locally durable queue items — the same
-        // intern-on-receipt rule `enqueue_local` applies, just run at
-        // recovery admission — which keeps pre-crash advertisements valid
-        // for exactly the records this node still holds.
-        self.resident.clear();
-        self.interned.clear();
-        self.intern_lru.clear();
-        self.known.clear();
+        // A crash rebuilds the service from its factory: the resident cache,
+        // the intern table and the known-hash sets start empty (crash-cold),
+        // and recovery re-decodes queue items from stable bytes only. Peers
+        // are not told about the restart and may still name this node in
+        // their known sets, so re-derive intern entries from the locally
+        // durable queue items — the intern-on-receipt rule of
+        // `enqueue_local`, run at recovery admission — which keeps pre-crash
+        // advertisements valid for exactly the records this node still holds.
         if self.cfg.itinerary_interning {
             for key in ctx.stable().keys_with_prefix(Q_PREFIX) {
                 if let Some(bytes) = ctx.stable_get(&key).map(<[u8]>::to_vec) {
@@ -2046,7 +1899,7 @@ impl Service for MoleService {
 
         self.run_actions(ctx, co_actions);
         self.run_actions(ctx, pa_actions);
-        ctx.set_timer(self.cfg.tm_retry, TAG_RETRY_2PC);
+        ctx.set_timer(TM_RETRY, TAG_RETRY_2PC);
         self.kick(ctx);
     }
 }

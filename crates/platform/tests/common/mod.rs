@@ -92,20 +92,12 @@ pub fn step_name(kind: u8, i: usize) -> String {
     }
 }
 
-/// Builds the standard test platform: `nodes` nodes, the [`Scripted`]
-/// behaviour, and a `BankRm` ledger on every node but 0 — parameterized
-/// over shard count, resident-cache mode, and stable backend.
-pub fn build_platform(
-    nodes: u32,
-    seed: u64,
-    shards: usize,
-    resident_cache: bool,
-    stable: &StableFactory,
-) -> Platform {
+/// The builder behind every test platform: `nodes` nodes, the [`Scripted`]
+/// behaviour, and a `BankRm` ledger on every node but 0. Suites set the
+/// axis they vary (shards, cache, interning, routing) on the result.
+pub fn scripted_builder(nodes: u32, seed: u64, stable: &StableFactory) -> PlatformBuilder {
     let mut b = PlatformBuilder::new(nodes as usize)
         .seed(seed)
-        .shards(shards)
-        .resident_cache(resident_cache)
         .stable_backend(stable.clone())
         .behavior("scripted", Scripted);
     for n in 1..nodes {
@@ -119,7 +111,22 @@ pub fn build_platform(
             rms
         });
     }
-    b.build()
+    b
+}
+
+/// Builds the standard test platform ([`scripted_builder`]) — parameterized
+/// over shard count, resident-cache mode, and stable backend.
+pub fn build_platform(
+    nodes: u32,
+    seed: u64,
+    shards: usize,
+    resident_cache: bool,
+    stable: &StableFactory,
+) -> Platform {
+    scripted_builder(nodes, seed, stable)
+        .shards(shards)
+        .resident_cache(resident_cache)
+        .build()
 }
 
 /// Like [`build_platform`], but parameterized over itinerary interning
@@ -133,26 +140,12 @@ pub fn build_platform_itin(
     itin_cache: usize,
     stable: &StableFactory,
 ) -> Platform {
-    let mut b = PlatformBuilder::new(nodes as usize)
-        .seed(seed)
+    scripted_builder(nodes, seed, stable)
         .shards(shards)
         .trace(true)
         .itinerary_interning(interning)
         .itinerary_cache(itin_cache)
-        .stable_backend(stable.clone())
-        .behavior("scripted", Scripted);
-    for n in 1..nodes {
-        b = b.resources(NodeId(n), move || {
-            let mut rms = RmRegistry::new();
-            rms.register(Box::new(
-                BankRm::new("ledger", false)
-                    .with_account("sink", 0)
-                    .with_account("reserve", 100_000),
-            ));
-            rms
-        });
-    }
-    b.build()
+        .build()
 }
 
 /// Drops the `itinerary.*` counters — the one metric family allowed to

@@ -71,4 +71,4 @@ pub use stable::{BackendStats, MemBackend, StableBackend, StableFactory, StableS
 pub use stable::{WalBackend, WalConfig};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceKind, TraceRecord};
-pub use world::{ShardProfile, World, WorldConfig};
+pub use world::{window_end, ShardProfile, World, WorldConfig};

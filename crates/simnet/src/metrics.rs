@@ -58,7 +58,9 @@ impl HistSummary {
         self.max = self.max.max(v);
     }
 
-    fn merge(&mut self, other: &HistSummary) {
+    /// Folds another summary of the same quantity into this one (shard
+    /// fold in-process, host fold across processes).
+    pub fn merge(&mut self, other: &HistSummary) {
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);

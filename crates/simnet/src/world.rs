@@ -109,6 +109,20 @@ pub struct ShardProfile {
     pub critical_ns: u64,
 }
 
+/// End (exclusive) of the conservative window that opens at the global
+/// minimum pending event time `min_us`: nothing created inside it can land
+/// before the end, because every delivery costs at least the lookahead (the
+/// latency model's minimum). Capped just past the run boundary `until_us`,
+/// and at least one instant long so a zero lookahead still makes progress.
+/// The in-process windowed engines and `mar-net`'s lockstep driver all
+/// schedule with this one formula, which is what makes their runs agree.
+pub fn window_end(min_us: u64, lookahead_us: u64, until_us: u64) -> u64 {
+    min_us
+        .saturating_add(lookahead_us)
+        .min(until_us.saturating_add(1))
+        .max(min_us.saturating_add(1))
+}
+
 /// Per-shard state: the nodes owned by this shard plus everything their
 /// callbacks touch. A `Shard` is self-contained so a worker thread can
 /// process it with `&mut` while other shards run in parallel.
@@ -1074,12 +1088,7 @@ impl World {
             "run_window requires the sequential engine (shards = 1)"
         );
         self.sync_replicas_if_dirty();
-        self.shards[0].process_until(end_us);
-        self.drain_outboxes();
-        let processed_up_to = SimTime::from_micros(end_us.saturating_sub(1));
-        if processed_up_to > self.time {
-            self.time = processed_up_to;
-        }
+        self.exec_window(end_us);
         self.sync();
     }
 
@@ -1159,6 +1168,32 @@ impl World {
         true
     }
 
+    /// The sequential window body: every shard processes its events with
+    /// `time < end_us`, one shard at a time, cross-shard deposits move to
+    /// their queues, and the clock advances to `end_us - 1` (the last
+    /// instant processed). With profiling on, each shard runs under a timer.
+    fn exec_window(&mut self, end_us: u64) {
+        let mut window_max = 0u64;
+        for i in 0..self.shards.len() {
+            let t0 = self.profiling.then(Instant::now);
+            self.shards[i].process_until(end_us);
+            if let Some(t0) = t0 {
+                let busy = t0.elapsed().as_nanos() as u64;
+                self.profile.busy_ns[i] += busy;
+                window_max = window_max.max(busy);
+            }
+        }
+        if self.profiling {
+            self.profile.windows += 1;
+            self.profile.critical_ns += window_max;
+        }
+        self.drain_outboxes();
+        let processed_up_to = SimTime::from_micros(end_us.saturating_sub(1));
+        if processed_up_to > self.time {
+            self.time = processed_up_to;
+        }
+    }
+
     /// Instrumented sequential-window engine: identical window schedule to
     /// the threaded engine, but shards run one at a time under a timer so
     /// per-shard busy time and the critical path can be measured exactly
@@ -1166,36 +1201,12 @@ impl World {
     fn run_windows_profiled(&mut self, until: SimTime) {
         let until_us = until.as_micros();
         let lookahead_us = self.lookahead.as_micros();
-        while let Some(m) = self
-            .shards
-            .iter()
-            .filter_map(|sh| sh.queue.peek_time())
-            .map(|t| t.as_micros())
-            .min()
-        {
+        while let Some(m) = self.local_min_us() {
             if m > until_us {
                 break;
             }
-            let end = m
-                .saturating_add(lookahead_us)
-                .min(until_us.saturating_add(1))
-                .max(m + 1);
-            self.profile.windows += 1;
-            let mut window_max = 0u64;
-            for i in 0..self.shards.len() {
-                let t0 = Instant::now();
-                self.shards[i].process_until(end);
-                let busy = t0.elapsed().as_nanos() as u64;
-                self.profile.busy_ns[i] += busy;
-                window_max = window_max.max(busy);
-            }
-            self.profile.critical_ns += window_max;
+            self.exec_window(window_end(m, lookahead_us, until_us));
             self.metrics.inc(keys::WINDOWS);
-            self.drain_outboxes();
-            let processed_up_to = SimTime::from_micros(end.saturating_sub(1));
-            if processed_up_to > self.time {
-                self.time = processed_up_to;
-            }
         }
     }
 
@@ -1238,9 +1249,7 @@ impl World {
                             DONE
                         } else {
                             windows.fetch_add(1, Ordering::Relaxed);
-                            m.saturating_add(lookahead_us)
-                                .min(until_us.saturating_add(1))
-                                .max(m + 1)
+                            window_end(m, lookahead_us, until_us)
                         };
                         window.store(w, Ordering::Release);
                     }
@@ -1512,8 +1521,18 @@ mod tests {
     /// mid-run crash and a link flap, returning its observable outcome.
     fn shard_scenario(shards: usize, threaded_runs: bool) -> ScenarioOutcome {
         let mut cfg = WorldConfig::with_seed(42);
-        cfg.trace = true;
         cfg.shards = shards;
+        run_scenario(cfg, false, threaded_runs).0
+    }
+
+    /// [`shard_scenario`] on any world configuration, optionally under the
+    /// profiled engine; also returns the accumulated profile.
+    fn run_scenario(
+        mut cfg: WorldConfig,
+        profiled: bool,
+        split_runs: bool,
+    ) -> (ScenarioOutcome, ShardProfile) {
+        cfg.trace = true;
         let mut w = World::new(cfg);
         let nodes: Vec<NodeId> = (0..6).map(|_| w.add_node()).collect();
         for (i, &n) in nodes.iter().enumerate() {
@@ -1527,6 +1546,7 @@ mod tests {
                 })
             });
         }
+        w.set_shard_profiling(profiled);
         w.start();
         // Persist something per delivery so stable stores diverge if order does.
         w.schedule_crash(SimTime::from_micros(9000), nodes[3]);
@@ -1536,7 +1556,7 @@ mod tests {
         for &n in &nodes {
             w.post(Address::new(n, "echo"), b"kick".to_vec());
         }
-        if threaded_runs {
+        if split_runs {
             // Several run_until calls so the windowed engine stops/starts.
             for _ in 0..10 {
                 w.run_for(SimDuration::from_millis(5));
@@ -1553,7 +1573,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        (w.snapshot(), w.trace().records().to_vec(), stables)
+        let outcome = (w.snapshot(), w.trace().records().to_vec(), stables);
+        (outcome, w.shard_profile().clone())
     }
 
     /// Counters that describe the execution engine rather than the
@@ -1578,52 +1599,14 @@ mod tests {
     #[test]
     fn profiled_runs_match_threaded_and_populate_profile() {
         let (mut m_thr, t_thr, s_thr) = shard_scenario(3, true);
-        let run_profiled = || {
-            let mut cfg = WorldConfig::with_seed(42);
-            cfg.trace = true;
-            cfg.shards = 3;
-            World::new(cfg)
-        };
-        // Re-run scenario manually with profiling on.
-        let mut w = run_profiled();
-        let nodes: Vec<NodeId> = (0..6).map(|_| w.add_node()).collect();
-        for (i, &n) in nodes.iter().enumerate() {
-            w.add_service(n, "echo", || Box::new(Echo { seen: 0 }));
-            let peer = Address::new(nodes[(i + 1) % nodes.len()], "echo");
-            w.add_service(n, "starter", move || Box::new(Starter { peer }));
-            w.add_service(n, "tick", || {
-                Box::new(Ticker {
-                    fires: 0,
-                    period: SimDuration::from_millis(7),
-                })
-            });
-        }
-        w.set_shard_profiling(true);
-        w.start();
-        w.schedule_crash(SimTime::from_micros(9000), nodes[3]);
-        w.schedule_recover(SimTime::from_micros(14000), nodes[3]);
-        w.schedule_link(SimTime::from_micros(4000), nodes[1], nodes[2], false);
-        w.schedule_link(SimTime::from_micros(21000), nodes[1], nodes[2], true);
-        for &n in &nodes {
-            w.post(Address::new(n, "echo"), b"kick".to_vec());
-        }
-        for _ in 0..10 {
-            w.run_for(SimDuration::from_millis(5));
-        }
-        let mut m_prof = w.snapshot();
+        let mut cfg = WorldConfig::with_seed(42);
+        cfg.shards = 3;
+        let ((mut m_prof, t_prof, s_prof), p) = run_scenario(cfg, true, true);
         strip_engine_counters(&mut m_thr);
         strip_engine_counters(&mut m_prof);
         assert_eq!(m_thr, m_prof);
-        assert_eq!(t_thr, w.trace().records());
-        for (i, &n) in nodes.iter().enumerate() {
-            let dump: Vec<(String, Vec<u8>)> = w
-                .stable(n)
-                .iter()
-                .map(|(k, v)| (k.to_owned(), v.to_vec()))
-                .collect();
-            assert_eq!(s_thr[i], dump);
-        }
-        let p = w.shard_profile();
+        assert_eq!(t_thr, t_prof);
+        assert_eq!(s_thr, s_prof);
         assert!(p.windows > 0, "profiling should count windows");
         assert_eq!(p.busy_ns.len(), 3);
         assert!(p.critical_ns > 0);
@@ -1631,6 +1614,22 @@ mod tests {
             p.critical_ns <= p.busy_ns.iter().sum::<u64>(),
             "critical path cannot exceed total busy time"
         );
+
+        // Zero lookahead on one shard: every window is the one-instant
+        // `max(m + 1)` case of `window_end`, and the windowed body must
+        // still reproduce the 1-shard reference loop.
+        let mut cfg = WorldConfig::with_seed(42);
+        cfg.latency = LatencyModel::fixed(SimDuration::ZERO, SimDuration::ZERO);
+        let ((mut m_ref, t_ref, s_ref), _) = run_scenario(cfg.clone(), false, false);
+        let ((mut m_win, t_win, s_win), p) = run_scenario(cfg, true, false);
+        assert_eq!(window_end(7, 0, 100), 8);
+        assert_eq!(m_win.counter(keys::WINDOWS), p.windows);
+        strip_engine_counters(&mut m_ref);
+        strip_engine_counters(&mut m_win);
+        assert_eq!(m_ref, m_win);
+        assert_eq!(t_ref, t_win);
+        assert_eq!(s_ref, s_win);
+        assert!(p.windows > 0 && p.busy_ns.len() == 1);
     }
 
     #[test]
@@ -1741,10 +1740,7 @@ mod tests {
             if m > until_us {
                 break;
             }
-            let end = m
-                .saturating_add(lookahead_us)
-                .min(until_us.saturating_add(1))
-                .max(m + 1);
+            let end = window_end(m, lookahead_us, until_us);
             for w in worlds.iter_mut() {
                 w.run_window(end);
             }
