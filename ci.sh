@@ -24,6 +24,10 @@ cargo test -q
 # crates); the rest of the workspace — mar-net (real processes, wall-clock
 # chaos), mar-bench and the vendored proptest stand-in — runs here, once.
 cargo test -q -p mar-net -p mar-bench -p proptest
+# The canonical benchmark's own suite (smoke run, closed-form step and money
+# checks, seed reproducibility): a core change that trips the benchmark's
+# output checks fails here and not in the pipeline.
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "==> example smoke stage (all five examples, release)"
 for ex in quickstart travel_agency ecommerce_cash systems_management failure_storm; do

@@ -10,7 +10,8 @@
 //!
 //! Crash semantics: everything volatile here (locks, undo, in-flight 2PC
 //! state, timers) dies with the node and is rebuilt in `on_start` from
-//! stable storage — queue items, RM snapshots, decision/prepared records.
+//! stable storage — queue items, RM base images and delta records,
+//! decision/prepared records.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -23,8 +24,8 @@ use mar_core::{
 };
 use mar_simnet::{Address, Ctx, NodeId, Service, SimDuration};
 use mar_txn::{
-    twopc::Action, Coordinator, Participant, PreparedEntry, RemoteWork, RmRegistry, TxMsg, TxnId,
-    TxnIdGen,
+    twopc::Action, Coordinator, Participant, PreparedEntry, RemoteWork, RmRegistry, RmWrite, TxMsg,
+    TxnId, TxnIdGen,
 };
 
 use crate::behavior::{BehaviorRegistry, StepDecision};
@@ -66,6 +67,9 @@ const KEY_QSEQ: &str = "qseq";
 const KEY_TXNSEQ: &str = "txnseq";
 const KEY_MBOXSEQ: &str = "mboxseq";
 pub(crate) const Q_PREFIX: &str = "q/";
+/// Committed resource state: `rm/<name>` holds a manager's base image,
+/// `rm/<name>+<seq:012>` the delta records committed since, in key order
+/// (so a manager's name may not contain `+`).
 const RM_PREFIX: &str = "rm/";
 const DECISION_PREFIX: &str = "2pc/decision/";
 const PREPARED_PREFIX: &str = "2pc/prepared/";
@@ -403,6 +407,10 @@ impl MoleService {
         comps: Arc<CompOpRegistry>,
         rms: RmRegistry,
     ) -> Self {
+        assert!(
+            rms.names().iter().all(|name| !name.contains('+')),
+            "resource names may not contain '+': it separates name and delta number in stable keys"
+        );
         MoleService {
             cfg,
             behaviors,
@@ -712,10 +720,29 @@ impl MoleService {
         }
     }
 
-    fn persist_rms(&mut self, ctx: &mut Ctx<'_>) {
-        let snaps = self.rms.snapshot_all().expect("resource snapshots encode");
-        for (name, bytes) in snaps {
-            ctx.stable_put(format!("{RM_PREFIX}{name}"), bytes);
+    /// The one way a transaction's resource changes become permanent:
+    /// commits `txn` on every manager and, in the same handler — so inside
+    /// the same stable batch as the decision or done record — writes what
+    /// the registry asks for: a delta record per manager `txn` wrote to, or
+    /// a fresh base image in place of the deltas it folds.
+    fn commit_rms(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+        let writes = self.rms.commit_all(txn).expect("resource state encodes");
+        for write in writes {
+            match write {
+                RmWrite::Delta { name, seq, bytes } => {
+                    ctx.stable_put(rm_delta_key(&name, seq), bytes);
+                }
+                RmWrite::Base {
+                    name,
+                    bytes,
+                    folded,
+                } => {
+                    for seq in 1..=folded {
+                        ctx.stable_delete(&rm_delta_key(&name, seq));
+                    }
+                    ctx.stable_put(format!("{RM_PREFIX}{name}"), bytes);
+                }
+            }
         }
     }
 
@@ -780,10 +807,9 @@ impl MoleService {
 
     /// Applies the coordinator-local branch. Runs in the same handler that
     /// persisted the decision record, which makes {decision, resource
-    /// snapshots, queue updates} atomic with respect to crashes.
+    /// deltas, queue updates} atomic with respect to crashes.
     fn commit_local(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
-        self.rms.commit_all(txn);
-        self.persist_rms(ctx);
+        self.commit_rms(ctx, txn);
         let Some(at) = self.active.get_mut(&txn) else {
             return;
         };
@@ -992,22 +1018,18 @@ impl MoleService {
                 }
             }
             "rce" => {
-                if self.live_branches.remove(&txn) {
-                    // Fast path: the tentative execution from the prepare is
-                    // still live; just commit it.
-                    self.rms.commit_all(txn);
-                } else {
-                    // Recovery path: the branch died with a crash; redo the
-                    // prepared work, then commit.
+                // Fast path: the tentative execution from the prepare is
+                // still live; just commit it. Recovery path: the branch died
+                // with a crash; redo the prepared work first.
+                if !self.live_branches.remove(&txn) {
                     if let Err(e) = self.execute_rce_list(ctx, txn, &work.payload) {
                         // The decision is commit; a redo failure here is the
                         // classic heuristic-damage corner of 2PC. Record it.
                         ctx.metrics().inc("rollback.redo_failed");
                         ctx.trace("rce-redo-failed", e.to_string());
                     }
-                    self.rms.commit_all(txn);
                 }
-                self.persist_rms(ctx);
+                self.commit_rms(ctx, txn);
             }
             _ => {}
         }
@@ -1858,11 +1880,22 @@ impl Service for MoleService {
         idgen.bump_past(floor);
         self.idgen = Some(idgen);
 
-        // Committed resource state.
+        // Committed resource state. Key order puts each manager's base
+        // image before its delta records, and those in commit order. The
+        // registry stops a manager's replay at the first record that does
+        // not restore; each record it refuses is counted and traced.
         for key in ctx.stable().keys_with_prefix(RM_PREFIX) {
-            let name = key[RM_PREFIX.len()..].to_owned();
-            if let Some(bytes) = ctx.stable_get(&key).map(<[u8]>::to_vec) {
-                let _ = self.rms.restore_one(&name, &bytes);
+            let Some(bytes) = ctx.stable_get(&key) else {
+                continue;
+            };
+            let record = &key[RM_PREFIX.len()..];
+            let restored = match record.split_once('+') {
+                Some((name, _seq)) => self.rms.apply_delta(name, bytes),
+                None => self.rms.restore_base(record, bytes),
+            };
+            if let Err(e) = restored {
+                ctx.metrics().inc("recovery.rm_records_refused");
+                ctx.trace("rm-restore-failed", format!("{key}: {e}"));
             }
         }
 
@@ -1914,6 +1947,10 @@ fn work_carries_record(work: &RemoteWork) -> bool {
             .unwrap_or(false),
         _ => false,
     }
+}
+
+fn rm_delta_key(name: &str, seq: u64) -> String {
+    format!("{RM_PREFIX}{name}+{seq:012}")
 }
 
 fn parse_txn_key(key: &str) -> TxnId {

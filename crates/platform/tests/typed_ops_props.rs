@@ -142,8 +142,15 @@ fn run_step(body: impl FnOnce(&mut StepCtx<'_>)) -> StepObservables {
     let mut log = RollbackLog::new();
     log.append_step(1, 3, "step", pending, vec![]);
     let frame = mar_wire::to_bytes(&log).expect("log frame encodes");
-    rms.commit_all(txn);
-    let snaps = rms.snapshot_all().expect("snapshots encode");
+    rms.commit_all(txn).expect("commit encodes");
+    let snaps = rms
+        .names()
+        .into_iter()
+        .map(|name| {
+            let snap = rms.get(&name).expect("registered").snapshot();
+            (name, snap.expect("snapshot encodes"))
+        })
+        .collect();
     (frame, snaps, data)
 }
 

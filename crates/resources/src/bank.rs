@@ -82,13 +82,8 @@ impl BankRm {
             .ok_or_else(|| rejected(&self.name, format!("no account {account:?}")))
     }
 
-    fn apply_delta(
-        &mut self,
-        txn: TxnId,
-        op: &str,
-        account: &str,
-        delta: i64,
-    ) -> Result<i64, TxnError> {
+    /// Posts `delta` to `account` and appends the audit record.
+    fn post(&mut self, txn: TxnId, op: &str, account: &str, delta: i64) -> Result<i64, TxnError> {
         let cur = self.balance(txn, account)?;
         let next = cur + delta;
         if next < 0 && !self.allow_overdraft {
@@ -142,23 +137,19 @@ impl ResourceManager for BankRm {
             "deposit" => {
                 let account = p_str(op, params, "account")?.to_owned();
                 let amount = p_amount(op, params, "amount")?;
-                Ok(Value::from(
-                    self.apply_delta(ctx.txn, op, &account, amount)?,
-                ))
+                Ok(Value::from(self.post(ctx.txn, op, &account, amount)?))
             }
             "withdraw" => {
                 let account = p_str(op, params, "account")?.to_owned();
                 let amount = p_amount(op, params, "amount")?;
-                Ok(Value::from(
-                    self.apply_delta(ctx.txn, op, &account, -amount)?,
-                ))
+                Ok(Value::from(self.post(ctx.txn, op, &account, -amount)?))
             }
             "transfer" => {
                 let from = p_str(op, params, "from")?.to_owned();
                 let to = p_str(op, params, "to")?.to_owned();
                 let amount = p_amount(op, params, "amount")?;
-                self.apply_delta(ctx.txn, op, &from, -amount)?;
-                self.apply_delta(ctx.txn, op, &to, amount)?;
+                self.post(ctx.txn, op, &from, -amount)?;
+                self.post(ctx.txn, op, &to, amount)?;
                 Ok(Value::Null)
             }
             other => Err(TxnError::BadRequest(format!(
@@ -168,8 +159,8 @@ impl ResourceManager for BankRm {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) {
-        self.store.commit(txn);
+    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
+        self.store.commit(txn, self.audit_seq)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -181,7 +172,22 @@ impl ResourceManager for BankRm {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        Ok(self.store.restore(bytes)?)
+        self.store.restore(bytes)?;
+        // The base image is the bare store; the audit counter is the number
+        // of its last `audit/` key, so the trail only ever grows.
+        let last = self
+            .store
+            .iter()
+            .filter_map(|(k, _)| k.strip_prefix("audit/")?.parse().ok())
+            .last();
+        self.audit_seq = self.audit_seq.max(last.unwrap_or(0));
+        Ok(())
+    }
+
+    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
+        let seq = self.store.apply_delta(bytes)?;
+        self.audit_seq = self.audit_seq.max(seq);
+        Ok(())
     }
 
     fn audit_money(&self) -> Value {
@@ -388,6 +394,41 @@ mod tests {
         let mut b2 = BankRm::new("bank", false);
         b2.restore(&snap).unwrap();
         assert_eq!(b2.balance_of("bob"), Some(59));
+    }
+
+    /// Recovery must not rewind the audit counter: the first operation after
+    /// a restore appends to the trail instead of overwriting its first entry,
+    /// whether the counter comes back from a base image or from a delta.
+    #[test]
+    fn audit_trail_only_grows_across_restore() {
+        let deposit = Value::map([
+            ("account", Value::from("bob")),
+            ("amount", Value::from(1i64)),
+        ]);
+        let mut b = bank();
+        b.invoke(ctx(1), "deposit", &deposit).unwrap();
+        b.invoke(ctx(1), "deposit", &deposit).unwrap();
+        b.commit(ctx(1).txn);
+        let base = b.snapshot().unwrap();
+        b.invoke(ctx(2), "deposit", &deposit).unwrap();
+        let delta = b.commit(ctx(2).txn).expect("a deposit writes");
+        let before = b.audit();
+        assert_eq!(before.len(), 3);
+
+        for with_delta in [false, true] {
+            let mut r = BankRm::new("bank", false);
+            r.restore(&base).unwrap();
+            if with_delta {
+                r.apply_delta(&delta).unwrap();
+            }
+            let kept = r.audit();
+            assert_eq!(kept, before[..kept.len()]);
+            r.invoke(ctx(3), "deposit", &deposit).unwrap();
+            r.commit(ctx(3).txn);
+            let after = r.audit();
+            assert_eq!(after.len(), kept.len() + 1, "with_delta={with_delta}");
+            assert_eq!(after[..kept.len()], kept[..], "with_delta={with_delta}");
+        }
     }
 
     #[test]

@@ -108,8 +108,8 @@ impl ResourceManager for DirectoryRm {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) {
-        self.store.commit(txn);
+    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
+        self.store.commit(txn, 0)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -122,6 +122,11 @@ impl ResourceManager for DirectoryRm {
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
         Ok(self.store.restore(bytes)?)
+    }
+
+    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
+        self.store.apply_delta(bytes)?;
+        Ok(())
     }
 }
 

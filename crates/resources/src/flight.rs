@@ -161,8 +161,8 @@ impl ResourceManager for FlightRm {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) {
-        self.store.commit(txn);
+    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
+        self.store.commit(txn, self.booking_seq)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -177,6 +177,12 @@ impl ResourceManager for FlightRm {
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
         let (snap, seq): (Vec<u8>, u64) = mar_wire::from_slice(bytes)?;
         self.store.restore(&snap)?;
+        self.booking_seq = self.booking_seq.max(seq);
+        Ok(())
+    }
+
+    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
+        let seq = self.store.apply_delta(bytes)?;
         self.booking_seq = self.booking_seq.max(seq);
         Ok(())
     }

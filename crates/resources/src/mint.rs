@@ -158,8 +158,8 @@ impl ResourceManager for MintRm {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) {
-        self.store.commit(txn);
+    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
+        self.store.commit(txn, self.serial_seq)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -176,6 +176,12 @@ impl ResourceManager for MintRm {
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
         let (snap, seq): (Vec<u8>, u64) = mar_wire::from_slice(bytes)?;
         self.store.restore(&snap)?;
+        self.serial_seq = self.serial_seq.max(seq);
+        Ok(())
+    }
+
+    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
+        let seq = self.store.apply_delta(bytes)?;
         self.serial_seq = self.serial_seq.max(seq);
         Ok(())
     }

@@ -244,8 +244,8 @@ impl ResourceManager for ShopRm {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) {
-        self.store.commit(txn);
+    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
+        self.store.commit(txn, self.order_seq)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -260,6 +260,12 @@ impl ResourceManager for ShopRm {
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
         let (snap, seq): (Vec<u8>, u64) = mar_wire::from_slice(bytes)?;
         self.store.restore(&snap)?;
+        self.order_seq = self.order_seq.max(seq);
+        Ok(())
+    }
+
+    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
+        let seq = self.store.apply_delta(bytes)?;
         self.order_seq = self.order_seq.max(seq);
         Ok(())
     }

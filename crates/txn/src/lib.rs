@@ -11,9 +11,11 @@
 //! mechanisms:
 //!
 //! * [`TxStore`] — in-place updates + [`UndoLog`] + [`LockTable`] give
-//!   atomic, isolated local branches ("changes … are undone automatically").
+//!   atomic, isolated local branches ("changes … are undone automatically");
+//!   a commit hands back the transaction's delta record.
 //! * [`ResourceManager`] / [`RmRegistry`] — named transactional resources
-//!   invoked from steps and compensating operations.
+//!   invoked from steps and compensating operations, made durable as a base
+//!   image plus one delta record per commit ([`RmWrite`]).
 //! * [`Coordinator`] / [`Participant`] — presumed-abort 2PC state machines
 //!   driven by a hosting service; see the module docs of [`mod@twopc`] for
 //!   the crash-atomicity contract.
@@ -39,7 +41,7 @@ pub use error::TxnError;
 pub use id::{TxnId, TxnIdGen};
 pub use lock::{LockMode, LockTable};
 pub use msg::{RemoteWork, TxEnvelope, TxMsg};
-pub use rm::{OpCtx, ResourceManager, RmRegistry};
+pub use rm::{OpCtx, ResourceManager, RmRegistry, RmWrite};
 pub use store::TxStore;
 pub use twopc::{Action, Coordinator, Participant, PreparedEntry};
 pub use undo::{UndoLog, UndoRecord};

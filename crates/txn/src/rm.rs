@@ -4,6 +4,12 @@
 //! from compensating operations. All operations of a step run inside the
 //! *step transaction* (paper §2); commit/abort fans out to every manager on
 //! the node.
+//!
+//! Durability is log + checkpoint at this boundary: a commit yields one
+//! delta record per manager the transaction wrote to, and the registry
+//! decides by a fixed size rule when a manager's deltas are folded into a
+//! fresh base image ([`RmRegistry::commit_all`]). The hosting node only maps
+//! the resulting [`RmWrite`]s onto its stable storage.
 
 use std::collections::BTreeMap;
 
@@ -42,25 +48,37 @@ pub trait ResourceManager: Send {
     /// [`TxnError::BadRequest`] for malformed parameters.
     fn invoke(&mut self, ctx: OpCtx, op: &str, params: &Value) -> Result<Value, TxnError>;
 
-    /// Makes the transaction's effects on this resource permanent.
-    fn commit(&mut self, txn: TxnId);
+    /// Makes the transaction's effects on this resource permanent and
+    /// returns them as a delta record for stable storage: what `txn` wrote,
+    /// plus the high-water mark of any sequence counter the resource keeps.
+    /// `None` if the transaction changed nothing here.
+    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>>;
 
     /// Reverts the transaction's effects on this resource.
     fn abort(&mut self, txn: TxnId);
 
-    /// Serializes committed state for stable storage.
+    /// Serializes the committed state — the base image. Other transactions
+    /// may be live; none of their writes may appear in it.
     ///
     /// # Errors
     ///
     /// Codec errors only.
     fn snapshot(&self) -> Result<Vec<u8>, TxnError>;
 
-    /// Restores committed state after a crash.
+    /// Restores committed state from a base image after a crash.
     ///
     /// # Errors
     ///
     /// Codec errors only.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError>;
+
+    /// Re-applies a delta record [`commit`](Self::commit) returned, on top
+    /// of the restored base and every earlier delta (crash recovery).
+    ///
+    /// # Errors
+    ///
+    /// Codec errors only.
+    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError>;
 
     /// Reports the committed money this resource holds, as a map from
     /// currency code to amount — the raw material of the conservation
@@ -71,10 +89,48 @@ pub trait ResourceManager: Send {
     }
 }
 
+/// One stable-storage update a commit asks of the hosting node. All writes
+/// of one [`RmRegistry::commit_all`] belong to the commit's own atomic
+/// stable batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RmWrite {
+    /// Append delta record number `seq` (1-based since the last base) of
+    /// resource `name`.
+    Delta {
+        /// The resource.
+        name: String,
+        /// Position of the record behind the resource's base image.
+        seq: u64,
+        /// The record.
+        bytes: Vec<u8>,
+    },
+    /// Replace the base image of resource `name` and drop its delta records
+    /// `1..=folded`, which the image now contains.
+    Base {
+        /// The resource.
+        name: String,
+        /// The committed state.
+        bytes: Vec<u8>,
+        /// How many delta records the image supersedes.
+        folded: u64,
+    },
+}
+
+/// A registered manager and the size of what stable storage holds for it.
+struct Hosted {
+    rm: Box<dyn ResourceManager>,
+    /// Size of the stored base image; `None` until the first commit that
+    /// touches the resource writes one.
+    base_len: Option<usize>,
+    /// Delta records stored behind the base: how many, and their bytes.
+    deltas: u64,
+    delta_bytes: usize,
+}
+
 /// The set of resource managers on one node.
 #[derive(Default)]
 pub struct RmRegistry {
-    rms: BTreeMap<String, Box<dyn ResourceManager>>,
+    rms: BTreeMap<String, Hosted>,
 }
 
 impl RmRegistry {
@@ -90,7 +146,13 @@ impl RmRegistry {
     /// Panics if a resource with the same name already exists.
     pub fn register(&mut self, rm: Box<dyn ResourceManager>) {
         let name = rm.name().to_owned();
-        let prev = self.rms.insert(name.clone(), rm);
+        let hosted = Hosted {
+            rm,
+            base_len: None,
+            deltas: 0,
+            delta_bytes: 0,
+        };
+        let prev = self.rms.insert(name.clone(), hosted);
         assert!(prev.is_none(), "resource {name:?} registered twice");
     }
 
@@ -107,67 +169,128 @@ impl RmRegistry {
         op: &str,
         params: &Value,
     ) -> Result<Value, TxnError> {
-        let rm = self
+        let hosted = self
             .rms
             .get_mut(resource)
             .ok_or_else(|| TxnError::NoSuchResource(resource.to_owned()))?;
-        rm.invoke(ctx, op, params)
+        hosted.rm.invoke(ctx, op, params)
     }
 
-    /// Commits `txn` on every resource.
-    pub fn commit_all(&mut self, txn: TxnId) {
-        for rm in self.rms.values_mut() {
-            rm.commit(txn);
+    /// Commits `txn` on every resource and returns what the host must write
+    /// to stable storage for it: per resource the transaction wrote to, its
+    /// delta record — or, once the deltas stored since the last base image
+    /// would reach that image's own size (and at the first commit, when
+    /// there is none), a fresh base image that supersedes them. The rule
+    /// keeps both the bytes written per commit and the records replayed at
+    /// recovery proportional to what transactions wrote, however large the
+    /// resource grows. A resource the transaction did not touch writes
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Codec errors from a base image.
+    pub fn commit_all(&mut self, txn: TxnId) -> Result<Vec<RmWrite>, TxnError> {
+        let mut writes = Vec::new();
+        for (name, hosted) in &mut self.rms {
+            let Some(bytes) = hosted.rm.commit(txn) else {
+                continue;
+            };
+            let name = name.clone();
+            match hosted.base_len {
+                Some(base) if hosted.delta_bytes + bytes.len() < base => {
+                    hosted.deltas += 1;
+                    hosted.delta_bytes += bytes.len();
+                    let seq = hosted.deltas;
+                    writes.push(RmWrite::Delta { name, seq, bytes });
+                }
+                _ => {
+                    let bytes = hosted.rm.snapshot()?;
+                    let folded = std::mem::take(&mut hosted.deltas);
+                    hosted.base_len = Some(bytes.len());
+                    hosted.delta_bytes = 0;
+                    writes.push(RmWrite::Base {
+                        name,
+                        bytes,
+                        folded,
+                    });
+                }
+            }
         }
+        Ok(writes)
     }
 
     /// Aborts `txn` on every resource.
     pub fn abort_all(&mut self, txn: TxnId) {
-        for rm in self.rms.values_mut() {
-            rm.abort(txn);
+        for hosted in self.rms.values_mut() {
+            hosted.rm.abort(txn);
         }
     }
 
-    /// Snapshots every resource as `(name, bytes)` pairs.
+    /// Crash recovery, first half: restores resource `name` from its stored
+    /// base image (ignores unknown names so nodes can be reconfigured
+    /// between runs).
     ///
     /// # Errors
     ///
-    /// Codec errors only.
-    pub fn snapshot_all(&self) -> Result<Vec<(String, Vec<u8>)>, TxnError> {
-        self.rms
-            .iter()
-            .map(|(name, rm)| Ok((name.clone(), rm.snapshot()?)))
-            .collect()
+    /// Codec errors from the resource. It then keeps its factory state, and
+    /// [`apply_delta`](Self::apply_delta) refuses its delta records.
+    pub fn restore_base(&mut self, name: &str, bytes: &[u8]) -> Result<(), TxnError> {
+        if let Some(hosted) = self.rms.get_mut(name) {
+            hosted.base_len = None;
+            hosted.deltas = 0;
+            hosted.delta_bytes = 0;
+            hosted.rm.restore(bytes)?;
+            hosted.base_len = Some(bytes.len());
+        }
+        Ok(())
     }
 
-    /// Restores a resource by name (ignores unknown names so nodes can be
-    /// reconfigured between runs).
+    /// Crash recovery, second half: re-applies the next stored delta record
+    /// of resource `name`. Call after [`restore_base`](Self::restore_base),
+    /// once per record in `seq` order; the registry then continues the
+    /// numbering and the fold rule exactly where the crashed one stood.
     ///
     /// # Errors
     ///
-    /// Codec errors from the resource.
-    pub fn restore_one(&mut self, name: &str, bytes: &[u8]) -> Result<(), TxnError> {
-        if let Some(rm) = self.rms.get_mut(name) {
-            rm.restore(bytes)?;
+    /// Codec errors from the resource. Replay of that resource stops there:
+    /// it stays at the committed state before the bad record instead of
+    /// taking later deltas on top of a hole, every later record is refused,
+    /// and the next commit that touches it writes a base image that
+    /// supersedes all of them.
+    pub fn apply_delta(&mut self, name: &str, bytes: &[u8]) -> Result<(), TxnError> {
+        if let Some(hosted) = self.rms.get_mut(name) {
+            // Counted even if refused, so the next base folds it away.
+            hosted.deltas += 1;
+            hosted.delta_bytes += bytes.len();
+            if hosted.base_len.is_none() {
+                return Err(TxnError::Codec(format!(
+                    "delta {} of {name:?} follows a record that did not restore",
+                    hosted.deltas
+                )));
+            }
+            if let Err(e) = hosted.rm.apply_delta(bytes) {
+                hosted.base_len = None;
+                return Err(e);
+            }
         }
         Ok(())
     }
 
     /// Direct access to a resource (test inspection).
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Box<dyn ResourceManager>> {
-        self.rms.get_mut(name)
+        self.rms.get_mut(name).map(|hosted| &mut hosted.rm)
     }
 
     /// Direct read access to a resource.
     pub fn get(&self, name: &str) -> Option<&dyn ResourceManager> {
-        self.rms.get(name).map(Box::as_ref)
+        self.rms.get(name).map(|hosted| hosted.rm.as_ref())
     }
 
     /// Sums `audit_money` over all resources, per currency.
     pub fn audit_money(&self) -> std::collections::BTreeMap<String, i64> {
         let mut out = std::collections::BTreeMap::new();
-        for rm in self.rms.values() {
-            if let Value::Map(m) = rm.audit_money() {
+        for hosted in self.rms.values() {
+            if let Value::Map(m) = hosted.rm.audit_money() {
                 for (cur, v) in m {
                     if let Some(amount) = v.as_i64() {
                         *out.entry(cur).or_insert(0) += amount;
@@ -217,6 +340,8 @@ mod tests {
         fn new() -> Self {
             let mut store = TxStore::new();
             store.seed("n", mar_wire::to_bytes(&0i64).unwrap());
+            // Ballast, so the base image outweighs a few deltas.
+            store.seed("pad", vec![0; 32]);
             Counter { store }
         }
     }
@@ -247,8 +372,8 @@ mod tests {
             }
         }
 
-        fn commit(&mut self, txn: TxnId) {
-            self.store.commit(txn);
+        fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
+            self.store.commit(txn, 0)
         }
         fn abort(&mut self, txn: TxnId) {
             self.store.abort(txn);
@@ -258,6 +383,10 @@ mod tests {
         }
         fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
             Ok(self.store.restore(bytes)?)
+        }
+        fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
+            self.store.apply_delta(bytes)?;
+            Ok(())
         }
     }
 
@@ -276,7 +405,7 @@ mod tests {
             .invoke(ctx(1), "counter", "add", &Value::from(5i64))
             .unwrap();
         assert_eq!(v.as_i64(), Some(5));
-        reg.commit_all(ctx(1).txn);
+        reg.commit_all(ctx(1).txn).unwrap();
 
         reg.invoke(ctx(2), "counter", "add", &Value::from(3i64))
             .unwrap();
@@ -299,22 +428,91 @@ mod tests {
         ));
     }
 
+    /// The first commit writes the base, later ones a delta each until the
+    /// deltas would outweigh the base; a read-only commit writes nothing;
+    /// base + deltas recover the committed value.
     #[test]
     fn snapshot_restore_via_registry() {
         let mut reg = RmRegistry::new();
         reg.register(Box::new(Counter::new()));
-        reg.invoke(ctx(1), "counter", "add", &Value::from(9i64))
-            .unwrap();
-        reg.commit_all(ctx(1).txn);
-        let snaps = reg.snapshot_all().unwrap();
+        let mut base = Vec::new();
+        let mut deltas = Vec::new();
+        let mut folds = 0;
+        for seq in 1..=8 {
+            reg.invoke(ctx(seq), "counter", "add", &Value::from(3i64))
+                .unwrap();
+            for w in reg.commit_all(ctx(seq).txn).unwrap() {
+                match w {
+                    RmWrite::Base {
+                        name,
+                        bytes,
+                        folded,
+                    } => {
+                        assert_eq!(name, "counter");
+                        assert_eq!(folded, deltas.len() as u64);
+                        folds += u64::from(folded > 0);
+                        base = bytes;
+                        deltas.clear();
+                    }
+                    RmWrite::Delta { seq, bytes, .. } => {
+                        deltas.push(bytes);
+                        assert_eq!(seq, deltas.len() as u64);
+                    }
+                }
+            }
+            assert!(
+                deltas.iter().map(Vec::len).sum::<usize>() < base.len(),
+                "deltas never outweigh their base"
+            );
+        }
+        assert!(folds > 0 && !deltas.is_empty(), "{folds} folds, {deltas:?}");
+        reg.invoke(ctx(9), "counter", "get", &Value::Null).unwrap();
+        assert_eq!(reg.commit_all(ctx(9).txn).unwrap(), []);
 
         let mut reg2 = RmRegistry::new();
         reg2.register(Box::new(Counter::new()));
-        for (name, bytes) in &snaps {
-            reg2.restore_one(name, bytes).unwrap();
+        reg2.restore_base("counter", &base).unwrap();
+        reg2.restore_base("gone", &base).unwrap();
+        for d in &deltas {
+            reg2.apply_delta("counter", d).unwrap();
         }
-        let v = reg2.invoke(ctx(2), "counter", "get", &Value::Null).unwrap();
-        assert_eq!(v.as_i64(), Some(9));
+        let v = reg2
+            .invoke(ctx(10), "counter", "get", &Value::Null)
+            .unwrap();
+        assert_eq!(v.as_i64(), Some(24));
+    }
+
+    /// A stored delta that does not decode ends the replay: the resource
+    /// stays at the committed state before it, the later deltas are refused,
+    /// and the next commit writes a base that supersedes all three.
+    #[test]
+    fn replay_stops_at_a_bad_delta() {
+        let mut reg = RmRegistry::new();
+        reg.register(Box::new(Counter::new()));
+        let mut stored = Vec::new();
+        for seq in 1..=4 {
+            reg.invoke(ctx(seq), "counter", "add", &Value::from(3i64))
+                .unwrap();
+            stored.extend(reg.commit_all(ctx(seq).txn).unwrap());
+        }
+        let [RmWrite::Base { bytes: base, .. }, RmWrite::Delta { bytes: d1, .. }, RmWrite::Delta { .. }, RmWrite::Delta { bytes: d3, .. }] =
+            &stored[..]
+        else {
+            panic!("a base and three deltas, got {stored:?}");
+        };
+
+        let mut reg2 = RmRegistry::new();
+        reg2.register(Box::new(Counter::new()));
+        reg2.restore_base("counter", base).unwrap();
+        reg2.apply_delta("counter", d1).unwrap();
+        assert!(reg2.apply_delta("counter", &[0xff]).is_err());
+        assert!(reg2.apply_delta("counter", d3).is_err());
+        let v = reg2.invoke(ctx(5), "counter", "add", &Value::from(1i64));
+        assert_eq!(v.unwrap().as_i64(), Some(7), "the base and the first delta");
+        assert!(matches!(
+            &reg2.commit_all(ctx(5).txn).unwrap()[..],
+            [RmWrite::Base { folded: 3, .. }]
+        ));
     }
 
     #[test]

@@ -2,18 +2,32 @@
 //! manager.
 //!
 //! Writes are applied in place under no-wait 2PL with before-image undo.
-//! Committed state can be snapshotted to bytes so the hosting node can
-//! persist it to stable storage at commit (committed resource state survives
-//! crashes; uncommitted changes die with the node, which *is* the abort).
+//! What survives a crash is what the hosting node persisted at commit: a
+//! [`TxStore::snapshot`] of the committed state as the base image, and on
+//! top of it one delta record per committed transaction
+//! ([`TxStore::commit`]) — the after-images of the keys in its undo log.
+//! Uncommitted changes die with the node, which *is* the abort.
 
 use std::collections::BTreeMap;
 
-use mar_wire::{from_slice, to_bytes, WireResult};
+use mar_wire::{from_slice, to_bytes, Bytes, WireResult};
+use serde::{Deserialize, Serialize};
 
 use crate::error::TxnError;
 use crate::id::TxnId;
 use crate::lock::{LockMode, LockTable};
 use crate::undo::UndoLog;
+
+/// The stable record of one committed transaction at one store (§2: a
+/// step's resource changes become durable at commit, and only those).
+#[derive(Serialize, Deserialize)]
+struct Delta {
+    /// After-image per written key, in first-write order; `None` = removed.
+    writes: Vec<(String, Option<Bytes>)>,
+    /// High-water mark of the owning manager's sequence counter (0 if it
+    /// has none), so ids stay unique across a crash.
+    seq: u64,
+}
 
 /// Transactional byte-value store with per-key locking.
 #[derive(Debug, Default)]
@@ -86,10 +100,27 @@ impl TxStore {
         Ok(keys)
     }
 
-    /// Commits `txn`: drops its undo log and releases its locks.
-    pub fn commit(&mut self, txn: TxnId) {
-        self.undo.remove(&txn);
+    /// Commits `txn`: drops its undo log, releases its locks, and hands back
+    /// what it wrote as a delta record for stable storage — the undo log's
+    /// keys are the write set, so the record is their current values, stamped
+    /// with the owning manager's sequence high-water mark `seq` (0 if it
+    /// keeps none). `None` if the transaction wrote nothing.
+    pub fn commit(&mut self, txn: TxnId, seq: u64) -> Option<Vec<u8>> {
+        let log = self.undo.remove(&txn);
         self.locks.release_all(txn);
+        let writes: Vec<_> = log
+            .iter()
+            .flat_map(UndoLog::records)
+            .map(|rec| {
+                let after = self.data.get(&rec.key).map(|v| Bytes::from(v.as_slice()));
+                (rec.key.clone(), after)
+            })
+            .collect();
+        if writes.is_empty() {
+            return None;
+        }
+        let delta = Delta { writes, seq };
+        Some(to_bytes(&delta).expect("strings, byte strings and integers always encode"))
     }
 
     /// Aborts `txn`: restores all before-images and releases its locks.
@@ -122,14 +153,26 @@ impl TxStore {
         self.data.get(key).map(Vec::as_slice)
     }
 
-    /// Serializes the committed state (callers must only invoke this when no
-    /// transaction is active, i.e. at commit boundaries).
+    /// Serializes the committed state. Live transactions may hold in-place
+    /// writes; their keys appear with the before-image from the undo log
+    /// instead (2PL: a key is in at most one live undo log), so the image
+    /// never contains an uncommitted write.
     ///
     /// # Errors
     ///
     /// Codec errors only.
     pub fn snapshot(&self) -> WireResult<Vec<u8>> {
-        to_bytes(&self.data)
+        if self.undo.is_empty() {
+            return to_bytes(&self.data);
+        }
+        let mut committed: BTreeMap<&str, &[u8]> = self.iter().collect();
+        for rec in self.undo.values().flat_map(UndoLog::records) {
+            match &rec.before {
+                Some(v) => committed.insert(&rec.key, v),
+                None => committed.remove(rec.key.as_str()),
+            };
+        }
+        to_bytes(&committed)
     }
 
     /// Replaces the committed state from a snapshot (crash recovery).
@@ -142,6 +185,24 @@ impl TxStore {
         self.undo.clear();
         self.locks = LockTable::new();
         Ok(())
+    }
+
+    /// Re-applies a delta record [`commit`](Self::commit) returned on top
+    /// of restored state (crash recovery, deltas in commit order) and returns
+    /// the sequence high-water mark it carries.
+    ///
+    /// # Errors
+    ///
+    /// Codec errors only.
+    pub fn apply_delta(&mut self, bytes: &[u8]) -> WireResult<u64> {
+        let delta: Delta = from_slice(bytes)?;
+        for (key, after) in delta.writes {
+            match after {
+                Some(v) => self.data.insert(key, v.into_vec()),
+                None => self.data.remove(&key),
+            };
+        }
+        Ok(delta.seq)
     }
 
     /// Lock conflict count (for experiments).
@@ -191,11 +252,11 @@ mod tests {
     fn write_then_commit_persists() {
         let mut s = TxStore::new();
         s.write(t(1), "a", vec![7]).unwrap();
-        s.commit(t(1));
+        s.commit(t(1), 0);
         assert_eq!(s.peek("a"), Some(&[7u8][..]));
         // Lock released: another txn can write.
         s.write(t(2), "a", vec![8]).unwrap();
-        s.commit(t(2));
+        s.commit(t(2), 0);
         assert_eq!(s.peek("a"), Some(&[8u8][..]));
     }
 
@@ -231,7 +292,7 @@ mod tests {
         assert_eq!(keys, ["q/1", "q/2"]);
         // Writer conflicts with the scan's shared locks.
         assert!(s.write(t(2), "q/1", vec![1]).is_err());
-        s.commit(t(1));
+        s.commit(t(1), 0);
         assert!(s.write(t(2), "q/1", vec![1]).is_ok());
     }
 
@@ -239,12 +300,58 @@ mod tests {
     fn snapshot_restore_roundtrip() {
         let mut s = TxStore::new();
         s.write(t(1), "k", vec![1, 2]).unwrap();
-        s.commit(t(1));
+        s.commit(t(1), 0);
         let snap = s.snapshot().unwrap();
         let mut s2 = TxStore::new();
         s2.restore(&snap).unwrap();
         assert_eq!(s2.peek("k"), Some(&[1u8, 2][..]));
         assert_eq!(s2.len(), 1);
+    }
+
+    #[test]
+    fn snapshot_is_the_committed_view() {
+        let mut s = TxStore::new();
+        s.seed("a", vec![1]);
+        s.seed("b", vec![2]);
+        let committed = s.snapshot().unwrap();
+        // In-flight: an overwrite, a removal and an insertion.
+        s.write(t(1), "a", vec![9]).unwrap();
+        s.remove(t(2), "b").unwrap();
+        s.write(t(2), "c", vec![3]).unwrap();
+        assert_eq!(s.snapshot().unwrap(), committed);
+        s.commit(t(2), 0);
+        let mut s2 = TxStore::new();
+        s2.restore(&s.snapshot().unwrap()).unwrap();
+        assert_eq!(s2.peek("a"), Some(&[1u8][..]), "t1 is still in flight");
+        assert_eq!(s2.peek("b"), None);
+        assert_eq!(s2.peek("c"), Some(&[3u8][..]));
+    }
+
+    #[test]
+    fn commit_yields_the_write_set_and_delta_replays_it() {
+        let mut s = TxStore::new();
+        s.seed("a", vec![1]);
+        s.seed("b", vec![2]);
+        let base = s.snapshot().unwrap();
+        s.read(t(1), "a").unwrap();
+        assert_eq!(s.commit(t(1), 0), None, "a read-only commit");
+        assert_eq!(s.commit(t(7), 0), None, "an unknown transaction");
+
+        s.write(t(2), "a", vec![5]).unwrap();
+        s.write(t(2), "a", vec![6]).unwrap();
+        s.remove(t(2), "b").unwrap();
+        s.write(t(2), "c", vec![7]).unwrap();
+        s.write(t(3), "d", vec![8]).unwrap();
+        let delta = s.commit(t(2), 41).expect("t2 wrote");
+
+        let mut s2 = TxStore::new();
+        s2.restore(&base).unwrap();
+        assert_eq!(s2.apply_delta(&delta).unwrap(), 41);
+        assert_eq!(s2.peek("a"), Some(&[6u8][..]), "the last write wins");
+        assert_eq!(s2.peek("b"), None, "a removal is replayed as a removal");
+        assert_eq!(s2.peek("c"), Some(&[7u8][..]));
+        assert_eq!(s2.peek("d"), None, "t3's write is not t2's");
+        assert_eq!(s2.snapshot().unwrap(), s.snapshot().unwrap());
     }
 
     #[test]

@@ -56,6 +56,12 @@ impl UndoLog {
         }
     }
 
+    /// The records in first-write order: the transaction's write set, one
+    /// record per key.
+    pub fn records(&self) -> &[UndoRecord] {
+        &self.records
+    }
+
     /// Number of recorded before-images.
     pub fn len(&self) -> usize {
         self.records.len()
