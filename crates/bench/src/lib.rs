@@ -491,7 +491,6 @@ impl FleetScenario {
             completed: m.counter("agent.completed"),
             mbox_events: m.counter("driver.mbox_events"),
             mbox_scans: m.counter("driver.mbox_scans"),
-            deep_scans: m.counter("driver.deep_scans"),
             steps_committed: m.counter("steps.committed"),
             critical_path_ns,
             metrics: m,
@@ -512,8 +511,6 @@ pub struct FleetStats {
     pub mbox_events: u64,
     /// Driver mailbox probes (one per distinct home node per drain).
     pub mbox_scans: u64,
-    /// Whole-store fallback scans the driver performed (0 in handle runs).
-    pub deep_scans: u64,
     /// Step transactions committed across the fleet.
     pub steps_committed: u64,
     /// Critical-path wall time of the run: Σ over conservative windows of
@@ -546,8 +543,6 @@ pub struct ItineraryFleetScenario {
     /// Content-addressed interning on (the platform default) or off (the
     /// ship-inline-every-hop control).
     pub interning: bool,
-    /// Per-node intern-table capacity.
-    pub itinerary_cache: usize,
     /// Stable-storage backend every node is built with.
     pub stable: StableFactory,
 }
@@ -562,7 +557,6 @@ impl ItineraryFleetScenario {
         let mut b = PlatformBuilder::new(self.nodes as usize)
             .seed(self.seed)
             .itinerary_interning(self.interning)
-            .itinerary_cache(self.itinerary_cache)
             .stable_backend(self.stable.clone())
             .behavior("bench", BenchAgent);
         for n in 1..self.nodes {
@@ -724,7 +718,6 @@ mod tests {
         .run();
         assert_eq!(stats.completed, 100);
         assert_eq!(stats.mbox_events, 100, "one completion event per agent");
-        assert_eq!(stats.deep_scans, 0, "no whole-store driver scans");
         assert_eq!(stats.steps_committed, 200);
         assert!(stats.settle_us > 0);
     }
@@ -844,7 +837,6 @@ mod tests {
             name_pad: 128,
             seed: 47,
             interning: true,
-            itinerary_cache: 256,
             stable: StableFactory::reference(),
         };
         let on = base.clone().run();

@@ -365,12 +365,7 @@ impl NetPlatform {
 
     /// A finished agent's report (drains once if not yet cached).
     pub fn report(&mut self, agent: impl Into<AgentId>) -> Option<AgentReport> {
-        let agent = agent.into();
-        if let Some(r) = self.core.cached(agent) {
-            return Some(r);
-        }
-        self.drain_reports();
-        self.core.cached(agent)
+        self.core.report(&mut self.net, agent.into())
     }
 
     /// Sums committed money across every host (RPC per host) plus the

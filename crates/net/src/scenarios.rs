@@ -138,7 +138,6 @@ fn airline_node(
 pub fn travel_builder(seed: u64) -> PlatformBuilder {
     PlatformBuilder::new(TRAVEL_NODES as usize)
         .seed(seed)
-        .compact_on_transfer(true)
         .behavior("traveller", Traveller)
         .resources(NodeId(AIR_A), || {
             airline_node(vec![("PA-100", 300, 64)], 6_000, 100)

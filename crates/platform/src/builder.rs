@@ -224,14 +224,6 @@ impl PlatformBuilder {
         self
     }
 
-    /// Caps the per-node itinerary intern table (distinct itineraries,
-    /// LRU-evicted; minimum 1). Evictions are safe: a reference the
-    /// receiver can no longer resolve is NACKed and retransmitted inline.
-    pub fn itinerary_cache(mut self, cap: usize) -> Self {
-        self.mole_cfg.itinerary_cache = cap;
-        self
-    }
-
     /// Registers an agent behaviour. A duplicate name is recorded and
     /// surfaces as a [`BuildError`] from [`PlatformBuilder::try_build`] —
     /// the first registration stays active, so the error cannot be masked

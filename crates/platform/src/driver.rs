@@ -20,7 +20,7 @@ use mar_core::{AgentId, AgentRecord};
 use mar_simnet::{MetricsSnapshot, NodeId, SimDuration, World};
 
 use crate::harvest::{audit_wallets, money_audit_world, DriverCore};
-use crate::mole::{keys, Q_PREFIX, REPORT_PREFIX};
+use crate::mole::Q_PREFIX;
 use crate::msg::AgentReport;
 use crate::AgentSpec;
 
@@ -150,31 +150,11 @@ impl Platform {
         pending.is_empty()
     }
 
-    /// The report of a finished agent, if any.
-    ///
-    /// Agents launched through this driver resolve via the home mailbox
-    /// (drained on demand, served from cache afterwards). For records
-    /// injected behind the driver's back the old exhaustive scan over every
-    /// node's `done/` reports remains as a fallback — and is counted in
-    /// `driver.deep_scans`, so a hot loop leaning on it shows up in the
-    /// metrics.
+    /// The report of a finished agent launched through this driver, if
+    /// any: served from the cache, after draining the home mailboxes once
+    /// if it is not there yet.
     pub fn report(&mut self, agent: impl Into<AgentId>) -> Option<AgentReport> {
-        let agent = agent.into();
-        if let Some(r) = self.core.cached(agent) {
-            return Some(r);
-        }
-        if self.core.is_launched(agent) {
-            self.drain_reports();
-            return self.core.cached(agent);
-        }
-        self.world.metrics_mut().inc(keys::DRIVER_DEEP_SCANS);
-        let key = format!("{REPORT_PREFIX}{}", agent.0);
-        for node in self.world.node_ids() {
-            if let Some(bytes) = self.world.stable(node).get(&key) {
-                return AgentReport::decode(bytes).ok();
-            }
-        }
-        None
+        self.core.report(&mut self.world, agent.into())
     }
 
     /// How many stable queue entries currently hold this agent — the

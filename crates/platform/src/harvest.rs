@@ -17,6 +17,7 @@ use mar_core::{AgentId, AgentRecord, DataSpace};
 use mar_simnet::{Address, NodeId, World};
 
 use crate::driver::AgentHandle;
+use crate::lru::Lru;
 use crate::mole::{
     keys, MoleService, HOME_REPORT_PREFIX, MBOX_PREFIX, MOLE, OUTBOX_PREFIX, Q_PREFIX,
     REPORT_PREFIX,
@@ -71,10 +72,7 @@ pub struct DriverCore {
     /// Reports already drained from home mailboxes, bounded by `report_cap`
     /// with least-recently-used eviction.
     reports: BTreeMap<AgentId, AgentReport>,
-    /// LRU bookkeeping: use-ordered sequence → agent, and the inverse.
-    lru: BTreeMap<u64, AgentId>,
-    lru_pos: BTreeMap<AgentId, u64>,
-    use_seq: u64,
+    lru: Lru<AgentId>,
     report_cap: usize,
     /// Ids of every agent whose completion this driver has seen. Settle
     /// detection reads this, not the report cache, so evicting a bulky
@@ -89,9 +87,7 @@ impl DriverCore {
             next_agent: 1,
             homes: BTreeMap::new(),
             reports: BTreeMap::new(),
-            lru: BTreeMap::new(),
-            lru_pos: BTreeMap::new(),
-            use_seq: 0,
+            lru: Lru::new(),
             report_cap: report_cap.max(1),
             completed: BTreeSet::new(),
         }
@@ -129,12 +125,6 @@ impl DriverCore {
         self.completed.contains(&agent)
     }
 
-    /// Whether `agent` was launched through this driver (and not yet
-    /// forgotten).
-    pub fn is_launched(&self, agent: AgentId) -> bool {
-        self.homes.contains_key(&agent)
-    }
-
     /// Number of agents launched and still remembered.
     pub fn launched_count(&self) -> usize {
         self.homes.len()
@@ -152,10 +142,19 @@ impl DriverCore {
         self.reports.values()
     }
 
-    /// A cached report, marking it most recently used.
-    pub fn cached(&mut self, agent: AgentId) -> Option<AgentReport> {
+    /// The report of a finished agent launched through this driver, if
+    /// any: served from the cache (marking it most recently used), after
+    /// draining the home mailboxes once if it is not there yet.
+    pub fn report(
+        &mut self,
+        stable: &mut impl DriverStable,
+        agent: AgentId,
+    ) -> Option<AgentReport> {
+        if !self.reports.contains_key(&agent) {
+            self.drain_reports(stable);
+        }
         let r = self.reports.get(&agent)?.clone();
-        self.touch_report(agent);
+        self.lru.touch(agent);
         Some(r)
     }
 
@@ -164,21 +163,8 @@ impl DriverCore {
     pub fn forget(&mut self, agent: AgentId) -> Option<AgentReport> {
         self.homes.remove(&agent);
         self.completed.remove(&agent);
-        if let Some(seq) = self.lru_pos.remove(&agent) {
-            self.lru.remove(&seq);
-        }
+        self.lru.remove(&agent);
         self.reports.remove(&agent)
-    }
-
-    /// Marks `agent` as most recently used in the report cache.
-    fn touch_report(&mut self, agent: AgentId) {
-        if let Some(old) = self.lru_pos.remove(&agent) {
-            self.lru.remove(&old);
-        }
-        let seq = self.use_seq;
-        self.use_seq += 1;
-        self.lru.insert(seq, agent);
-        self.lru_pos.insert(agent, seq);
     }
 
     /// Inserts a freshly drained report, evicting the least recently used
@@ -193,13 +179,11 @@ impl DriverCore {
     ) {
         self.completed.insert(agent);
         self.reports.insert(agent, report);
-        self.touch_report(agent);
+        self.lru.touch(agent);
         while self.reports.len() > self.report_cap {
-            let Some((&seq, &victim)) = self.lru.iter().next() else {
+            let Some(victim) = self.lru.pop_oldest() else {
                 break;
             };
-            self.lru.remove(&seq);
-            self.lru_pos.remove(&victim);
             self.reports.remove(&victim);
             stable.metric_inc(keys::DRIVER_REPORTS_EVICTED);
         }

@@ -31,9 +31,12 @@ mod behavior;
 mod builder;
 mod driver;
 pub mod harvest;
+mod itin;
+mod lru;
 mod mole;
 mod msg;
 mod stepctx;
+mod work;
 
 pub use behavior::{AgentBehavior, BehaviorRegistry, DuplicateBehavior, StepDecision};
 pub use builder::{AgentSpec, BuildError, PlatformBuilder};

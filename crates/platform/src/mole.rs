@@ -17,10 +17,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use mar_core::comp::CompOpRegistry;
-use mar_core::itinspan::{classify_span, encode_ref, itinerary_span, splice_span, SpanKind};
 use mar_core::{
     plan_batch, plan_single, start_rollback, AfterRound, AgentRecord, AgentStatus, CompError,
-    CostModel, Destination, ItinerarySlot, LinkParams, ResidentRecord, StartPlan,
+    CostModel, Destination, LinkParams, ResidentRecord, StartPlan,
 };
 use mar_simnet::{Address, Ctx, NodeId, Service, SimDuration};
 use mar_txn::{
@@ -29,8 +28,10 @@ use mar_txn::{
 };
 
 use crate::behavior::{BehaviorRegistry, StepDecision};
+use crate::itin::{self, ItinTable};
 use crate::msg::{AgentReport, MoleMsg, RceList, ReportOutcome};
 use crate::stepctx::{RmAccess, StepCtx};
+use crate::work::Work;
 
 /// Service name of the mole runtime on every node.
 pub const MOLE: &str = "mole";
@@ -62,6 +63,10 @@ const MAX_ATTEMPTS: u32 = 40;
 const COST_MODEL: CostModel = CostModel {
     link: LinkParams::LAN,
 };
+/// Distinct itineraries a node's intern table holds before it evicts the
+/// least recently used. Evictions are safe — a reference the node can no
+/// longer expand is healed by the NACK/retransmit path.
+const ITINERARY_CACHE: usize = 256;
 
 const KEY_QSEQ: &str = "qseq";
 const KEY_TXNSEQ: &str = "txnseq";
@@ -120,6 +125,9 @@ pub mod keys {
     /// Batches the cost model routed as an agent migration instead of a
     /// shipped RCE list ([`CostModel`](super::RollbackRouting::CostModel)).
     pub const ROLLBACK_COST_MIGRATIONS: &str = "rollback.cost_migrations";
+    /// Prepared RCE lists that failed when redone after a crash although
+    /// the decision was commit (the heuristic-damage corner of 2PC).
+    pub const ROLLBACK_REDO_FAILED: &str = "rollback.redo_failed";
     /// RCE lists shipped to resource nodes (optimized mode).
     pub const RCE_SHIPPED: &str = "rollback.rce_shipped";
     /// Bytes of shipped RCE lists.
@@ -130,6 +138,9 @@ pub mod keys {
     pub const COMP_TRANSIENT: &str = "comp.failures_transient";
     /// Permanent compensation failures (agent fails).
     pub const COMP_PERMANENT: &str = "comp.failures_permanent";
+    /// Resource delta records deleted because a fresh base image, written
+    /// by the same commit, contains them.
+    pub const RM_DELTAS_FOLDED: &str = "rm.deltas_folded";
     /// Whole-log discards at top-level sub-itinerary completion.
     pub const LOG_DISCARDS: &str = "log.discards";
     /// Bytes freed by log discards.
@@ -158,10 +169,6 @@ pub mod keys {
     /// Driver passes over home-node mailboxes (each is one bounded prefix
     /// probe, not a store walk).
     pub const DRIVER_MBOX_SCANS: &str = "driver.mbox_scans";
-    /// Full stable-store scans the driver fell back to (legacy
-    /// [`Platform::report`](crate::Platform::report) path for agents not
-    /// launched through a handle; zero in handle-driven runs).
-    pub const DRIVER_DEEP_SCANS: &str = "driver.deep_scans";
     /// Finished-agent artifacts garbage-collected after the driver drained
     /// the report: the home `report/<id>` copy, the completing node's
     /// `done/<id>` record and its outbox entry — one increment per agent.
@@ -187,8 +194,7 @@ pub mod keys {
     /// Inline retransmits of a `Prepare` after a receiver NACKed its
     /// itinerary reference ([`MoleMsg::ItineraryMiss`](crate::MoleMsg::ItineraryMiss)).
     pub const ITINERARY_REFETCHES: &str = "itinerary.refetches";
-    /// Interned itineraries dropped by the LRU cap
-    /// ([`MoleCfg::itinerary_cache`](crate::MoleCfg::itinerary_cache)).
+    /// Interned itineraries dropped by the intern table's capacity bound.
     pub const ITINERARY_EVICTIONS: &str = "itinerary.evictions";
     /// `Prepare` messages that shipped the agent record with its itinerary
     /// replaced by a content-hash reference frame.
@@ -201,6 +207,9 @@ pub mod keys {
     /// (reference-compressed or not) — the denominator for the E11
     /// migration-byte reduction.
     pub const ITINERARY_MIGRATION_BYTES: &str = "itinerary.migration_bytes";
+    /// Stored resource base images and delta records that recovery could
+    /// not restore (the manager stays at the state before the first one).
+    pub const RECOVERY_RM_RECORDS_REFUSED: &str = "recovery.rm_records_refused";
 }
 
 /// How the runtime decides, per compensation batch with remote resource
@@ -219,8 +228,8 @@ pub enum RollbackRouting {
 }
 
 /// The switches of a node runtime — each has a [`PlatformBuilder`](crate::PlatformBuilder)
-/// setter with a caller; timings, the retry policy and the link cost model
-/// are constants of this module.
+/// setter with a caller; timings, the retry policy, the link cost model and
+/// the intern table's capacity are constants of this module.
 #[derive(Debug, Clone)]
 pub struct MoleCfg {
     /// Compact the rollback log before every *remote* transfer
@@ -229,11 +238,7 @@ pub struct MoleCfg {
     /// Local re-enqueues are never compacted (nothing crosses the wire),
     /// and a pass is skipped when the log is clean since its last pass or
     /// the link cost model says the CPU time cannot pay for the bytes
-    /// saved. On by default now that the experiment baselines
-    /// carry compacted numbers (`BENCH_macro.json` keeps a raw-bytes
-    /// control run); disable via
-    /// [`PlatformBuilder::compact_on_transfer`](crate::PlatformBuilder::compact_on_transfer)
-    /// to reproduce the raw-byte experiments.
+    /// saved. On by default; off reproduces the raw-byte experiments.
     pub compact_on_transfer: bool,
     /// Fuse maximal same-destination runs of compensation rounds into one
     /// transaction ([`mar_core::plan_batch`]); off falls back to one
@@ -260,10 +265,6 @@ pub struct MoleCfg {
     /// only the `itinerary.*` metrics. On by default; off is the E11
     /// control arm.
     pub itinerary_interning: bool,
-    /// LRU capacity of the per-node itinerary intern table, in distinct
-    /// itineraries (minimum 1). Evictions are safe — a stale reference is
-    /// healed by the NACK/retransmit path.
-    pub itinerary_cache: usize,
 }
 
 impl Default for MoleCfg {
@@ -274,41 +275,45 @@ impl Default for MoleCfg {
             rollback_routing: RollbackRouting::default(),
             resident_cache: true,
             itinerary_interning: true,
-            itinerary_cache: 256,
         }
     }
 }
 
-#[derive(Debug, Default)]
-struct Effects {
-    delete_queue: Vec<String>,
-    put_queue: Vec<(String, Vec<u8>)>,
-    report: Option<(u32, Vec<u8>)>,
-    metrics: Vec<(&'static str, u64)>,
+/// What committing a transaction does to the item it took off the queue —
+/// the committed side of [`Exit`].
+// `Stayed` is the common case, and is moved once in and once out: no box.
+#[allow(clippy::large_enum_variant)]
+enum Committed {
+    /// The record goes back under the same key as `bytes`; `resident` is its
+    /// decoded twin for the cache, which so cannot diverge from stable storage.
+    Stayed {
+        bytes: Vec<u8>,
+        resident: Option<ResidentRecord>,
+    },
+    /// The record went into another node's queue as 2PC work.
+    Moved,
+    /// The encoded final `report` goes to node `home`.
+    Done { home: u32, report: Vec<u8> },
+}
+
+/// The record-carrying branch of a transaction whose record moves.
+struct Shipment {
+    /// The destination — where `itinerary.migration_bytes` accrues.
+    dest: NodeId,
+    /// What the intern table assumed about, or will learn of, `dest`.
+    note: Option<itin::Note>,
+    /// For a branch that went out with an itinerary reference: the
+    /// self-contained work that answers a NACK without depending on the
+    /// (evictable) intern table, and the size of the `Prepare` carrying it,
+    /// at which the reference form is billed.
+    inline: Option<(RemoteWork, usize)>,
 }
 
 struct ActiveTxn {
     queue_key: String,
-    effects: Effects,
-    /// The post-step resident record to install in the cache if (and only
-    /// if) this transaction commits — its splice-encoded bytes are the
-    /// `put_queue` entry for the same key, so cache and stable storage can
-    /// never diverge. Dropped on abort.
-    resident: Option<ResidentRecord>,
-    /// Destinations whose `Prepare` branch carries the agent record
-    /// (reference-compressed or not) — where `itinerary.migration_bytes`
-    /// accrues.
-    record_branches: Vec<NodeId>,
-    /// For each reference-compressed branch: the destination, the itinerary
-    /// hash the compression assumed it holds, and the self-contained inline
-    /// work. The inline copy prices the billed message size and answers a
-    /// NACK without depending on the (evictable) intern table.
-    stripped: Vec<(NodeId, u64, RemoteWork)>,
-    /// `(dest, hash)` pairs that become "known at dest" when this
-    /// transaction commits: the receiver interns at apply time, strictly
-    /// before the coordinator sees the final ack, so the sender never
-    /// assumes knowledge the receiver does not have.
-    advertise: Vec<(NodeId, u64)>,
+    outcome: Committed,
+    metrics: Vec<(&'static str, u64)>,
+    shipment: Option<Shipment>,
 }
 
 enum ItemError {
@@ -326,20 +331,24 @@ enum NextHop {
 enum Exit {
     /// Back into this node's queue, under the same key.
     Stay,
-    /// Into node `to`'s queue, as 2PC work of `kind` (`enqueue-fwd` in
-    /// forward execution, `enqueue-rbk` while rolling back).
-    Move { to: u32, kind: &'static str },
+    /// Into node `to`'s queue, as 2PC work; `rollback` says the record is
+    /// rolling back rather than in forward execution.
+    Move { to: u32, rollback: bool },
     /// Out of the system, as a final report with this outcome.
     Done(ReportOutcome),
 }
 
 impl Exit {
-    /// The exit towards the queue of `node`, which may be this one.
-    fn towards(ctx: &Ctx<'_>, node: u32, kind: &'static str) -> Exit {
+    /// The exit of a record in forward execution towards the queue of
+    /// `node`, which may be this one.
+    fn towards(ctx: &Ctx<'_>, node: u32) -> Exit {
         if node == ctx.node().0 {
             Exit::Stay
         } else {
-            Exit::Move { to: node, kind }
+            Exit::Move {
+                to: node,
+                rollback: false,
+            }
         }
     }
 
@@ -347,10 +356,7 @@ impl Exit {
     fn rolling_back(dest: Destination) -> Exit {
         match dest {
             Destination::Local => Exit::Stay,
-            Destination::Node(to) => Exit::Move {
-                to,
-                kind: "enqueue-rbk",
-            },
+            Destination::Node(to) => Exit::Move { to, rollback: true },
         }
     }
 }
@@ -385,18 +391,9 @@ pub struct MoleService {
     /// without the key, so recovery re-decodes from stable bytes exactly
     /// as before.
     resident: BTreeMap<String, ResidentRecord>,
-    /// Volatile itinerary intern table: content hash → slot holding the
-    /// encoded bytes and the (lazily) decoded tree, shared by `Arc` with
-    /// every record that adopted it. A crash leaves it cold by design — the
-    /// crash-cold invariant the equivalence tests pin.
-    interned: BTreeMap<u64, ItinerarySlot>,
-    /// LRU order of `interned` (front = coldest), capped at
-    /// [`MoleCfg::itinerary_cache`].
-    intern_lru: Vec<u64>,
-    /// Per-destination itinerary hashes this node has successfully shipped
-    /// inline (committed), i.e. hashes the destination interned. Volatile:
-    /// after a crash everything ships inline again until re-advertised.
-    known: BTreeMap<NodeId, BTreeSet<u64>>,
+    /// The volatile itinerary intern table and reference protocol state; a
+    /// crash leaves it cold by design (`itinerary_intern_props.rs` pins it).
+    itin: ItinTable,
 }
 
 impl MoleService {
@@ -412,7 +409,6 @@ impl MoleService {
             "resource names may not contain '+': it separates name and delta number in stable keys"
         );
         MoleService {
-            cfg,
             behaviors,
             comps,
             rms,
@@ -427,9 +423,8 @@ impl MoleService {
             tag_map: BTreeMap::new(),
             outbox_sent: BTreeMap::new(),
             resident: BTreeMap::new(),
-            interned: BTreeMap::new(),
-            intern_lru: Vec::new(),
-            known: BTreeMap::new(),
+            itin: ItinTable::new(cfg.itinerary_interning, ITINERARY_CACHE),
+            cfg,
         }
     }
 
@@ -441,55 +436,47 @@ impl MoleService {
     // ----- plumbing ---------------------------------------------------------
 
     fn send_tx(&self, ctx: &mut Ctx<'_>, to: NodeId, msg: TxMsg) {
-        // Prepares carrying an agent record are billed at their *inline*
-        // size even when the itinerary ships as a reference: latency,
+        // A Prepare carrying an agent record is billed at its *inline* size
+        // even when the itinerary ships as a reference: latency,
         // `net.bytes_sent`, and both trace records are computed from the
         // billed size, so the simulated schedule is independent of the
         // (volatile) intern-table state. The real savings are recorded in
         // the `itinerary.*` counters instead.
-        let mut billed = None;
-        if let TxMsg::Prepare { txn, work } = &msg {
-            if let Some(at) = self.active.get(txn) {
-                if at.record_branches.contains(&to) {
-                    let inline = at
-                        .stripped
-                        .iter()
-                        .find(|(n, _, w)| *n == to && w != work)
-                        .map(|(_, _, w)| {
-                            MoleMsg::Tx {
-                                from: ctx.node(),
-                                msg: TxMsg::Prepare {
-                                    txn: *txn,
-                                    work: w.clone(),
-                                },
-                            }
-                            .encode()
-                            .len()
-                        });
-                    billed = Some(inline);
-                }
-            }
-        }
+        let shipped = match &msg {
+            TxMsg::Prepare { txn, work } => self
+                .active
+                .get(txn)
+                .and_then(|at| at.shipment.as_ref())
+                .filter(|shipment| shipment.dest == to)
+                // The size to bill, if `work` is the reference form (after
+                // a NACK the inline work itself goes out).
+                .map(|shipment| match &shipment.inline {
+                    Some((inline, billed)) if inline != work => Some(*billed),
+                    _ => None,
+                }),
+            _ => None,
+        };
         let payload = MoleMsg::Tx {
             from: ctx.node(),
             msg,
         }
         .encode();
+        let to = Address::new(to, MOLE);
+        let Some(billed) = shipped else {
+            return ctx.send(to, payload);
+        };
+        ctx.metrics()
+            .add(keys::ITINERARY_MIGRATION_BYTES, payload.len() as u64);
         match billed {
-            Some(inline_len) => {
-                ctx.metrics()
-                    .add(keys::ITINERARY_MIGRATION_BYTES, payload.len() as u64);
-                match inline_len {
-                    Some(b) if b > payload.len() => {
-                        ctx.metrics().inc(keys::ITINERARY_REF_TRANSFERS);
-                        ctx.metrics()
-                            .add(keys::ITINERARY_WIRE_BYTES_SAVED, (b - payload.len()) as u64);
-                        ctx.send_billed(Address::new(to, MOLE), payload, b);
-                    }
-                    _ => ctx.send(Address::new(to, MOLE), payload),
-                }
+            Some(billed) if billed > payload.len() => {
+                ctx.metrics().inc(keys::ITINERARY_REF_TRANSFERS);
+                ctx.metrics().add(
+                    keys::ITINERARY_WIRE_BYTES_SAVED,
+                    (billed - payload.len()) as u64,
+                );
+                ctx.send_billed(to, payload, billed);
             }
-            None => ctx.send(Address::new(to, MOLE), payload),
+            _ => ctx.send(to, payload),
         }
     }
 
@@ -502,11 +489,9 @@ impl MoleService {
     }
 
     fn enqueue_local(&mut self, ctx: &mut Ctx<'_>, bytes: Vec<u8>) {
-        // Every record entering the queue from outside (launch or committed
-        // transfer) interns its itinerary: this is the receiver half of the
-        // known-hash protocol — it runs before the decision is acked, so by
-        // the time the sender marks the hash known here, it is.
-        self.intern_record_bytes(ctx, &bytes);
+        // Interned before the decision is acked: by the time the sender
+        // learns that this node holds the itinerary, it does.
+        self.itin.intern_record(&bytes);
         let seq: u64 = ctx
             .stable_get(KEY_QSEQ)
             .and_then(|b| mar_wire::from_slice(b).ok())
@@ -517,174 +502,15 @@ impl MoleService {
         self.kick(ctx);
     }
 
-    // ----- itinerary interning ----------------------------------------------
-
-    /// Interns a slot (keyed by its content hash), returning the table's
-    /// copy so callers share one decoded tree. On a hash collision with
-    /// different bytes the table keeps its existing entry and the new slot
-    /// is returned un-interned — FNV-64 is a cache key, not a cryptographic
-    /// identity, and a collision only costs the sharing.
-    fn intern(&mut self, ctx: &mut Ctx<'_>, slot: ItinerarySlot) -> ItinerarySlot {
-        let hash = slot.hash();
-        if let Some(existing) = self.interned.get(&hash) {
-            if existing.as_bytes() == slot.as_bytes() {
-                ctx.metrics().inc(keys::ITINERARY_CACHE_HITS);
-                let shared = existing.clone();
-                self.touch_lru(hash);
-                return shared;
-            }
-            return slot;
-        }
-        ctx.metrics().inc(keys::ITINERARY_CACHE_MISSES);
-        self.interned.insert(hash, slot.clone());
-        self.intern_lru.push(hash);
-        while self.interned.len() > self.cfg.itinerary_cache.max(1) {
-            let victim = self.intern_lru.remove(0);
-            self.interned.remove(&victim);
-            ctx.metrics().inc(keys::ITINERARY_EVICTIONS);
-        }
-        slot
-    }
-
-    fn touch_lru(&mut self, hash: u64) {
-        if let Some(pos) = self.intern_lru.iter().position(|h| *h == hash) {
-            self.intern_lru.remove(pos);
-            self.intern_lru.push(hash);
-        }
-    }
-
-    /// Interns the (inline) itinerary section of encoded record bytes
-    /// without decoding anything — a span scan plus a hash. Reference
-    /// sections and malformed records are skipped; the later full parse
-    /// reports those.
-    fn intern_record_bytes(&mut self, ctx: &mut Ctx<'_>, bytes: &[u8]) {
-        if !self.cfg.itinerary_interning {
-            return;
-        }
-        let Ok(span) = itinerary_span(bytes) else {
-            return;
-        };
-        let Ok(slot) = ItinerarySlot::from_span(&bytes[span]) else {
-            return;
-        };
-        self.intern(ctx, slot);
-    }
-
-    /// Swaps a freshly parsed record's itinerary slot for the interned copy
-    /// so all records of one agent type share a single decoded tree. The
-    /// record's value is unchanged (same hash, same bytes) — only the
-    /// decode is shared.
-    fn prime_record(&mut self, ctx: &mut Ctx<'_>, rec: &mut ResidentRecord) {
-        if !self.cfg.itinerary_interning {
-            return;
-        }
-        rec.itinerary = self.intern(ctx, rec.itinerary.clone());
-    }
-
-    /// Resolves itinerary references in inbound prepare work, splicing the
-    /// interned bytes back so everything downstream (validation, stable
-    /// queues, application) sees the self-contained inline form — stable
-    /// storage never holds a reference. `Err(hash)` means an unresolvable
-    /// reference: the caller NACKs instead of voting.
-    fn admit_work(&mut self, ctx: &mut Ctx<'_>, work: RemoteWork) -> Result<RemoteWork, u64> {
-        match work.kind.as_str() {
-            "enqueue-fwd" | "enqueue-rbk" => {
-                let Ok(span) = itinerary_span(&work.payload) else {
-                    return Ok(work); // malformed: the parse path rejects it
-                };
-                match classify_span(&work.payload[span.clone()]) {
-                    Ok(SpanKind::Inline) => Ok(work),
-                    Ok(SpanKind::Ref(hash)) => match self.interned.get(&hash) {
-                        Some(slot) => {
-                            ctx.metrics().inc(keys::ITINERARY_CACHE_HITS);
-                            let payload = splice_span(&work.payload, span, slot.as_bytes());
-                            self.touch_lru(hash);
-                            Ok(RemoteWork::new(work.kind.as_str(), payload))
-                        }
-                        None => {
-                            ctx.metrics().inc(keys::ITINERARY_CACHE_MISSES);
-                            Err(hash)
-                        }
-                    },
-                    // A truncated/garbled reference frame cannot name its
-                    // hash; NACK with 0 — the coordinator rehydrates the
-                    // whole branch from its own copy, hash regardless.
-                    Err(_) => Err(0),
-                }
-            }
-            "batch" => {
-                let Ok(works) = mar_wire::from_slice::<Vec<RemoteWork>>(&work.payload) else {
-                    return Ok(work);
-                };
-                let mut out = Vec::with_capacity(works.len());
-                let mut changed = false;
-                for w in works {
-                    let before = w.clone();
-                    let admitted = self.admit_work(ctx, w)?;
-                    changed |= admitted != before;
-                    out.push(admitted);
-                }
-                if changed {
-                    let payload = mar_wire::to_bytes(&out).expect("batch encodes");
-                    Ok(RemoteWork::new("batch", payload))
-                } else {
-                    Ok(work)
-                }
-            }
-            _ => Ok(work),
-        }
-    }
-
-    /// Sender half of the protocol: if `work` carries a record whose
-    /// (inline) itinerary the destination is known to hold, returns the
-    /// reference-compressed work and the assumed hash. Otherwise interns
-    /// the itinerary locally and queues a `(dest, hash)` advertisement for
-    /// commit time.
-    fn strip_work(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dest: NodeId,
-        work: &RemoteWork,
-        advertise: &mut Vec<(NodeId, u64)>,
-    ) -> Option<(u64, RemoteWork)> {
-        if !self.cfg.itinerary_interning {
-            return None;
-        }
-        match work.kind.as_str() {
-            "enqueue-fwd" | "enqueue-rbk" => {
-                let span = itinerary_span(&work.payload).ok()?;
-                // `from_span` accepts only the inline form, so an already
-                // (or never) compressible section falls through untouched.
-                let slot = ItinerarySlot::from_span(&work.payload[span.clone()]).ok()?;
-                let slot = self.intern(ctx, slot);
-                let hash = slot.hash();
-                if self.known.get(&dest).is_some_and(|s| s.contains(&hash)) {
-                    let payload = splice_span(&work.payload, span, &encode_ref(hash));
-                    Some((hash, RemoteWork::new(work.kind.as_str(), payload)))
-                } else {
-                    advertise.push((dest, hash));
-                    None
-                }
-            }
-            "batch" => {
-                let works: Vec<RemoteWork> = mar_wire::from_slice(&work.payload).ok()?;
-                let mut hash = None;
-                let out: Vec<RemoteWork> = works
-                    .iter()
-                    .map(|w| match self.strip_work(ctx, dest, w, advertise) {
-                        Some((h, s)) => {
-                            hash = Some(h);
-                            s
-                        }
-                        None => w.clone(),
-                    })
-                    .collect();
-                let h = hash?;
-                let payload = mar_wire::to_bytes(&out).expect("batch encodes");
-                Some((h, RemoteWork::new("batch", payload)))
-            }
-            _ => None,
-        }
+    /// Moves the intern table's counts into the metrics; called at the end
+    /// of every handler, so they land with the event that caused them.
+    fn count_itinerary_lookups(&mut self, ctx: &mut Ctx<'_>) {
+        let tally = self.itin.take_tally();
+        ctx.metrics().add(keys::ITINERARY_CACHE_HITS, tally.hits);
+        ctx.metrics()
+            .add(keys::ITINERARY_CACHE_MISSES, tally.misses);
+        ctx.metrics()
+            .add(keys::ITINERARY_EVICTIONS, tally.evictions);
     }
 
     fn kick(&mut self, ctx: &mut Ctx<'_>) {
@@ -740,6 +566,7 @@ impl MoleService {
                     for seq in 1..=folded {
                         ctx.stable_delete(&rm_delta_key(&name, seq));
                     }
+                    ctx.metrics().add(keys::RM_DELTAS_FOLDED, folded);
                     ctx.stable_put(format!("{RM_PREFIX}{name}"), bytes);
                 }
             }
@@ -813,48 +640,50 @@ impl MoleService {
         let Some(at) = self.active.get_mut(&txn) else {
             return;
         };
-        let effects = std::mem::take(&mut at.effects);
-        let resident = at.resident.take();
+        let outcome = std::mem::replace(&mut at.outcome, Committed::Moved);
+        let metrics = std::mem::take(&mut at.metrics);
         let queue_key = at.queue_key.clone();
-        for key in &effects.delete_queue {
-            ctx.stable_delete(key);
-        }
-        for (key, bytes) in effects.put_queue {
-            ctx.stable_put(key, bytes);
-        }
-        // The stable bytes for the key are down; the volatile twin may now
-        // be (re-)installed.
-        if let Some(rec) = resident {
-            self.resident.insert(queue_key, rec);
-        }
-        if let Some((home, report)) = effects.report {
-            let agent = AgentReport::peek_id(&report).expect("own report decodes");
-            ctx.stable_put(format!("{REPORT_PREFIX}{}", agent.0), report.clone());
-            if home != ctx.node().0 {
-                // Stable outbox first: the report is retransmitted on the
-                // retry timer until the home node acks, so the completion
-                // event reaches the home mailbox despite crashes and lost
-                // messages (delivery is idempotent on the home side).
-                let entry = (home, mar_wire::Bytes::from(report.as_slice()));
-                ctx.stable_put(
-                    format!("{OUTBOX_PREFIX}{}", agent.0),
-                    mar_wire::to_bytes(&entry).expect("outbox entry encodes"),
-                );
-                self.outbox_sent
-                    .insert(format!("{OUTBOX_PREFIX}{}", agent.0), ctx.now().as_micros());
-                ctx.send(
-                    Address::new(NodeId(home), MOLE),
-                    MoleMsg::Report {
-                        report: report.into(),
-                    }
-                    .encode(),
-                );
-            } else {
-                self.deliver_report_home(ctx, agent, report);
+        ctx.stable_delete(&queue_key);
+        match outcome {
+            Committed::Stayed { bytes, resident } => {
+                ctx.stable_put(queue_key.clone(), bytes);
+                // The stable bytes for the key are down; the volatile twin
+                // may now be (re-)installed.
+                if let Some(rec) = resident {
+                    self.resident.insert(queue_key, rec);
+                }
+            }
+            Committed::Moved => {}
+            Committed::Done { home, report } => {
+                let agent = AgentReport::peek_id(&report).expect("own report decodes");
+                ctx.stable_put(format!("{REPORT_PREFIX}{}", agent.0), report.clone());
+                if home != ctx.node().0 {
+                    // Stable outbox first: the report is retransmitted on
+                    // the retry timer until the home node acks, so the
+                    // completion event reaches the home mailbox despite
+                    // crashes and lost messages (delivery is idempotent on
+                    // the home side).
+                    let entry = (home, mar_wire::Bytes::from(report.as_slice()));
+                    ctx.stable_put(
+                        format!("{OUTBOX_PREFIX}{}", agent.0),
+                        mar_wire::to_bytes(&entry).expect("outbox entry encodes"),
+                    );
+                    self.outbox_sent
+                        .insert(format!("{OUTBOX_PREFIX}{}", agent.0), ctx.now().as_micros());
+                    ctx.send(
+                        Address::new(NodeId(home), MOLE),
+                        MoleMsg::Report {
+                            report: report.into(),
+                        }
+                        .encode(),
+                    );
+                } else {
+                    self.deliver_report_home(ctx, agent, report);
+                }
             }
         }
-        for (name, n) in &effects.metrics {
-            ctx.metrics().add(name, *n);
+        for (name, n) in metrics {
+            ctx.metrics().add(name, n);
         }
         ctx.metrics().inc(keys::TXN_COMMITTED);
     }
@@ -928,53 +757,70 @@ impl MoleService {
         let Some(at) = self.active.remove(&txn) else {
             return;
         };
+        self.processing.remove(&at.queue_key);
         if committed {
-            // The receiver interned the inline itinerary when it applied the
-            // enqueue (before acking), so marking it known only now keeps
-            // the "sender assumes ⇒ receiver holds" invariant.
-            for (dest, hash) in &at.advertise {
-                self.known.entry(*dest).or_default().insert(*hash);
+            if let Some(note) = at.shipment.and_then(|shipment| shipment.note) {
+                self.itin.learn(&note);
             }
-            self.processing.remove(&at.queue_key);
             self.attempts.remove(&at.queue_key);
             self.kick(ctx);
         } else {
             ctx.metrics().inc(keys::TXN_ABORTED);
-            self.processing.remove(&at.queue_key);
             self.schedule_retry(ctx, &at.queue_key);
         }
     }
 
-    /// Participant-side admission check for a prepare: RCE branches execute
-    /// tentatively right now, inside the transaction, holding their locks
-    /// until the decision (§4.4.1: the resource compensation entries run
-    /// "inside the compensation transaction").
-    fn validate_work(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, work: &RemoteWork) -> bool {
-        match work.kind.as_str() {
-            "enqueue-fwd" | "enqueue-rbk" => true,
-            "rce" => match self.execute_rce_list(ctx, txn, &work.payload) {
-                Ok(()) => {
-                    self.live_branches.insert(txn);
-                    true
+    /// Participant-side handling of a new `Prepare`: expands an itinerary
+    /// reference, so that everything downstream (validation, the prepared
+    /// record, application) sees the self-contained inline form, and votes.
+    /// RCE lists execute tentatively right now, inside the transaction,
+    /// holding their locks until the decision (§4.4.1: the resource
+    /// compensation entries run "inside the compensation transaction").
+    fn prepare(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        txn: TxnId,
+        from: NodeId,
+        work: RemoteWork,
+    ) -> Vec<Action> {
+        let refuse = vec![Action::SendVote {
+            to: from,
+            txn,
+            ok: false,
+        }];
+        let Ok(mut works) = Work::decode(work) else {
+            return refuse;
+        };
+        for work in &mut works {
+            let Work::Enqueue { record, .. } = work else {
+                continue;
+            };
+            match self.itin.expand(record) {
+                Ok(Some(inline)) => *record = inline.into(),
+                Ok(None) => {}
+                Err(hash) => {
+                    // Not a refusal (a no vote would abort the transaction):
+                    // ask for the inline form and hold the vote.
+                    ctx.send(
+                        Address::new(from, MOLE),
+                        MoleMsg::ItineraryMiss { txn, hash }.encode(),
+                    );
+                    return Vec::new();
                 }
-                Err(_) => {
-                    self.rms.abort_all(txn);
-                    false
-                }
-            },
-            "batch" => match mar_wire::from_slice::<Vec<RemoteWork>>(&work.payload) {
-                Ok(works) => {
-                    let ok = works.iter().all(|w| self.validate_work(ctx, txn, w));
-                    if !ok {
-                        self.rms.abort_all(txn);
-                        self.live_branches.remove(&txn);
-                    }
-                    ok
-                }
-                Err(_) => false,
-            },
-            _ => false,
+            }
         }
+        for work in &works {
+            let Work::Rce(list) = work else {
+                continue;
+            };
+            if self.execute_rce_list(ctx, txn, list).is_err() {
+                self.rms.abort_all(txn);
+                self.live_branches.remove(&txn);
+                return refuse;
+            }
+            self.live_branches.insert(txn);
+        }
+        self.pa.on_prepare(txn, from, Work::encode(works), true)
     }
 
     fn execute_rce_list(
@@ -998,40 +844,36 @@ impl MoleService {
         Ok(())
     }
 
+    /// Applies the prepared work of a transaction that committed. A record
+    /// that no longer decodes (it did when it was prepared) applies nothing.
     fn apply_work(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, work: RemoteWork) {
-        match work.kind.as_str() {
-            "enqueue-fwd" | "enqueue-rbk" => {
-                let metric = if work.kind == "enqueue-fwd" {
-                    (keys::TRANSFERS_FORWARD, keys::TRANSFER_BYTES_FORWARD)
-                } else {
-                    (keys::TRANSFERS_ROLLBACK, keys::TRANSFER_BYTES_ROLLBACK)
-                };
-                ctx.metrics().inc(metric.0);
-                ctx.metrics().add(metric.1, work.payload.len() as u64);
-                self.enqueue_local(ctx, work.payload.into_vec());
-            }
-            "batch" => {
-                if let Ok(works) = mar_wire::from_slice::<Vec<RemoteWork>>(&work.payload) {
-                    for w in works {
-                        self.apply_work(ctx, txn, w);
+        for work in Work::decode(work).unwrap_or_default() {
+            match work {
+                Work::Enqueue { rollback, record } => {
+                    let (transfers, bytes) = if rollback {
+                        (keys::TRANSFERS_ROLLBACK, keys::TRANSFER_BYTES_ROLLBACK)
+                    } else {
+                        (keys::TRANSFERS_FORWARD, keys::TRANSFER_BYTES_FORWARD)
+                    };
+                    ctx.metrics().inc(transfers);
+                    ctx.metrics().add(bytes, record.len() as u64);
+                    self.enqueue_local(ctx, record.into_vec());
+                }
+                Work::Rce(list) => {
+                    // Fast path: the tentative execution from the prepare is
+                    // still live; just commit it. Recovery path: the branch
+                    // died with a crash; redo the prepared work first.
+                    if !self.live_branches.remove(&txn) {
+                        if let Err(e) = self.execute_rce_list(ctx, txn, &list) {
+                            // The decision is commit; a redo failure is the
+                            // heuristic-damage corner of 2PC. Record it.
+                            ctx.metrics().inc(keys::ROLLBACK_REDO_FAILED);
+                            ctx.trace("rce-redo-failed", e.to_string());
+                        }
                     }
+                    self.commit_rms(ctx, txn);
                 }
             }
-            "rce" => {
-                // Fast path: the tentative execution from the prepare is
-                // still live; just commit it. Recovery path: the branch died
-                // with a crash; redo the prepared work first.
-                if !self.live_branches.remove(&txn) {
-                    if let Err(e) = self.execute_rce_list(ctx, txn, &work.payload) {
-                        // The decision is commit; a redo failure here is the
-                        // classic heuristic-damage corner of 2PC. Record it.
-                        ctx.metrics().inc("rollback.redo_failed");
-                        ctx.trace("rce-redo-failed", e.to_string());
-                    }
-                }
-                self.commit_rms(ctx, txn);
-            }
-            _ => {}
         }
     }
 
@@ -1060,10 +902,9 @@ impl MoleService {
                 ctx.metrics().inc(keys::RESIDENT_MISSES);
                 match parsed {
                     Ok(mut r) => {
-                        // Adopt the interned itinerary: at most one decode
-                        // of each distinct tree per node, however many
-                        // agents carry it.
-                        self.prime_record(ctx, &mut r);
+                        // At most one decode of each distinct tree per
+                        // node, however many agents carry it.
+                        self.itin.adopt(&mut r.itinerary);
                         r
                     }
                     Err(e) => return self.drop_item(ctx, key, e.to_string()),
@@ -1073,20 +914,12 @@ impl MoleService {
         if self.attempts.get(key).copied().unwrap_or(0) > MAX_ATTEMPTS {
             return self.fail_agent(ctx, key, resident, "retries exhausted".to_owned());
         }
-        enum Kind {
-            Forward,
-            Rollback(mar_core::SavepointId),
-            Finalized,
-        }
-        let kind = match &resident.status {
-            AgentStatus::Forward => Kind::Forward,
-            AgentStatus::RollingBack { target } => Kind::Rollback(*target),
-            AgentStatus::Completed | AgentStatus::Failed(_) => Kind::Finalized,
-        };
-        let result = match kind {
-            Kind::Forward => self.process_forward(ctx, key, resident),
-            Kind::Rollback(target) => self.process_rollback(ctx, key, resident, target),
-            Kind::Finalized => {
+        let result = match resident.status {
+            AgentStatus::Forward => self.process_forward(ctx, key, resident),
+            AgentStatus::RollingBack { target } => {
+                self.process_rollback(ctx, key, resident, target)
+            }
+            AgentStatus::Completed | AgentStatus::Failed(_) => {
                 // Should have been finalized; clean up idempotently.
                 ctx.stable_delete(key);
                 self.processing.remove(key);
@@ -1113,18 +946,12 @@ impl MoleService {
 
     /// Re-reads the pristine record from the stable queue — the cold paths'
     /// (failure, rollback start, cost migration) source of truth. Parses
-    /// lazily and adopts the interned itinerary before materializing, so
-    /// even these paths never re-decode a tree the node already holds.
-    fn stable_record(&mut self, ctx: &mut Ctx<'_>, key: &str) -> Option<AgentRecord> {
-        self.stable_resident(ctx, key)?.into_record().ok()
-    }
-
-    /// Like [`stable_record`](Self::stable_record) but stays in resident
-    /// (lazy) form.
+    /// lazily and adopts the interned itinerary, so even these paths never
+    /// re-decode a tree the node already holds.
     fn stable_resident(&mut self, ctx: &mut Ctx<'_>, key: &str) -> Option<ResidentRecord> {
         let bytes = ctx.stable_get(key)?;
         let mut rec = ResidentRecord::from_bytes(bytes).ok()?;
-        self.prime_record(ctx, &mut rec);
+        self.itin.adopt(&mut rec.itinerary);
         Some(rec)
     }
 
@@ -1140,7 +967,7 @@ impl MoleService {
         let txn = self.alloc_txn(ctx);
         let exit = Exit::Done(ReportOutcome::Failed(reason));
         if let Err(ItemError::Permanent(e) | ItemError::Transient(e)) =
-            self.hand_off(ctx, txn, key, rec, Vec::new(), Vec::new(), exit)
+            self.hand_off(ctx, txn, key, rec, Vec::new(), None, exit)
         {
             self.drop_item(ctx, key, e);
         }
@@ -1231,9 +1058,9 @@ impl MoleService {
     /// item `key` off this node's queue and puts `rec` into exactly one next
     /// place. Only a record that stays is splice-encoded and (cache on)
     /// kept resident; only one that moves passes the compaction gate and the
-    /// transfer encoding, joining `branches` (the round's RCE list, if any)
-    /// as one more piece of 2PC work; only one that is done materializes its
-    /// log, to move into its own report.
+    /// transfer encoding, joining `rces` (the round's RCE list and its node,
+    /// if any) as one more piece of 2PC work; only one that is done
+    /// materializes its log, to move into its own report.
     #[allow(clippy::too_many_arguments)]
     fn hand_off(
         &mut self,
@@ -1241,29 +1068,60 @@ impl MoleService {
         txn: TxnId,
         key: &str,
         mut rec: ResidentRecord,
-        metrics: Vec<(&'static str, u64)>,
-        mut branches: Vec<(NodeId, RemoteWork)>,
+        mut metrics: Vec<(&'static str, u64)>,
+        rces: Option<(NodeId, Vec<u8>)>,
         exit: Exit,
     ) -> Result<(), ItemError> {
-        let mut effects = Effects {
-            delete_queue: vec![key.to_owned()],
-            metrics,
-            ..Effects::default()
-        };
-        let mut resident = None;
-        match exit {
+        let mut branches: Vec<(NodeId, Vec<Work>)> =
+            Vec::from_iter(rces.map(|(node, list)| (node, vec![Work::Rce(list.into())])));
+        let mut shipment = None;
+        let outcome = match exit {
             Exit::Stay => {
                 // The agent still goes through stable storage between steps
                 // (§2) — spliced, so the write is O(delta).
                 let bytes = rec
                     .to_bytes()
                     .map_err(|e| ItemError::Permanent(e.to_string()))?;
-                effects.put_queue.push((key.to_owned(), bytes));
-                resident = self.cfg.resident_cache.then_some(rec);
+                let resident = self.cfg.resident_cache.then_some(rec);
+                Committed::Stayed { bytes, resident }
             }
-            Exit::Move { to, kind } => {
-                let bytes = self.encode_for_transfer(ctx, &mut rec)?;
-                branches.push((NodeId(to), RemoteWork::new(kind, bytes)));
+            Exit::Move { to, rollback } => {
+                let dest = NodeId(to);
+                let record = self.encode_for_transfer(ctx, &mut rec)?;
+                let enqueue = |record: Vec<u8>| Work::Enqueue {
+                    rollback,
+                    record: record.into(),
+                };
+                // 2PC tracks one branch per participant: the round's RCE
+                // list, if it goes to `dest` too, shares the record's branch.
+                if branches.first().map(|(node, _)| *node) != Some(dest) {
+                    branches.push((dest, Vec::new()));
+                }
+                let works = &mut branches.last_mut().expect("the branch to dest").1;
+                // Content-address the outgoing record: a destination that
+                // already holds the itinerary is sent an 8-byte reference,
+                // and the inline form is priced once, here.
+                let (note, by_ref) = self.itin.compress(dest, &rec.itinerary, &record).unzip();
+                let inline = match by_ref.flatten() {
+                    Some(by_ref) => {
+                        let mut inline = works.clone();
+                        inline.push(enqueue(record));
+                        works.push(enqueue(by_ref));
+                        let inline = Work::encode(inline);
+                        let msg = TxMsg::Prepare {
+                            txn,
+                            work: inline.clone(),
+                        };
+                        let from = ctx.node();
+                        Some((inline, MoleMsg::Tx { from, msg }.encode().len()))
+                    }
+                    None => {
+                        works.push(enqueue(record));
+                        None
+                    }
+                };
+                shipment = Some(Shipment { dest, note, inline });
+                Committed::Moved
             }
             Exit::Done(outcome) => {
                 let (status, metric) = match &outcome {
@@ -1272,7 +1130,7 @@ impl MoleService {
                         (AgentStatus::Failed(why.clone()), keys::AGENT_FAILED)
                     }
                 };
-                effects.metrics.push((metric, 1));
+                metrics.push((metric, 1));
                 let mut record = rec
                     .into_record()
                     .map_err(|e| ItemError::Permanent(e.to_string()))?;
@@ -1287,63 +1145,25 @@ impl MoleService {
                     // The record moves into its own report — nothing is cloned.
                     record,
                 };
-                effects.report = Some((home, report.encode()));
+                Committed::Done {
+                    home,
+                    report: report.encode(),
+                }
             }
-        }
-        // 2PC tracks one branch per participant: multiple works for the
-        // same node (e.g. an RCE list plus the agent transfer of a
-        // compensation round) merge into a single "batch" work item.
-        let mut grouped: Vec<(NodeId, Vec<RemoteWork>)> = Vec::new();
-        for (node, work) in branches {
-            match grouped.iter_mut().find(|(n, _)| *n == node) {
-                Some((_, works)) => works.push(work),
-                None => grouped.push((node, vec![work])),
-            }
-        }
-        let branches: Vec<(NodeId, RemoteWork)> = grouped
-            .into_iter()
-            .map(|(node, mut works)| {
-                if works.len() == 1 {
-                    (node, works.pop().expect("one work"))
-                } else {
-                    let payload = mar_wire::to_bytes(&works).expect("batch encodes");
-                    (node, RemoteWork::new("batch", payload))
-                }
-            })
-            .collect();
-        // Content-address the outgoing record: branches whose destination
-        // already holds the itinerary ship an 8-byte reference; the inline
-        // original is retained for billing and for a possible NACK.
-        let mut record_branches = Vec::new();
-        let mut stripped = Vec::new();
-        let mut advertise = Vec::new();
-        let branches: Vec<(NodeId, RemoteWork)> = branches
-            .into_iter()
-            .map(|(node, work)| {
-                if !work_carries_record(&work) {
-                    return (node, work);
-                }
-                record_branches.push(node);
-                match self.strip_work(ctx, node, &work, &mut advertise) {
-                    Some((hash, compact)) => {
-                        stripped.push((node, hash, work));
-                        (node, compact)
-                    }
-                    None => (node, work),
-                }
-            })
-            .collect();
+        };
         self.active.insert(
             txn,
             ActiveTxn {
                 queue_key: key.to_owned(),
-                effects,
-                resident,
-                record_branches,
-                stripped,
-                advertise,
+                outcome,
+                metrics,
+                shipment,
             },
         );
+        let branches = branches
+            .into_iter()
+            .map(|(node, works)| (node, Work::encode(works)))
+            .collect();
         let actions = self.co.commit_request(txn, branches);
         self.run_actions(ctx, actions);
         Ok(())
@@ -1428,7 +1248,7 @@ impl MoleService {
                 && matches!(self.advance_and_book(ctx, &mut rec)?, NextHop::Finished));
         if finished {
             let exit = Exit::Done(ReportOutcome::Completed);
-            return self.hand_off(ctx, txn, key, rec, Vec::new(), Vec::new(), exit);
+            return self.hand_off(ctx, txn, key, rec, Vec::new(), None, exit);
         }
 
         let (method, primary, alternatives) = {
@@ -1450,11 +1270,8 @@ impl MoleService {
         // Misplaced agent (e.g. after a restore): forward it to the step's
         // node without executing anything.
         if primary != ctx.node().0 {
-            let exit = Exit::Move {
-                to: primary,
-                kind: "enqueue-fwd",
-            };
-            return self.hand_off(ctx, txn, key, rec, Vec::new(), Vec::new(), exit);
+            let exit = Exit::towards(ctx, primary);
+            return self.hand_off(ctx, txn, key, rec, Vec::new(), None, exit);
         }
 
         // Execute the step method inside the step transaction.
@@ -1504,7 +1321,8 @@ impl MoleService {
                 self.rms.abort_all(txn);
                 drop(rec);
                 let original = self
-                    .stable_record(ctx, key)
+                    .stable_resident(ctx, key)
+                    .and_then(|rec| rec.into_record().ok())
                     .ok_or_else(|| ItemError::Permanent("queue item vanished".to_owned()))?;
                 self.start_rollback_txn(ctx, key, original, scope, rollback_memos)
             }
@@ -1536,10 +1354,10 @@ impl MoleService {
                 // Advance to the next step and hand the agent over to it.
                 let exit = match self.advance_and_book(ctx, &mut rec)? {
                     NextHop::Finished => Exit::Done(ReportOutcome::Completed),
-                    NextHop::Step(next) => Exit::towards(ctx, next, "enqueue-fwd"),
+                    NextHop::Step(next) => Exit::towards(ctx, next),
                 };
                 let metrics = vec![(keys::STEPS_COMMITTED, 1)];
-                self.hand_off(ctx, txn, key, rec, metrics, Vec::new(), exit)
+                self.hand_off(ctx, txn, key, rec, metrics, None, exit)
             }
         }
     }
@@ -1572,7 +1390,7 @@ impl MoleService {
         let mut metrics = vec![(keys::ROLLBACK_STARTED, 1)];
         let mut rb =
             ResidentRecord::from_record(rb).map_err(|e| ItemError::Permanent(e.to_string()))?;
-        self.prime_record(ctx, &mut rb);
+        self.itin.adopt(&mut rb.itinerary);
         let exit = match plan {
             StartPlan::AlreadyAtTarget(restore) => {
                 rb.apply_restore(*restore);
@@ -1581,7 +1399,7 @@ impl MoleService {
             }
             StartPlan::Go(dest) => Exit::rolling_back(dest),
         };
-        self.hand_off(ctx, txn, key, rb, metrics, Vec::new(), exit)
+        self.hand_off(ctx, txn, key, rb, metrics, None, exit)
     }
 
     /// The exit of a record back in forward execution (a restore was just
@@ -1593,7 +1411,7 @@ impl MoleService {
             .tree()
             .map_err(|e| ItemError::Permanent(format!("itinerary: {e}")))?;
         Ok(match rec.cursor.current_step(&itinerary) {
-            Some(step) => Exit::towards(ctx, step.loc.primary().0, "enqueue-fwd"),
+            Some(step) => Exit::towards(ctx, step.loc.primary().0),
             None => Exit::Stay,
         })
     }
@@ -1661,11 +1479,9 @@ impl MoleService {
                     .stable_resident(ctx, key)
                     .ok_or_else(|| ItemError::Permanent("queue item vanished".to_owned()))?;
                 let metrics = vec![(keys::ROLLBACK_COST_MIGRATIONS, 1)];
-                let exit = Exit::Move {
-                    to: batch.step_node().expect("has_remote_rces implies steps"),
-                    kind: "enqueue-rbk",
-                };
-                return self.hand_off(ctx, txn, key, fresh, metrics, Vec::new(), exit);
+                let node = batch.step_node().expect("has_remote_rces implies steps");
+                let exit = Exit::rolling_back(Destination::Node(node));
+                return self.hand_off(ctx, txn, key, fresh, metrics, None, exit);
             }
         }
 
@@ -1710,13 +1526,12 @@ impl MoleService {
         // Ship the fused resource compensation entries of the whole batch
         // to its node (optimized mode) as ONE list in ONE 2PC branch, to
         // run concurrently inside the same transaction.
-        let mut branches: Vec<(NodeId, RemoteWork)> = Vec::new();
-        if let Some(payload) = rce_payload {
+        let rces = rce_payload.map(|payload| {
             ctx.metrics().inc(keys::RCE_SHIPPED);
             ctx.metrics().add(keys::RCE_BYTES, payload.len() as u64);
             let node = batch.step_node().expect("has_remote_rces implies steps");
-            branches.push((NodeId(node), RemoteWork::new("rce", payload)));
-        }
+            (NodeId(node), payload)
+        });
 
         // Round accounting stays per compensated step (an op-less
         // savepoints-only batch still counts as the one round it was), so
@@ -1730,7 +1545,7 @@ impl MoleService {
         ];
         let mut rb =
             ResidentRecord::from_record(rb).map_err(|e| ItemError::Permanent(e.to_string()))?;
-        self.prime_record(ctx, &mut rb);
+        self.itin.adopt(&mut rb.itinerary);
         let exit = match batch.after {
             AfterRound::Reached(restore) => {
                 rb.apply_restore(*restore);
@@ -1739,7 +1554,7 @@ impl MoleService {
             }
             AfterRound::Continue(dest) => Exit::rolling_back(dest),
         };
-        self.hand_off(ctx, txn, key, rb, metrics, branches, exit)
+        self.hand_off(ctx, txn, key, rb, metrics, rces, exit)
     }
 }
 
@@ -1778,18 +1593,15 @@ impl Service for MoleService {
                 // shipped: forget the assumption and re-send the branch
                 // inline from our retained copy. Stale reports (settled
                 // transaction, vote already in) fall through silently.
-                let hit = self.active.get(&txn).and_then(|at| {
-                    at.stripped
-                        .iter()
-                        .find(|(n, _, _)| *n == from.node)
-                        .map(|(_, h, w)| (*h, w.clone()))
-                });
-                if let Some((assumed, inline)) = hit {
-                    if let Some(set) = self.known.get_mut(&from.node) {
-                        set.remove(&assumed);
-                        set.remove(&hash);
-                    }
-                    let actions = self.co.replace_work(txn, from.node, inline);
+                let by_ref = self
+                    .active
+                    .get(&txn)
+                    .and_then(|at| at.shipment.as_ref())
+                    .filter(|shipment| shipment.dest == from.node)
+                    .and_then(|shipment| shipment.note.as_ref().zip(shipment.inline.as_ref()));
+                if let Some((note, (inline, _))) = by_ref {
+                    self.itin.forget(note, hash);
+                    let actions = self.co.replace_work(txn, from.node, inline.clone());
                     if !actions.is_empty() {
                         ctx.metrics().inc(keys::ITINERARY_REFETCHES);
                     }
@@ -1808,23 +1620,7 @@ impl Service for MoleService {
                         if self.pa.is_known(txn) {
                             self.pa.on_prepare(txn, from, work, true)
                         } else {
-                            match self.admit_work(ctx, work) {
-                                Ok(work) => {
-                                    let accept = self.validate_work(ctx, txn, &work);
-                                    self.pa.on_prepare(txn, from, work, accept)
-                                }
-                                Err(hash) => {
-                                    // Unresolvable itinerary reference: not
-                                    // a refusal (voting no would abort the
-                                    // transaction) — ask the coordinator
-                                    // for the inline form and hold the vote.
-                                    ctx.send(
-                                        Address::new(from, MOLE),
-                                        MoleMsg::ItineraryMiss { txn, hash }.encode(),
-                                    );
-                                    Vec::new()
-                                }
-                            }
+                            self.prepare(ctx, txn, from, work)
                         }
                     }
                     TxMsg::Vote { txn, ok } => self.co.on_vote(txn, from, ok),
@@ -1835,6 +1631,7 @@ impl Service for MoleService {
                 self.run_actions(ctx, actions);
             }
         }
+        self.count_itinerary_lookups(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
@@ -1853,22 +1650,17 @@ impl Service for MoleService {
                 }
             }
         }
+        self.count_itinerary_lookups(ctx);
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // A crash rebuilds the service from its factory: the resident cache,
-        // the intern table and the known-hash sets start empty (crash-cold),
-        // and recovery re-decodes queue items from stable bytes only. Peers
-        // are not told about the restart and may still name this node in
-        // their known sets, so re-derive intern entries from the locally
-        // durable queue items — the intern-on-receipt rule of
-        // `enqueue_local`, run at recovery admission — which keeps pre-crash
-        // advertisements valid for exactly the records this node still holds.
-        if self.cfg.itinerary_interning {
-            for key in ctx.stable().keys_with_prefix(Q_PREFIX) {
-                if let Some(bytes) = ctx.stable_get(&key).map(<[u8]>::to_vec) {
-                    self.intern_record_bytes(ctx, &bytes);
-                }
+        // A crash rebuilds the service from its factory: the resident cache
+        // and the intern table start empty, and recovery re-decodes queue
+        // items from stable bytes only. Peers are not told about the restart,
+        // so the records still queued are interned again, as on receipt.
+        for key in ctx.stable().keys_with_prefix(Q_PREFIX) {
+            if let Some(bytes) = ctx.stable_get(&key) {
+                self.itin.intern_record(bytes);
             }
         }
         // Transaction id allocator: never reuse ids from before the crash.
@@ -1894,7 +1686,7 @@ impl Service for MoleService {
                 None => self.rms.restore_base(record, bytes),
             };
             if let Err(e) = restored {
-                ctx.metrics().inc("recovery.rm_records_refused");
+                ctx.metrics().inc(keys::RECOVERY_RM_RECORDS_REFUSED);
                 ctx.trace("rm-restore-failed", format!("{key}: {e}"));
             }
         }
@@ -1934,18 +1726,7 @@ impl Service for MoleService {
         self.run_actions(ctx, pa_actions);
         ctx.set_timer(TM_RETRY, TAG_RETRY_2PC);
         self.kick(ctx);
-    }
-}
-
-/// Whether a 2PC work item ships an agent record (directly or inside a
-/// batch) — the only work kind that can carry an itinerary.
-fn work_carries_record(work: &RemoteWork) -> bool {
-    match work.kind.as_str() {
-        "enqueue-fwd" | "enqueue-rbk" => true,
-        "batch" => mar_wire::from_slice::<Vec<RemoteWork>>(&work.payload)
-            .map(|ws| ws.iter().any(work_carries_record))
-            .unwrap_or(false),
-        _ => false,
+        self.count_itinerary_lookups(ctx);
     }
 }
 

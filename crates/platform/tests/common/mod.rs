@@ -130,21 +130,19 @@ pub fn build_platform(
 }
 
 /// Like [`build_platform`], but parameterized over itinerary interning
-/// (flag + cache cap) instead of the resident cache, with kernel tracing
-/// enabled so suites can compare send/deliver timelines byte for byte.
+/// instead of the resident cache, with kernel tracing enabled so suites can
+/// compare send/deliver timelines byte for byte.
 pub fn build_platform_itin(
     nodes: u32,
     seed: u64,
     shards: usize,
     interning: bool,
-    itin_cache: usize,
     stable: &StableFactory,
 ) -> Platform {
     scripted_builder(nodes, seed, stable)
         .shards(shards)
         .trace(true)
         .itinerary_interning(interning)
-        .itinerary_cache(itin_cache)
         .build()
 }
 

@@ -100,12 +100,15 @@ fn launch(p: &mut Platform) -> Vec<AgentHandle> {
 
 /// The `acct/…` balances in a ledger image.
 fn image_balances(image: &[u8]) -> BTreeMap<String, i64> {
-    let image: BTreeMap<String, Vec<u8>> =
-        mar_wire::from_slice(image).expect("a ledger image is a key-value map");
-    image
-        .into_iter()
+    let mut store = mar_txn::TxStore::new();
+    store.restore(image).expect("a ledger image restores");
+    store
+        .iter()
         .filter(|(key, _)| key.starts_with("acct/"))
-        .map(|(key, v)| (key, mar_wire::from_slice(&v).expect("a balance is an i64")))
+        .map(|(key, v)| {
+            let balance = mar_wire::from_slice(v).expect("a balance is an i64");
+            (key.to_owned(), balance)
+        })
         .collect()
 }
 
@@ -263,7 +266,9 @@ fn a_bad_delta_ends_the_replay_and_is_counted() {
     p.world_mut().recover_now(node);
     p.world_mut().run_for(SimDuration::from_millis(1));
     assert_eq!(
-        p.world().metrics().counter("recovery.rm_records_refused"),
+        p.world()
+            .metrics()
+            .counter(mar_platform::metric_keys::RECOVERY_RM_RECORDS_REFUSED),
         deltas.len() as u64
     );
     assert_eq!(

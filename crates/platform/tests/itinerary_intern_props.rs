@@ -23,10 +23,12 @@
 //! the WAL backend.
 //!
 //! The degraded paths get their own (deliberately non-timed) coverage:
-//! an eviction-thrashed cache must fall back to `ItineraryMiss`/inline
+//! a reference that reaches a receiver which no longer holds the itinerary
+//! (it crashed with an empty queue) must fall back to `ItineraryMiss`/inline
 //! retransmission without changing any agent-visible outcome, and
 //! unknown-hash or truncated/garbled reference frames from the wire must
-//! never corrupt a node or enqueue a record.
+//! never corrupt a node or enqueue a record. (Eviction order, and an evicted
+//! hash refusing its reference, are unit tests of the table itself.)
 
 mod common;
 
@@ -90,7 +92,7 @@ fn run(
     crash_after_steps: Option<u64>,
     stable: &StableFactory,
 ) -> RunFingerprint {
-    let mut p = build_platform_itin(NODES, seed, shards, interning, 256, stable);
+    let mut p = build_platform_itin(NODES, seed, shards, interning, stable);
     let mut spec = AgentSpec::new("scripted", NodeId(0), itinerary_for(steps, rollback_at));
     spec.logging = LoggingMode::State;
     spec.mode = RollbackMode::Optimized;
@@ -294,7 +296,7 @@ fn crash_at_every_step_boundary_is_identical_on_wal() {
 }
 
 // ---------------------------------------------------------------------------
-// Degraded paths: evictions, NACKs, and hostile frames.
+// Degraded paths: NACKs and hostile frames.
 // ---------------------------------------------------------------------------
 
 /// Agent-visible outcome only — what the degraded paths must preserve
@@ -306,40 +308,44 @@ struct OutcomeFingerprint {
     records: Vec<Vec<u8>>,
 }
 
-/// Runs three agents with *distinct* itineraries ping-ponging over the same
-/// 1⇄2 edge, with the intern table capped at a single entry: every arrival
-/// evicts the previous itinerary, so warm senders keep shipping references
-/// the receiver no longer holds. Completion must survive purely on the
-/// `ItineraryMiss` → inline-retransmit path.
-fn run_thrash(interning: bool, cap: usize) -> (OutcomeFingerprint, u64, u64) {
+/// Two agents of one type (one itinerary, one hash) walk 1 → 2 → 3, the
+/// second only after the first has finished and node 2 has crashed and
+/// recovered. Node 2's queue was empty at the crash, so its recovered intern
+/// table is too — while node 1 still believes, from the first agent's
+/// committed transfer, that node 2 holds the itinerary, and ships the second
+/// agent by reference.
+fn run_crash_cold_receiver(interning: bool) -> (OutcomeFingerprint, u64, u64) {
     let reference = StableFactory::reference();
-    let mut p = build_platform_itin(NODES, 23, 1, interning, cap, &reference);
-    let mut handles = Vec::new();
-    for a in 0..3u8 {
-        // Distinct step names ⇒ distinct itinerary bytes ⇒ distinct hashes.
-        let steps: Vec<GenStep> = (0..6)
-            .map(|i| GenStep {
-                kind: (a + i) % 3,
-                node: 1 + (i as u32) % 2,
-            })
-            .collect();
+    let mut p = build_platform_itin(NODES, 23, 1, interning, &reference);
+    let steps: Vec<GenStep> = [(0u8, 1u32), (1, 2), (0, 3)]
+        .iter()
+        .map(|&(kind, node)| GenStep { kind, node })
+        .collect();
+    let spec = || {
         let mut spec = AgentSpec::new("scripted", NodeId(0), itinerary_for(&steps, None));
         spec.logging = LoggingMode::State;
         spec.mode = RollbackMode::Optimized;
         spec.data.set_sro("notes", Value::list([]));
-        handles.push(p.launch(spec));
-    }
+        spec
+    };
+    let first = p.launch(spec());
+    assert!(p.run_until_settled(&[first], SimDuration::from_secs(600)));
+    assert!(p.queued_agents().is_empty(), "node 2 holds no record");
+    p.world_mut()
+        .crash_for(NodeId(2), SimDuration::from_millis(100));
+    p.run_for(SimDuration::from_millis(200));
+    let second = p.launch(spec());
     assert!(
-        p.run_until_settled(&handles, SimDuration::from_secs(600)),
-        "thrash scenario must settle (interning={interning}, cap={cap})"
+        p.run_until_settled(&[second], SimDuration::from_secs(600)),
+        "the second agent must settle (interning={interning})"
     );
     let mut fp = OutcomeFingerprint {
         outcomes: Vec::new(),
         steps: Vec::new(),
         records: Vec::new(),
     };
-    for h in &handles {
-        let r = p.report(*h).expect("report");
+    for h in [first, second] {
+        let r = p.report(h).expect("report");
         fp.outcomes.push(r.outcome.clone());
         fp.steps.push(r.steps_committed);
         fp.records
@@ -349,28 +355,28 @@ fn run_thrash(interning: bool, cap: usize) -> (OutcomeFingerprint, u64, u64) {
     (
         fp,
         m.counter("itinerary.refetches"),
-        m.counter("itinerary.evictions"),
+        m.counter("itinerary.ref_transfers"),
     )
 }
 
-/// A single-entry intern table under three competing itineraries: stale
-/// advertisements must degrade to NACK + inline retransmit, never to a
-/// wrong itinerary or a stuck agent, and the agent-visible outcome must
-/// match the interning-off control exactly.
+/// A reference shipped on a pre-crash advertisement to a receiver that came
+/// back cold must degrade to NACK + inline retransmit, never to a wrong
+/// itinerary or a stuck agent, and the agent-visible outcome must match the
+/// interning-off control exactly.
 #[test]
-fn eviction_thrash_degrades_to_nack_and_inline() {
-    let (on, refetches, evictions) = run_thrash(true, 1);
-    let (off, off_refetches, _) = run_thrash(false, 1);
+fn crash_cold_receiver_degrades_to_nack_and_inline() {
+    let (on, refetches, ref_transfers) = run_crash_cold_receiver(true);
+    let (off, off_refetches, off_ref_transfers) = run_crash_cold_receiver(false);
     assert_eq!(on, off, "degraded outcome must match the control");
     for o in &on.outcomes {
         assert_eq!(o, &ReportOutcome::Completed);
     }
-    assert!(evictions > 0, "cap 1 must evict under 3 itineraries");
+    assert!(ref_transfers > 0, "the second agent must ship by reference");
     assert!(
         refetches > 0,
-        "stale advertisements must exercise the NACK path"
+        "the stale advertisement must exercise the NACK path"
     );
-    assert_eq!(off_refetches, 0);
+    assert_eq!((off_refetches, off_ref_transfers), (0, 0));
 }
 
 /// Builds an encoded agent record whose itinerary section is replaced by
@@ -416,7 +422,7 @@ proptest! {
         ],
     ) {
         let reference = StableFactory::reference();
-        let mut p = build_platform_itin(NODES, seed, 1, true, 256, &reference);
+        let mut p = build_platform_itin(NODES, seed, 1, true, &reference);
         let steps: Vec<GenStep> =
             [(0u8, 1u32), (1, 2), (0, 1)].iter().map(|&(kind, node)| GenStep { kind, node }).collect();
         let mut spec = AgentSpec::new("scripted", NodeId(0), itinerary_for(&steps, None));

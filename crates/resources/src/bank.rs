@@ -30,7 +30,6 @@ pub struct BankRm {
     name: String,
     allow_overdraft: bool,
     store: TxStore,
-    audit_seq: u64,
 }
 
 impl BankRm {
@@ -41,7 +40,6 @@ impl BankRm {
             name: name.into(),
             allow_overdraft,
             store: TxStore::new(),
-            audit_seq: 0,
         }
     }
 
@@ -96,19 +94,14 @@ impl BankRm {
             ));
         }
         write_t(&mut self.store, txn, &format!("acct/{account}"), &next)?;
-        self.audit_seq += 1;
+        let seq = self.store.next_seq();
         let rec = BankAudit {
             op: op.to_owned(),
             account: account.to_owned(),
             delta,
             txn: txn.key(),
         };
-        write_t(
-            &mut self.store,
-            txn,
-            &format!("audit/{:012}", self.audit_seq),
-            &rec,
-        )?;
+        write_t(&mut self.store, txn, &format!("audit/{seq:012}"), &rec)?;
         Ok(next)
     }
 }
@@ -160,7 +153,7 @@ impl ResourceManager for BankRm {
     }
 
     fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        self.store.commit(txn, self.audit_seq)
+        self.store.commit(txn)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -172,22 +165,11 @@ impl ResourceManager for BankRm {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        self.store.restore(bytes)?;
-        // The base image is the bare store; the audit counter is the number
-        // of its last `audit/` key, so the trail only ever grows.
-        let last = self
-            .store
-            .iter()
-            .filter_map(|(k, _)| k.strip_prefix("audit/")?.parse().ok())
-            .last();
-        self.audit_seq = self.audit_seq.max(last.unwrap_or(0));
-        Ok(())
+        Ok(self.store.restore(bytes)?)
     }
 
     fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        let seq = self.store.apply_delta(bytes)?;
-        self.audit_seq = self.audit_seq.max(seq);
-        Ok(())
+        Ok(self.store.apply_delta(bytes)?)
     }
 
     fn audit_money(&self) -> Value {

@@ -109,7 +109,7 @@ impl ResourceManager for DirectoryRm {
     }
 
     fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        self.store.commit(txn, 0)
+        self.store.commit(txn)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -125,8 +125,7 @@ impl ResourceManager for DirectoryRm {
     }
 
     fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        self.store.apply_delta(bytes)?;
-        Ok(())
+        Ok(self.store.apply_delta(bytes)?)
     }
 }
 

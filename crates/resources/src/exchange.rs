@@ -19,7 +19,6 @@ struct Rate {
 pub struct ExchangeRm {
     name: String,
     store: TxStore,
-    serial_seq: u64,
 }
 
 impl ExchangeRm {
@@ -28,7 +27,6 @@ impl ExchangeRm {
         ExchangeRm {
             name: name.into(),
             store: TxStore::new(),
-            serial_seq: 0,
         }
     }
 
@@ -104,9 +102,8 @@ impl ResourceManager for ExchangeRm {
                 // its target-currency reserve.
                 self.reserve_add(ctx.txn, &from, amount)?;
                 self.reserve_add(ctx.txn, &to, -out)?;
-                self.serial_seq += 1;
                 let coin = Coin {
-                    serial: format!("{}-x{:08}", self.name, self.serial_seq),
+                    serial: format!("{}-x{:08}", self.name, self.store.next_seq()),
                     value: out,
                     currency: to,
                 };
@@ -129,7 +126,7 @@ impl ResourceManager for ExchangeRm {
     }
 
     fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        self.store.commit(txn, self.serial_seq)
+        self.store.commit(txn)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -137,21 +134,15 @@ impl ResourceManager for ExchangeRm {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, TxnError> {
-        let state = (self.store.snapshot()?, self.serial_seq);
-        Ok(mar_wire::to_bytes(&state)?)
+        Ok(self.store.snapshot()?)
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        let (snap, seq): (Vec<u8>, u64) = mar_wire::from_slice(bytes)?;
-        self.store.restore(&snap)?;
-        self.serial_seq = self.serial_seq.max(seq);
-        Ok(())
+        Ok(self.store.restore(bytes)?)
     }
 
     fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        let seq = self.store.apply_delta(bytes)?;
-        self.serial_seq = self.serial_seq.max(seq);
-        Ok(())
+        Ok(self.store.apply_delta(bytes)?)
     }
 
     fn audit_money(&self) -> Value {

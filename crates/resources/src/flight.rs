@@ -26,7 +26,6 @@ pub struct FlightRm {
     name: String,
     cancel_fee_permille: u64,
     store: TxStore,
-    booking_seq: u64,
 }
 
 impl FlightRm {
@@ -37,7 +36,6 @@ impl FlightRm {
             name: name.into(),
             cancel_fee_permille,
             store: TxStore::new(),
-            booking_seq: 0,
         }
     }
 
@@ -111,8 +109,7 @@ impl ResourceManager for FlightRm {
                 rec.seats -= 1;
                 write_t(&mut self.store, ctx.txn, &key, &rec)?;
                 self.revenue_add(ctx.txn, paid)?;
-                self.booking_seq += 1;
-                let booking_id = format!("{}-b{:08}", self.name, self.booking_seq);
+                let booking_id = format!("{}-b{:08}", self.name, self.store.next_seq());
                 write_t(
                     &mut self.store,
                     ctx.txn,
@@ -162,7 +159,7 @@ impl ResourceManager for FlightRm {
     }
 
     fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        self.store.commit(txn, self.booking_seq)
+        self.store.commit(txn)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -170,21 +167,15 @@ impl ResourceManager for FlightRm {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, TxnError> {
-        let state = (self.store.snapshot()?, self.booking_seq);
-        Ok(mar_wire::to_bytes(&state)?)
+        Ok(self.store.snapshot()?)
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        let (snap, seq): (Vec<u8>, u64) = mar_wire::from_slice(bytes)?;
-        self.store.restore(&snap)?;
-        self.booking_seq = self.booking_seq.max(seq);
-        Ok(())
+        Ok(self.store.restore(bytes)?)
     }
 
     fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        let seq = self.store.apply_delta(bytes)?;
-        self.booking_seq = self.booking_seq.max(seq);
-        Ok(())
+        Ok(self.store.apply_delta(bytes)?)
     }
 
     fn audit_money(&self) -> Value {

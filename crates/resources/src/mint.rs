@@ -22,7 +22,6 @@ pub struct MintRm {
     name: String,
     currency: String,
     store: TxStore,
-    serial_seq: u64,
 }
 
 impl MintRm {
@@ -33,13 +32,11 @@ impl MintRm {
             name: name.into(),
             currency: currency.into(),
             store: TxStore::new(),
-            serial_seq: 0,
         }
     }
 
     fn next_serial(&mut self) -> String {
-        self.serial_seq += 1;
-        format!("{}-{:08}", self.name, self.serial_seq)
+        format!("{}-{:08}", self.name, self.store.next_seq())
     }
 
     /// Issues a coin outside any transaction (scenario setup: initial wallet
@@ -159,7 +156,7 @@ impl ResourceManager for MintRm {
     }
 
     fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        self.store.commit(txn, self.serial_seq)
+        self.store.commit(txn)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -167,23 +164,15 @@ impl ResourceManager for MintRm {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, TxnError> {
-        // Persist the serial counter too: serials must stay unique across
-        // crashes.
-        let state = (self.store.snapshot()?, self.serial_seq);
-        Ok(mar_wire::to_bytes(&state)?)
+        Ok(self.store.snapshot()?)
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        let (snap, seq): (Vec<u8>, u64) = mar_wire::from_slice(bytes)?;
-        self.store.restore(&snap)?;
-        self.serial_seq = self.serial_seq.max(seq);
-        Ok(())
+        Ok(self.store.restore(bytes)?)
     }
 
     fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        let seq = self.store.apply_delta(bytes)?;
-        self.serial_seq = self.serial_seq.max(seq);
-        Ok(())
+        Ok(self.store.apply_delta(bytes)?)
     }
 }
 

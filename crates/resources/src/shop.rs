@@ -66,7 +66,6 @@ pub struct ShopRm {
     name: String,
     policy: RefundPolicy,
     store: TxStore,
-    order_seq: u64,
 }
 
 impl ShopRm {
@@ -76,7 +75,6 @@ impl ShopRm {
             name: name.into(),
             policy,
             store: TxStore::new(),
-            order_seq: 0,
         }
     }
 
@@ -163,8 +161,7 @@ impl ResourceManager for ShopRm {
                 item.stock -= qty;
                 write_t(&mut self.store, ctx.txn, &format!("item/{sku}"), &item)?;
                 self.till_add(ctx.txn, paid)?;
-                self.order_seq += 1;
-                let order_id = format!("{}-{:08}", self.name, self.order_seq);
+                let order_id = format!("{}-{:08}", self.name, self.store.next_seq());
                 let rec = OrderRec {
                     sku,
                     qty,
@@ -245,7 +242,7 @@ impl ResourceManager for ShopRm {
     }
 
     fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        self.store.commit(txn, self.order_seq)
+        self.store.commit(txn)
     }
 
     fn abort(&mut self, txn: TxnId) {
@@ -253,21 +250,15 @@ impl ResourceManager for ShopRm {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, TxnError> {
-        let state = (self.store.snapshot()?, self.order_seq);
-        Ok(mar_wire::to_bytes(&state)?)
+        Ok(self.store.snapshot()?)
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        let (snap, seq): (Vec<u8>, u64) = mar_wire::from_slice(bytes)?;
-        self.store.restore(&snap)?;
-        self.order_seq = self.order_seq.max(seq);
-        Ok(())
+        Ok(self.store.restore(bytes)?)
     }
 
     fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        let seq = self.store.apply_delta(bytes)?;
-        self.order_seq = self.order_seq.max(seq);
-        Ok(())
+        Ok(self.store.apply_delta(bytes)?)
     }
 
     fn audit_money(&self) -> Value {

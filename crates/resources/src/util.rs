@@ -90,7 +90,7 @@ mod tests {
         write_t(&mut store, txn, "k", &(1u32, "x".to_owned())).unwrap();
         let v: Option<(u32, String)> = read_t(&mut store, txn, "k").unwrap();
         assert_eq!(v, Some((1, "x".to_owned())));
-        store.commit(txn, 0);
+        store.commit(txn);
         let p: Option<(u32, String)> = peek_t(&store, "k");
         assert_eq!(p, Some((1, "x".to_owned())));
     }

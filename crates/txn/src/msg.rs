@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 use crate::id::TxnId;
 
 /// A unit of remote work prepared at a participant: the host interprets
-/// `kind` (e.g. `"enqueue-agent"`, `"run-rce-list"`) and applies `payload`
-/// when the transaction commits.
+/// `kind` and applies `payload` when the transaction commits (the mole's
+/// kinds and their typed form live in `mar-platform`'s `work` module).
 ///
 /// The payload is a [`mar_wire::Bytes`] buffer: work items routinely carry
 /// whole serialized agent records, and the compact `TAG_BYTES` framing
@@ -28,11 +28,6 @@ impl RemoteWork {
             kind: kind.into(),
             payload: payload.into(),
         }
-    }
-
-    /// Size in bytes of the payload (for transfer metrics).
-    pub fn size(&self) -> usize {
-        self.kind.len() + self.payload.len()
     }
 }
 
@@ -133,11 +128,5 @@ mod tests {
             assert_eq!(back.msg, m);
             assert_eq!(back.msg.txn(), TxnId::new(NodeId(1), 2));
         }
-    }
-
-    #[test]
-    fn remote_work_size() {
-        let w = RemoteWork::new("abc", vec![0; 10]);
-        assert_eq!(w.size(), 13);
     }
 }

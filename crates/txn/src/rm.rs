@@ -373,7 +373,7 @@ mod tests {
         }
 
         fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-            self.store.commit(txn, 0)
+            self.store.commit(txn)
         }
         fn abort(&mut self, txn: TxnId) {
             self.store.abort(txn);
@@ -385,8 +385,7 @@ mod tests {
             Ok(self.store.restore(bytes)?)
         }
         fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-            self.store.apply_delta(bytes)?;
-            Ok(())
+            Ok(self.store.apply_delta(bytes)?)
         }
     }
 

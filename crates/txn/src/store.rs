@@ -35,6 +35,9 @@ pub struct TxStore {
     data: BTreeMap<String, Vec<u8>>,
     locks: LockTable,
     undo: BTreeMap<TxnId, UndoLog>,
+    /// High-water mark of [`next_seq`](Self::next_seq). Not transactional:
+    /// an aborted transaction's numbers are skipped, never reissued.
+    seq: u64,
 }
 
 impl TxStore {
@@ -100,12 +103,20 @@ impl TxStore {
         Ok(keys)
     }
 
+    /// The next number of the owning manager's one id sequence (booking
+    /// ids, coin serials, audit keys). The mark is part of every delta record
+    /// and base image, so a number is never issued twice across a crash.
+    pub fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
     /// Commits `txn`: drops its undo log, releases its locks, and hands back
     /// what it wrote as a delta record for stable storage — the undo log's
     /// keys are the write set, so the record is their current values, stamped
-    /// with the owning manager's sequence high-water mark `seq` (0 if it
-    /// keeps none). `None` if the transaction wrote nothing.
-    pub fn commit(&mut self, txn: TxnId, seq: u64) -> Option<Vec<u8>> {
+    /// with the sequence high-water mark. `None` if the transaction wrote
+    /// nothing.
+    pub fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
         let log = self.undo.remove(&txn);
         self.locks.release_all(txn);
         let writes: Vec<_> = log
@@ -119,7 +130,10 @@ impl TxStore {
         if writes.is_empty() {
             return None;
         }
-        let delta = Delta { writes, seq };
+        let delta = Delta {
+            writes,
+            seq: self.seq,
+        };
         Some(to_bytes(&delta).expect("strings, byte strings and integers always encode"))
     }
 
@@ -153,17 +167,17 @@ impl TxStore {
         self.data.get(key).map(Vec::as_slice)
     }
 
-    /// Serializes the committed state. Live transactions may hold in-place
-    /// writes; their keys appear with the before-image from the undo log
-    /// instead (2PL: a key is in at most one live undo log), so the image
-    /// never contains an uncommitted write.
+    /// Serializes the committed state and the sequence mark. Live
+    /// transactions may hold in-place writes; their keys appear with the
+    /// before-image from the undo log instead (2PL: a key is in at most one
+    /// live undo log), so the image never contains an uncommitted write.
     ///
     /// # Errors
     ///
     /// Codec errors only.
     pub fn snapshot(&self) -> WireResult<Vec<u8>> {
         if self.undo.is_empty() {
-            return to_bytes(&self.data);
+            return to_bytes(&(&self.data, self.seq));
         }
         let mut committed: BTreeMap<&str, &[u8]> = self.iter().collect();
         for rec in self.undo.values().flat_map(UndoLog::records) {
@@ -172,7 +186,7 @@ impl TxStore {
                 None => committed.remove(rec.key.as_str()),
             };
         }
-        to_bytes(&committed)
+        to_bytes(&(committed, self.seq))
     }
 
     /// Replaces the committed state from a snapshot (crash recovery).
@@ -181,20 +195,20 @@ impl TxStore {
     ///
     /// Codec errors only.
     pub fn restore(&mut self, bytes: &[u8]) -> WireResult<()> {
-        self.data = from_slice(bytes)?;
+        (self.data, self.seq) = from_slice(bytes)?;
         self.undo.clear();
         self.locks = LockTable::new();
         Ok(())
     }
 
     /// Re-applies a delta record [`commit`](Self::commit) returned on top
-    /// of restored state (crash recovery, deltas in commit order) and returns
-    /// the sequence high-water mark it carries.
+    /// of restored state (crash recovery, deltas in commit order), sequence
+    /// mark included.
     ///
     /// # Errors
     ///
     /// Codec errors only.
-    pub fn apply_delta(&mut self, bytes: &[u8]) -> WireResult<u64> {
+    pub fn apply_delta(&mut self, bytes: &[u8]) -> WireResult<()> {
         let delta: Delta = from_slice(bytes)?;
         for (key, after) in delta.writes {
             match after {
@@ -202,7 +216,8 @@ impl TxStore {
                 None => self.data.remove(&key),
             };
         }
-        Ok(delta.seq)
+        self.seq = self.seq.max(delta.seq);
+        Ok(())
     }
 
     /// Lock conflict count (for experiments).
@@ -252,11 +267,11 @@ mod tests {
     fn write_then_commit_persists() {
         let mut s = TxStore::new();
         s.write(t(1), "a", vec![7]).unwrap();
-        s.commit(t(1), 0);
+        s.commit(t(1));
         assert_eq!(s.peek("a"), Some(&[7u8][..]));
         // Lock released: another txn can write.
         s.write(t(2), "a", vec![8]).unwrap();
-        s.commit(t(2), 0);
+        s.commit(t(2));
         assert_eq!(s.peek("a"), Some(&[8u8][..]));
     }
 
@@ -292,7 +307,7 @@ mod tests {
         assert_eq!(keys, ["q/1", "q/2"]);
         // Writer conflicts with the scan's shared locks.
         assert!(s.write(t(2), "q/1", vec![1]).is_err());
-        s.commit(t(1), 0);
+        s.commit(t(1));
         assert!(s.write(t(2), "q/1", vec![1]).is_ok());
     }
 
@@ -300,12 +315,14 @@ mod tests {
     fn snapshot_restore_roundtrip() {
         let mut s = TxStore::new();
         s.write(t(1), "k", vec![1, 2]).unwrap();
-        s.commit(t(1), 0);
+        s.commit(t(1));
+        assert_eq!(s.next_seq(), 1);
         let snap = s.snapshot().unwrap();
         let mut s2 = TxStore::new();
         s2.restore(&snap).unwrap();
         assert_eq!(s2.peek("k"), Some(&[1u8, 2][..]));
         assert_eq!(s2.len(), 1);
+        assert_eq!(s2.next_seq(), 2, "the image carries the sequence mark");
     }
 
     #[test]
@@ -319,7 +336,7 @@ mod tests {
         s.remove(t(2), "b").unwrap();
         s.write(t(2), "c", vec![3]).unwrap();
         assert_eq!(s.snapshot().unwrap(), committed);
-        s.commit(t(2), 0);
+        s.commit(t(2));
         let mut s2 = TxStore::new();
         s2.restore(&s.snapshot().unwrap()).unwrap();
         assert_eq!(s2.peek("a"), Some(&[1u8][..]), "t1 is still in flight");
@@ -334,19 +351,22 @@ mod tests {
         s.seed("b", vec![2]);
         let base = s.snapshot().unwrap();
         s.read(t(1), "a").unwrap();
-        assert_eq!(s.commit(t(1), 0), None, "a read-only commit");
-        assert_eq!(s.commit(t(7), 0), None, "an unknown transaction");
+        assert_eq!(s.commit(t(1)), None, "a read-only commit");
+        assert_eq!(s.commit(t(7)), None, "an unknown transaction");
 
         s.write(t(2), "a", vec![5]).unwrap();
         s.write(t(2), "a", vec![6]).unwrap();
         s.remove(t(2), "b").unwrap();
         s.write(t(2), "c", vec![7]).unwrap();
         s.write(t(3), "d", vec![8]).unwrap();
-        let delta = s.commit(t(2), 41).expect("t2 wrote");
+        assert_eq!((s.next_seq(), s.next_seq()), (1, 2));
+        let delta = s.commit(t(2)).expect("t2 wrote");
 
         let mut s2 = TxStore::new();
         s2.restore(&base).unwrap();
-        assert_eq!(s2.apply_delta(&delta).unwrap(), 41);
+        s2.apply_delta(&delta).unwrap();
+        assert_eq!(s2.next_seq(), 3, "the delta carries the sequence mark");
+        s.next_seq();
         assert_eq!(s2.peek("a"), Some(&[6u8][..]), "the last write wins");
         assert_eq!(s2.peek("b"), None, "a removal is replayed as a removal");
         assert_eq!(s2.peek("c"), Some(&[7u8][..]));

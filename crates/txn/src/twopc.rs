@@ -243,16 +243,6 @@ impl Coordinator {
         vec![Action::SendPrepare { to, txn, work }]
     }
 
-    /// The work currently stored for one branch of an in-flight transaction.
-    pub fn branch_work(&self, txn: TxnId, to: NodeId) -> Option<&RemoteWork> {
-        self.txns
-            .get(&txn)?
-            .work
-            .iter()
-            .find(|(n, _)| *n == to)
-            .map(|(_, w)| w)
-    }
-
     /// Handles a vote from a participant.
     pub fn on_vote(&mut self, txn: TxnId, from: NodeId, ok: bool) -> Vec<Action> {
         let Some(co) = self.txns.get_mut(&txn) else {
@@ -629,13 +619,15 @@ mod tests {
                 work: fat.clone(),
             }]
         );
-        assert_eq!(co.branch_work(txn(1), p1), Some(&fat));
-        assert_eq!(co.branch_work(txn(1), p2), Some(&work()));
 
-        // Retries keep shipping the replacement, not the original payload.
+        // Retries keep shipping the replacement, not the original payload,
+        // and the other branch its own.
         let retries = co.on_retry();
         assert!(retries.iter().any(
             |a| matches!(a, Action::SendPrepare { to, work: w, .. } if *to == p1 && *w == fat)
+        ));
+        assert!(retries.iter().any(
+            |a| matches!(a, Action::SendPrepare { to, work: w, .. } if *to == p2 && *w == work())
         ));
 
         // A branch that already voted can no longer be replaced.

@@ -44,7 +44,7 @@ impl ResourceManager for Kv {
         Ok(Value::Null)
     }
     fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        self.store.commit(txn, 0)
+        self.store.commit(txn)
     }
     fn abort(&mut self, txn: TxnId) {
         self.store.abort(txn);
@@ -56,8 +56,7 @@ impl ResourceManager for Kv {
         Ok(self.store.restore(bytes)?)
     }
     fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        self.store.apply_delta(bytes)?;
-        Ok(())
+        Ok(self.store.apply_delta(bytes)?)
     }
 }
 
@@ -128,7 +127,9 @@ impl Stable {
 
 fn committed_view(reg: &RmRegistry) -> Map {
     let snap = reg.get("kv").expect("registered").snapshot().unwrap();
-    mar_wire::from_slice(&snap).expect("a base image is a key-value map")
+    let (map, _seq): (Map, u64) =
+        mar_wire::from_slice(&snap).expect("a base image is a key-value map and a sequence mark");
+    map
 }
 
 fn txn(seq: u64) -> TxnId {

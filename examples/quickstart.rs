@@ -79,7 +79,6 @@ fn main() {
     // transfer (see the byte counts printed at the end).
     let mut platform = PlatformBuilder::new(3)
         .seed(42)
-        .compact_on_transfer(true)
         .behavior("scout", Scout)
         .resources(NodeId(1), || {
             let mut rms = RmRegistry::new();

@@ -127,11 +127,11 @@ fn main() {
             )
             .unwrap();
         let snap = mole.rms().get("cfg").unwrap().snapshot().unwrap();
-        let entries: std::collections::BTreeMap<String, Vec<u8>> =
-            mobile_agent_rollback::wire::from_slice(&snap).unwrap();
+        let mut entries = mobile_agent_rollback::txn::TxStore::new();
+        entries.restore(&snap).unwrap();
         let configs = entries
-            .keys()
-            .filter(|k| k.starts_with("e/config/"))
+            .iter()
+            .filter(|(k, _)| k.starts_with("e/config/"))
             .count();
         println!("node {node}: {configs} config version(s)");
         assert_eq!(configs, 1, "only v1 must remain on node {node}");

@@ -149,7 +149,6 @@ fn airline_node(
 fn main() {
     let mut platform = PlatformBuilder::new(5)
         .seed(2026)
-        .compact_on_transfer(true)
         .behavior("traveller", Traveller)
         .resources(NodeId(AIR_A), || {
             airline_node(vec![("PA-100", 300, 5)], 600, 100)

@@ -171,10 +171,10 @@ pub fn sink_balance(p: &mut Platform, node: u32) -> i64 {
         .expect("ledger")
         .snapshot()
         .unwrap();
-    let entries: std::collections::BTreeMap<String, Vec<u8>> =
-        mobile_agent_rollback::wire::from_slice(&snap).unwrap();
+    let mut entries = mobile_agent_rollback::txn::TxStore::new();
+    entries.restore(&snap).unwrap();
     entries
-        .get("acct/sink")
+        .peek("acct/sink")
         .and_then(|b| mobile_agent_rollback::wire::from_slice(b).ok())
         .unwrap_or(0)
 }
