@@ -20,7 +20,7 @@ use mar_core::{AgentId, AgentRecord};
 use mar_simnet::{MetricsSnapshot, NodeId, SimDuration, World};
 
 use crate::harvest::{audit_wallets, money_audit_world, DriverCore};
-use crate::mole::Q_PREFIX;
+use crate::mole::queued_records;
 use crate::msg::AgentReport;
 use crate::AgentSpec;
 
@@ -158,8 +158,9 @@ impl Platform {
     }
 
     /// How many stable queue entries currently hold this agent — the
-    /// exactly-once residence invariant says this is ≤ 1 at quiescence (0
-    /// once finished). Queue entries are identified by a borrowed header
+    /// exactly-once residence invariant says this is ≤ 1 at any pause (0
+    /// once finished): a record a prepared transaction still holds is not
+    /// in its queue yet. Queue entries are identified by a borrowed header
     /// peek ([`AgentRecord::peek_header`]); no rollback log is decoded.
     pub fn residence_count(&self, agent: impl Into<AgentId>) -> usize {
         let agent = agent.into();
@@ -176,11 +177,9 @@ impl Platform {
     pub fn queued_agents(&self) -> Vec<(NodeId, AgentId)> {
         let mut out = Vec::new();
         for node in self.world.node_ids() {
-            for key in self.world.stable(node).keys_with_prefix(Q_PREFIX) {
-                if let Some(bytes) = self.world.stable(node).get(&key) {
-                    if let Ok(header) = AgentRecord::peek_header(bytes) {
-                        out.push((node, header.id));
-                    }
+            for bytes in queued_records(self.world.stable(node)) {
+                if let Ok(header) = AgentRecord::peek_header(bytes) {
+                    out.push((node, header.id));
                 }
             }
         }
@@ -193,11 +192,9 @@ impl Platform {
     pub fn queued_records(&self) -> Vec<(NodeId, AgentRecord)> {
         let mut out = Vec::new();
         for node in self.world.node_ids() {
-            for key in self.world.stable(node).keys_with_prefix(Q_PREFIX) {
-                if let Some(bytes) = self.world.stable(node).get(&key) {
-                    if let Ok(rec) = AgentRecord::from_bytes(bytes) {
-                        out.push((node, rec));
-                    }
+            for bytes in queued_records(self.world.stable(node)) {
+                if let Ok(rec) = AgentRecord::from_bytes(bytes) {
+                    out.push((node, rec));
                 }
             }
         }

@@ -19,7 +19,7 @@ use mar_simnet::{Address, NodeId, World};
 use crate::driver::AgentHandle;
 use crate::lru::Lru;
 use crate::mole::{
-    keys, MoleService, HOME_REPORT_PREFIX, MBOX_PREFIX, MOLE, OUTBOX_PREFIX, Q_PREFIX,
+    keys, queued_records, MoleService, HOME_REPORT_PREFIX, MBOX_PREFIX, MOLE, OUTBOX_PREFIX,
     REPORT_PREFIX,
 };
 use crate::msg::{AgentReport, MoleMsg};
@@ -290,11 +290,9 @@ pub fn money_audit_world(world: &World, wallet_keys: &[&str]) -> BTreeMap<String
         }
     }
     for node in world.node_ids() {
-        for key in world.stable(node).keys_with_prefix(Q_PREFIX) {
-            if let Some(bytes) = world.stable(node).get(&key) {
-                if let Ok(peek) = AgentRecord::peek_data(bytes) {
-                    audit_wallets(&peek.data, wallet_keys, &mut total);
-                }
+        for bytes in queued_records(world.stable(node)) {
+            if let Ok(peek) = AgentRecord::peek_data(bytes) {
+                audit_wallets(&peek.data, wallet_keys, &mut total);
             }
         }
         // Finished agents not yet drained by the driver: their final

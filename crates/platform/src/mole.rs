@@ -9,9 +9,9 @@
 //! the same machinery (§4.3, §4.4).
 //!
 //! Crash semantics: everything volatile here (locks, undo, in-flight 2PC
-//! state, timers) dies with the node and is rebuilt in `on_start` from
-//! stable storage — queue items, RM base images and delta records,
-//! decision/prepared records.
+//! state, the holds on records that arrived with a `Prepare`, timers) dies
+//! with the node and is rebuilt in `on_start` from stable storage — queue
+//! items, RM base images and delta records, decision/prepared records.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use mar_core::{
     plan_batch, plan_single, start_rollback, AfterRound, AgentRecord, AgentStatus, CompError,
     CostModel, Destination, LinkParams, ResidentRecord, StartPlan,
 };
-use mar_simnet::{Address, Ctx, NodeId, Service, SimDuration};
+use mar_simnet::{Address, Ctx, NodeId, Service, SimDuration, StableStore};
 use mar_txn::{
     twopc::Action, Coordinator, Participant, PreparedEntry, RemoteWork, RmRegistry, RmWrite, TxMsg,
     TxnId, TxnIdGen,
@@ -53,6 +53,10 @@ const RETRY_BASE: SimDuration = SimDuration::from_millis(20);
 const RETRY_MAX_EXP: u32 = 6;
 /// 2PC retransmission period.
 const TM_RETRY: SimDuration = SimDuration::from_millis(50);
+/// Transaction ids a node may issue beyond the one that last moved the
+/// stored floor (`txnseq`): the floor is written once per block of 64 ids,
+/// and recovery resumes past it.
+const TXN_FLOOR_AHEAD: u64 = 63;
 /// After this many failed attempts on one queue item the agent is failed
 /// instead of retried — the escalation strategy for unresolvable
 /// (compensation) failures the paper defers to \[4\]/\[10\].
@@ -71,7 +75,9 @@ const ITINERARY_CACHE: usize = 256;
 const KEY_QSEQ: &str = "qseq";
 const KEY_TXNSEQ: &str = "txnseq";
 const KEY_MBOXSEQ: &str = "mboxseq";
-pub(crate) const Q_PREFIX: &str = "q/";
+/// Records in the node's input queue, and records a prepared transaction
+/// holds for it: read the queue through [`queue_keys`] or [`queued_records`].
+const Q_PREFIX: &str = "q/";
 /// Committed resource state: `rm/<name>` holds a manager's base image,
 /// `rm/<name>+<seq:012>` the delta records committed since, in key order
 /// (so a manager's name may not contain `+`).
@@ -82,7 +88,8 @@ const DONE2PC_PREFIX: &str = "2pc/done/";
 pub(crate) const REPORT_PREFIX: &str = "done/";
 pub(crate) const HOME_REPORT_PREFIX: &str = "report/";
 /// Stable outbox of reports awaiting the home node's ack (retransmitted on
-/// the 2PC retry timer; survives crashes of the completing node).
+/// the 2PC retry timer; survives crashes of the completing node). An entry is
+/// the home node; the report is the `done/<id>` record next to it.
 pub(crate) const OUTBOX_PREFIX: &str = "report-outbox/";
 /// The home node's driver mailbox: one entry per completed agent, consumed
 /// (and deleted) by the driving [`Platform`](crate::Platform).
@@ -210,6 +217,9 @@ pub mod keys {
     /// Stored resource base images and delta records that recovery could
     /// not restore (the manager stays at the state before the first one).
     pub const RECOVERY_RM_RECORDS_REFUSED: &str = "recovery.rm_records_refused";
+    /// Prepared entries that did not read back as what this node stored: one
+    /// that does not decode, or whose stub names a queue key that is gone.
+    pub const RECOVERY_PREPARED_REFUSED: &str = "recovery.prepared_refused";
 }
 
 /// How the runtime decides, per compensation batch with remote resource
@@ -368,11 +378,16 @@ pub struct MoleService {
     comps: Arc<CompOpRegistry>,
     rms: RmRegistry,
     idgen: Option<TxnIdGen>,
+    /// The stored `txnseq`: every id up to it may be issued without a write.
+    txn_floor: u64,
     co: Coordinator,
     pa: Participant,
     active: BTreeMap<TxnId, ActiveTxn>,
     live_branches: BTreeSet<TxnId>,
     processing: BTreeSet<String>,
+    /// The queue keys prepared transactions hold — [`stored_holds`] of this
+    /// node's store, kept in memory so that a queue scan decodes nothing.
+    holds: BTreeSet<String>,
     attempts: BTreeMap<String, u32>,
     tag_seq: u64,
     tag_map: BTreeMap<u64, String>,
@@ -413,11 +428,13 @@ impl MoleService {
             comps,
             rms,
             idgen: None,
+            txn_floor: 0,
             co: Coordinator::new(),
             pa: Participant::new(),
             active: BTreeMap::new(),
             live_branches: BTreeSet::new(),
             processing: BTreeSet::new(),
+            holds: BTreeSet::new(),
             attempts: BTreeMap::new(),
             tag_seq: 0,
             tag_map: BTreeMap::new(),
@@ -483,23 +500,43 @@ impl MoleService {
     fn alloc_txn(&mut self, ctx: &mut Ctx<'_>) -> TxnId {
         let idgen = self.idgen.as_mut().expect("started");
         let id = idgen.next_id();
-        // Persist the floor so recovery never reissues an id.
-        ctx.stable_put(KEY_TXNSEQ, mar_wire::to_bytes(&id.seq).unwrap());
+        // Recovery resumes past the stored floor, so it never reissues an id;
+        // the floor moves a block ahead, and most ids cost no write.
+        if id.seq > self.txn_floor {
+            self.txn_floor = id.seq + TXN_FLOOR_AHEAD;
+            ctx.stable_put(
+                KEY_TXNSEQ,
+                mar_wire::to_bytes(&self.txn_floor).expect("an integer encodes"),
+            );
+        }
         id
     }
 
+    /// Puts a launched record into the queue.
     fn enqueue_local(&mut self, ctx: &mut Ctx<'_>, bytes: Vec<u8>) {
-        // Interned before the decision is acked: by the time the sender
-        // learns that this node holds the itinerary, it does.
         self.itin.intern_record(&bytes);
+        Self::put_queue_item(ctx, bytes);
+        self.kick(ctx);
+    }
+
+    /// The one write of a record that arrives at this node: under the next
+    /// queue key, which is returned.
+    fn put_queue_item(ctx: &mut Ctx<'_>, bytes: Vec<u8>) -> String {
         let seq: u64 = ctx
             .stable_get(KEY_QSEQ)
             .and_then(|b| mar_wire::from_slice(b).ok())
             .unwrap_or(0)
             + 1;
         ctx.stable_put(KEY_QSEQ, mar_wire::to_bytes(&seq).unwrap());
-        ctx.stable_put(format!("{Q_PREFIX}{seq:012}"), bytes);
-        self.kick(ctx);
+        let key = format!("{Q_PREFIX}{seq:012}");
+        ctx.stable_put(key.clone(), bytes);
+        key
+    }
+
+    /// Counts and traces a prepared entry that does not read back as stored.
+    fn refuse_prepared(ctx: &mut Ctx<'_>, txn: &str, why: String) {
+        ctx.metrics().inc(keys::RECOVERY_PREPARED_REFUSED);
+        ctx.trace("prepared-refused", format!("{txn}: {why}"));
     }
 
     /// Moves the intern table's counts into the metrics; called at the end
@@ -538,8 +575,7 @@ impl MoleService {
     }
 
     fn scan_queue(&mut self, ctx: &mut Ctx<'_>) {
-        let keys = ctx.stable().keys_with_prefix(Q_PREFIX);
-        for key in keys {
+        for key in queue_keys(ctx.stable(), &self.holds) {
             if !self.processing.contains(&key) {
                 self.schedule_item(ctx, &key, STEP_COST);
             }
@@ -623,6 +659,13 @@ impl MoleService {
                     if self.live_branches.remove(&txn) {
                         self.rms.abort_all(txn);
                     }
+                    // The prepared entry is still stored (`MarkDone` comes
+                    // next): the records it holds never entered the queue.
+                    let entry = format!("{PREPARED_PREFIX}{}", txn.key());
+                    for key in held_keys(ctx.stable(), &entry) {
+                        ctx.stable_delete(&key);
+                        self.holds.remove(&key);
+                    }
                 }
                 Action::MarkDone { txn } => {
                     ctx.stable_delete(&format!("{PREPARED_PREFIX}{}", txn.key()));
@@ -663,13 +706,12 @@ impl MoleService {
                     // completion event reaches the home mailbox despite
                     // crashes and lost messages (delivery is idempotent on
                     // the home side).
-                    let entry = (home, mar_wire::Bytes::from(report.as_slice()));
+                    let outbox = format!("{OUTBOX_PREFIX}{}", agent.0);
                     ctx.stable_put(
-                        format!("{OUTBOX_PREFIX}{}", agent.0),
-                        mar_wire::to_bytes(&entry).expect("outbox entry encodes"),
+                        outbox.clone(),
+                        mar_wire::to_bytes(&home).expect("an integer encodes"),
                     );
-                    self.outbox_sent
-                        .insert(format!("{OUTBOX_PREFIX}{}", agent.0), ctx.now().as_micros());
+                    self.outbox_sent.insert(outbox, ctx.now().as_micros());
                     ctx.send(
                         Address::new(NodeId(home), MOLE),
                         MoleMsg::Report {
@@ -737,10 +779,14 @@ impl MoleService {
                     continue;
                 }
             }
-            let Some(bytes) = ctx.stable_get(&key).map(<[u8]>::to_vec) else {
-                continue;
-            };
-            let Ok((home, report)) = mar_wire::from_slice::<(u32, mar_wire::Bytes)>(&bytes) else {
+            // The report is the `done/` record of the same agent; the driver
+            // deletes the two together, so an entry without one is a leftover.
+            let home = ctx
+                .stable_get(&key)
+                .and_then(|b| mar_wire::from_slice::<u32>(b).ok());
+            let done = format!("{REPORT_PREFIX}{}", &key[OUTBOX_PREFIX.len()..]);
+            let report = ctx.stable_get(&done).map(mar_wire::Bytes::from);
+            let (Some(home), Some(report)) = (home, report) else {
                 ctx.stable_delete(&key);
                 continue;
             };
@@ -771,11 +817,16 @@ impl MoleService {
     }
 
     /// Participant-side handling of a new `Prepare`: expands an itinerary
-    /// reference, so that everything downstream (validation, the prepared
-    /// record, application) sees the self-contained inline form, and votes.
+    /// reference, so that everything downstream (validation, stable storage)
+    /// sees the self-contained inline form, and votes.
     /// RCE lists execute tentatively right now, inside the transaction,
     /// holding their locks until the decision (§4.4.1: the resource
     /// compensation entries run "inside the compensation transaction").
+    ///
+    /// A record is written once, here, as the queue item it becomes: the
+    /// prepared entry stores a [`Work::Held`] stub naming its key, and while
+    /// that entry lives the key is held: [`queue_keys`] leaves it out. The
+    /// decision releases the hold or deletes the key.
     fn prepare(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -820,6 +871,19 @@ impl MoleService {
             }
             self.live_branches.insert(txn);
         }
+        // Nothing below refuses: the vote is yes.
+        for work in &mut works {
+            if let Work::Enqueue { rollback, record } = work {
+                let len = record.len() as u64;
+                let key = Self::put_queue_item(ctx, std::mem::take(record).into_vec());
+                self.holds.insert(key.clone());
+                *work = Work::Held {
+                    rollback: *rollback,
+                    key,
+                    len,
+                };
+            }
+        }
         self.pa.on_prepare(txn, from, Work::encode(works), true)
     }
 
@@ -844,20 +908,38 @@ impl MoleService {
         Ok(())
     }
 
-    /// Applies the prepared work of a transaction that committed. A record
-    /// that no longer decodes (it did when it was prepared) applies nothing.
+    /// Applies the prepared work of a transaction that committed. An entry
+    /// that no longer decodes (it did when it was stored) applies nothing,
+    /// and says so.
     fn apply_work(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, work: RemoteWork) {
-        for work in Work::decode(work).unwrap_or_default() {
+        let works = Work::decode_stored(work).unwrap_or_else(|e| {
+            Self::refuse_prepared(ctx, &txn.key(), format!("{e:?}"));
+            Vec::new()
+        });
+        for work in works {
             match work {
-                Work::Enqueue { rollback, record } => {
+                Work::Held { rollback, key, len } => {
+                    // The record has been in place since the prepare; with
+                    // its entry gone (`MarkDone` comes next) it is queued.
+                    // Interned before the decision is acked: by the time the
+                    // sender learns that this node holds the itinerary, it does.
+                    match ctx.stable_get(&key) {
+                        Some(record) => self.itin.intern_record(record),
+                        None => Self::refuse_prepared(ctx, &txn.key(), format!("no {key}")),
+                    }
                     let (transfers, bytes) = if rollback {
                         (keys::TRANSFERS_ROLLBACK, keys::TRANSFER_BYTES_ROLLBACK)
                     } else {
                         (keys::TRANSFERS_FORWARD, keys::TRANSFER_BYTES_FORWARD)
                     };
                     ctx.metrics().inc(transfers);
-                    ctx.metrics().add(bytes, record.len() as u64);
-                    self.enqueue_local(ctx, record.into_vec());
+                    ctx.metrics().add(bytes, len);
+                    self.holds.remove(&key);
+                    self.kick(ctx);
+                }
+                // `prepare` stores the stub in the record's place.
+                Work::Enqueue { .. } => {
+                    Self::refuse_prepared(ctx, &txn.key(), "an unheld record".to_owned());
                 }
                 Work::Rce(list) => {
                     // Fast path: the tentative execution from the prepare is
@@ -1658,7 +1740,9 @@ impl Service for MoleService {
         // and the intern table start empty, and recovery re-decodes queue
         // items from stable bytes only. Peers are not told about the restart,
         // so the records still queued are interned again, as on receipt.
-        for key in ctx.stable().keys_with_prefix(Q_PREFIX) {
+        // A held record is interned when its hold is released.
+        self.holds = stored_holds(ctx.stable());
+        for key in queue_keys(ctx.stable(), &self.holds) {
             if let Some(bytes) = ctx.stable_get(&key) {
                 self.itin.intern_record(bytes);
             }
@@ -1671,6 +1755,7 @@ impl Service for MoleService {
         let mut idgen = TxnIdGen::new(ctx.node(), 0);
         idgen.bump_past(floor);
         self.idgen = Some(idgen);
+        self.txn_floor = floor;
 
         // Committed resource state. Key order puts each manager's base
         // image before its delta records, and those in commit order. The
@@ -1703,14 +1788,26 @@ impl Service for MoleService {
         }
         let co_actions = self.co.recover(decisions);
 
-        // Participant: reload prepared/done state and query outcomes.
+        // Participant: reload prepared/done state and query outcomes. An
+        // entry that does not decode is left out, one whose stub names a
+        // missing queue key stays in doubt without its record, and both are
+        // counted and traced.
         let mut prepared = Vec::new();
         for key in ctx.stable().keys_with_prefix(PREPARED_PREFIX) {
-            if let Some(bytes) = ctx.stable_get(&key) {
-                if let Ok(entry) = mar_wire::from_slice::<PreparedEntry>(bytes) {
-                    let txn = parse_txn_key(&key[PREPARED_PREFIX.len()..]);
-                    prepared.push((txn, entry));
+            let Some(bytes) = ctx.stable_get(&key) else {
+                continue;
+            };
+            let txn = &key[PREPARED_PREFIX.len()..];
+            match read_prepared(bytes) {
+                Ok((entry, held)) => {
+                    for key in held {
+                        if ctx.stable_get(&key).is_none() {
+                            Self::refuse_prepared(ctx, txn, format!("no {key}"));
+                        }
+                    }
+                    prepared.push((parse_txn_key(txn), entry));
                 }
+                Err(why) => Self::refuse_prepared(ctx, txn, why),
             }
         }
         let done = ctx
@@ -1728,6 +1825,51 @@ impl Service for MoleService {
         self.kick(ctx);
         self.count_itinerary_lookups(ctx);
     }
+}
+
+/// A stored prepared entry and the queue keys it holds, or why it does not
+/// read back.
+fn read_prepared(bytes: &[u8]) -> Result<(PreparedEntry, Vec<String>), String> {
+    let entry: PreparedEntry = mar_wire::from_slice(bytes).map_err(|e| e.to_string())?;
+    let works = Work::decode_stored(entry.work.clone()).map_err(|e| format!("{e:?}"))?;
+    let held = works.into_iter().filter_map(|work| match work {
+        Work::Held { key, .. } => Some(key),
+        _ => None,
+    });
+    Ok((entry, held.collect()))
+}
+
+/// The queue keys the prepared entry stored under `entry` holds: none if
+/// there is no such entry, or it does not read back (recovery reports that).
+fn held_keys(stable: &StableStore, entry: &str) -> Vec<String> {
+    let read = stable
+        .get(entry)
+        .and_then(|bytes| read_prepared(bytes).ok());
+    read.map(|(_, held)| held).unwrap_or_default()
+}
+
+/// The queue keys the live prepared entries in `stable` hold.
+fn stored_holds(stable: &StableStore) -> BTreeSet<String> {
+    let entries = stable.keys_with_prefix(PREPARED_PREFIX);
+    let held = entries.iter().flat_map(|entry| held_keys(stable, entry));
+    held.collect()
+}
+
+/// The node's agent input queue: the keys under `q/`, less `holds` — a
+/// record that arrived with a `Prepare` is in place from then on, and in the
+/// queue once the decision has removed the prepared entry. Every reader of
+/// the queue goes through here, so an agent in transit is in at most one
+/// queue at any instant (Fig. 1), not only at quiescence.
+fn queue_keys(stable: &StableStore, holds: &BTreeSet<String>) -> Vec<String> {
+    let mut keys = stable.keys_with_prefix(Q_PREFIX);
+    keys.retain(|key| !holds.contains(key));
+    keys
+}
+
+/// The encoded records in the queue of a node, read off its store alone.
+pub(crate) fn queued_records(stable: &StableStore) -> impl Iterator<Item = &[u8]> {
+    let keys = queue_keys(stable, &stored_holds(stable));
+    keys.into_iter().filter_map(|key| stable.get(&key))
 }
 
 fn rm_delta_key(name: &str, seq: u64) -> String {

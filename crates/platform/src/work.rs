@@ -6,6 +6,12 @@
 //! one place that knows how the list looks as a [`RemoteWork`] on the wire
 //! and in `2pc/prepared/`: a single work is the bare item, several are a
 //! `"batch"` whose payload is the encoded list of bare items.
+//!
+//! The two forms differ in one item. A participant puts the record of an
+//! enqueue into its queue when it prepares, so its prepared entry stores a
+//! [`Work::Held`] stub naming that queue key in the record's place. The stub
+//! is stored only: [`Work::decode`] of wire bytes refuses it, so no `Prepare`
+//! can name a queue key; [`Work::decode_stored`] reads it back.
 
 use mar_txn::RemoteWork;
 use mar_wire::Bytes;
@@ -13,6 +19,7 @@ use mar_wire::Bytes;
 const ENQUEUE_FWD: &str = "enqueue-fwd";
 const ENQUEUE_RBK: &str = "enqueue-rbk";
 const RCE: &str = "rce";
+const HELD: &str = "held";
 const BATCH: &str = "batch";
 
 /// One piece of work a transaction asks of a participant node.
@@ -24,20 +31,28 @@ pub(crate) enum Work {
     /// Execute the encoded [`RceList`](crate::RceList) inside the
     /// transaction.
     Rce(Bytes),
+    /// Stored only: the record of an [`Work::Enqueue`], `len` bytes long, sits
+    /// under the queue key `key` and is held there until the decision.
+    Held {
+        rollback: bool,
+        key: String,
+        len: u64,
+    },
 }
 
 /// A [`RemoteWork`] that is not a branch this runtime could have sent.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum WorkError {
     /// A kind other than the three items and the batch (nested batches
-    /// included: a branch is flat).
+    /// included: a branch is flat), or the stored-only stub off the wire.
     UnknownKind(String),
-    /// A batch payload that is not an encoded list of items.
+    /// A batch payload that is not an encoded list of items, or a stub
+    /// payload that is not an encoded stub.
     Codec(mar_wire::WireError),
 }
 
 impl Work {
-    /// The wire form of a branch.
+    /// The wire form of a branch, and with stubs in it the stored form.
     pub(crate) fn encode(mut works: Vec<Work>) -> RemoteWork {
         if works.len() == 1 {
             return works.pop().expect("one work").into_item();
@@ -46,16 +61,24 @@ impl Work {
         RemoteWork::new(BATCH, mar_wire::to_bytes(&items).expect("batch encodes"))
     }
 
-    /// The branch a [`RemoteWork`] off the wire or out of a prepared record
-    /// stands for.
+    /// The branch a [`RemoteWork`] off the wire stands for.
     pub(crate) fn decode(work: RemoteWork) -> Result<Vec<Work>, WorkError> {
+        Work::decode_items(work, false)
+    }
+
+    /// The branch a [`RemoteWork`] out of a prepared entry stands for.
+    pub(crate) fn decode_stored(work: RemoteWork) -> Result<Vec<Work>, WorkError> {
+        Work::decode_items(work, true)
+    }
+
+    fn decode_items(work: RemoteWork, stored: bool) -> Result<Vec<Work>, WorkError> {
         if work.kind != BATCH {
-            return Ok(vec![Work::from_item(work)?]);
+            return Ok(vec![Work::from_item(work, stored)?]);
         }
         mar_wire::from_slice::<Vec<RemoteWork>>(&work.payload)
             .map_err(WorkError::Codec)?
             .into_iter()
-            .map(Work::from_item)
+            .map(|item| Work::from_item(item, stored))
             .collect()
     }
 
@@ -65,14 +88,23 @@ impl Work {
                 RemoteWork::new(if rollback { ENQUEUE_RBK } else { ENQUEUE_FWD }, record)
             }
             Work::Rce(list) => RemoteWork::new(RCE, list),
+            Work::Held { rollback, key, len } => {
+                let stub = mar_wire::to_bytes(&(rollback, key, len)).expect("stub encodes");
+                RemoteWork::new(HELD, stub)
+            }
         }
     }
 
-    fn from_item(item: RemoteWork) -> Result<Work, WorkError> {
+    fn from_item(item: RemoteWork, stored: bool) -> Result<Work, WorkError> {
         let rollback = match item.kind.as_str() {
             ENQUEUE_FWD => false,
             ENQUEUE_RBK => true,
             RCE => return Ok(Work::Rce(item.payload)),
+            HELD if stored => {
+                let (rollback, key, len) =
+                    mar_wire::from_slice(&item.payload).map_err(WorkError::Codec)?;
+                return Ok(Work::Held { rollback, key, len });
+            }
             _ => return Err(WorkError::UnknownKind(item.kind)),
         };
         Ok(Work::Enqueue {
@@ -98,6 +130,11 @@ mod tests {
         ]
     }
 
+    fn held_strategy() -> impl Strategy<Value = Work> {
+        (any::<bool>(), "[a-z0-9/]{0,16}", any::<u64>())
+            .prop_map(|(rollback, key, len)| Work::Held { rollback, key, len })
+    }
+
     /// What the parent commit's `hand_off` built for the same works: the
     /// kind string by hand, and `"batch"` around more than one.
     fn parent_encoding(works: &[Work]) -> RemoteWork {
@@ -111,6 +148,7 @@ mod tests {
                 record.clone(),
             ),
             Work::Rce(list) => RemoteWork::new("rce", list.clone()),
+            Work::Held { .. } => unreachable!("the parent commit had no stub"),
         };
         match works {
             [one] => item(one),
@@ -176,13 +214,48 @@ mod tests {
         ));
     }
 
+    /// A prepared entry that carries one record stores the stub, whatever
+    /// the record's size.
+    #[test]
+    fn a_prepared_entry_with_one_record_is_small() {
+        let held = Work::Held {
+            rollback: true,
+            key: format!("q/{:012}", u64::MAX),
+            len: u64::MAX,
+        };
+        let entry = mar_txn::PreparedEntry {
+            coordinator: mar_simnet::NodeId(u32::MAX),
+            work: Work::encode(vec![held]),
+        };
+        let stored = mar_wire::to_bytes(&entry).unwrap();
+        assert!(stored.len() <= 64, "{} bytes", stored.len());
+    }
+
     proptest! {
+        /// The stub is stored only: off the wire it is an unknown kind, alone
+        /// or in a batch, so a `Prepare` cannot name a queue key.
+        #[test]
+        fn the_stub_round_trips_stored_and_never_decodes_off_the_wire(
+            mut works in proptest::collection::vec(work_strategy(), 0..3),
+            held in held_strategy(),
+            at in 0usize..3,
+        ) {
+            works.insert(at.min(works.len()), held);
+            let stored = Work::encode(works.clone());
+            prop_assert_eq!(
+                Work::decode(stored.clone()),
+                Err(WorkError::UnknownKind("held".to_owned()))
+            );
+            prop_assert_eq!(Work::decode_stored(stored), Ok(works));
+        }
+
         #[test]
         fn a_branch_round_trips_and_encodes_as_the_parent_did(
             works in proptest::collection::vec(work_strategy(), 0..4),
         ) {
             let wire = Work::encode(works.clone());
             prop_assert_eq!(&wire, &parent_encoding(&works));
+            prop_assert_eq!(Work::decode_stored(wire.clone()), Ok(works.clone()));
             prop_assert_eq!(Work::decode(wire), Ok(works));
         }
 
@@ -192,13 +265,19 @@ mod tests {
                 Just("batch".to_owned()),
                 Just("rce".to_owned()),
                 Just("enqueue-fwd".to_owned()),
+                Just("held".to_owned()),
                 proptest::collection::vec(any::<u8>(), 0..8)
                     .prop_map(|b| String::from_utf8_lossy(&b).into_owned()),
             ],
             payload in proptest::collection::vec(any::<u8>(), 0..64),
         ) {
             let item = ["rce", "enqueue-fwd", "enqueue-rbk"].contains(&kind.as_str());
-            match Work::decode(RemoteWork::new(kind.clone(), payload)) {
+            let decoded = Work::decode(RemoteWork::new(kind.clone(), payload));
+            if let Ok(works) = &decoded {
+                let stub = works.iter().any(|w| matches!(w, Work::Held { .. }));
+                prop_assert!(!stub, "a stub off the wire: {:?}", works);
+            }
+            match decoded {
                 Ok(works) if item => prop_assert_eq!(works.len(), 1),
                 // Only a batch holds a list, fails as one, or holds an item
                 // of a kind other than its own.

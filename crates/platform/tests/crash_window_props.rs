@@ -14,18 +14,26 @@
 //! every node must end up exactly where the crash-free run leaves it. The
 //! sweep crashes one resource node at every 10 µs across one wave, whose
 //! bounds come from the crash-free run's own trace.
+//!
+//! The same node is then swept as a *participant*: from the first `Prepare`
+//! that brings it a record to the last `Ack` of that wave. The record a
+//! `Prepare` carries is written once, as the queue item it becomes, and held
+//! until the decision; whatever the crash instant, balances, final reports
+//! and `steps.committed` equal the crash-free run's, an agent is in at most
+//! one queue at every pause, and an aborted transaction leaves neither a
+//! `q/` key nor a hold behind.
 
 use std::collections::BTreeMap;
 
 use mar_itinerary::ItineraryBuilder;
 use mar_platform::{
-    AgentBehavior, AgentHandle, AgentSpec, MoleService, Platform, PlatformBuilder, ReportOutcome,
-    StepCtx, StepDecision, MOLE,
+    metric_keys as mk, AgentBehavior, AgentHandle, AgentReport, AgentSpec, MoleService, Platform,
+    PlatformBuilder, StepCtx, StepDecision, MOLE,
 };
 use mar_resources::ops::Transfer;
 use mar_resources::BankRm;
 use mar_simnet::{NodeId, SimDuration, SimTime, StableFactory, TraceKind, TraceRecord, WalConfig};
-use mar_txn::{RmRegistry, TxnError};
+use mar_txn::{PreparedEntry, RemoteWork, RmRegistry, TxnError};
 use mar_wire::Value;
 
 const NODES: u32 = 4;
@@ -184,41 +192,105 @@ fn commit_window(trace: &[TraceRecord]) -> (u64, u64) {
     (commits[0], commits[per_wave - 1])
 }
 
-/// The sweep: whatever instant of the commit window the victim crashes at,
-/// the fleet completes and every balance equals the crash-free run's.
-fn sweep(shards: usize, stable: &StableFactory) {
+/// The home node: it launches every agent, so the first wave of `Prepare`s a
+/// resource node receives comes from here.
+const HOME: u32 = 0;
+/// Virtual time between two looks at the queues of a crashing run.
+const PAUSE: SimDuration = SimDuration::from_micros(500);
+
+/// The victim's first wave as a participant, read off the crash-free trace:
+/// from the first `Prepare` delivered to it to the last `Ack` it sends. The
+/// wave's transactions are all coordinated by the home node, and until a
+/// report is due — several waves later — the victim sends the home node
+/// nothing but its vote and its ack for each of them.
+fn prepare_window(trace: &[TraceRecord]) -> (u64, u64) {
+    let per_wave = (AGENTS / (NODES as u64 - 1)) as usize;
+    let first_prepare = trace
+        .iter()
+        .find_map(|r| match &r.kind {
+            TraceKind::MsgDelivered { from, to, .. } if from.0 == HOME && to.0 == VICTIM => {
+                Some(r.at.as_micros())
+            }
+            _ => None,
+        })
+        .expect("the home node prepares at the victim");
+    let answers: Vec<u64> = trace
+        .iter()
+        .filter_map(|r| match &r.kind {
+            TraceKind::MsgSent { from, to, .. } if from.0 == VICTIM && to.0 == HOME => {
+                Some(r.at.as_micros())
+            }
+            _ => None,
+        })
+        .take(2 * per_wave)
+        .collect();
+    assert_eq!(answers.len(), 2 * per_wave, "a vote and an ack per step");
+    (first_prepare, answers[2 * per_wave - 1])
+}
+
+/// What a run leaves behind, crash or no crash: every balance, every final
+/// report (less the instant it was written at), and the step commits.
+type Outcome = (Vec<BTreeMap<String, i64>>, Vec<AgentReport>, u64);
+
+fn outcome(p: &mut Platform, handles: &[AgentHandle]) -> Outcome {
+    let reports = handles
+        .iter()
+        .map(|&h| {
+            let mut report = p.report(h).expect("settled agent has a report");
+            report.finished_at_us = 0;
+            report
+        })
+        .collect();
+    let steps = p.snapshot().counter(mk::STEPS_COMMITTED);
+    (balances(p), reports, steps)
+}
+
+/// Runs `p` to the end, stopping every [`PAUSE`] of the first `pauses` to
+/// look at the queues: no agent is ever in two.
+fn settle_with_pauses(p: &mut Platform, handles: &[AgentHandle], pauses: u64, what: &str) {
+    for _ in 0..pauses {
+        p.run_for(PAUSE);
+        let mut queued: Vec<_> = p.queued_agents().into_iter().map(|(_, id)| id).collect();
+        queued.sort();
+        let agents = queued.len();
+        queued.dedup();
+        assert_eq!(queued.len(), agents, "an agent sits in two queues ({what})");
+    }
+    settle(p, handles, what);
+}
+
+/// The sweep: whatever instant of `window` the victim crashes at — as
+/// coordinator, inside its commit wave; as participant, before a `Prepare`,
+/// between the write of the record and the decision, between the decision
+/// and the ack — the run ends as the crash-free one does.
+fn sweep(shards: usize, stable: &StableFactory, window: fn(&[TraceRecord]) -> (u64, u64)) {
     let what = format!("shards={shards}, backend={}", stable.name());
     let mut p = build(shards, stable);
     let handles = launch(&mut p);
     settle(&mut p, &handles, &what);
-    let expected = balances(&p);
-    let (first, last) = commit_window(p.world().trace().records());
-    assert!(last > first, "the wave's commits are spread out ({what})");
+    let expected = outcome(&mut p, &handles);
+    assert_eq!(expected.2, AGENTS * STEPS);
+    let (first, last) = window(p.world().trace().records());
+    assert!(last > first, "the window has a width ({what})");
+    // The pauses cover the window, the downtime and the recovery after it.
+    let pauses = 2 * (last + DOWNTIME.as_micros()) / PAUSE.as_micros();
 
-    // One step beyond each end: a crash just before the first commit and
-    // just after the last one frames the window.
+    // One step beyond each end frames the window.
     let mut at = first - SWEEP_STEP_US;
     while at <= last + SWEEP_STEP_US {
+        let what = format!("crash at {at} us ({what})");
         let mut p = build(shards, stable);
         let crash = SimTime::from_micros(at);
         p.world_mut().schedule_crash(crash, NodeId(VICTIM));
         p.world_mut()
             .schedule_recover(crash + DOWNTIME, NodeId(VICTIM));
         let handles = launch(&mut p);
-        settle(&mut p, &handles, &format!("crash at {at} us ({what})"));
-        for &h in &handles {
-            let report = p.report(h).expect("settled agent has a report");
-            assert_eq!(
-                report.outcome,
-                ReportOutcome::Completed,
-                "crash at {at} us ({what})"
-            );
-            assert_eq!(report.steps_committed, STEPS, "crash at {at} us ({what})");
-        }
+        settle_with_pauses(&mut p, &handles, pauses, &what);
+        assert_eq!(outcome(&mut p, &handles), expected, "{what}");
         assert_eq!(
-            balances(&p),
-            expected,
-            "balances differ from the crash-free run after a crash at {at} us ({what})"
+            p.snapshot().counter(mk::RECOVERY_PREPARED_REFUSED),
+            0,
+            "{what}"
         );
         at += SWEEP_STEP_US;
     }
@@ -226,22 +298,136 @@ fn sweep(shards: usize, stable: &StableFactory) {
 
 #[test]
 fn crash_in_commit_wave_keeps_balances_reference_1_shard() {
-    sweep(1, &StableFactory::reference());
+    sweep(1, &StableFactory::reference(), commit_window);
 }
 
 #[test]
 fn crash_in_commit_wave_keeps_balances_reference_2_shards() {
-    sweep(2, &StableFactory::reference());
+    sweep(2, &StableFactory::reference(), commit_window);
 }
 
 #[test]
 fn crash_in_commit_wave_keeps_balances_wal_1_shard() {
-    sweep(1, &StableFactory::wal(WalConfig::default()));
+    sweep(1, &StableFactory::wal(WalConfig::default()), commit_window);
 }
 
 #[test]
 fn crash_in_commit_wave_keeps_balances_wal_2_shards() {
-    sweep(2, &StableFactory::wal(WalConfig::default()));
+    sweep(2, &StableFactory::wal(WalConfig::default()), commit_window);
+}
+
+#[test]
+fn crash_of_a_participant_keeps_the_outcome_reference_1_shard() {
+    sweep(1, &StableFactory::reference(), prepare_window);
+}
+
+#[test]
+fn crash_of_a_participant_keeps_the_outcome_reference_2_shards() {
+    sweep(2, &StableFactory::reference(), prepare_window);
+}
+
+#[test]
+fn crash_of_a_participant_keeps_the_outcome_wal_1_shard() {
+    sweep(1, &StableFactory::wal(WalConfig::default()), prepare_window);
+}
+
+#[test]
+fn crash_of_a_participant_keeps_the_outcome_wal_2_shards() {
+    sweep(2, &StableFactory::wal(WalConfig::default()), prepare_window);
+}
+
+/// The abort case: the coordinator crashes after its `Prepare`s went out and
+/// before any vote came back, so it comes up knowing nothing of them. While
+/// it is down the victim holds the records in place — stored once, under
+/// queue keys that are not in its queue, named by prepared entries that hold
+/// no record bytes. The presumed abort deletes the keys, the steps run again
+/// under new transactions, and nothing of the aborted ones is left.
+#[test]
+fn an_aborted_prepare_leaves_no_queue_key_and_no_hold() {
+    let stable = StableFactory::reference();
+    let mut p = build(1, &stable);
+    let handles = launch(&mut p);
+    settle(&mut p, &handles, "crash-free run");
+    let expected = outcome(&mut p, &handles);
+    let (first_prepare, _) = prepare_window(p.world().trace().records());
+
+    let mut p = build(1, &stable);
+    let crash = SimTime::from_micros(first_prepare + SWEEP_STEP_US);
+    p.world_mut().schedule_crash(crash, NodeId(HOME));
+    p.world_mut()
+        .schedule_recover(crash + DOWNTIME, NodeId(HOME));
+    let handles = launch(&mut p);
+    p.run_for(SimDuration::from_micros(
+        first_prepare + DOWNTIME.as_micros() / 2,
+    ));
+
+    let victim = p.world().stable(NodeId(VICTIM));
+    let entries = victim.keys_with_prefix("2pc/prepared/");
+    let held = victim.keys_with_prefix("q/");
+    assert!(!entries.is_empty(), "the victim is in doubt");
+    assert_eq!(held.len(), entries.len(), "one record per prepared entry");
+    for (entry, key) in entries.iter().zip(&held) {
+        let entry = victim.get(entry).unwrap();
+        let record = victim.get(key).unwrap();
+        assert!(
+            entry.len() <= 64 && record.len() > 2 * entry.len(),
+            "a {}-byte entry holds a {}-byte record",
+            entry.len(),
+            record.len()
+        );
+    }
+    let queued = p.queued_agents();
+    assert!(
+        queued.iter().all(|(node, _)| *node != NodeId(VICTIM)),
+        "a held record is in no queue: {queued:?}"
+    );
+    assert_eq!(queued.len() as u64, AGENTS, "every agent is still at home");
+
+    settle_with_pauses(&mut p, &handles, 200, "coordinator crash");
+    assert_eq!(outcome(&mut p, &handles), expected);
+    for n in 0..NODES {
+        let stable = p.world().stable(NodeId(n));
+        for prefix in ["q/", "2pc/prepared/"] {
+            assert_eq!(
+                stable.keys_with_prefix(prefix),
+                Vec::<String>::new(),
+                "node {n}"
+            );
+        }
+    }
+    // The aborted records used up queue numbers nothing else got.
+    let qseq = p.world().stable(NodeId(VICTIM)).get("qseq").unwrap();
+    let qseq: u64 = mar_wire::from_slice(qseq).unwrap();
+    assert!(qseq > AGENTS * STEPS / (NODES as u64 - 1), "qseq {qseq}");
+}
+
+/// A prepared entry that does not read back as stored is refused out loud:
+/// one that does not decode is left out of the participant, one whose stub
+/// names a queue key that is gone stays in doubt (and is presumed aborted),
+/// and each is counted.
+#[test]
+fn a_bad_prepared_entry_is_counted_not_skipped() {
+    let mut p = build(1, &StableFactory::reference());
+    let handles = launch(&mut p);
+    settle(&mut p, &handles, "crash-free run");
+    let node = NodeId(VICTIM);
+    let stub = (false, "q/000000099999".to_owned(), 10u64);
+    let dangling = PreparedEntry {
+        coordinator: NodeId(HOME),
+        work: RemoteWork::new("held", mar_wire::to_bytes(&stub).unwrap()),
+    };
+    let stable = p.world_mut().stable_mut(node);
+    stable.put("2pc/prepared/0.777", vec![0xff]);
+    stable.put("2pc/prepared/0.778", mar_wire::to_bytes(&dangling).unwrap());
+    p.world_mut().crash_now(node);
+    p.world_mut().recover_now(node);
+    p.world_mut().run_for(SimDuration::from_millis(200));
+    assert_eq!(p.snapshot().counter(mk::RECOVERY_PREPARED_REFUSED), 2);
+    // The dangling entry was in doubt, asked, and was told to abort.
+    assert_eq!(
+        p.world().stable(node).keys_with_prefix("2pc/prepared/"),
+        vec!["2pc/prepared/0.777".to_owned()]
+    );
 }
 
 /// A stored delta that does not decode ends its manager's replay instead of

@@ -373,3 +373,54 @@ fn forget_releases_report_exactly_once() {
     assert!(p.report(AgentId(9_999)).is_none());
     assert_eq!(p.snapshot().counter(mk::DRIVER_REPORTS_EVICTED), 0);
 }
+
+/// The write budget of a hop: the record is written once, as the queue item
+/// it becomes at the destination. Over a run of three migrations the stable
+/// bytes are the record at launch, the record once per hop, the two copies of
+/// the final report (completing node and home), and a fixed allowance for
+/// every counter, marker, stub and outbox entry along the way.
+#[test]
+fn a_hop_writes_the_record_once() {
+    const ALLOWANCE: u64 = 512;
+    let mut p = collector_platform(29);
+    let it = ItineraryBuilder::main("I")
+        .sub("gather", |s| {
+            s.step("collect1", 1)
+                .step("collect2", 2)
+                .step("collect3", 3);
+        })
+        .build()
+        .unwrap();
+    let mut spec = AgentSpec::new("collector", NodeId(0), it);
+    // Ballast, so that a second copy of the record anywhere shows.
+    spec.data
+        .set_wro("ballast", Value::from("x".repeat(4 * 1024)));
+    let launched = mar_core::AgentRecord::new(
+        AgentId(1),
+        "collector",
+        0,
+        spec.data.clone(),
+        spec.itinerary.clone(),
+        spec.logging,
+        spec.mode,
+    )
+    .to_bytes()
+    .unwrap()
+    .len() as u64;
+    let agent = p.launch(spec);
+    assert!(p.run_until_settled(&[agent], SimDuration::from_secs(60)));
+    let report = p.report(agent).unwrap();
+    assert_eq!(report.outcome, ReportOutcome::Completed);
+    let report = report.encode().len() as u64;
+
+    let m = p.snapshot();
+    assert_eq!(m.counter(mk::TRANSFERS_FORWARD), 3);
+    let hops = m.counter(mk::TRANSFER_BYTES_FORWARD);
+    assert!(hops > 3 * 4 * 1024);
+    let records = launched + hops + 2 * report;
+    let written = m.counter("stable.bytes_written");
+    assert!(
+        (records..=records + ALLOWANCE).contains(&written),
+        "{written} stable bytes for {records} bytes of records"
+    );
+}
