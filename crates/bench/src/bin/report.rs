@@ -390,10 +390,8 @@ fn e8_rpc_vs_migration() {
 /// E10 — batched compensation rounds: compensation 2PCs, rollback
 /// transfers/bytes, and completion time on same-node chains, unbatched vs
 /// batched (planner::batch fusion), per run length. This is the same
-/// experiment family as the macro bench's `e7_batching`/`batching/*`
-/// entries in `BENCH_macro.json` — the table numbers of this binary and
-/// the macro-bench experiment ids are independent sequences (this E7 is
-/// the migration-cost table below).
+/// experiment family as the macro bench's `batching/*` entries in
+/// `BENCH_macro.json`.
 fn e10_batched_rollback() {
     header("E10 Batched compensation rounds (depth 16, 4 nodes, LAN)");
     row(&[

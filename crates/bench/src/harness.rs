@@ -2,8 +2,9 @@
 //!
 //! The offline build environment has no criterion, so the benches use this
 //! deliberately small substitute: warmup, repeated timed samples, median
-//! selection, and a hand-rolled JSON report (`BENCH_log.json`) so runs can
-//! be diffed across commits.
+//! selection, and a hand-rolled JSON report (`BENCH_log.json`,
+//! `BENCH_macro.json`). It reports one median and no spread: what decides a
+//! performance change is the canonical benchmark under `benchmark/`.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -33,11 +34,6 @@ impl Bench {
     /// Creates an empty collector.
     pub fn new() -> Bench {
         Bench::default()
-    }
-
-    /// All measurements so far.
-    pub fn results(&self) -> &[Measurement] {
-        &self.results
     }
 
     /// Median ns/op of a finished benchmark, by exact name.

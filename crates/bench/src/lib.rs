@@ -11,8 +11,8 @@ use mar_platform::{
 };
 use mar_resources::ops::{ConvertCash, Transfer};
 use mar_resources::{BankRm, ExchangeRm};
-pub use mar_simnet::{BackendStats, StableFactory, WalConfig};
 use mar_simnet::{LatencyModel, MetricsSnapshot, NodeId, SimDuration};
+pub use mar_simnet::{StableFactory, WalConfig};
 use mar_txn::{RmRegistry, TxnError};
 use mar_wire::Value;
 
@@ -33,7 +33,7 @@ pub enum StepKind {
     /// Triggers one rollback of the current sub on first execution.
     RollbackOnce,
     /// Pure visit: touches no data at all, so the record stays minimal and
-    /// the itinerary dominates every migration (the E11 workload shape).
+    /// the itinerary dominates every migration (the interning workload shape).
     Noop,
 }
 
@@ -107,16 +107,16 @@ pub struct Scenario {
     /// `agent.transfer_bytes.*` experiment toggle).
     pub compact: bool,
     /// Fuse same-destination compensation rounds into one transaction (the
-    /// E7 batched-vs-unbatched experiment toggle).
+    /// batched-vs-unbatched experiment toggle).
     pub batch: bool,
     /// Route batches with remote RCEs through the cost model
     /// (ship-vs-migrate) instead of the fixed mode split.
     pub cost_routing: bool,
     /// Keep decoded agent records resident in volatile node memory between
-    /// same-node steps (the E9 experiment toggle; platform default is on).
+    /// same-node steps (the `resident/*` toggle; platform default is on).
     pub resident_cache: bool,
-    /// Stable-storage backend every node is built with (the E10 experiment
-    /// axis; the default is the reference in-memory model).
+    /// Stable-storage backend every node is built with (the default is the
+    /// reference in-memory model).
     pub stable: StableFactory,
 }
 
@@ -199,8 +199,8 @@ impl Scenario {
         }
     }
 
-    /// The batching scenario (macro experiment E7; table E10 in the
-    /// `report` binary): `depth` resource steps in *runs* of `run_len`
+    /// The batching scenario (`batching/*` in the macro bench; table E10 in
+    /// the `report` binary): `depth` resource steps in *runs* of `run_len`
     /// consecutive steps on the same node (cycling through the nodes run
     /// by run), then one rollback of the whole sub. Unbatched, the
     /// rollback commits one compensation transaction (one 2PC) per step;
@@ -242,13 +242,13 @@ impl Scenario {
         self
     }
 
-    /// Toggles the per-node resident-record cache (E9 control arm).
+    /// Toggles the per-node resident-record cache (`resident/*` control arm).
     pub fn with_resident_cache(mut self, on: bool) -> Scenario {
         self.resident_cache = on;
         self
     }
 
-    /// Selects the stable-storage backend (E10 experiment axis).
+    /// Selects the stable-storage backend.
     pub fn with_stable_backend(mut self, stable: StableFactory) -> Scenario {
         self.stable = stable;
         self
@@ -391,10 +391,10 @@ impl Scenario {
     }
 }
 
-/// The fleet scenario (macro experiment E8): `agents` agents, each walking
-/// `steps` ledger-transfer steps round-robin over the resource nodes, all
-/// launched in one [`Platform::launch_fleet`] call and settled through the
-/// home-node driver mailboxes. The stats expose the driver-cost counters
+/// The fleet scenario (`fleet_shards/*`, `resident/fleet100`): `agents`
+/// agents, each walking `steps` ledger-transfer steps round-robin over the
+/// resource nodes, all launched in one [`Platform::launch_fleet`] call and
+/// settled through the home-node driver mailboxes. The stats expose the driver-cost counters
 /// that pin completion detection at O(completions): one mailbox event per
 /// agent, zero whole-store scans.
 #[derive(Debug, Clone)]
@@ -408,7 +408,7 @@ pub struct FleetScenario {
     /// World seed.
     pub seed: u64,
     /// Keep decoded agent records resident between same-node steps (the
-    /// E9 experiment toggle; platform default is on).
+    /// `resident/*` toggle; platform default is on).
     pub resident_cache: bool,
     /// Worker-thread shards the simulated nodes are partitioned across
     /// (1 = the sequential engine).
@@ -418,23 +418,15 @@ pub struct FleetScenario {
     /// mailbox drain serializes on the home's shard; spreading the homes is
     /// what a deployment that wants kernel-level parallelism would do.
     pub home_spread: bool,
-    /// Stable-storage backend every node is built with (the E10 experiment
-    /// axis; the default is the reference in-memory model).
-    pub stable: StableFactory,
 }
 
 impl FleetScenario {
-    /// Runs the fleet to completion and collects the numbers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any agent fails to settle or complete.
-    pub fn run(&self) -> FleetStats {
+    /// Builds the platform and launches the fleet.
+    pub fn start(&self) -> (Platform, Vec<AgentHandle>) {
         let mut b = PlatformBuilder::new(self.nodes as usize)
             .seed(self.seed)
             .resident_cache(self.resident_cache)
             .shards(self.shards)
-            .stable_backend(self.stable.clone())
             .behavior("bench", BenchAgent);
         for n in 1..self.nodes {
             b = b.resources(NodeId(n), move || {
@@ -448,10 +440,6 @@ impl FleetScenario {
             });
         }
         let mut p = b.build();
-        // Critical-path profiling: same windows and schedule as the
-        // threaded engine, but shards are timed one at a time, so the
-        // profile is meaningful even on a single-core host.
-        p.world_mut().set_shard_profiling(true);
         let nodes = self.nodes;
         let steps = self.steps;
         let home_spread = self.home_spread;
@@ -475,16 +463,24 @@ impl FleetScenario {
             AgentSpec::new("bench", home, itinerary)
         });
         let handles = p.launch_fleet(specs);
-        let settled = p.run_until_settled(&handles, SimDuration::from_secs(36_000));
+        (p, handles)
+    }
+
+    /// Runs a started fleet to completion and collects the numbers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any agent fails to settle or complete.
+    pub fn settle(&self, p: &mut Platform, handles: &[AgentHandle]) -> FleetStats {
+        let settled = p.run_until_settled(handles, SimDuration::from_secs(36_000));
         assert!(settled, "fleet did not settle: {self:?}");
         let mut settle_us = 0;
-        for h in &handles {
+        for h in handles {
             let report = p.report(*h).expect("report");
             assert_eq!(report.outcome, ReportOutcome::Completed, "{h}: {self:?}");
             settle_us = settle_us.max(report.finished_at_us);
         }
         let m = p.snapshot();
-        let critical_path_ns = p.world().shard_profile().critical_ns;
         FleetStats {
             agents: self.agents as u64,
             settle_us,
@@ -492,9 +488,14 @@ impl FleetScenario {
             mbox_events: m.counter("driver.mbox_events"),
             mbox_scans: m.counter("driver.mbox_scans"),
             steps_committed: m.counter("steps.committed"),
-            critical_path_ns,
             metrics: m,
         }
+    }
+
+    /// [`FleetScenario::start`], then [`FleetScenario::settle`].
+    pub fn run(&self) -> FleetStats {
+        let (mut p, handles) = self.start();
+        self.settle(&mut p, &handles)
     }
 }
 
@@ -513,14 +514,11 @@ pub struct FleetStats {
     pub mbox_scans: u64,
     /// Step transactions committed across the fleet.
     pub steps_committed: u64,
-    /// Critical-path wall time of the run: Σ over conservative windows of
-    /// the slowest shard's busy time in that window (profiled engine).
-    pub critical_path_ns: u64,
     /// Raw metrics for anything else.
     pub metrics: MetricsSnapshot,
 }
 
-/// The itinerary-interning scenario (macro experiment E11): `agents`
+/// The itinerary-interning scenario (`itinerary/*`): `agents`
 /// agents all walking the *same* itinerary — `laps` cycles over the
 /// resource nodes, step names padded with `name_pad` bytes so the
 /// itinerary dominates every migration — with content-addressed interning
@@ -543,8 +541,6 @@ pub struct ItineraryFleetScenario {
     /// Content-addressed interning on (the platform default) or off (the
     /// ship-inline-every-hop control).
     pub interning: bool,
-    /// Stable-storage backend every node is built with.
-    pub stable: StableFactory,
 }
 
 impl ItineraryFleetScenario {
@@ -557,7 +553,6 @@ impl ItineraryFleetScenario {
         let mut b = PlatformBuilder::new(self.nodes as usize)
             .seed(self.seed)
             .itinerary_interning(self.interning)
-            .stable_backend(self.stable.clone())
             .behavior("bench", BenchAgent);
         for n in 1..self.nodes {
             b = b.resources(NodeId(n), RmRegistry::new);
@@ -713,7 +708,6 @@ mod tests {
             resident_cache: true,
             shards: 1,
             home_spread: false,
-            stable: StableFactory::reference(),
         }
         .run();
         assert_eq!(stats.completed, 100);
@@ -762,7 +756,7 @@ mod tests {
 
     #[test]
     fn compaction_under_transition_logging_is_safe() {
-        let base = Scenario::savepoint_heavy(6, 4, 512, LoggingMode::Transition, 9);
+        let base = Scenario::savepoint_heavy(8, 4, 1024, LoggingMode::Transition, 5);
         let off = base.clone().run();
         let on = base.with_compaction(true).run();
         assert_eq!(off.steps, on.steps);
@@ -772,36 +766,31 @@ mod tests {
 
     #[test]
     fn batching_cuts_compensation_transactions_at_equal_final_state() {
-        for mode in [RollbackMode::Basic, RollbackMode::Optimized] {
-            let base = Scenario::rollback_chain(12, 4, 6, mode, 17);
-            let unbatched = base.clone().with_batching(false).run();
-            let batched = base.clone().with_batching(true).run();
-            // Same execution, same compensated work, identical final state.
-            assert_eq!(unbatched.steps, batched.steps, "{mode:?}");
-            assert_eq!(unbatched.rounds, batched.rounds, "{mode:?}");
-            assert_eq!(unbatched.final_record, batched.final_record, "{mode:?}");
-            // Unbatched: one transaction per round; batched: one per
-            // same-node run (12 steps in runs of 6 → 2 transactions).
-            assert_eq!(unbatched.batched_rounds, unbatched.rounds, "{mode:?}");
-            assert_eq!(unbatched.rounds_saved, 0, "{mode:?}");
-            assert!(
-                batched.batched_rounds < unbatched.batched_rounds,
-                "{mode:?}: {} !< {}",
-                batched.batched_rounds,
-                unbatched.batched_rounds
-            );
-            assert_eq!(
-                batched.rounds_saved,
-                unbatched.rounds - batched.batched_rounds,
-                "{mode:?}"
-            );
-            if mode == RollbackMode::Basic {
-                // Fusion also fuses the backward walk: one hop per run.
-                assert!(
-                    batched.transfers_rbk < unbatched.transfers_rbk,
-                    "basic-mode batching must save agent hops"
-                );
-                assert!(batched.bytes_rbk < unbatched.bytes_rbk);
+        // (depth, run length, seed); the second is the `batching/*` bench input.
+        for (depth, run_len, seed) in [(12, 6, 17), (16, 8, 13)] {
+            for mode in [RollbackMode::Basic, RollbackMode::Optimized] {
+                let label = format!("{mode:?} chain{depth}x{run_len}");
+                let base = Scenario::rollback_chain(depth, 4, run_len, mode, seed);
+                let unbatched = base.clone().with_batching(false).run();
+                let batched = base.clone().with_batching(true).run();
+                // Same execution, same compensated work, identical final state.
+                assert_eq!(unbatched.steps, batched.steps, "{label}");
+                assert_eq!(unbatched.rounds, batched.rounds, "{label}");
+                assert_eq!(unbatched.final_record, batched.final_record, "{label}");
+                // Unbatched: one transaction per round; batched: one per
+                // same-node run (two runs in both chains → 2 transactions).
+                assert_eq!(unbatched.batched_rounds, depth as u64, "{label}");
+                assert_eq!(unbatched.rounds_saved, 0, "{label}");
+                assert_eq!(batched.batched_rounds, 2, "{label}");
+                assert_eq!(batched.rounds_saved, depth as u64 - 2, "{label}");
+                if mode == RollbackMode::Basic {
+                    // Fusion also fuses the backward walk: one hop per run.
+                    assert!(
+                        batched.transfers_rbk < unbatched.transfers_rbk,
+                        "{label}: basic-mode batching must save agent hops"
+                    );
+                    assert!(batched.bytes_rbk < unbatched.bytes_rbk, "{label}");
+                }
             }
         }
     }
@@ -815,17 +804,38 @@ mod tests {
             .run();
         assert_eq!(reference.final_record, wal.final_record);
         assert_eq!(reference.sim_us, wal.sim_us);
-        for key in ["stable.writes", "stable.bytes_written", "stable.commits"] {
-            assert_eq!(
-                reference.metrics.counter(key),
-                wal.metrics.counter(key),
-                "{key} diverges across backends"
-            );
-        }
+        assert_eq!(
+            reference.metrics.counters, wal.metrics.counters,
+            "backend choice must not change any counter"
+        );
         let writes = wal.metrics.counter("stable.writes");
         let commits = wal.metrics.counter("stable.commits");
-        eprintln!("stable.writes={writes} stable.commits={commits}");
         assert!(commits > 0 && commits < writes, "group commit must batch");
+    }
+
+    /// What group commit batches in steady state, measured marginally — two
+    /// run depths differenced, so the constant launch/report events cancel:
+    /// one barrier per step commit, carrying 3 record writes (queue delete,
+    /// queue put, one resource delta or base image) besides the delta
+    /// records a base image folds away (`rm.deltas_folded`), plus one write
+    /// of the transaction id floor per block of 64 ids (`TXN_FLOOR_AHEAD`).
+    #[test]
+    fn a_step_commit_is_one_barrier_of_three_record_writes() {
+        let depth = |d: usize| {
+            let r = Scenario::forward(d, 2, 0, 42)
+                .with_stable_backend(StableFactory::wal(WalConfig::default()))
+                .run();
+            assert_eq!(r.metrics.counter("steps.committed"), d as u64);
+            (
+                r.metrics.counter("stable.writes"),
+                r.metrics.counter("stable.commits"),
+                r.metrics.counter("rm.deltas_folded"),
+            )
+        };
+        let (w1, c1, f1) = depth(32);
+        let (w2, c2, f2) = depth(96);
+        assert_eq!(c2 - c1, 64, "one barrier per step commit");
+        assert_eq!((w2 - w1) - (f2 - f1), 3 * 64 + 64 / 64);
     }
 
     #[test]
@@ -837,12 +847,11 @@ mod tests {
             name_pad: 128,
             seed: 47,
             interning: true,
-            stable: StableFactory::reference(),
         };
         let on = base.clone().run();
         let off = ItineraryFleetScenario {
             interning: false,
-            ..base
+            ..base.clone()
         }
         .run();
         // Billed-size equivalence: the interned arm runs the identical
@@ -864,20 +873,39 @@ mod tests {
             off.migration_bytes,
             on.migration_bytes
         );
+
+        // Cold: one agent, one lap — every edge is first contact, so nothing
+        // ships by reference and the bytes equal the inline arm's. This is
+        // the bound a crash-cold node restarts from.
+        let cold = |interning| {
+            ItineraryFleetScenario {
+                agents: 1,
+                laps: 1,
+                interning,
+                ..base.clone()
+            }
+            .run()
+        };
+        let cold_on = cold(true);
+        assert_eq!(cold_on.ref_transfers, 0, "first contact ships inline");
+        assert_eq!(cold_on.migration_bytes, cold(false).migration_bytes);
     }
 
     #[test]
     fn cost_routing_converges_and_preserves_final_state() {
-        let base = Scenario::rollback_chain(12, 4, 6, RollbackMode::Optimized, 21);
-        let split = base.clone().run();
-        let routed = base.clone().with_cost_routing(true).run();
-        assert_eq!(split.steps, routed.steps);
-        assert_eq!(split.rounds, routed.rounds);
-        assert_eq!(split.final_record, routed.final_record);
-        // The small bench agent beats the fused RCE lists on a LAN, so the
-        // cost model migrates at least one batch — and whenever it does,
-        // that batch's list is not shipped.
-        assert!(routed.cost_migrations > 0, "cost model never fired");
-        assert!(routed.rce_shipped < split.rce_shipped);
+        // (depth, run length, seed); the second is the `batching/*` bench input.
+        for (depth, run_len, seed) in [(12, 6, 21), (16, 8, 13)] {
+            let base = Scenario::rollback_chain(depth, 4, run_len, RollbackMode::Optimized, seed);
+            let split = base.clone().run();
+            let routed = base.clone().with_cost_routing(true).run();
+            assert_eq!(split.steps, routed.steps);
+            assert_eq!(split.rounds, routed.rounds);
+            assert_eq!(split.final_record, routed.final_record);
+            // The small bench agent beats the fused RCE lists on a LAN, so the
+            // cost model migrates at least one batch — and whenever it does,
+            // that batch's list is not shipped.
+            assert!(routed.cost_migrations > 0, "cost model never fired");
+            assert!(routed.rce_shipped < split.rce_shipped);
+        }
     }
 }

@@ -79,12 +79,6 @@ impl DataSpace {
         &mut self.wro
     }
 
-    /// Mutable SRO map — for forward execution only; rollback never touches
-    /// SROs until the savepoint is reached.
-    pub fn sro_map_mut(&mut self) -> &mut ObjectMap {
-        &mut self.sro
-    }
-
     /// Replaces the SRO state (savepoint restore).
     pub fn restore_sro(&mut self, image: ObjectMap) {
         if self.sro_shadow.is_some() {

@@ -418,11 +418,6 @@ impl NetPlatform {
         self.net.world.now()
     }
 
-    /// Whether every host slot currently has a live connection.
-    pub fn all_hosts_connected(&self) -> bool {
-        self.net.slots.iter().all(HostSlot::attached)
-    }
-
     /// Hosts the driver gave up on (restart budget/grace exhausted) — the
     /// structured failure summary behind a partial settle.
     pub fn failed_hosts(&self) -> Vec<u32> {

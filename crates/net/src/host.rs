@@ -236,14 +236,7 @@ impl HostRuntime {
             // from the WAL if configured), discarding any stale one — the
             // driver already treated us as crashed.
             self.world = None;
-            let mut world = build_world(
-                self.host_id,
-                self.wal_dir.as_deref(),
-                &scenario,
-                seed,
-                n_nodes,
-                &owned,
-            )?;
+            let mut world = build_world(self.wal_dir.as_deref(), &scenario, seed, n_nodes, &owned)?;
             // Recovery order matters: the clock must sit at the
             // coordinator's time *before* start(), so recovery timers and
             // retransmissions schedule relative to the resumed present,
@@ -440,14 +433,12 @@ fn apply_rpc(world: &mut World, op: RpcOp) -> RpcReply {
 
 /// Builds this host's slice of the scenario world (not started).
 fn build_world(
-    host_id: u32,
     wal_dir: Option<&std::path::Path>,
     scenario: &str,
     seed: u64,
     n_nodes: u32,
     owned: &[u32],
 ) -> io::Result<World> {
-    let _ = host_id;
     let mut builder = scenarios::builder(scenario, seed)
         .ok_or_else(|| proto_err(format!("unknown scenario {scenario:?}")))?;
     if scenarios::node_count(scenario) != Some(n_nodes) {

@@ -205,7 +205,7 @@ impl PlatformBuilder {
     /// the stable queue write is a spliced O(delta) encode. Durability and
     /// crash recovery are unchanged — stable bytes are written on every
     /// commit and recovery re-decodes them. **On by default**; disable for
-    /// the E9 control arm.
+    /// the `resident/*` control arm.
     pub fn resident_cache(mut self, on: bool) -> Self {
         self.mole_cfg.resident_cache = on;
         self
@@ -218,7 +218,7 @@ impl PlatformBuilder {
     /// (`Arc`-shared thereafter). The simulated schedule, traces, and byte
     /// counters are billed at the inline size either way — only the
     /// `itinerary.*` metrics (and real wall-clock/wire costs) change.
-    /// **On by default**; disable for the E11 control arm.
+    /// **On by default**; disable for the `itinerary/*` control arm.
     pub fn itinerary_interning(mut self, on: bool) -> Self {
         self.mole_cfg.itinerary_interning = on;
         self

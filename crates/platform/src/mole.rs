@@ -211,7 +211,7 @@ pub mod keys {
     /// this counter is where the real savings surface).
     pub const ITINERARY_WIRE_BYTES_SAVED: &str = "itinerary.wire_bytes_saved";
     /// Actual wire bytes of `Prepare` messages carrying an agent record
-    /// (reference-compressed or not) — the denominator for the E11
+    /// (reference-compressed or not) — the denominator of the
     /// migration-byte reduction.
     pub const ITINERARY_MIGRATION_BYTES: &str = "itinerary.migration_bytes";
     /// Stored resource base images and delta records that recovery could
@@ -263,7 +263,7 @@ pub struct MoleCfg {
     /// decode nothing; stable durability is unchanged — the record is
     /// still written through to the stable queue on every commit, and a
     /// crash simply falls back to re-parsing those bytes. On by default;
-    /// disable for the E9 control arm.
+    /// disable for the `resident/*` control arm.
     pub resident_cache: bool,
     /// Content-address the itinerary (see `docs/ARCHITECTURE.md`,
     /// "Itinerary interning"): each node interns encoded itineraries by
@@ -272,8 +272,8 @@ pub struct MoleCfg {
     /// receiver that cannot resolve a reference NACKs for one inline
     /// retransmit. The simulated schedule, traces, and byte counters are
     /// billed at the inline size either way, so turning this off changes
-    /// only the `itinerary.*` metrics. On by default; off is the E11
-    /// control arm.
+    /// only the `itinerary.*` metrics. On by default; off is the
+    /// `itinerary/*` control arm.
     pub itinerary_interning: bool,
 }
 

@@ -4,7 +4,6 @@
 //! and deterministic randomness, and buffers outgoing effects (messages,
 //! timers) which the kernel applies after the callback returns.
 
-use crate::event::TimerId;
 use crate::metrics::{keys, Metrics};
 use crate::node::{Address, NodeId};
 use crate::rng::SimRng;
@@ -27,12 +26,10 @@ pub(crate) enum Command {
     SetTimer {
         node: NodeId,
         service: &'static str,
-        id: TimerId,
         tag: u64,
         epoch: u64,
         delay: SimDuration,
     },
-    CancelTimer(TimerId),
 }
 
 /// Execution context of a service callback.
@@ -45,7 +42,6 @@ pub struct Ctx<'a> {
     pub(crate) rng: &'a mut SimRng,
     pub(crate) metrics: &'a Metrics,
     pub(crate) trace: &'a mut Trace,
-    pub(crate) timer_seq: &'a mut u64,
     pub(crate) commands: &'a mut Vec<Command>,
 }
 
@@ -114,32 +110,16 @@ impl Ctx<'_> {
         });
     }
 
-    /// Sends a message to another service on the same node.
-    pub fn send_local(&mut self, service: &'static str, payload: Vec<u8>) {
-        self.send(Address::new(self.node, service), payload);
-    }
-
     /// Schedules `on_timer(tag)` after `delay`. The timer dies if the node
     /// crashes before it fires.
-    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        // Timer ids are scoped to the owning node so they are unique (and
-        // stable) regardless of the shard layout.
-        let id = TimerId(((self.node.0 as u64) << 40) | *self.timer_seq);
-        *self.timer_seq += 1;
+    pub fn set_timer(&mut self, delay: SimDuration, tag: u64) {
         self.commands.push(Command::SetTimer {
             node: self.node,
             service: self.service,
-            id,
             tag,
             epoch: self.epoch,
             delay,
         });
-        id
-    }
-
-    /// Cancels a previously set timer (no-op if it already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.commands.push(Command::CancelTimer(id));
     }
 
     /// Writes to this node's stable storage (crash-surviving), recording

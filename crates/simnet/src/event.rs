@@ -13,10 +13,6 @@ use std::collections::BinaryHeap;
 use crate::node::{Address, NodeId};
 use crate::time::SimTime;
 
-/// Identifier of a timer set through [`crate::Ctx::set_timer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub(crate) u64);
-
 /// Origin id used for events scheduled by the driver (world API calls)
 /// rather than by a node's callback. Sorts after every real node at equal
 /// times, which matches the old global insertion order: driver schedules
@@ -42,7 +38,6 @@ pub(crate) enum Event {
     Timer {
         node: NodeId,
         service: &'static str,
-        id: TimerId,
         tag: u64,
         epoch: u64,
     },

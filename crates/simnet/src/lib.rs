@@ -60,7 +60,6 @@ mod trace;
 mod world;
 
 pub use ctx::Ctx;
-pub use event::TimerId;
 pub use failure::FailurePlan;
 pub use metrics::{keys as metric_keys, HistSummary, Metrics, MetricsSnapshot};
 pub use net::{LatencyModel, Network, MSG_OVERHEAD_BYTES};

@@ -107,8 +107,6 @@ pub(crate) struct NodeSlot {
     /// Per-node counter for event keys of events this node's callbacks
     /// create. Never reset (not even by a crash) so keys stay unique.
     pub event_seq: u64,
-    /// Per-node counter for timer ids. Never reset.
-    pub timer_seq: u64,
 }
 
 impl NodeSlot {
@@ -122,7 +120,6 @@ impl NodeSlot {
             stable,
             rng,
             event_seq: 0,
-            timer_seq: 0,
         }
     }
 

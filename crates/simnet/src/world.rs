@@ -28,13 +28,12 @@
 //! events travel through per-shard inboxes and are merged into the
 //! destination queue, where the origin-based key restores the global order.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 use crate::ctx::{Command, Ctx};
-use crate::event::{Event, EventKey, EventQueue, TimerId, DRIVER_ORIGIN};
+use crate::event::{Event, EventKey, EventQueue, DRIVER_ORIGIN};
 use crate::metrics::{keys, Metrics, MetricsSnapshot};
 use crate::net::{LatencyModel, Network};
 use crate::node::{Address, NodeId, NodeSlot, Service};
@@ -132,7 +131,6 @@ struct Shard {
     n_nodes: usize,
     queue: EventQueue,
     slots: Vec<NodeSlot>,
-    cancelled: BTreeSet<TimerId>,
     /// Replica of the network state; all shards apply the same link events,
     /// so replicas never diverge.
     net: Network,
@@ -200,10 +198,9 @@ impl Shard {
             Event::Timer {
                 node,
                 service,
-                id,
                 tag,
                 epoch,
-            } => self.handle_timer(now, node, service, id, tag, epoch),
+            } => self.handle_timer(now, node, service, tag, epoch),
             Event::NodeDown { node } => self.crash_now_internal(now, node),
             Event::NodeUp { node } => self.recover_now_internal(now, node),
             Event::LinkDown { a, b } => self.set_link_internal(now, a, b, false),
@@ -260,7 +257,6 @@ impl Shard {
                             rng: &mut slot.rng,
                             metrics: &self.metrics,
                             trace: &mut self.trace,
-                            timer_seq: &mut slot.timer_seq,
                             commands: &mut commands,
                         };
                         f(&mut svc, &mut ctx);
@@ -290,7 +286,6 @@ impl Shard {
                 Command::SetTimer {
                     node,
                     service,
-                    id,
                     tag,
                     epoch,
                     delay,
@@ -302,14 +297,10 @@ impl Shard {
                         Event::Timer {
                             node,
                             service,
-                            id,
                             tag,
                             epoch,
                         },
                     );
-                }
-                Command::CancelTimer(id) => {
-                    self.cancelled.insert(id);
                 }
             }
         }
@@ -413,13 +404,9 @@ impl Shard {
         now: SimTime,
         node: NodeId,
         service: &'static str,
-        id: TimerId,
         tag: u64,
         epoch: u64,
     ) {
-        if self.cancelled.remove(&id) {
-            return;
-        }
         let Some(idx) = self.local_slot(node) else {
             return;
         };
@@ -569,7 +556,6 @@ impl World {
                 n_nodes: 0,
                 queue: EventQueue::new(),
                 slots: Vec::new(),
-                cancelled: BTreeSet::new(),
                 net: net.clone(),
                 metrics: Metrics::new(),
                 trace: Trace::new(cfg.trace, cfg.trace_cap),
