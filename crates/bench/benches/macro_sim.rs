@@ -62,13 +62,12 @@ fn compaction_experiment(b: &mut Bench, name: &str, logging: LoggingMode, pad: u
 
 /// Batched compensation rounds: the same deep same-node rollback with round
 /// fusion off and on — the compensation 2PC count (`rollback.batched_rounds`,
-/// one per compensation transaction) and the rollback transfer bytes. In
-/// optimized mode a third arm adds cost-model routing (ship-vs-migrate per
-/// batch) on top of batching.
+/// one per compensation transaction) and the rollback transfer bytes; in
+/// optimized mode also the RCE lists the batched arm shipped.
 fn batching_experiment(b: &mut Bench, name: &str, mode: RollbackMode) {
     let base = Scenario::rollback_chain(16, 4, 8, mode, 13);
     let unbatched = base.clone().with_batching(false).run();
-    let batched = base.clone().with_batching(true).run();
+    let batched = base.with_batching(true).run();
     b.derive(
         format!("batching/{name}/comp_2pcs/unbatched"),
         unbatched.batched_rounds as f64,
@@ -90,15 +89,6 @@ fn batching_experiment(b: &mut Bench, name: &str, mode: RollbackMode) {
         batched.bytes_rbk as f64,
     );
     if mode == RollbackMode::Optimized {
-        let routed = base.with_cost_routing(true).run();
-        b.derive(
-            format!("batching/{name}/cost_migrations"),
-            routed.cost_migrations as f64,
-        );
-        b.derive(
-            format!("batching/{name}/rce_shipped/routed"),
-            routed.rce_shipped as f64,
-        );
         b.derive(
             format!("batching/{name}/rce_shipped/mode_split"),
             batched.rce_shipped as f64,

@@ -109,9 +109,6 @@ pub struct Scenario {
     /// Fuse same-destination compensation rounds into one transaction (the
     /// batched-vs-unbatched experiment toggle).
     pub batch: bool,
-    /// Route batches with remote RCEs through the cost model
-    /// (ship-vs-migrate) instead of the fixed mode split.
-    pub cost_routing: bool,
     /// Keep decoded agent records resident in volatile node memory between
     /// same-node steps (the `resident/*` toggle; platform default is on).
     pub resident_cache: bool,
@@ -139,7 +136,6 @@ impl Scenario {
             latency: LatencyModel::lan(),
             compact: false,
             batch: true,
-            cost_routing: false,
             resident_cache: true,
             stable: StableFactory::reference(),
         }
@@ -236,12 +232,6 @@ impl Scenario {
         self
     }
 
-    /// Toggles cost-model rollback routing (ship-vs-migrate per batch).
-    pub fn with_cost_routing(mut self, on: bool) -> Scenario {
-        self.cost_routing = on;
-        self
-    }
-
     /// Toggles the per-node resident-record cache (`resident/*` control arm).
     pub fn with_resident_cache(mut self, on: bool) -> Scenario {
         self.resident_cache = on;
@@ -327,11 +317,6 @@ impl Scenario {
             .batch_rollback(self.batch)
             .resident_cache(self.resident_cache)
             .stable_backend(self.stable.clone())
-            .rollback_routing(if self.cost_routing {
-                mar_platform::RollbackRouting::CostModel
-            } else {
-                mar_platform::RollbackRouting::ModeSplit
-            })
             .behavior("bench", BenchAgent);
         for n in 1..self.nodes {
             b = b.resources(NodeId(n), move || {
@@ -652,8 +637,6 @@ pub struct RunStats {
     pub batched_rounds: u64,
     /// Compensation transactions saved by fusion.
     pub rounds_saved: u64,
-    /// Batches the cost model routed as an agent migration.
-    pub cost_migrations: u64,
     /// Pre-transfer log compaction passes that changed the log.
     pub compactions: u64,
     /// Pre-transfer compaction passes skipped by the clean-bit / cost gate.
@@ -683,7 +666,6 @@ impl RunStats {
             rounds: m.counter("rollback.rounds"),
             batched_rounds: m.counter("rollback.batched_rounds"),
             rounds_saved: m.counter("rollback.rounds_saved"),
-            cost_migrations: m.counter("rollback.cost_migrations"),
             compactions: m.counter("log.compactions"),
             compactions_skipped: m.counter("log.compactions_skipped"),
             compaction_saved: m.counter("log.compaction_saved_bytes"),
@@ -889,23 +871,5 @@ mod tests {
         let cold_on = cold(true);
         assert_eq!(cold_on.ref_transfers, 0, "first contact ships inline");
         assert_eq!(cold_on.migration_bytes, cold(false).migration_bytes);
-    }
-
-    #[test]
-    fn cost_routing_converges_and_preserves_final_state() {
-        // (depth, run length, seed); the second is the `batching/*` bench input.
-        for (depth, run_len, seed) in [(12, 6, 21), (16, 8, 13)] {
-            let base = Scenario::rollback_chain(depth, 4, run_len, RollbackMode::Optimized, seed);
-            let split = base.clone().run();
-            let routed = base.clone().with_cost_routing(true).run();
-            assert_eq!(split.steps, routed.steps);
-            assert_eq!(split.rounds, routed.rounds);
-            assert_eq!(split.final_record, routed.final_record);
-            // The small bench agent beats the fused RCE lists on a LAN, so the
-            // cost model migrates at least one batch — and whenever it does,
-            // that batch's list is not shipped.
-            assert!(routed.cost_migrations > 0, "cost model never fired");
-            assert!(routed.rce_shipped < split.rce_shipped);
-        }
     }
 }

@@ -84,26 +84,6 @@ impl CostModel {
             < self.rpc_us(n_ops, req_bytes, resp_bytes)
     }
 
-    /// Decides RCE delivery for one batched compensation round: `true` to
-    /// migrate the agent (record + rollback log) to the resource node,
-    /// `false` to ship the RCE list. Unlike the per-op RPC pattern of
-    /// [`Self::prefer_migration`], a fused RCE list crosses the wire *once*
-    /// regardless of how many operations it carries, so this compares a
-    /// one-way agent migration (the rollback continues from the resource
-    /// node; nothing comes back) against a single list-sized message plus
-    /// its vote-sized 2PC reply.
-    pub fn migrate_for_batch(
-        &self,
-        agent_bytes: usize,
-        log_bytes: usize,
-        rce_list_bytes: usize,
-    ) -> bool {
-        /// Encoded size of a 2PC vote message — the reply leg of a shipped
-        /// RCE list.
-        const VOTE_BYTES: usize = 32;
-        self.prefer_migration(agent_bytes, log_bytes, false, 1, rce_list_bytes, VOTE_BYTES)
-    }
-
     /// Whether a pre-transfer log compaction pass can pay for itself on
     /// this link: the pass can shave at most `candidate_bytes` (the log's
     /// savepoint payload bytes — step frames are never touched) off the
@@ -192,16 +172,6 @@ mod tests {
             large > small,
             "a bigger rollback log must make migration less attractive ({small} vs {large})"
         );
-    }
-
-    #[test]
-    fn batch_delivery_weighs_list_size_against_agent_size() {
-        let m = model();
-        // Small agent, fat RCE list: carrying the list inside the agent's
-        // one-way hop beats shipping it.
-        assert!(m.migrate_for_batch(1_000, 500, 40_000));
-        // Fat agent + log, slim list: ship the list.
-        assert!(!m.migrate_for_batch(60_000, 120_000, 300));
     }
 
     #[test]

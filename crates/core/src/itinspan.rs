@@ -23,12 +23,11 @@
 
 use std::ops::Range;
 
-use crate::error::CoreError;
-use crate::resident::RECORD_FIELDS;
+use mar_wire::FieldCursor;
 
-/// Encoded fields preceding the itinerary in the record layout
-/// (`id`, `agent_type`, `home`, `data`).
-const FIELDS_BEFORE_ITINERARY: usize = 4;
+use crate::error::CoreError;
+use crate::resident::RecordWalk;
+
 /// Sequence arity of an inline itinerary (`id`, `entries`, `order`).
 pub const ITINERARY_FIELDS: u64 = 3;
 /// Sequence arity of the by-reference framing (`hash`).
@@ -50,19 +49,7 @@ pub enum SpanKind {
 ///
 /// Codec errors for inputs that are not framed like a record.
 pub fn itinerary_span(record: &[u8]) -> Result<Range<usize>, CoreError> {
-    let (fields, n) = mar_wire::read_seq_header(record)?;
-    if fields != RECORD_FIELDS {
-        return Err(CoreError::CorruptLog(format!(
-            "record has {fields} fields, expected {RECORD_FIELDS}"
-        )));
-    }
-    let mut off = n;
-    for _ in 0..FIELDS_BEFORE_ITINERARY {
-        off += mar_wire::skip_value(&record[off..])?;
-    }
-    let start = off;
-    let end = start + mar_wire::skip_value(&record[start..])?;
-    Ok(start..end)
+    RecordWalk::open(record)?.itinerary()
 }
 
 /// Classifies an itinerary span as inline or by-reference.
@@ -72,14 +59,12 @@ pub fn itinerary_span(record: &[u8]) -> Result<Range<usize>, CoreError> {
 /// Codec errors for spans framed as neither form, including a reference
 /// span with trailing bytes after its hash.
 pub fn classify_span(span: &[u8]) -> Result<SpanKind, CoreError> {
-    let (fields, n) = mar_wire::read_seq_header(span)?;
-    match fields {
+    let mut fields = FieldCursor::values(span, 1);
+    match fields.enter_seq()? {
         ITINERARY_FIELDS => Ok(SpanKind::Inline),
         REF_FIELDS => {
-            let (hash, m) = mar_wire::from_slice_prefix::<u64>(&span[n..])?;
-            if n + m != span.len() {
-                return Err(mar_wire::WireError::TrailingBytes(span.len() - n - m).into());
-            }
+            let hash = fields.next()?;
+            fields.finish()?;
             Ok(SpanKind::Ref(hash))
         }
         other => Err(CoreError::CorruptLog(format!(

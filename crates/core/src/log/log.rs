@@ -24,11 +24,9 @@
 //! agents queued on them, onto worker threads. A migrating agent is still
 //! owned by exactly one node at a time (§2).
 
-use serde::de::{SeqAccess, Visitor};
 use serde::ser::{SerializeSeq, SerializeStruct};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::collections::BTreeMap;
-use std::fmt;
 
 use crate::comp::{CompOp, EntryKind};
 use crate::data::DataSpace;
@@ -728,26 +726,14 @@ impl Serialize for RollbackLog {
 
 impl<'de> Deserialize<'de> for RollbackLog {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<RollbackLog, D::Error> {
-        // Seq-shaped structs only: that is all the wire format produces,
-        // and it matches what the workspace's derive generates for every
-        // other struct (map-keyed self-describing formats are not used).
-        struct LogVisitor;
-        impl<'de> Visitor<'de> for LogVisitor {
-            type Value = RollbackLog;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("struct RollbackLog")
-            }
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<RollbackLog, A::Error> {
-                let entries: Vec<LogEntry> = seq
-                    .next_element()?
-                    .ok_or_else(|| serde::de::Error::custom("RollbackLog missing entries"))?;
-                let bytes: usize = seq
-                    .next_element()?
-                    .ok_or_else(|| serde::de::Error::custom("RollbackLog missing bytes"))?;
-                Ok(RollbackLog::from_entries_with_bytes(entries, bytes))
-            }
+        /// The flat representation the [`Serialize`] impl above writes.
+        #[derive(Deserialize)]
+        struct Flat {
+            entries: Vec<LogEntry>,
+            bytes: usize,
         }
-        deserializer.deserialize_struct("RollbackLog", &["entries", "bytes"], LogVisitor)
+        let Flat { entries, bytes } = Flat::deserialize(deserializer)?;
+        Ok(RollbackLog::from_entries_with_bytes(entries, bytes))
     }
 }
 

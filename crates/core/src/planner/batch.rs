@@ -221,12 +221,6 @@ impl BatchPlan {
         self.steps.first().map(|s| s.step_node)
     }
 
-    /// Whether the batch compensates a mixed step (always a solo batch in
-    /// optimized mode; basic-mode runs may contain several).
-    pub fn mixed(&self) -> bool {
-        self.steps.iter().any(|s| s.mixed)
-    }
-
     /// Operations to execute where the agent resides, in execution order
     /// (newest step first, each step's ops newest-first).
     pub fn local_ops(&self) -> impl Iterator<Item = &OpEntry> {

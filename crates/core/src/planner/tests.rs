@@ -380,7 +380,7 @@ fn optimized_mode_fuses_rce_lists_and_isolates_mixed_steps() {
     // Newest-first: [step3], [step2 mixed, solo], [steps 1+0 fused].
     let shape: Vec<usize> = batches.iter().map(|b| b.rounds_fused()).collect();
     assert_eq!(shape, [1, 1, 2]);
-    assert!(batches[1].mixed());
+    assert!(batches[1].steps[0].mixed);
     // The fused batch ships ONE list carrying both steps' RCEs,
     // newest-first, and keeps the ACE local.
     let rces: Vec<&str> = batches[2]

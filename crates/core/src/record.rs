@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::data::DataSpace;
 use crate::log::{LoggingMode, RollbackLog};
 use crate::planner::{RestorePlan, RollbackMode};
+use crate::resident::RecordWalk;
 use crate::savepoint::{SavepointId, SavepointTable};
 
 /// Unique agent identifier.
@@ -133,8 +134,7 @@ impl AgentRecord {
     ///
     /// Codec errors for inputs that do not start with a record.
     pub fn peek_header(bytes: &[u8]) -> Result<RecordHeader<'_>, crate::CoreError> {
-        let (header, _) = mar_wire::from_slice_prefix(bytes)?;
-        Ok(header)
+        RecordWalk::open(bytes)?.header()
     }
 
     /// Like [`AgentRecord::peek_header`], but also decodes the private data
@@ -145,19 +145,19 @@ impl AgentRecord {
     ///
     /// Codec errors for inputs that do not start with a record.
     pub fn peek_data(bytes: &[u8]) -> Result<RecordDataPeek, crate::CoreError> {
-        let (peek, _) = mar_wire::from_slice_prefix(bytes)?;
-        Ok(peek)
+        let mut walk = RecordWalk::open(bytes)?;
+        let header = walk.header()?;
+        Ok(RecordDataPeek {
+            id: header.id,
+            agent_type: header.agent_type.to_owned(),
+            home: header.home,
+            data: walk.data()?,
+        })
     }
 
     /// Encoded size in bytes — what a migration transfers (agent + log).
     pub fn encoded_size(&self) -> usize {
         mar_wire::encoded_size(self).unwrap_or(0)
-    }
-
-    /// Encoded size without the rollback log (the "agent proper"), so
-    /// experiments can separate agent size from log overhead.
-    pub fn encoded_size_without_log(&self) -> usize {
-        self.encoded_size().saturating_sub(self.log.size_bytes())
     }
 
     /// Compacts the rollback log in place (see
@@ -202,45 +202,6 @@ pub struct RecordHeader<'a> {
     pub home: u32,
 }
 
-impl<'de> Deserialize<'de> for RecordHeader<'de> {
-    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> serde::de::Visitor<'de> for V {
-            type Value = RecordHeader<'de>;
-
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("an agent record prefix")
-            }
-
-            fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                self,
-                mut seq: A,
-            ) -> Result<Self::Value, A::Error> {
-                use serde::de::Error;
-                let id = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("record missing id"))?;
-                let agent_type = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("record missing agent_type"))?;
-                let home = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("record missing home"))?;
-                // The remaining fields are intentionally left unread: the
-                // caller decodes a prefix and discards the rest.
-                Ok(RecordHeader {
-                    id,
-                    agent_type,
-                    home,
-                })
-            }
-        }
-        // Structs are encoded as field-value sequences; reusing the record's
-        // own field-count header keeps this aligned with `AgentRecord`.
-        de.deserialize_struct("AgentRecord", &["id", "agent_type", "home"], V)
-    }
-}
-
 /// The prefix of a serialized [`AgentRecord`] up to and including the data
 /// space — everything a money/state audit needs, still skipping the
 /// itinerary, cursor, savepoint table, and rollback log.
@@ -254,45 +215,6 @@ pub struct RecordDataPeek {
     pub home: u32,
     /// Private data space (SRO + WRO).
     pub data: DataSpace,
-}
-
-impl<'de> Deserialize<'de> for RecordDataPeek {
-    fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> serde::de::Visitor<'de> for V {
-            type Value = RecordDataPeek;
-
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("an agent record prefix with data")
-            }
-
-            fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                self,
-                mut seq: A,
-            ) -> Result<Self::Value, A::Error> {
-                use serde::de::Error;
-                let id = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("record missing id"))?;
-                let agent_type = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("record missing agent_type"))?;
-                let home = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("record missing home"))?;
-                let data = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("record missing data"))?;
-                Ok(RecordDataPeek {
-                    id,
-                    agent_type,
-                    home,
-                    data,
-                })
-            }
-        }
-        de.deserialize_struct("AgentRecord", &["id", "agent_type", "home", "data"], V)
-    }
 }
 
 #[cfg(test)]
@@ -337,12 +259,6 @@ mod tests {
             RollbackMode::Basic,
         );
         assert!(r.data.shadow().is_some());
-    }
-
-    #[test]
-    fn size_without_log_subtracts_log_bytes() {
-        let r = record();
-        assert_eq!(r.encoded_size_without_log(), r.encoded_size());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * [`LazyRecord`] is a borrowed view of a serialized record that decodes
 //!   every field *except* the log eagerly; the `(SP | BOS OE* EOS)*` log
-//!   section is structurally validated ([`mar_wire::skip_value`]) but kept
+//!   section is structurally validated ([`FieldCursor::skip`]) but kept
 //!   as a byte slice.
 //! * [`ResidentRecord`] is the owned working form the platform's step path
 //!   runs on. Its [`ResidentLog`] keeps the log *sealed* — the retained
@@ -28,20 +28,23 @@
 //! space, cursor, the step's new log entries), not to what exists (the
 //! whole log).
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use mar_itinerary::{Cursor, Itinerary};
+use mar_wire::FieldCursor;
 
 use crate::data::DataSpace;
 use crate::error::CoreError;
 use crate::itinspan::{classify_span, SpanKind};
 use crate::log::{LogEntry, LoggingMode, RollbackLog};
 use crate::planner::RollbackMode;
-use crate::record::{AgentId, AgentRecord, AgentStatus};
+use crate::record::{AgentId, AgentRecord, AgentStatus, RecordHeader};
 use crate::savepoint::SavepointTable;
 
-/// Number of fields in the serialized [`AgentRecord`] layout.
-pub(crate) const RECORD_FIELDS: u64 = 12;
+/// Number of fields in the serialized [`AgentRecord`] layout (`docs/WIRE.md`,
+/// "The agent record").
+const RECORD_FIELDS: u64 = 12;
 /// Number of fields in the serialized [`RollbackLog`] layout
 /// (`entries`, `bytes`).
 const LOG_FIELDS: u64 = 2;
@@ -120,11 +123,6 @@ impl ItinerarySlot {
         &self.bytes
     }
 
-    /// The encoding as a shared buffer (for intern tables).
-    pub fn shared_bytes(&self) -> Arc<[u8]> {
-        Arc::clone(&self.bytes)
-    }
-
     /// Whether the tree has already been decoded (by this slot or any
     /// clone of it).
     pub fn is_decoded(&self) -> bool {
@@ -153,6 +151,46 @@ impl ItinerarySlot {
     /// Same conditions as [`ItinerarySlot::tree`].
     pub fn materialize(&self) -> Result<Itinerary, CoreError> {
         Ok((*self.tree()?).clone())
+    }
+}
+
+/// The one reader of the record's wire layout (`docs/WIRE.md`, "The agent
+/// record"): its methods are the leading fields in wire order, and every
+/// reader of an encoded record — [`LazyRecord::parse`],
+/// [`AgentRecord::peek_header`], [`AgentRecord::peek_data`],
+/// [`itinerary_span`](crate::itinspan::itinerary_span) — is this walk,
+/// stopped where it has what it needs.
+pub(crate) struct RecordWalk<'a>(FieldCursor<'a>);
+
+impl<'a> RecordWalk<'a> {
+    /// Starts the walk; rejects anything that does not declare the
+    /// record's [`RECORD_FIELDS`] fields.
+    pub(crate) fn open(bytes: &'a [u8]) -> Result<Self, CoreError> {
+        Ok(RecordWalk(FieldCursor::open(bytes, RECORD_FIELDS)?))
+    }
+
+    /// `id`, `agent_type` (borrowed), `home`.
+    pub(crate) fn header(&mut self) -> Result<RecordHeader<'a>, CoreError> {
+        Ok(RecordHeader {
+            id: self.0.next()?,
+            agent_type: self.0.next()?,
+            home: self.0.next()?,
+        })
+    }
+
+    /// `data`.
+    pub(crate) fn data(&mut self) -> Result<DataSpace, CoreError> {
+        Ok(self.0.next()?)
+    }
+
+    /// `itinerary`, as the span of the input it occupies (inline or
+    /// by-reference form). Whatever of the four fields before it is still
+    /// unread is passed over undecoded.
+    pub(crate) fn itinerary(&mut self) -> Result<Range<usize>, CoreError> {
+        while self.0.pending() > RECORD_FIELDS - 4 {
+            self.0.skip()?;
+        }
+        Ok(self.0.skip()?)
     }
 }
 
@@ -205,69 +243,42 @@ impl<'a> LazyRecord<'a> {
     /// log entries are only *structurally* validated — a framing-valid but
     /// semantically corrupt entry surfaces when the log is materialized.
     pub fn parse(bytes: &'a [u8]) -> Result<LazyRecord<'a>, CoreError> {
-        let mut off = 0usize;
-        let (fields, n) = mar_wire::read_seq_header(bytes)?;
-        off += n;
-        if fields != RECORD_FIELDS {
-            return Err(CoreError::CorruptLog(format!(
-                "record has {fields} fields, expected {RECORD_FIELDS}"
-            )));
-        }
-        fn field<'de, T: serde::Deserialize<'de>>(
-            bytes: &'de [u8],
-            off: &mut usize,
-        ) -> Result<T, CoreError> {
-            let (v, n) = mar_wire::from_slice_prefix::<T>(&bytes[*off..])?;
-            *off += n;
-            Ok(v)
-        }
-        let id = field::<AgentId>(bytes, &mut off)?;
-        let agent_type = field::<&str>(bytes, &mut off)?;
-        let home = field::<u32>(bytes, &mut off)?;
-        let data = field::<DataSpace>(bytes, &mut off)?;
+        let mut walk = RecordWalk::open(bytes)?;
+        let header = walk.header()?;
+        let data = walk.data()?;
         // The itinerary is captured as its wire span: structurally skipped,
         // hashed, never decoded here. The platform primes the decoded tree
         // from its per-node intern table; a record that bypasses the table
         // decodes lazily on first cursor access.
-        let it_start = off;
-        off += mar_wire::skip_value(&bytes[off..])?;
-        let itinerary = ItinerarySlot::from_span(&bytes[it_start..off])?;
-        let cursor = field::<Cursor>(bytes, &mut off)?;
-        let table = field::<SavepointTable>(bytes, &mut off)?;
+        let itinerary = ItinerarySlot::from_span(&bytes[walk.itinerary()?])?;
+        let fields = &mut walk.0;
+        let cursor = fields.next()?;
+        let table = fields.next()?;
         // The log: `SEQ(2) SEQ(n) entry*n bytes` — walk the entries without
         // building them.
-        let (log_fields, n) = mar_wire::read_seq_header(&bytes[off..])?;
-        off += n;
-        if log_fields != LOG_FIELDS {
-            return Err(CoreError::CorruptLog(format!(
-                "log has {log_fields} fields, expected {LOG_FIELDS}"
-            )));
+        fields.enter(LOG_FIELDS)?;
+        let log_entries = fields.enter_seq()? as usize;
+        let entries_start = fields.position();
+        for _ in 0..log_entries {
+            fields.skip()?;
         }
-        let (entries, n) = mar_wire::read_seq_header(&bytes[off..])?;
-        off += n;
-        let entries_start = off;
-        for _ in 0..entries {
-            off += mar_wire::skip_value(&bytes[off..])?;
-        }
-        let log_bytes = &bytes[entries_start..off];
-        let log_size = field::<u64>(bytes, &mut off)? as usize;
-        let step_seq = field::<u64>(bytes, &mut off)?;
-        let status = field::<AgentStatus>(bytes, &mut off)?;
-        let logging_mode = field::<LoggingMode>(bytes, &mut off)?;
-        let rollback_mode = field::<RollbackMode>(bytes, &mut off)?;
-        if off != bytes.len() {
-            return Err(mar_wire::WireError::TrailingBytes(bytes.len() - off).into());
-        }
+        let log_bytes = &bytes[entries_start..fields.position()];
+        let log_size = fields.next::<u64>()? as usize;
+        let step_seq = fields.next()?;
+        let status = fields.next()?;
+        let logging_mode = fields.next()?;
+        let rollback_mode = fields.next()?;
+        walk.0.finish()?;
         Ok(LazyRecord {
-            id,
-            agent_type,
-            home,
+            id: header.id,
+            agent_type: header.agent_type,
+            home: header.home,
             data,
             itinerary,
             cursor,
             table,
             log_bytes,
-            log_entries: entries as usize,
+            log_entries,
             log_size,
             step_seq,
             status,
@@ -284,15 +295,6 @@ impl<'a> LazyRecord<'a> {
     /// The log's total encoded byte count (its serialized `bytes` field).
     pub fn log_size_bytes(&self) -> usize {
         self.log_size
-    }
-
-    /// Decodes the log section into a full [`RollbackLog`].
-    ///
-    /// # Errors
-    ///
-    /// Codec errors for entries that are framing-valid but not decodable.
-    pub fn decode_log(&self) -> Result<RollbackLog, CoreError> {
-        decode_entries(self.log_bytes, self.log_entries, self.log_size)
     }
 
     /// Converts into an owned [`ResidentRecord`], copying only the log
@@ -325,35 +327,18 @@ impl<'a> LazyRecord<'a> {
     ///
     /// Codec errors from the deferred log decode.
     pub fn into_record(self) -> Result<AgentRecord, CoreError> {
-        let log = self.decode_log()?;
-        Ok(AgentRecord {
-            id: self.id,
-            agent_type: self.agent_type.to_owned(),
-            home: self.home,
-            data: self.data,
-            itinerary: self.itinerary.materialize()?,
-            cursor: self.cursor,
-            table: self.table,
-            log,
-            step_seq: self.step_seq,
-            status: self.status,
-            logging_mode: self.logging_mode,
-            rollback_mode: self.rollback_mode,
-        })
+        self.into_resident().into_record()
     }
 }
 
 fn decode_entries(bytes: &[u8], count: usize, total_size: usize) -> Result<RollbackLog, CoreError> {
+    let mut fields = FieldCursor::values(bytes, count as u64);
+    // `count` entries were framed in `bytes`, so it is bounded by its length.
     let mut entries = Vec::with_capacity(count);
-    let mut off = 0usize;
     for _ in 0..count {
-        let (entry, n) = mar_wire::from_slice_prefix::<LogEntry>(&bytes[off..])?;
-        off += n;
-        entries.push(entry);
+        entries.push(fields.next::<LogEntry>()?);
     }
-    if off != bytes.len() {
-        return Err(mar_wire::WireError::TrailingBytes(bytes.len() - off).into());
-    }
+    fields.finish()?;
     Ok(RollbackLog::from_wire_parts(entries, total_size))
 }
 

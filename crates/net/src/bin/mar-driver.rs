@@ -156,12 +156,6 @@ fn main() -> ExitCode {
         for (k, v) in &snap.counters {
             out.push_str(&format!("counter {k} {v}\n"));
         }
-        for (k, h) in &snap.hists {
-            out.push_str(&format!(
-                "hist {k} count={} sum={} min={} max={}\n",
-                h.count, h.sum, h.min, h.max
-            ));
-        }
         for r in &reports {
             let bytes = mar_wire::to_bytes(r).unwrap_or_default();
             out.push_str(&format!("reporthex {} {}\n", r.id.0, hex(&bytes)));

@@ -167,7 +167,6 @@ impl NetCfg {
 /// What a resilient receive is waiting for.
 enum Expect {
     WindowDone { end_us: u64 },
-    AdvanceDone,
     Rpc { id: u64 },
 }
 
@@ -398,9 +397,6 @@ impl NetPlatform {
             if let Some(RpcReply::Snapshot(snap)) = self.net.rpc(h, RpcOp::Snapshot) {
                 for (k, v) in snap.counters {
                     *merged.counters.entry(k).or_insert(0) += v;
-                }
-                for (k, other) in snap.hists {
-                    merged.hists.entry(k).or_default().merge(&other);
                 }
             }
         }
@@ -675,12 +671,6 @@ impl NetState {
                         });
                     }
                 }
-                NetMsg::AdvanceDone { next_min_us } => {
-                    self.slots[h].next_min = next_min_us;
-                    if matches!(expect, Expect::AdvanceDone) {
-                        return Some(NetMsg::AdvanceDone { next_min_us });
-                    }
-                }
                 NetMsg::RpcReply { id, reply } => {
                     if matches!(expect, Expect::Rpc { id: want } if *want == id) {
                         return Some(NetMsg::RpcReply { id, reply });
@@ -752,29 +742,30 @@ impl NetState {
                 Some(m) if m <= target_us => m,
                 _ => break,
             };
-            let end = window_end(m, self.lookahead_us, target_us);
-            let mut running = Vec::with_capacity(self.slots.len());
-            for h in 0..self.slots.len() {
-                if !self.slots[h].failed && self.send_to(h, &NetMsg::RunWindow { end_us: end }) {
-                    running.push(h);
-                }
-            }
-            for h in running {
-                let _ = self.recv_reply(h, &Expect::WindowDone { end_us: end });
-            }
-            self.world.advance_clock_to(end.saturating_sub(1));
+            self.run_window(window_end(m, self.lookahead_us, target_us));
             self.world.metrics().inc(netkeys::WINDOWS);
             if !self.window_delay.is_zero() {
                 std::thread::sleep(self.window_delay);
             }
         }
-        // Quiescent before the boundary: finalize every clock at it.
+        // Quiescent before the boundary: the window that ends just past it
+        // processes nothing and finalizes every clock at it.
+        self.run_window(target_us.saturating_add(1));
+    }
+
+    /// One lockstep window: every live host is sent the frame before any
+    /// reply is awaited, then every clock stands at the last instant of it.
+    fn run_window(&mut self, end_us: u64) {
+        let mut running = Vec::with_capacity(self.slots.len());
         for h in 0..self.slots.len() {
-            if !self.slots[h].failed && self.send_to(h, &NetMsg::AdvanceTo { target_us }) {
-                let _ = self.recv_reply(h, &Expect::AdvanceDone);
+            if !self.slots[h].failed && self.send_to(h, &NetMsg::RunWindow { end_us }) {
+                running.push(h);
             }
         }
-        self.world.advance_clock_to(target_us);
+        for h in running {
+            let _ = self.recv_reply(h, &Expect::WindowDone { end_us });
+        }
+        self.world.advance_clock_to(end_us.saturating_sub(1));
     }
 
     /// One synchronous RPC against a host; `None` if the host is failed

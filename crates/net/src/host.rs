@@ -387,12 +387,6 @@ pub fn serve_ctl<T: Transport>(
                     next_min_us: world.local_min_us(),
                 })?;
             }
-            Some(NetMsg::AdvanceTo { target_us }) => {
-                world.advance_clock_to(target_us);
-                peer.send(&NetMsg::AdvanceDone {
-                    next_min_us: world.local_min_us(),
-                })?;
-            }
             Some(NetMsg::Rpc { id, op }) => {
                 let reply = apply_rpc(world, op);
                 peer.send(&NetMsg::RpcReply { id, reply })?;

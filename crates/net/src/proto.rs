@@ -44,8 +44,10 @@ use crate::transport::Transport;
 /// Protocol revision; a [`NetMsg::Hello`]/[`NetMsg::Topology`] version
 /// mismatch is a handshake failure. Revision 2 added the envelope `ack`
 /// field, session resumption, and the `Hello.resume`/`Topology.resume_ok`
-/// handshake bits.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// handshake bits. Revision 3 sends a run boundary as an empty window (the
+/// separate clock-advance request and its reply are gone) and a metrics
+/// snapshot is its counters only.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Messages exchanged between the driver and a node host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -100,7 +102,9 @@ pub enum NetMsg {
         /// The deliveries, keys included.
         events: Vec<RemoteEvent>,
     },
-    /// Driver → host: process every event strictly before `end_us`.
+    /// Driver → host: process every event strictly before `end_us`. A run
+    /// boundary `t` is the window ending at `t + 1` sent when nothing is due:
+    /// it processes no event and leaves the host's clock at `t`.
     RunWindow {
         /// Exclusive window end, microseconds.
         end_us: u64,
@@ -115,17 +119,6 @@ pub enum NetMsg {
         /// Deliveries diverted to remote nodes during the window.
         egress: Vec<RemoteEvent>,
         /// Earliest pending local event after the window, microseconds.
-        next_min_us: Option<u64>,
-    },
-    /// Driver → host: no event exists before `target_us` anywhere —
-    /// finalize the clock at the run boundary.
-    AdvanceTo {
-        /// Boundary time, microseconds.
-        target_us: u64,
-    },
-    /// Host → driver acknowledgement of [`NetMsg::AdvanceTo`].
-    AdvanceDone {
-        /// Earliest pending local event, microseconds.
         next_min_us: Option<u64>,
     },
     /// Driver → host: a stable-storage or inspection call against a node
@@ -544,11 +537,13 @@ mod tests {
         a.send(&NetMsg::RunWindow { end_us: 1 }).unwrap();
         assert_eq!(b.recv().unwrap(), Some(NetMsg::RunWindow { end_us: 1 }));
         // b acks seq 1 by sending; a prunes on receive.
-        b.send(&NetMsg::AdvanceDone { next_min_us: None }).unwrap();
-        assert_eq!(
-            a.recv().unwrap(),
-            Some(NetMsg::AdvanceDone { next_min_us: None })
-        );
+        let done = NetMsg::WindowDone {
+            end_us: 1,
+            egress: Vec::new(),
+            next_min_us: None,
+        };
+        b.send(&done).unwrap();
+        assert_eq!(a.recv().unwrap(), Some(done));
         assert_eq!(a.retained_len(), 0);
         // Two more frames; the connection dies before b sees them.
         a.send(&NetMsg::RunWindow { end_us: 2 }).unwrap();

@@ -190,15 +190,6 @@ impl PlatformBuilder {
         self
     }
 
-    /// Selects how batches with remote resource compensation entries are
-    /// routed: the fixed Fig. 5 mode split (default) or the per-batch
-    /// cost-model decision between shipping the RCE list and migrating the
-    /// agent ([`crate::RollbackRouting::CostModel`]).
-    pub fn rollback_routing(mut self, routing: crate::RollbackRouting) -> Self {
-        self.mole_cfg.rollback_routing = routing;
-        self
-    }
-
     /// Enables (or disables) the per-node resident-record cache: while an
     /// agent stays on a node, its decoded record lives in volatile memory
     /// between steps (installed only by committing step transactions) and

@@ -61,9 +61,8 @@ const TXN_FLOOR_AHEAD: u64 = 63;
 /// instead of retried — the escalation strategy for unresolvable
 /// (compensation) failures the paper defers to \[4\]/\[10\].
 const MAX_ATTEMPTS: u32 = 40;
-/// Link cost model of the compaction gate and of
-/// [`RollbackRouting::CostModel`]: the LAN parameters of the simulator's
-/// default latency model.
+/// Link cost model of the compaction gate: the LAN parameters of the
+/// simulator's default latency model.
 const COST_MODEL: CostModel = CostModel {
     link: LinkParams::LAN,
 };
@@ -129,9 +128,6 @@ pub mod keys {
     /// Compensation transactions (and their 2PCs) saved by fusion:
     /// `rounds - batched_rounds`, accumulated per batch.
     pub const ROLLBACK_ROUNDS_SAVED: &str = "rollback.rounds_saved";
-    /// Batches the cost model routed as an agent migration instead of a
-    /// shipped RCE list ([`CostModel`](super::RollbackRouting::CostModel)).
-    pub const ROLLBACK_COST_MIGRATIONS: &str = "rollback.cost_migrations";
     /// Prepared RCE lists that failed when redone after a crash although
     /// the decision was commit (the heuristic-damage corner of 2PC).
     pub const ROLLBACK_REDO_FAILED: &str = "rollback.redo_failed";
@@ -222,21 +218,6 @@ pub mod keys {
     pub const RECOVERY_PREPARED_REFUSED: &str = "recovery.prepared_refused";
 }
 
-/// How the runtime decides, per compensation batch with remote resource
-/// compensation entries, where that work executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RollbackRouting {
-    /// Fig. 5's fixed rule: non-mixed batches always ship their RCE list to
-    /// the resource node; the agent never moves for them.
-    #[default]
-    ModeSplit,
-    /// The \[16\]-style decision of §4.4.1
-    /// ([`CostModel::migrate_for_batch`]): per batch, compare shipping the
-    /// fused RCE list against migrating the agent (record + log) to the
-    /// resource node, and take the cheaper route over a LAN link.
-    CostModel,
-}
-
 /// The switches of a node runtime — each has a [`PlatformBuilder`](crate::PlatformBuilder)
 /// setter with a caller; timings, the retry policy, the link cost model and
 /// the intern table's capacity are constants of this module.
@@ -255,8 +236,6 @@ pub struct MoleCfg {
     /// transaction per compensated step ([`mar_core::plan_single`], the
     /// unbatched Fig. 4b/5b behaviour, kept for control experiments).
     pub batch_rollback: bool,
-    /// Where a batch's remote resource compensation entries execute.
-    pub rollback_routing: RollbackRouting,
     /// Keep the decoded record of an agent resident in volatile memory
     /// between steps on the same node (keyed by queue key, installed only
     /// when the step transaction commits). Steps served from the cache
@@ -282,7 +261,6 @@ impl Default for MoleCfg {
         MoleCfg {
             compact_on_transfer: true,
             batch_rollback: true,
-            rollback_routing: RollbackRouting::default(),
             resident_cache: true,
             itinerary_interning: true,
         }
@@ -1027,9 +1005,9 @@ impl MoleService {
     }
 
     /// Re-reads the pristine record from the stable queue — the cold paths'
-    /// (failure, rollback start, cost migration) source of truth. Parses
-    /// lazily and adopts the interned itinerary, so even these paths never
-    /// re-decode a tree the node already holds.
+    /// (failure, rollback start) source of truth. Parses lazily and adopts
+    /// the interned itinerary, so even these paths never re-decode a tree
+    /// the node already holds.
     fn stable_resident(&mut self, ctx: &mut Ctx<'_>, key: &str) -> Option<ResidentRecord> {
         let bytes = ctx.stable_get(key)?;
         let mut rec = ResidentRecord::from_bytes(bytes).ok()?;
@@ -1513,10 +1491,6 @@ impl MoleService {
         let mut rb = resident
             .into_record()
             .map_err(|e| ItemError::Permanent(e.to_string()))?;
-        // Sizes of the unplanned record, for the ship-vs-migrate pricing
-        // below (planning pops log entries).
-        let pristine_agent_bytes = rb.encoded_size_without_log();
-        let pristine_log_bytes = rb.log.size_bytes();
         let txn = self.alloc_txn(ctx);
         let batch = if self.cfg.batch_rollback {
             plan_batch(&mut rb, target)
@@ -1528,44 +1502,6 @@ impl MoleService {
         // RCEs whose resource node is *this* node run inside the local
         // transaction directly — no point 2PC-ing a branch to ourselves.
         let fold_rces_local = batch.step_node() == Some(ctx.node().0);
-
-        // The batch's fused RCE list, encoded once: it prices the
-        // ship-vs-migrate decision below and, if shipping wins, becomes the
-        // 2PC branch payload as is.
-        let rce_payload = (!fold_rces_local && batch.has_remote_rces()).then(|| {
-            let list = RceList {
-                agent: rb.id,
-                step_seq: batch.steps[0].step_seq,
-                ops: batch.remote_rces().cloned().collect(),
-            };
-            mar_wire::to_bytes(&list).expect("rce list encodes")
-        });
-
-        // Cost-model routing: before executing anything, check whether
-        // migrating the agent to the resource node beats shipping the fused
-        // RCE list. If it does, ship the *unplanned* record there instead —
-        // the batch re-plans at the destination, where its RCEs are local.
-        if let Some(payload) = &rce_payload {
-            if self.cfg.rollback_routing == RollbackRouting::CostModel
-                && !batch.mixed()
-                && COST_MODEL.migrate_for_batch(
-                    pristine_agent_bytes,
-                    pristine_log_bytes,
-                    payload.len(),
-                )
-            {
-                // Planning popped log entries: re-read the record from the
-                // stable queue, sharing the interned itinerary instead of a
-                // full decode.
-                let fresh = self
-                    .stable_resident(ctx, key)
-                    .ok_or_else(|| ItemError::Permanent("queue item vanished".to_owned()))?;
-                let metrics = vec![(keys::ROLLBACK_COST_MIGRATIONS, 1)];
-                let node = batch.step_node().expect("has_remote_rces implies steps");
-                let exit = Exit::rolling_back(Destination::Node(node));
-                return self.hand_off(ctx, txn, key, fresh, metrics, None, exit);
-            }
-        }
 
         // Execute the local operations (everything in basic/mixed batches,
         // the agent compensation entries in split batches, plus the RCEs of
@@ -1608,7 +1544,13 @@ impl MoleService {
         // Ship the fused resource compensation entries of the whole batch
         // to its node (optimized mode) as ONE list in ONE 2PC branch, to
         // run concurrently inside the same transaction.
-        let rces = rce_payload.map(|payload| {
+        let rces = (!fold_rces_local && batch.has_remote_rces()).then(|| {
+            let list = RceList {
+                agent: rb.id,
+                step_seq: batch.steps[0].step_seq,
+                ops: batch.remote_rces().cloned().collect(),
+            };
+            let payload = mar_wire::to_bytes(&list).expect("rce list encodes");
             ctx.metrics().inc(keys::RCE_SHIPPED);
             ctx.metrics().add(keys::RCE_BYTES, payload.len() as u64);
             let node = batch.step_node().expect("has_remote_rces implies steps");

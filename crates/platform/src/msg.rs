@@ -3,7 +3,12 @@
 use mar_core::{AgentId, AgentRecord};
 use mar_simnet::NodeId;
 use mar_txn::TxMsg;
+use mar_wire::FieldCursor;
 use serde::{Deserialize, Serialize};
+
+/// Number of fields in the serialized [`AgentReport`] layout
+/// (`docs/WIRE.md`, "The agent report").
+const REPORT_FIELDS: u64 = 6;
 
 /// Messages exchanged between `mole` services (and injected externally).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -125,33 +130,7 @@ impl AgentReport {
     ///
     /// Codec errors for inputs that do not start with a report.
     pub fn peek_id(bytes: &[u8]) -> Result<AgentId, mar_wire::WireError> {
-        struct Peek(AgentId);
-        impl<'de> Deserialize<'de> for Peek {
-            fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
-                struct V;
-                impl<'de> serde::de::Visitor<'de> for V {
-                    type Value = Peek;
-
-                    fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                        f.write_str("an agent report prefix")
-                    }
-
-                    fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                        self,
-                        mut seq: A,
-                    ) -> Result<Peek, A::Error> {
-                        use serde::de::Error;
-                        let id: AgentId = seq
-                            .next_element()?
-                            .ok_or_else(|| A::Error::custom("truncated report"))?;
-                        Ok(Peek(id))
-                    }
-                }
-                de.deserialize_struct("AgentReport", &["id"], V)
-            }
-        }
-        let (peek, _) = mar_wire::from_slice_prefix::<Peek>(bytes)?;
-        Ok(peek.0)
+        FieldCursor::open(bytes, REPORT_FIELDS)?.next()
     }
 
     /// Decodes only the final record's data space from a serialized report
@@ -162,52 +141,13 @@ impl AgentReport {
     /// # Errors
     ///
     /// Codec errors for inputs that do not start with a report.
-    pub fn peek_record_data(bytes: &[u8]) -> Result<mar_core::DataSpace, mar_wire::WireError> {
-        struct Peek(mar_core::DataSpace);
-        impl<'de> Deserialize<'de> for Peek {
-            fn deserialize<D: serde::Deserializer<'de>>(de: D) -> Result<Self, D::Error> {
-                struct V;
-                impl<'de> serde::de::Visitor<'de> for V {
-                    type Value = Peek;
-
-                    fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                        f.write_str("an agent report prefix")
-                    }
-
-                    fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                        self,
-                        mut seq: A,
-                    ) -> Result<Peek, A::Error> {
-                        use serde::de::Error;
-                        let missing = || A::Error::custom("truncated report");
-                        let _id: AgentId = seq.next_element()?.ok_or_else(missing)?;
-                        let _outcome: ReportOutcome = seq.next_element()?.ok_or_else(missing)?;
-                        let _finished: u64 = seq.next_element()?.ok_or_else(missing)?;
-                        let _steps: u64 = seq.next_element()?.ok_or_else(missing)?;
-                        let _node: u32 = seq.next_element()?.ok_or_else(missing)?;
-                        // The record is the last field read: its own trailing
-                        // fields (and ours) stay untouched in the buffer.
-                        let record: mar_core::RecordDataPeek =
-                            seq.next_element()?.ok_or_else(missing)?;
-                        Ok(Peek(record.data))
-                    }
-                }
-                de.deserialize_struct(
-                    "AgentReport",
-                    &[
-                        "id",
-                        "outcome",
-                        "finished_at_us",
-                        "steps_committed",
-                        "finished_node",
-                        "record",
-                    ],
-                    V,
-                )
-            }
+    pub fn peek_record_data(bytes: &[u8]) -> Result<mar_core::DataSpace, mar_core::CoreError> {
+        let mut fields = FieldCursor::open(bytes, REPORT_FIELDS)?;
+        // The record is the last field: everything before it is passed over.
+        while fields.pending() > 1 {
+            fields.skip()?;
         }
-        let (peek, _) = mar_wire::from_slice_prefix::<Peek>(bytes)?;
-        Ok(peek.0)
+        Ok(AgentRecord::peek_data(&bytes[fields.position()..])?.data)
     }
 }
 

@@ -24,10 +24,9 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use common::{
-    build_platform, gen_agents, gen_crashes, launch_agents, schedule_crashes, scripted_builder,
-    stable_dump, strip_engine_counters, GenAgent, GenCrash,
+    build_platform, gen_agents, gen_crashes, launch_agents, schedule_crashes, stable_dump,
+    strip_engine_counters, GenAgent, GenCrash,
 };
-use mar_platform::{metric_keys, RollbackRouting};
 use mar_simnet::{SimDuration, StableFactory, TraceRecord, WalConfig};
 
 const NODES: u32 = 6;
@@ -198,52 +197,4 @@ fn pinned_fleet_with_crashes_is_shard_invariant() {
     ] {
         assert_shard_invariant(1234, &agents, &crashes, &stable);
     }
-}
-
-/// Routing is a second axis the outcome must not depend on: under
-/// `RollbackRouting::CostModel` a batch with remote RCEs sends the small
-/// scripted agent to the resource node instead of shipping the RCE list —
-/// another route through the same hand-off — and the fleet must end in the
-/// same final records and the same money.
-#[test]
-fn cost_model_routing_reaches_the_mode_split_outcome() {
-    let agents = vec![
-        GenAgent {
-            home: 0,
-            steps: vec![(0, 0), (1, 2), (0, 4), (0, 1)],
-            rollback: true,
-        },
-        GenAgent {
-            home: 4,
-            steps: vec![(0, 1), (2, 1), (1, 0), (0, 3), (0, 4)],
-            rollback: true,
-        },
-    ];
-    let run = |routing: RollbackRouting| {
-        let mut p = scripted_builder(NODES, 77, &StableFactory::reference())
-            .rollback_routing(routing)
-            .build();
-        let handles = launch_agents(&mut p, NODES, &agents);
-        assert!(p.run_until_settled(&handles, SimDuration::from_secs(600)));
-        let records: Vec<(String, u64, Vec<u8>)> = handles
-            .iter()
-            .map(|&h| {
-                let r = p.report(h).expect("settled agent has a report");
-                let bytes = r.record.to_bytes().expect("record encodes");
-                (format!("{:?}", r.outcome), r.steps_committed, bytes)
-            })
-            .collect();
-        (records, p.money_audit(&[]), p.snapshot())
-    };
-    let (split_records, split_money, split) = run(RollbackRouting::ModeSplit);
-    let (routed_records, routed_money, routed) = run(RollbackRouting::CostModel);
-    assert_eq!(split_records, routed_records, "final records diverged");
-    assert_eq!(split_money, routed_money, "money audit diverged");
-    assert_eq!(split.counter(metric_keys::ROLLBACK_COST_MIGRATIONS), 0);
-    assert!(split.counter(metric_keys::RCE_SHIPPED) > 0);
-    assert!(routed.counter(metric_keys::ROLLBACK_COST_MIGRATIONS) > 0);
-    assert!(
-        routed.counter(metric_keys::RCE_SHIPPED) < split.counter(metric_keys::RCE_SHIPPED),
-        "a migrated batch ships no RCE list"
-    );
 }

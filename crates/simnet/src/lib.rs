@@ -61,7 +61,7 @@ mod world;
 
 pub use ctx::Ctx;
 pub use failure::FailurePlan;
-pub use metrics::{keys as metric_keys, HistSummary, Metrics, MetricsSnapshot};
+pub use metrics::{keys as metric_keys, Metrics, MetricsSnapshot};
 pub use net::{LatencyModel, Network, MSG_OVERHEAD_BYTES};
 pub use node::{Address, NodeId, Service, ServiceFactory};
 pub use remote::{intern_service_name, RemoteEvent};

@@ -1,4 +1,4 @@
-//! Counters and histograms collected during a simulation run.
+//! Counters collected during a simulation run.
 //!
 //! Every experiment in EXPERIMENTS.md is computed from a [`MetricsSnapshot`],
 //! so metric updates must be deterministic. Under the sharded runtime each
@@ -13,67 +13,15 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 
 use serde::{Deserialize, Serialize};
-
-/// Aggregate statistics for one observed quantity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HistSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum: f64,
-    /// Smallest observation (`f64::INFINITY` when empty).
-    pub min: f64,
-    /// Largest observation (`f64::NEG_INFINITY` when empty).
-    pub max: f64,
-}
-
-impl Default for HistSummary {
-    fn default() -> Self {
-        HistSummary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl HistSummary {
-    /// Arithmetic mean, or `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Folds another summary of the same quantity into this one (shard
-    /// fold in-process, host fold across processes).
-    pub fn merge(&mut self, other: &HistSummary) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Metrics registry owned by the simulation world (one per shard plus the
 /// world-level fold target). Recording takes `&self`.
 #[derive(Default)]
 pub struct Metrics {
     counters: RwLock<BTreeMap<String, AtomicU64>>,
-    hists: Mutex<BTreeMap<String, HistSummary>>,
 }
 
 impl Metrics {
@@ -107,16 +55,6 @@ impl Metrics {
         self.add(name, 1);
     }
 
-    /// Records an observation in the named histogram.
-    pub fn observe(&self, name: &str, v: f64) {
-        self.hists
-            .lock()
-            .expect("metrics lock")
-            .entry(name.to_owned())
-            .or_default()
-            .observe(v);
-    }
-
     /// Current value of a counter (zero if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
@@ -125,11 +63,6 @@ impl Metrics {
             .get(name)
             .map(|c| c.load(Ordering::Relaxed))
             .unwrap_or(0)
-    }
-
-    /// Current summary of a histogram, if any observation was made.
-    pub fn hist(&self, name: &str) -> Option<HistSummary> {
-        self.hists.lock().expect("metrics lock").get(name).copied()
     }
 
     /// Freezes the current state into an immutable snapshot.
@@ -142,19 +75,12 @@ impl Metrics {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
                 .collect(),
-            hists: self.hists.lock().expect("metrics lock").clone(),
         }
     }
 
-    /// Resets all counters and histograms.
-    pub fn clear(&self) {
-        self.counters.write().expect("metrics lock").clear();
-        self.hists.lock().expect("metrics lock").clear();
-    }
-
-    /// Moves every count and observation out of `other` into `self` (the
-    /// deterministic shard fold: counter addition and histogram merging are
-    /// commutative, and the kernel folds shards in id order).
+    /// Moves every count out of `other` into `self` (the deterministic shard
+    /// fold: counter addition is commutative, and the kernel folds shards in
+    /// id order).
     pub(crate) fn absorb(&self, other: &Metrics) {
         let drained: Vec<(String, u64)> = {
             let mut counters = other.counters.write().expect("metrics lock");
@@ -169,13 +95,6 @@ impl Metrics {
         for (k, v) in drained {
             self.add(&k, v);
         }
-        let hists = std::mem::take(&mut *other.hists.lock().expect("metrics lock"));
-        if !hists.is_empty() {
-            let mut own = self.hists.lock().expect("metrics lock");
-            for (k, h) in hists {
-                own.entry(k).or_default().merge(&h);
-            }
-        }
     }
 }
 
@@ -186,7 +105,6 @@ impl Clone for Metrics {
         for (k, v) in &snap.counters {
             m.add(k, *v);
         }
-        *m.hists.lock().expect("metrics lock") = snap.hists;
         m
     }
 }
@@ -198,7 +116,6 @@ impl fmt::Debug for Metrics {
                 "counters",
                 &self.counters.read().expect("metrics lock").len(),
             )
-            .field("hists", &self.hists.lock().expect("metrics lock").len())
             .finish()
     }
 }
@@ -208,8 +125,6 @@ impl fmt::Debug for Metrics {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Histogram summaries by name.
-    pub hists: BTreeMap<String, HistSummary>,
 }
 
 impl MetricsSnapshot {
@@ -236,16 +151,6 @@ impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (k, v) in &self.counters {
             writeln!(f, "{k:<48} {v}")?;
-        }
-        for (k, h) in &self.hists {
-            writeln!(
-                f,
-                "{k:<48} n={} mean={:.2} min={:.2} max={:.2}",
-                h.count,
-                h.mean(),
-                h.min,
-                h.max
-            )?;
         }
         Ok(())
     }
@@ -300,20 +205,7 @@ mod tests {
         let m = Metrics::new();
         let r: &Metrics = &m;
         r.inc("probe");
-        r.observe("h", 1.5);
         assert_eq!(r.counter("probe"), 1);
-        assert_eq!(r.hist("h").unwrap().count, 1);
-    }
-
-    #[test]
-    fn histogram_summary() {
-        let m = Metrics::new();
-        m.observe("h", 1.0);
-        m.observe("h", 3.0);
-        let h = m.hist("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.mean(), 2.0);
-        assert_eq!((h.min, h.max), (1.0, 3.0));
     }
 
     #[test]
@@ -323,17 +215,11 @@ mod tests {
         a.add("x", 1);
         b.add("x", 2);
         b.add("y", 5);
-        b.observe("h", 2.0);
-        a.observe("h", 4.0);
         a.absorb(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.counter("y"), 5);
-        let h = a.hist("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!((h.min, h.max), (2.0, 4.0));
         // `b` was drained.
         assert_eq!(b.counter("x"), 0);
-        assert!(b.hist("h").is_none());
     }
 
     #[test]
@@ -353,7 +239,6 @@ mod tests {
     fn snapshot_serializes() {
         let m = Metrics::new();
         m.inc("k");
-        m.observe("h", 2.5);
         let snap = m.snapshot();
         let bytes = mar_wire::to_bytes(&snap).unwrap();
         let back: MetricsSnapshot = mar_wire::from_slice(&bytes).unwrap();

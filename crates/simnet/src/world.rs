@@ -916,13 +916,6 @@ impl World {
         &self.metrics
     }
 
-    /// Metrics access for higher-level counters recorded outside handlers.
-    /// Kept for API continuity; [`World::metrics`] suffices now that
-    /// recording takes `&self`.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Convenience snapshot of the metrics.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()

@@ -147,51 +147,6 @@ impl<'de> BinDeserializer<'de> {
             t => Err(WireError::BadTag(t)),
         }
     }
-
-    /// Skips exactly one encoded value (used by `deserialize_ignored_any`).
-    fn skip_value(&mut self) -> WireResult<()> {
-        match self.take_tag()? {
-            TAG_NULL | TAG_TRUE | TAG_FALSE => Ok(()),
-            TAG_I64 => self.take_ivarint().map(drop),
-            TAG_U64 | TAG_CHAR => self.take_uvarint().map(drop),
-            TAG_F32 => self.take_bytes(4).map(drop),
-            TAG_F64 => self.take_bytes(8).map(drop),
-            TAG_STR | TAG_BYTES => {
-                let n = self.take_len()?;
-                self.take_bytes(n).map(drop)
-            }
-            TAG_SOME => self.skip_value(),
-            TAG_SEQ => {
-                let n = self.take_len()?;
-                for _ in 0..n {
-                    self.skip_value()?;
-                }
-                Ok(())
-            }
-            TAG_MAP => {
-                let n = self.take_len()?;
-                for _ in 0..n {
-                    self.skip_value()?;
-                    self.skip_value()?;
-                }
-                Ok(())
-            }
-            TAG_UNIT_VARIANT => self.take_uvarint().map(drop),
-            TAG_NEWTYPE_VARIANT => {
-                self.take_uvarint()?;
-                self.skip_value()
-            }
-            TAG_TUPLE_VARIANT | TAG_STRUCT_VARIANT => {
-                self.take_uvarint()?;
-                let n = self.take_len()?;
-                for _ in 0..n {
-                    self.skip_value()?;
-                }
-                Ok(())
-            }
-            t => Err(WireError::BadTag(t)),
-        }
-    }
 }
 
 impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
@@ -443,7 +398,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
     }
 
     fn deserialize_ignored_any<V: Visitor<'de>>(self, visitor: V) -> WireResult<V::Value> {
-        self.skip_value()?;
+        self.pos += skip_value(&self.buf[self.pos..])?;
         visitor.visit_unit()
     }
 
@@ -572,15 +527,15 @@ impl<'de> de::VariantAccess<'de> for EnumAcc<'_, 'de> {
 /// framing) at the start of `bytes`, returning `(element_count,
 /// header_len)` without touching any element.
 ///
-/// Together with [`skip_value`] this lets callers slice out the encoding of
-/// individual fields — the lazy-decode path of agent records keeps the
-/// rollback-log section as raw bytes this way.
+/// Together with [`skip_value`] this is what [`crate::FieldCursor`] slices
+/// the encoding of individual fields out with — the lazy-decode path of
+/// agent records keeps the rollback-log section as raw bytes this way.
 ///
 /// # Errors
 ///
 /// [`WireError::BadTag`] when the value is not a sequence, plus the usual
 /// truncation errors.
-pub fn read_seq_header(bytes: &[u8]) -> WireResult<(u64, usize)> {
+pub(crate) fn read_seq_header(bytes: &[u8]) -> WireResult<(u64, usize)> {
     let tag = *bytes.first().ok_or(WireError::UnexpectedEof)?;
     if tag != TAG_SEQ {
         return Err(WireError::BadTag(tag));
@@ -601,13 +556,14 @@ pub fn read_seq_header(bytes: &[u8]) -> WireResult<(u64, usize)> {
 /// is bounds-checked, and truncated input is an error.
 ///
 /// Iterative (explicit work counter instead of recursion), so adversarially
-/// nested input cannot overflow the stack.
+/// nested input cannot overflow the stack. The one skip walker of the crate:
+/// [`crate::FieldCursor::skip`] and `deserialize_ignored_any` both call it.
 ///
 /// # Errors
 ///
 /// [`WireError::BadTag`] / truncation errors describing the first framing
 /// violation.
-pub fn skip_value(bytes: &[u8]) -> WireResult<usize> {
+pub(crate) fn skip_value(bytes: &[u8]) -> WireResult<usize> {
     let mut pos = 0usize;
     // Number of complete values still to skip.
     let mut pending: u64 = 1;

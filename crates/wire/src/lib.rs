@@ -33,6 +33,7 @@
 mod bytes;
 mod de;
 mod error;
+mod fields;
 pub mod frame;
 mod hash;
 mod ser;
@@ -40,8 +41,9 @@ mod value;
 pub mod varint;
 
 pub use bytes::Bytes;
-pub use de::{from_slice, from_slice_prefix, read_seq_header, skip_value, BinDeserializer};
+pub use de::{from_slice, from_slice_prefix, BinDeserializer};
 pub use error::{WireError, WireResult};
+pub use fields::FieldCursor;
 pub use hash::content_hash64;
 pub use ser::{encoded_size, to_bytes, BinSerializer};
 pub use value::Value;
@@ -78,6 +80,7 @@ pub fn from_value<T: serde::de::DeserializeOwned>(value: &Value) -> WireResult<T
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::de::{read_seq_header, skip_value};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
