@@ -10,7 +10,8 @@
 //!   none asks the allocator for more than a constant multiple of the input
 //!   length, and whatever the full walk accepts the prefix readers accept
 //!   with the same fields;
-//! * a record that declares 11 or 13 fields is rejected by every reader.
+//! * a record that declares 11 or 13 fields is rejected by every reader,
+//!   the derive decode `AgentRecord::from_bytes` included.
 
 mod common;
 
@@ -143,6 +144,7 @@ proptest! {
             prop_assert!(itinerary_span(&wrong).is_err());
             prop_assert!(LazyRecord::parse(&wrong).is_err());
             prop_assert!(ResidentRecord::from_bytes(&wrong).is_err());
+            prop_assert!(AgentRecord::from_bytes(&wrong).is_err());
         }
     }
 }

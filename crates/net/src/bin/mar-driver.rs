@@ -11,11 +11,15 @@
 //! ```
 //!
 //! With `--dump <file>` it also writes a byte-comparison dump: every
-//! merged counter and histogram, each report's exact wire encoding in
-//! hex, and the money audit — the artifact the chaos campaign diffs
-//! against a fault-free control run.
+//! merged counter, each report's exact wire encoding in hex, and the money
+//! audit — the artifact the chaos campaign diffs against a fault-free
+//! control run.
+//!
+//! With `--hold-at-window K` (repeatable) the driver stops after its K-th
+//! lockstep window, every host idle: it prints `hold K` and waits for one
+//! line on stdin. That is where a supervisor's fault script strikes.
 
-use std::io::Write;
+use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -29,7 +33,7 @@ struct Args {
     seed: u64,
     agents: u32,
     deadline_secs: u64,
-    window_delay_us: u64,
+    hold_at_windows: Vec<u64>,
     io_timeout_secs: u64,
     down_grace_secs: u64,
     dump: Option<String>,
@@ -43,7 +47,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 11,
         agents: 4,
         deadline_secs: 600,
-        window_delay_us: 0,
+        hold_at_windows: Vec::new(),
         io_timeout_secs: 30,
         down_grace_secs: 20,
         dump: None,
@@ -58,7 +62,7 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.seed = parse(&val("--seed")?)?,
             "--agents" => args.agents = parse(&val("--agents")?)?,
             "--deadline-secs" => args.deadline_secs = parse(&val("--deadline-secs")?)?,
-            "--window-delay-us" => args.window_delay_us = parse(&val("--window-delay-us")?)?,
+            "--hold-at-window" => args.hold_at_windows.push(parse(&val("--hold-at-window")?)?),
             "--io-timeout-secs" => args.io_timeout_secs = parse(&val("--io-timeout-secs")?)?,
             "--down-grace-secs" => args.down_grace_secs = parse(&val("--down-grace-secs")?)?,
             "--dump" => args.dump = Some(val("--dump")?),
@@ -76,50 +80,39 @@ fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 }
 
 fn hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("mar-driver: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let endpoint = match Endpoint::parse(&args.socket) {
-        Ok(ep) => ep,
-        Err(e) => {
-            eprintln!("mar-driver: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let specs = match mar_net::scenarios::fleet(&args.scenario, args.agents) {
-        Some(s) => s,
-        None => {
-            eprintln!("mar-driver: unknown scenario {:?}", args.scenario);
-            return ExitCode::FAILURE;
-        }
-    };
+    run().unwrap_or_else(|e| {
+        eprintln!("mar-driver: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = parse_args()?;
+    let endpoint = Endpoint::parse(&args.socket)?;
+    let specs = mar_net::scenarios::fleet(&args.scenario, args.agents)
+        .ok_or_else(|| format!("unknown scenario {:?}", args.scenario))?;
     let mut cfg = NetCfg::new(endpoint, args.hosts, args.scenario.clone(), args.seed);
-    cfg.window_delay = Duration::from_micros(args.window_delay_us);
     cfg.io_timeout = Duration::from_secs(args.io_timeout_secs);
     cfg.down_grace = Duration::from_secs(args.down_grace_secs);
-    let mut platform = match NetPlatform::start(cfg) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mar-driver: startup failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut platform = NetPlatform::start(cfg).map_err(|e| format!("startup failed: {e}"))?;
     eprintln!(
         "mar-driver: {} hosts connected, launching {} agents",
         args.hosts, args.agents
     );
+    let holds = args.hold_at_windows;
+    if !holds.is_empty() {
+        platform.on_window(move |window| {
+            if holds.contains(&window) {
+                println!("hold {window}");
+                // Any line releases the hold; so does a closed stdin.
+                let _ = std::io::stdin().lock().read_line(&mut String::new());
+            }
+        });
+    }
     let handles = platform.launch_fleet(specs);
     let settled = platform.run_until_settled(&handles, SimDuration::from_secs(args.deadline_secs));
     let mut reports = Vec::new();
@@ -178,9 +171,9 @@ fn main() -> ExitCode {
         m.counter(mar_net::netkeys::HOST_DOWN_DROPS),
     );
     platform.shutdown();
-    if settled && failed.is_empty() {
+    Ok(if settled && failed.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }

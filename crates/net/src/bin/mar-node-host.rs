@@ -6,7 +6,8 @@
 //! node stores are file-backed: a SIGKILL loses only volatile state, and
 //! the next invocation recovers from the write-ahead logs and rejoins the
 //! running fleet. A SIGTERM is graceful: stable storage is flushed to the
-//! durable watermark and the driver gets a final flush frame before exit.
+//! durable watermark and the driver gets a final flush frame before the
+//! process exits 143. Exit 0 means the driver said the run is over.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -107,9 +108,11 @@ fn main() -> ExitCode {
     );
     match run_host(&cfg) {
         Ok(HostExit::Shutdown) => ExitCode::SUCCESS,
+        // Only a run the driver declared over exits 0: a supervisor heals
+        // every other exit, this graceful one included.
         Ok(HostExit::Terminated) => {
             eprintln!("mar-node-host: terminated gracefully (WAL flushed)");
-            ExitCode::SUCCESS
+            ExitCode::from(128 + SIGTERM as u8)
         }
         Ok(HostExit::Disconnected) => {
             eprintln!("mar-node-host: driver connection lost");

@@ -142,9 +142,6 @@ pub struct NetCfg {
     /// back (resumed or restarted) before the driver gives up on it and
     /// degrades to a partial fleet.
     pub down_grace: Duration,
-    /// Wall-clock pause after every window (0 = full speed); lets tests
-    /// and demos stretch a run long enough to kill a host mid-flight.
-    pub window_delay: Duration,
 }
 
 impl NetCfg {
@@ -159,7 +156,6 @@ impl NetCfg {
             accept_deadline: Duration::from_secs(30),
             io_timeout: Duration::from_secs(30),
             down_grace: Duration::from_secs(20),
-            window_delay: Duration::ZERO,
         }
     }
 }
@@ -215,7 +211,8 @@ struct NetState {
     lookahead_us: u64,
     io_timeout: Duration,
     down_grace: Duration,
-    window_delay: Duration,
+    /// Called with `net.windows` after every counted window.
+    on_window: Option<Box<dyn FnMut(u64)>>,
     rpc_seq: u64,
 }
 
@@ -287,7 +284,7 @@ impl NetPlatform {
             lookahead_us,
             io_timeout: cfg.io_timeout,
             down_grace: cfg.down_grace,
-            window_delay: cfg.window_delay,
+            on_window: None,
             rpc_seq: 0,
         };
         let deadline = Instant::now() + cfg.accept_deadline;
@@ -320,6 +317,13 @@ impl NetPlatform {
     /// Launches a whole fleet, returning one handle per spec in order.
     pub fn launch_fleet(&mut self, specs: impl IntoIterator<Item = AgentSpec>) -> Vec<AgentHandle> {
         specs.into_iter().map(|s| self.launch(s)).collect()
+    }
+
+    /// Installs the per-window hook: called between windows — every reply
+    /// in, every host idle — with the count so far (`net.windows`). A fault
+    /// drill blocks here, so its fault lands the same way on every run.
+    pub fn on_window(&mut self, hook: impl FnMut(u64) + 'static) {
+        self.net.on_window = Some(Box::new(hook));
     }
 
     /// Runs the distributed simulation for a span of virtual time.
@@ -617,18 +621,20 @@ impl NetState {
         }
     }
 
-    /// Commits one message to host `h`'s session, stalling for a
-    /// reconnection if needed. `true` means the frame is in the session
-    /// (delivered now or by replay after a resume); `false` means the
-    /// host is failed. A transport error does **not** retry the send —
-    /// the frame is already retained, and re-sending would duplicate it.
+    /// Commits one message to host `h`'s session; `false` means the host
+    /// is failed. A send never stalls: while the connection is down the
+    /// frame is only retained — replayed if the session resumes, lost with
+    /// it if the host comes back restarted — and the stall is the awaited
+    /// reply's. So it changes nothing that a dead connection shows at the
+    /// first write on a Unix socket and only at the next read on TCP. A
+    /// transport error does **not** retry the send: the frame is already
+    /// retained, and re-sending would duplicate it.
     fn send_to(&mut self, h: usize, msg: &NetMsg) -> bool {
-        if !self.wait_attached(h) {
+        if self.slots[h].failed {
             return false;
         }
-        match self.slots[h].peer.send(msg) {
-            Ok(()) => {}
-            Err(_) => self.on_conn_error(h),
+        if self.slots[h].peer.send(msg).is_err() {
+            self.on_conn_error(h);
         }
         self.world.metrics().inc(netkeys::FRAMES_SENT);
         true
@@ -676,11 +682,10 @@ impl NetState {
                         return Some(NetMsg::RpcReply { id, reply });
                     }
                 }
-                other => {
+                _ => {
                     // A host sending driver-bound commands is broken
                     // beyond resumption; a replayed bad frame would loop
                     // forever, so degrade deterministically.
-                    let _ = other;
                     self.give_up(h);
                     return None;
                 }
@@ -713,12 +718,6 @@ impl NetState {
                     continue;
                 }
                 let events = std::mem::take(&mut self.slots[h].pending);
-                if self.slots[h].failed {
-                    self.world
-                        .metrics()
-                        .add(netkeys::HOST_DOWN_DROPS, events.len() as u64);
-                    continue;
-                }
                 let batch_min = events.iter().map(|e| e.at_us).min();
                 let relayed = events.len() as u64;
                 let billed: u64 = events.iter().map(|e| e.billed).sum();
@@ -744,8 +743,8 @@ impl NetState {
             };
             self.run_window(window_end(m, self.lookahead_us, target_us));
             self.world.metrics().inc(netkeys::WINDOWS);
-            if !self.window_delay.is_zero() {
-                std::thread::sleep(self.window_delay);
+            if let Some(hook) = &mut self.on_window {
+                hook(self.world.metrics().counter(netkeys::WINDOWS));
             }
         }
         // Quiescent before the boundary: the window that ends just past it
@@ -755,17 +754,20 @@ impl NetState {
 
     /// One lockstep window: every live host is sent the frame before any
     /// reply is awaited, then every clock stands at the last instant of it.
+    /// The driver's own clock goes there first: a host that rejoins
+    /// restarted while the window is in flight is resumed where the others
+    /// will stand, not an instant they have already run past.
     fn run_window(&mut self, end_us: u64) {
+        self.world.advance_clock_to(end_us.saturating_sub(1));
         let mut running = Vec::with_capacity(self.slots.len());
         for h in 0..self.slots.len() {
-            if !self.slots[h].failed && self.send_to(h, &NetMsg::RunWindow { end_us }) {
+            if self.send_to(h, &NetMsg::RunWindow { end_us }) {
                 running.push(h);
             }
         }
         for h in running {
             let _ = self.recv_reply(h, &Expect::WindowDone { end_us });
         }
-        self.world.advance_clock_to(end_us.saturating_sub(1));
     }
 
     /// One synchronous RPC against a host; `None` if the host is failed

@@ -30,7 +30,7 @@
 //!   against any transport.
 //! - [`supervisor`] — the fleet supervisor: spawn driver + hosts, watch
 //!   them, restart crashed hosts with jittered backoff under a budget, and
-//!   run scripted chaos schedules against them.
+//!   run a fault script against them, keyed on lockstep windows.
 //!
 //! The design target is *observational equivalence*: a distributed run and
 //! a single-process run of the same scenario and seed produce the same
@@ -53,7 +53,6 @@ pub use fault::{FaultHandle, FaultPlan, FaultStats, FaultyTransport};
 pub use host::{run_host, HostConfig, HostExit, HostRuntime, ServeCtl};
 pub use proto::{NetMsg, Peer, PROTOCOL_VERSION};
 pub use supervisor::{
-    ChaosAction, ChaosEvent, ChaosSchedule, Fleet, FleetConfig, FleetSummary, Recovery,
-    RestartPolicy,
+    ChaosAction, ChaosEvent, Fleet, FleetConfig, FleetSummary, Recovery, RestartPolicy,
 };
 pub use transport::{Endpoint, Listener, Loopback, SocketTransport, Transport};

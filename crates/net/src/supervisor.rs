@@ -9,12 +9,16 @@
 //!    `joined host=… wal_replayed_bytes=…` lines the hosts emit after
 //!    each handshake — the supervisor's liveness signal and the source of
 //!    the MTTR and WAL-replay recovery-cost numbers;
-//! 3. restart a crashed host with the jittered exponential backoff of
-//!    [`crate::transport::retry_delay`], up to a per-host
+//! 3. restart a host that exits nonzero — 0 is what a host exits with when
+//!    the driver declared the run over — with the jittered exponential
+//!    backoff of [`crate::transport::retry_delay`], up to a per-host
 //!    [`RestartPolicy::budget`];
-//! 4. execute a [`ChaosSchedule`] — scripted SIGKILL / SIGSTOP / SIGCONT /
-//!    SIGTERM against specific hosts at wall-clock offsets — so crash and
-//!    partition drills are first-class scenarios, not shell one-liners;
+//! 4. execute the fault script ([`ChaosEvent`]s) — SIGKILL, SIGSTOP with a
+//!    timed SIGCONT, SIGTERM against specific hosts, each after a given
+//!    lockstep window: the driver is started with `--hold-at-window K` for
+//!    every scripted K, prints `hold K` between windows K and K+1 with
+//!    every host idle, and blocks on stdin until the supervisor has struck
+//!    (and reaped what it killed) — so the same script is the same run;
 //! 5. when a host exhausts its budget, stop restarting it and let the
 //!    driver degrade: the driver gives up on the host after its own
 //!    `down_grace`, drains what settled, and exits nonzero with partial
@@ -26,11 +30,12 @@
 //! recovery-cost observations (per-restart MTTR, cumulative WAL bytes
 //! replayed).
 
-use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader};
+use std::collections::BTreeMap;
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mar_simnet::SimRng;
@@ -62,39 +67,31 @@ pub enum ChaosAction {
     /// SIGKILL: instant death, volatile state lost, WAL tail possibly
     /// torn — the crash the paper's recovery machinery exists for.
     Kill,
-    /// SIGSTOP: the process freezes mid-protocol — a network partition as
-    /// seen from every peer, healed by a later [`ChaosAction::Resume`].
-    Pause,
-    /// SIGCONT: heal a [`ChaosAction::Pause`] partition.
-    Resume,
+    /// SIGSTOP, then SIGCONT `thaw_after` later: the process freezes
+    /// mid-protocol — a network partition as seen from every peer. The
+    /// thaw is wall clock by nature: whether the peers absorb the outage
+    /// in place or their watchdogs force a disconnect and a session
+    /// resume is defined against `io_timeout`.
+    Pause {
+        /// How long the host stays frozen.
+        thaw_after: Duration,
+    },
     /// SIGTERM: graceful shutdown — the host flushes its WAL and sends a
     /// final flush frame before exiting.
     Term,
 }
 
-/// A scripted fault at a wall-clock offset from fleet start.
+/// A scripted fault at a position in the lockstep protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosEvent {
-    /// Milliseconds after the fleet finished spawning.
-    pub at_ms: u64,
+    /// The driver's window count (`net.windows`) the fault lands after:
+    /// the driver holds there, every host idle, until the supervisor has
+    /// struck — and, for a kill or a term, reaped the host.
+    pub at_window: u64,
     /// Which host to hit.
     pub host: u32,
     /// What to do to it.
     pub action: ChaosAction,
-}
-
-/// The full fault script of one run, applied in `at_ms` order.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosSchedule {
-    /// The events; the supervisor sorts them by offset.
-    pub events: Vec<ChaosEvent>,
-}
-
-impl ChaosSchedule {
-    /// A schedule that injects nothing (the control arm).
-    pub fn quiet() -> Self {
-        ChaosSchedule::default()
-    }
 }
 
 /// Everything needed to spawn and supervise one distributed run.
@@ -113,8 +110,8 @@ pub struct FleetConfig {
     pub hosts: u32,
     /// Restart behaviour.
     pub restart: RestartPolicy,
-    /// Scripted faults.
-    pub chaos: ChaosSchedule,
+    /// Scripted faults; events of one window apply in script order.
+    pub chaos: Vec<ChaosEvent>,
     /// Wall-clock backstop: if the driver has not exited by then the
     /// whole fleet is killed and `run` fails.
     pub deadline: Duration,
@@ -133,7 +130,7 @@ impl FleetConfig {
             host_args: Vec::new(),
             hosts,
             restart: RestartPolicy::default(),
-            chaos: ChaosSchedule::quiet(),
+            chaos: Vec::new(),
             deadline: Duration::from_secs(120),
             echo: false,
         }
@@ -148,6 +145,8 @@ pub struct Recovery {
     pub host: u32,
     /// Death-to-rejoin wall-clock time in milliseconds (the MTTR sample).
     pub mttr_ms: f64,
+    /// The virtual time the driver resumed the host at.
+    pub at_us: u64,
     /// WAL bytes the restarted process replayed to rebuild its state.
     pub wal_replayed_bytes: u64,
 }
@@ -160,20 +159,23 @@ pub struct FleetSummary {
     /// The driver's captured stdout lines (reports, money, counters).
     pub driver_stdout: Vec<String>,
     /// Restarts performed, per host id.
-    pub restarts: HashMap<u32, u32>,
+    pub restarts: BTreeMap<u32, u32>,
     /// Hosts whose budget ran out (the supervisor stopped restarting).
     pub gave_up: Vec<u32>,
     /// Every observed recovery, in order.
     pub recoveries: Vec<Recovery>,
+    /// Scripted faults that never landed: the run ended before their
+    /// window, or their host was not running when the driver held there.
+    pub unfired: Vec<ChaosEvent>,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
 }
 
 impl FleetSummary {
-    /// Whether the run fully succeeded: driver exited 0 and no host was
-    /// abandoned.
+    /// Whether the run fully succeeded: driver exited 0, no host was
+    /// abandoned, and every scripted fault landed.
     pub fn success(&self) -> bool {
-        self.driver_code == Some(0) && self.gave_up.is_empty()
+        self.driver_code == Some(0) && self.gave_up.is_empty() && self.unfired.is_empty()
     }
 
     /// Mean time to recovery over all observed restarts, milliseconds.
@@ -190,15 +192,15 @@ impl FleetSummary {
     }
 }
 
-/// Lines of interest flowing out of child stderr readers.
-enum Note {
-    HostJoined {
-        host: u32,
-        at: Instant,
-        wal_replayed_bytes: u64,
-    },
+/// A host's `joined …` stderr line.
+struct Joined {
+    host: u32,
+    at: Instant,
+    at_us: u64,
+    wal_replayed_bytes: u64,
 }
 
+#[derive(Default)]
 struct HostProc {
     child: Option<Child>,
     restarts: u32,
@@ -207,7 +209,8 @@ struct HostProc {
     died_at: Option<Instant>,
     /// When the backoff pause ends and the respawn happens.
     respawn_at: Option<Instant>,
-    paused: bool,
+    /// When a scripted pause ends and the host gets its SIGCONT.
+    thaw_at: Option<Instant>,
 }
 
 /// The supervisor. See the module docs for the lifecycle.
@@ -230,33 +233,53 @@ impl Fleet {
     /// an error here — inspect [`FleetSummary::driver_code`].
     pub fn run(&mut self) -> io::Result<FleetSummary> {
         let start = Instant::now();
-        let (note_tx, note_rx) = mpsc::channel::<Note>();
+        let (note_tx, note_rx) = mpsc::channel::<Joined>();
         let (out_tx, out_rx) = mpsc::channel::<String>();
         let echo = self.cfg.echo;
+        // Reader threads of every child's pipes; each ends at EOF.
+        let mut readers: Vec<JoinHandle<()>> = Vec::new();
 
+        // Events not yet fired. The driver holds at each one's window.
+        let mut script = self.cfg.chaos.clone();
         let mut driver = Command::new(&self.cfg.driver_bin)
             .args(&self.cfg.driver_args)
+            .args(
+                script
+                    .iter()
+                    .flat_map(|ev| ["--hold-at-window".to_owned(), ev.at_window.to_string()]),
+            )
+            .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()?;
-        tee_driver(&mut driver, &out_tx, echo);
+        let mut driver_stdin = driver.stdin.take();
+        readers.extend(driver.stdout.take().map(|pipe| {
+            read_lines(pipe, move |line| {
+                if echo {
+                    println!("{line}");
+                }
+                let _ = out_tx.send(line);
+            })
+        }));
+        readers.extend(driver.stderr.take().map(|pipe| {
+            read_lines(pipe, move |line| {
+                if echo {
+                    eprintln!("{line}");
+                }
+            })
+        }));
 
         let mut hosts: Vec<HostProc> = Vec::new();
         for h in 0..self.cfg.hosts {
-            let child = self.spawn_host(h, &note_tx)?;
+            let child = Some(self.spawn_host(h, &note_tx, &mut readers)?);
             hosts.push(HostProc {
-                child: Some(child),
-                restarts: 0,
-                gave_up: false,
-                died_at: None,
-                respawn_at: None,
-                paused: false,
+                child,
+                ..HostProc::default()
             });
         }
 
-        let mut chaos = self.cfg.chaos.events.clone();
-        chaos.sort_by_key(|e| e.at_ms);
-        let mut next_chaos = 0usize;
+        // While the driver holds: the hosts whose exit releases it.
+        let mut held: Option<Vec<usize>> = None;
         let mut backoff_rng = SimRng::seed_from(self.cfg.restart.backoff_seed);
         let mut recoveries: Vec<Recovery> = Vec::new();
         let mut driver_stdout: Vec<String> = Vec::new();
@@ -269,81 +292,68 @@ impl Fleet {
             if Instant::now() > deadline {
                 break None;
             }
-            // Scripted chaos due now.
-            while next_chaos < chaos.len()
-                && start.elapsed() >= Duration::from_millis(chaos[next_chaos].at_ms)
-            {
-                let ev = chaos[next_chaos];
-                next_chaos += 1;
-                self.apply_chaos(ev, &mut hosts, echo);
+            // Driver output; a `hold K` line is where the script strikes.
+            for line in out_rx.try_iter() {
+                match line.strip_prefix("hold ").and_then(|k| k.parse().ok()) {
+                    Some(window) => held = Some(self.strike(window, &mut script, &mut hosts)),
+                    None => driver_stdout.push(line),
+                }
             }
-            // Child watch: notice deaths, schedule and perform restarts.
+            // Child watch: perform due restarts and thaws, notice deaths.
             for (h, slot) in hosts.iter_mut().enumerate() {
-                let exited = match &mut slot.child {
-                    Some(child) => child.try_wait()?.is_some(),
-                    None => false,
+                let now = Instant::now();
+                if slot.respawn_at.is_some_and(|at| now >= at) {
+                    slot.respawn_at = None;
+                    slot.restarts += 1;
+                    if echo {
+                        eprintln!(
+                            "mar-fleet: restarting host {h} (restart {} of {})",
+                            slot.restarts, self.cfg.restart.budget
+                        );
+                    }
+                    slot.child = Some(self.spawn_host(h as u32, &note_tx, &mut readers)?);
+                }
+                let Some(child) = &mut slot.child else {
+                    continue;
                 };
-                if exited {
-                    slot.child = None;
-                    if slot.gave_up {
-                        continue;
-                    }
-                    let now = Instant::now();
-                    slot.died_at = Some(now);
-                    slot.paused = false;
-                    if slot.restarts >= self.cfg.restart.budget {
-                        slot.gave_up = true;
-                        slot.respawn_at = None;
-                        if echo {
-                            eprintln!(
-                                "mar-fleet: host {h} exhausted its restart budget ({}); degrading",
-                                self.cfg.restart.budget
-                            );
-                        }
-                        continue;
-                    }
-                    let attempt = slot.restarts;
-                    let pause = retry_delay(attempt, &mut backoff_rng);
-                    slot.respawn_at = Some(now + pause);
+                if slot.thaw_at.is_some_and(|at| now >= at) {
+                    slot.thaw_at = None;
+                    signal_pid(child.id(), "-CONT");
                 }
-                if let Some(at) = slot.respawn_at {
-                    if Instant::now() >= at && slot.child.is_none() && !slot.gave_up {
-                        slot.respawn_at = None;
-                        slot.restarts += 1;
-                        if echo {
-                            eprintln!(
-                                "mar-fleet: restarting host {h} (restart {} of {})",
-                                slot.restarts, self.cfg.restart.budget
-                            );
-                        }
-                        slot.child = Some(self.spawn_host(h as u32, &note_tx)?);
+                let Some(status) = child.try_wait()? else {
+                    continue;
+                };
+                slot.child = None;
+                slot.thaw_at = None;
+                if status.success() {
+                    // The driver said shutdown: this host's run is over.
+                    continue;
+                }
+                slot.died_at = Some(now);
+                if slot.restarts >= self.cfg.restart.budget {
+                    slot.gave_up = true;
+                    if echo {
+                        eprintln!(
+                            "mar-fleet: host {h} exhausted its restart budget ({}); degrading",
+                            self.cfg.restart.budget
+                        );
                     }
+                } else {
+                    slot.respawn_at = Some(now + retry_delay(slot.restarts, &mut backoff_rng));
                 }
             }
-            // Drain observations.
-            while let Ok(note) = note_rx.try_recv() {
-                match note {
-                    Note::HostJoined {
-                        host,
-                        at,
-                        wal_replayed_bytes,
-                    } => {
-                        if let Some(died) = hosts
-                            .get_mut(host as usize)
-                            .and_then(|hp| hp.died_at.take())
-                        {
-                            recoveries.push(Recovery {
-                                host,
-                                mttr_ms: at.duration_since(died).as_secs_f64() * 1000.0,
-                                wal_replayed_bytes,
-                            });
-                        }
-                    }
+            // Every host the script killed is reaped: one line releases
+            // the driver into a fleet that is deterministically short.
+            if held
+                .as_ref()
+                .is_some_and(|dying| dying.iter().all(|&h| hosts[h].child.is_none()))
+            {
+                held = None;
+                if let Some(stdin) = &mut driver_stdin {
+                    let _ = stdin.write_all(b"\n");
                 }
             }
-            while let Ok(line) = out_rx.try_recv() {
-                driver_stdout.push(line);
-            }
+            note_recoveries(&note_rx, &mut hosts, &mut recoveries);
             std::thread::sleep(Duration::from_millis(5));
         };
 
@@ -356,36 +366,17 @@ impl Fleet {
                 let _ = child.wait();
             }
         }
-        let driver_status = match driver_status {
-            Some(s) => Some(s),
-            None => {
-                let _ = driver.kill();
-                let _ = driver.wait();
-                None
-            }
-        };
-        // Late output raced the exit: give the reader threads a moment.
-        std::thread::sleep(Duration::from_millis(50));
-        while let Ok(line) = out_rx.try_recv() {
-            driver_stdout.push(line);
+        if driver_status.is_none() {
+            let _ = driver.kill();
+            let _ = driver.wait();
         }
-        while let Ok(note) = note_rx.try_recv() {
-            let Note::HostJoined {
-                host,
-                at,
-                wal_replayed_bytes,
-            } = note;
-            if let Some(died) = hosts
-                .get_mut(host as usize)
-                .and_then(|hp| hp.died_at.take())
-            {
-                recoveries.push(Recovery {
-                    host,
-                    mttr_ms: at.duration_since(died).as_secs_f64() * 1000.0,
-                    wal_replayed_bytes,
-                });
-            }
+        // Every child is reaped, so every reader is at EOF: after the joins
+        // no late `report …` or `joined …` line can still be in flight.
+        for reader in readers {
+            let _ = reader.join();
         }
+        driver_stdout.extend(out_rx.try_iter());
+        note_recoveries(&note_rx, &mut hosts, &mut recoveries);
 
         let status = driver_status.ok_or_else(|| {
             io::Error::new(
@@ -396,23 +387,23 @@ impl Fleet {
         Ok(FleetSummary {
             driver_code: status.code(),
             driver_stdout,
-            restarts: hosts
-                .iter()
-                .enumerate()
-                .map(|(h, hp)| (h as u32, hp.restarts))
-                .collect(),
-            gave_up: hosts
-                .iter()
-                .enumerate()
-                .filter(|(_, hp)| hp.gave_up)
-                .map(|(h, _)| h as u32)
+            restarts: (0..).zip(&hosts).map(|(h, hp)| (h, hp.restarts)).collect(),
+            gave_up: (0..)
+                .zip(&hosts)
+                .filter_map(|(h, hp)| hp.gave_up.then_some(h))
                 .collect(),
             recoveries,
+            unfired: script,
             elapsed: start.elapsed(),
         })
     }
 
-    fn spawn_host(&self, host_id: u32, notes: &mpsc::Sender<Note>) -> io::Result<Child> {
+    fn spawn_host(
+        &self,
+        host_id: u32,
+        notes: &mpsc::Sender<Joined>,
+        readers: &mut Vec<JoinHandle<()>>,
+    ) -> io::Result<Child> {
         let args: Vec<String> = self
             .cfg
             .host_args
@@ -424,40 +415,90 @@ impl Fleet {
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()?;
-        watch_host_stderr(&mut child, host_id, notes.clone(), self.cfg.echo);
+        // The `joined` lines are the supervisor's liveness signal, stamped
+        // on arrival: the MTTR clock's rejoin edge.
+        let (notes, echo) = (notes.clone(), self.cfg.echo);
+        readers.extend(child.stderr.take().map(|pipe| {
+            read_lines(pipe, move |line| {
+                if echo {
+                    eprintln!("{line}");
+                }
+                if let Some((at_us, wal_replayed_bytes)) = parse_joined(&line) {
+                    let _ = notes.send(Joined {
+                        host: host_id,
+                        at: Instant::now(),
+                        at_us,
+                        wal_replayed_bytes,
+                    });
+                }
+            })
+        }));
         Ok(child)
     }
 
-    fn apply_chaos(&self, ev: ChaosEvent, hosts: &mut [HostProc], echo: bool) {
-        let Some(hp) = hosts.get_mut(ev.host as usize) else {
-            return;
-        };
-        let Some(child) = &mut hp.child else {
-            return;
-        };
-        if echo {
-            eprintln!(
-                "mar-fleet: chaos {:?} host {} at +{}ms",
-                ev.action, ev.host, ev.at_ms
-            );
-        }
-        match ev.action {
-            ChaosAction::Kill => {
-                let _ = child.kill();
+    /// The driver holds after `window`: applies every event scripted for
+    /// it, in script order, and returns the hosts whose exit the release
+    /// waits for. An event that does not land — its host is not running —
+    /// stays in `script`.
+    fn strike(
+        &self,
+        window: u64,
+        script: &mut Vec<ChaosEvent>,
+        hosts: &mut [HostProc],
+    ) -> Vec<usize> {
+        let mut dying = Vec::new();
+        script.retain(|ev| {
+            if ev.at_window != window {
+                return true;
             }
-            ChaosAction::Pause => {
-                if signal_pid(child.id(), "-STOP") {
-                    hp.paused = true;
+            let h = ev.host as usize;
+            let Some(hp) = hosts.get_mut(h) else {
+                return true;
+            };
+            let Some(child) = &mut hp.child else {
+                return true;
+            };
+            if self.cfg.echo {
+                eprintln!(
+                    "mar-fleet: chaos {:?} host {h} after window {window}",
+                    ev.action
+                );
+            }
+            let landed = match ev.action {
+                ChaosAction::Kill => child.kill().is_ok(),
+                ChaosAction::Term => signal_pid(child.id(), "-TERM"),
+                ChaosAction::Pause { thaw_after } => {
+                    hp.thaw_at = Some(Instant::now() + thaw_after);
+                    signal_pid(child.id(), "-STOP")
                 }
+            };
+            if landed && !matches!(ev.action, ChaosAction::Pause { .. }) {
+                dying.push(h);
             }
-            ChaosAction::Resume => {
-                if signal_pid(child.id(), "-CONT") {
-                    hp.paused = false;
-                }
-            }
-            ChaosAction::Term => {
-                signal_pid(child.id(), "-TERM");
-            }
+            !landed
+        });
+        dying
+    }
+}
+
+/// Turns the hosts' `joined` lines into recovery observations: a join that
+/// follows a noticed death closes that outage.
+fn note_recoveries(
+    notes: &mpsc::Receiver<Joined>,
+    hosts: &mut [HostProc],
+    recoveries: &mut Vec<Recovery>,
+) {
+    for joined in notes.try_iter() {
+        if let Some(died) = hosts
+            .get_mut(joined.host as usize)
+            .and_then(|hp| hp.died_at.take())
+        {
+            recoveries.push(Recovery {
+                host: joined.host,
+                mttr_ms: joined.at.duration_since(died).as_secs_f64() * 1000.0,
+                at_us: joined.at_us,
+                wal_replayed_bytes: joined.wal_replayed_bytes,
+            });
         }
     }
 }
@@ -473,67 +514,35 @@ fn signal_pid(pid: u32, sig: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// Forwards driver stdout into the collection channel (and optionally the
-/// supervisor's stdout), and driver stderr to the supervisor's stderr.
-fn tee_driver(driver: &mut Child, out: &mpsc::Sender<String>, echo: bool) {
-    if let Some(stdout) = driver.stdout.take() {
-        let out = out.clone();
-        std::thread::spawn(move || {
-            for line in BufReader::new(stdout).lines().map_while(Result::ok) {
-                if echo {
-                    println!("{line}");
-                }
-                if out.send(line).is_err() {
-                    break;
-                }
-            }
-        });
-    }
-    if let Some(stderr) = driver.stderr.take() {
-        std::thread::spawn(move || {
-            for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-                if echo {
-                    eprintln!("{line}");
-                }
-            }
-        });
-    }
-}
-
-/// Watches one host's stderr for `joined` lines, reporting them as
-/// [`Note`]s with arrival timestamps (the MTTR clock's rejoin edge).
-fn watch_host_stderr(child: &mut Child, host_id: u32, notes: mpsc::Sender<Note>, echo: bool) {
-    let Some(stderr) = child.stderr.take() else {
-        return;
-    };
+/// Reads a child's pipe line by line on a thread of its own; the thread
+/// ends at EOF, which comes once the child is reaped.
+fn read_lines(
+    pipe: impl io::Read + Send + 'static,
+    each: impl FnMut(String) + Send + 'static,
+) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
-            if echo {
-                eprintln!("{line}");
-            }
-            if let Some(wal) = parse_joined(&line) {
-                let _ = notes.send(Note::HostJoined {
-                    host: host_id,
-                    at: Instant::now(),
-                    wal_replayed_bytes: wal,
-                });
-            }
-        }
-    });
+        BufReader::new(pipe)
+            .lines()
+            .map_while(Result::ok)
+            .for_each(each);
+    })
 }
 
-/// Extracts `wal_replayed_bytes` from a host `joined` stderr line;
-/// `None` for any other line.
-fn parse_joined(line: &str) -> Option<u64> {
+/// Extracts `(at_us, wal_replayed_bytes)` from a host `joined` stderr
+/// line; `None` for any other line.
+fn parse_joined(line: &str) -> Option<(u64, u64)> {
+    let field = |key: &str| -> Option<u64> {
+        line.split(key)
+            .nth(1)?
+            .split_whitespace()
+            .next()?
+            .parse()
+            .ok()
+    };
     if !line.contains("joined host=") {
         return None;
     }
-    line.split("wal_replayed_bytes=")
-        .nth(1)?
-        .split_whitespace()
-        .next()?
-        .parse()
-        .ok()
+    Some((field("at_us=")?, field("wal_replayed_bytes=")?))
 }
 
 #[cfg(test)]
@@ -546,26 +555,28 @@ mod tests {
             parse_joined(
                 "mar-node-host: joined host=1 resume=false at_us=500 wal_replayed_bytes=4096"
             ),
-            Some(4096)
+            Some((500, 4096))
         );
         assert_eq!(parse_joined("mar-node-host: serving"), None);
     }
 
+    /// The wind-down joins the reader threads before the final drain: a
+    /// driver that prints and exits at once loses no line, ever.
     #[test]
-    fn chaos_schedules_sort_stably() {
-        let mut ev = [
-            ChaosEvent {
-                at_ms: 50,
-                host: 1,
-                action: ChaosAction::Kill,
-            },
-            ChaosEvent {
-                at_ms: 10,
-                host: 0,
-                action: ChaosAction::Pause,
-            },
+    fn no_driver_line_is_lost_at_exit() {
+        let mut cfg = FleetConfig::new("/bin/sh".into(), "/bin/false".into(), 0);
+        cfg.driver_args = vec![
+            "-c".into(),
+            "printf 'report 1\nmoney USD=1\nsettled=true\n'".into(),
         ];
-        ev.sort_by_key(|e| e.at_ms);
-        assert_eq!(ev[0].host, 0);
+        for round in 0..200 {
+            let summary = Fleet::new(cfg.clone()).run().expect("sh runs");
+            assert_eq!(
+                summary.driver_stdout,
+                ["report 1", "money USD=1", "settled=true"],
+                "round {round}"
+            );
+            assert!(summary.success());
+        }
     }
 }

@@ -1,17 +1,21 @@
 //! The tentpole acceptance test: a supervised fleet of real processes
 //! under scripted chaos — SIGKILL, SIGSTOP/SIGCONT partitions, SIGTERM,
-//! and budget exhaustion — driven by [`mar_net::Fleet`].
+//! and budget exhaustion — driven by [`mar_net::Fleet`]. A fault lands
+//! after a given lockstep window, where the driver holds with every host
+//! idle, so no arm depends on how fast the machine is.
 //!
-//! Two equivalence classes, matching the session layer's guarantees:
+//! Three equivalence classes:
 //!
 //! * **Partitions** (a host frozen mid-protocol and thawed later) are
 //!   fully absorbed by session replay: the counter/report/money dump is
-//!   **byte-identical** to a chaos-free control, minus `net.*` transport
-//!   diagnostics.
+//!   **byte-identical** to a chaos-free, hold-free control, minus `net.*`
+//!   transport diagnostics.
 //! * **Process deaths** (SIGKILL, graceful SIGTERM) recover through the
 //!   WAL: outcomes, committed steps, and the money audit match the
 //!   control; virtual timings may legitimately shift once recovery
 //!   retransmissions enter.
+//! * **Replay**: the same kill script is the same run — byte-identical
+//!   dumps and rejoin times, twice on UDS and once on TCP.
 //!
 //! A budget-exhaustion arm pins graceful degradation: when the victim is
 //! never restarted, the driver gives up after `down_grace`, drains what
@@ -23,7 +27,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use mar_net::scenarios::{self, TRAVEL};
-use mar_net::supervisor::{ChaosAction, ChaosEvent, ChaosSchedule, Fleet, FleetConfig};
+use mar_net::supervisor::{ChaosAction, ChaosEvent, Fleet, FleetConfig, FleetSummary};
 use mar_simnet::SimDuration;
 
 const SEED: u64 = 11;
@@ -58,9 +62,8 @@ struct Arm {
     dump: PathBuf,
 }
 
-/// A fleet over `socket` with per-host WAL dirs under a fresh temp base,
-/// stretched in wall clock so chaos lands mid-run.
-fn arm(tag: &str, socket_of: impl Fn(&Path) -> String, window_delay_us: u64) -> Arm {
+/// A fleet over `socket` with per-host WAL dirs under a fresh temp base.
+fn arm(tag: &str, socket_of: impl Fn(&Path) -> String) -> Arm {
     let base = std::env::temp_dir().join(format!("mar-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).unwrap();
@@ -84,8 +87,6 @@ fn arm(tag: &str, socket_of: impl Fn(&Path) -> String, window_delay_us: u64) -> 
         AGENTS.to_string(),
         "--deadline-secs".into(),
         "600".into(),
-        "--window-delay-us".into(),
-        window_delay_us.to_string(),
         "--io-timeout-secs".into(),
         "1".into(),
         "--dump".into(),
@@ -156,7 +157,7 @@ fn kernel_dump(path: &Path) -> Vec<String> {
     std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("dump {} unreadable: {e}", path.display()))
         .lines()
-        .filter(|l| !l.starts_with("counter net.") && !l.starts_with("hist net."))
+        .filter(|l| !l.starts_with("counter net."))
         .map(str::to_owned)
         .collect()
 }
@@ -166,7 +167,7 @@ fn kernel_dump(path: &Path) -> Vec<String> {
 fn control_dump() -> &'static Vec<String> {
     static CONTROL: OnceLock<Vec<String>> = OnceLock::new();
     CONTROL.get_or_init(|| {
-        let a = arm("control", uds, 0);
+        let a = arm("control", uds);
         let summary = Fleet::new(a.cfg.clone()).run().expect("control fleet");
         assert_eq!(summary.driver_code, Some(0), "control fleet failed");
         let (outcomes, usd, settled, degraded) = parse_outcomes(&summary.driver_stdout);
@@ -183,56 +184,73 @@ fn control_dump() -> &'static Vec<String> {
     })
 }
 
-#[test]
-fn kill_campaign_recovers_on_uds_and_tcp() {
+fn on_host_1(at_window: u64, action: ChaosAction) -> ChaosEvent {
+    ChaosEvent {
+        at_window,
+        host: 1,
+        action,
+    }
+}
+
+/// Runs `a` under `script` and checks what every recovered run owes: the
+/// control's outcomes and money, nobody abandoned, every fault fired.
+fn run_recovering(a: &Arm, script: &[ChaosEvent], what: &str) -> FleetSummary {
     let control = control_outcomes();
-    for (flavor, socket_of) in [("uds", uds as fn(&Path) -> String), ("tcp", tcp)] {
-        let mut exercised = false;
-        for (i, kill_at_ms) in [400u64, 700, 1000].into_iter().enumerate() {
-            let a = arm(&format!("kill-{flavor}-{i}"), socket_of, 3000);
-            let mut cfg = a.cfg.clone();
-            cfg.chaos = ChaosSchedule {
-                events: vec![ChaosEvent {
-                    at_ms: kill_at_ms,
-                    host: 1,
-                    action: ChaosAction::Kill,
-                }],
-            };
-            let summary = Fleet::new(cfg).run().expect("kill fleet");
-            let (outcomes, usd, settled, degraded) = parse_outcomes(&summary.driver_stdout);
+    let mut cfg = a.cfg.clone();
+    cfg.chaos = script.to_vec();
+    let summary = Fleet::new(cfg).run().expect("fleet runs");
+    let (outcomes, usd, settled, degraded) = parse_outcomes(&summary.driver_stdout);
+    assert_eq!(
+        summary.driver_code,
+        Some(0),
+        "{what}: {:?}",
+        summary.driver_stdout
+    );
+    assert!(settled && !degraded, "{what}");
+    assert_eq!(outcomes, control.0, "{what}: outcomes diverged");
+    assert_eq!(usd, Some(control.1), "{what}: money diverged");
+    assert!(summary.gave_up.is_empty(), "{what}: {:?}", summary.gave_up);
+    assert_eq!(summary.unfired, [], "{what}: a scripted fault never landed");
+    summary
+}
+
+#[test]
+fn a_kill_script_replays() {
+    // Host 1 dies after windows spread over the ~141 of the run, alone and
+    // all three in one script.
+    let scripts = [&[20u64][..], &[70], &[120], &[20, 70, 120]];
+    for (i, windows) in scripts.into_iter().enumerate() {
+        let script: Vec<_> = windows
+            .iter()
+            .map(|&w| on_host_1(w, ChaosAction::Kill))
+            .collect();
+        let mut runs = Vec::new();
+        for (flavor, socket_of) in [
+            ("uds-a", uds as fn(&Path) -> String),
+            ("uds-b", uds),
+            ("tcp", tcp),
+        ] {
+            let what = format!("{flavor} kills after {windows:?}");
+            let a = arm(&format!("kill-{flavor}-{i}"), socket_of);
+            let summary = run_recovering(&a, &script, &what);
+            // Every kill landed and was healed exactly once, each with an
+            // MTTR sample and a WAL that had something to replay.
+            assert_eq!(summary.restarts[&1], windows.len() as u32, "{what}");
+            assert_eq!(summary.restarts[&0], 0, "{what}");
+            assert_eq!(summary.recoveries.len(), windows.len(), "{what}");
+            assert!(
+                summary.recoveries.iter().all(|r| r.wal_replayed_bytes > 0),
+                "{what}: {:?}",
+                summary.recoveries
+            );
+            let rejoined_at: Vec<u64> = summary.recoveries.iter().map(|r| r.at_us).collect();
+            runs.push((what, rejoined_at, kernel_dump(&a.dump)));
             let _ = std::fs::remove_dir_all(&a.base);
-            assert_eq!(
-                summary.driver_code,
-                Some(0),
-                "driver failed under {flavor} kill at {kill_at_ms}ms: {:?}",
-                summary.driver_stdout
-            );
-            assert!(settled && !degraded, "{flavor} kill at {kill_at_ms}ms");
-            assert_eq!(
-                outcomes, control.0,
-                "{flavor} kill at {kill_at_ms}ms: outcomes diverged"
-            );
-            assert_eq!(
-                usd,
-                Some(control.1),
-                "{flavor} kill at {kill_at_ms}ms: money diverged"
-            );
-            assert!(summary.gave_up.is_empty());
-            if summary.restarts.get(&1).copied().unwrap_or(0) >= 1 {
-                exercised = true;
-                // A restart the supervisor performed must come with a
-                // recovery observation (MTTR sample + WAL replay bytes).
-                assert!(
-                    summary.mttr_ms().is_some(),
-                    "restart happened but no recovery was observed"
-                );
-                break;
-            }
         }
-        assert!(
-            exercised,
-            "no {flavor} kill landed mid-run; increase window delay"
-        );
+        for (what, rejoined_at, dump) in &runs[1..] {
+            assert_eq!(&runs[0].1, rejoined_at, "{what}: rejoin times moved");
+            assert_eq!(&runs[0].2, dump, "{what}: kernel dump moved");
+        }
     }
 }
 
@@ -241,79 +259,46 @@ fn partition_campaign_is_byte_identical_on_uds_and_tcp() {
     // Two partition shapes: one the watchdogs absorb in place (the frozen
     // host thaws before any timeout), one that trips the 1 s watchdogs and
     // forces a disconnect + session-resume cycle.
-    let schedules: [(&str, u64, u64); 2] = [("absorbed", 300, 650), ("resumed", 300, 1800)];
     for (flavor, socket_of) in [("uds", uds as fn(&Path) -> String), ("tcp", tcp)] {
-        for (name, pause_ms, resume_ms) in schedules {
-            let a = arm(&format!("part-{flavor}-{name}"), socket_of, 5000);
-            let mut cfg = a.cfg.clone();
-            cfg.chaos = ChaosSchedule {
-                events: vec![
-                    ChaosEvent {
-                        at_ms: pause_ms,
-                        host: 1,
-                        action: ChaosAction::Pause,
-                    },
-                    ChaosEvent {
-                        at_ms: resume_ms,
-                        host: 1,
-                        action: ChaosAction::Resume,
-                    },
-                ],
-            };
-            let summary = Fleet::new(cfg).run().expect("partition fleet");
-            let (_, _, settled, degraded) = parse_outcomes(&summary.driver_stdout);
-            assert_eq!(
-                summary.driver_code,
-                Some(0),
-                "driver failed under {flavor}/{name} partition: {:?}",
-                summary.driver_stdout
-            );
-            assert!(settled && !degraded, "{flavor}/{name}");
-            assert!(summary.gave_up.is_empty());
+        for (name, thaw_ms) in [("absorbed", 350), ("resumed", 1500)] {
+            let what = format!("{flavor}/{name}");
+            let a = arm(&format!("part-{flavor}-{name}"), socket_of);
+            let thaw_after = Duration::from_millis(thaw_ms);
+            let script = [on_host_1(60, ChaosAction::Pause { thaw_after })];
+            let summary = run_recovering(&a, &script, &what);
             // No process died: the supervisor must not have restarted
-            // anything, and the run must be byte-identical to control.
+            // anything, and neither the hold nor the outage may move a
+            // counter against the hold-free control.
+            assert!(summary.restarts.values().all(|&r| r == 0), "{what}");
             assert!(
-                summary.restarts.values().all(|&r| r == 0),
-                "{flavor}/{name}"
+                summary.elapsed >= thaw_after,
+                "{what}: the pause never held"
             );
+            // Which side of the watchdog the thaw fell on is the arm.
+            let healed = std::fs::read_to_string(&a.dump)
+                .unwrap()
+                .contains("counter net.partitions_healed ");
+            assert_eq!(healed, name == "resumed", "{what}");
             let dump = kernel_dump(&a.dump);
             let _ = std::fs::remove_dir_all(&a.base);
-            assert_eq!(
-                control_dump(),
-                &dump,
-                "{flavor}/{name}: kernel dump diverged from chaos-free control"
-            );
+            assert_eq!(control_dump(), &dump, "{what}: kernel dump diverged");
         }
     }
 }
 
 #[test]
 fn sigterm_graceful_restart_matches_control() {
-    let control = control_outcomes();
-    let a = arm("term", uds, 3000);
-    let mut cfg = a.cfg.clone();
-    cfg.chaos = ChaosSchedule {
-        events: vec![ChaosEvent {
-            at_ms: 400,
-            host: 1,
-            action: ChaosAction::Term,
-        }],
-    };
-    let summary = Fleet::new(cfg).run().expect("term fleet");
-    let (outcomes, usd, settled, degraded) = parse_outcomes(&summary.driver_stdout);
+    let a = arm("term", uds);
+    let summary = run_recovering(&a, &[on_host_1(60, ChaosAction::Term)], "term");
     let _ = std::fs::remove_dir_all(&a.base);
-    assert_eq!(summary.driver_code, Some(0), "{:?}", summary.driver_stdout);
-    assert!(settled && !degraded);
-    assert_eq!(outcomes, control.0, "outcomes diverged after graceful term");
-    assert_eq!(usd, Some(control.1), "money diverged after graceful term");
     // The SIGTERM'd host exits cleanly, and the supervisor treats any
     // child exit as a death to heal: it must have restarted host 1.
-    assert!(summary.restarts.get(&1).copied().unwrap_or(0) >= 1);
+    assert_eq!(summary.restarts[&1], 1);
 }
 
 #[test]
 fn budget_exhaustion_degrades_cleanly_instead_of_hanging() {
-    let mut a = arm("budget", uds, 3000);
+    let mut a = arm("budget", uds);
     // A short virtual deadline bounds the post-degrade spin: the healthy
     // host's agents settle around 0.2 virtual seconds.
     let pos = a
@@ -326,13 +311,7 @@ fn budget_exhaustion_degrades_cleanly_instead_of_hanging() {
     a.cfg.driver_args.push("--down-grace-secs".into());
     a.cfg.driver_args.push("2".into());
     a.cfg.restart.budget = 0;
-    a.cfg.chaos = ChaosSchedule {
-        events: vec![ChaosEvent {
-            at_ms: 400,
-            host: 1,
-            action: ChaosAction::Kill,
-        }],
-    };
+    a.cfg.chaos = vec![on_host_1(60, ChaosAction::Kill)];
     let summary = Fleet::new(a.cfg.clone())
         .run()
         .expect("degraded fleet must exit, not hang");
@@ -351,11 +330,8 @@ fn budget_exhaustion_degrades_cleanly_instead_of_hanging() {
         "took {:?}",
         summary.elapsed
     );
-    assert_eq!(
-        summary.gave_up,
-        vec![1],
-        "supervisor must report the abandoned host"
-    );
+    assert_eq!(summary.gave_up, [1], "exactly the killed host is abandoned");
+    assert_eq!(summary.unfired, []);
     assert!(
         degraded,
         "driver must print failed_hosts=…: {:?}",

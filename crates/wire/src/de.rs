@@ -106,6 +106,22 @@ impl<'de> BinDeserializer<'de> {
         Ok(n as usize)
     }
 
+    /// The body of a struct, a tuple or a variant, after its tag. Its arity
+    /// belongs to the type, not to the data, so the header must declare
+    /// exactly the fields the visitor reads: a visitor that returns with
+    /// declared fields unread was handed an over-declared header.
+    fn visit_fields<V: Visitor<'de>>(&mut self, visitor: V) -> WireResult<V::Value> {
+        let n = self.take_len()?;
+        let mut fields = CountedSeq { de: self, left: n };
+        let value = visitor.visit_seq(&mut fields)?;
+        match fields.left {
+            0 => Ok(value),
+            left => Err(WireError::Message(format!(
+                "{left} of {n} declared fields left unread"
+            ))),
+        }
+    }
+
     fn take_str(&mut self) -> WireResult<&'de str> {
         let n = self.take_len()?;
         std::str::from_utf8(self.take_bytes(n)?).map_err(|_| WireError::InvalidUtf8)
@@ -338,16 +354,19 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
     }
 
     fn deserialize_tuple<V: Visitor<'de>>(self, _len: usize, visitor: V) -> WireResult<V::Value> {
-        self.deserialize_seq(visitor)
+        match self.take_tag()? {
+            TAG_SEQ => self.visit_fields(visitor),
+            t => Err(WireError::BadTag(t)),
+        }
     }
 
     fn deserialize_tuple_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
-        _len: usize,
+        len: usize,
         visitor: V,
     ) -> WireResult<V::Value> {
-        self.deserialize_seq(visitor)
+        self.deserialize_tuple(len, visitor)
     }
 
     fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> WireResult<V::Value> {
@@ -363,11 +382,11 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
     fn deserialize_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
-        _fields: &'static [&'static str],
+        fields: &'static [&'static str],
         visitor: V,
     ) -> WireResult<V::Value> {
         // Structs are encoded as value sequences in declaration order.
-        self.deserialize_seq(visitor)
+        self.deserialize_tuple(fields.len(), visitor)
     }
 
     fn deserialize_enum<V: Visitor<'de>>(
@@ -494,11 +513,7 @@ impl<'de> de::VariantAccess<'de> for EnumAcc<'_, 'de> {
 
     fn tuple_variant<V: Visitor<'de>>(self, _len: usize, visitor: V) -> WireResult<V::Value> {
         if self.tag == TAG_TUPLE_VARIANT {
-            let n = self.de.take_len()?;
-            visitor.visit_seq(CountedSeq {
-                de: self.de,
-                left: n,
-            })
+            self.de.visit_fields(visitor)
         } else {
             Err(WireError::BadTag(self.tag))
         }
@@ -510,11 +525,7 @@ impl<'de> de::VariantAccess<'de> for EnumAcc<'_, 'de> {
         visitor: V,
     ) -> WireResult<V::Value> {
         if self.tag == TAG_STRUCT_VARIANT {
-            let n = self.de.take_len()?;
-            visitor.visit_seq(CountedSeq {
-                de: self.de,
-                left: n,
-            })
+            self.de.visit_fields(visitor)
         } else {
             Err(WireError::BadTag(self.tag))
         }
@@ -700,6 +711,49 @@ mod tests {
         let mut bytes = to_bytes(&1u8).unwrap();
         bytes.push(0);
         assert_eq!(from_slice::<u8>(&bytes), Err(WireError::TrailingBytes(1)));
+    }
+
+    /// A struct, tuple or variant body that declares one field more (or
+    /// one fewer) than the values that follow is refused, exact values or
+    /// not; a plain sequence's count is data and stays free.
+    #[test]
+    fn a_header_of_another_arity_is_rejected() {
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        struct Pair(u8, i64);
+        fn refused<T: Serialize + for<'de> Deserialize<'de> + std::fmt::Debug>(
+            v: T,
+            len_at: usize,
+        ) {
+            let bytes = to_bytes(&v).unwrap();
+            from_slice::<T>(&bytes).unwrap();
+            for delta in [-1i8, 1] {
+                let mut wrong = bytes.clone();
+                wrong[len_at] = wrong[len_at].wrapping_add_signed(delta);
+                assert!(
+                    matches!(from_slice::<T>(&wrong), Err(WireError::Message(_))),
+                    "{v:?} re-headed by {delta}: {:?}",
+                    from_slice::<T>(&wrong)
+                );
+            }
+        }
+        // `SEQ len …` for structs and tuples, `VARIANT index len …` for variants.
+        refused((7u8, -9i64), 1);
+        refused(Pair(7, -9), 1);
+        refused(Sample::Tup(1, -9), 2);
+        refused(
+            Sample::Struct {
+                a: "x".into(),
+                b: Some(false),
+            },
+            2,
+        );
+        let nested = Nested {
+            name: "agent-1".into(),
+            tags: vec![Sample::Unit, Sample::New(2)],
+            data: [("k".to_string(), 9u64)].into_iter().collect(),
+            blob: vec![0, 255, 3],
+        };
+        refused(nested, 1);
     }
 
     #[test]
