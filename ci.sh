@@ -23,6 +23,10 @@ cargo test -q
 # Tier-1 covers every crate of ours, mar-net's real-process fault scripts
 # included; what is left of the workspace is the vendored proptest stand-in.
 cargo test -q -p proptest
+# The decoders' hostile-input tests once more in the release profile: what
+# they guard is profile-dependent (stack frames shrink, overflow checks are
+# compiled out), so debug alone does not show it.
+cargo test -q --release -p mar-wire -p mar-simnet
 # The canonical benchmark's own suite (smoke run, closed-form step and money
 # checks, seed reproducibility): a core change that trips the benchmark's
 # output checks fails here and not in the pipeline.

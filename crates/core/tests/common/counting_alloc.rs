@@ -1,6 +1,7 @@
 //! A global allocator that counts the bytes each thread asks for, so a test
 //! can bound what a decoder allocates by the length of its input. Install it
-//! in the test binary with `#[global_allocator]`.
+//! in the test binary with `#[global_allocator]`. [`sweep`] is the decoder
+//! sweep built on it; it reads the sibling module `hostile`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -50,4 +51,34 @@ pub fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = REQUESTED.with(Cell::get);
     let out = f();
     (out, REQUESTED.with(Cell::get) - before)
+}
+
+/// What a decoder may request from the allocator per input byte, and on top
+/// of it. Decoded values are wider than their encodings (a one-byte `Null`
+/// is a 32-byte `Value`, a one-entry map a whole B-tree node), growing
+/// buffers count at every size, and an error carries a message.
+pub const ALLOC_PER_BYTE: usize = 256;
+/// See [`ALLOC_PER_BYTE`].
+pub const ALLOC_BASE: usize = 4096;
+
+/// Runs `read` — a decoder and nothing else — over `bytes` and holds what it
+/// requested to the bound. That it returned is the other half: no panic, no
+/// abort, a value or a typed error.
+pub fn bounded<T>(bytes: &[u8], read: impl FnOnce(&[u8]) -> T) -> T {
+    let (out, requested) = requested_by(|| read(bytes));
+    let bound = ALLOC_BASE + ALLOC_PER_BYTE * bytes.len();
+    assert!(
+        requested <= bound,
+        "decoding {} bytes requested {requested} (bound {bound}); input starts {:02x?}",
+        bytes.len(),
+        &bytes[..bytes.len().min(24)]
+    );
+    out
+}
+
+/// [`bounded`] over `valid` and every hostile variant of it
+/// (`hostile::each`).
+pub fn sweep(valid: &[u8], mut read: impl FnMut(&[u8])) {
+    bounded(valid, &mut read);
+    super::hostile::each(valid, |bytes| bounded(bytes, &mut read));
 }

@@ -8,6 +8,7 @@
 #![allow(dead_code)]
 
 pub mod counting_alloc;
+pub mod hostile;
 
 use proptest::prelude::*;
 

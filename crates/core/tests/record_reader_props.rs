@@ -17,21 +17,14 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::counting_alloc::{requested_by, Counting};
+use common::counting_alloc::{bounded, sweep, Counting};
+use common::hostile::record_with_deep_data;
 use common::{apply, base_record, op_strategy, Op};
 use mar_core::itinspan::{classify_span, itinerary_span};
 use mar_core::{AgentRecord, LazyRecord, LoggingMode, ResidentRecord};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// What the readers together ([`read_all`]) may request per input byte, and
-/// on top of it. Decoded values are wider than their encodings (a one-byte
-/// `Null` is a 32-byte `Value`, a one-entry map a whole B-tree node), growing
-/// buffers count at every size, and an error carries a message; the most
-/// these inputs reach is 64 bytes per byte.
-const ALLOC_PER_BYTE: usize = 256;
-const ALLOC_BASE: usize = 4096;
 
 fn record_bytes(logging: LoggingMode, ops: &[Op]) -> Vec<u8> {
     let mut full = base_record(logging);
@@ -72,14 +65,10 @@ fn read_all(bytes: &[u8]) {
     let _ = lazy.into_record();
 }
 
+/// [`read_all`] under the allocation bound of `counting_alloc` (the most
+/// these inputs reach is 64 bytes per byte).
 fn read_all_bounded(bytes: &[u8]) {
-    let ((), requested) = requested_by(|| read_all(bytes));
-    let bound = ALLOC_BASE + ALLOC_PER_BYTE * bytes.len();
-    assert!(
-        requested <= bound,
-        "readers requested {requested} bytes for a {}-byte input (bound {bound})",
-        bytes.len()
-    );
+    bounded(bytes, read_all);
 }
 
 /// `bytes` re-headed to declare `arity` fields (one byte of header either
@@ -89,6 +78,50 @@ fn with_arity(bytes: &[u8], arity: u8) -> Vec<u8> {
     let mut out = bytes.to_vec();
     out[1] = arity;
     out
+}
+
+/// Every reader of the layout, the derive decode included.
+fn read_all_and_decode(bytes: &[u8]) {
+    read_all(bytes);
+    let _ = ResidentRecord::from_bytes(bytes);
+    let _ = AgentRecord::from_bytes(bytes);
+}
+
+/// One more family of inputs: the structured sweep every decoder of the
+/// workspace gets (`counting_alloc::sweep` — depth and length bombs on top
+/// of the truncations and flips above), under the same allocation bound.
+#[test]
+fn the_decoder_sweep_gets_a_value_or_a_typed_error() {
+    let step = Op::Step {
+        node: 2,
+        nops: 2,
+        sro_write: Some(1),
+    };
+    let ops = [Op::Savepoint, step.clone(), Op::EnterSub, step, Op::Encode];
+    for logging in [LoggingMode::State, LoggingMode::Transition] {
+        sweep(&record_bytes(logging, &ops), read_all_and_decode);
+    }
+}
+
+/// A record that is valid but for a data space nested 100,000 deep — 200 KB,
+/// far inside the frame limit — is a typed error to every reader that
+/// decodes the data space, and still a record to those that pass over it.
+/// It used to end the process: a stack overflow is not a panic.
+#[test]
+fn a_record_with_a_data_space_nested_past_the_stack_is_refused() {
+    let deep = record_with_deep_data(&record_bytes(LoggingMode::State, &[Op::Savepoint]));
+    assert!(deep.len() > 200_000);
+    let too_deep = |e: mar_core::CoreError| {
+        let text = e.to_string();
+        assert!(text.contains("nested deeper"), "{text}");
+    };
+    too_deep(AgentRecord::from_bytes(&deep).unwrap_err());
+    too_deep(ResidentRecord::from_bytes(&deep).unwrap_err());
+    too_deep(LazyRecord::parse(&deep).unwrap_err());
+    too_deep(AgentRecord::peek_data(&deep).unwrap_err());
+    AgentRecord::peek_header(&deep).unwrap();
+    itinerary_span(&deep).unwrap();
+    bounded(&deep, read_all_and_decode);
 }
 
 proptest! {

@@ -54,7 +54,6 @@ fn parse_args() -> Result<HostConfig, String> {
     let mut host_id: Option<u32> = None;
     let mut wal_dir: Option<PathBuf> = None;
     let mut io_timeout_secs: u64 = 30;
-    let mut connect_attempts: u32 = 25;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
@@ -73,11 +72,6 @@ fn parse_args() -> Result<HostConfig, String> {
                     .parse()
                     .map_err(|_| "bad --io-timeout-secs".to_owned())?;
             }
-            "--connect-attempts" => {
-                connect_attempts = val("--connect-attempts")?
-                    .parse()
-                    .map_err(|_| "bad --connect-attempts".to_owned())?;
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -89,7 +83,6 @@ fn parse_args() -> Result<HostConfig, String> {
     let mut cfg = HostConfig::new(host_id, endpoint);
     cfg.wal_dir = wal_dir;
     cfg.io_timeout = Duration::from_secs(io_timeout_secs.max(1));
-    cfg.connect_attempts = connect_attempts;
     Ok(cfg)
 }
 

@@ -132,8 +132,6 @@ pub struct NetCfg {
     pub scenario: String,
     /// World seed.
     pub seed: u64,
-    /// Bound on the driver's report cache.
-    pub report_cache_cap: usize,
     /// Wall-clock wait for all hosts to connect at startup.
     pub accept_deadline: Duration,
     /// Per-read watchdog on host connections.
@@ -152,7 +150,6 @@ impl NetCfg {
             hosts,
             scenario: scenario.into(),
             seed,
-            report_cache_cap: 100_000,
             accept_deadline: Duration::from_secs(30),
             io_timeout: Duration::from_secs(30),
             down_grace: Duration::from_secs(20),
@@ -300,7 +297,7 @@ impl NetPlatform {
             }
         }
         Ok(NetPlatform {
-            core: DriverCore::new(cfg.report_cache_cap),
+            core: DriverCore::new(DriverCore::DEFAULT_REPORT_CAP),
             net,
         })
     }

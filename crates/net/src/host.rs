@@ -46,6 +46,10 @@ use crate::transport::{connect_with_retry, is_idle_timeout, Endpoint, Transport}
 /// often the termination flag is checked while waiting for the driver.
 const POLL_TICK: Duration = Duration::from_millis(100);
 
+/// Dial attempts (with jittered exponential backoff) before a host gives
+/// up; also bounds consecutive handshake rejections.
+const CONNECT_ATTEMPTS: u32 = 25;
+
 /// Node-host configuration (one process).
 #[derive(Debug, Clone)]
 pub struct HostConfig {
@@ -56,9 +60,6 @@ pub struct HostConfig {
     /// Directory for file-backed per-node WALs; `None` keeps stable
     /// storage in memory (no crash recovery across restarts).
     pub wal_dir: Option<PathBuf>,
-    /// Connection attempts before giving up (also bounds consecutive
-    /// handshake rejections).
-    pub connect_attempts: u32,
     /// Per-read watchdog: if the driver goes silent this long the
     /// connection is declared dead and redialed with a resume request.
     pub io_timeout: Duration,
@@ -75,7 +76,6 @@ impl HostConfig {
             host_id,
             endpoint,
             wal_dir: None,
-            connect_attempts: 25,
             io_timeout: Duration::from_secs(30),
             term: None,
         }
@@ -301,7 +301,7 @@ pub fn run_host(cfg: &HostConfig) -> io::Result<HostExit> {
         if rt.ctl.term_raised() {
             return Ok(HostExit::Terminated);
         }
-        let mut transport = connect_with_retry(&cfg.endpoint, cfg.connect_attempts, &mut rng)?;
+        let mut transport = connect_with_retry(&cfg.endpoint, CONNECT_ATTEMPTS, &mut rng)?;
         transport.set_read_timeout(Some(cfg.io_timeout))?;
         transport.set_poll_interval(Some(POLL_TICK))?;
         match rt.run_conn(Box::new(transport))? {
@@ -312,7 +312,7 @@ pub fn run_host(cfg: &HostConfig) -> io::Result<HostExit> {
                     rejected = 0;
                 } else {
                     rejected += 1;
-                    if rejected >= cfg.connect_attempts.max(1) {
+                    if rejected >= CONNECT_ATTEMPTS {
                         return Err(io::Error::new(
                             io::ErrorKind::ConnectionRefused,
                             "driver repeatedly closed the handshake (host given up on?)",

@@ -205,6 +205,13 @@ struct Envelope {
     msg: NetMsg,
 }
 
+/// Encodes the frame an [`Envelope`] decodes from, with the message
+/// borrowed: a tuple and a struct share one framing.
+fn encode_envelope(seq: u64, ack: u64, msg: &NetMsg) -> io::Result<Vec<u8>> {
+    mar_wire::to_bytes(&(seq, ack, msg))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
 fn decode_envelope(frame: &[u8]) -> io::Result<Envelope> {
     let (env, used) = mar_wire::from_slice_prefix::<Envelope>(frame)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -224,14 +231,7 @@ fn decode_envelope(frame: &[u8]) -> io::Result<Envelope> {
 ///
 /// Transport errors.
 pub fn send_ctl<T: Transport>(transport: &mut T, msg: &NetMsg) -> io::Result<()> {
-    let env = Envelope {
-        seq: 0,
-        ack: 0,
-        msg: msg.clone(),
-    };
-    let bytes = mar_wire::to_bytes(&env)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    transport.send(&bytes)
+    transport.send(&encode_envelope(0, 0, msg)?)
 }
 
 /// Receives one **control frame** from a raw transport; `Ok(None)` is a
@@ -357,19 +357,16 @@ impl<T: Transport> Peer<T> {
     /// is retained — detach, reattach, replay).
     pub fn send(&mut self, msg: &NetMsg) -> io::Result<()> {
         self.send_seq += 1;
-        let env = Envelope {
-            seq: self.send_seq,
-            ack: self.recv_seq,
-            msg: msg.clone(),
+        let bytes = encode_envelope(self.send_seq, self.recv_seq, msg)?;
+        let sent = match self.transport.as_mut() {
+            Some(transport) => transport.send(&bytes),
+            None => Err(io::Error::new(
+                io::ErrorKind::NotConnected,
+                "session detached",
+            )),
         };
-        let bytes = mar_wire::to_bytes(&env)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.retained.push_back((self.send_seq, bytes.clone()));
-        let transport = self
-            .transport
-            .as_mut()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "session detached"))?;
-        transport.send(&bytes)
+        self.retained.push_back((self.send_seq, bytes));
+        sent
     }
 
     /// Receives the next fresh message, transparently dropping duplicates
@@ -462,6 +459,45 @@ mod tests {
             let mut all: Vec<u32> = split.iter().flatten().copied().collect();
             all.sort_unstable();
             assert_eq!(all, (0..nodes).collect::<Vec<_>>());
+        }
+    }
+
+    /// What `send` puts on the wire is the derived `Envelope`'s encoding,
+    /// byte for byte — `recv` decodes it as one.
+    #[test]
+    fn a_borrowed_envelope_encodes_as_the_derived_one() {
+        for msg in [
+            NetMsg::Shutdown,
+            NetMsg::Topology {
+                version: PROTOCOL_VERSION,
+                scenario: "travel".into(),
+                seed: 11,
+                n_nodes: 5,
+                owned: vec![0, 2, 4],
+                resume_us: 9,
+                resume_ok: true,
+            },
+            NetMsg::Inject {
+                events: vec![RemoteEvent {
+                    at_us: 40,
+                    origin: 2,
+                    seq: 5,
+                    from_node: 2,
+                    from_service: "mole".into(),
+                    to_node: 3,
+                    to_service: "mole".into(),
+                    payload: vec![0x0b, 0x01, 0x00],
+                    billed: 3,
+                }],
+            },
+        ] {
+            let (seq, ack) = (7, u64::MAX);
+            let derived = mar_wire::to_bytes(&Envelope {
+                seq,
+                ack,
+                msg: msg.clone(),
+            });
+            assert_eq!(encode_envelope(seq, ack, &msg).unwrap(), derived.unwrap());
         }
     }
 

@@ -47,17 +47,14 @@ use crate::transport::retry_delay;
 pub struct RestartPolicy {
     /// Restarts allowed per host before the supervisor gives up on it.
     pub budget: u32,
-    /// Seed of the jittered backoff stream (shared across hosts, salted
-    /// by host id so a mass crash does not thunder back in lockstep).
-    pub backoff_seed: u64,
 }
+
+/// Seed of the jittered restart-backoff stream, shared across hosts.
+const BACKOFF_SEED: u64 = 0x5AFE;
 
 impl Default for RestartPolicy {
     fn default() -> Self {
-        RestartPolicy {
-            budget: 3,
-            backoff_seed: 0x5AFE,
-        }
+        RestartPolicy { budget: 3 }
     }
 }
 
@@ -280,7 +277,7 @@ impl Fleet {
 
         // While the driver holds: the hosts whose exit releases it.
         let mut held: Option<Vec<usize>> = None;
-        let mut backoff_rng = SimRng::seed_from(self.cfg.restart.backoff_seed);
+        let mut backoff_rng = SimRng::seed_from(BACKOFF_SEED);
         let mut recoveries: Vec<Recovery> = Vec::new();
         let mut driver_stdout: Vec<String> = Vec::new();
         let deadline = start + self.cfg.deadline;

@@ -105,7 +105,7 @@ impl PlatformBuilder {
             comps,
             resources: BTreeMap::new(),
             shards: 1,
-            report_cache_cap: crate::driver::DEFAULT_REPORT_CACHE_CAP,
+            report_cache_cap: crate::DriverCore::DEFAULT_REPORT_CAP,
             stable: StableFactory::default(),
             errors: Vec::new(),
         }

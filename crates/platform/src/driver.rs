@@ -67,9 +67,6 @@ impl std::fmt::Display for AgentHandle {
     }
 }
 
-/// Default bound on the driver's in-memory report cache.
-pub(crate) const DEFAULT_REPORT_CACHE_CAP: usize = 100_000;
-
 /// A running platform: the simulated agent system plus driver conveniences.
 pub struct Platform {
     pub(crate) world: World,

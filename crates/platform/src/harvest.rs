@@ -81,6 +81,9 @@ pub struct DriverCore {
 }
 
 impl DriverCore {
+    /// Default bound on the report cache.
+    pub const DEFAULT_REPORT_CAP: usize = 100_000;
+
     /// A fresh core with the given report-cache bound (clamped to ≥ 1).
     pub fn new(report_cap: usize) -> Self {
         DriverCore {

@@ -260,6 +260,28 @@ mod tests {
         assert_eq!(slot.hash(), mar_wire::content_hash64(slot.as_bytes()));
     }
 
+    /// The decoder sweep (`hostile::each`) over what a `Prepare` may carry
+    /// as a record, by reference and inline: the record expanded, a miss
+    /// naming a hash, or nothing to do — never a panic, and an expansion is
+    /// always the interned itinerary in place of a reference.
+    #[test]
+    fn hostile_records_expand_or_are_refused() {
+        let (bytes, slot) = record(1);
+        let mut sender = ItinTable::new(true, 8);
+        let mut receiver = ItinTable::new(true, 8);
+        ship(&mut sender, B, 1);
+        receiver.intern_record(&bytes);
+        let by_ref = ship(&mut sender, B, 1).expect("by reference");
+        for valid in [&by_ref, &bytes] {
+            crate::hostile::each(valid, |b| {
+                if let Ok(Some(expanded)) = receiver.expand(b) {
+                    let span = itinerary_span(&expanded).expect("still a record");
+                    assert_eq!(&expanded[span], slot.as_bytes());
+                }
+            });
+        }
+    }
+
     #[test]
     fn eviction_is_least_recently_used_and_a_stale_reference_is_refused() {
         let mut t = ItinTable::new(true, 2);

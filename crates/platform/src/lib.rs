@@ -38,6 +38,12 @@ mod msg;
 mod stepctx;
 mod work;
 
+/// The hostile inputs of the workspace's decoder sweeps, for the decoders no
+/// integration test can name (`work`, `itin`).
+#[cfg(test)]
+#[path = "../../core/tests/common/hostile.rs"]
+mod hostile;
+
 pub use behavior::{AgentBehavior, BehaviorRegistry, DuplicateBehavior, StepDecision};
 pub use builder::{AgentSpec, BuildError, PlatformBuilder};
 pub use driver::{AgentHandle, Platform};

@@ -231,6 +231,32 @@ mod tests {
         assert!(stored.len() <= 64, "{} bytes", stored.len());
     }
 
+    /// The decoder sweep (`hostile::each`) over a branch: off the wire and
+    /// out of a prepared entry, as a whole `RemoteWork` and as the payload
+    /// of a batch or a stub — a list or a typed error, never a panic.
+    #[test]
+    fn hostile_bytes_decode_to_a_list_or_a_typed_error() {
+        let held = Work::Held {
+            rollback: true,
+            key: "q/000000000041".to_owned(),
+            len: 300,
+        };
+        let stub = held.clone().into_item();
+        let branch = Work::encode(vec![Work::Rce(vec![9, 8].into()), held]);
+        crate::hostile::each(&mar_wire::to_bytes(&branch).unwrap(), |b| {
+            if let Ok(work) = mar_wire::from_slice::<RemoteWork>(b) {
+                let _ = Work::decode(work.clone());
+                let _ = Work::decode_stored(work);
+            }
+        });
+        for (kind, payload) in [(BATCH, &branch.payload), (HELD, &stub.payload)] {
+            crate::hostile::each(payload, |b| {
+                let _ = Work::decode(RemoteWork::new(kind, b.to_vec()));
+                let _ = Work::decode_stored(RemoteWork::new(kind, b.to_vec()));
+            });
+        }
+    }
+
     proptest! {
         /// The stub is stored only: off the wire it is an unknown kind, alone
         /// or in a batch, so a `Prepare` cannot name a queue key.

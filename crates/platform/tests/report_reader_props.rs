@@ -13,22 +13,20 @@
 
 #[path = "../../core/tests/common/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "../../core/tests/common/hostile.rs"]
+mod hostile;
 
 use proptest::prelude::*;
 
-use counting_alloc::{requested_by, Counting};
+use counting_alloc::{bounded, sweep, Counting};
 use mar_core::comp::{CompOp, EntryKind};
+use mar_core::log::OpEntry;
 use mar_core::{AgentId, AgentRecord, DataSpace, LoggingMode, RollbackMode};
-use mar_platform::{AgentReport, ReportOutcome};
+use mar_platform::{AgentReport, MoleMsg, RceList, ReportOutcome};
 use mar_wire::Value;
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// As in `record_reader_props.rs`: what both readers together may request
-/// per input byte, and on top of it.
-const ALLOC_PER_BYTE: usize = 256;
-const ALLOC_BASE: usize = 4096;
 
 fn report_strategy() -> impl Strategy<Value = AgentReport> {
     (
@@ -77,18 +75,9 @@ fn report_strategy() -> impl Strategy<Value = AgentReport> {
 /// Runs both readers over `bytes` under the allocation bound. Neither may
 /// panic, and what they return is what the full decode returns.
 fn read_all_bounded(bytes: &[u8]) {
-    let ((id, data), requested) = requested_by(|| {
-        (
-            AgentReport::peek_id(bytes),
-            AgentReport::peek_record_data(bytes),
-        )
+    let (id, data) = bounded(bytes, |b| {
+        (AgentReport::peek_id(b), AgentReport::peek_record_data(b))
     });
-    let bound = ALLOC_BASE + ALLOC_PER_BYTE * bytes.len();
-    assert!(
-        requested <= bound,
-        "readers requested {requested} bytes for a {}-byte input (bound {bound})",
-        bytes.len()
-    );
     if let Ok(report) = AgentReport::decode(bytes) {
         if let Ok(id) = id {
             assert_eq!(id, report.id);
@@ -104,6 +93,84 @@ fn read_all_bounded(bytes: &[u8]) {
 fn record_offset(report: &AgentReport) -> usize {
     let bytes = report.encode();
     bytes.len() - report.record.to_bytes().unwrap().len()
+}
+
+fn sample_report() -> AgentReport {
+    let mut data = DataSpace::new();
+    data.set_wro("wallet", Value::from(250i64));
+    let mut record = AgentRecord::new(
+        AgentId(7),
+        "report-agent",
+        1,
+        data,
+        mar_itinerary::samples::fig6(),
+        LoggingMode::State,
+        RollbackMode::Optimized,
+    );
+    let undo = CompOp::new("ledger.undo_transfer", Value::from(3i64));
+    record
+        .log
+        .append_step(2, 0, "m", [(EntryKind::Resource, undo)], vec![]);
+    AgentReport {
+        id: AgentId(7),
+        outcome: ReportOutcome::Failed("gave up".into()),
+        finished_at_us: 99,
+        steps_committed: 1,
+        finished_node: 2,
+        record,
+    }
+}
+
+/// One more family of inputs: the structured sweep every decoder of the
+/// workspace gets (`counting_alloc::sweep` — depth and length bombs on top
+/// of the truncations and flips below), over the report's readers, the mole
+/// message a report or a launch travels in, and a shipped RCE list.
+#[test]
+fn the_decoder_sweep_gets_a_value_or_a_typed_error() {
+    let report = sample_report().encode();
+    sweep(&report, |b| {
+        read_all_bounded(b);
+        let _ = AgentReport::decode(b);
+    });
+    let launch = MoleMsg::Launch {
+        record: sample_report().record.to_bytes().unwrap().into(),
+    };
+    sweep(&launch.encode(), |b| {
+        let _ = MoleMsg::decode(b);
+    });
+    let rces = RceList {
+        agent: AgentId(7),
+        step_seq: 4,
+        ops: vec![OpEntry {
+            kind: EntryKind::Resource,
+            op: CompOp::new("ledger.undo_transfer", Value::from(3i64)),
+            step_seq: 4,
+        }],
+    };
+    sweep(&mar_wire::to_bytes(&rces).unwrap(), |b| {
+        let _ = mar_wire::from_slice::<RceList>(b);
+    });
+}
+
+/// A report whose record carries a data space nested 100,000 deep is a typed
+/// error to the full decode and to the data-space reader — it used to end
+/// the process — and `peek_id` still reads what it stops at.
+#[test]
+fn a_report_with_a_record_nested_past_the_stack_is_refused() {
+    let report = sample_report();
+    let mut deep = report.encode();
+    deep.truncate(record_offset(&report));
+    deep.extend(hostile::record_with_deep_data(
+        &report.record.to_bytes().unwrap(),
+    ));
+    assert_eq!(
+        AgentReport::decode(&deep),
+        Err(mar_wire::WireError::TooDeep)
+    );
+    let peeked = AgentReport::peek_record_data(&deep).unwrap_err();
+    assert!(peeked.to_string().contains("nested deeper"), "{peeked}");
+    assert_eq!(AgentReport::peek_id(&deep), Ok(report.id));
+    bounded(&deep, read_all_bounded);
 }
 
 proptest! {

@@ -1,14 +1,17 @@
 //! Full-stack smoke tests: forward execution and a simple partial rollback
 //! over a few simulated nodes.
 
-use mar_core::{AgentId, LoggingMode, RollbackMode, RollbackScope};
+#[path = "../../core/tests/common/hostile.rs"]
+mod hostile;
+
+use mar_core::{AgentId, AgentRecord, DataSpace, LoggingMode, RollbackMode, RollbackScope};
 use mar_itinerary::ItineraryBuilder;
 use mar_platform::{
-    metric_keys as mk, AgentBehavior, AgentSpec, Platform, PlatformBuilder, ReportOutcome, StepCtx,
-    StepDecision,
+    metric_keys as mk, AgentBehavior, AgentSpec, MoleMsg, Platform, PlatformBuilder, ReportOutcome,
+    StepCtx, StepDecision, MOLE,
 };
 use mar_resources::{comp_undo_transfer, BankRm, DirectoryRm};
-use mar_simnet::{NodeId, SimDuration};
+use mar_simnet::{Address, NodeId, SimDuration, TraceKind};
 use mar_txn::{RmRegistry, TxnError};
 use mar_wire::Value;
 
@@ -68,6 +71,10 @@ impl AgentBehavior for Trader {
 }
 
 fn collector_platform(seed: u64) -> Platform {
+    collector_builder(seed).build()
+}
+
+fn collector_builder(seed: u64) -> PlatformBuilder {
     let mut b = PlatformBuilder::new(4)
         .seed(seed)
         .behavior("collector", Collector);
@@ -81,7 +88,7 @@ fn collector_platform(seed: u64) -> Platform {
             rms
         });
     }
-    b.build()
+    b
 }
 
 #[test]
@@ -231,6 +238,58 @@ fn fleet_of_100_settles_with_mailbox_events_only() {
     assert_eq!(m.counter(mk::DRIVER_MBOX_EVENTS), FLEET as u64);
     // Reports flowed once: local completions plus acked remote deliveries.
     assert!(m.counter(mk::DRIVER_MBOX_SCANS) > 0);
+}
+
+/// A node survives what it is handed: a launched record that is valid but
+/// for a data space nested 100,000 deep (200 KB, far inside the frame limit)
+/// is dropped as an unreadable queue item — it used to overflow the stack of
+/// the host that parsed it, and again after every restart, the item being
+/// stable — and the agents queued around it complete.
+#[test]
+fn a_record_nested_past_the_stack_is_dropped_and_the_fleet_completes() {
+    let mut p = collector_builder(23).trace(true).build();
+    let it = || {
+        ItineraryBuilder::main("I")
+            .sub("gather", |s| {
+                s.step("collect1", 1).step("collect2", 2);
+            })
+            .build()
+            .unwrap()
+    };
+    let mut handles = p.launch_fleet((0..3).map(|_| AgentSpec::new("collector", NodeId(0), it())));
+    let record = AgentRecord::new(
+        AgentId(999),
+        "collector",
+        0,
+        DataSpace::new(),
+        it(),
+        LoggingMode::State,
+        RollbackMode::Optimized,
+    );
+    let deep = hostile::record_with_deep_data(&record.to_bytes().unwrap());
+    let launch = MoleMsg::Launch {
+        record: deep.into(),
+    };
+    p.world_mut()
+        .post(Address::new(NodeId(0), MOLE), launch.encode());
+    handles.extend(p.launch_fleet((0..3).map(|_| AgentSpec::new("collector", NodeId(0), it()))));
+
+    assert!(
+        p.run_until_settled(&handles, SimDuration::from_secs(600)),
+        "the readable agents settle"
+    );
+    for h in &handles {
+        assert_eq!(p.report(*h).unwrap().outcome, ReportOutcome::Completed);
+    }
+    let dropped = p.world().trace().custom_with_label("bad-queue-item");
+    assert_eq!(dropped.len(), 1, "{dropped:?}");
+    assert!(
+        matches!(&dropped[0].kind, TraceKind::Custom { node: 0, detail, .. }
+            if detail.contains("nested deeper")),
+        "{:?}",
+        dropped[0]
+    );
+    assert!(p.queued_agents().is_empty(), "the item left the queue");
 }
 
 /// Report / mailbox GC: after the driver drains a report, the stable

@@ -5,7 +5,7 @@
 //! rollback restores from a before-image without any compensating
 //! operation.
 
-use mar_txn::{OpCtx, ResourceManager, TxStore, TxnError, TxnId};
+use mar_txn::{OpCtx, ResourceManager, TxStore, TxnError};
 use mar_wire::Value;
 
 use crate::util::{p_str, write_t};
@@ -108,24 +108,12 @@ impl ResourceManager for DirectoryRm {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        self.store.commit(txn)
+    fn store(&self) -> &TxStore {
+        &self.store
     }
 
-    fn abort(&mut self, txn: TxnId) {
-        self.store.abort(txn);
-    }
-
-    fn snapshot(&self) -> Result<Vec<u8>, TxnError> {
-        Ok(self.store.snapshot()?)
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        Ok(self.store.restore(bytes)?)
-    }
-
-    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        Ok(self.store.apply_delta(bytes)?)
+    fn store_mut(&mut self) -> &mut TxStore {
+        &mut self.store
     }
 }
 
@@ -133,6 +121,7 @@ impl ResourceManager for DirectoryRm {
 mod tests {
     use super::*;
     use mar_simnet::{NodeId, SimTime};
+    use mar_txn::TxnId;
 
     fn ctx(seq: u64) -> OpCtx {
         OpCtx {

@@ -155,24 +155,12 @@ impl ResourceManager for MintRm {
         }
     }
 
-    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        self.store.commit(txn)
+    fn store(&self) -> &TxStore {
+        &self.store
     }
 
-    fn abort(&mut self, txn: TxnId) {
-        self.store.abort(txn);
-    }
-
-    fn snapshot(&self) -> Result<Vec<u8>, TxnError> {
-        Ok(self.store.snapshot()?)
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        Ok(self.store.restore(bytes)?)
-    }
-
-    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-        Ok(self.store.apply_delta(bytes)?)
+    fn store_mut(&mut self) -> &mut TxStore {
+        &mut self.store
     }
 }
 

@@ -91,11 +91,13 @@ impl Default for LatencyModel {
     }
 }
 
+/// Delivery delay for messages between services on the same node.
+const LOCAL_DELAY: SimDuration = SimDuration::from_micros(10);
+
 /// Connectivity and latency state of the simulated network.
 #[derive(Debug, Clone)]
 pub struct Network {
     latency: LatencyModel,
-    local_delay: SimDuration,
     down_links: BTreeSet<(NodeId, NodeId)>,
 }
 
@@ -108,12 +110,10 @@ fn norm(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 }
 
 impl Network {
-    /// Creates a fully connected network with the given latency model and
-    /// intra-node (service-to-service) delivery delay.
-    pub fn new(latency: LatencyModel, local_delay: SimDuration) -> Self {
+    /// Creates a fully connected network with the given latency model.
+    pub fn new(latency: LatencyModel) -> Self {
         Network {
             latency,
-            local_delay,
             down_links: BTreeSet::new(),
         }
     }
@@ -170,7 +170,7 @@ impl Network {
         rng: &mut SimRng,
     ) -> Option<SimDuration> {
         if from == to {
-            return Some(self.local_delay);
+            return Some(LOCAL_DELAY);
         }
         if !self.link_up(from, to) {
             return None;
@@ -181,7 +181,7 @@ impl Network {
 
 impl Default for Network {
     fn default() -> Self {
-        Network::new(LatencyModel::lan(), SimDuration::from_micros(10))
+        Network::new(LatencyModel::lan())
     }
 }
 

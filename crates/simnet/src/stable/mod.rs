@@ -288,31 +288,6 @@ impl StableFactory {
         }
     }
 
-    /// A custom backend constructor (out-of-tree backends). The node id is
-    /// ignored; use [`StableFactory::custom_per_node`] for backends that
-    /// need it (e.g. per-node files).
-    pub fn custom(
-        name: &'static str,
-        make: impl Fn() -> Box<dyn StableBackend> + Send + Sync + 'static,
-    ) -> Self {
-        StableFactory {
-            name,
-            make: Arc::new(move |_| make()),
-        }
-    }
-
-    /// A custom backend constructor that receives the node id it builds
-    /// for.
-    pub fn custom_per_node(
-        name: &'static str,
-        make: impl Fn(crate::node::NodeId) -> Box<dyn StableBackend> + Send + Sync + 'static,
-    ) -> Self {
-        StableFactory {
-            name,
-            make: Arc::new(make),
-        }
-    }
-
     /// The backend name this factory produces.
     pub fn name(&self) -> &'static str {
         self.name
@@ -666,12 +641,8 @@ mod tests {
     fn factory_builds_named_backends() {
         assert_eq!(StableFactory::default().name(), "reference");
         assert_eq!(StableFactory::wal(WalConfig::default()).name(), "wal");
-        let custom = StableFactory::custom("mine", || Box::new(MemBackend::new()));
-        assert_eq!(
-            custom.make_store(crate::node::NodeId(0)).backend_name(),
-            "reference"
-        );
-        assert_eq!(custom.name(), "mine");
+        let store = StableFactory::default().make_store(crate::node::NodeId(0));
+        assert_eq!(store.backend_name(), "reference");
     }
 
     #[test]

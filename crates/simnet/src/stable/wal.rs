@@ -117,37 +117,31 @@ fn valid_prefix_len(buf: &[u8]) -> usize {
     pos
 }
 
+/// The `n` bytes of `buf` at `*pos`, advancing past them; `None` when `n` —
+/// a length read from the log — is more than is there.
+fn take<'a>(buf: &'a [u8], pos: &mut usize, n: u64) -> Option<&'a [u8]> {
+    let end = pos.checked_add(usize::try_from(n).ok()?)?;
+    let bytes = buf.get(*pos..end)?;
+    *pos = end;
+    Some(bytes)
+}
+
 fn try_decode_frame<'a>(buf: &'a [u8], p: &mut usize) -> Option<Frame<'a>> {
-    let len = get_uvarint(buf, p).ok()? as usize;
-    if len == 0 {
-        return None;
-    }
-    let body = buf.get(*p..*p + len)?;
-    *p += len;
-    let mut q = 0usize;
+    let len = get_uvarint(buf, p).ok()?;
+    let body = take(buf, p, len)?;
     let tag = *body.first()?;
-    q += 1;
-    let klen = get_uvarint(body, &mut q).ok()? as usize;
-    let key = std::str::from_utf8(body.get(q..q + klen)?).ok()?;
-    q += klen;
-    match tag {
+    let mut q = 1usize;
+    let klen = get_uvarint(body, &mut q).ok()?;
+    let key = std::str::from_utf8(take(body, &mut q, klen)?).ok()?;
+    let frame = match tag {
         TAG_PUT => {
-            let vlen = get_uvarint(body, &mut q).ok()? as usize;
-            let value = body.get(q..q + vlen)?;
-            q += vlen;
-            if q != len {
-                return None;
-            }
-            Some(Frame::Put(key, value))
+            let vlen = get_uvarint(body, &mut q).ok()?;
+            Frame::Put(key, take(body, &mut q, vlen)?)
         }
-        TAG_DELETE => {
-            if q != len {
-                return None;
-            }
-            Some(Frame::Delete(key))
-        }
-        _ => None,
-    }
+        TAG_DELETE => Frame::Delete(key),
+        _ => return None,
+    };
+    (q == body.len()).then_some(frame)
 }
 
 /// On-disk persistence of one node's WAL: a log file receiving fsynced
@@ -593,20 +587,37 @@ mod tests {
         assert_eq!(b.get("drop"), None);
     }
 
-    #[test]
-    fn malformed_tags_and_lengths_are_torn() {
-        for bad in [
+    /// Tails no encoder writes: a bad tag, and a length — the frame's, the
+    /// key's, the value's — that declares more than is there, up to the
+    /// `u64::MAX` that overflows an unchecked `pos + len`.
+    fn malformed_tails() -> Vec<Vec<u8>> {
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        let mut tails = vec![
             vec![0x01, 0xFF],             // unknown tag
             vec![0x00],                   // zero-length frame
             vec![0x03, 0x00, 0x01, b'a'], // put frame truncated inside body
             vec![0x02, 0x01, 0x05],       // delete whose klen overruns the body
-        ] {
+        ];
+        tails.push([&max[..], &[TAG_PUT, 1, b'k', 1, 7]].concat()); // frame length
+        tails.push([&[12, TAG_PUT][..], &max, b"k"].concat()); // key length
+        tails.push([&[14, TAG_PUT, 1, b'k'][..], &max, &[7]].concat()); // value length
+        tails
+    }
+
+    #[test]
+    fn malformed_tags_and_lengths_are_torn() {
+        for bad in malformed_tails() {
             let mut b = wal();
             b.put("base".into(), vec![7]);
             b.commit();
             b.inject_torn_tail(&bad);
             b.crash();
             assert_eq!(dump(&b), vec![("base".to_owned(), vec![7])], "{bad:?}");
+            // And with nothing before it: an empty store.
+            let mut b = wal();
+            b.inject_torn_tail(&bad);
+            b.crash();
+            assert_eq!(dump(&b), vec![], "{bad:?}");
         }
     }
 
@@ -664,19 +675,24 @@ mod tests {
         let mut frame = Vec::new();
         encode_put_frame(&mut frame, "q/agent-7", b"torn payload bytes");
         let dir = temp_wal_dir("torn");
-        for cut in 0..frame.len() {
+        let cuts = (0..frame.len()).map(|cut| frame[..cut].to_vec());
+        for tail in cuts.chain(malformed_tails()) {
             let _ = std::fs::remove_dir_all(&dir);
             {
                 let mut b = WalBackend::open(file_cfg(&dir, 64 * 1024), NodeId(0));
                 b.put("base".into(), vec![9]);
                 assert!(b.commit());
                 // Simulate a flush interrupted by the crash: a frame prefix
-                // reaches the device.
-                b.inject_torn_tail(&frame[..cut]);
+                // (or bytes no encoder writes) reaches the device.
+                b.inject_torn_tail(&tail);
             }
             let b = WalBackend::open(file_cfg(&dir, 64 * 1024), NodeId(0));
-            assert_eq!(dump(&b), vec![("base".to_owned(), vec![9])], "cut {cut}");
-            assert_eq!(b.stats().torn_bytes_discarded, cut as u64, "cut {cut}");
+            assert_eq!(dump(&b), vec![("base".to_owned(), vec![9])], "{tail:?}");
+            assert_eq!(
+                b.stats().torn_bytes_discarded,
+                tail.len() as u64,
+                "{tail:?}"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

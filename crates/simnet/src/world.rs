@@ -43,6 +43,9 @@ use crate::stable::{StableFactory, StableStore};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceKind, TraceRecord};
 
+/// Maximum number of trace records a trace keeps.
+const TRACE_CAP: usize = 100_000;
+
 /// Static configuration of a [`World`].
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -50,12 +53,8 @@ pub struct WorldConfig {
     pub seed: u64,
     /// Inter-node message latency model.
     pub latency: LatencyModel,
-    /// Delivery delay for messages between services on the same node.
-    pub local_delay: SimDuration,
     /// Whether to record a kernel trace.
     pub trace: bool,
-    /// Maximum number of trace records kept.
-    pub trace_cap: usize,
     /// Number of shards the nodes are partitioned into. `1` (the default)
     /// runs the classic sequential dispatch loop; results are identical at
     /// any value. `0` means **auto**: one shard per available hardware
@@ -73,9 +72,7 @@ impl Default for WorldConfig {
         WorldConfig {
             seed: 0,
             latency: LatencyModel::lan(),
-            local_delay: SimDuration::from_micros(10),
             trace: false,
-            trace_cap: 100_000,
             shards: 1,
             stable: StableFactory::default(),
         }
@@ -548,7 +545,7 @@ impl World {
             "sharded runtime needs >= 1us latency lookahead (base * (1 - jitter)); \
              use shards = 1 with zero-latency models"
         );
-        let net = Network::new(cfg.latency, cfg.local_delay);
+        let net = Network::new(cfg.latency);
         let shards = (0..n_shards)
             .map(|id| Shard {
                 id,
@@ -558,7 +555,7 @@ impl World {
                 slots: Vec::new(),
                 net: net.clone(),
                 metrics: Metrics::new(),
-                trace: Trace::new(cfg.trace, cfg.trace_cap),
+                trace: Trace::new(cfg.trace, TRACE_CAP),
                 trace_buf: Vec::new(),
                 outbox: Vec::new(),
                 remote: Vec::new(),
@@ -574,7 +571,7 @@ impl World {
             driver_rng: SimRng::seed_from(cfg.seed),
             driver_seq: 0,
             metrics: Metrics::new(),
-            trace: Trace::new(cfg.trace, cfg.trace_cap),
+            trace: Trace::new(cfg.trace, TRACE_CAP),
             seed: cfg.seed,
             stable_factory: cfg.stable,
             lookahead,

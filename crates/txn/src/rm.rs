@@ -18,6 +18,7 @@ use mar_wire::Value;
 
 use crate::error::TxnError;
 use crate::id::TxnId;
+use crate::store::TxStore;
 
 /// Per-invocation context handed to resource operations.
 #[derive(Debug, Clone, Copy)]
@@ -48,14 +49,25 @@ pub trait ResourceManager: Send {
     /// [`TxnError::BadRequest`] for malformed parameters.
     fn invoke(&mut self, ctx: OpCtx, op: &str, params: &Value) -> Result<Value, TxnError>;
 
+    /// The transactional store the resource keeps its state in; the five
+    /// methods below are this store's.
+    fn store(&self) -> &TxStore;
+
+    /// [`store`](Self::store), mutably.
+    fn store_mut(&mut self) -> &mut TxStore;
+
     /// Makes the transaction's effects on this resource permanent and
     /// returns them as a delta record for stable storage: what `txn` wrote,
     /// plus the high-water mark of any sequence counter the resource keeps.
     /// `None` if the transaction changed nothing here.
-    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>>;
+    fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
+        self.store_mut().commit(txn)
+    }
 
     /// Reverts the transaction's effects on this resource.
-    fn abort(&mut self, txn: TxnId);
+    fn abort(&mut self, txn: TxnId) {
+        self.store_mut().abort(txn);
+    }
 
     /// Serializes the committed state — the base image. Other transactions
     /// may be live; none of their writes may appear in it.
@@ -63,14 +75,18 @@ pub trait ResourceManager: Send {
     /// # Errors
     ///
     /// Codec errors only.
-    fn snapshot(&self) -> Result<Vec<u8>, TxnError>;
+    fn snapshot(&self) -> Result<Vec<u8>, TxnError> {
+        Ok(self.store().snapshot()?)
+    }
 
     /// Restores committed state from a base image after a crash.
     ///
     /// # Errors
     ///
     /// Codec errors only.
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError>;
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
+        Ok(self.store_mut().restore(bytes)?)
+    }
 
     /// Re-applies a delta record [`commit`](Self::commit) returned, on top
     /// of the restored base and every earlier delta (crash recovery).
@@ -78,7 +94,9 @@ pub trait ResourceManager: Send {
     /// # Errors
     ///
     /// Codec errors only.
-    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError>;
+    fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
+        Ok(self.store_mut().apply_delta(bytes)?)
+    }
 
     /// Reports the committed money this resource holds, as a map from
     /// currency code to amount — the raw material of the conservation
@@ -328,7 +346,6 @@ impl std::fmt::Debug for RmRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::TxStore;
     use mar_simnet::NodeId;
 
     /// A trivial counter resource used to exercise the registry plumbing.
@@ -372,20 +389,12 @@ mod tests {
             }
         }
 
-        fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-            self.store.commit(txn)
+        fn store(&self) -> &TxStore {
+            &self.store
         }
-        fn abort(&mut self, txn: TxnId) {
-            self.store.abort(txn);
-        }
-        fn snapshot(&self) -> Result<Vec<u8>, TxnError> {
-            Ok(self.store.snapshot()?)
-        }
-        fn restore(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-            Ok(self.store.restore(bytes)?)
-        }
-        fn apply_delta(&mut self, bytes: &[u8]) -> Result<(), TxnError> {
-            Ok(self.store.apply_delta(bytes)?)
+
+        fn store_mut(&mut self) -> &mut TxStore {
+            &mut self.store
         }
     }
 

@@ -48,22 +48,47 @@ pub fn from_slice_prefix<'de, T: Deserialize<'de>>(bytes: &'de [u8]) -> WireResu
     Ok((value, de.pos))
 }
 
-/// Streaming binary deserializer. Usually used through [`from_slice`].
+/// How deep a decoded value may nest (options, sequences, maps, struct and
+/// tuple bodies, data-carrying variants). The workspace's own types stay
+/// under 16; the bound is what keeps hostile nesting off the call stack.
+pub(crate) const MAX_DEPTH: usize = 128;
+
+/// Streaming binary deserializer, and the crate's one reader of the
+/// encoding: [`from_slice`], [`crate::FieldCursor`] and the skip walker all
+/// move this cursor, so a declared length is checked against the input in
+/// one place (`take_len`) and nesting is bounded in one place (`nested`).
 #[derive(Debug)]
 pub struct BinDeserializer<'de> {
     buf: &'de [u8],
     pos: usize,
+    /// Containers open around the value being decoded.
+    depth: usize,
+    /// Elements that sequences may still tell their visitors to reserve.
+    reserve_budget: usize,
 }
 
 impl<'de> BinDeserializer<'de> {
     /// Creates a deserializer reading from `buf`.
     pub fn new(buf: &'de [u8]) -> Self {
-        BinDeserializer { buf, pos: 0 }
+        BinDeserializer {
+            buf,
+            pos: 0,
+            depth: 0,
+            // Every element takes at least a byte, so well-formed input
+            // never runs out; nested headers that each claim the rest of the
+            // input share one allowance instead of getting one per level.
+            reserve_budget: buf.len(),
+        }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// Offset of the next unread byte.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
     }
 
     fn peek_tag(&self) -> WireResult<u8> {
@@ -79,11 +104,11 @@ impl<'de> BinDeserializer<'de> {
         Ok(t)
     }
 
+    /// The next `n` bytes: a fixed width, or a length `take_len` checked.
     fn take_bytes(&mut self, n: usize) -> WireResult<&'de [u8]> {
-        if self.remaining() < n {
-            return Err(WireError::LengthOverflow(n as u64));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
+        let s = self.buf[self.pos..]
+            .get(..n)
+            .ok_or(WireError::UnexpectedEof)?;
         self.pos += n;
         Ok(s)
     }
@@ -106,20 +131,109 @@ impl<'de> BinDeserializer<'de> {
         Ok(n as usize)
     }
 
+    /// Runs `body` one level down: every descent into a value that can hold
+    /// another goes through here, so recursion is bounded by [`MAX_DEPTH`]
+    /// and not by what the input declares.
+    fn nested<T>(&mut self, body: impl FnOnce(&mut Self) -> WireResult<T>) -> WireResult<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(WireError::TooDeep);
+        }
+        self.depth += 1;
+        let out = body(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// A `SEQ` tag and its checked element count — the framing sequences,
+    /// structs and tuples share.
+    pub(crate) fn seq_header(&mut self) -> WireResult<usize> {
+        match self.take_tag()? {
+            TAG_SEQ => self.take_len(),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+
+    /// The elements of a sequence, after its tag.
+    fn visit_elements<V: Visitor<'de>>(&mut self, visitor: V) -> WireResult<V::Value> {
+        self.nested(|de| {
+            let left = de.take_len()?;
+            let reserve = left.min(de.reserve_budget);
+            de.reserve_budget -= reserve;
+            visitor.visit_seq(Counted { de, left, reserve })
+        })
+    }
+
+    /// The entries of a map, after its tag.
+    fn visit_entries<V: Visitor<'de>>(&mut self, visitor: V) -> WireResult<V::Value> {
+        self.nested(|de| {
+            let left = de.take_len()?;
+            visitor.visit_map(Counted {
+                de,
+                left,
+                reserve: 0,
+            })
+        })
+    }
+
     /// The body of a struct, a tuple or a variant, after its tag. Its arity
     /// belongs to the type, not to the data, so the header must declare
     /// exactly the fields the visitor reads: a visitor that returns with
     /// declared fields unread was handed an over-declared header.
     fn visit_fields<V: Visitor<'de>>(&mut self, visitor: V) -> WireResult<V::Value> {
-        let n = self.take_len()?;
-        let mut fields = CountedSeq { de: self, left: n };
-        let value = visitor.visit_seq(&mut fields)?;
-        match fields.left {
-            0 => Ok(value),
-            left => Err(WireError::Message(format!(
-                "{left} of {n} declared fields left unread"
-            ))),
+        self.nested(|de| {
+            let n = de.take_len()?;
+            let mut fields = Counted {
+                de,
+                left: n,
+                reserve: 0,
+            };
+            let value = visitor.visit_seq(&mut fields)?;
+            match fields.left {
+                0 => Ok(value),
+                left => Err(WireError::Message(format!(
+                    "{left} of {n} declared fields left unread"
+                ))),
+            }
+        })
+    }
+
+    /// Passes over one value without building anything: no allocation, no
+    /// UTF-8 validation. Tags are checked, every declared length is checked
+    /// by `take_len`, truncated input is an error. A counter of values still
+    /// owed stands in for recursion, so this walk has no depth to bound.
+    pub(crate) fn skip(&mut self) -> WireResult<()> {
+        let mut pending: u64 = 1;
+        while pending > 0 {
+            pending -= 1;
+            // Each count added below is at most the bytes left, and every
+            // value owed costs a byte or ends the walk: no overflow, and
+            // time linear in the input.
+            match self.take_tag()? {
+                TAG_NULL | TAG_TRUE | TAG_FALSE => {}
+                TAG_I64 => _ = self.take_ivarint()?,
+                TAG_U64 | TAG_CHAR | TAG_UNIT_VARIANT => _ = self.take_uvarint()?,
+                TAG_F32 => _ = self.take_bytes(4)?,
+                TAG_F64 => _ = self.take_bytes(8)?,
+                TAG_STR | TAG_BYTES => {
+                    let n = self.take_len()?;
+                    self.take_bytes(n)?;
+                }
+                TAG_SOME => pending += 1,
+                TAG_NEWTYPE_VARIANT => {
+                    self.take_uvarint()?;
+                    pending += 1;
+                }
+                TAG_SEQ => pending += self.take_len()? as u64,
+                // A key and a value per entry.
+                TAG_MAP => pending += 2 * self.take_len()? as u64,
+                TAG_TUPLE_VARIANT | TAG_STRUCT_VARIANT => {
+                    self.take_uvarint()?;
+                    pending += self.take_len()? as u64;
+                }
+                other => return Err(WireError::BadTag(other)),
+            }
         }
+        Ok(())
     }
 
     fn take_str(&mut self) -> WireResult<&'de str> {
@@ -187,15 +301,9 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
                 let n = self.take_len()?;
                 visitor.visit_borrowed_bytes(self.take_bytes(n)?)
             }
-            TAG_SOME => visitor.visit_some(self),
-            TAG_SEQ => {
-                let n = self.take_len()?;
-                visitor.visit_seq(CountedSeq { de: self, left: n })
-            }
-            TAG_MAP => {
-                let n = self.take_len()?;
-                visitor.visit_map(CountedMap { de: self, left: n })
-            }
+            TAG_SOME => self.nested(|de| visitor.visit_some(de)),
+            TAG_SEQ => self.visit_elements(visitor),
+            TAG_MAP => self.visit_entries(visitor),
             t @ (TAG_UNIT_VARIANT | TAG_NEWTYPE_VARIANT | TAG_TUPLE_VARIANT
             | TAG_STRUCT_VARIANT) => {
                 // Variants are not self-describing (the enum type is needed);
@@ -294,10 +402,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
                 visitor.visit_borrowed_bytes(self.take_bytes(n)?)
             }
             TAG_STR => visitor.visit_borrowed_str(self.take_str()?),
-            TAG_SEQ => {
-                let n = self.take_len()?;
-                visitor.visit_seq(CountedSeq { de: self, left: n })
-            }
+            TAG_SEQ => self.visit_elements(visitor),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -314,7 +419,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
             }
             TAG_SOME => {
                 self.pos += 1;
-                visitor.visit_some(self)
+                self.nested(|de| visitor.visit_some(de))
             }
             t => Err(WireError::BadTag(t)),
         }
@@ -345,10 +450,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
 
     fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> WireResult<V::Value> {
         match self.take_tag()? {
-            TAG_SEQ => {
-                let n = self.take_len()?;
-                visitor.visit_seq(CountedSeq { de: self, left: n })
-            }
+            TAG_SEQ => self.visit_elements(visitor),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -371,10 +473,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
 
     fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> WireResult<V::Value> {
         match self.take_tag()? {
-            TAG_MAP => {
-                let n = self.take_len()?;
-                visitor.visit_map(CountedMap { de: self, left: n })
-            }
+            TAG_MAP => self.visit_entries(visitor),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -417,7 +516,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
     }
 
     fn deserialize_ignored_any<V: Visitor<'de>>(self, visitor: V) -> WireResult<V::Value> {
-        self.pos += skip_value(&self.buf[self.pos..])?;
+        self.skip()?;
         visitor.visit_unit()
     }
 
@@ -426,12 +525,17 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
     }
 }
 
-struct CountedSeq<'a, 'de> {
+/// The elements of a sequence or struct body, or the entries of a map, as
+/// many as its header declared.
+struct Counted<'a, 'de> {
     de: &'a mut BinDeserializer<'de>,
     left: usize,
+    /// What a visitor may reserve up front: `left`, drawn from the
+    /// deserializer's budget when the header was read.
+    reserve: usize,
 }
 
-impl<'de> de::SeqAccess<'de> for CountedSeq<'_, 'de> {
+impl<'de> de::SeqAccess<'de> for Counted<'_, 'de> {
     type Error = WireError;
 
     fn next_element_seed<T: DeserializeSeed<'de>>(
@@ -446,32 +550,19 @@ impl<'de> de::SeqAccess<'de> for CountedSeq<'_, 'de> {
     }
 
     fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
+        Some(self.reserve)
     }
 }
 
-struct CountedMap<'a, 'de> {
-    de: &'a mut BinDeserializer<'de>,
-    left: usize,
-}
-
-impl<'de> de::MapAccess<'de> for CountedMap<'_, 'de> {
+impl<'de> de::MapAccess<'de> for Counted<'_, 'de> {
     type Error = WireError;
 
     fn next_key_seed<K: DeserializeSeed<'de>>(&mut self, seed: K) -> WireResult<Option<K::Value>> {
-        if self.left == 0 {
-            return Ok(None);
-        }
-        self.left -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
+        de::SeqAccess::next_element_seed(self, seed)
     }
 
     fn next_value_seed<V: DeserializeSeed<'de>>(&mut self, seed: V) -> WireResult<V::Value> {
         seed.deserialize(&mut *self.de)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.left)
     }
 }
 
@@ -505,7 +596,7 @@ impl<'de> de::VariantAccess<'de> for EnumAcc<'_, 'de> {
 
     fn newtype_variant_seed<T: DeserializeSeed<'de>>(self, seed: T) -> WireResult<T::Value> {
         if self.tag == TAG_NEWTYPE_VARIANT {
-            seed.deserialize(self.de)
+            self.de.nested(|de| seed.deserialize(de))
         } else {
             Err(WireError::BadTag(self.tag))
         }
@@ -530,118 +621,6 @@ impl<'de> de::VariantAccess<'de> for EnumAcc<'_, 'de> {
             Err(WireError::BadTag(self.tag))
         }
     }
-}
-
-// ----- raw structural scanning -----------------------------------------------
-
-/// Reads the header of a sequence (or struct/tuple — they share the `SEQ`
-/// framing) at the start of `bytes`, returning `(element_count,
-/// header_len)` without touching any element.
-///
-/// Together with [`skip_value`] this is what [`crate::FieldCursor`] slices
-/// the encoding of individual fields out with — the lazy-decode path of
-/// agent records keeps the rollback-log section as raw bytes this way.
-///
-/// # Errors
-///
-/// [`WireError::BadTag`] when the value is not a sequence, plus the usual
-/// truncation errors.
-pub(crate) fn read_seq_header(bytes: &[u8]) -> WireResult<(u64, usize)> {
-    let tag = *bytes.first().ok_or(WireError::UnexpectedEof)?;
-    if tag != TAG_SEQ {
-        return Err(WireError::BadTag(tag));
-    }
-    let mut pos = 1usize;
-    let n = get_uvarint(bytes, &mut pos)?;
-    if n > (bytes.len() - pos) as u64 {
-        // Every element takes at least one byte.
-        return Err(WireError::LengthOverflow(n));
-    }
-    Ok((n, pos))
-}
-
-/// Returns the encoded length of the single value at the start of `bytes`,
-/// walking its structure without building anything — no allocation, no
-/// UTF-8 validation, no value construction. This is the cheapest possible
-/// full validation of the framing: tags are checked, every declared length
-/// is bounds-checked, and truncated input is an error.
-///
-/// Iterative (explicit work counter instead of recursion), so adversarially
-/// nested input cannot overflow the stack. The one skip walker of the crate:
-/// [`crate::FieldCursor::skip`] and `deserialize_ignored_any` both call it.
-///
-/// # Errors
-///
-/// [`WireError::BadTag`] / truncation errors describing the first framing
-/// violation.
-pub(crate) fn skip_value(bytes: &[u8]) -> WireResult<usize> {
-    let mut pos = 0usize;
-    // Number of complete values still to skip.
-    let mut pending: u64 = 1;
-    while pending > 0 {
-        pending -= 1;
-        let tag = *bytes.get(pos).ok_or(WireError::UnexpectedEof)?;
-        pos += 1;
-        match tag {
-            TAG_NULL | TAG_TRUE | TAG_FALSE => {}
-            TAG_I64 => {
-                get_ivarint(bytes, &mut pos)?;
-            }
-            TAG_U64 | TAG_CHAR | TAG_UNIT_VARIANT => {
-                get_uvarint(bytes, &mut pos)?;
-            }
-            TAG_F32 => {
-                if bytes.len() - pos < 4 {
-                    return Err(WireError::UnexpectedEof);
-                }
-                pos += 4;
-            }
-            TAG_F64 => {
-                if bytes.len() - pos < 8 {
-                    return Err(WireError::UnexpectedEof);
-                }
-                pos += 8;
-            }
-            TAG_STR | TAG_BYTES => {
-                let n = get_uvarint(bytes, &mut pos)?;
-                if n > (bytes.len() - pos) as u64 {
-                    return Err(WireError::LengthOverflow(n));
-                }
-                pos += n as usize;
-            }
-            TAG_SOME => pending += 1,
-            TAG_NEWTYPE_VARIANT => {
-                get_uvarint(bytes, &mut pos)?;
-                pending += 1;
-            }
-            TAG_SEQ => {
-                let n = get_uvarint(bytes, &mut pos)?;
-                if n > (bytes.len() - pos) as u64 {
-                    return Err(WireError::LengthOverflow(n));
-                }
-                pending += n;
-            }
-            TAG_MAP => {
-                let n = get_uvarint(bytes, &mut pos)?;
-                if n > (bytes.len() - pos) as u64 {
-                    return Err(WireError::LengthOverflow(n));
-                }
-                // A key and a value per entry; entries need ≥ 2 bytes, so
-                // the bound above keeps `pending` within 2 × input size.
-                pending += 2 * n;
-            }
-            TAG_TUPLE_VARIANT | TAG_STRUCT_VARIANT => {
-                get_uvarint(bytes, &mut pos)?;
-                let n = get_uvarint(bytes, &mut pos)?;
-                if n > (bytes.len() - pos) as u64 {
-                    return Err(WireError::LengthOverflow(n));
-                }
-                pending += n;
-            }
-            other => return Err(WireError::BadTag(other)),
-        }
-    }
-    Ok(pos)
 }
 
 #[cfg(test)]

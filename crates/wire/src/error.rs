@@ -23,6 +23,8 @@ pub enum WireError {
     TrailingBytes(usize),
     /// A declared length exceeds the remaining input.
     LengthOverflow(u64),
+    /// A value nests deeper than the decoder follows (128 levels).
+    TooDeep,
 }
 
 impl fmt::Display for WireError {
@@ -37,6 +39,7 @@ impl fmt::Display for WireError {
             WireError::Unsupported(what) => write!(f, "unsupported type: {what}"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
             WireError::LengthOverflow(n) => write!(f, "declared length {n} exceeds input"),
+            WireError::TooDeep => f.write_str("value nested deeper than 128 levels"),
         }
     }
 }

@@ -4,15 +4,17 @@ use std::ops::Range;
 
 use serde::Deserialize;
 
-use crate::de::{from_slice_prefix, read_seq_header, skip_value};
+use crate::de::BinDeserializer;
 use crate::error::{WireError, WireResult};
 
 /// Reads the fields of an encoded struct (or tuple, or sequence — they share
 /// one framing) in wire order, each one either decoded or passed over, so a
 /// reader that needs a prefix stops there and one that needs a field's raw
-/// bytes gets its span. Every declared length is checked against the input
-/// before it is believed, and nothing is allocated besides what a decoded
-/// field's own type allocates.
+/// bytes gets its span. It holds the crate's one deserializer and moves it
+/// field by field, so every declared length is checked against the input
+/// before it is believed and a decoded field nests no deeper than any decoded
+/// value may; nothing is allocated besides what a decoded field's own type
+/// allocates. After an error the cursor is spent.
 ///
 /// A struct nested in a field is read through the same cursor:
 /// [`FieldCursor::enter`] consumes its header and its fields become the next
@@ -35,8 +37,7 @@ use crate::error::{WireError, WireResult};
 /// ```
 #[derive(Debug)]
 pub struct FieldCursor<'de> {
-    buf: &'de [u8],
-    pos: usize,
+    de: BinDeserializer<'de>,
     /// Values still unread in the structs entered so far.
     pending: u64,
 }
@@ -45,8 +46,7 @@ impl<'de> FieldCursor<'de> {
     /// A cursor over `count` values encoded back to back, without a header.
     pub fn values(bytes: &'de [u8], count: u64) -> Self {
         FieldCursor {
-            buf: bytes,
-            pos: 0,
+            de: BinDeserializer::new(bytes),
             pending: count,
         }
     }
@@ -86,8 +86,7 @@ impl<'de> FieldCursor<'de> {
     /// truncation errors.
     pub fn enter_seq(&mut self) -> WireResult<u64> {
         self.take()?;
-        let (n, used) = read_seq_header(&self.buf[self.pos..])?;
-        self.pos += used;
+        let n = self.de.seq_header()? as u64;
         self.pending = self.pending.saturating_add(n);
         Ok(n)
     }
@@ -100,9 +99,7 @@ impl<'de> FieldCursor<'de> {
     #[allow(clippy::should_implement_trait)]
     pub fn next<T: Deserialize<'de>>(&mut self) -> WireResult<T> {
         self.take()?;
-        let (value, used) = from_slice_prefix(&self.buf[self.pos..])?;
-        self.pos += used;
-        Ok(value)
+        T::deserialize(&mut self.de)
     }
 
     /// Passes over the next field and returns the bytes it occupies, as a
@@ -114,14 +111,14 @@ impl<'de> FieldCursor<'de> {
     /// framing violation; nothing is allocated and no string is validated.
     pub fn skip(&mut self) -> WireResult<Range<usize>> {
         self.take()?;
-        let start = self.pos;
-        self.pos += skip_value(&self.buf[start..])?;
-        Ok(start..self.pos)
+        let start = self.de.position();
+        self.de.skip()?;
+        Ok(start..self.de.position())
     }
 
     /// Offset of the next unread byte in the cursor's input.
     pub fn position(&self) -> usize {
-        self.pos
+        self.de.position()
     }
 
     /// Fields not yet read.
@@ -136,7 +133,7 @@ impl<'de> FieldCursor<'de> {
     /// [`WireError::TrailingBytes`] for input left over, and
     /// [`WireError::Message`] for fields left unread.
     pub fn finish(self) -> WireResult<()> {
-        match (self.pending, self.buf.len() - self.pos) {
+        match (self.pending, self.de.remaining()) {
             (0, 0) => Ok(()),
             (0, rest) => Err(WireError::TrailingBytes(rest)),
             (left, _) => Err(WireError::Message(format!("{left} fields left unread"))),

@@ -80,7 +80,7 @@ pub fn from_value<T: serde::de::DeserializeOwned>(value: &Value) -> WireResult<T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::de::{read_seq_header, skip_value};
+    use crate::de::MAX_DEPTH;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -111,16 +111,16 @@ mod tests {
         }
 
         #[test]
-        fn skip_value_consumes_exactly_one_encoding(v in value_strategy()) {
+        fn skip_consumes_exactly_one_encoding(v in value_strategy()) {
             let mut bytes = to_bytes(&v).unwrap();
             let own_len = bytes.len();
             bytes.extend(to_bytes(&0u8).unwrap());
-            prop_assert_eq!(skip_value(&bytes).unwrap(), own_len);
+            prop_assert_eq!(FieldCursor::values(&bytes, 1).skip().unwrap(), 0..own_len);
         }
 
         #[test]
-        fn skip_value_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let _ = skip_value(&bytes);
+        fn skip_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+            let _ = FieldCursor::values(&bytes, 1).skip();
         }
 
         #[test]
@@ -161,46 +161,88 @@ mod tests {
             c: true,
         };
         let bytes = to_bytes(&s).unwrap();
-        let (fields, mut off) = read_seq_header(&bytes).unwrap();
-        assert_eq!(fields, 3);
+        let mut fields = FieldCursor::values(&bytes, 1);
+        assert_eq!(fields.enter_seq().unwrap(), 3);
         // Field a.
-        let a_len = skip_value(&bytes[off..]).unwrap();
-        assert_eq!(to_bytes(&9u32).unwrap(), bytes[off..off + a_len]);
-        off += a_len;
+        assert_eq!(to_bytes(&9u32).unwrap(), bytes[fields.skip().unwrap()]);
         // Field b, sliced without decoding.
-        let b_len = skip_value(&bytes[off..]).unwrap();
         assert_eq!(
             to_bytes(&vec!["x".to_owned(), "yy".to_owned()]).unwrap(),
-            bytes[off..off + b_len]
+            bytes[fields.skip().unwrap()]
         );
-        off += b_len;
         // Field c ends the value exactly.
-        off += skip_value(&bytes[off..]).unwrap();
-        assert_eq!(off, bytes.len());
+        assert_eq!(fields.skip().unwrap().end, bytes.len());
+        fields.finish().unwrap();
     }
 
     #[test]
-    fn read_seq_header_rejects_non_seq_and_overflow() {
+    fn enter_seq_rejects_non_seq_and_overflow() {
+        fn header(bytes: &[u8]) -> WireResult<u64> {
+            FieldCursor::values(bytes, 1).enter_seq()
+        }
         assert!(matches!(
-            read_seq_header(&to_bytes(&1u8).unwrap()),
+            header(&to_bytes(&1u8).unwrap()),
             Err(WireError::BadTag(_))
         ));
-        assert!(matches!(
-            read_seq_header(&[]),
-            Err(WireError::UnexpectedEof)
-        ));
+        assert!(matches!(header(&[]), Err(WireError::UnexpectedEof)));
         // A 1000-element sequence in 3 bytes.
         assert!(matches!(
-            read_seq_header(&[0x0b, 0xe8, 0x07]),
+            header(&[0x0b, 0xe8, 0x07]),
             Err(WireError::LengthOverflow(1000))
         ));
     }
 
     #[test]
-    fn skip_value_rejects_truncation() {
+    fn skip_rejects_truncation() {
+        fn skip(bytes: &[u8]) -> WireResult<std::ops::Range<usize>> {
+            FieldCursor::values(bytes, 1).skip()
+        }
         let bytes = to_bytes(&"hello").unwrap();
-        assert!(skip_value(&bytes[..bytes.len() - 1]).is_err());
-        assert!(matches!(skip_value(&[]), Err(WireError::UnexpectedEof)));
+        assert!(skip(&bytes[..bytes.len() - 1]).is_err());
+        assert!(matches!(skip(&[]), Err(WireError::UnexpectedEof)));
+    }
+
+    /// `depth` one-element sequences around a `Null`.
+    fn nest(depth: usize) -> Vec<u8> {
+        let mut bytes = [0x0b, 0x01].repeat(depth);
+        bytes.push(0x00);
+        bytes
+    }
+
+    #[test]
+    fn nesting_at_the_limit_round_trips_and_one_past_it_is_refused() {
+        let at = nest(MAX_DEPTH);
+        let v: Value = from_slice(&at).unwrap();
+        assert_eq!(to_bytes(&v).unwrap(), at);
+        assert_eq!(
+            from_slice::<Value>(&nest(MAX_DEPTH + 1)),
+            Err(WireError::TooDeep)
+        );
+        // The typed path counts the same levels: options, then a sequence.
+        type Opt4 = Option<Option<Option<Option<Vec<Value>>>>>;
+        let mut typed = vec![0x0a; 4];
+        typed.extend(nest(MAX_DEPTH - 4));
+        from_slice::<Opt4>(&typed).unwrap();
+        typed.splice(4..4, [0x0b, 0x01]);
+        assert_eq!(from_slice::<Opt4>(&typed), Err(WireError::TooDeep));
+    }
+
+    /// The inputs that used to end in a stack overflow: 100,000 levels of
+    /// sequence, of option, and of map, each a typed error now — and still
+    /// one value to the skip walker, which keeps no frame per level.
+    #[test]
+    fn a_hundred_thousand_levels_are_refused_by_decode_and_passed_by_skip() {
+        let mut maps = [0x0c, 0x01, 0x08, 0x00].repeat(100_000);
+        maps.push(0x00);
+        let mut somes = vec![0x0a; 100_000];
+        somes.push(0x00);
+        for deep in [nest(100_000), somes, maps] {
+            assert_eq!(from_slice::<Value>(&deep), Err(WireError::TooDeep));
+            let mut fields = FieldCursor::values(&deep, 1);
+            assert_eq!(fields.skip().unwrap(), 0..deep.len());
+            fields.finish().unwrap();
+            from_slice::<serde::de::IgnoredAny>(&deep).unwrap();
+        }
     }
 
     #[test]
