@@ -27,6 +27,11 @@ cargo test -q -p proptest
 # they guard is profile-dependent (stack frames shrink, overflow checks are
 # compiled out), so debug alone does not show it.
 cargo test -q --release -p mar-wire -p mar-simnet
+# Likewise the three suites whose failure mode is "an agent is never
+# scheduled": the mole's check of its `ready` set against the store is a
+# debug assertion, and release is the profile the benchmark measures.
+cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
+    --test step_path_cache_props
 # The canonical benchmark's own suite (smoke run, closed-form step and money
 # checks, seed reproducibility): a core change that trips the benchmark's
 # output checks fails here and not in the pipeline.

@@ -27,7 +27,7 @@
 //! savepoint ids, cursors, and table snapshots are untouched — so the
 //! compacted log serializes to the same flat `SP | BOS OE* EOS` wire layout
 //! and stays readable by pre-compaction readers.
-//! [`NaiveLog::compact`](crate::log::reference::NaiveLog::compact) is the
+//! `NaiveLog::compact` (in `crate::log::reference`, hidden from these docs) is the
 //! executable specification of the same transformation; the model-based
 //! property tests require both to produce byte-identical logs.
 

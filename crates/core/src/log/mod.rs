@@ -17,6 +17,7 @@ pub mod compact;
 mod entry;
 #[allow(clippy::module_inception)]
 mod log;
+#[doc(hidden)]
 pub mod reference;
 mod segment;
 mod stats;

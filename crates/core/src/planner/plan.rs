@@ -3,7 +3,7 @@
 use mar_itinerary::Cursor;
 use serde::{Deserialize, Serialize};
 
-use crate::data::ObjectMap;
+use crate::data::{DataSpace, ObjectMap};
 use crate::log::OpEntry;
 use crate::savepoint::{SavepointId, SavepointTable};
 
@@ -32,6 +32,22 @@ pub struct RestorePlan {
     pub cursor: Cursor,
     /// Savepoint bookkeeping as of the savepoint.
     pub table: SavepointTable,
+}
+
+impl RestorePlan {
+    /// Rewinds what the savepoint captured of a record, decoded or resident.
+    pub(crate) fn apply(
+        self,
+        data: &mut DataSpace,
+        cursor: &mut Cursor,
+        table: &mut SavepointTable,
+    ) {
+        data.restore_sro(self.sro);
+        *cursor = self.cursor;
+        table.restore_from(&self.table);
+        // The restored cursor may sit inside subs whose frames the rollback popped.
+        table.reconcile_with_path(cursor.path().get(1..).unwrap_or_default(), self.savepoint);
+    }
 }
 
 /// Where the next compensation transaction executes.

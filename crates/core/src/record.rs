@@ -176,15 +176,7 @@ impl AgentRecord {
     /// back to forward execution. WROs are left exactly as the compensating
     /// operations produced them (§4.1).
     pub fn apply_restore(&mut self, plan: RestorePlan) {
-        self.data.restore_sro(plan.sro);
-        self.cursor = plan.cursor;
-        self.table.restore_from(&plan.table);
-        // When the target was an ancestor's savepoint, the restored cursor
-        // may already be inside nested subs entered before any step ran;
-        // re-create their table frames as aliases of the target.
-        let path = self.cursor.path();
-        let subs: Vec<&str> = path.iter().skip(1).copied().collect();
-        self.table.reconcile_with_path(&subs, plan.savepoint);
+        plan.apply(&mut self.data, &mut self.cursor, &mut self.table);
         self.status = AgentStatus::Forward;
     }
 }

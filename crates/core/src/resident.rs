@@ -531,20 +531,11 @@ impl ResidentRecord {
         })
     }
 
-    /// Applies a restore plan exactly like [`AgentRecord::apply_restore`]:
-    /// SROs, cursor, savepoint bookkeeping, and status — the log is not
-    /// touched (the planner already consumed its entries), so a sealed log
-    /// stays sealed.
+    /// Applies a restore plan exactly like [`AgentRecord::apply_restore`] —
+    /// the log is not touched (the planner already consumed its entries), so
+    /// a sealed log stays sealed.
     pub fn apply_restore(&mut self, plan: crate::planner::RestorePlan) {
-        self.data.restore_sro(plan.sro);
-        self.cursor = plan.cursor;
-        self.table.restore_from(&plan.table);
-        // When the target was an ancestor's savepoint, the restored cursor
-        // may already be inside nested subs entered before any step ran;
-        // re-create their table frames as aliases of the target.
-        let path = self.cursor.path();
-        let subs: Vec<&str> = path.iter().skip(1).copied().collect();
-        self.table.reconcile_with_path(&subs, plan.savepoint);
+        plan.apply(&mut self.data, &mut self.cursor, &mut self.table);
         self.status = AgentStatus::Forward;
     }
 

@@ -9,9 +9,9 @@
 //! the same machinery (§4.3, §4.4).
 //!
 //! Crash semantics: everything volatile here (locks, undo, in-flight 2PC
-//! state, the holds on records that arrived with a `Prepare`, timers) dies
-//! with the node and is rebuilt in `on_start` from stable storage — queue
-//! items, RM base images and delta records, decision/prepared records.
+//! state, the set of queue items ready to be scheduled, timers) dies with
+//! the node and is rebuilt in `on_start` from stable storage — queue items,
+//! RM base images and delta records, decision/prepared records.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -362,10 +362,12 @@ pub struct MoleService {
     pa: Participant,
     active: BTreeMap<TxnId, ActiveTxn>,
     live_branches: BTreeSet<TxnId>,
-    processing: BTreeSet<String>,
-    /// The queue keys prepared transactions hold — [`stored_holds`] of this
-    /// node's store, kept in memory so that a queue scan decodes nothing.
-    holds: BTreeSet<String>,
+    /// The keys in this node's queue ([`queue_keys`]) that no timer and no
+    /// live transaction is working on: what the next kick schedules, and
+    /// empties. Read from the store once, in `on_start`; after that a key
+    /// enters with a launch, with the release of its hold, and when the
+    /// transaction that took it resolves committed and left the item there.
+    ready: BTreeSet<String>,
     attempts: BTreeMap<String, u32>,
     tag_seq: u64,
     tag_map: BTreeMap<u64, String>,
@@ -411,8 +413,7 @@ impl MoleService {
             pa: Participant::new(),
             active: BTreeMap::new(),
             live_branches: BTreeSet::new(),
-            processing: BTreeSet::new(),
-            holds: BTreeSet::new(),
+            ready: BTreeSet::new(),
             attempts: BTreeMap::new(),
             tag_seq: 0,
             tag_map: BTreeMap::new(),
@@ -493,7 +494,7 @@ impl MoleService {
     /// Puts a launched record into the queue.
     fn enqueue_local(&mut self, ctx: &mut Ctx<'_>, bytes: Vec<u8>) {
         self.itin.intern_record(&bytes);
-        Self::put_queue_item(ctx, bytes);
+        self.ready.insert(Self::put_queue_item(ctx, bytes));
         self.kick(ctx);
     }
 
@@ -532,11 +533,10 @@ impl MoleService {
         ctx.set_timer(SimDuration::ZERO, TAG_KICK);
     }
 
-    fn schedule_item(&mut self, ctx: &mut Ctx<'_>, key: &str, delay: SimDuration) {
-        self.processing.insert(key.to_owned());
+    fn schedule_item(&mut self, ctx: &mut Ctx<'_>, key: String, delay: SimDuration) {
         self.tag_seq += 1;
         let tag = ITEM_TAG_BASE + self.tag_seq;
-        self.tag_map.insert(tag, key.to_owned());
+        self.tag_map.insert(tag, key);
         ctx.set_timer(delay, tag);
     }
 
@@ -549,14 +549,30 @@ impl MoleService {
         let jitter = 0.5 + ctx.rng().f64();
         let delay = base.mul_f64(jitter);
         ctx.metrics().inc(keys::STEPS_ABORTED);
-        self.schedule_item(ctx, key, delay);
+        self.schedule_item(ctx, key.to_owned(), delay);
     }
 
+    /// Schedules every ready item, in key order. Debug builds first hold the
+    /// set against the store: it is the queue less the keys a timer or a live
+    /// transaction is working on, and only queued keys have a retry count.
     fn scan_queue(&mut self, ctx: &mut Ctx<'_>) {
-        for key in queue_keys(ctx.stable(), &self.holds) {
-            if !self.processing.contains(&key) {
-                self.schedule_item(ctx, &key, STEP_COST);
-            }
+        #[cfg(debug_assertions)]
+        {
+            let queued = queue_keys(ctx.stable());
+            let taken = self.active.values().map(|at| &at.queue_key);
+            let working = BTreeSet::from_iter(self.tag_map.values().chain(taken));
+            let idle = queued.iter().filter(|key| !working.contains(key));
+            let idle = BTreeSet::from_iter(idle.cloned());
+            let forgotten = Vec::from_iter(idle.difference(&self.ready));
+            assert!(forgotten.is_empty(), "queued key forgotten: {forgotten:?}");
+            let stray = Vec::from_iter(self.ready.difference(&idle));
+            assert!(stray.is_empty(), "ready key not queued or taken: {stray:?}");
+            let stale = self.attempts.keys().filter(|key| !queued.contains(key));
+            let stale = Vec::from_iter(stale);
+            assert!(stale.is_empty(), "attempts of a key not queued: {stale:?}");
+        }
+        for key in std::mem::take(&mut self.ready) {
+            self.schedule_item(ctx, key, STEP_COST);
         }
     }
 
@@ -642,7 +658,6 @@ impl MoleService {
                     let entry = format!("{PREPARED_PREFIX}{}", txn.key());
                     for key in held_keys(ctx.stable(), &entry) {
                         ctx.stable_delete(&key);
-                        self.holds.remove(&key);
                     }
                 }
                 Action::MarkDone { txn } => {
@@ -665,6 +680,7 @@ impl MoleService {
         let metrics = std::mem::take(&mut at.metrics);
         let queue_key = at.queue_key.clone();
         ctx.stable_delete(&queue_key);
+        self.attempts.remove(&queue_key);
         match outcome {
             Committed::Stayed { bytes, resident } => {
                 ctx.stable_put(queue_key.clone(), bytes);
@@ -781,12 +797,15 @@ impl MoleService {
         let Some(at) = self.active.remove(&txn) else {
             return;
         };
-        self.processing.remove(&at.queue_key);
         if committed {
             if let Some(note) = at.shipment.and_then(|shipment| shipment.note) {
                 self.itin.learn(&note);
             }
-            self.attempts.remove(&at.queue_key);
+            // An item that stayed is schedulable again only now: until the
+            // last `Ack` its transaction is live, and a kick must pass it by.
+            if ctx.stable().contains(&at.queue_key) {
+                self.ready.insert(at.queue_key);
+            }
             self.kick(ctx);
         } else {
             ctx.metrics().inc(keys::TXN_ABORTED);
@@ -854,7 +873,6 @@ impl MoleService {
             if let Work::Enqueue { rollback, record } = work {
                 let len = record.len() as u64;
                 let key = Self::put_queue_item(ctx, std::mem::take(record).into_vec());
-                self.holds.insert(key.clone());
                 *work = Work::Held {
                     rollback: *rollback,
                     key,
@@ -902,7 +920,10 @@ impl MoleService {
                     // Interned before the decision is acked: by the time the
                     // sender learns that this node holds the itinerary, it does.
                     match ctx.stable_get(&key) {
-                        Some(record) => self.itin.intern_record(record),
+                        Some(record) => {
+                            self.itin.intern_record(record);
+                            self.ready.insert(key);
+                        }
                         None => Self::refuse_prepared(ctx, &txn.key(), format!("no {key}")),
                     }
                     let (transfers, bytes) = if rollback {
@@ -912,7 +933,6 @@ impl MoleService {
                     };
                     ctx.metrics().inc(transfers);
                     ctx.metrics().add(bytes, len);
-                    self.holds.remove(&key);
                     self.kick(ctx);
                 }
                 // `prepare` stores the stub in the record's place.
@@ -954,10 +974,7 @@ impl MoleService {
                     // The borrow of the stable slice ends inside this arm:
                     // `from_bytes` copies only the log section.
                     Some(bytes) => ResidentRecord::from_bytes(bytes),
-                    None => {
-                        self.processing.remove(key);
-                        return;
-                    }
+                    None => return,
                 };
                 ctx.metrics().inc(keys::RESIDENT_MISSES);
                 match parsed {
@@ -982,7 +999,7 @@ impl MoleService {
             AgentStatus::Completed | AgentStatus::Failed(_) => {
                 // Should have been finalized; clean up idempotently.
                 ctx.stable_delete(key);
-                self.processing.remove(key);
+                self.attempts.remove(key);
                 Ok(())
             }
         };
@@ -990,7 +1007,6 @@ impl MoleService {
             Ok(()) => {}
             Err(ItemError::Transient(reason)) => {
                 ctx.trace("step-retry", reason);
-                self.processing.remove(key);
                 self.schedule_retry(ctx, key);
             }
             Err(ItemError::Permanent(reason)) => {
@@ -1019,7 +1035,7 @@ impl MoleService {
     fn drop_item(&mut self, ctx: &mut Ctx<'_>, key: &str, why: String) {
         ctx.trace("bad-queue-item", why);
         ctx.stable_delete(key);
-        self.processing.remove(key);
+        self.attempts.remove(key);
     }
 
     /// Gives up on the agent: its record leaves as a `Failed` report.
@@ -1683,9 +1699,9 @@ impl Service for MoleService {
         // items from stable bytes only. Peers are not told about the restart,
         // so the records still queued are interned again, as on receipt.
         // A held record is interned when its hold is released.
-        self.holds = stored_holds(ctx.stable());
-        for key in queue_keys(ctx.stable(), &self.holds) {
-            if let Some(bytes) = ctx.stable_get(&key) {
+        self.ready = BTreeSet::from_iter(queue_keys(ctx.stable()));
+        for key in &self.ready {
+            if let Some(bytes) = ctx.stable_get(key) {
                 self.itin.intern_record(bytes);
             }
         }
@@ -1790,19 +1806,15 @@ fn held_keys(stable: &StableStore, entry: &str) -> Vec<String> {
     read.map(|(_, held)| held).unwrap_or_default()
 }
 
-/// The queue keys the live prepared entries in `stable` hold.
-fn stored_holds(stable: &StableStore) -> BTreeSet<String> {
+/// The node's agent input queue: the keys under `q/`, less those the live
+/// prepared entries hold — a record that arrived with a `Prepare` is in place
+/// from then on, and in the queue once the decision has removed the entry.
+/// Every reader of the stored queue goes through here (recovery, the driver,
+/// `scan_queue`'s debug cross-check), so an agent in transit is in at most
+/// one queue at any instant (Fig. 1), not only at quiescence.
+fn queue_keys(stable: &StableStore) -> Vec<String> {
     let entries = stable.keys_with_prefix(PREPARED_PREFIX);
-    let held = entries.iter().flat_map(|entry| held_keys(stable, entry));
-    held.collect()
-}
-
-/// The node's agent input queue: the keys under `q/`, less `holds` — a
-/// record that arrived with a `Prepare` is in place from then on, and in the
-/// queue once the decision has removed the prepared entry. Every reader of
-/// the queue goes through here, so an agent in transit is in at most one
-/// queue at any instant (Fig. 1), not only at quiescence.
-fn queue_keys(stable: &StableStore, holds: &BTreeSet<String>) -> Vec<String> {
+    let holds = BTreeSet::from_iter(entries.iter().flat_map(|entry| held_keys(stable, entry)));
     let mut keys = stable.keys_with_prefix(Q_PREFIX);
     keys.retain(|key| !holds.contains(key));
     keys
@@ -1810,7 +1822,7 @@ fn queue_keys(stable: &StableStore, holds: &BTreeSet<String>) -> Vec<String> {
 
 /// The encoded records in the queue of a node, read off its store alone.
 pub(crate) fn queued_records(stable: &StableStore) -> impl Iterator<Item = &[u8]> {
-    let keys = queue_keys(stable, &stored_holds(stable));
+    let keys = queue_keys(stable);
     keys.into_iter().filter_map(|key| stable.get(&key))
 }
 

@@ -25,6 +25,7 @@
 
 use std::collections::BTreeMap;
 
+use mar_core::RollbackScope;
 use mar_itinerary::ItineraryBuilder;
 use mar_platform::{
     metric_keys as mk, AgentBehavior, AgentHandle, AgentReport, AgentSpec, MoleService, Platform,
@@ -68,19 +69,22 @@ fn build(shards: usize, stable: &StableFactory) -> Platform {
         .trace(true)
         .behavior("pair", PairAgent);
     for n in 1..NODES {
-        b = b.resources(NodeId(n), || {
-            let mut ledger = BankRm::new("ledger", false);
-            for k in 0..AGENTS {
-                ledger = ledger
-                    .with_account(&format!("s{k}"), 1_000)
-                    .with_account(&format!("d{k}"), 0);
-            }
-            let mut rms = RmRegistry::new();
-            rms.register(Box::new(ledger));
-            rms
-        });
+        b = b.resources(NodeId(n), ledger);
     }
     b.build()
+}
+
+/// A resource node's ledger: one account pair per agent.
+fn ledger() -> RmRegistry {
+    let mut ledger = BankRm::new("ledger", false);
+    for k in 0..AGENTS {
+        ledger = ledger
+            .with_account(&format!("s{k}"), 1_000)
+            .with_account(&format!("d{k}"), 0);
+    }
+    let mut rms = RmRegistry::new();
+    rms.register(Box::new(ledger));
+    rms
 }
 
 /// Agent `k` runs step `i` on resource node `1 + (k + i) % 3`: every step is
@@ -141,6 +145,12 @@ fn settle(p: &mut Platform, handles: &[AgentHandle], what: &str) {
     );
 }
 
+/// A queue-item timer of `node`'s mole firing (its other timers have small tags).
+fn is_item_timer(r: &TraceRecord, node: u32) -> bool {
+    matches!(&r.kind, TraceKind::TimerFired { node: n, tag, .. }
+        if *n == node && *tag > u64::from(u32::MAX))
+}
+
 /// The commit window of the victim's first wave, read off the crash-free
 /// trace: the first and last instant at which the victim, as coordinator of
 /// a step transaction, answers a participant's vote with its decision — the
@@ -157,9 +167,7 @@ fn commit_window(trace: &[TraceRecord]) -> (u64, u64) {
         .filter(|r| match &r.kind {
             TraceKind::MsgSent { from, .. } => from.0 == VICTIM,
             TraceKind::MsgDelivered { to, .. } => to.0 == VICTIM,
-            TraceKind::TimerFired { node, tag, .. } => {
-                *node == VICTIM && *tag > u64::from(u32::MAX)
-            }
+            TraceKind::TimerFired { .. } => is_item_timer(r, VICTIM),
             _ => false,
         })
         .collect();
@@ -399,6 +407,88 @@ fn an_aborted_prepare_leaves_no_queue_key_and_no_hold() {
     let qseq = p.world().stable(NodeId(VICTIM)).get("qseq").unwrap();
     let qseq: u64 = mar_wire::from_slice(qseq).unwrap();
     assert!(qseq > AGENTS * STEPS / (NODES as u64 - 1), "qseq {qseq}");
+    // And nothing ran them: in the hops after the abort the victim, which
+    // retries nothing here, fired one item timer per record it was left with.
+    let trace = p.world().trace().records().iter();
+    let item_timers = trace.filter(|r| is_item_timer(r, VICTIM)).count();
+    assert_eq!(item_timers as u64, qseq - held.len() as u64);
+}
+
+/// A [`PairAgent`] that rolls its sub-itinerary back the first time it turns.
+struct TurnsBack;
+
+impl AgentBehavior for TurnsBack {
+    fn step(&self, method: &str, ctx: &mut StepCtx<'_>) -> Result<StepDecision, TxnError> {
+        if method == "turn" && ctx.wro("turned").is_none() {
+            ctx.rollback_memo("turned", Value::from(true));
+            return Ok(StepDecision::Rollback(RollbackScope::CurrentSub));
+        }
+        PairAgent.step(method, ctx)
+    }
+}
+
+/// The staying case: an optimized rollback compensates a step on node 2 from
+/// node 3 — the record stays, the RCE list is node 2's branch — so between
+/// the decision and node 2's `Ack` the item is back under its key while its
+/// transaction is still live. A launch that lands on node 3 in that gap kicks
+/// the queue; the kick must pass the item by, and the item is scheduled by
+/// the `Ack`: as much later than the launched one as the `Ack` came later.
+#[test]
+fn a_kick_between_decision_and_ack_passes_a_staying_item_by() {
+    const STAYS_AT: u32 = 3;
+    let spec = |k: u64, home: u32, steps: &[(&str, u32)]| {
+        let itinerary = ItineraryBuilder::main(format!("I{k}")).sub("S", |s| {
+            for (method, node) in steps {
+                s.step(*method, *node);
+            }
+        });
+        let itinerary = itinerary.build().expect("valid itinerary");
+        let mut spec = AgentSpec::new("turns-back", NodeId(home), itinerary);
+        spec.data.set_wro("acct", Value::from(k));
+        spec
+    };
+    let mut p = PlatformBuilder::new(NODES as usize)
+        .seed(1)
+        .trace(true)
+        .behavior("turns-back", TurnsBack);
+    for n in 1..NODES {
+        p = p.resources(NodeId(n), ledger);
+    }
+    let mut p = p.build();
+    let stayer = p.launch(spec(0, HOME, &[("a", 1), ("b", 2), ("turn", STAYS_AT)]));
+    let decided = |p: &Platform| {
+        let stable = p.world().stable(NodeId(STAYS_AT));
+        !stable.keys_with_prefix("2pc/decision/").is_empty()
+    };
+    while !decided(&p) {
+        p.run_for(SimDuration::from_micros(SWEEP_STEP_US));
+    }
+    let bystander = p.launch(spec(1, STAYS_AT, &[("a", 1)]));
+    while p
+        .world()
+        .stable(NodeId(STAYS_AT))
+        .keys_with_prefix("q/")
+        .len()
+        < 2
+    {
+        p.run_for(SimDuration::from_micros(SWEEP_STEP_US));
+    }
+    assert!(decided(&p), "the launch lands before the ack");
+    settle(&mut p, &[stayer, bystander], "staying rollback");
+    assert_eq!(p.snapshot().counter(mk::ROLLBACK_COMPLETED), 1);
+
+    let at_node = |r: &&TraceRecord, from: u32| {
+        matches!(&r.kind, TraceKind::MsgDelivered { from: f, to, .. }
+            if f.0 == from && to.0 == STAYS_AT)
+    };
+    let trace = p.world().trace().records();
+    let kick = trace.iter().find(|r| at_node(r, u32::MAX)).unwrap().at;
+    let later = trace.iter().filter(|r| r.at > kick);
+    let ack = later.clone().find(|r| at_node(r, 2)).unwrap().at;
+    let mut item_timers = later.filter(|r| is_item_timer(r, STAYS_AT));
+    let (launched, stayed) = (item_timers.next().unwrap(), item_timers.next().unwrap());
+    assert!(ack > kick);
+    assert_eq!(stayed.at - launched.at, ack - kick);
 }
 
 /// A prepared entry that does not read back as stored is refused out loud:
