@@ -32,6 +32,11 @@ cargo test -q --release -p mar-wire -p mar-simnet
 # debug assertion, and release is the profile the benchmark measures.
 cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
     --test step_path_cache_props
+# And the two record suites: release compiles out the cross-check of a sealed
+# log's savepoint bytes in `ResidentLog::materialize`, so the properties are
+# what holds the number there, and the allocator calls of a hop that cannot
+# pay for a compaction pass are counted in the profile the benchmark runs.
+cargo test -q --release -p mar-core --test resident_record_props --test record_reader_props
 # The canonical benchmark's own suite (smoke run, closed-form step and money
 # checks, seed reproducibility): a core change that trips the benchmark's
 # output checks fails here and not in the pipeline.

@@ -124,11 +124,6 @@ impl DataSpace {
             delta.apply(shadow);
         }
     }
-
-    /// Approximate encoded size of the data space in bytes.
-    pub fn approx_size(&self) -> usize {
-        mar_wire::encoded_size(self).unwrap_or(0)
-    }
 }
 
 /// A backward delta between two SRO states: applying it to the *from* state

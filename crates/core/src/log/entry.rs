@@ -100,6 +100,11 @@ pub enum LogEntry {
 }
 
 impl LogEntry {
+    /// Where [`LogEntry::Savepoint`] stands among the variants (the wire
+    /// encodes a variant by its index in declaration order): what a reader
+    /// that passes over encoded entries recognizes a savepoint entry by.
+    pub(crate) const SAVEPOINT_VARIANT: u32 = 0;
+
     /// Short tag for diagnostics and stats.
     pub fn tag(&self) -> &'static str {
         match self {
@@ -188,6 +193,41 @@ mod tests {
             let back: LogEntry = mar_wire::from_slice(&bytes).unwrap();
             assert_eq!(back, e);
             assert_eq!(e.encoded_size(), bytes.len());
+        }
+    }
+
+    /// The sealed log counts savepoint bytes by variant index, undecoded:
+    /// pinned here against the derive, one entry of each kind.
+    #[test]
+    fn savepoint_is_the_variant_the_wire_numbers_zero() {
+        let entries = [
+            LogEntry::Savepoint(sp(1)),
+            LogEntry::BeginOfStep(BosEntry {
+                node: 2,
+                step_seq: 3,
+                method: "buy".into(),
+            }),
+            LogEntry::Operation(OpEntry {
+                kind: EntryKind::Resource,
+                op: CompOp::new("undo", Value::Null),
+                step_seq: 3,
+            }),
+            LogEntry::EndOfStep(EosEntry {
+                node: 2,
+                step_seq: 3,
+                method: "buy".into(),
+                has_mixed: false,
+                alt_nodes: vec![],
+            }),
+        ];
+        for (index, e) in entries.iter().enumerate() {
+            let bytes = mar_wire::to_bytes(e).unwrap();
+            let peeked = mar_wire::FieldCursor::values(&bytes, 1).peek_variant();
+            assert_eq!(peeked, Some(index as u32), "{}", e.tag());
+            assert_eq!(
+                peeked == Some(LogEntry::SAVEPOINT_VARIANT),
+                e.as_savepoint().is_some()
+            );
         }
     }
 

@@ -34,10 +34,11 @@ use std::sync::{Arc, OnceLock};
 use mar_itinerary::{Cursor, Itinerary};
 use mar_wire::FieldCursor;
 
+use crate::costmodel::CostModel;
 use crate::data::DataSpace;
 use crate::error::CoreError;
 use crate::itinspan::{classify_span, SpanKind};
-use crate::log::{LogEntry, LoggingMode, RollbackLog};
+use crate::log::{CompactionReport, LogEntry, LogStats, LoggingMode, RollbackLog};
 use crate::planner::RollbackMode;
 use crate::record::{AgentId, AgentRecord, AgentStatus, RecordHeader};
 use crate::savepoint::SavepointTable;
@@ -223,6 +224,8 @@ pub struct LazyRecord<'a> {
     log_entries: usize,
     /// The log's serialized total byte count (its `bytes` field).
     log_size: usize,
+    /// How many of `log_bytes` are savepoint entries.
+    log_savepoint_bytes: usize,
     /// Monotone counter of committed steps.
     pub step_seq: u64,
     /// Current status.
@@ -255,12 +258,18 @@ impl<'a> LazyRecord<'a> {
         let cursor = fields.next()?;
         let table = fields.next()?;
         // The log: `SEQ(2) SEQ(n) entry*n bytes` — walk the entries without
-        // building them.
+        // building them, adding up the savepoint entries on the way (the
+        // only bytes a compaction pass can reclaim).
         fields.enter(LOG_FIELDS)?;
         let log_entries = fields.enter_seq()? as usize;
         let entries_start = fields.position();
+        let mut log_savepoint_bytes = 0;
         for _ in 0..log_entries {
-            fields.skip()?;
+            let is_savepoint = fields.peek_variant() == Some(LogEntry::SAVEPOINT_VARIANT);
+            let span = fields.skip()?;
+            if is_savepoint {
+                log_savepoint_bytes += span.len();
+            }
         }
         let log_bytes = &bytes[entries_start..fields.position()];
         let log_size = fields.next::<u64>()? as usize;
@@ -280,6 +289,7 @@ impl<'a> LazyRecord<'a> {
             log_bytes,
             log_entries,
             log_size,
+            log_savepoint_bytes,
             step_seq,
             status,
             logging_mode,
@@ -312,6 +322,7 @@ impl<'a> LazyRecord<'a> {
                 retained: self.log_bytes.to_vec(),
                 retained_entries: self.log_entries,
                 retained_size: self.log_size,
+                retained_savepoint_bytes: self.log_savepoint_bytes,
                 appended: RollbackLog::new(),
             }),
             step_seq: self.step_seq,
@@ -354,6 +365,11 @@ pub struct SealedLog {
     /// Their total encoded size — always `retained.len()`-consistent with
     /// the wire's `bytes` field semantics.
     retained_size: usize,
+    /// How many bytes of `retained` are savepoint entries: counted by the
+    /// walk that framed them, kept in step by the fold and the reseal, so a
+    /// sealed log can say whether a compaction pass could pay without being
+    /// decoded.
+    retained_savepoint_bytes: usize,
     /// Entries appended since the seal; push-only.
     appended: RollbackLog,
 }
@@ -390,6 +406,19 @@ impl ResidentLog {
         }
     }
 
+    /// Encoded size of the savepoint entries alone — what a compaction pass
+    /// works on. Exact in both forms, and free on a sealed log: the prefix
+    /// was counted when it was framed, appended entries when they were
+    /// pushed.
+    pub fn savepoint_bytes(&self) -> usize {
+        match self {
+            ResidentLog::Sealed(s) => {
+                s.retained_savepoint_bytes + s.appended.stats().savepoint_bytes
+            }
+            ResidentLog::Full(log) => log.stats().savepoint_bytes,
+        }
+    }
+
     /// True while the log prefix is still encoded.
     pub fn is_sealed(&self) -> bool {
         matches!(self, ResidentLog::Sealed(_))
@@ -416,6 +445,19 @@ impl ResidentLog {
     pub fn materialize(&mut self) -> Result<&mut RollbackLog, CoreError> {
         if let ResidentLog::Sealed(s) = self {
             let mut log = decode_entries(&s.retained, s.retained_entries, s.retained_size)?;
+            // Debug builds hold the count the sealed form answered with
+            // against the entries at every decode. Bytes that decode but are
+            // not what the encoder writes (a signed tag on an unsigned field)
+            // measure differently re-encoded; those are not ours to check.
+            if cfg!(debug_assertions) {
+                let decoded = LogStats::of(&log);
+                if decoded.total_bytes == s.retained.len() {
+                    assert_eq!(
+                        s.retained_savepoint_bytes, decoded.savepoint_bytes,
+                        "a sealed log's savepoint bytes and its decoded entries'"
+                    );
+                }
+            }
             log.absorb(std::mem::take(&mut s.appended));
             *self = ResidentLog::Full(log);
         }
@@ -545,9 +587,33 @@ impl ResidentRecord {
     /// # Errors
     ///
     /// Codec errors from the deferred log decode.
-    pub fn compact_log(&mut self) -> Result<crate::log::CompactionReport, CoreError> {
+    pub fn compact_log(&mut self) -> Result<CompactionReport, CoreError> {
         let log = self.log.materialize()?;
         Ok(log.compact(self.data.shadow()))
+    }
+
+    /// The transfer policy: compacts the log of a record about to cross the
+    /// network when that can pay for itself, and says what the pass did.
+    /// `None` — no pass — when the savepoint entries, the only bytes a pass
+    /// can reclaim, are too few for the wire time saved to cover the CPU
+    /// time ([`CostModel::compaction_pays`]; a sealed log answers from
+    /// [`ResidentLog::savepoint_bytes`] and is not decoded), or when the
+    /// log, once decoded, has had no redundancy-introducing mutation since
+    /// its last pass ([`RollbackLog::is_dirty`]).
+    ///
+    /// # Errors
+    ///
+    /// Codec errors from the deferred log decode.
+    pub fn compact_for_transfer(
+        &mut self,
+        model: &CostModel,
+        cpu_us_per_kb: u64,
+    ) -> Result<Option<CompactionReport>, CoreError> {
+        if !model.compaction_pays(self.log.savepoint_bytes(), cpu_us_per_kb) {
+            return Ok(None);
+        }
+        let log = self.log.materialize()?;
+        Ok(log.is_dirty().then(|| log.compact(self.data.shadow())))
     }
 
     /// Serializes the record — byte-identical to
@@ -586,7 +652,9 @@ impl ResidentRecord {
     }
 
     fn encode(&mut self, retain: bool) -> Result<Vec<u8>, CoreError> {
-        let cap = 256 + self.log.size_bytes() + self.data.approx_size();
+        // A hint: the log is most of a record; the rest grows the buffer
+        // once or twice at worst.
+        let cap = 256 + self.log.size_bytes();
         let mut ser = mar_wire::BinSerializer::with_capacity(cap);
         ser.begin_struct(RECORD_FIELDS as usize);
         ser.value(&self.id)?;
@@ -601,20 +669,27 @@ impl ResidentRecord {
         // The log field: splice for sealed logs, entry-by-entry (the log's
         // flat wire layout) for materialized ones.
         let mut fold: Option<(usize, usize)> = None;
-        let mut reseal: Option<(usize, usize, usize, usize)> = None;
+        let mut reseal: Option<(Range<usize>, usize, usize, usize)> = None;
         match &self.log {
             ResidentLog::Full(log) => {
                 let size = log.size_bytes();
                 ser.begin_struct(LOG_FIELDS as usize);
                 ser.begin_seq(log.len());
                 let entries_start = ser.len();
+                // The new seal's savepoint bytes are the spans written here;
+                // asking `stats()` would encode every entry a second time.
+                let mut savepoint_bytes = 0;
                 for entry in log.iter() {
+                    let at = ser.len();
                     ser.value(entry)?;
+                    if entry.as_savepoint().is_some() {
+                        savepoint_bytes += ser.len() - at;
+                    }
                 }
-                let entries_end = ser.len();
+                let entries = entries_start..ser.len();
                 ser.value(&size)?;
                 if retain && matches!(self.status, AgentStatus::Forward) {
-                    reseal = Some((entries_start, entries_end, log.len(), size));
+                    reseal = Some((entries, log.len(), size, savepoint_bytes));
                 }
             }
             ResidentLog::Sealed(s) => {
@@ -650,13 +725,15 @@ impl ResidentRecord {
                 .extend_from_slice(&out[delta_start..delta_start + delta_len]);
             s.retained_entries += s.appended.len();
             s.retained_size += delta_len;
+            s.retained_savepoint_bytes += s.appended.stats().savepoint_bytes;
             s.appended = RollbackLog::new();
         }
-        if let Some((start, end, entries, size)) = reseal {
+        if let Some((span, entries, size, savepoint_bytes)) = reseal {
             self.log = ResidentLog::Sealed(SealedLog {
-                retained: out[start..end].to_vec(),
+                retained: out[span].to_vec(),
                 retained_entries: entries,
                 retained_size: size,
+                retained_savepoint_bytes: savepoint_bytes,
                 appended: RollbackLog::new(),
             });
         }

@@ -1,5 +1,6 @@
-//! A global allocator that counts the bytes each thread asks for, so a test
-//! can bound what a decoder allocates by the length of its input. Install it
+//! A global allocator that counts the bytes each thread asks for (and how
+//! often it asks), so a test can bound what a decoder allocates by the
+//! length of its input. Install it
 //! in the test binary with `#[global_allocator]`. [`sweep`] is the decoder
 //! sweep built on it; it reads the sibling module `hostile`.
 
@@ -9,6 +10,8 @@ use std::cell::Cell;
 thread_local! {
     /// Bytes this thread has requested so far (never decremented).
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    /// How many times it has asked (`alloc` and `realloc` calls).
+    static CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Forwards to [`System`] and counts.
@@ -18,13 +21,14 @@ fn count(bytes: usize) {
     // `try_with`: an allocation made while the thread tears down is not
     // counted rather than a panic inside the allocator.
     let _ = REQUESTED.try_with(|c| c.set(c.get().saturating_add(bytes)));
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every call is forwarded to `System` with its arguments unchanged,
-// so `System`'s guarantees are this allocator's. The counter is a
-// thread-local `Cell<usize>` with a const initializer and no destructor:
-// touching it never allocates, which is what keeps `alloc` from re-entering
-// itself.
+// so `System`'s guarantees are this allocator's. The counters are
+// thread-local `Cell<usize>`s with const initializers and no destructor:
+// touching them never allocates, which is what keeps `alloc` from
+// re-entering itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -51,6 +55,16 @@ pub fn requested_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = REQUESTED.with(Cell::get);
     let out = f();
     (out, REQUESTED.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with how many times the calling thread
+/// went to the allocator meanwhile (a grown buffer counts at each growth).
+// One test binary of the eight that include this file asks.
+#[allow(dead_code)]
+pub fn calls_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
 }
 
 /// What a decoder may request from the allocator per input byte, and on top

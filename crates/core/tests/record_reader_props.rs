@@ -11,17 +11,20 @@
 //!   length, and whatever the full walk accepts the prefix readers accept
 //!   with the same fields;
 //! * a record that declares 11 or 13 fields is rejected by every reader,
-//!   the derive decode `AgentRecord::from_bytes` included.
+//!   the derive decode `AgentRecord::from_bytes` included;
+//! * a sealed record whose savepoint bytes cannot pay for a compaction pass
+//!   goes through the transfer gate and the transfer encode without an
+//!   allocation per log entry: nothing is decoded to be asked.
 
 mod common;
 
 use proptest::prelude::*;
 
-use common::counting_alloc::{bounded, sweep, Counting};
+use common::counting_alloc::{bounded, calls_by, sweep, Counting};
 use common::hostile::record_with_deep_data;
 use common::{apply, base_record, op_strategy, Op};
 use mar_core::itinspan::{classify_span, itinerary_span};
-use mar_core::{AgentRecord, LazyRecord, LoggingMode, ResidentRecord};
+use mar_core::{AgentRecord, CostModel, LazyRecord, LinkParams, LoggingMode, ResidentRecord};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -122,6 +125,45 @@ fn a_record_with_a_data_space_nested_past_the_stack_is_refused() {
     AgentRecord::peek_header(&deep).unwrap();
     itinerary_span(&deep).unwrap();
     bounded(&deep, read_all_and_decode);
+}
+
+/// The hop of a long-lived agent: hundreds of step frames, one small
+/// savepoint. The log's size could pay for a pass, its savepoint bytes
+/// cannot, and the sealed log says so itself — the gate and the transfer
+/// encode go to the allocator the same few times whether the log holds 200
+/// steps or 400: twice here, the output buffer and one growth. (Decoding the
+/// log to ask, as the gate once did, is eight allocations per entry — 4,773
+/// and 9,774 calls on these two records.)
+#[test]
+fn a_log_that_cannot_pay_ships_without_an_allocation_per_entry() {
+    let model = CostModel::new(LinkParams::LAN);
+    let hop = |steps: usize| {
+        let mut ops = vec![Op::Savepoint];
+        ops.extend((0..steps).map(|_| Op::Step {
+            node: 2,
+            nops: 1,
+            sro_write: None,
+        }));
+        let bytes = record_bytes(LoggingMode::State, &ops);
+        let mut rec = ResidentRecord::from_bytes(&bytes).unwrap();
+        assert_eq!(rec.log.len(), 1 + 3 * steps);
+        assert!(rec.log.size_bytes() > 8 * 1024);
+        let (shipped, calls) = calls_by(|| {
+            let report = rec.compact_for_transfer(&model, 1).unwrap();
+            assert_eq!(report, None);
+            rec.to_transfer_bytes().unwrap()
+        });
+        assert_eq!(shipped, bytes);
+        assert!(rec.log.is_sealed());
+        calls
+    };
+    let calls = hop(200);
+    assert_eq!(
+        calls,
+        hop(400),
+        "allocator calls must not grow with the log"
+    );
+    assert!(calls <= 4, "{calls} allocator calls for one hop");
 }
 
 proptest! {

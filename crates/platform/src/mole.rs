@@ -1247,54 +1247,31 @@ impl MoleService {
 
     /// Serializes a record that is about to cross the network, compacting
     /// its rollback log first when the runtime is configured to
-    /// (`MoleCfg::compact_on_transfer`). Compaction happens *inside* the
-    /// transaction that ships the record: an abort simply re-reads the
+    /// (`MoleCfg::compact_on_transfer`) and the pass can pay for itself
+    /// under [`COST_MODEL`] — the policy is
+    /// [`ResidentRecord::compact_for_transfer`]. Compaction happens *inside*
+    /// the transaction that ships the record: an abort simply re-reads the
     /// uncompacted record from stable storage and re-plans, and the pass is
     /// idempotent, so crash-retries are harmless.
-    ///
-    /// The pass is skipped when it cannot help: a log with no
-    /// redundancy-introducing mutation since its last pass
-    /// ([`mar_core::RollbackLog::is_dirty`]), or one whose savepoint
-    /// payload is too small for the wire savings to pay for the CPU time
-    /// under [`COST_MODEL`] (ROADMAP "Compaction policy").
     fn encode_for_transfer(
         &self,
         ctx: &mut Ctx<'_>,
         rec: &mut ResidentRecord,
     ) -> Result<Vec<u8>, ItemError> {
         if self.cfg.compact_on_transfer {
-            // Cheap pre-gate on the *total* log size, available without
-            // decoding a sealed log: savepoint payloads are a subset of the
-            // log and `compaction_pays` is monotone in the byte count, so a
-            // total that cannot pay proves the precise check could not
-            // either — the steady-state small-log case ships without ever
-            // materializing.
-            if !COST_MODEL.compaction_pays(rec.log.size_bytes(), COMPACTION_CPU_US_PER_KB) {
-                ctx.metrics().inc(keys::LOG_COMPACTIONS_SKIPPED);
-            } else {
-                let log = rec
-                    .log
-                    .materialize()
-                    .map_err(|e| ItemError::Permanent(e.to_string()))?;
-                // Savepoint payloads are the only bytes a pass can reclaim;
-                // short-circuiting keeps the stats read off the clean path.
-                if !log.is_dirty()
-                    || !COST_MODEL
-                        .compaction_pays(log.stats().savepoint_bytes, COMPACTION_CPU_US_PER_KB)
-                {
-                    ctx.metrics().inc(keys::LOG_COMPACTIONS_SKIPPED);
-                } else {
-                    let report = rec
-                        .compact_log()
-                        .map_err(|e| ItemError::Permanent(e.to_string()))?;
-                    if report.changed() {
-                        ctx.metrics().inc(keys::LOG_COMPACTIONS);
-                        ctx.metrics().add(
-                            keys::LOG_COMPACTION_SAVED_BYTES,
-                            report.saved_bytes() as u64,
-                        );
-                    }
+            match rec
+                .compact_for_transfer(&COST_MODEL, COMPACTION_CPU_US_PER_KB)
+                .map_err(|e| ItemError::Permanent(e.to_string()))?
+            {
+                None => ctx.metrics().inc(keys::LOG_COMPACTIONS_SKIPPED),
+                Some(report) if report.changed() => {
+                    ctx.metrics().inc(keys::LOG_COMPACTIONS);
+                    ctx.metrics().add(
+                        keys::LOG_COMPACTION_SAVED_BYTES,
+                        report.saved_bytes() as u64,
+                    );
                 }
+                Some(_) => {}
             }
         }
         rec.to_transfer_bytes()

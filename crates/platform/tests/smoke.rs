@@ -292,6 +292,157 @@ fn a_record_nested_past_the_stack_is_dropped_and_the_fleet_completes() {
     assert!(p.queued_agents().is_empty(), "the item left the queue");
 }
 
+/// A record whose log frames but holds an entry that does not decode (the
+/// lazy parse checks framing, not entries) travels like any other until
+/// something needs its entries, and is dropped there — on the node and at
+/// the operation pinned below — while the fleet around it completes. It
+/// used to be dropped at its first hop whenever its log had reached a
+/// kilobyte: the transfer gate decoded every such log to ask it a question.
+#[test]
+fn a_log_that_frames_but_does_not_decode_surfaces_where_its_entries_are_needed() {
+    let collect = |build: fn(&mut mar_itinerary::SubBuilder)| {
+        ItineraryBuilder::main("I")
+            .sub("outer", build)
+            .build()
+            .unwrap()
+    };
+    // Twenty step frames of an earlier life, the first with a variant index
+    // no log entry has: well over a kilobyte of log, a savepoint payload
+    // that cannot pay for a compaction pass unless `blob` makes it.
+    let hostile = |id: u64, agent_type: &str, blob: usize, itinerary| {
+        let mut data = DataSpace::new();
+        data.set_sro("blob", Value::from("b".repeat(blob)));
+        let mut record = AgentRecord::new(
+            AgentId(id),
+            agent_type,
+            0,
+            data,
+            itinerary,
+            LoggingMode::State,
+            RollbackMode::Optimized,
+        );
+        for k in 0..20 {
+            record.log.append_step(0, k, "an-earlier-step", [], vec![]);
+        }
+        assert!(record.log.size_bytes() > 1024);
+        let mut bytes = record.to_bytes().unwrap();
+        let mut fields = mar_wire::FieldCursor::open(&bytes, 12).unwrap();
+        for _ in 0..7 {
+            fields.skip().unwrap();
+        }
+        fields.enter(2).unwrap();
+        fields.enter_seq().unwrap();
+        let first_entry = fields.skip().unwrap();
+        bytes[first_entry.start + 1] = 9;
+        mar_core::LazyRecord::parse(&bytes).expect("still frames");
+        assert!(AgentRecord::from_bytes(&bytes).is_err(), "does not decode");
+        bytes
+    };
+    let cases = [
+        // Leaving a top-level sub-itinerary discards the log unread: the
+        // agent completes, having crossed two nodes with its bad entry.
+        (
+            hostile(
+                900,
+                "collector",
+                8,
+                collect(|s| {
+                    s.step("collect1", 1).step("collect2", 2);
+                }),
+            ),
+            None,
+        ),
+        // Leaving a nested one removes its savepoint entry: decoded, and
+        // dropped, on the node of the sub-itinerary's last step.
+        (
+            hostile(
+                901,
+                "collector",
+                8,
+                collect(|s| {
+                    s.sub("inner", |i| {
+                        i.step("collect1", 1).step("collect2", 2);
+                    })
+                    .step("collect3", 3);
+                }),
+            ),
+            Some(2),
+        ),
+        // A rollback reads the log: dropped where the agent asked for one.
+        (
+            hostile(
+                902,
+                "trader",
+                8,
+                collect(|s| {
+                    s.step("decide", 2);
+                }),
+            ),
+            Some(2),
+        ),
+        // A savepoint payload that can pay for a pass is decoded for it, at
+        // the gate of the first hop.
+        (
+            hostile(
+                903,
+                "collector",
+                1200,
+                collect(|s| {
+                    s.step("collect1", 1).step("collect2", 2);
+                }),
+            ),
+            Some(0),
+        ),
+    ];
+    for (n, (record, dropped_on)) in cases.into_iter().enumerate() {
+        let mut p = collector_builder(29 + n as u64)
+            .behavior("trader", Trader)
+            .trace(true)
+            .build();
+        let it = || {
+            collect(|s| {
+                s.step("collect1", 1).step("collect2", 2);
+            })
+        };
+        let mut handles =
+            p.launch_fleet((0..3).map(|_| AgentSpec::new("collector", NodeId(0), it())));
+        let id = AgentRecord::peek_header(&record).unwrap().id;
+        let launch = MoleMsg::Launch {
+            record: record.into(),
+        };
+        p.world_mut()
+            .post(Address::new(NodeId(0), MOLE), launch.encode());
+        handles
+            .extend(p.launch_fleet((0..3).map(|_| AgentSpec::new("collector", NodeId(0), it()))));
+        p.run_until_settled(&handles, SimDuration::from_secs(600));
+        p.run_for(SimDuration::from_secs(60));
+        for h in &handles {
+            assert_eq!(p.report(*h).unwrap().outcome, ReportOutcome::Completed);
+        }
+        let dropped = p.world().trace().custom_with_label("bad-queue-item");
+        match dropped_on {
+            None => {
+                assert!(dropped.is_empty(), "case {n}: {dropped:?}");
+                assert_eq!(p.snapshot().counter(mk::AGENT_COMPLETED), 7, "case {n}");
+            }
+            Some(node) => {
+                assert_eq!(dropped.len(), 1, "case {n}: {dropped:?}");
+                assert!(
+                    matches!(&dropped[0].kind, TraceKind::Custom { node: at, detail, .. }
+                        if *at == node && detail.contains("variant index 9")),
+                    "case {n}: {:?}",
+                    dropped[0]
+                );
+                assert_eq!(p.snapshot().counter(mk::AGENT_COMPLETED), 6, "case {n}");
+            }
+        }
+        assert!(
+            p.queued_agents().is_empty(),
+            "case {n}: {id:?} left the queues"
+        );
+    }
+}
+
 /// Report / mailbox GC: after the driver drains a report, the stable
 /// artifacts of the finished agent — the home `report/<id>` copy, the
 /// completing node's `done/<id>` record and its outbox entry — are gone,

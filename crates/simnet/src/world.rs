@@ -417,14 +417,16 @@ impl Shard {
         let fired = self.with_service(now, node, service, |svc, ctx| svc.on_timer(ctx, tag));
         if fired {
             self.metrics.inc(keys::TIMERS_FIRED);
-            self.trace.record(
-                now,
-                TraceKind::TimerFired {
-                    node: node.0,
-                    service: service.to_owned(),
-                    tag,
-                },
-            );
+            if self.trace.enabled() {
+                self.trace.record(
+                    now,
+                    TraceKind::TimerFired {
+                        node: node.0,
+                        service: service.to_owned(),
+                        tag,
+                    },
+                );
+            }
         }
     }
 

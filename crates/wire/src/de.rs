@@ -197,6 +197,19 @@ impl<'de> BinDeserializer<'de> {
         })
     }
 
+    /// The variant index of the value at the cursor when it is an enum
+    /// variant, without moving; `None` for anything else, input that ends
+    /// inside the index included.
+    pub(crate) fn peek_variant(&self) -> Option<u32> {
+        match self.peek_tag().ok()? {
+            TAG_UNIT_VARIANT | TAG_NEWTYPE_VARIANT | TAG_TUPLE_VARIANT | TAG_STRUCT_VARIANT => {
+                let mut pos = self.pos + 1;
+                u32::try_from(get_uvarint(self.buf, &mut pos).ok()?).ok()
+            }
+            _ => None,
+        }
+    }
+
     /// Passes over one value without building anything: no allocation, no
     /// UTF-8 validation. Tags are checked, every declared length is checked
     /// by `take_len`, truncated input is an error. A counter of values still

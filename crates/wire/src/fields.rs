@@ -116,6 +116,19 @@ impl<'de> FieldCursor<'de> {
         Ok(start..self.de.position())
     }
 
+    /// Which variant of its enum the next field is, by index in declaration
+    /// order, without reading it — what a walk that [skips](Self::skip) a
+    /// sequence of enum values can tell apart without decoding one. `None`
+    /// for a field that is not an enum variant (or is cut short inside the
+    /// index, or is not there): the read that follows reports what is wrong
+    /// with it.
+    pub fn peek_variant(&self) -> Option<u32> {
+        match self.pending {
+            0 => None,
+            _ => self.de.peek_variant(),
+        }
+    }
+
     /// Offset of the next unread byte in the cursor's input.
     pub fn position(&self) -> usize {
         self.de.position()
@@ -236,6 +249,36 @@ mod tests {
         c.finish().unwrap();
     }
 
+    #[test]
+    fn peek_variant_names_the_variant_and_leaves_the_field_unread() {
+        #[derive(serde::Serialize)]
+        enum E {
+            Unit,
+            New(u8),
+            Tuple(u8, u8),
+            Struct { a: u8 },
+        }
+        let values = [E::Unit, E::New(1), E::Tuple(1, 2), E::Struct { a: 1 }];
+        let mut bytes = to_bytes(&7u8).unwrap();
+        for v in &values {
+            bytes.extend(to_bytes(v).unwrap());
+        }
+        let mut c = FieldCursor::values(&bytes, 5);
+        // Not an enum: no index, and the field is still there to be read.
+        assert_eq!(c.peek_variant(), None);
+        assert_eq!(c.next::<u8>().unwrap(), 7);
+        for index in 0..4 {
+            assert_eq!(c.peek_variant(), Some(index));
+            assert_eq!(c.peek_variant(), Some(index), "peeking does not move");
+            c.skip().unwrap();
+        }
+        // Past the last field, and inside a cut-off index.
+        assert_eq!(c.peek_variant(), None);
+        c.finish().unwrap();
+        let cut = &to_bytes(&E::Unit).unwrap()[..1];
+        assert_eq!(FieldCursor::values(cut, 1).peek_variant(), None);
+    }
+
     proptest! {
         /// Whatever the bytes, a walk ends in a value or a typed error and
         /// every span it hands out lies inside the input.
@@ -246,6 +289,7 @@ mod tests {
         ) {
             let mut c = FieldCursor::values(&bytes, 1);
             for step in steps {
+                let _ = c.peek_variant();
                 let ok = match step {
                     0 => c.enter_seq().is_ok(),
                     1 => c.skip().map(|span| assert!(span.end <= bytes.len())).is_ok(),

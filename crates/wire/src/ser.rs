@@ -55,8 +55,10 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> WireResult<Vec<u8>> {
 ///
 /// Same conditions as [`to_bytes`].
 pub fn encoded_size<T: Serialize + ?Sized>(value: &T) -> WireResult<usize> {
-    // A counting writer would avoid the allocation, but encoding sizes are
-    // only computed at savepoint/log boundaries where the cost is immaterial.
+    // A full encode, thrown away: a log entry is measured this way once,
+    // when it is pushed (or first asked about after a decode), and the log
+    // keeps the number. A caller on a per-step path wants a number it
+    // already has, not this.
     Ok(to_bytes(value)?.len())
 }
 

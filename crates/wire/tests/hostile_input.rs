@@ -40,19 +40,36 @@ fn value_and_typed_decodes_survive_the_sweep() {
 
 #[test]
 fn a_field_walk_survives_the_sweep() {
-    let bytes = to_bytes(&(7u32, sample(), vec!["x", "yy"], (true, 9u8))).unwrap();
+    #[derive(serde::Serialize, serde::Deserialize)]
+    enum Either {
+        Left(u8),
+        Right(String),
+    }
+    let variant = Either::Right("r".into());
+    let bytes = to_bytes(&(7u32, sample(), vec!["x", "yy"], (true, 9u8), variant)).unwrap();
     sweep(&bytes, |b| {
-        let Ok(mut fields) = FieldCursor::open(b, 4) else {
+        let Ok(mut fields) = FieldCursor::open(b, 5) else {
             return;
         };
         let walked = (|| {
+            // Peeking reads no further than the input and moves nothing.
+            let _ = fields.peek_variant();
             fields.next::<u32>()?;
             fields.next::<Value>()?;
             let span = fields.skip()?;
             assert!(span.end <= b.len());
             fields.enter(2)?;
             fields.skip()?;
-            fields.next::<u8>()
+            fields.next::<u8>()?;
+            let at = fields.position();
+            let index = fields.peek_variant();
+            assert_eq!(fields.position(), at);
+            // What the peek calls a variant, the typed decode calls the same.
+            match fields.next::<Either>()? {
+                Either::Left(_) => assert_eq!(index, Some(0)),
+                Either::Right(_) => assert_eq!(index, Some(1)),
+            }
+            Ok::<_, mar_wire::WireError>(())
         })();
         if walked.is_ok() {
             let _ = fields.finish();
