@@ -37,6 +37,10 @@ cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
 # what holds the number there, and the allocator calls of a hop that cannot
 # pay for a compaction pass are counted in the profile the benchmark runs.
 cargo test -q --release -p mar-core --test resident_record_props --test record_reader_props
+# And the socket protocol in the profile the benchmark measures: the session
+# codec's sweep (the byte fields' `TAG_BYTES` lengths included) and the
+# socket fleet's equality with its in-process twin.
+cargo test -q --release -p mar-net --test hostile_frames --test distributed_equivalence
 # The canonical benchmark's own suite (smoke run, closed-form step and money
 # checks, seed reproducibility): a core change that trips the benchmark's
 # output checks fails here and not in the pipeline.

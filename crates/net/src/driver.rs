@@ -57,6 +57,7 @@ use std::time::{Duration, Instant};
 use mar_core::AgentId;
 use mar_platform::{audit_wallets, AgentHandle, AgentReport, AgentSpec, DriverCore, DriverStable};
 use mar_simnet::{window_end, MetricsSnapshot, NodeId, RemoteEvent, SimDuration, World};
+use mar_wire::Bytes;
 
 use crate::proto::{
     ownership, recv_ctl, send_ctl, NetMsg, Peer, RpcOp, RpcReply, PROTOCOL_VERSION,
@@ -810,7 +811,7 @@ impl DriverStable for NetState {
                 key: key.to_owned(),
             },
         ) {
-            Some(RpcReply::Bytes(b)) => b,
+            Some(RpcReply::Bytes(b)) => b.map(Bytes::into_vec),
             _ => None,
         }
     }
@@ -840,4 +841,33 @@ fn min_opt(a: Option<u64>, b: Option<u64>) -> Option<u64> {
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{ChannelAcceptor, Loopback};
+
+    /// A host speaking the previous revision cannot read this one's frames,
+    /// so its `Hello` is refused: no `Topology`, the connection dropped,
+    /// and the driver still waiting for a host it can talk to.
+    #[test]
+    fn a_previous_revision_host_is_refused_at_hello() {
+        let (tx, acceptor) = ChannelAcceptor::new();
+        let (mut host, driver_end) = Loopback::pair();
+        let hello = NetMsg::Hello {
+            version: PROTOCOL_VERSION - 1,
+            host_id: 0,
+            resume: false,
+        };
+        send_ctl(&mut host, &hello).unwrap();
+        tx.send(Box::new(driver_end)).unwrap();
+        let mut cfg = NetCfg::new(Endpoint::Unix("unbound.sock".into()), 1, "travel", 11);
+        cfg.accept_deadline = Duration::from_millis(100);
+        let err = NetPlatform::start_with(Box::new(acceptor), cfg)
+            .err()
+            .expect("no host can join");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert_eq!(recv_ctl(&mut host).unwrap(), None);
+    }
 }

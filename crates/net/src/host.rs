@@ -37,6 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mar_simnet::{NodeId, SimRng, StableFactory, WalConfig, World};
+use mar_wire::Bytes;
 
 use crate::proto::{recv_ctl, send_ctl, NetMsg, Peer, RpcOp, RpcReply, PROTOCOL_VERSION};
 use crate::scenarios;
@@ -407,7 +408,7 @@ fn apply_rpc(world: &mut World, op: RpcOp) -> RpcReply {
             RpcReply::Keys(world.stable(NodeId(node)).keys_with_prefix(&prefix))
         }
         RpcOp::Get { node, key } => {
-            RpcReply::Bytes(world.stable(NodeId(node)).get(&key).map(<[u8]>::to_vec))
+            RpcReply::Bytes(world.stable(NodeId(node)).get(&key).map(Bytes::from))
         }
         RpcOp::Delete { node, key } => {
             world.stable_mut(NodeId(node)).delete(&key);

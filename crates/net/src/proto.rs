@@ -37,6 +37,7 @@ use std::collections::VecDeque;
 use std::io;
 
 use mar_simnet::{MetricsSnapshot, RemoteEvent};
+use mar_wire::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::transport::Transport;
@@ -46,8 +47,10 @@ use crate::transport::Transport;
 /// field, session resumption, and the `Hello.resume`/`Topology.resume_ok`
 /// handshake bits. Revision 3 sends a run boundary as an empty window (the
 /// separate clock-advance request and its reply are gone) and a metrics
-/// snapshot is its counters only.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// snapshot is its counters only. Revision 4 frames the two byte fields,
+/// [`RemoteEvent::payload`] and [`RpcReply::Bytes`], as one `TAG_BYTES` run
+/// each instead of one tagged varint per byte.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Messages exchanged between the driver and a node host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -182,7 +185,7 @@ pub enum RpcReply {
     /// For [`RpcOp::KeysWithPrefix`].
     Keys(Vec<String>),
     /// For [`RpcOp::Get`].
-    Bytes(Option<Vec<u8>>),
+    Bytes(Option<Bytes>),
     /// For [`RpcOp::Delete`].
     Unit,
     /// For [`RpcOp::MoneyAudit`]: currency → total.
@@ -486,7 +489,7 @@ mod tests {
                     from_service: "mole".into(),
                     to_node: 3,
                     to_service: "mole".into(),
-                    payload: vec![0x0b, 0x01, 0x00],
+                    payload: Bytes::from(vec![0x0b, 0x01, 0x00]),
                     billed: 3,
                 }],
             },
@@ -498,6 +501,47 @@ mod tests {
                 msg: msg.clone(),
             });
             assert_eq!(encode_envelope(seq, ack, &msg).unwrap(), derived.unwrap());
+        }
+    }
+
+    /// A relayed record or a stable value is one byte run on the wire: its
+    /// frame costs the payload plus a constant, not ~3 bytes a byte.
+    #[test]
+    fn byte_fields_frame_as_one_run() {
+        const N: usize = 4096;
+        let payload = Bytes::from(vec![0xFF; N]);
+        let event = RemoteEvent {
+            at_us: 1_000_000,
+            origin: 2,
+            seq: 5,
+            from_node: 2,
+            from_service: "mole".into(),
+            to_node: 3,
+            to_service: "mole".into(),
+            payload: payload.clone(),
+            billed: N as u64,
+        };
+        for msg in [
+            NetMsg::Inject {
+                events: vec![event.clone()],
+            },
+            NetMsg::WindowDone {
+                end_us: 1_000_001,
+                egress: vec![event],
+                next_min_us: Some(1_000_002),
+            },
+            NetMsg::RpcReply {
+                id: 9,
+                reply: RpcReply::Bytes(Some(payload)),
+            },
+        ] {
+            let frame = encode_envelope(1_000, 999, &msg).unwrap();
+            assert!(
+                frame.len() <= N + 64,
+                "a {N}-byte payload took {}",
+                frame.len()
+            );
+            assert_eq!(decode_envelope(&frame).unwrap().msg, msg);
         }
     }
 

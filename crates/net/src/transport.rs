@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use mar_simnet::SimRng;
 use mar_wire::frame::{read_frame, write_frame};
+use mar_wire::varint::get_uvarint;
 
 /// Where a driver listens and hosts connect: a TCP address or a
 /// Unix-domain socket path.
@@ -108,8 +109,10 @@ pub fn is_idle_timeout(e: &io::Error) -> bool {
 /// Two read timeouts guard `recv`: the **poll** timeout applies while
 /// waiting for a frame to begin (letting a serve loop wake up to check a
 /// shutdown flag), and the **watchdog** timeout applies once a frame has
-/// started (a hung peer mid-frame is a dead peer, but a short poll tick
-/// must never tear a frame that straddles it).
+/// started and its rest is still to be read from the socket (a hung peer
+/// mid-frame is a dead peer, but a short poll tick must never tear a frame
+/// that straddles it). A frame the read buffer already holds whole is read
+/// without a system call, so it keeps the poll timeout.
 pub struct SocketTransport {
     reader: SocketReader,
     writer: SocketWriter,
@@ -207,6 +210,18 @@ impl SocketTransport {
             }
         }
     }
+
+    /// Whether the read buffer already holds the whole next frame, length
+    /// prefix and payload: reading it then makes no system call, so no
+    /// timeout can tear it.
+    fn frame_buffered(&self) -> bool {
+        let buf = match &self.reader {
+            SocketReader::Tcp(r) => r.buffer(),
+            SocketReader::Unix(r) => r.buffer(),
+        };
+        let mut pos = 0;
+        matches!(get_uvarint(buf, &mut pos), Ok(len) if len <= (buf.len() - pos) as u64)
+    }
 }
 
 impl Transport for SocketTransport {
@@ -225,12 +240,15 @@ impl Transport for SocketTransport {
 
     fn recv(&mut self) -> io::Result<Option<Vec<u8>>> {
         // Idle at a frame boundary: no bytes consumed, the caller may
-        // retry. Once the first byte is buffered the frame has begun —
-        // switch to the watchdog so a short poll tick can't tear it.
+        // retry. Once the first byte is buffered the frame has begun — if
+        // the rest is still to come, switch to the watchdog so a short poll
+        // tick can't tear it.
         if !self.wait_for_frame()? {
             return Ok(None);
         }
-        self.apply(self.watchdog)?;
+        if !self.frame_buffered() {
+            self.apply(self.watchdog)?;
+        }
         match &mut self.reader {
             SocketReader::Tcp(r) => read_frame(r),
             SocketReader::Unix(r) => read_frame(r),
@@ -481,5 +499,51 @@ mod tests {
         assert_eq!(server.recv().unwrap().unwrap(), vec![0xAA; 5000]);
         server.send(b"pong").unwrap();
         join.join().unwrap();
+    }
+
+    const POLL: Duration = Duration::from_millis(20);
+    const WATCHDOG: Duration = Duration::from_secs(2);
+
+    /// A host-shaped receiver (poll tick shorter than the watchdog) and the
+    /// raw socket its peer writes to.
+    fn polled_pair() -> (SocketTransport, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let mut t = SocketTransport::unix(ours).unwrap();
+        t.set_read_timeout(Some(WATCHDOG)).unwrap();
+        t.set_poll_interval(Some(POLL)).unwrap();
+        (t, theirs)
+    }
+
+    #[test]
+    fn a_buffered_frame_is_read_under_the_poll_timeout() {
+        let (mut t, mut peer) = polled_pair();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &[0x5A; 300]).unwrap();
+        peer.write_all(&wire).unwrap();
+        assert_eq!(t.recv().unwrap().unwrap(), vec![0x5A; 300]);
+        assert_eq!(t.applied, Some(POLL), "no timeout switch for a whole frame");
+    }
+
+    #[test]
+    fn a_frame_split_across_poll_ticks_arrives_whole() {
+        let (mut t, mut peer) = polled_pair();
+        let payload: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let (head, tail) = wire.split_at(wire.len() / 2);
+        peer.write_all(head).unwrap();
+        let tail = tail.to_vec();
+        let late = std::thread::spawn(move || {
+            // Five poll ticks: only the watchdog may govern this wait.
+            std::thread::sleep(5 * POLL);
+            peer.write_all(&tail).unwrap();
+            peer
+        });
+        assert_eq!(t.recv().unwrap().unwrap(), payload);
+        assert_eq!(t.applied, Some(WATCHDOG));
+        let _peer = late.join().unwrap();
+        // Idle at the next boundary, the poll tick is back.
+        assert!(is_idle_timeout(&t.recv().unwrap_err()));
+        assert_eq!(t.applied, Some(POLL));
     }
 }

@@ -9,8 +9,10 @@ mod counting_alloc;
 mod hostile;
 
 use counting_alloc::{sweep, Counting};
-use mar_net::proto::{recv_ctl, send_ctl};
+use mar_net::proto::{recv_ctl, send_ctl, RpcReply};
 use mar_net::{Loopback, NetMsg, Peer, Transport, PROTOCOL_VERSION};
+use mar_simnet::RemoteEvent;
+use mar_wire::Bytes;
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -40,7 +42,29 @@ fn control_and_session_frames_survive_the_sweep() {
         egress: Vec::new(),
         next_min_us: Some(41),
     };
-    for msg in [topology, done] {
+    // The byte fields: a length the sweep flips and truncates is the
+    // codec's `TAG_BYTES` length, read through `take_len`'s budget.
+    let payload = Bytes::from(vec![0x80, 0xFF, 0x01, 0xC3, 0x9A, 0x00, 0xEE]);
+    let relayed = NetMsg::WindowDone {
+        end_us: 40,
+        egress: vec![RemoteEvent {
+            at_us: 45,
+            origin: 1,
+            seq: 3,
+            from_node: 1,
+            from_service: "mole".into(),
+            to_node: 2,
+            to_service: "mole".into(),
+            payload: payload.clone(),
+            billed: payload.len() as u64,
+        }],
+        next_min_us: Some(41),
+    };
+    let value = NetMsg::RpcReply {
+        id: 7,
+        reply: RpcReply::Bytes(Some(payload)),
+    };
+    for msg in [topology, done, relayed, value] {
         for valid in frames(&msg) {
             // The channels are the harness's, not the decoder's: made once.
             let (mut raw, mut end) = Loopback::pair();

@@ -80,20 +80,11 @@ impl Metrics {
 
     /// Moves every count out of `other` into `self` (the deterministic shard
     /// fold: counter addition is commutative, and the kernel folds shards in
-    /// id order).
+    /// id order). `other` keeps its keys at zero, so its next window counts
+    /// on the shared-lock path without allocating a key again.
     pub(crate) fn absorb(&self, other: &Metrics) {
-        let drained: Vec<(String, u64)> = {
-            let mut counters = other.counters.write().expect("metrics lock");
-            let drained = counters
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .filter(|(_, v)| *v > 0)
-                .collect();
-            counters.clear();
-            drained
-        };
-        for (k, v) in drained {
-            self.add(&k, v);
+        for (k, v) in other.counters.read().expect("metrics lock").iter() {
+            self.add(k, v.swap(0, Ordering::Relaxed));
         }
     }
 }
@@ -220,6 +211,32 @@ mod tests {
         assert_eq!(a.counter("y"), 5);
         // `b` was drained.
         assert_eq!(b.counter("x"), 0);
+    }
+
+    #[test]
+    fn absorb_keeps_the_drained_keys_and_moves_only_the_delta() {
+        let (a, b) = (Metrics::new(), Metrics::new());
+        b.add("x", 2);
+        b.add("y", 5);
+        a.absorb(&b);
+        let zeros: BTreeMap<String, u64> = [("x".into(), 0), ("y".into(), 0)].into();
+        assert_eq!(b.snapshot().counters, zeros);
+        // With a reader holding the lock, only the shared-lock path of `add`
+        // can finish: a re-inserted key would wait for the write lock.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = b.counters.read().expect("metrics lock");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                b.add("x", 4);
+                tx.send(()).expect("test receiver");
+            });
+            let done = rx.recv_timeout(std::time::Duration::from_secs(5));
+            drop(reader);
+            assert!(done.is_ok(), "add after absorb took the write lock");
+        });
+        a.absorb(&b);
+        assert_eq!((a.counter("x"), a.counter("y")), (6, 5));
+        assert_eq!((b.counter("x"), b.counter("y")), (0, 0));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! the receiving world processes it in exactly the global order the
 //! single-process simulation would have used.
 
+use mar_wire::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::node::{Address, NodeId};
@@ -40,8 +41,8 @@ pub struct RemoteEvent {
     pub to_node: u32,
     /// Destination service name.
     pub to_service: String,
-    /// Message payload bytes.
-    pub payload: Vec<u8>,
+    /// Message payload bytes, framed as one `TAG_BYTES` run on the wire.
+    pub payload: Bytes,
     /// Billed (logical) size used for latency and byte accounting; equals
     /// `payload.len()` unless the sender used reference compression.
     pub billed: u64,
@@ -109,7 +110,7 @@ mod tests {
             from_service: "mole".to_owned(),
             to_node: 5,
             to_service: "mole".to_owned(),
-            payload: vec![1, 2, 3],
+            payload: Bytes::from(vec![1, 2, 3]),
             billed: 3,
         };
         assert_eq!(ev.to_address(), Address::new(NodeId(5), "mole"));

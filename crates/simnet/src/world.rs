@@ -32,6 +32,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
+use mar_wire::Bytes;
+
 use crate::ctx::{Command, Ctx};
 use crate::event::{Event, EventKey, EventQueue, DRIVER_ORIGIN};
 use crate::metrics::{keys, Metrics, MetricsSnapshot};
@@ -486,7 +488,7 @@ fn remote_event(
         from_service: from.service.to_owned(),
         to_node: to.node.0,
         to_service: to.service.to_owned(),
-        payload,
+        payload: Bytes::new(payload),
         billed: billed as u64,
     }
 }
@@ -1031,7 +1033,7 @@ impl World {
             Event::Deliver {
                 from,
                 to,
-                payload: ev.payload,
+                payload: ev.payload.into_vec(),
                 billed,
             },
         );
@@ -1781,7 +1783,7 @@ mod tests {
         let ev = egress.first().expect("post diverted");
         assert_eq!(ev.to_node, 1);
         assert_eq!(ev.origin, DRIVER_ORIGIN);
-        assert_eq!(ev.payload, b"ext");
+        assert_eq!(&ev.payload[..], b"ext");
         assert_eq!(ev.from_node, NodeId::EXTERNAL.0);
     }
 
@@ -1797,7 +1799,7 @@ mod tests {
             from_service: "ping".to_owned(),
             to_node: 1,
             to_service: "ping".to_owned(),
-            payload: vec![],
+            payload: Bytes::default(),
             billed: 0,
         };
         w.inject_remote(ev);
