@@ -32,6 +32,11 @@ cargo test -q --release -p mar-wire -p mar-simnet
 # debug assertion, and release is the profile the benchmark measures.
 cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
     --test step_path_cache_props
+# And the commit path's crash suites: the WAL's equality with the reference
+# backend under crash schedules, and the 2PC host's crash sweep, whose
+# coordinator forgets a decision with an unforced delete.
+cargo test -q --release -p mar-platform --test stable_backend_props
+cargo test -q --release -p mar-txn --test twopc_sim
 # And the two record suites: release compiles out the cross-check of a sealed
 # log's savepoint bytes in `ResidentLog::materialize`, so the properties are
 # what holds the number there, and the allocator calls of a hop that cannot

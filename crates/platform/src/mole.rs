@@ -615,7 +615,14 @@ impl MoleService {
                     );
                 }
                 Action::ForgetDecision { txn } => {
-                    ctx.stable_delete(&format!("{DECISION_PREFIX}{}", txn.key()));
+                    // Unforced: the `Ack` handler writes nothing else, so it
+                    // costs no barrier. Presumed abort tolerates losing the
+                    // delete to a crash: `on_start` finds the decision again
+                    // and `co.recover` re-sends it, a participant that has
+                    // settled the transaction (`2pc/done/` written, nothing
+                    // left prepared) answers it with an `Ack` only, and that
+                    // `Ack` forgets the decision a second time.
+                    ctx.stable_delete_unforced(&format!("{DECISION_PREFIX}{}", txn.key()));
                 }
                 Action::SendPrepare { to, txn, work } => {
                     self.send_tx(ctx, to, TxMsg::Prepare { txn, work });

@@ -22,6 +22,11 @@
 //! and `steps.committed` equal the crash-free run's, an agent is in at most
 //! one queue at every pause, and an aborted transaction leaves neither a
 //! `q/` key nor a hold behind.
+//!
+//! Last, the node is swept as a coordinator once more, past its wave's last
+//! `Ack` up to its next forced barrier: there the `Ack`'s delete of the
+//! decision is still pending, so the crash brings the decision back and
+//! recovery re-sends it, and the run must still end as the crash-free one.
 
 use std::collections::BTreeMap;
 
@@ -342,6 +347,131 @@ fn crash_of_a_participant_keeps_the_outcome_wal_1_shard() {
 #[test]
 fn crash_of_a_participant_keeps_the_outcome_wal_2_shards() {
     sweep(2, &StableFactory::wal(WalConfig::default()), prepare_window);
+}
+
+/// The decision records in `node`'s view.
+fn decisions(p: &Platform, node: u32) -> Vec<String> {
+    let stable = p.world().stable(NodeId(node));
+    stable.keys_with_prefix("2pc/decision/")
+}
+
+/// The last `Ack` of the victim's first wave as coordinator, read off the
+/// crash-free trace. The wave's steps all move on to the same next node,
+/// which until then sends the victim nothing but a vote and an ack for each.
+fn last_ack(trace: &[TraceRecord]) -> u64 {
+    let per_wave = (AGENTS / (NODES as u64 - 1)) as usize;
+    let (_, last_commit) = commit_window(trace);
+    let decided_at = |r: &&TraceRecord| {
+        r.at.as_micros() == last_commit
+            && matches!(&r.kind, TraceKind::MsgSent { from, .. } if from.0 == VICTIM)
+    };
+    let next = match &trace.iter().find(decided_at).expect("a decision").kind {
+        TraceKind::MsgSent { to, .. } => to.0,
+        _ => unreachable!(),
+    };
+    let answers: Vec<u64> = trace
+        .iter()
+        .filter_map(|r| match &r.kind {
+            TraceKind::MsgDelivered { from, to, .. } if from.0 == next && to.0 == VICTIM => {
+                Some(r.at.as_micros())
+            }
+            _ => None,
+        })
+        .take(2 * per_wave)
+        .collect();
+    assert_eq!(answers.len(), 2 * per_wave, "a vote and an ack per step");
+    let ack = answers[2 * per_wave - 1];
+    assert!(ack > last_commit, "the last answer is an ack");
+    ack
+}
+
+/// The first instant after `ack` at which the victim's backend commits: the
+/// next forced barrier, up to which the `Ack`'s delete is pending.
+fn next_barrier(shards: usize, stable: &StableFactory, ack: u64) -> u64 {
+    let mut p = build(shards, stable);
+    launch(&mut p);
+    p.world_mut().run_until(SimTime::from_micros(ack));
+    let commits = |p: &Platform| p.world().stable(NodeId(VICTIM)).backend_stats().commits;
+    let before = commits(&p);
+    while commits(&p) == before {
+        assert!(p.world_mut().step(), "the victim commits again");
+    }
+    p.world().now().as_micros()
+}
+
+/// The window the coordinator's `Ack` opens: its delete of the decision is
+/// unforced, so from the last `Ack` of a wave to the victim's next forced
+/// barrier a crash brings the decision back. Whatever the crash instant in
+/// there, the decision reappears and recovery re-sends it; the settled
+/// participant only acks again, so each agent is in at most one queue at
+/// every pause, the run ends as the crash-free one does, and no decision is
+/// left behind.
+fn sweep_forgotten_decisions(shards: usize, stable: &StableFactory) {
+    let what = format!("shards={shards}, backend={}", stable.name());
+    let mut p = build(shards, stable);
+    let handles = launch(&mut p);
+    settle(&mut p, &handles, &what);
+    let expected = outcome(&mut p, &handles);
+    let ack = last_ack(p.world().trace().records());
+    let barrier = next_barrier(shards, stable, ack);
+    assert!(
+        barrier >= ack + 2 * SWEEP_STEP_US,
+        "the window has a width ({what})"
+    );
+    let pauses = 2 * (barrier + DOWNTIME.as_micros()) / PAUSE.as_micros();
+
+    // Events at `at` itself run before the crash: the window is half-open.
+    let mut at = ack;
+    while at < barrier {
+        let what = format!("crash at {at} us ({what})");
+        let mut p = build(shards, stable);
+        let handles = launch(&mut p);
+        p.world_mut().run_until(SimTime::from_micros(at));
+        p.world_mut().crash_now(NodeId(VICTIM));
+        let back = decisions(&p, VICTIM);
+        assert!(!back.is_empty(), "no decision came back ({what})");
+        let up = SimTime::from_micros(at) + DOWNTIME;
+        p.world_mut().schedule_recover(up, NodeId(VICTIM));
+        p.world_mut().run_until(up);
+        for key in &back {
+            let participants = p.world().stable(NodeId(VICTIM)).get(key).unwrap();
+            let participants: Vec<NodeId> = mar_wire::from_slice(participants).unwrap();
+            for node in participants {
+                let resent = p.world().trace().records().iter().any(|r| {
+                    r.at == up
+                        && matches!(&r.kind, TraceKind::MsgSent { from, to, .. }
+                            if from.0 == VICTIM && to.0 == node.0)
+                });
+                assert!(resent, "{key} not re-sent to {node:?} ({what})");
+            }
+        }
+        settle_with_pauses(&mut p, &handles, pauses, &what);
+        assert_eq!(outcome(&mut p, &handles), expected, "{what}");
+        for n in 0..NODES {
+            assert_eq!(decisions(&p, n), Vec::<String>::new(), "node {n} ({what})");
+        }
+        at += SWEEP_STEP_US;
+    }
+}
+
+#[test]
+fn crash_after_the_last_ack_resends_the_decision_reference_1_shard() {
+    sweep_forgotten_decisions(1, &StableFactory::reference());
+}
+
+#[test]
+fn crash_after_the_last_ack_resends_the_decision_reference_2_shards() {
+    sweep_forgotten_decisions(2, &StableFactory::reference());
+}
+
+#[test]
+fn crash_after_the_last_ack_resends_the_decision_wal_1_shard() {
+    sweep_forgotten_decisions(1, &StableFactory::wal(WalConfig::default()));
+}
+
+#[test]
+fn crash_after_the_last_ack_resends_the_decision_wal_2_shards() {
+    sweep_forgotten_decisions(2, &StableFactory::wal(WalConfig::default()));
 }
 
 /// The abort case: the coordinator crashes after its `Prepare`s went out and

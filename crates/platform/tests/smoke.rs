@@ -584,6 +584,47 @@ fn forget_releases_report_exactly_once() {
     assert_eq!(p.snapshot().counter(mk::DRIVER_REPORTS_EVICTED), 0);
 }
 
+/// `stable.commits` of one collector agent launched at node 0 that migrates
+/// `hops` times, round the resource nodes 1, 2, 3, 1, …
+fn barriers_of_a_tour(hops: u32) -> u64 {
+    let mut p = collector_platform(31);
+    let it = ItineraryBuilder::main("I")
+        .sub("gather", |s| {
+            for i in 0..hops {
+                s.step(format!("collect{i}"), 1 + i % 3);
+            }
+        })
+        .build()
+        .unwrap();
+    let agent = p.launch(AgentSpec::new("collector", NodeId(0), it));
+    assert!(p.run_until_settled(&[agent], SimDuration::from_secs(60)));
+    let m = p.snapshot();
+    assert_eq!(m.counter(mk::TRANSFERS_FORWARD), u64::from(hops));
+    m.counter("stable.commits")
+}
+
+/// A migrating hop forces three durable barriers: the destination's
+/// `Prepare` (the record under its queue key), the source's `Vote` (the
+/// decision with the step's commit) and the destination's `Decision` (the
+/// hold released, `2pc/done/`). The source's `Ack` only forgets the decision,
+/// unforced, and is no barrier. What a tour costs besides its hops is fixed,
+/// 8 barriers: the launch's queue item at home; the `txnseq` floor each of
+/// the four nodes writes with its first transaction id; the last step, which
+/// completes in place (report, outbox entry); the report's delivery home; and
+/// its `ReportAck`, which deletes the outbox entry, forced.
+#[test]
+fn a_migrating_hop_forces_three_barriers() {
+    const PER_HOP: u64 = 3;
+    const FIXED: u64 = 1 + 4 + 1 + 1 + 1;
+    for hops in [4, 10] {
+        assert_eq!(
+            barriers_of_a_tour(hops),
+            PER_HOP * u64::from(hops) + FIXED,
+            "{hops} hops"
+        );
+    }
+}
+
 /// The write budget of a hop: the record is written once, as the queue item
 /// it becomes at the destination. Over a run of three migrations the stable
 /// bytes are the record at launch, the record once per hop, the two copies of

@@ -141,6 +141,15 @@ impl Ctx<'_> {
         self.stable.delete(key)
     }
 
+    /// Deletes a stable key without making this event a barrier: the delete
+    /// becomes durable with the node's next forced barrier, and a crash
+    /// before then brings the key back (see
+    /// [`StableStore::delete_unforced`]).
+    pub fn stable_delete_unforced(&mut self, key: &str) -> Option<Vec<u8>> {
+        self.metrics.inc(keys::STABLE_WRITES);
+        self.stable.delete_unforced(key)
+    }
+
     /// Direct access to the stable store for scans.
     pub fn stable(&mut self) -> &mut StableStore {
         self.stable

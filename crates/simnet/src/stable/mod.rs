@@ -25,6 +25,12 @@
 //! [`crate::World::stable_mut`] — auto-commit individually, keeping the
 //! "stable means crash-surviving" contract for every caller.
 //!
+//! A mutation is *forced* unless it is made through
+//! [`StableStore::delete_unforced`]. Only a forced mutation makes its batch
+//! a barrier; an unforced one stays pending on the backend and becomes
+//! durable with the node's next forced barrier (or
+//! [`StableStore::flush`]) — a crash before then rolls it back.
+//!
 //! [`commit`]: StableBackend::commit
 
 pub mod wal;
@@ -325,8 +331,8 @@ impl fmt::Debug for StableFactory {
 /// report and the group-commit batching protocol: between
 /// [`begin_batch`](StableStore::begin_batch) and
 /// [`commit`](StableStore::commit) mutations stay pending on the backend;
-/// outside a batch every mutation auto-commits so ad-hoc writes are durable
-/// immediately.
+/// outside a batch every forced mutation auto-commits so ad-hoc writes are
+/// durable immediately.
 ///
 /// # Examples
 ///
@@ -343,6 +349,8 @@ pub struct StableStore {
     write_ops: u64,
     bytes_written: u64,
     in_batch: bool,
+    /// Whether the open batch holds a forced mutation.
+    forced: bool,
 }
 
 impl Default for StableStore {
@@ -358,6 +366,7 @@ impl Clone for StableStore {
             write_ops: self.write_ops,
             bytes_written: self.bytes_written,
             in_batch: self.in_batch,
+            forced: self.forced,
         }
     }
 }
@@ -375,6 +384,7 @@ impl StableStore {
             write_ops: 0,
             bytes_written: 0,
             in_batch: false,
+            forced: false,
         }
     }
 
@@ -383,8 +393,12 @@ impl StableStore {
         StableStore::with_backend(Box::new(WalBackend::new(cfg)))
     }
 
-    fn autocommit(&mut self) {
-        if !self.in_batch {
+    /// Called after a forced mutation: marks the open batch a barrier, or
+    /// commits at once outside a batch.
+    fn forced_mutation(&mut self) {
+        if self.in_batch {
+            self.forced = true;
+        } else {
             self.backend.commit();
         }
     }
@@ -394,7 +408,7 @@ impl StableStore {
         self.write_ops += 1;
         self.bytes_written += value.len() as u64;
         self.backend.put(key.into(), value);
-        self.autocommit();
+        self.forced_mutation();
     }
 
     /// Reads the value stored under `key`.
@@ -404,10 +418,22 @@ impl StableStore {
 
     /// Removes `key`, returning the previous value if present.
     pub fn delete(&mut self, key: &str) -> Option<Vec<u8>> {
+        let prev = self.delete_unforced(key);
+        if prev.is_some() {
+            self.forced_mutation();
+        }
+        prev
+    }
+
+    /// Removes `key` without forcing: the delete is pending on the backend,
+    /// in or out of a batch, until the node's next forced barrier, and a
+    /// crash before that brings the key back. Only for a record whose
+    /// resurrection the caller tolerates. Accounted like
+    /// [`delete`](StableStore::delete).
+    pub fn delete_unforced(&mut self, key: &str) -> Option<Vec<u8>> {
         let prev = self.backend.delete(key);
         if prev.is_some() {
             self.write_ops += 1;
-            self.autocommit();
         }
         prev
     }
@@ -447,7 +473,7 @@ impl StableStore {
         let n = keys.len();
         self.write_ops += n as u64;
         if n > 0 {
-            self.autocommit();
+            self.forced_mutation();
         }
         n
     }
@@ -486,10 +512,22 @@ impl StableStore {
         self.in_batch = true;
     }
 
-    /// Closes the batch, making every pending mutation crash-durable in one
-    /// barrier. Returns `true` iff the batch contained a mutation.
+    /// Closes the batch. A batch that holds a forced mutation is a barrier:
+    /// every pending mutation, unforced ones from earlier batches included,
+    /// becomes crash-durable at once, and the call returns `true`. A batch
+    /// without one leaves its mutations pending and returns `false`.
     pub fn commit(&mut self) -> bool {
         self.in_batch = false;
+        std::mem::take(&mut self.forced) && self.backend.commit()
+    }
+
+    /// A barrier whatever the batch holds: makes every pending mutation,
+    /// unforced ones included, crash-durable. Returns `true` iff any was
+    /// pending. A graceful shutdown calls this, so that a restart never
+    /// depends on torn-tail discard.
+    pub fn flush(&mut self) -> bool {
+        self.in_batch = false;
+        self.forced = false;
         self.backend.commit()
     }
 
@@ -497,6 +535,7 @@ impl StableStore {
     /// are lost.
     pub fn crash_volatile(&mut self) {
         self.in_batch = false;
+        self.forced = false;
         self.backend.crash();
     }
 
@@ -635,6 +674,76 @@ mod tests {
         s.begin_batch();
         s.put("k", vec![1]);
         assert!(s.commit(), "batch with a mutation");
+    }
+
+    /// An empty store on each backend.
+    fn stores() -> [StableStore; 2] {
+        [StableStore::new(), StableStore::wal(WalConfig::default())]
+    }
+
+    /// The WAL's durable log length; `None` on the reference backend.
+    fn durable_log_len(s: &mut StableStore) -> Option<usize> {
+        let wal = s.backend_mut().as_any_mut().downcast_mut::<WalBackend>();
+        wal.map(|wal| wal.durable_log_len())
+    }
+
+    #[test]
+    fn an_unforced_delete_is_not_a_barrier_and_rides_the_next_one() {
+        for mut s in stores() {
+            let name = s.backend_name();
+            s.put("decision", vec![1]);
+            let (commits, durable) = (s.backend_stats().commits, durable_log_len(&mut s));
+            s.begin_batch();
+            assert_eq!(s.delete_unforced("decision"), Some(vec![1]), "{name}");
+            assert!(!s.contains("decision"), "{name}: the view has the delete");
+            assert!(!s.commit(), "{name}: an unforced delete forces nothing");
+            assert_eq!(s.backend_stats().commits, commits, "{name}");
+            assert_eq!(durable_log_len(&mut s), durable, "{name}");
+            assert_eq!(s.write_ops(), 2, "{name}: accounted like a delete");
+
+            // The next forced batch carries it.
+            s.begin_batch();
+            s.put("other", vec![2]);
+            assert!(s.commit(), "{name}");
+            assert_eq!(s.backend_stats().commits, commits + 1, "{name}");
+            s.crash_volatile();
+            s.recover();
+            assert!(!s.contains("decision"), "{name}: durable with the barrier");
+            assert_eq!(s.get("other"), Some(&[2u8][..]), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_crash_before_the_next_barrier_restores_an_unforced_delete() {
+        for mut s in stores() {
+            let name = s.backend_name();
+            s.put("decision", vec![1]);
+            s.put("x", vec![3]);
+            s.begin_batch();
+            s.delete_unforced("decision");
+            assert!(!s.commit(), "{name}");
+            // Outside a batch an unforced delete does not auto-commit either.
+            s.delete_unforced("x");
+            s.crash_volatile();
+            s.recover();
+            assert_eq!(s.get("decision"), Some(&[1u8][..]), "{name}");
+            assert_eq!(s.get("x"), Some(&[3u8][..]), "{name}");
+        }
+    }
+
+    #[test]
+    fn flush_makes_an_unforced_delete_durable() {
+        for mut s in stores() {
+            let name = s.backend_name();
+            s.put("decision", vec![1]);
+            s.begin_batch();
+            s.delete_unforced("decision");
+            assert!(s.flush(), "{name}: the pending delete is flushed");
+            assert!(!s.flush(), "{name}: nothing left pending");
+            s.crash_volatile();
+            s.recover();
+            assert!(!s.contains("decision"), "{name}");
+        }
     }
 
     #[test]

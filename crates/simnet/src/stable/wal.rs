@@ -146,12 +146,15 @@ fn try_decode_frame<'a>(buf: &'a [u8], p: &mut usize) -> Option<Frame<'a>> {
 
 /// On-disk persistence of one node's WAL: a log file receiving fsynced
 /// appends of committed records, and a checkpoint file replaced atomically
-/// (write-to-temp, fsync, rename).
+/// (write-to-temp, fsync, rename, fsync of the directory).
 #[derive(Debug)]
 struct FileBacking {
     ckpt_path: PathBuf,
     /// Open append handle on the node's log file.
     log_file: File,
+    /// Open handle on the directory holding both files, fsynced to make a
+    /// rename in it durable.
+    dir: File,
 }
 
 impl FileBacking {
@@ -163,7 +166,17 @@ impl FileBacking {
     }
 
     /// Replaces the checkpoint file with `checkpoint` and truncates the log
-    /// file, in the crash-safe order: new checkpoint durable first.
+    /// file. Each step is durable before the next begins, because recovery
+    /// reads whichever checkpoint is published plus the log:
+    ///
+    /// 1. the new image is written and fsynced under a temporary name, so a
+    ///    crash leaves the old checkpoint and the full log;
+    /// 2. the rename publishes it, and the directory fsync makes the rename
+    ///    itself durable — POSIX makes a rename durable only through its
+    ///    parent directory. Without it a durable truncate could overtake a
+    ///    rename still in the page cache, and a crash would pair the *old*
+    ///    checkpoint with an empty log: a whole log generation lost;
+    /// 3. only then is the log truncated and fsynced.
     fn write_checkpoint(&mut self, checkpoint: &[u8]) {
         let tmp = self.ckpt_path.with_extension("ckpt.tmp");
         let mut f = File::create(&tmp).expect("wal: create checkpoint temp");
@@ -171,6 +184,7 @@ impl FileBacking {
         f.sync_all().expect("wal: fsync checkpoint");
         drop(f);
         std::fs::rename(&tmp, &self.ckpt_path).expect("wal: publish checkpoint");
+        self.dir.sync_all().expect("wal: fsync directory");
         self.log_file.set_len(0).expect("wal: truncate log file");
         self.log_file.sync_data().expect("wal: fsync truncated log");
     }
@@ -271,6 +285,7 @@ impl WalBackend {
             file: Some(FileBacking {
                 ckpt_path,
                 log_file,
+                dir: File::open(&dir).expect("wal: open backing directory"),
             }),
         };
         backend.recover();

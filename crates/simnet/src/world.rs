@@ -838,18 +838,19 @@ impl World {
     }
 
     /// Commit barrier across every **local** node's stable store: any
-    /// pending mutations are made crash-durable now. The kernel already
-    /// brackets every event in `begin_batch`/`commit`, so at a quiescent
-    /// point this is a no-op safety net; a graceful shutdown calls it so a
-    /// restart never depends on torn-tail discard. Returns how many stores
-    /// actually had pending work.
+    /// pending mutations are made crash-durable now. The kernel brackets
+    /// every event in `begin_batch`/`commit`, but a batch of unforced
+    /// mutations only is not a barrier, so at a quiescent point those may
+    /// still be pending; a graceful shutdown calls this so a restart never
+    /// depends on torn-tail discard. Returns how many stores actually had
+    /// pending work.
     pub fn flush_stable(&mut self) -> u64 {
         let mut flushed = 0;
         for node in self.node_ids() {
             if self.is_remote(node) {
                 continue;
             }
-            if self.stable_mut(node).commit() {
+            if self.stable_mut(node).flush() {
                 flushed += 1;
             }
         }
@@ -1393,6 +1394,36 @@ mod tests {
         // State was rebuilt from the factory.
         assert_eq!(w.service_mut::<Echo>(b, "echo").unwrap().seen, 0);
         let _ = a;
+    }
+
+    /// Deletes, unforced, the stable key a message names.
+    struct Forget;
+
+    impl Service for Forget {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Address, payload: &[u8]) {
+            ctx.stable_delete_unforced(std::str::from_utf8(payload).unwrap());
+        }
+    }
+
+    #[test]
+    fn flush_stable_makes_a_pending_unforced_delete_durable() {
+        const KEY: &str = "2pc/decision/0.1";
+        for flush in [false, true] {
+            let (mut w, a, _) = two_node_world();
+            w.add_service(a, "forget", || Box::new(Forget));
+            w.start();
+            w.stable_mut(a).put(KEY, vec![1]);
+            w.post(Address::new(a, "forget"), KEY.as_bytes().to_vec());
+            w.run_to_quiescence(10);
+            assert!(!w.stable(a).contains(KEY));
+            assert_eq!(w.metrics().counter(keys::STABLE_COMMITS), 0);
+            if flush {
+                assert_eq!(w.flush_stable(), 1, "the delete was pending");
+            }
+            w.crash_now(a);
+            w.recover_now(a);
+            assert_eq!(w.stable(a).contains(KEY), !flush, "flushed: {flush}");
+        }
     }
 
     #[test]

@@ -45,7 +45,10 @@ pub enum Action {
         /// Participants that still need the decision.
         participants: Vec<NodeId>,
     },
-    /// Remove the decision record (all participants acknowledged).
+    /// Remove the decision record (all participants acknowledged). The
+    /// removal need not be forced: if a crash undoes it, recovery re-sends
+    /// the decision, every participant has already settled and only acks
+    /// again, and the next `ForgetDecision` removes the record once more.
     ForgetDecision {
         /// The transaction.
         txn: TxnId,

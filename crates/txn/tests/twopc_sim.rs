@@ -51,7 +51,7 @@ impl TmHost {
                     );
                 }
                 Action::ForgetDecision { txn } => {
-                    ctx.stable_delete(&format!("2pc/decision/{}", txn.key()));
+                    ctx.stable_delete_unforced(&format!("2pc/decision/{}", txn.key()));
                 }
                 Action::SendPrepare { to, txn, work } => {
                     self.send_tx(ctx, to, TxMsg::Prepare { txn, work });
@@ -259,6 +259,36 @@ fn coordinator_crash_after_decision_recovers_and_finishes() {
         // The vote had not arrived yet: presumed abort is also a legal outcome.
         assert!(!applied_once(&w, b, &txn));
     }
+}
+
+/// The host forgets a decision with an unforced delete, which the `Ack`
+/// handler's own batch does not make durable. A coordinator crash right after
+/// the `Ack` brings the decision back; recovery re-sends it, the settled
+/// participant only acks again, and the work stays applied once.
+#[test]
+fn coordinator_crash_right_after_the_ack_resends_and_applies_once() {
+    let (mut w, a, b) = build_world(8);
+    start_commit(&mut w, a, b, 1);
+    let txn = TxnId::new(a, 1);
+    let decision = format!("2pc/decision/{}", txn.key());
+    let mut decided = false;
+    while !decided || w.stable(a).contains(&decision) {
+        assert!(w.step(), "the commit completes");
+        decided |= w.stable(a).contains(&decision);
+    }
+    assert!(applied_once(&w, b, &txn));
+    w.crash_now(a);
+    w.recover_now(a);
+    assert!(
+        w.stable(a).contains(&decision),
+        "the forgotten decision was not durable yet"
+    );
+    w.run_for(SimDuration::from_secs(2));
+    assert!(applied_once(&w, b, &txn), "the re-sent decision re-applied");
+    assert!(
+        !w.stable(a).contains(&decision),
+        "the second ack forgets the decision again"
+    );
 }
 
 #[test]
