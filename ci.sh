@@ -41,7 +41,10 @@ cargo test -q --release -p mar-txn --test twopc_sim
 # log's savepoint bytes in `ResidentLog::materialize`, so the properties are
 # what holds the number there, and the allocator calls of a hop that cannot
 # pay for a compaction pass are counted in the profile the benchmark runs.
-cargo test -q --release -p mar-core --test resident_record_props --test record_reader_props
+# With them the batch planner's suite: the planners are generic over the
+# record they run on, and release is the profile the benchmark measures.
+cargo test -q --release -p mar-core --test resident_record_props --test record_reader_props \
+    --test planner_batch_props
 # And the socket protocol in the profile the benchmark measures: the session
 # codec's sweep (the byte fields' `TAG_BYTES` lengths included) and the
 # socket fleet's equality with its in-process twin.

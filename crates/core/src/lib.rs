@@ -56,8 +56,8 @@ pub use error::{CompError, CoreError};
 pub use log::{CompactionReport, LoggingMode, RollbackLog};
 pub use planner::{
     compensation_round, plan_batch, plan_single, start_rollback, AfterRound, BatchPlan, BatchRun,
-    CompUnit, Destination, FusedStep, RestorePlan, RollbackCursor, RollbackMode, RoundPlan,
-    StartPlan,
+    CompUnit, Destination, FusedStep, RestorePlan, RollbackCursor, RollbackMode, RollbackSubject,
+    RollbackView, RoundPlan, StartPlan,
 };
 pub use record::{AgentId, AgentRecord, AgentStatus, RecordDataPeek, RecordHeader};
 pub use resident::{ItinerarySlot, LazyRecord, ResidentLog, ResidentRecord, SealedLog};

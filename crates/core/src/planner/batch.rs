@@ -41,8 +41,7 @@
 
 use crate::error::CoreError;
 use crate::log::{LogEntry, OpEntry, RollbackLog};
-use crate::planner::{compensation_round, AfterRound, RollbackMode, RoundPlan};
-use crate::record::AgentRecord;
+use crate::planner::{compensation_round, AfterRound, RollbackMode, RollbackSubject, RoundPlan};
 use crate::savepoint::SavepointId;
 
 /// One step's worth of pending compensation work, as seen by the
@@ -260,7 +259,10 @@ impl BatchPlan {
 ///
 /// [`CoreError::UnknownSavepoint`] if `target` is missing,
 /// [`CoreError::CorruptLog`] if the log violates the entry grammar.
-pub fn plan_batch(record: &mut AgentRecord, target: SavepointId) -> Result<BatchPlan, CoreError> {
+pub fn plan_batch<R: RollbackSubject>(
+    record: &mut R,
+    target: SavepointId,
+) -> Result<BatchPlan, CoreError> {
     plan_fused(record, target, usize::MAX)
 }
 
@@ -271,20 +273,23 @@ pub fn plan_batch(record: &mut AgentRecord, target: SavepointId) -> Result<Batch
 /// # Errors
 ///
 /// Same as [`plan_batch`].
-pub fn plan_single(record: &mut AgentRecord, target: SavepointId) -> Result<BatchPlan, CoreError> {
+pub fn plan_single<R: RollbackSubject>(
+    record: &mut R,
+    target: SavepointId,
+) -> Result<BatchPlan, CoreError> {
     plan_fused(record, target, 1)
 }
 
-fn plan_fused(
-    record: &mut AgentRecord,
+fn plan_fused<R: RollbackSubject>(
+    record: &mut R,
     target: SavepointId,
     limit: usize,
 ) -> Result<BatchPlan, CoreError> {
-    if !record.log.contains_savepoint(target) {
+    if !record.log().contains_savepoint(target) {
         return Err(CoreError::UnknownSavepoint(target));
     }
     let run_len = {
-        let mut cursor = RollbackCursor::new(&record.log, record.rollback_mode, target);
+        let mut cursor = RollbackCursor::new(record.log(), record.rollback_mode(), target);
         cursor.next_run().map_or(0, |run| run.len.min(limit))
     };
     if run_len == 0 {

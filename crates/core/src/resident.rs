@@ -39,7 +39,7 @@ use crate::data::DataSpace;
 use crate::error::CoreError;
 use crate::itinspan::{classify_span, SpanKind};
 use crate::log::{CompactionReport, LogEntry, LogStats, LoggingMode, RollbackLog};
-use crate::planner::RollbackMode;
+use crate::planner::{RollbackMode, RollbackView};
 use crate::record::{AgentId, AgentRecord, AgentStatus, RecordHeader};
 use crate::savepoint::SavepointTable;
 
@@ -97,8 +97,7 @@ impl ItinerarySlot {
         }
     }
 
-    /// Builds a slot from a decoded tree (launch path), pre-seeding the
-    /// decode cache.
+    /// Builds a slot from a decoded tree, pre-seeding the decode cache.
     ///
     /// # Errors
     ///
@@ -528,28 +527,6 @@ impl ResidentRecord {
         Ok(LazyRecord::parse(bytes)?.into_resident())
     }
 
-    /// Wraps a fully decoded record (log materialized).
-    ///
-    /// # Errors
-    ///
-    /// Codec errors from encoding the itinerary into its slot form.
-    pub fn from_record(rec: AgentRecord) -> Result<ResidentRecord, CoreError> {
-        Ok(ResidentRecord {
-            id: rec.id,
-            agent_type: rec.agent_type,
-            home: rec.home,
-            data: rec.data,
-            itinerary: ItinerarySlot::from_tree(rec.itinerary)?,
-            cursor: rec.cursor,
-            table: rec.table,
-            log: ResidentLog::Full(rec.log),
-            step_seq: rec.step_seq,
-            status: rec.status,
-            logging_mode: rec.logging_mode,
-            rollback_mode: rec.rollback_mode,
-        })
-    }
-
     /// Converts into a fully decoded [`AgentRecord`], materializing the log
     /// if it is still sealed.
     ///
@@ -568,6 +545,24 @@ impl ResidentRecord {
             log: self.log.into_log()?,
             step_seq: self.step_seq,
             status: self.status,
+            logging_mode: self.logging_mode,
+            rollback_mode: self.rollback_mode,
+        })
+    }
+
+    /// What the rollback planners run on
+    /// ([`RollbackSubject`](crate::RollbackSubject)): the log,
+    /// materialized in place, and the data space, borrowed. The itinerary is
+    /// not decoded, and the record stays resident.
+    ///
+    /// # Errors
+    ///
+    /// Codec errors from the deferred log decode.
+    pub fn rollback_view(&mut self) -> Result<RollbackView<'_>, CoreError> {
+        Ok(RollbackView {
+            log: self.log.materialize()?,
+            data: &mut self.data,
+            step_seq: self.step_seq,
             logging_mode: self.logging_mode,
             rollback_mode: self.rollback_mode,
         })
@@ -892,10 +887,17 @@ mod tests {
     }
 
     #[test]
-    fn from_record_roundtrip() {
-        let rec = record();
-        let mut resident = ResidentRecord::from_record(rec.clone()).unwrap();
+    fn a_rollback_planned_on_the_view_leaves_the_record_the_decoded_one_would() {
+        let mut rec = record();
+        let target = rec.table.stack()[0].auto;
+        let mut resident = ResidentRecord::from_bytes(&rec.to_bytes().unwrap()).unwrap();
+        let plan = crate::plan_batch(&mut resident.rollback_view().unwrap(), target).unwrap();
+        assert_eq!(plan, crate::plan_batch(&mut rec, target).unwrap());
         assert!(!resident.log.is_sealed());
+        assert!(
+            !resident.itinerary.is_decoded(),
+            "planning reads no itinerary"
+        );
         assert_eq!(resident.to_bytes().unwrap(), rec.to_bytes().unwrap());
         assert_eq!(resident.into_record().unwrap(), rec);
     }

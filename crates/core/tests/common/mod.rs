@@ -1,8 +1,9 @@
 //! The random agent history the record suites share: a plain
 //! [`AgentRecord`] and a [`ResidentRecord`] driven through the same steps,
-//! savepoints, sub-itinerary entries and exits, encodes and compaction
-//! passes. `resident_record_props.rs` pins the two encoders to each other on
-//! it; `record_reader_props.rs` pins every reader of the encoded record.
+//! savepoints, sub-itinerary entries and exits, encodes, compaction passes
+//! and rollbacks. `resident_record_props.rs` pins the two encoders, and the
+//! one planner on the two record types, to each other on it;
+//! `record_reader_props.rs` pins every reader of the encoded record.
 
 // Each test binary uses a different subset of these helpers.
 #![allow(dead_code)]
@@ -13,7 +14,10 @@ pub mod hostile;
 use proptest::prelude::*;
 
 use mar_core::comp::{CompOp, EntryKind};
-use mar_core::{AgentId, AgentRecord, DataSpace, LoggingMode, ResidentRecord, RollbackMode};
+use mar_core::{
+    plan_batch, AfterRound, AgentId, AgentRecord, AgentStatus, DataSpace, LoggingMode,
+    ResidentRecord, RollbackMode, SavepointId,
+};
 use mar_itinerary::samples;
 use mar_wire::Value;
 
@@ -44,6 +48,12 @@ pub enum Op {
     Materialize,
     /// Run a compaction pass on both sides.
     Compact,
+    /// Roll back to the savepoint `pick` chooses among those in the log, one
+    /// batch per compensation transaction until it is reached. The resident
+    /// side plans in the form it is in and in the other (sealed or
+    /// materialized): every batch is the decoded record's, and every record
+    /// a batch leaves behind encodes to its bytes.
+    Rollback { pick: u8 },
 }
 
 pub fn op_strategy() -> impl Strategy<Value = Op> {
@@ -61,6 +71,7 @@ pub fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::Reseal),
         1 => Just(Op::Materialize),
         1 => Just(Op::Compact),
+        1 => any::<u8>().prop_map(|pick| Op::Rollback { pick }),
     ]
 }
 
@@ -187,6 +198,49 @@ pub fn apply(full: &mut AgentRecord, res: &mut ResidentRecord, subs: &mut u32, o
         Op::Compact => {
             full.compact_log();
             res.compact_log().expect("resident log decodes");
+        }
+        Op::Rollback { pick } => {
+            let targets: Vec<SavepointId> = full
+                .log
+                .iter()
+                .filter_map(|entry| entry.as_savepoint().map(|sp| sp.id))
+                .collect();
+            if targets.is_empty() {
+                return false;
+            }
+            let target = targets[usize::from(*pick) % targets.len()];
+            full.status = AgentStatus::RollingBack { target };
+            res.status = full.status.clone();
+            while full.status != AgentStatus::Forward {
+                let mut other = if res.log.is_sealed() {
+                    let mut materialized = res.clone();
+                    materialized
+                        .log
+                        .materialize()
+                        .expect("resident log decodes");
+                    materialized
+                } else {
+                    let bytes = res.clone().to_bytes().expect("resident encodes");
+                    ResidentRecord::from_bytes(&bytes).expect("own bytes parse")
+                };
+                let want = plan_batch(full, target).expect("a well-formed log plans");
+                for side in [&mut *res, &mut other] {
+                    let mut view = side.rollback_view().expect("resident log decodes");
+                    let got = plan_batch(&mut view, target).expect("a well-formed log plans");
+                    assert_eq!(got, want, "resident batch != decoded batch");
+                    if let AfterRound::Reached(restore) = &want.after {
+                        side.apply_restore((**restore).clone());
+                    }
+                }
+                if let AfterRound::Reached(restore) = want.after {
+                    full.apply_restore(*restore);
+                }
+                let direct = full.to_bytes().expect("record encodes");
+                assert_eq!(other.to_bytes().expect("resident encodes"), direct);
+                assert_eq!(res.to_bytes().expect("resident encodes"), direct);
+            }
+            // The restored bookkeeping names the subs still entered.
+            *subs = full.table.stack().len() as u32;
         }
     }
     true

@@ -11,6 +11,9 @@
 //!   delta into the retained bytes), materializations, savepoint removals,
 //!   and compaction passes;
 //! * decode back (`from_bytes` ∘ `to_bytes`) to the identical record;
+//! * plan every rollback batch in place, sealed or materialized, exactly as
+//!   the decoded record does, and leave a record that encodes to its bytes
+//!   (`Op::Rollback`);
 //! * know its savepoint bytes without decoding — `log.savepoint_bytes()`
 //!   is what the materialized log measures, in every form the log takes —
 //!   and decide on a pre-transfer compaction pass exactly as the

@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use mar_core::comp::CompOpRegistry;
 use mar_core::{
-    plan_batch, plan_single, start_rollback, AfterRound, AgentRecord, AgentStatus, CompError,
-    CostModel, Destination, LinkParams, ResidentRecord, StartPlan,
+    plan_batch, plan_single, start_rollback, AfterRound, AgentStatus, CompError, CostModel,
+    Destination, LinkParams, ResidentRecord, StartPlan,
 };
 use mar_simnet::{Address, Ctx, NodeId, Service, SimDuration, StableStore};
 use mar_txn::{
@@ -1382,7 +1382,6 @@ impl MoleService {
                 drop(rec);
                 let original = self
                     .stable_resident(ctx, key)
-                    .and_then(|rec| rec.into_record().ok())
                     .ok_or_else(|| ItemError::Permanent("queue item vanished".to_owned()))?;
                 self.start_rollback_txn(ctx, key, original, scope, rollback_memos)
             }
@@ -1429,11 +1428,10 @@ impl MoleService {
         &mut self,
         ctx: &mut Ctx<'_>,
         key: &str,
-        record: AgentRecord,
+        mut rb: ResidentRecord,
         scope: mar_core::RollbackScope,
         memos: Vec<(String, mar_wire::Value)>,
     ) -> Result<(), ItemError> {
-        let mut rb = record;
         // Rollback invocation parameters survive as (uncompensated) weakly
         // reversible state — the aborting step's own writes do not.
         for (k, v) in memos {
@@ -1444,13 +1442,12 @@ impl MoleService {
             .resolve(scope)
             .map_err(|e| ItemError::Permanent(format!("rollback scope: {e}")))?;
         rb.status = AgentStatus::RollingBack { target };
-        let plan = start_rollback(&rb, target)
+        let plan = rb
+            .rollback_view()
+            .and_then(|view| start_rollback(&view, target))
             .map_err(|e| ItemError::Permanent(format!("rollback: {e}")))?;
         let txn = self.alloc_txn(ctx);
         let mut metrics = vec![(keys::ROLLBACK_STARTED, 1)];
-        let mut rb =
-            ResidentRecord::from_record(rb).map_err(|e| ItemError::Permanent(e.to_string()))?;
-        self.itin.adopt(&mut rb.itinerary);
         let exit = match plan {
             StartPlan::AlreadyAtTarget(restore) => {
                 rb.apply_restore(*restore);
@@ -1483,19 +1480,19 @@ impl MoleService {
         &mut self,
         ctx: &mut Ctx<'_>,
         key: &str,
-        resident: ResidentRecord,
+        mut rb: ResidentRecord,
         target: mar_core::SavepointId,
     ) -> Result<(), ItemError> {
-        // Rollback needs the log's entries: materialize (a resident record
-        // cached by a previous local round is already materialized).
-        let mut rb = resident
-            .into_record()
+        // Rollback needs the log's entries: materialize in place (a resident
+        // record cached by a previous local round is already materialized).
+        let mut view = rb
+            .rollback_view()
             .map_err(|e| ItemError::Permanent(e.to_string()))?;
         let txn = self.alloc_txn(ctx);
         let batch = if self.cfg.batch_rollback {
-            plan_batch(&mut rb, target)
+            plan_batch(&mut view, target)
         } else {
-            plan_single(&mut rb, target)
+            plan_single(&mut view, target)
         }
         .map_err(|e| ItemError::Permanent(format!("rollback: {e}")))?;
 
@@ -1567,14 +1564,15 @@ impl MoleService {
             (keys::ROLLBACK_BATCHED_ROUNDS, 1),
             (keys::ROLLBACK_ROUNDS_SAVED, rounds - 1),
         ];
-        let mut rb =
-            ResidentRecord::from_record(rb).map_err(|e| ItemError::Permanent(e.to_string()))?;
-        self.itin.adopt(&mut rb.itinerary);
         let exit = match batch.after {
             AfterRound::Reached(restore) => {
                 rb.apply_restore(*restore);
                 metrics.push((keys::ROLLBACK_COMPLETED, 1));
-                Self::exit_to_step(ctx, &rb)?
+                // The itinerary is first read here: abort what was compensated.
+                Self::exit_to_step(ctx, &rb).map_err(|e| {
+                    self.rms.abort_all(txn);
+                    e
+                })?
             }
             AfterRound::Continue(dest) => Exit::rolling_back(dest),
         };

@@ -443,6 +443,124 @@ fn a_log_that_frames_but_does_not_decode_surfaces_where_its_entries_are_needed()
     }
 }
 
+/// A rolling-back record whose itinerary frames but does not decode is
+/// planned on as it is (the planner reads the log, never the itinerary),
+/// runs its compensation rounds and moves between them, and is dropped where
+/// its cursor is first needed: on the node where the rollback reaches its
+/// savepoint. It used to be dropped at its first round, on node 2, because
+/// planning began by decoding the whole record. The compensation that last
+/// round ran is aborted with it: the bank it locked serves the next agent.
+#[test]
+fn an_itinerary_that_frames_but_does_not_decode_surfaces_where_the_rollback_resumes() {
+    let it = || {
+        ItineraryBuilder::main("I")
+            .sub("gather", |s| {
+                s.step("collect1", 1).step("collect2", 2);
+            })
+            .build()
+            .unwrap()
+    };
+    let mut record = AgentRecord::new(
+        AgentId(904),
+        "collector",
+        0,
+        DataSpace::new(),
+        it(),
+        LoggingMode::State,
+        RollbackMode::Basic,
+    );
+    let cursor = record.cursor.clone();
+    let target = record.table.on_enter_sub(
+        "gather",
+        &mut record.data,
+        &cursor,
+        &mut record.log,
+        LoggingMode::State,
+    );
+    // Two committed steps to compensate, the newest on node 2, where the
+    // record is launched: basic mode runs one round there and moves the
+    // agent to node 1 for the other, which gives 40 back from the escrow.
+    let undo = comp_undo_transfer("bank", "alice", "escrow", 40);
+    for (seq, node, ops) in [(0, 1, vec![undo]), (1, 2, vec![])] {
+        record.log.append_step(node, seq, "collect", ops, vec![]);
+        record.step_seq += 1;
+        record.table.on_step_committed();
+    }
+    record.status = mar_core::AgentStatus::RollingBack { target };
+    let mut bytes = record.to_bytes().unwrap();
+    // The itinerary's last field is its `Order`, a unit variant: give it an
+    // index `Order` does not have.
+    let span = mar_core::itinspan::itinerary_span(&bytes).unwrap();
+    assert_eq!(
+        bytes[span.end - 2..span.end],
+        [0x0d, 0x00],
+        "Order::Sequence"
+    );
+    bytes[span.end - 1] = 9;
+    mar_core::LazyRecord::parse(&bytes).expect("still frames");
+    assert!(AgentRecord::from_bytes(&bytes).is_err(), "does not decode");
+
+    let mut p = collector_builder(31)
+        .behavior("trader", Trader)
+        .resources(NodeId(1), || {
+            let mut rms = RmRegistry::new();
+            rms.register(Box::new(
+                DirectoryRm::new("dir").with_entry("offers", Value::from("offer-from-node-1")),
+            ));
+            rms.register(Box::new(
+                BankRm::new("bank", false)
+                    .with_account("alice", 100)
+                    .with_account("escrow", 40),
+            ));
+            rms
+        })
+        .trace(true)
+        .build();
+    let mut handles = p.launch_fleet((0..3).map(|_| AgentSpec::new("collector", NodeId(0), it())));
+    p.world_mut().post(
+        Address::new(NodeId(2), MOLE),
+        MoleMsg::Launch {
+            record: bytes.into(),
+        }
+        .encode(),
+    );
+    handles.extend(p.launch_fleet((0..3).map(|_| AgentSpec::new("collector", NodeId(0), it()))));
+    assert!(p.run_until_settled(&handles, SimDuration::from_secs(600)));
+    p.run_for(SimDuration::from_secs(60));
+    for h in &handles {
+        assert_eq!(p.report(*h).unwrap().outcome, ReportOutcome::Completed);
+    }
+    let dropped = p.world().trace().custom_with_label("bad-queue-item");
+    assert_eq!(dropped.len(), 1, "{dropped:?}");
+    assert!(
+        matches!(&dropped[0].kind, TraceKind::Custom { node: 1, detail, .. }
+            if detail.contains("variant index 9")),
+        "{:?}",
+        dropped[0]
+    );
+    let m = p.snapshot();
+    // The round on node 2 committed and moved the agent; the one on node 1
+    // planned, compensated, found no cursor to resume at, and aborted.
+    assert_eq!(m.counter(mk::COMP_OPS), 1);
+    assert_eq!(m.counter(mk::ROLLBACK_ROUNDS), 1);
+    assert_eq!(m.counter(mk::TRANSFERS_ROLLBACK), 1);
+    assert_eq!(m.counter(mk::ROLLBACK_COMPLETED), 0);
+    assert_eq!(m.counter(mk::AGENT_COMPLETED), 6);
+    assert!(p.queued_agents().is_empty(), "the item left the queue");
+
+    // A trader reserves from the accounts the aborted round had locked.
+    let trade = ItineraryBuilder::main("I")
+        .sub("trade", |s| {
+            s.step("reserve", 1).step("decide", 2);
+        })
+        .build()
+        .unwrap();
+    let trader = p.launch(AgentSpec::new("trader", NodeId(0), trade));
+    assert!(p.run_until_settled(&[trader], SimDuration::from_secs(600)));
+    assert_eq!(p.report(trader).unwrap().outcome, ReportOutcome::Completed);
+    assert_eq!(p.snapshot().counter(mk::STEPS_ABORTED), 0);
+}
+
 /// Report / mailbox GC: after the driver drains a report, the stable
 /// artifacts of the finished agent — the home `report/<id>` copy, the
 /// completing node's `done/<id>` record and its outbox entry — are gone,

@@ -28,6 +28,8 @@
 //! events travel through per-shard inboxes and are merged into the
 //! destination queue, where the origin-based key restores the global order.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
@@ -1193,7 +1195,10 @@ impl World {
 
     /// Parallel engine: one worker thread per shard, three barrier waits per
     /// window (publish local minima → leader fixes the window → process and
-    /// deposit cross-shard events → make deposits visible).
+    /// deposit cross-shard events → make deposits visible). A handler that
+    /// panics on a worker does not leave the others at a barrier: the worker
+    /// keeps the payload and goes on waiting, the leader ends the run at the
+    /// next window, and the payload is rethrown here, as on one shard.
     fn run_windows_threaded(&mut self, until: SimTime) {
         const DONE: u64 = u64::MAX;
         let n = self.shards.len();
@@ -1205,6 +1210,7 @@ impl World {
         let windows = AtomicU64::new(0);
         let inboxes: Vec<Mutex<Vec<(EventKey, Event)>>> =
             (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         std::thread::scope(|scope| {
             for shard in &mut self.shards {
                 let barrier = &barrier;
@@ -1212,6 +1218,7 @@ impl World {
                 let next_min = &next_min;
                 let windows = &windows;
                 let inboxes = &inboxes;
+                let panicked = &panicked;
                 scope.spawn(move || loop {
                     // Drain events deposited for us in the previous window.
                     let items = std::mem::take(&mut *inboxes[shard.id].lock().expect("inbox"));
@@ -1226,7 +1233,8 @@ impl World {
                     next_min.fetch_min(local, Ordering::AcqRel);
                     if barrier.wait().is_leader() {
                         let m = next_min.swap(u64::MAX, Ordering::AcqRel);
-                        let w = if m == u64::MAX || m > until_us {
+                        let failed = panicked.lock().expect("panic slot").is_some();
+                        let w = if failed || m == u64::MAX || m > until_us {
                             DONE
                         } else {
                             windows.fetch_add(1, Ordering::Relaxed);
@@ -1239,19 +1247,24 @@ impl World {
                     if end == DONE {
                         break;
                     }
-                    while let Some(key) = shard.queue.peek_key() {
-                        if key.0.as_micros() >= end {
-                            break;
+                    let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+                        while let Some(key) = shard.queue.peek_key() {
+                            if key.0.as_micros() >= end {
+                                break;
+                            }
+                            let (key, ev) = shard.queue.pop().expect("peeked event vanished");
+                            shard.process_event(key, ev);
+                            for (dest, dkey, dev) in shard.outbox.drain(..) {
+                                debug_assert!(
+                                    dkey.0.as_micros() >= end,
+                                    "cross-shard event due inside the current window"
+                                );
+                                inboxes[dest].lock().expect("inbox").push((dkey, dev));
+                            }
                         }
-                        let (key, ev) = shard.queue.pop().expect("peeked event vanished");
-                        shard.process_event(key, ev);
-                        for (dest, dkey, dev) in shard.outbox.drain(..) {
-                            debug_assert!(
-                                dkey.0.as_micros() >= end,
-                                "cross-shard event due inside the current window"
-                            );
-                            inboxes[dest].lock().expect("inbox").push((dkey, dev));
-                        }
+                    }));
+                    if let Err(payload) = ran {
+                        panicked.lock().expect("panic slot").get_or_insert(payload);
                     }
                     // Make this window's deposits visible before anyone
                     // drains inboxes for the next one.
@@ -1261,6 +1274,9 @@ impl World {
         });
         self.metrics
             .add(keys::WINDOWS, windows.load(Ordering::Relaxed));
+        if let Some(payload) = panicked.into_inner().expect("panic slot") {
+            panic::resume_unwind(payload);
+        }
     }
 
     fn sync_replicas_if_dirty(&mut self) {
@@ -1662,6 +1678,45 @@ mod tests {
             last = w.now();
         }
         assert_eq!(w.metrics().counter(keys::MSGS_DELIVERED), 6);
+    }
+
+    /// Panics on its first message.
+    struct Bomb;
+
+    impl Service for Bomb {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: Address, _payload: &[u8]) {
+            panic!("bomb went off");
+        }
+    }
+
+    /// A handler's panic on a worker thread fails `run_until` with the
+    /// handler's message, as it does on one shard; it used to leave the
+    /// other workers at a barrier, and the run hanging, for good.
+    #[test]
+    fn a_handler_panic_on_a_worker_fails_the_run_instead_of_hanging_it() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut cfg = WorldConfig::with_seed(1);
+            cfg.shards = 2;
+            let mut w = World::new(cfg);
+            let nodes: Vec<NodeId> = (0..2).map(|_| w.add_node()).collect();
+            for &n in &nodes {
+                w.add_service(n, "bomb", || Box::new(Bomb));
+            }
+            w.start();
+            w.post(Address::new(nodes[1], "bomb"), b"x".to_vec());
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                w.run_until(SimTime::from_micros(10_000));
+            }));
+            let message = run
+                .err()
+                .and_then(|payload| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("run_until returned");
+        assert_eq!(message.as_deref(), Some("bomb went off"));
     }
 
     #[test]
