@@ -49,6 +49,10 @@ cargo test -q --release -p mar-core --test resident_record_props --test record_r
 # codec's sweep (the byte fields' `TAG_BYTES` lengths included) and the
 # socket fleet's equality with its in-process twin.
 cargo test -q --release -p mar-net --test hostile_frames --test distributed_equivalence
+# And the file-backed hosts under kills, in the release profile: the fault
+# plans drop a host's volatile state and rebuild it from its WAL files, whose
+# barriers reach the device only at the kernel's output-commit syncs.
+cargo test -q --release -p mar-net --test fault_plan_props
 # The canonical benchmark's own suite (smoke run, closed-form step and money
 # checks, seed reproducibility): a core change that trips the benchmark's
 # output checks fails here and not in the pipeline.

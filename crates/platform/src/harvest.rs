@@ -31,7 +31,8 @@ use crate::AgentSpec;
 /// The in-process implementation on [`World`] touches the stores directly;
 /// the `mar-net` driver forwards each call to the host that owns the node.
 /// Semantics the harvest logic relies on: reads observe all prior deletes
-/// through the same handle, and deletes are durable once the call returns.
+/// through the same handle, and deletes are durable once
+/// [`commit_deletes`](DriverStable::commit_deletes) returns.
 pub trait DriverStable {
     /// The keys under `prefix` in `node`'s stable store, in sorted order.
     fn keys_with_prefix(&mut self, node: NodeId, prefix: &str) -> Vec<String>;
@@ -39,10 +40,19 @@ pub trait DriverStable {
     fn get(&mut self, node: NodeId, key: &str) -> Option<Vec<u8>>;
     /// Deletes one stable key (no-op if absent).
     fn delete(&mut self, node: NodeId, key: &str);
+    /// Makes every delete since the previous call durable. The default does
+    /// nothing, for a handle whose deletes are durable when
+    /// [`delete`](DriverStable::delete) returns.
+    fn commit_deletes(&mut self) {}
     /// Increments a `driver.*` metric by one on the driver's own meter.
     fn metric_inc(&mut self, key: &'static str);
 }
 
+/// A driver's deletes join one open batch per node they touch, and
+/// [`commit_deletes`](DriverStable::commit_deletes) closes each with one
+/// barrier and one sync, instead of one per delete. The harvest runs between
+/// simulation entry points, so no event (and no simulated crash) can land
+/// while a batch is open.
 impl DriverStable for World {
     fn keys_with_prefix(&mut self, node: NodeId, prefix: &str) -> Vec<String> {
         self.stable(node).keys_with_prefix(prefix)
@@ -53,7 +63,15 @@ impl DriverStable for World {
     }
 
     fn delete(&mut self, node: NodeId, key: &str) {
-        self.stable_mut(node).delete(key);
+        let store = self.stable_mut(node);
+        store.begin_batch();
+        store.delete(key);
+    }
+
+    fn commit_deletes(&mut self) {
+        for node in self.node_ids() {
+            self.stable_mut(node).commit();
+        }
     }
 
     fn metric_inc(&mut self, key: &'static str) {
@@ -239,6 +257,7 @@ impl DriverCore {
                 }
             }
         }
+        stable.commit_deletes();
         fresh
     }
 }

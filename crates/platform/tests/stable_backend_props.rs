@@ -9,6 +9,11 @@
 //! `stable.commits` — so a backend that commits more or fewer batches than
 //! the reference model fails loudly.
 //!
+//! A pinned fleet also runs on a *file-backed* WAL, whose barriers reach
+//! the device only at the kernel's output-commit syncs: the run must still
+//! be byte-identical, and each node's files must hold exactly what a
+//! simulated crash keeps.
+//!
 //! The second half extends the PR 5 step-boundary crash sweep across the
 //! trait boundary: at every step boundary the node holding the agent gets a
 //! random torn-WAL suffix injected (a partially flushed record marked
@@ -27,9 +32,9 @@ use common::{
     step_name, strip_engine_counters, GenAgent, GenCrash, GenStep,
 };
 use mar_core::{LoggingMode, RollbackMode};
-use mar_platform::{AgentSpec, ReportOutcome};
+use mar_platform::{AgentHandle, AgentSpec, Platform, ReportOutcome};
 use mar_simnet::stable::wal::encode_put_frame;
-use mar_simnet::{NodeId, SimDuration, StableFactory, WalBackend, WalConfig};
+use mar_simnet::{NodeId, SimDuration, StableBackend, StableFactory, WalBackend, WalConfig};
 use mar_wire::Value;
 
 const NODES: u32 = 6;
@@ -51,6 +56,18 @@ fn run_fleet(
     shards: usize,
     stable: &StableFactory,
 ) -> FleetFingerprint {
+    let (mut p, handles) = settle_fleet(seed, agents, crashes, shards, stable);
+    fingerprint(&mut p, &handles)
+}
+
+/// Builds the fleet, runs it to settlement, and hands the platform back.
+fn settle_fleet(
+    seed: u64,
+    agents: &[GenAgent],
+    crashes: &[GenCrash],
+    shards: usize,
+    stable: &StableFactory,
+) -> (Platform, Vec<AgentHandle>) {
     let mut p = build_platform(NODES, seed, shards, true, stable);
     schedule_crashes(&mut p, NODES, crashes);
     let handles = launch_agents(&mut p, NODES, agents);
@@ -59,6 +76,10 @@ fn run_fleet(
         "scenario must settle (shards={shards}, backend={})",
         stable.name()
     );
+    (p, handles)
+}
+
+fn fingerprint(p: &mut Platform, handles: &[AgentHandle]) -> FleetFingerprint {
     let reports = handles
         .iter()
         .map(|&h| {
@@ -73,7 +94,7 @@ fn run_fleet(
         .collect();
     FleetFingerprint {
         reports,
-        stable: stable_dump(&p),
+        stable: stable_dump(p),
         counters: strip_engine_counters(p.snapshot().counters),
         trace: p.world().trace().records().to_vec(),
     }
@@ -123,11 +144,12 @@ proptest! {
     }
 }
 
-/// Pinned fleet (rollbacks + two crashes, one on an agent's home) so a
-/// backend regression reproduces without shrinking; also pins a tiny
-/// checkpoint threshold, forcing several log rollovers mid-run.
-#[test]
-fn pinned_fleet_is_backend_invariant_including_rollovers() {
+fn dump_backend(b: &dyn StableBackend) -> BTreeMap<String, Vec<u8>> {
+    b.iter().map(|(k, v)| (k.to_owned(), v.to_vec())).collect()
+}
+
+/// Pinned fleet: rollbacks + two crashes, one on an agent's home.
+fn pinned_fleet() -> (Vec<GenAgent>, Vec<GenCrash>) {
     let agents = vec![
         GenAgent {
             home: 0,
@@ -152,6 +174,15 @@ fn pinned_fleet_is_backend_invariant_including_rollovers() {
             down_ms: 40,
         },
     ];
+    (agents, crashes)
+}
+
+/// The pinned fleet, so a backend regression reproduces without shrinking;
+/// also pins a tiny checkpoint threshold, forcing several log rollovers
+/// mid-run.
+#[test]
+fn pinned_fleet_is_backend_invariant_including_rollovers() {
+    let (agents, crashes) = pinned_fleet();
     assert_backend_invariant(4321, &agents, &crashes);
     // Tiny checkpoints: same fingerprint as the reference at 1 shard.
     let small = StableFactory::wal(WalConfig {
@@ -161,6 +192,63 @@ fn pinned_fleet_is_backend_invariant_including_rollovers() {
     let a = run_fleet(4321, &agents, &crashes, 1, &StableFactory::reference());
     let b = run_fleet(4321, &agents, &crashes, 1, &small);
     assert_eq!(a, b, "tiny-checkpoint WAL diverges from reference");
+}
+
+/// The pinned fleet on a file-backed WAL at 1 and 2 shards, where a barrier
+/// is written to its log file at once and synced by the kernel's
+/// output-commit rule: the run is byte-identical to the reference run, and
+/// after settlement each node's files, reopened, recover exactly what a
+/// simulated crash of the node keeps — the deferred sync never leaves a
+/// committed frame out of a file — and, after the graceful shutdown's
+/// flush, exactly the store's view.
+#[test]
+fn pinned_fleet_on_a_file_backed_wal_is_invariant_and_recovers_from_its_files() {
+    let (agents, crashes) = pinned_fleet();
+    let reference = run_fleet(4321, &agents, &crashes, 1, &StableFactory::reference());
+    for shards in [1, 2] {
+        let dir =
+            std::env::temp_dir().join(format!("mar-file-fleet-{shards}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = WalConfig {
+            path: Some(dir.clone()),
+            ..WalConfig::default()
+        };
+        let (mut p, handles) = settle_fleet(
+            4321,
+            &agents,
+            &crashes,
+            shards,
+            &StableFactory::wal(cfg.clone()),
+        );
+        assert_eq!(
+            fingerprint(&mut p, &handles),
+            reference,
+            "file-backed WAL diverges from reference at shards={shards}"
+        );
+        assert!(p.world().stable_totals().syncs > 0);
+        let nodes = p.world().node_ids();
+        let reopen_all = || -> Vec<BTreeMap<String, Vec<u8>>> {
+            nodes
+                .iter()
+                .map(|&n| dump_backend(&WalBackend::open(cfg.clone(), n)))
+                .collect()
+        };
+        // Unforced deletes still pending are in neither the files nor what
+        // a crash keeps.
+        let durable: Vec<_> = nodes
+            .iter()
+            .map(|&n| {
+                let mut crashed = p.world_mut().stable_mut(n).backend_mut().clone_backend();
+                crashed.crash();
+                dump_backend(&*crashed)
+            })
+            .collect();
+        assert_eq!(reopen_all(), durable, "shards={shards}");
+        p.world_mut().flush_stable();
+        assert_eq!(reopen_all(), stable_dump(&p), "shards={shards}, flushed");
+        drop(p);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------------

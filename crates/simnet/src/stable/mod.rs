@@ -18,12 +18,22 @@
 //!   any torn tail.
 //!
 //! The kernel brackets every service callback with
-//! [`StableStore::begin_batch`] / [`StableStore::commit`], so the many
+//! [`StableStore::begin_batch`] / [`StableStore::end_batch`], so the many
 //! small writes a step transaction produces coalesce into one commit
 //! barrier per event (counted under `stable.commits`). Mutations made
 //! outside a batch — driver and test writes through
 //! [`crate::World::stable_mut`] — auto-commit individually, keeping the
 //! "stable means crash-surviving" contract for every caller.
+//!
+//! A barrier and a flush to the device are two steps. [`commit`] makes a
+//! batch survive a node crash (and, on a file-backed WAL, writes it to the
+//! log file, so it survives the process too); [`sync`] flushes everything
+//! committed so far to the device in one `fsync`, so it survives the
+//! machine. The kernel's bracket commits without syncing and syncs by the
+//! output-commit rule of [`crate::World`]: before any other node can have
+//! seen a barrier's effects, and before an entry point returns. Every other
+//! caller — [`StableStore::commit`], [`StableStore::flush`], a forced
+//! mutation outside a batch — commits and syncs at once.
 //!
 //! A mutation is *forced* unless it is made through
 //! [`StableStore::delete_unforced`]. Only a forced mutation makes its batch
@@ -32,6 +42,7 @@
 //! [`StableStore::flush`]) — a crash before then rolls it back.
 //!
 //! [`commit`]: StableBackend::commit
+//! [`sync`]: StableBackend::sync
 
 pub mod wal;
 
@@ -48,11 +59,15 @@ pub use wal::{WalBackend, WalConfig};
 /// `commits` and `records` are backend-independent by construction (every
 /// backend counts the same mutations and the same barriers); the remaining
 /// fields are populated only by backends with the matching mechanism (log,
-/// checkpoints, recovery replay).
+/// device flushes, checkpoints, recovery replay).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
     /// Commit barriers that found at least one pending mutation.
     pub commits: u64,
+    /// Log flushes to the device ([`StableBackend::sync`] calls that found
+    /// committed bytes not yet flushed). A checkpoint's own flushes are not
+    /// counted.
+    pub syncs: u64,
     /// Mutation records accepted (puts plus effective deletes).
     pub records: u64,
     /// Bytes appended to the write-ahead log (cumulative).
@@ -83,6 +98,8 @@ pub struct BackendStats {
 /// * [`commit`] makes all pending mutations crash-durable and returns
 ///   whether there were any — a *mutation* is a put, or a delete that
 ///   removed a present key;
+/// * [`sync`] flushes what [`commit`] made durable to the device; it
+///   changes nothing a [`crash`] keeps;
 /// * [`crash`] destroys volatile state: the view reverts to the last
 ///   committed state;
 /// * [`recover`] rebuilds the view after a crash and is idempotent.
@@ -90,6 +107,7 @@ pub struct BackendStats {
 /// [`get`]: StableBackend::get
 /// [`iter`]: StableBackend::iter
 /// [`commit`]: StableBackend::commit
+/// [`sync`]: StableBackend::sync
 /// [`crash`]: StableBackend::crash
 /// [`recover`]: StableBackend::recover
 pub trait StableBackend: Any + Send + fmt::Debug {
@@ -129,6 +147,23 @@ pub trait StableBackend: Any + Send + fmt::Debug {
     /// pending (so callers can count occupied barriers consistently across
     /// backends).
     fn commit(&mut self) -> bool;
+
+    /// Flushes every committed byte not yet on the device in one `fsync`.
+    /// Returns `true` iff there was any. A simulated [`crash`] keeps what
+    /// [`commit`] made durable whether or not it was synced; what `sync`
+    /// adds is survival of the machine. The default — for backends with
+    /// nothing below memory — does nothing.
+    ///
+    /// [`commit`]: StableBackend::commit
+    /// [`crash`]: StableBackend::crash
+    fn sync(&mut self) -> bool {
+        false
+    }
+
+    /// Whether committed bytes await a [`sync`](StableBackend::sync).
+    fn unsynced(&self) -> bool {
+        false
+    }
 
     /// Simulates the node crash: volatile state is destroyed and the view
     /// reverts to the last committed state.
@@ -330,9 +365,10 @@ impl fmt::Debug for StableFactory {
 /// Wraps a [`StableBackend`] with the write accounting the experiments
 /// report and the group-commit batching protocol: between
 /// [`begin_batch`](StableStore::begin_batch) and
-/// [`commit`](StableStore::commit) mutations stay pending on the backend;
-/// outside a batch every forced mutation auto-commits so ad-hoc writes are
-/// durable immediately.
+/// [`end_batch`](StableStore::end_batch) (or
+/// [`commit`](StableStore::commit)) mutations stay pending on the backend;
+/// outside a batch every forced mutation auto-commits and syncs, so ad-hoc
+/// writes are durable immediately.
 ///
 /// # Examples
 ///
@@ -394,12 +430,13 @@ impl StableStore {
     }
 
     /// Called after a forced mutation: marks the open batch a barrier, or
-    /// commits at once outside a batch.
+    /// commits and syncs at once outside a batch.
     fn forced_mutation(&mut self) {
         if self.in_batch {
             self.forced = true;
         } else {
             self.backend.commit();
+            self.backend.sync();
         }
     }
 
@@ -506,29 +543,54 @@ impl StableStore {
     // ----- batching and crash/recovery (kernel protocol) ------------------
 
     /// Opens a group-commit batch: subsequent mutations stay pending until
+    /// [`end_batch`](StableStore::end_batch) or
     /// [`commit`](StableStore::commit). The kernel brackets every service
-    /// callback with this pair.
+    /// callback with `begin_batch`/`end_batch`.
     pub fn begin_batch(&mut self) {
         self.in_batch = true;
     }
 
-    /// Closes the batch. A batch that holds a forced mutation is a barrier:
-    /// every pending mutation, unforced ones from earlier batches included,
-    /// becomes crash-durable at once, and the call returns `true`. A batch
-    /// without one leaves its mutations pending and returns `false`.
-    pub fn commit(&mut self) -> bool {
+    /// Closes the batch without syncing. A batch that holds a forced
+    /// mutation is a barrier: every pending mutation, unforced ones from
+    /// earlier batches included, becomes crash-durable at once, and the call
+    /// returns `true`. A batch without one leaves its mutations pending and
+    /// returns `false`. What the barrier committed reaches the device at the
+    /// next [`sync`](StableStore::sync).
+    pub fn end_batch(&mut self) -> bool {
         self.in_batch = false;
         std::mem::take(&mut self.forced) && self.backend.commit()
     }
 
+    /// [`end_batch`](StableStore::end_batch), then a
+    /// [`sync`](StableStore::sync): the barrier is on the device when the
+    /// call returns.
+    pub fn commit(&mut self) -> bool {
+        let barrier = self.end_batch();
+        self.backend.sync();
+        barrier
+    }
+
     /// A barrier whatever the batch holds: makes every pending mutation,
-    /// unforced ones included, crash-durable. Returns `true` iff any was
-    /// pending. A graceful shutdown calls this, so that a restart never
-    /// depends on torn-tail discard.
+    /// unforced ones included, crash-durable, and syncs. Returns `true` iff
+    /// any was pending. A graceful shutdown calls this, so that a restart
+    /// never depends on torn-tail discard.
     pub fn flush(&mut self) -> bool {
         self.in_batch = false;
         self.forced = false;
-        self.backend.commit()
+        let had_pending = self.backend.commit();
+        self.backend.sync();
+        had_pending
+    }
+
+    /// Flushes every committed byte not yet on the device (one `fsync` on
+    /// a file-backed WAL). Returns `true` iff there was any.
+    pub fn sync(&mut self) -> bool {
+        self.backend.sync()
+    }
+
+    /// Whether committed bytes await a [`sync`](StableStore::sync).
+    pub fn unsynced(&self) -> bool {
+        self.backend.unsynced()
     }
 
     /// Crash hook: destroys backend volatile state; uncommitted mutations
@@ -744,6 +806,81 @@ mod tests {
             s.recover();
             assert!(!s.contains("decision"), "{name}");
         }
+    }
+
+    /// An empty store on each backend, the WAL file-backed in a directory
+    /// of its own (removed by the caller).
+    fn stores_on_disk(tag: &str) -> ([StableStore; 2], std::path::PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("mar-stable-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = WalConfig {
+            path: Some(dir.clone()),
+            ..WalConfig::default()
+        };
+        let wal = StableStore::with_backend(Box::new(WalBackend::open(cfg, crate::NodeId(0))));
+        ([StableStore::new(), wal], dir)
+    }
+
+    #[test]
+    fn end_batch_commits_without_syncing() {
+        let (stores, dir) = stores_on_disk("end-batch");
+        for mut s in stores {
+            let on_disk = s.backend_name() == "wal";
+            for i in 0..3u8 {
+                s.begin_batch();
+                s.put(format!("k{i}"), vec![i]);
+                assert!(s.end_batch(), "a forced batch is a barrier");
+            }
+            assert_eq!(s.backend_stats().commits, 3);
+            assert_eq!(s.unsynced(), on_disk);
+            assert_eq!(s.backend_stats().syncs, 0);
+            // One sync covers the three barriers.
+            assert_eq!(s.sync(), on_disk);
+            assert!(!s.unsynced());
+            assert_eq!(s.backend_stats().syncs, u64::from(on_disk));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn commit_flush_and_an_out_of_batch_put_each_sync_at_once() {
+        let (stores, dir) = stores_on_disk("sync-at-once");
+        for mut s in stores {
+            let per_call = u64::from(s.backend_name() == "wal");
+            s.begin_batch();
+            s.put("a", vec![1]);
+            assert!(s.commit());
+            assert!(!s.unsynced());
+            assert_eq!(s.backend_stats().syncs, per_call);
+            s.begin_batch();
+            s.delete_unforced("a");
+            assert!(s.flush());
+            assert!(!s.unsynced());
+            assert_eq!(s.backend_stats().syncs, 2 * per_call);
+            s.put("b", vec![2]);
+            assert!(!s.unsynced());
+            assert_eq!(s.backend_stats().syncs, 3 * per_call);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_crash_after_an_unsynced_barrier_keeps_it() {
+        let (stores, dir) = stores_on_disk("crash-unsynced");
+        for mut s in stores {
+            let name = s.backend_name();
+            s.begin_batch();
+            s.put("k", vec![7]);
+            assert!(s.end_batch());
+            s.begin_batch();
+            s.put("pending", vec![8]);
+            s.crash_volatile();
+            s.recover();
+            assert_eq!(s.get("k"), Some(&[7u8][..]), "{name}");
+            assert_eq!(s.get("pending"), None, "{name}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

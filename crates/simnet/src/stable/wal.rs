@@ -10,6 +10,16 @@
 //! checkpoint + log and discards any torn (partially framed) tail, exactly
 //! like a disk log whose final sector write was interrupted.
 //!
+//! File-backed, a barrier and a device flush are separate steps. A commit
+//! `write`s the batch's frames to the log file at once, so a killed process
+//! loses no committed frame (the bytes are in the kernel's page cache); the
+//! `fsync` that makes them survive the machine is
+//! [`sync`](super::StableBackend::sync), one call for everything committed
+//! since the previous one. The simulation kernel syncs before anything can
+//! observe a barrier (the output-commit rule of [`crate::World`]). A
+//! checkpoint flushes the log, then the new image, and leaves nothing
+//! unsynced.
+//!
 //! Record format (all integers are unsigned LEB128 varints):
 //!
 //! ```text
@@ -44,8 +54,10 @@ pub struct WalConfig {
     pub checkpoint_bytes: usize,
     /// Directory for **file-backed** durability: each node keeps a
     /// `node-<id>.log` / `node-<id>.ckpt` pair there, the exact record
-    /// format of the in-memory log, with an `fsync` at every group-commit
-    /// `durable_len` watermark. `None` (the default) keeps the log in
+    /// format of the in-memory log. Every group-commit `durable_len`
+    /// watermark is written to the log file at once and `fsync`ed at the
+    /// next [`sync`](super::StableBackend::sync) (the simulation kernel
+    /// syncs once per lookahead window). `None` (the default) keeps the log in
     /// memory — the right choice for tests and benches; real node-host
     /// processes set a directory so a killed process recovers its committed
     /// state on restart.
@@ -144,9 +156,10 @@ fn try_decode_frame<'a>(buf: &'a [u8], p: &mut usize) -> Option<Frame<'a>> {
     (q == body.len()).then_some(frame)
 }
 
-/// On-disk persistence of one node's WAL: a log file receiving fsynced
-/// appends of committed records, and a checkpoint file replaced atomically
-/// (write-to-temp, fsync, rename, fsync of the directory).
+/// On-disk persistence of one node's WAL: a log file receiving appends of
+/// committed records (fsynced by [`FileBacking::sync`]), and a checkpoint
+/// file replaced atomically (write-to-temp, fsync, rename, fsync of the
+/// directory).
 #[derive(Debug)]
 struct FileBacking {
     ckpt_path: PathBuf,
@@ -155,20 +168,40 @@ struct FileBacking {
     /// Open handle on the directory holding both files, fsynced to make a
     /// rename in it durable.
     dir: File,
+    /// Whether the log file holds appended bytes not yet fsynced.
+    unsynced: bool,
 }
 
 impl FileBacking {
-    fn append_and_sync(&mut self, bytes: &[u8]) {
+    /// Writes `bytes` to the log file without flushing the device: they
+    /// survive the process from here on, the machine only after
+    /// [`FileBacking::sync`].
+    fn append(&mut self, bytes: &[u8]) {
         self.log_file
             .write_all(bytes)
             .expect("wal: append to log file");
+        self.unsynced = true;
+    }
+
+    /// One `fsync` over every append since the previous one; `false` when
+    /// there was none.
+    fn sync(&mut self) -> bool {
+        if !self.unsynced {
+            return false;
+        }
         self.log_file.sync_data().expect("wal: fsync log file");
+        self.unsynced = false;
+        true
     }
 
     /// Replaces the checkpoint file with `checkpoint` and truncates the log
     /// file. Each step is durable before the next begins, because recovery
     /// reads whichever checkpoint is published plus the log:
     ///
+    /// 0. the log's unsynced appends are flushed first: once the new image
+    ///    is published, recovery replays the old log over it, which is a
+    ///    no-op only for the *whole* log — a prefix (an unflushed tail lost
+    ///    to a machine crash) would roll keys back to older values;
     /// 1. the new image is written and fsynced under a temporary name, so a
     ///    crash leaves the old checkpoint and the full log;
     /// 2. the rename publishes it, and the directory fsync makes the rename
@@ -177,7 +210,11 @@ impl FileBacking {
     ///    rename still in the page cache, and a crash would pair the *old*
     ///    checkpoint with an empty log: a whole log generation lost;
     /// 3. only then is the log truncated and fsynced.
+    ///
+    /// Nothing is left unsynced. None of these flushes counts under
+    /// [`BackendStats::syncs`].
     fn write_checkpoint(&mut self, checkpoint: &[u8]) {
+        self.sync();
         let tmp = self.ckpt_path.with_extension("ckpt.tmp");
         let mut f = File::create(&tmp).expect("wal: create checkpoint temp");
         f.write_all(checkpoint).expect("wal: write checkpoint");
@@ -208,8 +245,11 @@ fn read_file_or_empty(path: &Path) -> Vec<u8> {
 /// lives in `checkpoint` + `log[..durable_len]`. Bytes past `durable_len`
 /// are mutations awaiting the next commit barrier. With
 /// [`WalConfig::path`] set, the durable prefix additionally lives in real
-/// files: committed bytes are appended and fsynced at every barrier, and
-/// [`WalBackend::open`] recovers them after a process death.
+/// files: committed bytes are written to the log file at every barrier and
+/// fsynced by [`sync`](StableBackend::sync), and [`WalBackend::open`]
+/// recovers them after a process death. A simulated
+/// [`crash`](StableBackend::crash) keeps exactly `log[..durable_len]`,
+/// synced or not — the file holds the same bytes.
 #[derive(Debug)]
 pub struct WalBackend {
     cfg: WalConfig,
@@ -286,6 +326,7 @@ impl WalBackend {
                 ckpt_path,
                 log_file,
                 dir: File::open(&dir).expect("wal: open backing directory"),
+                unsynced: false,
             }),
         };
         backend.recover();
@@ -339,7 +380,7 @@ impl WalBackend {
         self.log.extend_from_slice(bytes);
         self.durable_len = self.log.len();
         if let Some(f) = &mut self.file {
-            f.append_and_sync(bytes);
+            f.append(bytes);
         }
     }
 
@@ -397,10 +438,11 @@ impl StableBackend for WalBackend {
         if had_pending {
             let prev = self.durable_len;
             self.durable_len = self.log.len();
-            // The fsync *is* the durability watermark: everything up to
+            // The write *is* the durability watermark: everything up to
             // `durable_len` survives a process death, nothing past it does.
+            // Surviving the machine waits for `sync`.
             if let Some(f) = &mut self.file {
-                f.append_and_sync(&self.log[prev..self.durable_len]);
+                f.append(&self.log[prev..self.durable_len]);
             }
             self.pending = 0;
             self.stats.commits += 1;
@@ -409,6 +451,18 @@ impl StableBackend for WalBackend {
             }
         }
         had_pending
+    }
+
+    fn sync(&mut self) -> bool {
+        let synced = self.file.as_mut().is_some_and(FileBacking::sync);
+        if synced {
+            self.stats.syncs += 1;
+        }
+        synced
+    }
+
+    fn unsynced(&self) -> bool {
+        self.file.as_ref().is_some_and(|f| f.unsynced)
     }
 
     fn crash(&mut self) {
@@ -749,6 +803,97 @@ mod tests {
         assert_eq!(reopened.get("b"), None);
         assert_eq!(c.get("b"), Some(&[2u8][..]));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Bytes of the node's log file on disk.
+    fn log_file_len(dir: &Path, node: u32) -> u64 {
+        std::fs::metadata(dir.join(format!("node-{node}.log")))
+            .expect("log file exists")
+            .len()
+    }
+
+    #[test]
+    fn a_commit_writes_the_log_file_and_does_not_sync() {
+        let dir = temp_wal_dir("commit-no-sync");
+        let mut b = WalBackend::open(file_cfg(&dir, 64 * 1024), NodeId(0));
+        b.put("a".into(), vec![1]);
+        assert!(b.commit());
+        assert!(b.unsynced(), "committed, not yet flushed");
+        assert_eq!(b.stats().syncs, 0);
+        // The frames are in the file already: a killed process keeps them.
+        assert_eq!(log_file_len(&dir, 0), b.durable_log_len() as u64);
+        assert!(b.sync());
+        assert!(!b.unsynced());
+        assert!(!b.sync(), "nothing left to flush");
+        assert_eq!(b.stats().syncs, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_sync_covers_every_commit_before_it() {
+        let dir = temp_wal_dir("one-sync");
+        let mut b = WalBackend::open(file_cfg(&dir, 64 * 1024), NodeId(0));
+        for i in 0..7u8 {
+            b.put(format!("k{i}"), vec![i]);
+            assert!(b.commit());
+        }
+        assert_eq!((b.stats().commits, b.stats().syncs), (7, 0));
+        assert!(b.sync());
+        assert_eq!((b.stats().commits, b.stats().syncs), (7, 1));
+        let reopened = WalBackend::open(file_cfg(&dir, 64 * 1024), NodeId(0));
+        assert_eq!(dump(&reopened), dump(&b));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_leaves_nothing_unsynced() {
+        let dir = temp_wal_dir("ckpt-synced");
+        let mut b = WalBackend::open(file_cfg(&dir, 64), NodeId(0));
+        while b.stats().checkpoints == 0 {
+            let i = b.stats().commits;
+            b.put(format!("k/{i:02}"), vec![0; 8]);
+            assert!(b.commit());
+        }
+        assert!(
+            !b.unsynced(),
+            "the checkpoint flushed the log and its image"
+        );
+        assert_eq!(
+            b.stats().syncs,
+            0,
+            "a checkpoint's flushes are not log syncs"
+        );
+        let reopened = WalBackend::open(file_cfg(&dir, 64), NodeId(0));
+        assert_eq!(dump(&reopened), dump(&b));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_crash_after_an_unsynced_commit_recovers_the_commit() {
+        let dir = temp_wal_dir("crash-unsynced");
+        let file = WalBackend::open(file_cfg(&dir, 64 * 1024), NodeId(0));
+        for mut b in [wal(), file] {
+            b.put("a".into(), vec![1]);
+            assert!(b.commit());
+            b.put("lost".into(), vec![2]);
+            b.crash();
+            assert_eq!(b.get("a"), Some(&[1u8][..]));
+            assert_eq!(b.get("lost"), None);
+        }
+        // And so does a process death: the frame was written at the commit.
+        let reopened = WalBackend::open(file_cfg(&dir, 64 * 1024), NodeId(0));
+        assert_eq!(dump(&reopened), vec![("a".to_owned(), vec![1])]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_in_memory_log_has_nothing_to_sync() {
+        let mut b = wal();
+        b.put("a".into(), vec![1]);
+        assert!(b.commit());
+        assert!(!b.unsynced());
+        assert!(!b.sync());
+        assert_eq!(b.stats().syncs, 0);
     }
 
     #[test]

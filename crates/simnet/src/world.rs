@@ -27,6 +27,40 @@
 //! parallel without ever receiving an event "in the past". Cross-shard
 //! events travel through per-shard inboxes and are merged into the
 //! destination queue, where the origin-based key restores the global order.
+//!
+//! # Output commit
+//!
+//! The kernel closes each callback's stable batch with a commit barrier
+//! that does not flush the device ([`StableStore::end_batch`]); the flush
+//! ([`StableStore::sync`], one `fsync` per node with anything to flush)
+//! follows one rule, with the same lookahead `L`:
+//!
+//! 1. before an event at time `T` is processed, every barrier at a time
+//!    `<= T - L` is synced. The sequential engine keeps the earliest
+//!    unsynced barrier time per shard and checks it as each event is
+//!    popped; the windowed engines sync at every window end (a window is at
+//!    most `L` long), each worker its own shard's nodes;
+//! 2. every public entry point (`start`, `step`, `run_until`,
+//!    `run_to_quiescence`, `run_window`, `crash_now`, `recover_now`,
+//!    `advance_clock_to`) returns with nothing unsynced.
+//!
+//! With `L = 0` the rule is "sync before the next event". Why it is safe:
+//!
+//! * *the durable state on disk is always a consistent cut.* A message sent
+//!   at `t` arrives on another node no earlier than `t + L`, so the sender's
+//!   barrier was synced before the receiver ran: any durable state on B
+//!   that came from A's message was synced after A's send;
+//! * *nothing leaves the process unsynced*: the driver reads stores and a
+//!   distributed host ships its window's egress only after an entry point
+//!   returned;
+//! * *a killed process loses nothing it did not lose before*: each barrier
+//!   `write`s its frames to the log file at once, so they are in the page
+//!   cache whether or not the `fsync` came;
+//! * *a simulated crash keeps exactly what it kept before*: the committed
+//!   log prefix, synced or not.
+//!
+//! What a machine crash can lose is the unsynced tail: at most the last
+//! lookahead of each node's barriers, never one another node depended on.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -49,6 +83,9 @@ use crate::trace::{Trace, TraceKind, TraceRecord};
 
 /// Maximum number of trace records a trace keeps.
 const TRACE_CAP: usize = 100_000;
+
+/// [`Shard::unsynced_since`] when every barrier of the shard is synced.
+const ALL_SYNCED: u64 = u64::MAX;
 
 /// Static configuration of a [`World`].
 #[derive(Debug, Clone)]
@@ -148,6 +185,10 @@ struct Shard {
     /// Deliveries destined to remote nodes, with their keys, awaiting
     /// [`World::take_remote_egress`].
     egress: Vec<RemoteEvent>,
+    /// Virtual time (µs) of the earliest commit barrier on this shard's
+    /// nodes whose bytes await a device sync; [`ALL_SYNCED`] when none.
+    /// Only a backend with something to sync sets it.
+    unsynced_since: u64,
 }
 
 impl Shard {
@@ -177,6 +218,18 @@ impl Shard {
         } else {
             self.id
         }
+    }
+
+    /// Syncs every node of this shard that holds committed bytes not yet
+    /// on the device.
+    fn sync_stable(&mut self) {
+        if self.unsynced_since == ALL_SYNCED {
+            return;
+        }
+        for slot in &mut self.slots {
+            slot.stable.sync();
+        }
+        self.unsynced_since = ALL_SYNCED;
     }
 
     /// Processes one event popped from this shard's queue.
@@ -246,7 +299,8 @@ impl Shard {
                     // Group-commit bracket: every stable mutation the
                     // callback makes becomes durable in one barrier here —
                     // this is what turns a step transaction's many small
-                    // writes into a single backend commit.
+                    // writes into a single backend commit. The barrier is
+                    // synced later, by the output-commit rule.
                     slot.stable.begin_batch();
                     {
                         let mut ctx = Ctx {
@@ -262,8 +316,11 @@ impl Shard {
                         };
                         f(&mut svc, &mut ctx);
                     }
-                    if slot.stable.commit() {
+                    if slot.stable.end_batch() {
                         self.metrics.inc(keys::STABLE_COMMITS);
+                        if slot.stable.unsynced() {
+                            self.unsynced_since = self.unsynced_since.min(now.as_micros());
+                        }
                     }
                     slot.services.insert(service, svc);
                     true
@@ -566,6 +623,7 @@ impl World {
                 outbox: Vec::new(),
                 remote: Vec::new(),
                 egress: Vec::new(),
+                unsynced_since: ALL_SYNCED,
             })
             .collect();
         World {
@@ -840,12 +898,12 @@ impl World {
     }
 
     /// Commit barrier across every **local** node's stable store: any
-    /// pending mutations are made crash-durable now. The kernel brackets
-    /// every event in `begin_batch`/`commit`, but a batch of unforced
-    /// mutations only is not a barrier, so at a quiescent point those may
-    /// still be pending; a graceful shutdown calls this so a restart never
-    /// depends on torn-tail discard. Returns how many stores actually had
-    /// pending work.
+    /// pending mutations are made crash-durable, and synced, now. The
+    /// kernel brackets every event in `begin_batch`/`end_batch`, but a
+    /// batch of unforced mutations only is not a barrier, so at a quiescent
+    /// point those may still be pending; a graceful shutdown calls this so
+    /// a restart never depends on torn-tail discard. Returns how many
+    /// stores actually had pending work.
     pub fn flush_stable(&mut self) -> u64 {
         let mut flushed = 0;
         for node in self.node_ids() {
@@ -869,6 +927,7 @@ impl World {
             }
             let s = self.stable(node).backend_stats();
             total.commits += s.commits;
+            total.syncs += s.syncs;
             total.records += s.records;
             total.wal_bytes += s.wal_bytes;
             total.checkpoints += s.checkpoints;
@@ -1146,13 +1205,28 @@ impl World {
         let (key, ev) = self.shards[s].queue.pop().expect("peeked event vanished");
         debug_assert!(key.0 >= self.time, "event queue went backwards");
         self.time = key.0;
+        self.sync_due(key.0);
         self.shards[s].process_event(key, ev);
         self.drain_outboxes();
         true
     }
 
+    /// Output-commit rule 1 on the event-at-a-time engine: before an event
+    /// at `now` runs, every shard whose earliest unsynced barrier is at
+    /// least a lookahead old syncs — a message its handler sent may be
+    /// arriving now.
+    fn sync_due(&mut self, now: SimTime) {
+        let (now_us, lookahead_us) = (now.as_micros(), self.lookahead.as_micros());
+        for sh in &mut self.shards {
+            if sh.unsynced_since.saturating_add(lookahead_us) <= now_us {
+                sh.sync_stable();
+            }
+        }
+    }
+
     /// The sequential window body: every shard processes its events with
-    /// `time < end_us`, one shard at a time, cross-shard deposits move to
+    /// `time < end_us` and syncs its nodes (output-commit rule 1 at the
+    /// window end), one shard at a time, cross-shard deposits move to
     /// their queues, and the clock advances to `end_us - 1` (the last
     /// instant processed). With profiling on, each shard runs under a timer.
     fn exec_window(&mut self, end_us: u64) {
@@ -1160,6 +1234,7 @@ impl World {
         for i in 0..self.shards.len() {
             let t0 = self.profiling.then(Instant::now);
             self.shards[i].process_until(end_us);
+            self.shards[i].sync_stable();
             if let Some(t0) = t0 {
                 let busy = t0.elapsed().as_nanos() as u64;
                 self.profile.busy_ns[i] += busy;
@@ -1194,8 +1269,9 @@ impl World {
     }
 
     /// Parallel engine: one worker thread per shard, three barrier waits per
-    /// window (publish local minima → leader fixes the window → process and
-    /// deposit cross-shard events → make deposits visible). A handler that
+    /// window (publish local minima → leader fixes the window → process,
+    /// deposit cross-shard events and sync the shard's stable stores → make
+    /// deposits visible). A handler that
     /// panics on a worker does not leave the others at a barrier: the worker
     /// keeps the payload and goes on waiting, the leader ends the run at the
     /// next window, and the payload is rethrown here, as on one shard.
@@ -1262,6 +1338,9 @@ impl World {
                                 inboxes[dest].lock().expect("inbox").push((dkey, dev));
                             }
                         }
+                        // Output-commit rule 1: the window end. Each worker
+                        // syncs its own nodes, so shards fsync in parallel.
+                        shard.sync_stable();
                     }));
                     if let Err(payload) = ran {
                         panicked.lock().expect("panic slot").get_or_insert(payload);
@@ -1293,8 +1372,12 @@ impl World {
     /// independent), trace records (stable merge by event key), and the
     /// canonical network (all replicas are identical — copy shard 0's).
     /// Runs at the end of every public mutating entry point, so `&self`
-    /// accessors always see up-to-date global state.
+    /// accessors always see up-to-date global state — and, by output-commit
+    /// rule 2, every barrier is synced before the caller sees anything.
     fn sync(&mut self) {
+        for sh in &mut self.shards {
+            sh.sync_stable();
+        }
         self.sync_replicas_if_dirty();
         for sh in &self.shards {
             self.metrics.absorb(&sh.metrics);
@@ -1855,6 +1938,195 @@ mod tests {
                 a.counter(key) + b.counter(key),
                 "counter {key} diverged"
             );
+        }
+    }
+
+    // ----- output commit ------------------------------------------------------
+
+    /// Fires a timer `at_us` after its start for each `(at_us, write)` of
+    /// its script, committing a stable key where `write` says so; the last
+    /// fire sends to `peer`, if any. Writes a key in `on_start` too when
+    /// `write_on_start` is set.
+    struct Script {
+        at_us: Vec<(u64, bool)>,
+        peer: Option<Address>,
+        write_on_start: bool,
+    }
+
+    impl Script {
+        fn new(at_us: &[(u64, bool)]) -> Self {
+            Script {
+                at_us: at_us.to_vec(),
+                peer: None,
+                write_on_start: false,
+            }
+        }
+    }
+
+    impl Service for Script {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: Address, _payload: &[u8]) {}
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if self.write_on_start {
+                ctx.stable_put("started", vec![1]);
+            }
+            for (tag, &(at, _)) in self.at_us.iter().enumerate() {
+                ctx.set_timer(SimDuration::from_micros(at), tag as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+            let i = tag as usize;
+            if self.at_us[i].1 {
+                ctx.stable_put(format!("barrier/{i}"), vec![1]);
+            }
+            if i + 1 == self.at_us.len() {
+                if let Some(peer) = self.peer {
+                    ctx.send(peer, b"done".to_vec());
+                }
+            }
+        }
+    }
+
+    /// A two-node world on the file-backed WAL, in its own directory.
+    fn file_world(tag: &str, shards: usize, latency: LatencyModel) -> (World, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("mar-world-sync-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = WorldConfig::with_seed(1);
+        cfg.shards = shards;
+        cfg.latency = latency;
+        cfg.stable = StableFactory::wal(crate::WalConfig {
+            path: Some(dir.clone()),
+            ..crate::WalConfig::default()
+        });
+        let mut w = World::new(cfg);
+        w.add_node();
+        w.add_node();
+        (w, dir)
+    }
+
+    /// Runs `a`'s and `b`'s scripts (`a` sending to `b` at its last fire)
+    /// to 10 ms and returns the log syncs the world issued, checking the
+    /// barrier count on the way.
+    fn scripted_syncs(
+        tag: &str,
+        shards: usize,
+        latency: LatencyModel,
+        profiled: bool,
+        a: &[(u64, bool)],
+        b: &[(u64, bool)],
+    ) -> u64 {
+        let (mut w, dir) = file_world(tag, shards, latency);
+        let (na, nb) = (NodeId(0), NodeId(1));
+        let script_a = a.to_vec();
+        w.add_service(na, "script", move || {
+            Box::new(Script {
+                peer: Some(Address::new(nb, "script")),
+                ..Script::new(&script_a)
+            })
+        });
+        let script_b = b.to_vec();
+        w.add_service(nb, "script", move || Box::new(Script::new(&script_b)));
+        w.set_shard_profiling(profiled);
+        w.start();
+        w.run_until(SimTime::from_micros(10_000));
+        let writes = a.iter().chain(b).filter(|&&(_, write)| write).count();
+        assert_eq!(w.metrics().counter(keys::STABLE_COMMITS), writes as u64);
+        let syncs = w.stable_totals().syncs;
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
+        syncs
+    }
+
+    #[test]
+    fn ten_barriers_inside_one_lookahead_take_one_sync() {
+        let ten: Vec<(u64, bool)> = (1..=10).map(|i| (50 * i, true)).collect();
+        // The send at 500 µs lands on `b` no earlier than 1,400 µs; the
+        // check as it is popped syncs all ten barriers at once, and `b`
+        // writes nothing.
+        assert_eq!(
+            scripted_syncs("ten", 1, LatencyModel::lan(), false, &ten, &[]),
+            1
+        );
+    }
+
+    #[test]
+    fn barriers_a_lookahead_apart_each_take_a_sync() {
+        let lan = LatencyModel::lan();
+        // 2 ms apart: the second event's check syncs the first barrier, the
+        // return of `run_until` the second.
+        let apart = [(2_000, true), (4_000, true)];
+        assert_eq!(scripted_syncs("apart", 1, lan, false, &apart, &[]), 2);
+        // Inside one lookahead (900 µs on `lan()`): one.
+        let close = [(2_000, true), (2_500, true)];
+        assert_eq!(scripted_syncs("close", 1, lan, false, &close, &[]), 1);
+    }
+
+    #[test]
+    fn windowed_engines_sync_at_every_window_end() {
+        let lan = LatencyModel::lan();
+        // `b`'s event at 100 µs opens the window [100, 1000): it ends
+        // between `a`'s barriers at 800 and 1000 µs, so the windowed
+        // engines sync twice. Event at a time, 1000 - 800 is under the
+        // lookahead: one sync, at the return.
+        let a = [(800, true), (1_000, true)];
+        let b = [(100, false)];
+        assert_eq!(scripted_syncs("win-seq", 1, lan, false, &a, &b), 1);
+        assert_eq!(scripted_syncs("win-thr", 2, lan, false, &a, &b), 2);
+        assert_eq!(scripted_syncs("win-prof", 2, lan, true, &a, &b), 2);
+    }
+
+    #[test]
+    fn zero_lookahead_syncs_before_every_next_event() {
+        let zero = LatencyModel::fixed(SimDuration::ZERO, SimDuration::ZERO);
+        // The second event shares the barrier's instant and still finds it
+        // synced; the third finds nothing to sync; the return syncs the
+        // last barrier.
+        let a = [(100, true), (100, false), (200, true)];
+        assert_eq!(scripted_syncs("zero", 1, zero, false, &a, &[]), 2);
+        // The same script inside one `lan()` lookahead: one.
+        assert_eq!(
+            scripted_syncs("zero-lan", 1, LatencyModel::lan(), false, &a, &[]),
+            1
+        );
+    }
+
+    #[test]
+    fn no_entry_point_returns_with_anything_unsynced() {
+        fn all_synced(w: &World) -> bool {
+            w.node_ids().iter().all(|&n| !w.stable(n).unsynced())
+        }
+        for shards in [1, 2] {
+            let (mut w, dir) = file_world(&format!("entry-{shards}"), shards, LatencyModel::lan());
+            let (a, b) = (NodeId(0), NodeId(1));
+            for (n, peer) in [(a, b), (b, a)] {
+                w.add_service(n, "script", move || {
+                    Box::new(Script {
+                        at_us: (1..=40).map(|i| (250 * i, true)).collect(),
+                        peer: Some(Address::new(peer, "script")),
+                        write_on_start: true,
+                    })
+                });
+            }
+            w.start();
+            assert!(w.stable_totals().syncs > 0, "start wrote and synced");
+            assert!(all_synced(&w), "start, shards={shards}");
+            assert!(w.step());
+            assert!(all_synced(&w), "step, shards={shards}");
+            w.run_until(SimTime::from_micros(3_000));
+            assert!(all_synced(&w), "run_until, shards={shards}");
+            if shards == 1 {
+                w.run_window(5_000);
+                assert!(all_synced(&w), "run_window");
+            }
+            w.crash_now(b);
+            assert!(all_synced(&w), "crash_now, shards={shards}");
+            w.recover_now(b);
+            assert!(all_synced(&w), "recover_now, shards={shards}");
+            assert!(w.run_to_quiescence(1_000) > 0);
+            assert!(all_synced(&w), "run_to_quiescence, shards={shards}");
+            w.advance_clock_to(w.now().as_micros() + 1_000);
+            assert!(all_synced(&w), "advance_clock_to, shards={shards}");
+            drop(w);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 
