@@ -64,6 +64,32 @@ for ex in quickstart travel_agency ecommerce_cash systems_management failure_sto
     cargo run -q --release --example "$ex" > /dev/null
 done
 
+# A host's WAL directory holds segment files only, at most three per node
+# (`wal::MAX_LIVE_SEGMENTS`): no checkpoint image, no temporary file.
+check_wal_dir() {
+    local dir=$1 seg node count
+    if compgen -G "$dir/*.ckpt" > /dev/null || compgen -G "$dir/*.tmp" > /dev/null; then
+        echo "WAL directory $dir holds a checkpoint or temporary file:"
+        ls -l "$dir"
+        return 1
+    fi
+    if ! compgen -G "$dir/node-*.seg" > /dev/null; then
+        echo "WAL directory $dir holds no segment"
+        ls -l "$dir"
+        return 1
+    fi
+    for seg in "$dir"/node-*.seg; do
+        node=${seg##*/node-}
+        node=${node%%.*}
+        count=$(compgen -G "$dir/node-$node.*.seg" | wc -l)
+        if (( count > 3 )); then
+            echo "WAL directory $dir holds $count segments of node $node:"
+            ls -l "$dir"
+            return 1
+        fi
+    done
+}
+
 echo "==> distributed smoke stage: driver + 2 node hosts over UDS"
 # The travel-agency fleet end to end across three real processes. A wedged
 # process must fail CI, not hang it: every PID is reaped with a timeout and
@@ -85,7 +111,8 @@ wait "$driver_pid" || smoke_ok=0
 wait "$host0_pid" || smoke_ok=0
 wait "$host1_pid" || smoke_ok=0
 if [[ "$smoke_ok" != 1 ]] || ! grep -q '^settled=true$' "$smoke_dir/driver.out" \
-    || ! grep -q '^money USD=12000$' "$smoke_dir/driver.out"; then
+    || ! grep -q '^money USD=12000$' "$smoke_dir/driver.out" \
+    || ! check_wal_dir "$smoke_dir/h0" || ! check_wal_dir "$smoke_dir/h1"; then
     echo "distributed smoke stage FAILED; driver output:"
     cat "$smoke_dir/driver.out" "$smoke_dir/driver.err" || true
     rm -rf "$smoke_dir"
@@ -110,7 +137,8 @@ timeout -k 5 150 target/release/mar-fleet --socket "unix:$chaos_dir/fleet.sock" 
 if [[ "$chaos_ok" != 1 ]] || ! grep -q '^settled=true$' "$chaos_dir/fleet.out" \
     || ! grep -q '^money USD=12000$' "$chaos_dir/fleet.out" \
     || ! grep -q '^mar-fleet: driver exit=Some(0) restarts={0: 0, 1: 1} gave_up=\[\] unfired=\[\]' \
-        "$chaos_dir/fleet.err"; then
+        "$chaos_dir/fleet.err" \
+    || ! check_wal_dir "$chaos_dir/wal/host0" || ! check_wal_dir "$chaos_dir/wal/host1"; then
     echo "chaos smoke stage FAILED; fleet output:"
     cat "$chaos_dir/fleet.out" "$chaos_dir/fleet.err" || true
     rm -rf "$chaos_dir"

@@ -284,7 +284,7 @@ fn crash_at_every_step_boundary_is_identical_at_shard_4() {
 }
 
 /// The same sweep with the WAL backend substituted: queue writes become
-/// group-committed log records and recovery replays checkpoint + tail.
+/// group-committed log records and recovery replays the live segments.
 #[test]
 fn crash_at_every_step_boundary_is_identical_on_wal() {
     let wal = StableFactory::wal(WalConfig {

@@ -136,7 +136,8 @@ proptest! {
     }
 
     /// The same invariant with the WAL backend substituted: group commit,
-    /// checkpoints, and recovery replay never depend on the shard layout.
+    /// segment rolls, the cleaner, and recovery replay never depend on the
+    /// shard layout.
     #[test]
     fn shard_invariance_holds_on_the_wal_backend(
         seed in 0u64..1_000,
@@ -154,8 +155,8 @@ proptest! {
 
 /// Deterministic pinned scenario — a fleet with rollbacks and two crashes,
 /// one of which takes down an agent's home — so a regression reproduces
-/// without proptest shrinking. Runs on both backends, with a tiny WAL
-/// checkpoint threshold so log rollovers happen mid-scenario.
+/// without proptest shrinking. Runs on both backends, with tiny WAL
+/// segments so rolls and cleans happen mid-scenario.
 #[test]
 fn pinned_fleet_with_crashes_is_shard_invariant() {
     let agents = vec![

@@ -178,13 +178,12 @@ fn pinned_fleet() -> (Vec<GenAgent>, Vec<GenCrash>) {
 }
 
 /// The pinned fleet, so a backend regression reproduces without shrinking;
-/// also pins a tiny checkpoint threshold, forcing several log rollovers
-/// mid-run.
+/// also pins tiny WAL segments, forcing several rolls and cleans mid-run.
 #[test]
 fn pinned_fleet_is_backend_invariant_including_rollovers() {
     let (agents, crashes) = pinned_fleet();
     assert_backend_invariant(4321, &agents, &crashes);
-    // Tiny checkpoints: same fingerprint as the reference at 1 shard.
+    // Tiny segments: same fingerprint as the reference at 1 shard.
     let small = StableFactory::wal(WalConfig {
         checkpoint_bytes: 256,
         path: None,

@@ -269,11 +269,11 @@ fn crash_at_every_step_boundary_recovers_identically() {
 
 /// The same exhaustive sweep with the WAL backend substituted: the spliced
 /// queue writes become group-committed log records, and every step-boundary
-/// crash recovers from checkpoint + replay instead of a map copy.
+/// crash recovers by replaying the live segments instead of a map copy.
 #[test]
 fn crash_at_every_step_boundary_recovers_identically_on_wal() {
-    // A small checkpoint threshold makes several checkpoints happen inside
-    // the sweep, so boundaries land before, between, and after rollovers.
+    // Small segments make several rolls and cleans happen inside the
+    // sweep, so boundaries land before, between, and after them.
     sweep_every_boundary(&StableFactory::wal(WalConfig {
         checkpoint_bytes: 4 * 1024,
         path: None,

@@ -15,7 +15,7 @@
 //! * [`StableStore`] — per-node crash-surviving key-value storage (agent
 //!   input queues, transaction decision records) behind a pluggable
 //!   [`StableBackend`]: the reference in-memory map, or a log-structured
-//!   WAL with group commit, checkpoints, and torn-tail recovery
+//!   WAL with group commit, segments and a cleaner, and torn-tail recovery
 //!   ([`stable::wal`]). Select one via [`WorldConfig::stable`].
 //! * [`Network`] / [`LatencyModel`] — size-dependent latencies, link
 //!   outages, partitions.
@@ -44,7 +44,9 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// One module opts out: the WAL frame checksum, which calls the SSE4.2
+// `crc32` instruction (`stable::wal`).
+#![deny(unsafe_code)]
 
 mod ctx;
 mod event;

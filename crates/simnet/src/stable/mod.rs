@@ -12,10 +12,11 @@
 //!   crash. Its behaviour *is* the durability contract every other backend
 //!   is tested against.
 //! * [`wal::WalBackend`] — a log-structured backend: mutations append
-//!   length-framed records to a write-ahead log, a group-[`commit`] barrier
-//!   makes them durable in one batch, periodic checkpoints truncate the
-//!   log, and recovery replays the log over the last checkpoint, discarding
-//!   any torn tail.
+//!   checksummed, length-framed records to a write-ahead log, a
+//!   group-[`commit`] barrier makes them durable in one batch, the log is a
+//!   sequence of segments that a cleaner keeps to a few (the oldest one's
+//!   live records copied forward, then the segment unlinked), and recovery
+//!   replays the segments in order, discarding any torn tail of the newest.
 //!
 //! The kernel brackets every service callback with
 //! [`StableStore::begin_batch`] / [`StableStore::end_batch`], so the many
@@ -27,13 +28,15 @@
 //!
 //! A barrier and a flush to the device are two steps. [`commit`] makes a
 //! batch survive a node crash (and, on a file-backed WAL, writes it to the
-//! log file, so it survives the process too); [`sync`] flushes everything
-//! committed so far to the device in one `fsync`, so it survives the
-//! machine. The kernel's bracket commits without syncing and syncs by the
-//! output-commit rule of [`crate::World`]: before any other node can have
-//! seen a barrier's effects, and before an entry point returns. Every other
-//! caller — [`StableStore::commit`], [`StableStore::flush`], a forced
-//! mutation outside a batch — commits and syncs at once.
+//! head segment's file, so it survives the process too); [`sync`] flushes
+//! everything committed so far to the device — one `fsync` of the head,
+//! plus one of the directory when the cleaner unlinked or a roll created a
+//! segment — so it survives the machine. The kernel's bracket commits
+//! without syncing and syncs by the output-commit rule of
+//! [`crate::World`]: before any other node can have seen a barrier's
+//! effects, and before an entry point returns. Every other caller —
+//! [`StableStore::commit`], [`StableStore::flush`], a forced mutation
+//! outside a batch — commits and syncs at once.
 //!
 //! A mutation is *forced* unless it is made through
 //! [`StableStore::delete_unforced`]. Only a forced mutation makes its batch
@@ -59,28 +62,32 @@ pub use wal::{WalBackend, WalConfig};
 /// `commits` and `records` are backend-independent by construction (every
 /// backend counts the same mutations and the same barriers); the remaining
 /// fields are populated only by backends with the matching mechanism (log,
-/// device flushes, checkpoints, recovery replay).
+/// device flushes, the cleaner, recovery replay).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
     /// Commit barriers that found at least one pending mutation.
     pub commits: u64,
-    /// Log flushes to the device ([`StableBackend::sync`] calls that found
-    /// committed bytes not yet flushed). A checkpoint's own flushes are not
-    /// counted.
+    /// Log `fsync`s: a segment file flushed by [`StableBackend::sync`], by
+    /// a segment roll (the closing head), or by recovery cutting a torn
+    /// tail.
     pub syncs: u64,
+    /// Directory `fsync`s: the ones that make a segment's create or unlink
+    /// durable, at most one per [`StableBackend::sync`].
+    pub dir_syncs: u64,
     /// Mutation records accepted (puts plus effective deletes).
     pub records: u64,
     /// Bytes appended to the write-ahead log (cumulative).
     pub wal_bytes: u64,
-    /// Checkpoints taken.
+    /// Segments cleaned: the oldest segment's live frames copied to the
+    /// head, so that it can be unlinked.
     pub checkpoints: u64,
-    /// Bytes written by checkpoints (cumulative).
+    /// Bytes of live frames the cleaner copied (cumulative).
     pub checkpoint_bytes: u64,
     /// Recovery passes executed.
     pub recoveries: u64,
     /// Records replayed by recovery passes (cumulative).
     pub replayed_records: u64,
-    /// Bytes read back (checkpoint plus log) by recovery passes
+    /// Bytes read back (every live segment) by recovery passes
     /// (cumulative) — the recovery-cost axis of the chaos benchmarks.
     pub replayed_bytes: u64,
     /// Torn (partially written) log bytes discarded by recovery.
@@ -160,7 +167,8 @@ pub trait StableBackend: Any + Send + fmt::Debug {
         false
     }
 
-    /// Whether committed bytes await a [`sync`](StableBackend::sync).
+    /// Whether committed bytes, or a segment the cleaner freed, await a
+    /// [`sync`](StableBackend::sync).
     fn unsynced(&self) -> bool {
         false
     }
@@ -186,13 +194,13 @@ pub trait StableBackend: Any + Send + fmt::Debug {
 }
 
 /// Ordered iteration over the keys of `map` starting with `prefix`.
-fn prefix_range<'a>(
-    map: &'a BTreeMap<String, Vec<u8>>,
+fn prefix_range<'a, V>(
+    map: &'a BTreeMap<String, V>,
     prefix: &'a str,
-) -> impl Iterator<Item = (&'a str, &'a [u8])> + 'a {
+) -> impl Iterator<Item = (&'a str, &'a V)> + 'a {
     map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
         .take_while(move |(k, _)| k.starts_with(prefix))
-        .map(|(k, v)| (k.as_str(), v.as_slice()))
+        .map(|(k, v)| (k.as_str(), v))
 }
 
 /// The reference (model) backend: an ordered map plus an undo list of the
@@ -249,7 +257,7 @@ impl StableBackend for MemBackend {
         &'a self,
         prefix: &'a str,
     ) -> Box<dyn Iterator<Item = (&'a str, &'a [u8])> + 'a> {
-        Box::new(prefix_range(&self.view, prefix))
+        Box::new(prefix_range(&self.view, prefix).map(|(k, v)| (k, v.as_slice())))
     }
 
     fn commit(&mut self) -> bool {

@@ -928,6 +928,7 @@ impl World {
             let s = self.stable(node).backend_stats();
             total.commits += s.commits;
             total.syncs += s.syncs;
+            total.dir_syncs += s.dir_syncs;
             total.records += s.records;
             total.wal_bytes += s.wal_bytes;
             total.checkpoints += s.checkpoints;

@@ -145,7 +145,7 @@ macro_rules! conformance_suite {
 
 conformance_suite!(reference, StableStore::new());
 conformance_suite!(wal_default, StableStore::wal(WalConfig::default()));
-// A tiny checkpoint threshold forces the checkpoint/log split constantly,
+// Tiny segments force rolls and cleans constantly,
 // so the same contract is exercised across log rollovers.
 conformance_suite!(
     wal_tiny_checkpoint,

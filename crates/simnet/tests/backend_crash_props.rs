@@ -10,11 +10,22 @@
 //! record at the end of the durable log. The reference model never saw the
 //! torn record (it was lost mid-write), so recovery discarding it is
 //! exactly what makes the two backends agree.
+//!
+//! A file-backed arm runs the same scripts on a WAL in a directory of its
+//! own, and at every crash also reopens the node from its files with
+//! [`WalBackend::open`]: what a restarted process reads must be the
+//! reference's committed view. A power-loss arm drives the in-memory WAL
+//! through its device model ([`WalBackend::power_loss`]): what survives a
+//! machine crash is the committed view as of the last sync, or of a later
+//! barrier — never less, and never anything but a prefix of the barriers.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use mar_simnet::stable::wal::encode_put_frame;
-use mar_simnet::{StableStore, WalBackend, WalConfig};
+use mar_simnet::stable::wal::{encode_put_frame, MAX_LIVE_SEGMENTS};
+use mar_simnet::{NodeId, StableBackend, StableStore, WalBackend, WalConfig};
 
 /// One scripted operation, applied to both stores in lockstep.
 #[derive(Debug, Clone)]
@@ -65,11 +76,29 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The WAL under `store`.
+fn wal_of(store: &mut StableStore) -> &mut WalBackend {
+    store
+        .backend_mut()
+        .as_any_mut()
+        .downcast_mut::<WalBackend>()
+        .expect("wal store holds a WalBackend")
+}
+
 /// Applies `ops` to a reference store and a WAL store in lockstep,
-/// asserting view equivalence after every single operation.
+/// asserting view equivalence after every single operation. With
+/// [`WalConfig::path`] set the WAL is file-backed, and every crash also
+/// reopens it from its files.
 fn run_script(ops: &[Op], wal_cfg: WalConfig) {
     let mut reference = StableStore::new();
-    let mut wal = StableStore::wal(wal_cfg);
+    let mut wal = StableStore::with_backend(Box::new(WalBackend::open(wal_cfg.clone(), NodeId(0))));
+    let reopen = |reference: &StableStore, i: usize| {
+        if wal_cfg.path.is_some() {
+            let files =
+                StableStore::with_backend(Box::new(WalBackend::open(wal_cfg.clone(), NodeId(0))));
+            assert_eq!(dump(reference), dump(&files), "reopened files after op {i}");
+        }
+    };
     reference.begin_batch();
     wal.begin_batch();
 
@@ -102,6 +131,7 @@ fn run_script(ops: &[Op], wal_cfg: WalConfig) {
                 wal.crash_volatile();
                 reference.recover();
                 wal.recover();
+                reopen(&reference, i);
                 reference.begin_batch();
                 wal.begin_batch();
             }
@@ -112,15 +142,12 @@ fn run_script(ops: &[Op], wal_cfg: WalConfig) {
                 let mut frame = Vec::new();
                 encode_put_frame(&mut frame, &key(*k), &vec![0xAB; *len as usize]);
                 let cut = (*cut as usize) % frame.len();
-                wal.backend_mut()
-                    .as_any_mut()
-                    .downcast_mut::<WalBackend>()
-                    .expect("wal store holds a WalBackend")
-                    .inject_torn_tail(&frame[..cut]);
+                wal_of(&mut wal).inject_torn_tail(&frame[..cut]);
                 reference.crash_volatile();
                 wal.crash_volatile();
                 reference.recover();
                 wal.recover();
+                reopen(&reference, i);
                 reference.begin_batch();
                 wal.begin_batch();
             }
@@ -135,6 +162,8 @@ fn run_script(ops: &[Op], wal_cfg: WalConfig) {
             (wal.write_ops(), wal.bytes_written()),
             "accounting diverged after op {i}"
         );
+        let live = wal_of(&mut wal).segment_gens();
+        assert!(live.len() <= MAX_LIVE_SEGMENTS, "{live:?} after op {i}");
     }
 
     // Backend-independent counters agree at the end of the script.
@@ -143,8 +172,136 @@ fn run_script(ops: &[Op], wal_cfg: WalConfig) {
     assert_eq!(r.records, w.records, "record counts diverged");
 }
 
+/// A directory of its own for one file-backed script, removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("mar-wal-props-{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+
+    fn cfg(&self, checkpoint_bytes: usize) -> WalConfig {
+        WalConfig {
+            checkpoint_bytes,
+            path: Some(self.0.clone()),
+        }
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One operation of a power-loss script, on an in-memory WAL.
+#[derive(Debug, Clone)]
+enum DeviceOp {
+    /// Put `key(k)` with a value of `len % 40` bytes, new to this op.
+    Put { k: u8, len: u8 },
+    /// Delete `key(k)` (may be a no-op).
+    Delete { k: u8 },
+    /// Group-commit barrier.
+    Commit,
+    /// Every committed byte to the device, the cleaner's unlink included.
+    Sync,
+    /// A machine crash.
+    PowerLoss,
+    /// A machine crash after the first `steps % 6` device steps of a sync.
+    PowerLossDuringSync { steps: u8 },
+}
+
+fn device_op_strategy() -> impl Strategy<Value = DeviceOp> {
+    prop_oneof![
+        4 => (any::<u8>(), any::<u8>()).prop_map(|(k, len)| DeviceOp::Put { k, len }),
+        2 => any::<u8>().prop_map(|k| DeviceOp::Delete { k }),
+        3 => Just(DeviceOp::Commit),
+        2 => Just(DeviceOp::Sync),
+        1 => Just(DeviceOp::PowerLoss),
+        1 => any::<u8>().prop_map(|steps| DeviceOp::PowerLossDuringSync { steps }),
+    ]
+}
+
+fn view(b: &WalBackend) -> Vec<(String, Vec<u8>)> {
+    b.iter().map(|(k, v)| (k.to_owned(), v.to_vec())).collect()
+}
+
+/// Runs `ops` on an in-memory WAL with `checkpoint_bytes`-byte segments.
+/// After every power loss the view must be the committed view of a barrier
+/// no older than the last completed sync: a sync loses nothing, and what
+/// the device holds beyond it is a prefix of the later barriers.
+fn run_power_script(ops: &[DeviceOp], checkpoint_bytes: usize) {
+    let mut wal = WalBackend::new(WalConfig {
+        checkpoint_bytes,
+        path: None,
+    });
+    // The committed views since the last completed sync, that one first.
+    let mut since_sync = vec![view(&wal)];
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            DeviceOp::Put { k, len } => {
+                wal.put(key(k), vec![i as u8; usize::from(len % 40)]);
+            }
+            DeviceOp::Delete { k } => {
+                wal.delete(&key(k));
+            }
+            DeviceOp::Commit => {
+                if wal.commit() {
+                    since_sync.push(view(&wal));
+                }
+            }
+            DeviceOp::Sync => {
+                wal.sync();
+                since_sync.drain(..since_sync.len() - 1);
+            }
+            DeviceOp::PowerLoss | DeviceOp::PowerLossDuringSync { .. } => {
+                if let DeviceOp::PowerLossDuringSync { steps } = *op {
+                    wal.power_loss_during_sync(usize::from(steps % 6));
+                } else {
+                    wal.power_loss();
+                }
+                let got = view(&wal);
+                assert!(
+                    since_sync.contains(&got),
+                    "op {i}: recovered {got:?}, not one of the committed views \
+                     since the last sync {since_sync:?}"
+                );
+                since_sync = vec![got];
+            }
+        }
+        let live = wal.segment_gens();
+        assert!(live.len() <= MAX_LIVE_SEGMENTS, "{live:?} after op {i}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The reference scripts on a file-backed WAL, its segments small
+    /// enough that scripts roll and clean all the time; every crash also
+    /// reopens the node from its files.
+    #[test]
+    fn file_backed_wal_matches_reference_model_and_reopens_to_it(
+        ops in proptest::collection::vec(op_strategy(), 1..80),
+    ) {
+        let dir = TempDir::new("script");
+        run_script(&ops, dir.cfg(96));
+    }
+
+    /// Power loss at any point, mid-sync included, with segments of a few
+    /// frames: the cleaner's copy → head flush → unlink → directory sync
+    /// order never loses a synced barrier or revives a deleted key.
+    #[test]
+    fn a_power_loss_keeps_every_synced_barrier(
+        ops in proptest::collection::vec(device_op_strategy(), 1..120),
+    ) {
+        run_power_script(&ops, 64);
+    }
 
     /// Random scripts on the default WAL tuning.
     #[test]
@@ -154,8 +311,8 @@ proptest! {
         run_script(&ops, WalConfig::default());
     }
 
-    /// The same property with a tiny checkpoint threshold, so scripts
-    /// constantly roll the log over into checkpoints.
+    /// The same property with tiny segments, so scripts constantly roll
+    /// the head and clean the oldest segment.
     #[test]
     fn wal_matches_reference_model_across_checkpoints(
         ops in proptest::collection::vec(op_strategy(), 1..80),
@@ -165,7 +322,7 @@ proptest! {
 }
 
 /// Pinned regression script: torn tails at both cut extremes, a delete-only
-/// batch, and a checkpoint rollover — reproduces without proptest shrinking.
+/// batch, and segment rolls — reproduces without proptest shrinking.
 #[test]
 fn pinned_torn_tail_script() {
     let ops = vec![
@@ -209,4 +366,85 @@ fn pinned_torn_tail_script() {
             path: None,
         },
     );
+}
+
+/// Pinned: a file-backed script long enough to clean many times, with
+/// crashes between cleans and a torn tail; the files reopen to the
+/// reference at every crash, and the cleaner must have run.
+#[test]
+fn pinned_file_backed_script_cleans_and_reopens() {
+    let mut ops = Vec::new();
+    for round in 0..40u8 {
+        ops.push(Op::Put {
+            k: round,
+            len: 60,
+            fill: round,
+        });
+        ops.push(Op::Put {
+            k: round.wrapping_add(3),
+            len: 20,
+            fill: round,
+        });
+        if round % 3 == 0 {
+            ops.push(Op::Delete { k: round });
+        }
+        ops.push(Op::Commit);
+        if round % 7 == 6 {
+            ops.push(Op::CrashRecover);
+        }
+        if round % 11 == 10 {
+            ops.push(Op::CrashTorn {
+                k: round,
+                len: 30,
+                cut: u16::from(round),
+            });
+        }
+    }
+    let dir = TempDir::new("pinned");
+    run_script(&ops, dir.cfg(96));
+    let reopened = WalBackend::open(dir.cfg(96), NodeId(0));
+    assert!(
+        reopened.segment_gens()[0] > 10,
+        "the cleaner ran and unlinked"
+    );
+}
+
+/// Pinned: the live segments of a node never exceed [`MAX_LIVE_SEGMENTS`],
+/// in memory and on disk, through batches of every size around the
+/// segment size — unsynced barriers between syncs included.
+#[test]
+fn live_segments_never_exceed_the_bound() {
+    let dir = TempDir::new("bound");
+    let segment = 128;
+    let mut stores = [
+        StableStore::wal(WalConfig {
+            checkpoint_bytes: segment,
+            path: None,
+        }),
+        StableStore::with_backend(Box::new(WalBackend::open(dir.cfg(segment), NodeId(0)))),
+    ];
+    for s in &mut stores {
+        for i in 0..400usize {
+            s.begin_batch();
+            for j in 0..i % 5 {
+                s.put(
+                    format!("q/{:03}", (i * 7 + j) % 50),
+                    vec![i as u8; (i * 13) % 300],
+                );
+            }
+            if i % 4 == 0 {
+                s.delete(&format!("q/{:03}", i % 50));
+            }
+            s.end_batch();
+            // The output-commit rule syncs about once per dozen barriers.
+            if i % 12 == 11 {
+                s.sync();
+            }
+            let live = wal_of(s).segment_gens();
+            assert!(live.len() <= MAX_LIVE_SEGMENTS, "{live:?} at batch {i}");
+        }
+        assert!(s.backend_stats().checkpoints > 10, "the cleaner ran");
+    }
+    let files = std::fs::read_dir(&dir.0).expect("wal dir").count();
+    assert!(files <= MAX_LIVE_SEGMENTS, "{files} files");
 }

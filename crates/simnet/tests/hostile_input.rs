@@ -26,8 +26,8 @@ fn a_log_tail_survives_the_sweep() {
         let mut wal = WalBackend::new(WalConfig::default());
         wal.inject_torn_tail(tail);
         wal.crash();
-        // A frame carries no checksum, so a flipped byte may be a different
-        // key; but what survived was read out of the tail, not past it.
+        // A frame's checksum turns a flipped byte into a torn tail; either
+        // way what survived was read out of the tail, not past it.
         let kept: usize = wal.iter().map(|(k, v)| k.len() + v.len()).sum();
         assert!(kept <= tail.len(), "{kept} bytes out of {}", tail.len());
     });
