@@ -33,10 +33,12 @@ cargo test -q --release -p mar-wire -p mar-simnet
 cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
     --test step_path_cache_props
 # And the commit path's crash suites: the WAL's equality with the reference
-# backend under crash schedules, and the 2PC host's crash sweep, whose
-# coordinator forgets a decision with an unforced delete.
+# backend under crash schedules; the 2PC host's crash sweep, whose
+# coordinator commits a prepared branch with unforced deletes and whose last
+# participant decides; and the resource managers' model property, whose
+# prepared deltas are written once, outlive folds and are redone in doubt.
 cargo test -q --release -p mar-platform --test stable_backend_props
-cargo test -q --release -p mar-txn --test twopc_sim
+cargo test -q --release -p mar-txn --test twopc_sim --test store_model_props
 # And the two record suites: release compiles out the cross-check of a sealed
 # log's savepoint bytes in `ResidentLog::materialize`, so the properties are
 # what holds the number there, and the allocator calls of a hop that cannot
@@ -57,6 +59,11 @@ cargo test -q --release -p mar-net --test fault_plan_props
 # checks, seed reproducibility): a core change that trips the benchmark's
 # output checks fails here and not in the pipeline.
 cargo test -q --manifest-path benchmark/Cargo.toml
+
+echo "==> paper experiment stage: every report table (E1–E10), release"
+# Nothing else runs the experiments end to end: a panic in any of them
+# fails here.
+cargo run -q --release -p mar-bench --bin report > /dev/null
 
 echo "==> example smoke stage (all five examples, release)"
 for ex in quickstart travel_agency ecommerce_cash systems_management failure_storm; do
@@ -123,7 +130,7 @@ rm -rf "$smoke_dir"
 
 echo "==> chaos smoke stage: mar-fleet with a scripted mid-run SIGKILL"
 # The supervised deployment end to end: mar-fleet spawns the driver and both
-# hosts, SIGKILLs host 1 after the driver's 60th lockstep window (of ~140),
+# hosts, SIGKILLs host 1 after the driver's 60th lockstep window (of ~119),
 # restarts it with backoff, and the run must still settle on the exact
 # crash-free answer — with the kill having landed: one restart of host 1,
 # nobody given up on, nothing left unfired. `timeout` backstops the

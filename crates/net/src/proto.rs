@@ -49,8 +49,11 @@ use crate::transport::Transport;
 /// separate clock-advance request and its reply are gone) and a metrics
 /// snapshot is its counters only. Revision 4 frames the two byte fields,
 /// [`RemoteEvent::payload`] and [`RpcReply::Bytes`], as one `TAG_BYTES` run
-/// each instead of one tagged varint per byte.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// each instead of one tagged varint per byte. Revision 5 carries the step
+/// commit in which the last participant decides: a mole's `Tx` message has
+/// a tally, its `Prepare` a `decide` flag, and a `Decision` or `Query` may
+/// go either way between coordinator and participant.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Messages exchanged between the driver and a node host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

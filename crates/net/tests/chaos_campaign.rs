@@ -216,9 +216,9 @@ fn run_recovering(a: &Arm, script: &[ChaosEvent], what: &str) -> FleetSummary {
 
 #[test]
 fn a_kill_script_replays() {
-    // Host 1 dies after windows spread over the ~141 of the run, alone and
+    // Host 1 dies after windows spread over the ~119 of the run, alone and
     // all three in one script.
-    let scripts = [&[20u64][..], &[70], &[120], &[20, 70, 120]];
+    let scripts = [&[17u64][..], &[59], &[101], &[17, 59, 101]];
     for (i, windows) in scripts.into_iter().enumerate() {
         let script: Vec<_> = windows
             .iter()

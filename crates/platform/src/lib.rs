@@ -50,5 +50,5 @@ pub use driver::{AgentHandle, Platform};
 pub use harvest::{audit_wallets, money_audit_world, DriverCore, DriverStable};
 pub use mar_simnet::{StableFactory, WalConfig};
 pub use mole::{keys as metric_keys, MoleCfg, MoleService, MOLE};
-pub use msg::{AgentReport, MoleMsg, RceList, ReportOutcome};
+pub use msg::{AgentReport, MoleMsg, RceList, ReportOutcome, Tally};
 pub use stepctx::{RmAccess, StepCtx};

@@ -4,14 +4,24 @@
 //! Forward execution follows the exactly-once protocol of \[11\] (§2): the
 //! agent is read from the node's stable input queue, the step runs inside a
 //! step transaction spanning local resources and the next node's queue, and
-//! commit is a presumed-abort 2PC between the two nodes. Rollback executes
-//! the plans of `mar-core`'s planners inside compensation transactions with
-//! the same machinery (§4.3, §4.4).
+//! commit is a presumed-abort 2PC between the two nodes in which the next
+//! node decides. The executing node prepares its own branch — the step's
+//! resource records, and a hold on the queue item it took, in one forced
+//! barrier — and sends the record with a `Prepare` that asks the next node
+//! to decide; that node writes the record as its queue item together with
+//! the commit record, in one forced barrier, runs the agent's next step from
+//! there, and sends the decision back, on which the executing node's commit
+//! only deletes, unforced. A hop is one `Prepare` and one `Decision`.
+//! Rollback executes the plans of `mar-core`'s planners inside compensation
+//! transactions with the same machinery (§4.3, §4.4): the round's RCE list
+//! is one more branch, and the last branch decides.
 //!
 //! Crash semantics: everything volatile here (locks, undo, in-flight 2PC
 //! state, the set of queue items ready to be scheduled, timers) dies with
 //! the node and is rebuilt in `on_start` from stable storage — queue items,
-//! RM base images and delta records, decision/prepared records.
+//! RM base images and delta records (an in-doubt branch's redone under its
+//! transaction), decision records, prepared entries of participants and of
+//! this node's own branches; a branch in doubt asks its decider.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -23,13 +33,14 @@ use mar_core::{
 };
 use mar_simnet::{Address, Ctx, NodeId, Service, SimDuration, StableStore};
 use mar_txn::{
-    twopc::Action, Coordinator, Participant, PreparedEntry, RemoteWork, RmRegistry, RmWrite, TxMsg,
-    TxnId, TxnIdGen,
+    twopc::Action, Coordinator, LocalBranch, Participant, PreparedEntry, RemoteWork, RmRegistry,
+    RmWrite, TxMsg, TxnError, TxnId, TxnIdGen,
 };
+use serde::{Deserialize, Serialize};
 
 use crate::behavior::{BehaviorRegistry, StepDecision};
 use crate::itin::{self, ItinTable};
-use crate::msg::{AgentReport, MoleMsg, RceList, ReportOutcome};
+use crate::msg::{AgentReport, MoleMsg, RceList, ReportOutcome, Tally};
 use crate::stepctx::{RmAccess, StepCtx};
 use crate::work::Work;
 
@@ -83,6 +94,10 @@ const Q_PREFIX: &str = "q/";
 const RM_PREFIX: &str = "rm/";
 const DECISION_PREFIX: &str = "2pc/decision/";
 const PREPARED_PREFIX: &str = "2pc/prepared/";
+/// The prepared local branches of transactions this node coordinates: one
+/// [`HeldBranch`] per transaction whose decision is out at its last
+/// participant.
+const LOCAL_PREFIX: &str = "2pc/local/";
 const DONE2PC_PREFIX: &str = "2pc/done/";
 pub(crate) const REPORT_PREFIX: &str = "done/";
 pub(crate) const HOME_REPORT_PREFIX: &str = "report/";
@@ -159,7 +174,10 @@ pub mod keys {
     pub const LOG_COMPACTIONS_SKIPPED: &str = "log.compactions_skipped";
     /// Bytes shaved off rollback logs by pre-transfer compaction.
     pub const LOG_COMPACTION_SAVED_BYTES: &str = "log.compaction_saved_bytes";
-    /// Distributed transactions committed at this coordinator.
+    /// Transactions committed: counted where each commits — at its
+    /// coordinator when it has no remote branch, at the participant that
+    /// decides otherwise ([`Tally`](crate::Tally) holds the rest of what a
+    /// commit counts).
     pub const TXN_COMMITTED: &str = "txn.committed";
     /// Distributed transactions aborted at this coordinator.
     pub const TXN_ABORTED: &str = "txn.aborted";
@@ -299,8 +317,11 @@ struct Shipment {
 
 struct ActiveTxn {
     queue_key: String,
+    /// The held queue key a prepared branch wrote a staying record under.
+    next_key: Option<String>,
     outcome: Committed,
-    metrics: Vec<(&'static str, u64)>,
+    /// What the commit counts, here or at the decider.
+    metrics: Vec<(Tally, u64)>,
     shipment: Option<Shipment>,
 }
 
@@ -438,10 +459,17 @@ impl MoleService {
         // billed size, so the simulated schedule is independent of the
         // (volatile) intern-table state. The real savings are recorded in
         // the `itinerary.*` counters instead.
+        let active = match &msg {
+            TxMsg::Prepare { txn, .. } => self.active.get(txn),
+            _ => None,
+        };
+        // The decider counts the commit (`Tally`).
+        let tally = match &msg {
+            TxMsg::Prepare { decide: true, .. } => active.map(|at| at.metrics.clone()),
+            _ => None,
+        };
         let shipped = match &msg {
-            TxMsg::Prepare { txn, work } => self
-                .active
-                .get(txn)
+            TxMsg::Prepare { work, .. } => active
                 .and_then(|at| at.shipment.as_ref())
                 .filter(|shipment| shipment.dest == to)
                 // The size to bill, if `work` is the reference form (after
@@ -455,6 +483,7 @@ impl MoleService {
         let payload = MoleMsg::Tx {
             from: ctx.node(),
             msg,
+            tally: tally.unwrap_or_default(),
         }
         .encode();
         let to = Address::new(to, MOLE);
@@ -507,7 +536,7 @@ impl MoleService {
             .unwrap_or(0)
             + 1;
         ctx.stable_put(KEY_QSEQ, mar_wire::to_bytes(&seq).unwrap());
-        let key = format!("{Q_PREFIX}{seq:012}");
+        let key = queue_key(seq);
         ctx.stable_put(key.clone(), bytes);
         key
     }
@@ -559,15 +588,19 @@ impl MoleService {
         #[cfg(debug_assertions)]
         {
             let queued = queue_keys(ctx.stable());
-            let taken = self.active.values().map(|at| &at.queue_key);
-            let working = BTreeSet::from_iter(self.tag_map.values().chain(taken));
+            let taken = BTreeSet::from_iter(self.active.values().map(|at| &at.queue_key));
+            let working = BTreeSet::from_iter(self.tag_map.values().chain(taken.iter().copied()));
             let idle = queued.iter().filter(|key| !working.contains(key));
             let idle = BTreeSet::from_iter(idle.cloned());
             let forgotten = Vec::from_iter(idle.difference(&self.ready));
             assert!(forgotten.is_empty(), "queued key forgotten: {forgotten:?}");
             let stray = Vec::from_iter(self.ready.difference(&idle));
             assert!(stray.is_empty(), "ready key not queued or taken: {stray:?}");
-            let stale = self.attempts.keys().filter(|key| !queued.contains(key));
+            // A prepared branch holds the item it took: out of the queue.
+            let stale = self
+                .attempts
+                .keys()
+                .filter(|key| !queued.contains(key) && !taken.contains(key));
             let stale = Vec::from_iter(stale);
             assert!(stale.is_empty(), "attempts of a key not queued: {stale:?}");
         }
@@ -576,31 +609,42 @@ impl MoleService {
         }
     }
 
-    /// The one way a transaction's resource changes become permanent:
-    /// commits `txn` on every manager and, in the same handler — so inside
-    /// the same stable batch as the decision or done record — writes what
-    /// the registry asks for: a delta record per manager `txn` wrote to, or
-    /// a fresh base image in place of the deltas it folds.
+    /// Commits `txn` on every manager and, in the same handler — so inside
+    /// the same stable batch as the done record, or the local commit —
+    /// writes what the registry asks for; a prepared branch stored its
+    /// records at prepare, and nothing is written.
     fn commit_rms(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
         let writes = self.rms.commit_all(txn).expect("resource state encodes");
+        Self::write_rm(ctx, writes);
+    }
+
+    /// Writes what the registry asks for: a delta record per manager a
+    /// transaction wrote to, and a fresh base image in place of the
+    /// committed deltas it folds. Returns the delta records, by resource
+    /// name and number.
+    fn write_rm(ctx: &mut Ctx<'_>, writes: Vec<RmWrite>) -> Vec<(String, u64)> {
+        let mut deltas = Vec::new();
         for write in writes {
             match write {
                 RmWrite::Delta { name, seq, bytes } => {
                     ctx.stable_put(rm_delta_key(&name, seq), bytes);
+                    deltas.push((name, seq));
                 }
                 RmWrite::Base {
                     name,
                     bytes,
                     folded,
                 } => {
-                    for seq in 1..=folded {
-                        ctx.stable_delete(&rm_delta_key(&name, seq));
+                    for seq in &folded {
+                        ctx.stable_delete(&rm_delta_key(&name, *seq));
                     }
-                    ctx.metrics().add(keys::RM_DELTAS_FOLDED, folded);
+                    ctx.metrics()
+                        .add(keys::RM_DELTAS_FOLDED, folded.len() as u64);
                     ctx.stable_put(format!("{RM_PREFIX}{name}"), bytes);
                 }
             }
         }
+        deltas
     }
 
     // ----- 2PC action execution ---------------------------------------------
@@ -608,6 +652,7 @@ impl MoleService {
     fn run_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<Action>) {
         for action in actions {
             match action {
+                Action::PrepareLocal { txn, branch } => self.prepare_local(ctx, txn, branch),
                 Action::PersistDecision { txn, participants } => {
                     ctx.stable_put(
                         format!("{DECISION_PREFIX}{}", txn.key()),
@@ -624,8 +669,13 @@ impl MoleService {
                     // `Ack` forgets the decision a second time.
                     ctx.stable_delete_unforced(&format!("{DECISION_PREFIX}{}", txn.key()));
                 }
-                Action::SendPrepare { to, txn, work } => {
-                    self.send_tx(ctx, to, TxMsg::Prepare { txn, work });
+                Action::SendPrepare {
+                    to,
+                    txn,
+                    work,
+                    decide,
+                } => {
+                    self.send_tx(ctx, to, TxMsg::Prepare { txn, work, decide });
                 }
                 Action::SendDecision { to, txn, commit } => {
                     self.send_tx(ctx, to, TxMsg::Decision { txn, commit });
@@ -640,9 +690,7 @@ impl MoleService {
                     self.send_tx(ctx, to, TxMsg::Query { txn });
                 }
                 Action::CommitLocal { txn } => self.commit_local(ctx, txn),
-                Action::AbortLocal { txn } => {
-                    self.rms.abort_all(txn);
-                }
+                Action::AbortLocal { txn } => self.abort_local(ctx, txn),
                 Action::Resolved { txn, committed } => self.resolved(ctx, txn, committed),
                 Action::PersistPrepared {
                     txn,
@@ -667,34 +715,110 @@ impl MoleService {
                         ctx.stable_delete(&key);
                     }
                 }
-                Action::MarkDone { txn } => {
-                    ctx.stable_delete(&format!("{PREPARED_PREFIX}{}", txn.key()));
-                    ctx.stable_put(format!("{DONE2PC_PREFIX}{}", txn.key()), vec![1]);
+                Action::MarkDone { txn, commit } => {
+                    let entry = format!("{PREPARED_PREFIX}{}", txn.key());
+                    if ctx.stable().contains(&entry) {
+                        ctx.stable_delete(&entry);
+                    }
+                    let done = format!("{DONE2PC_PREFIX}{}", txn.key());
+                    ctx.stable_put(done, vec![u8::from(commit)]);
                 }
             }
         }
     }
 
-    /// Applies the coordinator-local branch. Runs in the same handler that
-    /// persisted the decision record, which makes {decision, resource
-    /// deltas, queue updates} atomic with respect to crashes.
+    /// Prepares the coordinator-local branch of a transaction with remote
+    /// branches: writes everything its commit would write — the resource
+    /// delta records under their final numbers, a staying record under a
+    /// fresh queue key — and the entry that holds them with the item the
+    /// transaction took. All of it is this handler's forced barrier, durable
+    /// before the `Prepare` that follows can be observed.
+    fn prepare_local(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, branch: LocalBranch) {
+        let writes = self.rms.prepare_all(txn).expect("resource state encodes");
+        let deltas = Self::write_rm(ctx, writes);
+        let at = self
+            .active
+            .get_mut(&txn)
+            .expect("a live transaction prepares");
+        let staying = match &mut at.outcome {
+            Committed::Stayed { bytes, .. } => {
+                let key = Self::put_queue_item(ctx, std::mem::take(bytes));
+                let seq = queue_seq(&key);
+                at.next_key = Some(key);
+                seq
+            }
+            Committed::Moved => None,
+            Committed::Done { .. } => unreachable!("a report leaves in a local transaction"),
+        };
+        let held = HeldBranch {
+            branch,
+            taken: queue_seq(&at.queue_key).expect("a transaction takes a queue item"),
+            staying,
+            deltas,
+        };
+        ctx.stable_put(
+            local_key(txn),
+            mar_wire::to_bytes(&held).expect("an entry encodes"),
+        );
+    }
+
+    /// Deletes, unforced, the entry of `txn`'s prepared local branch and
+    /// returns it: `None` for a transaction without remote branches, or
+    /// with an entry that does not read back (recovery reports that).
+    fn release_branch(ctx: &mut Ctx<'_>, txn: TxnId) -> Option<HeldBranch> {
+        let key = local_key(txn);
+        let held = ctx
+            .stable_get(&key)
+            .map(mar_wire::from_slice::<HeldBranch>)?;
+        ctx.stable_delete_unforced(&key);
+        held.ok()
+    }
+
+    /// Commits the coordinator-local branch. A transaction without remote
+    /// branches writes it here, in the handler that decided: the resource
+    /// records, the item's next place, one forced barrier. A prepared branch
+    /// stored all that already, and its commit only deletes — the entry and
+    /// the item the transaction took — unforced: a crash that loses it brings
+    /// the entry back in doubt, and the decider's answer commits it again.
+    /// Its decider counted the commit.
     fn commit_local(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+        let held = Self::release_branch(ctx, txn);
         self.commit_rms(ctx, txn);
+        if let Some(held) = &held {
+            let taken = queue_key(held.taken);
+            ctx.stable_delete_unforced(&taken);
+            self.attempts.remove(&taken);
+        }
         let Some(at) = self.active.get_mut(&txn) else {
+            // Recovered in doubt: a staying record is queued from now on.
+            if let Some(key) = held.and_then(|held| held.staying).map(queue_key) {
+                self.ready.insert(key);
+                self.kick(ctx);
+            }
             return;
         };
         let outcome = std::mem::replace(&mut at.outcome, Committed::Moved);
         let metrics = std::mem::take(&mut at.metrics);
         let queue_key = at.queue_key.clone();
-        ctx.stable_delete(&queue_key);
-        self.attempts.remove(&queue_key);
+        let next_key = at.next_key.clone();
+        if held.is_none() {
+            ctx.stable_delete(&queue_key);
+            self.attempts.remove(&queue_key);
+            for (tally, n) in metrics {
+                ctx.metrics().add(tally.key(), n);
+            }
+            ctx.metrics().inc(keys::TXN_COMMITTED);
+        }
         match outcome {
             Committed::Stayed { bytes, resident } => {
-                ctx.stable_put(queue_key.clone(), bytes);
+                let key = next_key.unwrap_or_else(|| {
+                    ctx.stable_put(queue_key.clone(), bytes);
+                    queue_key
+                });
                 // The stable bytes for the key are down; the volatile twin
                 // may now be (re-)installed.
                 if let Some(rec) = resident {
-                    self.resident.insert(queue_key, rec);
+                    self.resident.insert(key, rec);
                 }
             }
             Committed::Moved => {}
@@ -725,10 +849,29 @@ impl MoleService {
                 }
             }
         }
-        for (name, n) in metrics {
-            ctx.metrics().add(name, n);
+    }
+
+    /// Aborts the coordinator-local branch: the managers undo it, and what a
+    /// prepared branch stored is deleted, unforced — a crash that loses the
+    /// abort brings the entry back in doubt, and the decider, which recorded
+    /// the abort, answers it again. The item the transaction took is in the
+    /// queue again.
+    fn abort_local(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
+        self.rms.abort_all(txn);
+        let Some(held) = Self::release_branch(ctx, txn) else {
+            return;
+        };
+        for (name, seq) in &held.deltas {
+            ctx.stable_delete_unforced(&rm_delta_key(name, *seq));
         }
-        ctx.metrics().inc(keys::TXN_COMMITTED);
+        if let Some(seq) = held.staying {
+            ctx.stable_delete_unforced(&queue_key(seq));
+        }
+        // A live transaction's item is retried when it resolves.
+        if !self.active.contains_key(&txn) {
+            self.ready.insert(queue_key(held.taken));
+            self.kick(ctx);
+        }
     }
 
     /// Home-node side of report delivery: persists the report under the
@@ -809,9 +952,10 @@ impl MoleService {
                 self.itin.learn(&note);
             }
             // An item that stayed is schedulable again only now: until the
-            // last `Ack` its transaction is live, and a kick must pass it by.
-            if ctx.stable().contains(&at.queue_key) {
-                self.ready.insert(at.queue_key);
+            // decision its transaction is live, and a kick must pass it by.
+            let key = at.next_key.unwrap_or(at.queue_key);
+            if ctx.stable().contains(&key) {
+                self.ready.insert(key);
             }
             self.kick(ctx);
         } else {
@@ -822,29 +966,30 @@ impl MoleService {
 
     /// Participant-side handling of a new `Prepare`: expands an itinerary
     /// reference, so that everything downstream (validation, stable storage)
-    /// sees the self-contained inline form, and votes.
+    /// sees the self-contained inline form, and votes — or, asked to
+    /// `decide`, commits and answers with the decision, counting the
+    /// transaction's `tally`.
     /// RCE lists execute tentatively right now, inside the transaction,
     /// holding their locks until the decision (§4.4.1: the resource
     /// compensation entries run "inside the compensation transaction").
     ///
-    /// A record is written once, here, as the queue item it becomes: the
-    /// prepared entry stores a [`Work::Held`] stub naming its key, and while
-    /// that entry lives the key is held: [`queue_keys`] leaves it out. The
-    /// decision releases the hold or deletes the key.
+    /// A record is written once, here, as the queue item it becomes. A
+    /// decider's is queued at once, in the barrier that records the commit.
+    /// A classic participant's prepared entry stores a [`Work::Held`] stub
+    /// naming its key, and while that entry lives the key is held:
+    /// [`queue_keys`] leaves it out. The decision releases the hold or
+    /// deletes the key.
     fn prepare(
         &mut self,
         ctx: &mut Ctx<'_>,
         txn: TxnId,
         from: NodeId,
         work: RemoteWork,
+        decide: bool,
+        tally: Vec<(Tally, u64)>,
     ) -> Vec<Action> {
-        let refuse = vec![Action::SendVote {
-            to: from,
-            txn,
-            ok: false,
-        }];
         let Ok(mut works) = Work::decode(work) else {
-            return refuse;
+            return self.pa.on_prepare(txn, from, None, decide);
         };
         for work in &mut works {
             let Work::Enqueue { record, .. } = work else {
@@ -854,8 +999,8 @@ impl MoleService {
                 Ok(Some(inline)) => *record = inline.into(),
                 Ok(None) => {}
                 Err(hash) => {
-                    // Not a refusal (a no vote would abort the transaction):
-                    // ask for the inline form and hold the vote.
+                    // Not a refusal (that would abort the transaction): ask
+                    // for the inline form and hold the answer.
                     ctx.send(
                         Address::new(from, MOLE),
                         MoleMsg::ItineraryMiss { txn, hash }.encode(),
@@ -871,11 +1016,11 @@ impl MoleService {
             if self.execute_rce_list(ctx, txn, list).is_err() {
                 self.rms.abort_all(txn);
                 self.live_branches.remove(&txn);
-                return refuse;
+                return self.pa.on_prepare(txn, from, None, decide);
             }
             self.live_branches.insert(txn);
         }
-        // Nothing below refuses: the vote is yes.
+        // Nothing below refuses: the answer is yes, a vote or a commit.
         for work in &mut works {
             if let Work::Enqueue { rollback, record } = work {
                 let len = record.len() as u64;
@@ -887,7 +1032,14 @@ impl MoleService {
                 };
             }
         }
-        self.pa.on_prepare(txn, from, Work::encode(works), true)
+        if decide {
+            for (tally, n) in tally {
+                ctx.metrics().add(tally.key(), n);
+            }
+            ctx.metrics().inc(keys::TXN_COMMITTED);
+        }
+        self.pa
+            .on_prepare(txn, from, Some(Work::encode(works)), decide)
     }
 
     fn execute_rce_list(
@@ -923,9 +1075,10 @@ impl MoleService {
             match work {
                 Work::Held { rollback, key, len } => {
                     // The record has been in place since the prepare; with
-                    // its entry gone (`MarkDone` comes next) it is queued.
-                    // Interned before the decision is acked: by the time the
-                    // sender learns that this node holds the itinerary, it does.
+                    // its entry gone, or never written at a decider
+                    // (`MarkDone` comes next), it is queued. Interned before
+                    // the decision is sent: by the time the sender learns
+                    // that this node holds the itinerary, it does.
                     match ctx.stable_get(&key) {
                         Some(record) => {
                             self.itin.intern_record(record);
@@ -1151,7 +1304,7 @@ impl MoleService {
         txn: TxnId,
         key: &str,
         mut rec: ResidentRecord,
-        mut metrics: Vec<(&'static str, u64)>,
+        mut metrics: Vec<(Tally, u64)>,
         rces: Option<(NodeId, Vec<u8>)>,
         exit: Exit,
     ) -> Result<(), ItemError> {
@@ -1191,12 +1344,15 @@ impl MoleService {
                         inline.push(enqueue(record));
                         works.push(enqueue(by_ref));
                         let inline = Work::encode(inline);
+                        // The record's branch is the last: it decides.
                         let msg = TxMsg::Prepare {
                             txn,
                             work: inline.clone(),
+                            decide: true,
                         };
                         let from = ctx.node();
-                        Some((inline, MoleMsg::Tx { from, msg }.encode().len()))
+                        let tally = metrics.clone();
+                        Some((inline, MoleMsg::Tx { from, msg, tally }.encode().len()))
                     }
                     None => {
                         works.push(enqueue(record));
@@ -1208,9 +1364,9 @@ impl MoleService {
             }
             Exit::Done(outcome) => {
                 let (status, metric) = match &outcome {
-                    ReportOutcome::Completed => (AgentStatus::Completed, keys::AGENT_COMPLETED),
+                    ReportOutcome::Completed => (AgentStatus::Completed, Tally::AgentCompleted),
                     ReportOutcome::Failed(why) => {
-                        (AgentStatus::Failed(why.clone()), keys::AGENT_FAILED)
+                        (AgentStatus::Failed(why.clone()), Tally::AgentFailed)
                     }
                 };
                 metrics.push((metric, 1));
@@ -1238,6 +1394,7 @@ impl MoleService {
             txn,
             ActiveTxn {
                 queue_key: key.to_owned(),
+                next_key: None,
                 outcome,
                 metrics,
                 shipment,
@@ -1415,7 +1572,7 @@ impl MoleService {
                     NextHop::Finished => Exit::Done(ReportOutcome::Completed),
                     NextHop::Step(next) => Exit::towards(ctx, next),
                 };
-                let metrics = vec![(keys::STEPS_COMMITTED, 1)];
+                let metrics = vec![(Tally::StepsCommitted, 1)];
                 self.hand_off(ctx, txn, key, rec, metrics, None, exit)
             }
         }
@@ -1447,11 +1604,11 @@ impl MoleService {
             .and_then(|view| start_rollback(&view, target))
             .map_err(|e| ItemError::Permanent(format!("rollback: {e}")))?;
         let txn = self.alloc_txn(ctx);
-        let mut metrics = vec![(keys::ROLLBACK_STARTED, 1)];
+        let mut metrics = vec![(Tally::RollbackStarted, 1)];
         let exit = match plan {
             StartPlan::AlreadyAtTarget(restore) => {
                 rb.apply_restore(*restore);
-                metrics.push((keys::ROLLBACK_COMPLETED, 1));
+                metrics.push((Tally::RollbackCompleted, 1));
                 Self::exit_to_step(ctx, &rb)?
             }
             StartPlan::Go(dest) => Exit::rolling_back(dest),
@@ -1560,14 +1717,14 @@ impl MoleService {
         // the transaction savings show up in `batched_rounds`/`rounds_saved`.
         let rounds = batch.rounds_fused().max(1) as u64;
         let mut metrics = vec![
-            (keys::ROLLBACK_ROUNDS, rounds),
-            (keys::ROLLBACK_BATCHED_ROUNDS, 1),
-            (keys::ROLLBACK_ROUNDS_SAVED, rounds - 1),
+            (Tally::RollbackRounds, rounds),
+            (Tally::RollbackBatchedRounds, 1),
+            (Tally::RollbackRoundsSaved, rounds - 1),
         ];
         let exit = match batch.after {
             AfterRound::Reached(restore) => {
                 rb.apply_restore(*restore);
-                metrics.push((keys::ROLLBACK_COMPLETED, 1));
+                metrics.push((Tally::RollbackCompleted, 1));
                 // The itinerary is first read here: abort what was compensated.
                 Self::exit_to_step(ctx, &rb).map_err(|e| {
                     self.rms.abort_all(txn);
@@ -1614,7 +1771,8 @@ impl Service for MoleService {
                 // The receiver could not resolve the itinerary reference we
                 // shipped: forget the assumption and re-send the branch
                 // inline from our retained copy. Stale reports (settled
-                // transaction, vote already in) fall through silently.
+                // transaction, branch no longer waiting) fall through
+                // silently.
                 let by_ref = self
                     .active
                     .get(&txn)
@@ -1630,25 +1788,33 @@ impl Service for MoleService {
                     self.run_actions(ctx, actions);
                 }
             }
-            MoleMsg::Tx { from, msg } => {
+            MoleMsg::Tx { from, msg, tally } => {
+                // A transaction id names its coordinator: a decision or a
+                // question about one of this node's own transactions comes
+                // from a participant, any other from a coordinator.
+                let me = ctx.node();
                 let actions = match msg {
-                    TxMsg::Prepare { txn, work } => {
+                    TxMsg::Prepare { txn, work, decide } => {
                         // A retransmitted prepare for a branch this
                         // participant already holds (or settled) must not
                         // re-execute the work — a second tentative RCE run
                         // under the same transaction would double-apply the
                         // compensations at commit. `on_prepare` just
-                        // re-sends the vote for known transactions.
+                        // answers again for known transactions.
                         if self.pa.is_known(txn) {
-                            self.pa.on_prepare(txn, from, work, true)
+                            self.pa.on_prepare(txn, from, Some(work), decide)
                         } else {
-                            self.prepare(ctx, txn, from, work)
+                            self.prepare(ctx, txn, from, work, decide, tally)
                         }
                     }
                     TxMsg::Vote { txn, ok } => self.co.on_vote(txn, from, ok),
+                    TxMsg::Decision { txn, commit } if txn.coordinator == me => {
+                        self.co.on_decision(txn, commit, from)
+                    }
                     TxMsg::Decision { txn, commit } => self.pa.on_decision(txn, commit, from),
                     TxMsg::Ack { txn } => self.co.on_ack(txn, from),
-                    TxMsg::Query { txn } => self.co.on_query(txn, from),
+                    TxMsg::Query { txn } if txn.coordinator == me => self.co.on_query(txn, from),
+                    TxMsg::Query { txn } => self.pa.on_query(txn, from),
                 };
                 self.run_actions(ctx, actions);
             }
@@ -1697,17 +1863,48 @@ impl Service for MoleService {
         self.idgen = Some(idgen);
         self.txn_floor = floor;
 
-        // Committed resource state. Key order puts each manager's base
-        // image before its delta records, and those in commit order. The
-        // registry stops a manager's replay at the first record that does
-        // not restore; each record it refuses is counted and traced.
+        // Local branches in doubt: the queue keys they hold stayed out of
+        // `ready`, and their delta records are redone under their
+        // transaction. One that does not read back, or names a queue key
+        // that is gone, is counted and traced.
+        let mut in_doubt = Vec::new();
+        let mut redo = BTreeMap::new();
+        for key in ctx.stable().keys_with_prefix(LOCAL_PREFIX) {
+            let Some(bytes) = ctx.stable_get(&key) else {
+                continue;
+            };
+            let txn = &key[LOCAL_PREFIX.len()..];
+            match mar_wire::from_slice::<HeldBranch>(bytes) {
+                Ok(held) => {
+                    for key in held.queue_keys() {
+                        if ctx.stable_get(&key).is_none() {
+                            Self::refuse_prepared(ctx, txn, format!("no {key}"));
+                        }
+                    }
+                    let id = parse_txn_key(txn);
+                    let deltas = held.deltas.iter();
+                    redo.extend(deltas.map(|(name, seq)| (rm_delta_key(name, *seq), id)));
+                    in_doubt.push((id, held.branch));
+                }
+                Err(e) => Self::refuse_prepared(ctx, txn, e.to_string()),
+            }
+        }
+
+        // Resource state. Key order puts each manager's base image before
+        // its delta records, and those in number order. The registry stops
+        // a manager's replay at the first record that does not restore; each
+        // record it refuses is counted and traced.
         for key in ctx.stable().keys_with_prefix(RM_PREFIX) {
             let Some(bytes) = ctx.stable_get(&key) else {
                 continue;
             };
             let record = &key[RM_PREFIX.len()..];
             let restored = match record.split_once('+') {
-                Some((name, _seq)) => self.rms.apply_delta(name, bytes),
+                Some((name, seq)) => match (seq.parse(), redo.get(&key)) {
+                    (Ok(seq), Some(&txn)) => self.rms.redo_delta(name, seq, txn, bytes),
+                    (Ok(seq), None) => self.rms.apply_delta(name, seq, bytes),
+                    (Err(e), _) => Err(TxnError::Codec(format!("delta number: {e}"))),
+                },
                 None => self.rms.restore_base(record, bytes),
             };
             if let Err(e) = restored {
@@ -1716,7 +1913,8 @@ impl Service for MoleService {
             }
         }
 
-        // Coordinator: finish sending persisted commit decisions.
+        // Coordinator: finish sending persisted commit decisions, and ask
+        // the deciders of the branches in doubt.
         let mut decisions = Vec::new();
         for key in ctx.stable().keys_with_prefix(DECISION_PREFIX) {
             if let Some(bytes) = ctx.stable_get(&key) {
@@ -1726,7 +1924,7 @@ impl Service for MoleService {
                 }
             }
         }
-        let co_actions = self.co.recover(decisions);
+        let co_actions = self.co.recover(decisions, in_doubt);
 
         // Participant: reload prepared/done state and query outcomes. An
         // entry that does not decode is left out, one whose stub names a
@@ -1754,7 +1952,10 @@ impl Service for MoleService {
             .stable()
             .keys_with_prefix(DONE2PC_PREFIX)
             .iter()
-            .map(|k| parse_txn_key(&k[DONE2PC_PREFIX.len()..]))
+            .map(|k| {
+                let txn = parse_txn_key(&k[DONE2PC_PREFIX.len()..]);
+                (txn, ctx.stable_get(k) != Some(&[0]))
+            })
             .collect();
         self.pa.recover(prepared, done);
         let pa_actions = self.pa.on_retry();
@@ -1789,14 +1990,25 @@ fn held_keys(stable: &StableStore, entry: &str) -> Vec<String> {
 }
 
 /// The node's agent input queue: the keys under `q/`, less those the live
-/// prepared entries hold — a record that arrived with a `Prepare` is in place
-/// from then on, and in the queue once the decision has removed the entry.
-/// Every reader of the stored queue goes through here (recovery, the driver,
-/// `scan_queue`'s debug cross-check), so an agent in transit is in at most
-/// one queue at any instant (Fig. 1), not only at quiescence.
+/// prepared entries hold — a record that arrived with a classic `Prepare` is
+/// in place from then on, and in the queue once the decision has removed the
+/// entry; a prepared local branch holds the item its transaction took and a
+/// staying record's new bytes until its decision. Every reader of the stored
+/// queue goes through here (recovery, the driver, `scan_queue`'s debug
+/// cross-check), so an agent in transit is in at most one queue at any
+/// instant (Fig. 1), not only at quiescence: the sender's hold is durable
+/// before the decider queues the record.
 fn queue_keys(stable: &StableStore) -> Vec<String> {
     let entries = stable.keys_with_prefix(PREPARED_PREFIX);
-    let holds = BTreeSet::from_iter(entries.iter().flat_map(|entry| held_keys(stable, entry)));
+    let mut holds = BTreeSet::from_iter(entries.iter().flat_map(|entry| held_keys(stable, entry)));
+    for entry in stable.keys_with_prefix(LOCAL_PREFIX) {
+        let held = stable.get(&entry).map(mar_wire::from_slice::<HeldBranch>);
+        holds.extend(
+            held.and_then(Result::ok)
+                .iter()
+                .flat_map(HeldBranch::queue_keys),
+        );
+    }
     let mut keys = stable.keys_with_prefix(Q_PREFIX);
     keys.retain(|key| !holds.contains(key));
     keys
@@ -1806,6 +2018,43 @@ fn queue_keys(stable: &StableStore) -> Vec<String> {
 pub(crate) fn queued_records(stable: &StableStore) -> impl Iterator<Item = &[u8]> {
     let keys = queue_keys(stable);
     keys.into_iter().filter_map(|key| stable.get(&key))
+}
+
+/// A coordinator's prepared local branch, stored under `2pc/local/<txn>`:
+/// the protocol's [`LocalBranch`] and what the entry holds. While it is
+/// stored, neither queue key is in the queue ([`queue_keys`]); the commit
+/// deletes `taken` and keeps the rest, an abort deletes the rest and puts
+/// `taken` back in the queue. Queue keys are stored by number.
+#[derive(Debug, Serialize, Deserialize)]
+struct HeldBranch {
+    branch: LocalBranch,
+    /// The item the transaction took off the queue.
+    taken: u64,
+    /// The new queue item of a record that stays on this node.
+    staying: Option<u64>,
+    /// The resource delta records the prepare stored: name and number.
+    deltas: Vec<(String, u64)>,
+}
+
+impl HeldBranch {
+    /// The queue keys the entry holds.
+    fn queue_keys(&self) -> impl Iterator<Item = String> {
+        std::iter::once(self.taken)
+            .chain(self.staying)
+            .map(queue_key)
+    }
+}
+
+fn local_key(txn: TxnId) -> String {
+    format!("{LOCAL_PREFIX}{}", txn.key())
+}
+
+fn queue_key(seq: u64) -> String {
+    format!("{Q_PREFIX}{seq:012}")
+}
+
+fn queue_seq(key: &str) -> Option<u64> {
+    key.strip_prefix(Q_PREFIX)?.parse().ok()
 }
 
 fn rm_delta_key(name: &str, seq: u64) -> String {

@@ -25,6 +25,11 @@ pub enum MoleMsg {
         from: NodeId,
         /// The protocol message.
         msg: TxMsg,
+        /// With a `Prepare` that asks the last participant to decide: the
+        /// counters the transaction adds to when it commits, which the
+        /// decider counts — where the transaction commits, so once however
+        /// the coordinator crashes. Empty otherwise.
+        tally: Vec<(Tally, u64)>,
     },
     /// A copy of a finished agent's report, sent to its home node. The home
     /// node persists it, posts a completion event to its driver mailbox,
@@ -71,6 +76,47 @@ impl MoleMsg {
     /// Codec errors for malformed payloads.
     pub fn decode(bytes: &[u8]) -> Result<Self, mar_wire::WireError> {
         mar_wire::from_slice(bytes)
+    }
+}
+
+/// A counter a transaction adds to when it commits; [`Tally::key`] is its
+/// metric name. A transaction's commit counts its tallies once: at its
+/// coordinator when it commits there alone, at the participant that decides
+/// otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Tally {
+    /// `steps.committed`.
+    StepsCommitted,
+    /// `rollback.started`.
+    RollbackStarted,
+    /// `rollback.completed`.
+    RollbackCompleted,
+    /// `rollback.rounds`.
+    RollbackRounds,
+    /// `rollback.batched_rounds`.
+    RollbackBatchedRounds,
+    /// `rollback.rounds_saved`.
+    RollbackRoundsSaved,
+    /// `agent.completed`.
+    AgentCompleted,
+    /// `agent.failed`.
+    AgentFailed,
+}
+
+impl Tally {
+    /// The metric the tally adds to.
+    pub fn key(self) -> &'static str {
+        use crate::mole::keys;
+        match self {
+            Tally::StepsCommitted => keys::STEPS_COMMITTED,
+            Tally::RollbackStarted => keys::ROLLBACK_STARTED,
+            Tally::RollbackCompleted => keys::ROLLBACK_COMPLETED,
+            Tally::RollbackRounds => keys::ROLLBACK_ROUNDS,
+            Tally::RollbackBatchedRounds => keys::ROLLBACK_BATCHED_ROUNDS,
+            Tally::RollbackRoundsSaved => keys::ROLLBACK_ROUNDS_SAVED,
+            Tally::AgentCompleted => keys::AGENT_COMPLETED,
+            Tally::AgentFailed => keys::AGENT_FAILED,
+        }
     }
 }
 
@@ -179,6 +225,16 @@ mod tests {
                 msg: TxMsg::Ack {
                     txn: mar_txn::TxnId::new(NodeId(1), 7),
                 },
+                tally: Vec::new(),
+            },
+            MoleMsg::Tx {
+                from: NodeId(3),
+                msg: TxMsg::Prepare {
+                    txn: mar_txn::TxnId::new(NodeId(3), 8),
+                    work: mar_txn::RemoteWork::new("enqueue-fwd", vec![1]),
+                    decide: true,
+                },
+                tally: vec![(Tally::StepsCommitted, 1), (Tally::RollbackRounds, 3)],
             },
             MoleMsg::Report {
                 report: vec![9].into(),

@@ -3,30 +3,35 @@
 //!
 //! A commit wave is the stretch in which many step transactions on one node
 //! sit between their in-place writes and their commit (a step that migrates
-//! commits through a 2PC round-trip), while others commit around them. What
-//! a commit makes durable must be that transaction's writes and nothing
-//! else: a stable image that also captured a neighbour's in-flight write
-//! restores it as committed after a crash, the neighbour's step then runs
-//! again from its queue item, and the write is applied twice.
+//! prepares its own branch, asks the next node to decide, and commits when
+//! the decision is back), while others commit around them. What a prepare
+//! makes durable must be that transaction's writes and nothing else: a
+//! stable image that also captured a neighbour's in-flight write restores it
+//! as committed after a crash, the neighbour's step then runs again from its
+//! queue item, and the write is applied twice.
 //!
 //! The fleet has one account pair per agent, so there are no lock conflicts
 //! and no retries: whatever the crash instant, every `acct/…` balance on
 //! every node must end up exactly where the crash-free run leaves it. The
 //! sweep crashes one resource node at every 10 µs across one wave, whose
-//! bounds come from the crash-free run's own trace.
+//! bounds come from the crash-free run's own trace — once over the wave, and
+//! once as a coordinator in doubt: from the prepare barrier of the wave's
+//! last transaction to the barrier that carries its unforced commit.
 //!
-//! The same node is then swept as a *participant*: from the first `Prepare`
-//! that brings it a record to the last `Ack` of that wave. The record a
-//! `Prepare` carries is written once, as the queue item it becomes, and held
-//! until the decision; whatever the crash instant, balances, final reports
-//! and `steps.committed` equal the crash-free run's, an agent is in at most
-//! one queue at every pause, and an aborted transaction leaves neither a
-//! `q/` key nor a hold behind.
+//! The same node is then swept as the *participant* that decides: from the
+//! first `Prepare` that brings it a record to the last of its decisions
+//! landing at the coordinator. The record a `Prepare` carries is written
+//! once, as the queue item it becomes, in the barrier that records the
+//! commit; whatever the crash instant, balances, final reports and
+//! `steps.committed` equal the crash-free run's, an agent is in at most one
+//! queue at every pause, and nothing is left behind: no queue key, no
+//! prepared entry, no decision.
 //!
 //! Last, the node is swept as a coordinator once more, past its wave's last
-//! `Ack` up to its next forced barrier: there the `Ack`'s delete of the
-//! decision is still pending, so the crash brings the decision back and
-//! recovery re-sends it, and the run must still end as the crash-free one.
+//! decision up to its next forced barrier: there the commit's deletes are
+//! still pending, so the crash brings the prepared branches back in doubt,
+//! recovery asks their decider, and the run must still end as the crash-free
+//! one.
 
 use std::collections::BTreeMap;
 
@@ -156,53 +161,67 @@ fn is_item_timer(r: &TraceRecord, node: u32) -> bool {
         if *n == node && *tag > u64::from(u32::MAX))
 }
 
-/// The commit window of the victim's first wave, read off the crash-free
-/// trace: the first and last instant at which the victim, as coordinator of
-/// a step transaction, answers a participant's vote with its decision — the
-/// handler that commits the step's resource writes.
+/// The victim's first wave as coordinator, read off the crash-free trace:
+/// the instants it prepares its step transactions (each in the item timer's
+/// handler that sends its `Prepare`) and the instants their decisions land,
+/// each the handler that commits the step.
 ///
-/// The wave starts when the victim's first queue-item timer fires; its
-/// step transactions all prepare at the same next node, whose votes are the
-/// only messages from there that the victim answers on the spot (the acks
-/// that follow are not answered). The wave ends where the next one's first
-/// item timer fires.
-fn commit_window(trace: &[TraceRecord]) -> (u64, u64) {
-    let touching: Vec<&TraceRecord> = trace
-        .iter()
-        .filter(|r| match &r.kind {
-            TraceKind::MsgSent { from, .. } => from.0 == VICTIM,
-            TraceKind::MsgDelivered { to, .. } => to.0 == VICTIM,
-            TraceKind::TimerFired { .. } => is_item_timer(r, VICTIM),
-            _ => false,
-        })
-        .collect();
+/// The wave starts when the victim's first queue-item timer fires; its step
+/// transactions all move on to the same next node, which is sent nothing but
+/// their `Prepare`s and until the wave's end sends the victim nothing but
+/// their decisions. The wave ends where the next one's first item timer
+/// fires.
+fn coordinator_wave(trace: &[TraceRecord]) -> (Vec<u64>, Vec<u64>) {
     let per_wave = (AGENTS / (NODES as u64 - 1)) as usize;
-    let item_timers: Vec<usize> = (0..touching.len())
-        .filter(|&i| matches!(touching[i].kind, TraceKind::TimerFired { .. }))
+    let item_timers: Vec<u64> = trace
+        .iter()
+        .filter(|r| is_item_timer(r, VICTIM))
+        .map(|r| r.at.as_micros())
         .collect();
     assert!(
         item_timers.len() > per_wave,
         "the victim serves several waves"
     );
-    let wave = &touching[item_timers[0]..item_timers[per_wave]];
-    let next = wave
+    // By instant: a handler's sends may be recorded before its timer.
+    let (start, end) = (item_timers[0], item_timers[per_wave]);
+    let wave = trace
         .iter()
-        .find_map(|r| match &r.kind {
-            TraceKind::MsgSent { to, .. } => Some(to.0),
-            _ => None,
-        })
+        .filter(|r| (start..end).contains(&r.at.as_micros()));
+    let sent_to = |r: &TraceRecord| match &r.kind {
+        TraceKind::MsgSent { from, to, .. } if from.0 == VICTIM => Some(to.0),
+        _ => None,
+    };
+    let next = wave
+        .clone()
+        .find(|r| r.at.as_micros() == start && sent_to(r).is_some())
+        .and_then(sent_to)
         .expect("the wave's first step prepares somewhere");
-    let commits: Vec<u64> = wave
-        .windows(2)
-        .filter(|pair| {
-            pair[0].at == pair[1].at
-                && matches!(&pair[0].kind, TraceKind::MsgDelivered { from, .. } if from.0 == next)
-                && matches!(&pair[1].kind, TraceKind::MsgSent { to, .. } if to.0 == next)
-        })
-        .map(|pair| pair[0].at.as_micros())
+    let prepares: Vec<u64> = wave
+        .clone()
+        .filter(|r| sent_to(r) == Some(next))
+        .map(|r| r.at.as_micros())
         .collect();
-    assert_eq!(commits.len(), per_wave, "one commit per step of the wave");
-    (commits[0], commits[per_wave - 1])
+    let decisions: Vec<u64> = wave
+        .filter(|r| {
+            matches!(&r.kind, TraceKind::MsgDelivered { from, to, .. }
+                if from.0 == next && to.0 == VICTIM)
+        })
+        .map(|r| r.at.as_micros())
+        .collect();
+    assert_eq!(prepares.len(), per_wave, "one prepare per step of the wave");
+    assert_eq!(
+        decisions.len(),
+        per_wave,
+        "one decision per step of the wave"
+    );
+    (prepares, decisions)
+}
+
+/// The commit window of the victim's first wave: from its first prepare to
+/// its last commit, the stretch in which its transactions are in doubt.
+fn commit_window(trace: &[TraceRecord]) -> (u64, u64) {
+    let (prepares, decisions) = coordinator_wave(trace);
+    (prepares[0], *decisions.last().expect("a decision"))
 }
 
 /// The home node: it launches every agent, so the first wave of `Prepare`s a
@@ -211,11 +230,11 @@ const HOME: u32 = 0;
 /// Virtual time between two looks at the queues of a crashing run.
 const PAUSE: SimDuration = SimDuration::from_micros(500);
 
-/// The victim's first wave as a participant, read off the crash-free trace:
-/// from the first `Prepare` delivered to it to the last `Ack` it sends. The
-/// wave's transactions are all coordinated by the home node, and until a
-/// report is due — several waves later — the victim sends the home node
-/// nothing but its vote and its ack for each of them.
+/// The victim's first wave as the participant that decides, read off the
+/// crash-free trace: from the first `Prepare` delivered to it to the last of
+/// its decisions delivered home. The wave's transactions are all coordinated
+/// by the home node, and until a report is due — several waves later — the
+/// victim sends the home node nothing but its decision for each of them.
 fn prepare_window(trace: &[TraceRecord]) -> (u64, u64) {
     let per_wave = (AGENTS / (NODES as u64 - 1)) as usize;
     let first_prepare = trace
@@ -227,18 +246,18 @@ fn prepare_window(trace: &[TraceRecord]) -> (u64, u64) {
             _ => None,
         })
         .expect("the home node prepares at the victim");
-    let answers: Vec<u64> = trace
+    let decisions: Vec<u64> = trace
         .iter()
         .filter_map(|r| match &r.kind {
-            TraceKind::MsgSent { from, to, .. } if from.0 == VICTIM && to.0 == HOME => {
+            TraceKind::MsgDelivered { from, to, .. } if from.0 == VICTIM && to.0 == HOME => {
                 Some(r.at.as_micros())
             }
             _ => None,
         })
-        .take(2 * per_wave)
+        .take(per_wave)
         .collect();
-    assert_eq!(answers.len(), 2 * per_wave, "a vote and an ack per step");
-    (first_prepare, answers[2 * per_wave - 1])
+    assert_eq!(decisions.len(), per_wave, "a decision per step");
+    (first_prepare, decisions[per_wave - 1])
 }
 
 /// What a run leaves behind, crash or no crash: every balance, every final
@@ -272,11 +291,26 @@ fn settle_with_pauses(p: &mut Platform, handles: &[AgentHandle], pauses: u64, wh
     settle(p, handles, what);
 }
 
+/// Nothing of a settled run's transactions is left on any node: no queue
+/// key, no prepared entry of a participant or a coordinator, no decision.
+fn assert_nothing_left(p: &Platform, what: &str) {
+    for n in 0..NODES {
+        let stable = p.world().stable(NodeId(n));
+        for prefix in ["q/", "2pc/prepared/", "2pc/local/", "2pc/decision/"] {
+            assert_eq!(
+                stable.keys_with_prefix(prefix),
+                Vec::<String>::new(),
+                "node {n} ({what})"
+            );
+        }
+    }
+}
+
 /// The sweep: whatever instant of `window` the victim crashes at — as
-/// coordinator, inside its commit wave; as participant, before a `Prepare`,
-/// between the write of the record and the decision, between the decision
-/// and the ack — the run ends as the crash-free one does.
-fn sweep(shards: usize, stable: &StableFactory, window: fn(&[TraceRecord]) -> (u64, u64)) {
+/// coordinator, inside its commit wave or in doubt; as the participant that
+/// decides, before a `Prepare` or after its decision — the run ends as the
+/// crash-free one does.
+fn sweep(shards: usize, stable: &StableFactory, window: &dyn Fn(&[TraceRecord]) -> (u64, u64)) {
     let what = format!("shards={shards}, backend={}", stable.name());
     let mut p = build(shards, stable);
     let handles = launch(&mut p);
@@ -284,7 +318,10 @@ fn sweep(shards: usize, stable: &StableFactory, window: fn(&[TraceRecord]) -> (u
     let expected = outcome(&mut p, &handles);
     assert_eq!(expected.2, AGENTS * STEPS);
     let (first, last) = window(p.world().trace().records());
-    assert!(last > first, "the window has a width ({what})");
+    assert!(
+        last > first,
+        "the window has a width ({what}): {first}..{last}"
+    );
     // The pauses cover the window, the downtime and the recovery after it.
     let pauses = 2 * (last + DOWNTIME.as_micros()) / PAUSE.as_micros();
 
@@ -305,92 +342,109 @@ fn sweep(shards: usize, stable: &StableFactory, window: fn(&[TraceRecord]) -> (u
             0,
             "{what}"
         );
+        assert_nothing_left(&p, &what);
         at += SWEEP_STEP_US;
     }
 }
 
 #[test]
 fn crash_in_commit_wave_keeps_balances_reference_1_shard() {
-    sweep(1, &StableFactory::reference(), commit_window);
+    sweep(1, &StableFactory::reference(), &commit_window);
 }
 
 #[test]
 fn crash_in_commit_wave_keeps_balances_reference_2_shards() {
-    sweep(2, &StableFactory::reference(), commit_window);
+    sweep(2, &StableFactory::reference(), &commit_window);
 }
 
 #[test]
 fn crash_in_commit_wave_keeps_balances_wal_1_shard() {
-    sweep(1, &StableFactory::wal(WalConfig::default()), commit_window);
+    sweep(1, &StableFactory::wal(WalConfig::default()), &commit_window);
 }
 
 #[test]
 fn crash_in_commit_wave_keeps_balances_wal_2_shards() {
-    sweep(2, &StableFactory::wal(WalConfig::default()), commit_window);
+    sweep(2, &StableFactory::wal(WalConfig::default()), &commit_window);
+}
+
+/// The coordinator in doubt: the wave's last transaction, from the barrier
+/// of its prepare — its delta record, the hold on its item, the entry naming
+/// the decider — to the victim's next barrier after its decision landed,
+/// which carries the commit's unforced deletes. A crash in there finds the
+/// branch prepared, or committed but not yet durably, and either way
+/// recovery asks the decider and commits it once.
+fn sweep_in_doubt(shards: usize, stable: &StableFactory) {
+    sweep(shards, stable, &|trace| {
+        let (prepares, decisions) = coordinator_wave(trace);
+        let last = *decisions.last().expect("a decision");
+        (
+            *prepares.last().expect("a prepare"),
+            next_barrier(shards, stable, last),
+        )
+    });
+}
+
+#[test]
+fn crash_of_a_coordinator_in_doubt_keeps_the_outcome_reference_1_shard() {
+    sweep_in_doubt(1, &StableFactory::reference());
+}
+
+#[test]
+fn crash_of_a_coordinator_in_doubt_keeps_the_outcome_reference_2_shards() {
+    sweep_in_doubt(2, &StableFactory::reference());
+}
+
+#[test]
+fn crash_of_a_coordinator_in_doubt_keeps_the_outcome_wal_1_shard() {
+    sweep_in_doubt(1, &StableFactory::wal(WalConfig::default()));
+}
+
+#[test]
+fn crash_of_a_coordinator_in_doubt_keeps_the_outcome_wal_2_shards() {
+    sweep_in_doubt(2, &StableFactory::wal(WalConfig::default()));
 }
 
 #[test]
 fn crash_of_a_participant_keeps_the_outcome_reference_1_shard() {
-    sweep(1, &StableFactory::reference(), prepare_window);
+    sweep(1, &StableFactory::reference(), &prepare_window);
 }
 
 #[test]
 fn crash_of_a_participant_keeps_the_outcome_reference_2_shards() {
-    sweep(2, &StableFactory::reference(), prepare_window);
+    sweep(2, &StableFactory::reference(), &prepare_window);
 }
 
 #[test]
 fn crash_of_a_participant_keeps_the_outcome_wal_1_shard() {
-    sweep(1, &StableFactory::wal(WalConfig::default()), prepare_window);
+    sweep(
+        1,
+        &StableFactory::wal(WalConfig::default()),
+        &prepare_window,
+    );
 }
 
 #[test]
 fn crash_of_a_participant_keeps_the_outcome_wal_2_shards() {
-    sweep(2, &StableFactory::wal(WalConfig::default()), prepare_window);
+    sweep(
+        2,
+        &StableFactory::wal(WalConfig::default()),
+        &prepare_window,
+    );
 }
 
-/// The decision records in `node`'s view.
-fn decisions(p: &Platform, node: u32) -> Vec<String> {
+/// The prepared local branches in `node`'s view.
+fn in_doubt(p: &Platform, node: u32) -> Vec<String> {
     let stable = p.world().stable(NodeId(node));
-    stable.keys_with_prefix("2pc/decision/")
+    stable.keys_with_prefix("2pc/local/")
 }
 
-/// The last `Ack` of the victim's first wave as coordinator, read off the
-/// crash-free trace. The wave's steps all move on to the same next node,
-/// which until then sends the victim nothing but a vote and an ack for each.
-fn last_ack(trace: &[TraceRecord]) -> u64 {
-    let per_wave = (AGENTS / (NODES as u64 - 1)) as usize;
-    let (_, last_commit) = commit_window(trace);
-    let decided_at = |r: &&TraceRecord| {
-        r.at.as_micros() == last_commit
-            && matches!(&r.kind, TraceKind::MsgSent { from, .. } if from.0 == VICTIM)
-    };
-    let next = match &trace.iter().find(decided_at).expect("a decision").kind {
-        TraceKind::MsgSent { to, .. } => to.0,
-        _ => unreachable!(),
-    };
-    let answers: Vec<u64> = trace
-        .iter()
-        .filter_map(|r| match &r.kind {
-            TraceKind::MsgDelivered { from, to, .. } if from.0 == next && to.0 == VICTIM => {
-                Some(r.at.as_micros())
-            }
-            _ => None,
-        })
-        .take(2 * per_wave)
-        .collect();
-    assert_eq!(answers.len(), 2 * per_wave, "a vote and an ack per step");
-    let ack = answers[2 * per_wave - 1];
-    assert!(ack > last_commit, "the last answer is an ack");
-    ack
-}
-
-/// The first instant after `ack` at which the victim's backend commits: the
-/// next forced barrier, up to which the `Ack`'s delete is pending.
-fn next_barrier(shards: usize, stable: &StableFactory, ack: u64) -> u64 {
+/// The first instant after `at` at which the victim's backend commits: the
+/// next forced barrier, up to which the deletes of a commit at `at` are
+/// pending.
+fn next_barrier(shards: usize, stable: &StableFactory, at: u64) -> u64 {
     let mut p = build(shards, stable);
     launch(&mut p);
-    p.world_mut().run_until(SimTime::from_micros(ack));
+    p.world_mut().run_until(SimTime::from_micros(at));
     let commits = |p: &Platform| p.world().stable(NodeId(VICTIM)).backend_stats().commits;
     let before = commits(&p);
     while commits(&p) == before {
@@ -399,87 +453,82 @@ fn next_barrier(shards: usize, stable: &StableFactory, ack: u64) -> u64 {
     p.world().now().as_micros()
 }
 
-/// The window the coordinator's `Ack` opens: its delete of the decision is
-/// unforced, so from the last `Ack` of a wave to the victim's next forced
-/// barrier a crash brings the decision back. Whatever the crash instant in
-/// there, the decision reappears and recovery re-sends it; the settled
-/// participant only acks again, so each agent is in at most one queue at
-/// every pause, the run ends as the crash-free one does, and no decision is
-/// left behind.
-fn sweep_forgotten_decisions(shards: usize, stable: &StableFactory) {
+/// The window the coordinator's commit opens: it only deletes, unforced, so
+/// from the last decision of a wave to the victim's next forced barrier a
+/// crash brings the prepared branches back. Whatever the crash instant in
+/// there, they reappear in doubt and recovery asks their decider; the
+/// decider answers from its record, so each agent is in at most one queue at
+/// every pause, the run ends as the crash-free one does, and no branch is
+/// left in doubt.
+fn sweep_undone_commits(shards: usize, stable: &StableFactory) {
     let what = format!("shards={shards}, backend={}", stable.name());
     let mut p = build(shards, stable);
     let handles = launch(&mut p);
     settle(&mut p, &handles, &what);
     let expected = outcome(&mut p, &handles);
-    let ack = last_ack(p.world().trace().records());
-    let barrier = next_barrier(shards, stable, ack);
+    let (_, decided) = commit_window(p.world().trace().records());
+    let barrier = next_barrier(shards, stable, decided);
     assert!(
-        barrier >= ack + 2 * SWEEP_STEP_US,
+        barrier >= decided + 2 * SWEEP_STEP_US,
         "the window has a width ({what})"
     );
     let pauses = 2 * (barrier + DOWNTIME.as_micros()) / PAUSE.as_micros();
 
     // Events at `at` itself run before the crash: the window is half-open.
-    let mut at = ack;
+    let mut at = decided;
     while at < barrier {
         let what = format!("crash at {at} us ({what})");
         let mut p = build(shards, stable);
         let handles = launch(&mut p);
         p.world_mut().run_until(SimTime::from_micros(at));
         p.world_mut().crash_now(NodeId(VICTIM));
-        let back = decisions(&p, VICTIM);
-        assert!(!back.is_empty(), "no decision came back ({what})");
+        let back = in_doubt(&p, VICTIM);
+        assert!(!back.is_empty(), "no branch came back ({what})");
         let up = SimTime::from_micros(at) + DOWNTIME;
         p.world_mut().schedule_recover(up, NodeId(VICTIM));
         p.world_mut().run_until(up);
-        for key in &back {
-            let participants = p.world().stable(NodeId(VICTIM)).get(key).unwrap();
-            let participants: Vec<NodeId> = mar_wire::from_slice(participants).unwrap();
-            for node in participants {
-                let resent = p.world().trace().records().iter().any(|r| {
-                    r.at == up
-                        && matches!(&r.kind, TraceKind::MsgSent { from, to, .. }
-                            if from.0 == VICTIM && to.0 == node.0)
-                });
-                assert!(resent, "{key} not re-sent to {node:?} ({what})");
-            }
-        }
+        // One question per branch, sent at recovery: the wave's branches
+        // all name the same decider.
+        let asked = p.world().trace().records().iter().filter(|r| {
+            r.at == up
+                && matches!(&r.kind, TraceKind::MsgSent { from, to, .. }
+                    if from.0 == VICTIM && to.0 != VICTIM)
+        });
+        assert_eq!(asked.count(), back.len(), "{back:?} not asked ({what})");
         settle_with_pauses(&mut p, &handles, pauses, &what);
         assert_eq!(outcome(&mut p, &handles), expected, "{what}");
-        for n in 0..NODES {
-            assert_eq!(decisions(&p, n), Vec::<String>::new(), "node {n} ({what})");
-        }
+        assert_nothing_left(&p, &what);
         at += SWEEP_STEP_US;
     }
 }
 
 #[test]
-fn crash_after_the_last_ack_resends_the_decision_reference_1_shard() {
-    sweep_forgotten_decisions(1, &StableFactory::reference());
+fn crash_after_the_last_decision_asks_the_decider_reference_1_shard() {
+    sweep_undone_commits(1, &StableFactory::reference());
 }
 
 #[test]
-fn crash_after_the_last_ack_resends_the_decision_reference_2_shards() {
-    sweep_forgotten_decisions(2, &StableFactory::reference());
+fn crash_after_the_last_decision_asks_the_decider_reference_2_shards() {
+    sweep_undone_commits(2, &StableFactory::reference());
 }
 
 #[test]
-fn crash_after_the_last_ack_resends_the_decision_wal_1_shard() {
-    sweep_forgotten_decisions(1, &StableFactory::wal(WalConfig::default()));
+fn crash_after_the_last_decision_asks_the_decider_wal_1_shard() {
+    sweep_undone_commits(1, &StableFactory::wal(WalConfig::default()));
 }
 
 #[test]
-fn crash_after_the_last_ack_resends_the_decision_wal_2_shards() {
-    sweep_forgotten_decisions(2, &StableFactory::wal(WalConfig::default()));
+fn crash_after_the_last_decision_asks_the_decider_wal_2_shards() {
+    sweep_undone_commits(2, &StableFactory::wal(WalConfig::default()));
 }
 
-/// The abort case: the coordinator crashes after its `Prepare`s went out and
-/// before any vote came back, so it comes up knowing nothing of them. While
-/// it is down the victim holds the records in place — stored once, under
-/// queue keys that are not in its queue, named by prepared entries that hold
-/// no record bytes. The presumed abort deletes the keys, the steps run again
-/// under new transactions, and nothing of the aborted ones is left.
+/// The abort case: the home node's `Prepare`s to the victim are lost and it
+/// crashes right after sending them, so it comes up in doubt, its items held
+/// by its prepared branches — stored once, under queue keys that are not in
+/// its queue, named by entries that hold no record bytes. Its questions reach
+/// the victim first: the victim records the abort and answers it, the home
+/// node releases the items, the steps run again under new transactions, and
+/// nothing of the aborted ones is left.
 #[test]
 fn an_aborted_prepare_leaves_no_queue_key_and_no_hold() {
     let stable = StableFactory::reference();
@@ -490,23 +539,27 @@ fn an_aborted_prepare_leaves_no_queue_key_and_no_hold() {
     let (first_prepare, _) = prepare_window(p.world().trace().records());
 
     let mut p = build(1, &stable);
-    let crash = SimTime::from_micros(first_prepare + SWEEP_STEP_US);
+    let crash = SimTime::from_micros(first_prepare - 500);
+    p.world_mut()
+        .schedule_link(SimTime::ZERO, NodeId(HOME), NodeId(VICTIM), false);
     p.world_mut().schedule_crash(crash, NodeId(HOME));
+    p.world_mut()
+        .schedule_link(crash, NodeId(HOME), NodeId(VICTIM), true);
     p.world_mut()
         .schedule_recover(crash + DOWNTIME, NodeId(HOME));
     let handles = launch(&mut p);
     p.run_for(SimDuration::from_micros(
-        first_prepare + DOWNTIME.as_micros() / 2,
+        crash.as_micros() + DOWNTIME.as_micros() / 2,
     ));
 
-    let victim = p.world().stable(NodeId(VICTIM));
-    let entries = victim.keys_with_prefix("2pc/prepared/");
-    let held = victim.keys_with_prefix("q/");
-    assert!(!entries.is_empty(), "the victim is in doubt");
-    assert_eq!(held.len(), entries.len(), "one record per prepared entry");
+    let home = p.world().stable(NodeId(HOME));
+    let entries = home.keys_with_prefix("2pc/local/");
+    let held = home.keys_with_prefix("q/");
+    assert_eq!(entries.len() as u64, AGENTS, "the home node is in doubt");
+    assert_eq!(held.len(), entries.len(), "one item per prepared branch");
     for (entry, key) in entries.iter().zip(&held) {
-        let entry = victim.get(entry).unwrap();
-        let record = victim.get(key).unwrap();
+        let entry = home.get(entry).unwrap();
+        let record = home.get(key).unwrap();
         assert!(
             entry.len() <= 64 && record.len() > 2 * entry.len(),
             "a {}-byte entry holds a {}-byte record",
@@ -516,32 +569,32 @@ fn an_aborted_prepare_leaves_no_queue_key_and_no_hold() {
     }
     let queued = p.queued_agents();
     assert!(
-        queued.iter().all(|(node, _)| *node != NodeId(VICTIM)),
-        "a held record is in no queue: {queued:?}"
+        queued.iter().all(|(node, _)| *node != NodeId(HOME)),
+        "a held item is in no queue: {queued:?}"
     );
-    assert_eq!(queued.len() as u64, AGENTS, "every agent is still at home");
+    let per_node = AGENTS / (NODES as u64 - 1);
+    assert_eq!(
+        queued.len() as u64,
+        AGENTS - per_node,
+        "the victim's agents are nowhere, the others at their decider"
+    );
 
     settle_with_pauses(&mut p, &handles, 200, "coordinator crash");
     assert_eq!(outcome(&mut p, &handles), expected);
-    for n in 0..NODES {
-        let stable = p.world().stable(NodeId(n));
-        for prefix in ["q/", "2pc/prepared/"] {
-            assert_eq!(
-                stable.keys_with_prefix(prefix),
-                Vec::<String>::new(),
-                "node {n}"
-            );
-        }
-    }
-    // The aborted records used up queue numbers nothing else got.
-    let qseq = p.world().stable(NodeId(VICTIM)).get("qseq").unwrap();
-    let qseq: u64 = mar_wire::from_slice(qseq).unwrap();
-    assert!(qseq > AGENTS * STEPS / (NODES as u64 - 1), "qseq {qseq}");
-    // And nothing ran them: in the hops after the abort the victim, which
-    // retries nothing here, fired one item timer per record it was left with.
+    assert_nothing_left(&p, "coordinator crash");
+    // The victim recorded the aborts it answered with.
+    let victim = p.world().stable(NodeId(VICTIM));
+    let aborted = victim
+        .keys_with_prefix("2pc/done/")
+        .into_iter()
+        .filter(|key| victim.get(key) == Some(&[0]))
+        .count();
+    assert_eq!(aborted as u64, per_node);
+    // And only the aborted items ran again: the home node fired one item
+    // timer per agent before the crash, and one per aborted item after.
     let trace = p.world().trace().records().iter();
-    let item_timers = trace.filter(|r| is_item_timer(r, VICTIM)).count();
-    assert_eq!(item_timers as u64, qseq - held.len() as u64);
+    let item_timers = trace.filter(|r| is_item_timer(r, HOME)).count();
+    assert_eq!(item_timers as u64, AGENTS + per_node);
 }
 
 /// A [`PairAgent`] that rolls its sub-itinerary back the first time it turns.
@@ -558,13 +611,14 @@ impl AgentBehavior for TurnsBack {
 }
 
 /// The staying case: an optimized rollback compensates a step on node 2 from
-/// node 3 — the record stays, the RCE list is node 2's branch — so between
-/// the decision and node 2's `Ack` the item is back under its key while its
-/// transaction is still live. A launch that lands on node 3 in that gap kicks
-/// the queue; the kick must pass the item by, and the item is scheduled by
-/// the `Ack`: as much later than the launched one as the `Ack` came later.
+/// node 3 — the record stays, the RCE list is node 2's branch, and node 2
+/// decides — so while the transaction is in doubt the record's new bytes sit
+/// under a fresh queue key that node 3's prepared branch holds. A launch that
+/// lands on node 3 in that gap kicks the queue; the kick must pass the held
+/// item by, and the item is scheduled by the decision: as much later than the
+/// launched one as the decision came later.
 #[test]
-fn a_kick_between_decision_and_ack_passes_a_staying_item_by() {
+fn a_kick_while_in_doubt_passes_a_held_staying_item_by() {
     const STAYS_AT: u32 = 3;
     let spec = |k: u64, home: u32, steps: &[(&str, u32)]| {
         let itinerary = ItineraryBuilder::main(format!("I{k}")).sub("S", |s| {
@@ -586,24 +640,19 @@ fn a_kick_between_decision_and_ack_passes_a_staying_item_by() {
     }
     let mut p = p.build();
     let stayer = p.launch(spec(0, HOME, &[("a", 1), ("b", 2), ("turn", STAYS_AT)]));
-    let decided = |p: &Platform| {
-        let stable = p.world().stable(NodeId(STAYS_AT));
-        !stable.keys_with_prefix("2pc/decision/").is_empty()
-    };
-    while !decided(&p) {
+    let prepared = |p: &Platform| !in_doubt(p, STAYS_AT).is_empty();
+    while !prepared(&p) {
         p.run_for(SimDuration::from_micros(SWEEP_STEP_US));
     }
+    // The item it took and the record's new bytes, both held.
+    let stored = |p: &Platform| p.world().stable(NodeId(STAYS_AT)).keys_with_prefix("q/");
+    assert_eq!(stored(&p).len(), 2);
+    assert!(p.queued_agents().is_empty(), "a held item is in no queue");
     let bystander = p.launch(spec(1, STAYS_AT, &[("a", 1)]));
-    while p
-        .world()
-        .stable(NodeId(STAYS_AT))
-        .keys_with_prefix("q/")
-        .len()
-        < 2
-    {
+    while stored(&p).len() < 3 {
         p.run_for(SimDuration::from_micros(SWEEP_STEP_US));
     }
-    assert!(decided(&p), "the launch lands before the ack");
+    assert!(prepared(&p), "the launch lands before the decision");
     settle(&mut p, &[stayer, bystander], "staying rollback");
     assert_eq!(p.snapshot().counter(mk::ROLLBACK_COMPLETED), 1);
 
@@ -614,17 +663,17 @@ fn a_kick_between_decision_and_ack_passes_a_staying_item_by() {
     let trace = p.world().trace().records();
     let kick = trace.iter().find(|r| at_node(r, u32::MAX)).unwrap().at;
     let later = trace.iter().filter(|r| r.at > kick);
-    let ack = later.clone().find(|r| at_node(r, 2)).unwrap().at;
+    let decision = later.clone().find(|r| at_node(r, 2)).unwrap().at;
     let mut item_timers = later.filter(|r| is_item_timer(r, STAYS_AT));
     let (launched, stayed) = (item_timers.next().unwrap(), item_timers.next().unwrap());
-    assert!(ack > kick);
-    assert_eq!(stayed.at - launched.at, ack - kick);
+    assert!(decision > kick);
+    assert_eq!(stayed.at - launched.at, decision - kick);
 }
 
 /// A prepared entry that does not read back as stored is refused out loud:
-/// one that does not decode is left out of the participant, one whose stub
-/// names a queue key that is gone stays in doubt (and is presumed aborted),
-/// and each is counted.
+/// one that does not decode is left out of the participant (or, a local
+/// branch's, out of the coordinator), one whose stub names a queue key that
+/// is gone stays in doubt (and is presumed aborted), and each is counted.
 #[test]
 fn a_bad_prepared_entry_is_counted_not_skipped() {
     let mut p = build(1, &StableFactory::reference());
@@ -639,10 +688,11 @@ fn a_bad_prepared_entry_is_counted_not_skipped() {
     let stable = p.world_mut().stable_mut(node);
     stable.put("2pc/prepared/0.777", vec![0xff]);
     stable.put("2pc/prepared/0.778", mar_wire::to_bytes(&dangling).unwrap());
+    stable.put(format!("2pc/local/{VICTIM}.779"), vec![0xff]);
     p.world_mut().crash_now(node);
     p.world_mut().recover_now(node);
     p.world_mut().run_for(SimDuration::from_millis(200));
-    assert_eq!(p.snapshot().counter(mk::RECOVERY_PREPARED_REFUSED), 2);
+    assert_eq!(p.snapshot().counter(mk::RECOVERY_PREPARED_REFUSED), 3);
     // The dangling entry was in doubt, asked, and was told to abort.
     assert_eq!(
         p.world().stable(node).keys_with_prefix("2pc/prepared/"),

@@ -435,7 +435,12 @@ proptest! {
         let work = RemoteWork::new("enqueue-fwd", record_with_itinerary_section(&section));
         let msg = MoleMsg::Tx {
             from: NodeId(3),
-            msg: TxMsg::Prepare { txn: TxnId::new(NodeId(3), 7_777), work },
+            msg: TxMsg::Prepare {
+                txn: TxnId::new(NodeId(3), 7_777),
+                work,
+                decide: true,
+            },
+            tally: Vec::new(),
         };
         p.world_mut().post(Address::new(NodeId(1), MOLE), msg.encode());
 

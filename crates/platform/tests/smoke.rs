@@ -702,10 +702,10 @@ fn forget_releases_report_exactly_once() {
     assert_eq!(p.snapshot().counter(mk::DRIVER_REPORTS_EVICTED), 0);
 }
 
-/// `stable.commits` of one collector agent launched at node 0 that migrates
-/// `hops` times, round the resource nodes 1, 2, 3, 1, …
-fn barriers_of_a_tour(hops: u32) -> u64 {
-    let mut p = collector_platform(31);
+/// One collector agent launched at node 0 that migrates `hops` times, round
+/// the resource nodes 1, 2, 3, 1, …, run to its end with tracing on.
+fn tour(hops: u32) -> Platform {
+    let mut p = collector_builder(31).trace(true).build();
     let it = ItineraryBuilder::main("I")
         .sub("gather", |s| {
             for i in 0..hops {
@@ -716,28 +716,47 @@ fn barriers_of_a_tour(hops: u32) -> u64 {
         .unwrap();
     let agent = p.launch(AgentSpec::new("collector", NodeId(0), it));
     assert!(p.run_until_settled(&[agent], SimDuration::from_secs(60)));
-    let m = p.snapshot();
-    assert_eq!(m.counter(mk::TRANSFERS_FORWARD), u64::from(hops));
-    m.counter("stable.commits")
+    assert_eq!(p.snapshot().counter(mk::TRANSFERS_FORWARD), u64::from(hops));
+    p
 }
 
-/// A migrating hop forces three durable barriers: the destination's
-/// `Prepare` (the record under its queue key), the source's `Vote` (the
-/// decision with the step's commit) and the destination's `Decision` (the
-/// hold released, `2pc/done/`). The source's `Ack` only forgets the decision,
-/// unforced, and is no barrier. What a tour costs besides its hops is fixed,
-/// 8 barriers: the launch's queue item at home; the `txnseq` floor each of
-/// the four nodes writes with its first transaction id; the last step, which
-/// completes in place (report, outbox entry); the report's delivery home; and
-/// its `ReportAck`, which deletes the outbox entry, forced.
+/// A migrating hop forces two durable barriers: the source's prepare of its
+/// own branch (its resource records, the hold on the item it took, the entry
+/// naming the destination) and the destination's commit (the record under
+/// its queue key, `2pc/done/`). The source's commit, once the decision is
+/// back, only deletes, unforced, and is no barrier. What a tour costs besides
+/// its hops is fixed, 4 barriers: the launch's queue item at home; the last
+/// step, which completes in place (report, outbox entry); the report's
+/// delivery home; and its `ReportAck`, which deletes the outbox entry,
+/// forced. The `txnseq` floor each node writes with its first transaction id
+/// rides that transaction's prepare.
 #[test]
-fn a_migrating_hop_forces_three_barriers() {
-    const PER_HOP: u64 = 3;
-    const FIXED: u64 = 1 + 4 + 1 + 1 + 1;
+fn a_migrating_hop_forces_two_barriers() {
+    const PER_HOP: u64 = 2;
+    const FIXED: u64 = 1 + 1 + 1 + 1;
     for hops in [4, 10] {
         assert_eq!(
-            barriers_of_a_tour(hops),
+            tour(hops).snapshot().counter("stable.commits"),
             PER_HOP * u64::from(hops) + FIXED,
+            "{hops} hops"
+        );
+    }
+}
+
+/// A fault-free migrating hop is two protocol messages: the source's
+/// `Prepare`, which asks the destination to decide, and the destination's
+/// `Decision`. Nothing else goes between the nodes of a tour but the report
+/// home and its `ReportAck`.
+#[test]
+fn a_migrating_hop_sends_two_protocol_messages() {
+    for hops in [4, 10] {
+        let p = tour(hops);
+        let between_nodes = p.world().trace().records().iter().filter(
+            |r| matches!(&r.kind, TraceKind::MsgSent { from, .. } if from.0 != NodeId::EXTERNAL.0),
+        );
+        assert_eq!(
+            between_nodes.count() as u64,
+            2 * u64::from(hops) + 2,
             "{hops} hops"
         );
     }

@@ -381,7 +381,8 @@ mod tests {
         b.commit(ctx(1).txn);
         let base = b.snapshot().unwrap();
         b.invoke(ctx(2), "deposit", &deposit).unwrap();
-        let delta = b.commit(ctx(2).txn).expect("a deposit writes");
+        let delta = b.prepare(ctx(2).txn).expect("a deposit writes");
+        b.commit(ctx(2).txn);
         let before = b.audit();
         assert_eq!(before.len(), 3);
 

@@ -17,8 +17,8 @@
 //!   invoked from steps and compensating operations, made durable as a base
 //!   image plus one delta record per commit ([`RmWrite`]).
 //! * [`Coordinator`] / [`Participant`] — presumed-abort 2PC state machines
-//!   driven by a hosting service; see the module docs of [`mod@twopc`] for
-//!   the crash-atomicity contract.
+//!   in which the last participant decides, driven by a hosting service;
+//!   see the module docs of [`mod@twopc`] for the crash-atomicity contract.
 //!
 //! Locking is deliberately *no-wait* (conflicts abort instead of blocking):
 //! deadlock-free, deterministic under simulation, and still serializable —
@@ -43,5 +43,5 @@ pub use lock::{LockMode, LockTable};
 pub use msg::{RemoteWork, TxEnvelope, TxMsg};
 pub use rm::{OpCtx, ResourceManager, RmRegistry, RmWrite};
 pub use store::TxStore;
-pub use twopc::{Action, Coordinator, Participant, PreparedEntry};
+pub use twopc::{Action, Coordinator, LocalBranch, Participant, PreparedEntry};
 pub use undo::{UndoLog, UndoRecord};

@@ -32,37 +32,45 @@ impl RemoteWork {
 }
 
 /// Messages exchanged between transaction coordinator and participants
-/// (presumed-abort two-phase commit).
+/// (presumed-abort two-phase commit in which the last participant decides;
+/// see [`crate::twopc`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TxMsg {
-    /// Phase 1: ask a participant to durably prepare `work`.
+    /// Phase 1: ask a participant to durably prepare `work` — or, with
+    /// `decide`, the last participant to commit it and decide.
     Prepare {
         /// The transaction.
         txn: TxnId,
         /// Work to prepare.
         work: RemoteWork,
+        /// `true`: the receiver decides and answers with a `Decision`.
+        decide: bool,
     },
-    /// Participant's vote.
+    /// A classic participant's vote.
     Vote {
         /// The transaction.
         txn: TxnId,
         /// `true` = prepared, `false` = refused.
         ok: bool,
     },
-    /// Phase 2: the coordinator's decision.
+    /// Phase 2: the coordinator's decision to a classic participant, or the
+    /// deciding participant's to the coordinator.
     Decision {
         /// The transaction.
         txn: TxnId,
         /// `true` = commit, `false` = abort.
         commit: bool,
     },
-    /// Participant confirms it applied/discarded the prepared work.
+    /// A classic participant confirms it applied/discarded the prepared
+    /// work.
     Ack {
         /// The transaction.
         txn: TxnId,
     },
-    /// Participant asks for the outcome after a timeout or recovery.
-    /// Unknown transactions are answered with abort (presumed abort).
+    /// A participant asks its coordinator for the outcome after a timeout or
+    /// recovery, or a coordinator that recovered in doubt asks its decider.
+    /// Unknown transactions are answered with abort (presumed abort); a
+    /// decider records that abort before it answers.
     Query {
         /// The transaction.
         txn: TxnId,
@@ -102,6 +110,7 @@ mod tests {
             TxMsg::Prepare {
                 txn: TxnId::new(NodeId(1), 2),
                 work: RemoteWork::new("enqueue", vec![1, 2, 3]),
+                decide: true,
             },
             TxMsg::Vote {
                 txn: TxnId::new(NodeId(1), 2),

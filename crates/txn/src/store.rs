@@ -2,11 +2,14 @@
 //! manager.
 //!
 //! Writes are applied in place under no-wait 2PL with before-image undo.
-//! What survives a crash is what the hosting node persisted at commit: a
+//! What survives a crash is what the hosting node persisted: a
 //! [`TxStore::snapshot`] of the committed state as the base image, and on
-//! top of it one delta record per committed transaction
-//! ([`TxStore::commit`]) — the after-images of the keys in its undo log.
-//! Uncommitted changes die with the node, which *is* the abort.
+//! top of it one delta record per transaction ([`TxStore::delta`]) — the
+//! after-images of the keys in its undo log, written when the transaction
+//! prepares or commits. Recovery applies a committed transaction's record
+//! ([`TxStore::apply_delta`]) and redoes an in-doubt one under its
+//! transaction ([`TxStore::redo`]); changes that reached no record die with
+//! the node, which *is* the abort.
 
 use std::collections::BTreeMap;
 
@@ -27,6 +30,55 @@ struct Delta {
     /// High-water mark of the owning manager's sequence counter (0 if it
     /// has none), so ids stay unique across a crash.
     seq: u64,
+}
+
+/// The committed state of a store with live transactions, encoded as the
+/// map it is without building it: the data in key order, every key a live
+/// transaction wrote at its before-image (`None`: absent).
+struct CommittedView<'a> {
+    data: &'a BTreeMap<String, Vec<u8>>,
+    before: BTreeMap<&'a str, Option<&'a [u8]>>,
+}
+
+impl<'a> CommittedView<'a> {
+    fn entries(&self) -> impl Iterator<Item = (&'a str, &'a [u8])> + '_ {
+        let mut data = self.data.iter().peekable();
+        let mut before = self.before.iter().peekable();
+        std::iter::from_fn(move || loop {
+            let take_data = match (data.peek(), before.peek()) {
+                (None, None) => return None,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (Some((key, _)), Some((written, _))) => match key.as_str().cmp(written) {
+                    std::cmp::Ordering::Less => true,
+                    std::cmp::Ordering::Equal => {
+                        data.next();
+                        false
+                    }
+                    std::cmp::Ordering::Greater => false,
+                },
+            };
+            if take_data {
+                let (key, value) = data.next().expect("peeked");
+                return Some((key.as_str(), value.as_slice()));
+            }
+            let (key, value) = before.next().expect("peeked");
+            if let Some(value) = value {
+                return Some((key, value));
+            }
+        })
+    }
+}
+
+impl Serialize for CommittedView<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeMap;
+        let mut map = serializer.serialize_map(Some(self.entries().count()))?;
+        for (key, value) in self.entries() {
+            map.serialize_entry(key, value)?;
+        }
+        map.end()
+    }
 }
 
 /// Transactional byte-value store with per-key locking.
@@ -111,17 +163,17 @@ impl TxStore {
         self.seq
     }
 
-    /// Commits `txn`: drops its undo log, releases its locks, and hands back
-    /// what it wrote as a delta record for stable storage — the undo log's
-    /// keys are the write set, so the record is their current values, stamped
-    /// with the sequence high-water mark. `None` if the transaction wrote
-    /// nothing.
-    pub fn commit(&mut self, txn: TxnId) -> Option<Vec<u8>> {
-        let log = self.undo.remove(&txn);
-        self.locks.release_all(txn);
-        let writes: Vec<_> = log
+    /// What `txn` wrote, as a delta record for stable storage — the undo
+    /// log's keys are the write set, so the record is their current values,
+    /// stamped with the sequence high-water mark. `None` if the transaction
+    /// wrote nothing. The transaction stays live: a prepared branch stores
+    /// its record and keeps its locks until the decision.
+    pub fn delta(&self, txn: TxnId) -> Option<Vec<u8>> {
+        let writes: Vec<_> = self
+            .undo
+            .get(&txn)
             .iter()
-            .flat_map(UndoLog::records)
+            .flat_map(|log| log.records())
             .map(|rec| {
                 let after = self.data.get(&rec.key).map(|v| Bytes::from(v.as_slice()));
                 (rec.key.clone(), after)
@@ -135,6 +187,13 @@ impl TxStore {
             seq: self.seq,
         };
         Some(to_bytes(&delta).expect("strings, byte strings and integers always encode"))
+    }
+
+    /// Commits `txn`: drops its undo log and releases its locks. Its record
+    /// is [`delta`](Self::delta), taken before.
+    pub fn commit(&mut self, txn: TxnId) {
+        self.undo.remove(&txn);
+        self.locks.release_all(txn);
     }
 
     /// Aborts `txn`: restores all before-images and releases its locks.
@@ -179,14 +238,13 @@ impl TxStore {
         if self.undo.is_empty() {
             return to_bytes(&(&self.data, self.seq));
         }
-        let mut committed: BTreeMap<&str, &[u8]> = self.iter().collect();
-        for rec in self.undo.values().flat_map(UndoLog::records) {
-            match &rec.before {
-                Some(v) => committed.insert(&rec.key, v),
-                None => committed.remove(rec.key.as_str()),
-            };
-        }
-        to_bytes(&(committed, self.seq))
+        let before = self.undo.values().flat_map(UndoLog::records);
+        let before = before.map(|rec| (rec.key.as_str(), rec.before.as_deref()));
+        let view = CommittedView {
+            data: &self.data,
+            before: before.collect(),
+        };
+        to_bytes(&(view, self.seq))
     }
 
     /// Replaces the committed state from a snapshot (crash recovery).
@@ -215,6 +273,33 @@ impl TxStore {
                 Some(v) => self.data.insert(key, v.into_vec()),
                 None => self.data.remove(&key),
             };
+        }
+        self.seq = self.seq.max(delta.seq);
+        Ok(())
+    }
+
+    /// Redoes the delta record of a transaction that is in doubt after a
+    /// crash: `txn` takes the exclusive lock on every key the record writes
+    /// and remembers its before-image, as its own writes did, so that the
+    /// decision can still go either way — [`commit`](Self::commit) keeps the
+    /// after-images, [`abort`](Self::abort) restores what the recovered
+    /// state held before. The sequence mark is taken over as by
+    /// [`apply_delta`](Self::apply_delta).
+    ///
+    /// # Errors
+    ///
+    /// Codec errors, before anything changed; [`TxnError::WouldBlock`] if
+    /// another transaction holds one of the keys, which two-phase locking
+    /// rules out for records written by one store.
+    pub fn redo(&mut self, txn: TxnId, bytes: &[u8]) -> Result<(), TxnError> {
+        let delta: Delta = from_slice(bytes)?;
+        for (key, after) in delta.writes {
+            self.locks.acquire(txn, &key, LockMode::Exclusive)?;
+            let before = match after {
+                Some(v) => self.data.insert(key.clone(), v.into_vec()),
+                None => self.data.remove(&key),
+            };
+            self.undo.entry(txn).or_default().remember(&key, before);
         }
         self.seq = self.seq.max(delta.seq);
         Ok(())
@@ -351,8 +436,9 @@ mod tests {
         s.seed("b", vec![2]);
         let base = s.snapshot().unwrap();
         s.read(t(1), "a").unwrap();
-        assert_eq!(s.commit(t(1)), None, "a read-only commit");
-        assert_eq!(s.commit(t(7)), None, "an unknown transaction");
+        assert_eq!(s.delta(t(1)), None, "a read-only transaction");
+        s.commit(t(1));
+        assert_eq!(s.delta(t(7)), None, "an unknown transaction");
 
         s.write(t(2), "a", vec![5]).unwrap();
         s.write(t(2), "a", vec![6]).unwrap();
@@ -360,7 +446,9 @@ mod tests {
         s.write(t(2), "c", vec![7]).unwrap();
         s.write(t(3), "d", vec![8]).unwrap();
         assert_eq!((s.next_seq(), s.next_seq()), (1, 2));
-        let delta = s.commit(t(2)).expect("t2 wrote");
+        let delta = s.delta(t(2)).expect("t2 wrote");
+        assert!(s.is_active(t(2)), "taking the record commits nothing");
+        s.commit(t(2));
 
         let mut s2 = TxStore::new();
         s2.restore(&base).unwrap();
@@ -372,6 +460,51 @@ mod tests {
         assert_eq!(s2.peek("c"), Some(&[7u8][..]));
         assert_eq!(s2.peek("d"), None, "t3's write is not t2's");
         assert_eq!(s2.snapshot().unwrap(), s.snapshot().unwrap());
+    }
+
+    /// An in-doubt record redone after a crash is the transaction's again:
+    /// its keys are locked exclusively, and the decision can go either way.
+    #[test]
+    fn redo_retakes_the_locks_and_either_decision_holds() {
+        let mut s = TxStore::new();
+        s.seed("a", vec![1]);
+        s.seed("b", vec![2]);
+        s.next_seq();
+        let base = s.snapshot().unwrap();
+        s.write(t(1), "a", vec![5]).unwrap();
+        s.remove(t(1), "b").unwrap();
+        s.write(t(1), "c", vec![7]).unwrap();
+        let delta = s.delta(t(1)).unwrap();
+
+        for commit in [true, false] {
+            let mut r = TxStore::new();
+            r.restore(&base).unwrap();
+            r.redo(t(1), &delta).unwrap();
+            assert!(r.is_active(t(1)));
+            for key in ["a", "b", "c"] {
+                assert!(r.read(t(2), key).unwrap_err().is_transient(), "{key}");
+                assert!(r.write(t(2), key, vec![0]).is_err(), "{key}");
+            }
+            assert_eq!(r.snapshot().unwrap(), base, "in doubt is not committed");
+            assert_eq!(r.peek("a"), Some(&[5u8][..]));
+            assert_eq!(r.peek("b"), None);
+            if commit {
+                r.commit(t(1));
+                assert_eq!(r.peek("c"), Some(&[7u8][..]));
+                assert_eq!(r.next_seq(), 2, "the record's sequence mark");
+            } else {
+                r.abort(t(1));
+                assert_eq!(r.snapshot().unwrap(), base);
+            }
+            assert!(!r.is_active(t(1)));
+            r.write(t(2), "a", vec![9]).unwrap();
+        }
+        let mut r = TxStore::new();
+        assert!(r.redo(t(1), &[0xff]).is_err());
+        assert!(
+            !r.is_active(t(1)),
+            "a record that does not decode changes nothing"
+        );
     }
 
     #[test]

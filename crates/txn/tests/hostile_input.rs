@@ -38,6 +38,7 @@ fn a_prepared_entry_and_a_prepare_survive_the_sweep() {
         msg: TxMsg::Prepare {
             txn: TxnId::new(NodeId(3), 41),
             work: work(),
+            decide: true,
         },
     };
     sweep(&mar_wire::to_bytes(&prepare).unwrap(), |b| {
@@ -55,7 +56,7 @@ fn a_base_image_and_a_delta_record_survive_the_sweep() {
     let txn = TxnId::new(NodeId(0), 1);
     store.write(txn, "acct/1", vec![7; 8]).unwrap();
     store.remove(txn, "acct/2").unwrap();
-    let delta = store.commit(txn).expect("the transaction wrote");
+    let delta = store.delta(txn).expect("the transaction wrote");
     sweep(&base, |b| {
         let _ = TxStore::new().restore(b);
     });
