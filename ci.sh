@@ -33,11 +33,12 @@ cargo test -q --release -p mar-wire -p mar-simnet
 cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
     --test step_path_cache_props
 # And the commit path's crash suites: the WAL's equality with the reference
-# backend under crash schedules; the 2PC host's crash sweep, whose
+# backend under crash schedules, and its cleaner's bound on a fleet that
+# queues several agents a node; the 2PC host's crash sweep, whose
 # coordinator commits a prepared branch with unforced deletes and whose last
 # participant decides; and the resource managers' model property, whose
 # prepared deltas are written once, outlive folds and are redone in doubt.
-cargo test -q --release -p mar-platform --test stable_backend_props
+cargo test -q --release -p mar-platform --test stable_backend_props --test wal_cleaner_bound
 cargo test -q --release -p mar-txn --test twopc_sim --test store_model_props
 # And the two record suites: release compiles out the cross-check of a sealed
 # log's savepoint bytes in `ResidentLog::materialize`, so the properties are

@@ -444,8 +444,8 @@ fn build_world(
     }
     if let Some(dir) = wal_dir {
         builder = builder.stable_backend(StableFactory::wal(WalConfig {
-            checkpoint_bytes: 64 * 1024,
             path: Some(dir.to_path_buf()),
+            ..WalConfig::default()
         }));
     }
     let owned: Vec<NodeId> = owned.iter().map(|&n| NodeId(n)).collect();

@@ -11,18 +11,32 @@
 //! disk log whose final sector write was interrupted.
 //!
 //! **Segments and the cleaner** (log-structured storage as in Sprite LFS,
-//! Rosenblum & Ousterhout, SOSP 1991). When the barriers have written
-//! [`WalConfig::checkpoint_bytes`] to the head, the commit closes it and
-//! creates an empty one: a roll rewrites nothing. Once two segments are
-//! closed, the cleaner takes the oldest. It appends to the head a put frame
-//! for every key whose newest frame lives in that segment, the value read
-//! from the view (nothing is pending after a barrier, so the view is the
-//! committed state), and the segment is unlinked at the next
+//! Rosenblum & Ousterhout, SOSP 1991). A commit closes the head once the
+//! barriers have written at least `max(checkpoint_bytes, L)` to it, where
+//! `L` is the put-frame bytes of the view — what cleaning every key would
+//! copy — and creates an empty one: a roll rewrites nothing. Once two
+//! segments are closed, the cleaner takes the oldest. It appends to the
+//! head a put frame for every key whose newest frame lives in that segment,
+//! the value read from the view (nothing is pending after a barrier, so the
+//! view is the committed state), and the segment is unlinked at the next
 //! [`sync`](super::StableBackend::sync). What died since the segment was
 //! written — an agent record at its next hop — is not copied. The copies
 //! do not count toward the roll size: counted, they filled the head sooner,
 //! the next roll came sooner, and it found more of the oldest segment
 //! live. A node holds at most [`MAX_LIVE_SEGMENTS`] segments.
+//!
+//! Cleaning is cheap only when the segment cleaned is mostly dead. Under a
+//! fixed segment size smaller than the live set — agents queued at a node
+//! for longer than a segment lasts — every roll re-copied nearly all of it.
+//! Sized to `L`, a segment lasts as long as it takes the log to write the
+//! live set once more, and the rule bounds the cleaner: a clean runs in the
+//! same commit as the roll that closed a segment, it copies at most `L`,
+//! and that segment took at least `L` of barriers. So the cleaner never
+//! writes more than the log ([`BackendStats::checkpoint_bytes`] ≤
+//! [`BackendStats::wal_bytes`]), a write amplification of at most 2. The
+//! one clean without a roll is the redo of a clean whose unlink a power
+//! loss undid. `checkpoint_bytes` is the floor, which keeps a small live
+//! set from rolling at every barrier.
 //!
 //! Delete frames are never copied. The cleaner takes segments oldest first,
 //! so a delete matters only while a segment older than it could still hold
@@ -88,9 +102,10 @@ pub const MAX_LIVE_SEGMENTS: usize = 3;
 /// Tuning knobs of the [`WalBackend`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalConfig {
-    /// Segment size (bytes): a commit after which the barriers have
-    /// written this much to the head closes it and starts a new one. The
-    /// cleaner's copies ride on top.
+    /// The least a segment's barriers write before it closes (bytes): a
+    /// commit after which the barriers have written this much to the head,
+    /// and at least the put-frame bytes of every live key, closes it and
+    /// starts a new one. The cleaner's copies ride on top.
     pub checkpoint_bytes: usize,
     /// Directory for **file-backed** durability: each node keeps its
     /// segments there as `node-<id>.<gen>.seg`, the exact record format of
@@ -123,16 +138,27 @@ fn encode_frame(out: &mut Vec<u8>, body_len: usize, write: impl FnOnce(&mut Vec<
     out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// Payload bytes of a put record for a `klen`-byte key and a `vlen`-byte
+/// value.
+fn put_body_len(klen: usize, vlen: usize) -> usize {
+    1 + varint_len(klen as u64) + klen + varint_len(vlen as u64) + vlen
+}
+
+/// Bytes [`encode_put_frame`] appends for a `klen`-byte key and a
+/// `vlen`-byte value.
+fn put_frame_len(klen: usize, vlen: usize) -> usize {
+    let body = put_body_len(klen, vlen);
+    varint_len(body as u64) + 4 + body
+}
+
 /// Appends a put record for `(key, value)` to `out`.
 pub fn encode_put_frame(out: &mut Vec<u8>, key: &str, value: &[u8]) {
-    let klen = key.len() as u64;
-    let vlen = value.len() as u64;
-    let body = 1 + varint_len(klen) + key.len() + varint_len(vlen) + value.len();
+    let body = put_body_len(key.len(), value.len());
     encode_frame(out, body, |out| {
         out.push(TAG_PUT);
-        put_uvarint(out, klen);
+        put_uvarint(out, key.len() as u64);
         out.extend_from_slice(key.as_bytes());
-        put_uvarint(out, vlen);
+        put_uvarint(out, value.len() as u64);
         out.extend_from_slice(value);
     });
 }
@@ -432,6 +458,9 @@ pub struct WalBackend {
     /// cleaner's copies ride on top, so that copying never hastens a roll
     /// (and with it the next copy).
     head_log: usize,
+    /// Put-frame bytes of the view: what cleaning every key would copy. A
+    /// roll waits until the head's barriers have written this much.
+    live: usize,
     /// Whether the oldest segment's live frames were copied to the head
     /// and it awaits the sync that unlinks it.
     cleaned: bool,
@@ -461,6 +490,7 @@ impl WalBackend {
             batch: Vec::new(),
             pending: 0,
             head_log: segs.last().map_or(0, |h| h.len),
+            live: 0,
             segs,
             cleaned: false,
             dir_dirty: false,
@@ -516,9 +546,22 @@ impl WalBackend {
         self.segs.last_mut().expect("a WAL always has a head")
     }
 
+    /// Put-frame bytes of the view, summed key by key.
+    fn live_frame_bytes(&self) -> usize {
+        self.view
+            .iter()
+            .map(|(k, l)| put_frame_len(k.len(), l.value.len()))
+            .sum()
+    }
+
     /// Closes the head — flushed first, so a closed segment never ends
     /// torn — and creates the next one.
     fn roll(&mut self) {
+        debug_assert_eq!(
+            self.live,
+            self.live_frame_bytes(),
+            "the maintained live bytes and the view's put frames"
+        );
         let head = self.head();
         let gen = head.gen + 1;
         if head.flush() {
@@ -686,13 +729,18 @@ impl StableBackend for WalBackend {
     fn put(&mut self, key: String, value: Vec<u8>) {
         let before = self.batch.len();
         encode_put_frame(&mut self.batch, &key, &value);
-        self.stats.wal_bytes += (self.batch.len() - before) as u64;
+        let frame = self.batch.len() - before;
+        self.stats.wal_bytes += frame as u64;
         self.stats.records += 1;
         self.pending += 1;
+        self.live += frame;
         // The frame lands in the head at the next barrier, and no roll
         // comes before it.
         let gen = self.head().gen;
-        self.view.insert(key, Live { value, gen });
+        let klen = key.len();
+        if let Some(old) = self.view.insert(key, Live { value, gen }) {
+            self.live -= put_frame_len(klen, old.value.len());
+        }
     }
 
     fn get(&self, key: &str) -> Option<&[u8]> {
@@ -701,6 +749,7 @@ impl StableBackend for WalBackend {
 
     fn delete(&mut self, key: &str) -> Option<Vec<u8>> {
         let prev = self.view.remove(key)?;
+        self.live -= put_frame_len(key.len(), prev.value.len());
         let before = self.batch.len();
         encode_delete_frame(&mut self.batch, key);
         self.stats.wal_bytes += (self.batch.len() - before) as u64;
@@ -742,9 +791,12 @@ impl StableBackend for WalBackend {
         self.pending = 0;
         self.stats.commits += 1;
         // Neither a roll nor a clean while the device owes the directory
-        // a sync: that keeps the segments few and the tombstone rule.
+        // a sync: that keeps the segments few and the tombstone rule. A
+        // segment closes once its barriers wrote what the clean it leads to
+        // may copy, so the cleaner never writes more than the log.
         if !self.cleaned && !self.dir_dirty {
-            if self.segs.len() < MAX_LIVE_SEGMENTS && self.head_log >= self.cfg.checkpoint_bytes {
+            let segment = self.cfg.checkpoint_bytes.max(self.live);
+            if self.segs.len() < MAX_LIVE_SEGMENTS && self.head_log >= segment {
                 self.roll();
             }
             if self.segs.len() >= MAX_LIVE_SEGMENTS {
@@ -807,6 +859,7 @@ impl StableBackend for WalBackend {
             seg.len = valid;
             seg.synced = seg.synced.min(valid);
         }
+        self.live = self.live_frame_bytes();
         self.stats.recoveries += 1;
     }
 
@@ -844,6 +897,7 @@ impl StableBackend for WalBackend {
             pending: self.pending,
             segs: self.segs.iter().map(copy).collect(),
             head_log: self.head_log,
+            live: self.live,
             cleaned: self.cleaned,
             dir_dirty: self.dir_dirty,
             dir,
@@ -883,6 +937,53 @@ mod tests {
             encode_put_frame(&mut frames, k, v);
         }
         frames.len()
+    }
+
+    /// Writes `k/19` down to `k/00`, one commit and one sync each, deleting
+    /// each key three commits after its put: the live set, three 20-byte
+    /// frames, stays under a 64-byte segment floor, and the keys die.
+    fn write_down_and_delete(b: &mut WalBackend, mut after_sync: impl FnMut(&WalBackend)) {
+        for i in (0..20).rev() {
+            b.put(format!("k/{i:02}"), vec![i as u8; 8]);
+            if i + 3 < 20 {
+                assert!(b.delete(&format!("k/{:02}", i + 3)).is_some());
+            }
+            b.commit();
+            // The output-commit rule's sync, which the cleaner waits for.
+            b.sync();
+            after_sync(b);
+        }
+    }
+
+    #[test]
+    fn a_segment_closes_once_its_barriers_wrote_the_live_set() {
+        let mut b = tiny(64);
+        // A value that never dies, larger than the floor: it closes the
+        // first segment alone.
+        b.put("big".into(), vec![1; 200]);
+        b.commit();
+        b.sync();
+        assert_eq!(b.segment_gens(), [1, 2]);
+        // Overwrites of one small key, one commit each: the head closes at
+        // the first commit after which its barriers wrote the live set.
+        let mut small = Vec::new();
+        encode_put_frame(&mut small, "small", &[2; 8]);
+        let live = live_bytes(&b) + small.len();
+        let mut commits = 0;
+        while b.segment_gens() == [1, 2] {
+            assert!(commits < 100, "the head never closed");
+            b.put("small".into(), vec![2; 8]);
+            b.commit();
+            commits += 1;
+        }
+        assert_eq!(commits, live.div_ceil(small.len()));
+        // The roll cleaned segment 1 in the same commit, copying `big`
+        // alone: no more than the log wrote.
+        assert_eq!(b.segment_gens(), [1, 2, 3]);
+        let stats = b.stats();
+        assert_eq!(stats.checkpoints, 1);
+        assert_eq!(stats.checkpoint_bytes as usize, live - small.len());
+        assert!(stats.checkpoint_bytes <= stats.wal_bytes);
     }
 
     #[test]
@@ -992,13 +1093,9 @@ mod tests {
     #[test]
     fn segments_roll_clean_and_preserve_scan_order() {
         let mut b = tiny(64);
-        for i in (0..20).rev() {
-            b.put(format!("k/{i:02}"), vec![i as u8; 8]);
-            b.commit();
-            // The output-commit rule's sync, which the cleaner waits for.
-            b.sync();
+        write_down_and_delete(&mut b, |b| {
             assert!(b.segment_gens().len() <= MAX_LIVE_SEGMENTS);
-        }
+        });
         let stats = b.stats();
         assert!(stats.checkpoints > 0, "the cleaner must have run");
         assert!(b.segment_gens()[0] > 1, "cleaned segments were unlinked");
@@ -1010,9 +1107,10 @@ mod tests {
             "{} > {bound}",
             b.durable_log_len()
         );
-        // Ordered prefix scan sees all keys, sorted, across the segments.
+        // Ordered prefix scan sees all live keys, sorted, across the
+        // segments.
         let keys: Vec<&str> = b.iter_prefix("k/").map(|(k, _)| k).collect();
-        let expected: Vec<String> = (0..20).map(|i| format!("k/{i:02}")).collect();
+        let expected: Vec<String> = (0..3).map(|i| format!("k/{i:02}")).collect();
         assert_eq!(keys, expected);
         // And the segments survive crash + recovery.
         b.crash();
@@ -1028,6 +1126,11 @@ mod tests {
         b.commit(); // big enough to roll
         b.sync();
         b.delete("drop");
+        b.commit();
+        b.sync();
+        // `filler` twice: the second barrier brings what the head took to
+        // the live set, `keep` and `filler`.
+        b.put("filler".into(), vec![3; 40]);
         b.commit();
         b.sync();
         b.put("filler".into(), vec![3; 40]);
@@ -1185,14 +1288,11 @@ mod tests {
         let dir = temp_wal_dir("segments");
         {
             let mut b = WalBackend::open(file_cfg(&dir, 64), NodeId(1));
-            for i in 0..20 {
-                b.put(format!("k/{i:02}"), vec![i as u8; 8]);
-                b.commit();
-                b.sync();
+            write_down_and_delete(&mut b, |_| {
                 let names = files(&dir);
                 assert!(names.len() <= MAX_LIVE_SEGMENTS, "{names:?}");
                 assert!(names.iter().all(|n| n.ends_with(".seg")), "{names:?}");
-            }
+            });
             assert!(b.stats().checkpoints > 0, "the cleaner must have run");
             // Every file is one of the live segments, and they are small.
             let live: Vec<String> = b
@@ -1211,14 +1311,15 @@ mod tests {
         }
         let b = WalBackend::open(file_cfg(&dir, 64), NodeId(1));
         let keys: Vec<String> = b.iter_prefix("k/").map(|(k, _)| k.to_owned()).collect();
-        let expected: Vec<String> = (0..20).map(|i| format!("k/{i:02}")).collect();
+        let expected: Vec<String> = (0..3).map(|i| format!("k/{i:02}")).collect();
         assert_eq!(keys, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Writes `k` into segment 1, deletes it in segment `delete_in`, and
     /// rolls on until the cleaner has taken both: neither a reopen of the
-    /// files nor a power loss at any step may bring `k` back.
+    /// files nor a power loss at any step may bring `k` back. The filler
+    /// overwrites two keys in turn, so the segments it fills die.
     /// `check` runs after every commit and every sync, told whether the
     /// delete is synced.
     fn tombstone_script(
@@ -1227,7 +1328,7 @@ mod tests {
         mut check: impl FnMut(&mut WalBackend, bool),
     ) {
         let filler = |b: &mut WalBackend, i: u32| {
-            b.put(format!("f/{i:03}"), vec![0; 40]);
+            b.put(format!("f/{:03}", i % 2), vec![0; 40]);
             b.commit();
         };
         b.put("k".into(), vec![7]);
@@ -1383,30 +1484,34 @@ mod tests {
         let dir = temp_wal_dir("roll-synced");
         let mut b = WalBackend::open(file_cfg(&dir, 64), NodeId(0));
         assert!(!b.unsynced(), "an empty head owes nothing");
-        let put = |b: &mut WalBackend| {
-            let i = b.stats().commits;
-            b.put(format!("k/{i:02}"), vec![0; 60]);
+        let put = |b: &mut WalBackend, key: &str| {
+            b.put(key.into(), vec![0; 60]);
             assert!(b.commit());
         };
         // The first head's create is synced with its first bytes, and no
         // roll runs before that.
-        put(&mut b);
+        put(&mut b, "k/00");
         assert_eq!(b.segment_gens(), [1]);
         assert!(b.unsynced());
         assert!(b.sync());
         assert_eq!((b.stats().syncs, b.stats().dir_syncs), (1, 1));
         // A roll: the closed head is flushed at once; the new head's create
         // waits for the sync, and the cleaner for a third segment.
-        put(&mut b);
+        put(&mut b, "k/01");
         assert_eq!(b.segment_gens(), [1, 2]);
         assert_eq!(b.stats().syncs, 2, "the closing head was flushed");
         assert_eq!(b.stats().checkpoints, 0);
         assert!(b.sync(), "the create is synced");
         assert_eq!((b.stats().syncs, b.stats().dir_syncs), (2, 2));
         assert!(!b.unsynced());
-        // The next roll cleans segment 1 in the same commit; one sync
+        // Two overwrites of `k/01` bring what the head took to the live
+        // set. The first writes no more than the file; the second rolls,
+        // and the roll cleans segment 1 in the same commit; one sync
         // flushes the head, unlinks segment 1 and syncs the directory once.
-        put(&mut b);
+        put(&mut b, "k/01");
+        assert_eq!(b.segment_gens(), [1, 2]);
+        assert_eq!(b.stats().syncs, 2, "a commit writes, it does not sync");
+        put(&mut b, "k/01");
         assert_eq!(b.segment_gens(), [1, 2, 3]);
         assert_eq!(b.stats().checkpoints, 1);
         assert!(b.stats().checkpoint_bytes > 0, "k/00 was live in segment 1");

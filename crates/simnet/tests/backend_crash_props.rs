@@ -18,6 +18,12 @@
 //! through its device model ([`WalBackend::power_loss`]): what survives a
 //! machine crash is the committed view as of the last sync, or of a later
 //! barrier — never less, and never anything but a prefix of the barriers.
+//!
+//! Scripts draw from one of two key spaces, so that rolls happen in both
+//! regimes of the segment rule: two keys with short values keep the live
+//! set under the segment floor, which then sets every roll; a dozen keys
+//! with values up to 1 KiB keep it far above, and the live set sets the
+//! roll. Either way the cleaner never writes more than the log.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +37,7 @@ use mar_simnet::{NodeId, StableBackend, StableStore, WalBackend, WalConfig};
 #[derive(Debug, Clone)]
 enum Op {
     /// Put `key(k)` with a value of `len` bytes (filled with `fill`).
-    Put { k: u8, len: u8, fill: u8 },
+    Put { k: u8, len: u16, fill: u8 },
     /// Delete `key(k)` (may be a no-op).
     Delete { k: u8 },
     /// Delete everything under `prefix(p)`.
@@ -65,7 +71,7 @@ fn dump(s: &StableStore) -> Vec<(String, Vec<u8>)> {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (any::<u8>(), any::<u8>(), any::<u8>())
+        4 => (any::<u8>(), any::<u16>(), any::<u8>())
             .prop_map(|(k, len, fill)| Op::Put { k, len, fill }),
         2 => any::<u8>().prop_map(|k| Op::Delete { k }),
         1 => any::<u8>().prop_map(|p| Op::DeletePrefix { p }),
@@ -74,6 +80,76 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (any::<u8>(), any::<u8>(), any::<u16>())
             .prop_map(|(k, len, cut)| Op::CrashTorn { k, len, cut }),
     ]
+}
+
+/// One of the two key spaces a script draws from.
+#[derive(Debug, Clone, Copy)]
+enum Space {
+    /// `key(0)` and `key(1)` with values under 16 bytes: two put frames,
+    /// 56 bytes at most, under every segment floor these scripts use.
+    Small,
+    /// `key`'s dozen keys with values under 1 KiB: a live set far above
+    /// the floor.
+    Large,
+}
+
+impl Space {
+    fn key(self, k: u8) -> u8 {
+        match self {
+            Space::Small => k % 2,
+            Space::Large => k,
+        }
+    }
+
+    fn len(self, len: u16) -> u16 {
+        match self {
+            Space::Small => len % 16,
+            Space::Large => len % 1024,
+        }
+    }
+
+    fn strategy() -> impl Strategy<Value = Space> {
+        any::<bool>().prop_map(|small| if small { Space::Small } else { Space::Large })
+    }
+}
+
+/// A script of up to 80 operations in one key space.
+fn script_strategy() -> impl Strategy<Value = Vec<Op>> {
+    (
+        Space::strategy(),
+        proptest::collection::vec(op_strategy(), 1..80),
+    )
+        .prop_map(|(space, ops)| {
+            let narrowed = |op| match op {
+                Op::Put { k, len, fill } => Op::Put {
+                    k: space.key(k),
+                    len: space.len(len),
+                    fill,
+                },
+                Op::Delete { k } => Op::Delete { k: space.key(k) },
+                op => op,
+            };
+            ops.into_iter().map(narrowed).collect()
+        })
+}
+
+/// Put-frame bytes of the view: what cleaning every key would copy.
+fn live_bytes<'a>(view: impl Iterator<Item = (&'a str, &'a [u8])>) -> usize {
+    let mut frames = Vec::new();
+    for (k, v) in view {
+        encode_put_frame(&mut frames, k, v);
+    }
+    frames.len()
+}
+
+/// Segment rolls of a script, by which side of the floor the live set was
+/// on when the head closed.
+#[derive(Debug, Default, Clone, Copy)]
+struct Rolls {
+    /// The live set under the floor: the floor set the segment size.
+    below_floor: u64,
+    /// The live set at or above the floor: it set the segment size.
+    above_floor: u64,
 }
 
 /// The WAL under `store`.
@@ -86,10 +162,12 @@ fn wal_of(store: &mut StableStore) -> &mut WalBackend {
 }
 
 /// Applies `ops` to a reference store and a WAL store in lockstep,
-/// asserting view equivalence after every single operation. With
-/// [`WalConfig::path`] set the WAL is file-backed, and every crash also
-/// reopens it from its files.
-fn run_script(ops: &[Op], wal_cfg: WalConfig) {
+/// asserting view equivalence after every single operation, and that the
+/// cleaner never wrote more than the log. With [`WalConfig::path`] set the
+/// WAL is file-backed, and every crash also reopens it from its files.
+/// Returns the segment rolls the script reached.
+fn run_script(ops: &[Op], wal_cfg: WalConfig) -> Rolls {
+    let mut rolls = Rolls::default();
     let mut reference = StableStore::new();
     let mut wal = StableStore::with_backend(Box::new(WalBackend::open(wal_cfg.clone(), NodeId(0))));
     let reopen = |reference: &StableStore, i: usize| {
@@ -120,9 +198,17 @@ fn run_script(ops: &[Op], wal_cfg: WalConfig) {
                 assert_eq!(a, b, "delete_prefix disagreement at op {i}");
             }
             Op::Commit => {
+                let head = wal_of(&mut wal).segment_gens().last().copied();
                 let a = reference.commit();
                 let b = wal.commit();
                 assert_eq!(a, b, "commit occupancy disagreement at op {i}");
+                if wal_of(&mut wal).segment_gens().last().copied() != head {
+                    if live_bytes(wal.iter()) < wal_cfg.checkpoint_bytes {
+                        rolls.below_floor += 1;
+                    } else {
+                        rolls.above_floor += 1;
+                    }
+                }
                 reference.begin_batch();
                 wal.begin_batch();
             }
@@ -164,12 +250,20 @@ fn run_script(ops: &[Op], wal_cfg: WalConfig) {
         );
         let live = wal_of(&mut wal).segment_gens();
         assert!(live.len() <= MAX_LIVE_SEGMENTS, "{live:?} after op {i}");
+        let stats = wal.backend_stats();
+        assert!(
+            stats.checkpoint_bytes <= stats.wal_bytes,
+            "the cleaner wrote {} bytes, the log {}, after op {i}",
+            stats.checkpoint_bytes,
+            stats.wal_bytes
+        );
     }
 
     // Backend-independent counters agree at the end of the script.
     let (r, w) = (reference.backend_stats(), wal.backend_stats());
     assert_eq!(r.commits, w.commits, "commit counts diverged");
     assert_eq!(r.records, w.records, "record counts diverged");
+    rolls
 }
 
 /// A directory of its own for one file-backed script, removed on drop.
@@ -202,8 +296,8 @@ impl Drop for TempDir {
 /// One operation of a power-loss script, on an in-memory WAL.
 #[derive(Debug, Clone)]
 enum DeviceOp {
-    /// Put `key(k)` with a value of `len % 40` bytes, new to this op.
-    Put { k: u8, len: u8 },
+    /// Put `key(k)` with a value of `len` bytes, new to this op.
+    Put { k: u8, len: u16 },
     /// Delete `key(k)` (may be a no-op).
     Delete { k: u8 },
     /// Group-commit barrier.
@@ -218,13 +312,32 @@ enum DeviceOp {
 
 fn device_op_strategy() -> impl Strategy<Value = DeviceOp> {
     prop_oneof![
-        4 => (any::<u8>(), any::<u8>()).prop_map(|(k, len)| DeviceOp::Put { k, len }),
+        4 => (any::<u8>(), any::<u16>()).prop_map(|(k, len)| DeviceOp::Put { k, len }),
         2 => any::<u8>().prop_map(|k| DeviceOp::Delete { k }),
         3 => Just(DeviceOp::Commit),
         2 => Just(DeviceOp::Sync),
         1 => Just(DeviceOp::PowerLoss),
         1 => any::<u8>().prop_map(|steps| DeviceOp::PowerLossDuringSync { steps }),
     ]
+}
+
+/// A power-loss script of up to 120 operations in one key space.
+fn device_script_strategy() -> impl Strategy<Value = Vec<DeviceOp>> {
+    (
+        Space::strategy(),
+        proptest::collection::vec(device_op_strategy(), 1..120),
+    )
+        .prop_map(|(space, ops)| {
+            let narrowed = |op| match op {
+                DeviceOp::Put { k, len } => DeviceOp::Put {
+                    k: space.key(k),
+                    len: space.len(len),
+                },
+                DeviceOp::Delete { k } => DeviceOp::Delete { k: space.key(k) },
+                op => op,
+            };
+            ops.into_iter().map(narrowed).collect()
+        })
 }
 
 fn view(b: &WalBackend) -> Vec<(String, Vec<u8>)> {
@@ -245,7 +358,7 @@ fn run_power_script(ops: &[DeviceOp], checkpoint_bytes: usize) {
     for (i, op) in ops.iter().enumerate() {
         match *op {
             DeviceOp::Put { k, len } => {
-                wal.put(key(k), vec![i as u8; usize::from(len % 40)]);
+                wal.put(key(k), vec![i as u8; usize::from(len)]);
             }
             DeviceOp::Delete { k } => {
                 wal.delete(&key(k));
@@ -287,7 +400,7 @@ proptest! {
     /// reopens the node from its files.
     #[test]
     fn file_backed_wal_matches_reference_model_and_reopens_to_it(
-        ops in proptest::collection::vec(op_strategy(), 1..80),
+        ops in script_strategy(),
     ) {
         let dir = TempDir::new("script");
         run_script(&ops, dir.cfg(96));
@@ -298,7 +411,7 @@ proptest! {
     /// order never loses a synced barrier or revives a deleted key.
     #[test]
     fn a_power_loss_keeps_every_synced_barrier(
-        ops in proptest::collection::vec(device_op_strategy(), 1..120),
+        ops in device_script_strategy(),
     ) {
         run_power_script(&ops, 64);
     }
@@ -306,7 +419,7 @@ proptest! {
     /// Random scripts on the default WAL tuning.
     #[test]
     fn wal_matches_reference_model(
-        ops in proptest::collection::vec(op_strategy(), 1..80),
+        ops in script_strategy(),
     ) {
         run_script(&ops, WalConfig::default());
     }
@@ -315,7 +428,7 @@ proptest! {
     /// the head and clean the oldest segment.
     #[test]
     fn wal_matches_reference_model_across_checkpoints(
-        ops in proptest::collection::vec(op_strategy(), 1..80),
+        ops in script_strategy(),
     ) {
         run_script(&ops, WalConfig { checkpoint_bytes: 96, path: None });
     }
@@ -370,23 +483,24 @@ fn pinned_torn_tail_script() {
 
 /// Pinned: a file-backed script long enough to clean many times, with
 /// crashes between cleans and a torn tail; the files reopen to the
-/// reference at every crash, and the cleaner must have run.
+/// reference at every crash, and the cleaner must have run. Its puts
+/// overwrite six keys in turn, so the segments it fills die.
 #[test]
 fn pinned_file_backed_script_cleans_and_reopens() {
     let mut ops = Vec::new();
     for round in 0..40u8 {
         ops.push(Op::Put {
-            k: round,
+            k: round % 3,
             len: 60,
             fill: round,
         });
         ops.push(Op::Put {
-            k: round.wrapping_add(3),
+            k: 3 + round % 3,
             len: 20,
             fill: round,
         });
         if round % 3 == 0 {
-            ops.push(Op::Delete { k: round });
+            ops.push(Op::Delete { k: round % 3 });
         }
         ops.push(Op::Commit);
         if round % 7 == 6 {
@@ -407,6 +521,66 @@ fn pinned_file_backed_script_cleans_and_reopens() {
         reopened.segment_gens()[0] > 10,
         "the cleaner ran and unlinked"
     );
+}
+
+/// Pinned: one 1 KiB value that never dies under a stream of small
+/// overwrites, on a 96-byte floor, in memory and file-backed. Were the
+/// floor the segment size, a segment would close every five barriers and
+/// every other clean would copy the 1 KiB value again: the cleaner would
+/// write several times what the log did.
+#[test]
+fn a_value_that_never_dies_is_not_copied_at_every_roll() {
+    let mut ops = vec![
+        Op::Put {
+            k: 0,
+            len: 1024,
+            fill: 1,
+        },
+        Op::Commit,
+    ];
+    for round in 0..300u16 {
+        ops.push(Op::Put {
+            k: 1,
+            len: 8,
+            fill: round as u8,
+        });
+        ops.push(Op::Commit);
+    }
+    let dir = TempDir::new("long-lived");
+    for cfg in [
+        WalConfig {
+            checkpoint_bytes: 96,
+            path: None,
+        },
+        dir.cfg(96),
+    ] {
+        let rolls = run_script(&ops, cfg);
+        assert_eq!(rolls.below_floor, 0);
+        assert!(rolls.above_floor >= 5, "{rolls:?}");
+    }
+}
+
+/// Generated scripts roll on both sides of the floor: in the small key
+/// space the floor sets the segment size, in the large one the live set.
+#[test]
+fn generated_scripts_roll_on_both_sides_of_the_floor() {
+    let mut rng = proptest::TestRng::for_test("generated_scripts_roll_on_both_sides_of_the_floor");
+    let mut total = Rolls::default();
+    for _ in 0..64 {
+        let ops = script_strategy().generate(&mut rng);
+        let rolls = run_script(
+            &ops,
+            WalConfig {
+                checkpoint_bytes: 96,
+                path: None,
+            },
+        );
+        total.below_floor += rolls.below_floor;
+        total.above_floor += rolls.above_floor;
+    }
+    eprintln!("rolls of 64 generated scripts: {total:?}");
+    assert!(total.below_floor >= 20, "{total:?}");
+    assert!(total.above_floor >= 20, "{total:?}");
 }
 
 /// Pinned: the live segments of a node never exceed [`MAX_LIVE_SEGMENTS`],
