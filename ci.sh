@@ -98,36 +98,50 @@ check_wal_dir() {
     done
 }
 
-echo "==> distributed smoke stage: driver + 2 node hosts over UDS"
-# The travel-agency fleet end to end across three real processes. A wedged
+echo "==> distributed smoke stage: driver + 2 node hosts over UDS, + 3 over TCP"
+# The travel-agency fleet end to end across real processes. A wedged
 # process must fail CI, not hang it: every PID is reaped with a timeout and
-# the driver's own settlement deadline bounds the run.
-smoke_dir=$(mktemp -d)
-smoke_sock="unix:$smoke_dir/driver.sock"
-timeout -k 5 120 target/release/mar-driver --socket "$smoke_sock" --hosts 2 \
-    --scenario travel --seed 11 --agents 4 --deadline-secs 600 \
-    > "$smoke_dir/driver.out" 2> "$smoke_dir/driver.err" &
-driver_pid=$!
-timeout -k 5 150 target/release/mar-node-host --socket "$smoke_sock" --host-id 0 \
-    --wal-dir "$smoke_dir/h0" 2> /dev/null &
-host0_pid=$!
-timeout -k 5 150 target/release/mar-node-host --socket "$smoke_sock" --host-id 1 \
-    --wal-dir "$smoke_dir/h1" 2> /dev/null &
-host1_pid=$!
-smoke_ok=1
-wait "$driver_pid" || smoke_ok=0
-wait "$host0_pid" || smoke_ok=0
-wait "$host1_pid" || smoke_ok=0
-if [[ "$smoke_ok" != 1 ]] || ! grep -q '^settled=true$' "$smoke_dir/driver.out" \
-    || ! grep -q '^money USD=12000$' "$smoke_dir/driver.out" \
-    || ! check_wal_dir "$smoke_dir/h0" || ! check_wal_dir "$smoke_dir/h1"; then
-    echo "distributed smoke stage FAILED; driver output:"
-    cat "$smoke_dir/driver.out" "$smoke_dir/driver.err" || true
+# the driver's own settlement deadline bounds the run. With three hosts most
+# lockstep windows have work on only some of them, so the TCP run is the
+# real-process check that a window goes only to the hosts it concerns.
+smoke_fleet() {
+    local socket=$1 hosts=$2 smoke_dir pids h smoke_ok=1
+    smoke_dir=$(mktemp -d)
+    timeout -k 5 120 target/release/mar-driver --socket "$socket" --hosts "$hosts" \
+        --scenario travel --seed 11 --agents 4 --deadline-secs 600 \
+        > "$smoke_dir/driver.out" 2> "$smoke_dir/driver.err" &
+    pids=($!)
+    for ((h = 0; h < hosts; h++)); do
+        timeout -k 5 150 target/release/mar-node-host --socket "$socket" --host-id "$h" \
+            --wal-dir "$smoke_dir/h$h" 2> /dev/null &
+        pids+=($!)
+    done
+    for pid in "${pids[@]}"; do
+        wait "$pid" || smoke_ok=0
+    done
+    if [[ "$smoke_ok" == 1 ]] && grep -q '^settled=true$' "$smoke_dir/driver.out" \
+        && grep -q '^money USD=12000$' "$smoke_dir/driver.out"; then
+        for ((h = 0; h < hosts; h++)); do
+            check_wal_dir "$smoke_dir/h$h" || smoke_ok=0
+        done
+    else
+        smoke_ok=0
+    fi
+    if [[ "$smoke_ok" != 1 ]]; then
+        echo "distributed smoke stage FAILED ($hosts hosts, $socket); driver output:"
+        cat "$smoke_dir/driver.out" "$smoke_dir/driver.err" || true
+        rm -rf "$smoke_dir"
+        return 1
+    fi
+    echo "    $hosts hosts over ${socket%%:*}: $(grep -c '^report ' "$smoke_dir/driver.out") reports, money USD=12000"
     rm -rf "$smoke_dir"
-    exit 1
-fi
-echo "    settled: $(grep -c '^report ' "$smoke_dir/driver.out") reports, money USD=12000"
-rm -rf "$smoke_dir"
+}
+uds_dir=$(mktemp -d)
+smoke_fleet "unix:$uds_dir/driver.sock" 2 || exit 1
+rm -rf "$uds_dir"
+# A free port for the driver: the hosts need the address before it binds.
+tcp_port=$(python3 -c 'import socket; s = socket.socket(); s.bind(("127.0.0.1", 0)); print(s.getsockname()[1])')
+smoke_fleet "tcp:127.0.0.1:$tcp_port" 3 || exit 1
 
 echo "==> chaos smoke stage: mar-fleet with a scripted mid-run SIGKILL"
 # The supervised deployment end to end: mar-fleet spawns the driver and both

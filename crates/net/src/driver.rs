@@ -14,18 +14,34 @@
 //!
 //! The driver is the hub; hosts never talk to each other. Each round:
 //!
-//! 1. relay diverted deliveries to their owners (`Inject`),
+//! 1. route the deliveries diverted since the last window to their owners'
+//!    pending lists,
 //! 2. compute the global minimum `m` of every host's earliest pending
-//!    event and everything just injected,
-//! 3. issue `RunWindow { end }` with `end = min(m + lookahead, until + 1)`
+//!    event (as last reported) and every pending delivery,
+//! 3. pick the window end `end = min(m + lookahead, until + 1)`
 //!    (`lookahead` = the latency model's minimum — no event created in the
-//!    window can land before `end`),
-//! 4. collect `WindowDone { egress, next_min }` from every host.
+//!    window can land before `end`) and send one frame to each host that
+//!    has work in it: `Inject { end, events }` to a host with deliveries,
+//!    `RunWindow { end }` to one whose earliest event is before `end`,
+//!    nothing to the rest,
+//! 4. collect `WindowDone { egress, next_min }` from every host sent a
+//!    frame.
 //!
-//! Per-connection FIFO ordering is the only barrier needed: a host sees
-//! its `Inject` before the `RunWindow` that may consume it. The steady
-//! state costs one round trip per window because `WindowDone` piggybacks
-//! the next minimum.
+//! A host sent no frame has no event before `end`, so it would process
+//! nothing; its clock catches up at its next frame, because a window runs
+//! every event before its end. The window that ends a run (`until + 1`)
+//! goes to every live host with whatever deliveries are pending, so every
+//! clock stands at the boundary and RPCs run at a quiescent point. The
+//! steady state costs one round trip per host with work, and nothing for
+//! a host without: `WindowDone` piggybacks the next minimum, and the
+//! deliveries ride the window's frame. Every frame a window sends is acked
+//! by the `WindowDone` it is answered with, so between windows no session
+//! holds an unacknowledged frame.
+//!
+//! Connections are accepted only where the driver waits for one: at start
+//! and while a host it needs is detached. A host that died while it had
+//! nothing to do is found at its next frame, or at the run boundary at the
+//! latest — both are points of the schedule, not of the wall clock.
 //!
 //! # Failure handling: resume, restart, give up
 //!
@@ -704,68 +720,70 @@ impl NetState {
     /// at the boundary.
     fn run_until(&mut self, target_us: u64) {
         loop {
-            let _ = self.poll_accepts();
             let egress = self.world.take_remote_egress();
             self.route(egress);
-            // Relay pending deliveries. Injections move the global minimum,
-            // and the driver knows their due times without another round
-            // trip.
-            let mut injected_min: Option<u64> = None;
-            for h in 0..self.slots.len() {
-                if self.slots[h].pending.is_empty() {
-                    continue;
-                }
-                let events = std::mem::take(&mut self.slots[h].pending);
-                let batch_min = events.iter().map(|e| e.at_us).min();
-                let relayed = events.len() as u64;
-                let billed: u64 = events.iter().map(|e| e.billed).sum();
-                let payload: u64 = events.iter().map(|e| e.payload.len() as u64).sum();
-                if self.send_to(h, &NetMsg::Inject { events }) {
-                    injected_min = min_opt(injected_min, batch_min);
-                    self.world.metrics().add(netkeys::EVENTS_RELAYED, relayed);
-                    self.world.metrics().add(netkeys::BILLED_BYTES, billed);
-                    self.world.metrics().add(netkeys::PAYLOAD_BYTES, payload);
-                } else {
-                    self.world.metrics().add(netkeys::HOST_DOWN_DROPS, relayed);
-                }
-            }
-            let mut m = injected_min;
-            for slot in &self.slots {
-                if !slot.failed {
-                    m = min_opt(m, slot.next_min);
-                }
-            }
+            let m = self
+                .slots
+                .iter()
+                .filter(|slot| !slot.failed)
+                .flat_map(|slot| slot.pending.iter().map(|e| e.at_us).chain(slot.next_min))
+                .min();
             let m = match m {
                 Some(m) if m <= target_us => m,
                 _ => break,
             };
-            self.run_window(window_end(m, self.lookahead_us, target_us));
+            self.run_window(window_end(m, self.lookahead_us, target_us), false);
             self.world.metrics().inc(netkeys::WINDOWS);
             if let Some(hook) = &mut self.on_window {
                 hook(self.world.metrics().counter(netkeys::WINDOWS));
             }
         }
         // Quiescent before the boundary: the window that ends just past it
-        // processes nothing and finalizes every clock at it.
-        self.run_window(target_us.saturating_add(1));
+        // processes nothing, finalizes every clock at it and hands over the
+        // deliveries still pending.
+        self.run_window(target_us.saturating_add(1), true);
     }
 
-    /// One lockstep window: every live host is sent the frame before any
-    /// reply is awaited, then every clock stands at the last instant of it.
-    /// The driver's own clock goes there first: a host that rejoins
-    /// restarted while the window is in flight is resumed where the others
-    /// will stand, not an instant they have already run past.
-    fn run_window(&mut self, end_us: u64) {
+    /// One lockstep window: every host with work in it — deliveries, or an
+    /// event before `end_us` — or, at a run boundary (`every`), every live
+    /// host, is sent its one frame before any reply is awaited. The driver's
+    /// own clock goes to the last instant of the window first: a host that
+    /// rejoins restarted while the window is in flight is resumed where the
+    /// others will stand, not an instant they have already run past.
+    fn run_window(&mut self, end_us: u64, every: bool) {
         self.world.advance_clock_to(end_us.saturating_sub(1));
         let mut running = Vec::with_capacity(self.slots.len());
         for h in 0..self.slots.len() {
-            if self.send_to(h, &NetMsg::RunWindow { end_us }) {
+            let slot = &mut self.slots[h];
+            let due = slot.next_min.is_some_and(|t| t < end_us);
+            if !every && !due && slot.pending.is_empty() {
+                continue;
+            }
+            let events = std::mem::take(&mut slot.pending);
+            let relayed = events.len() as u64;
+            let billed: u64 = events.iter().map(|e| e.billed).sum();
+            let payload: u64 = events.iter().map(|e| e.payload.len() as u64).sum();
+            let msg = if events.is_empty() {
+                NetMsg::RunWindow { end_us }
+            } else {
+                NetMsg::Inject { end_us, events }
+            };
+            if self.send_to(h, &msg) {
                 running.push(h);
+                self.world.metrics().add(netkeys::EVENTS_RELAYED, relayed);
+                self.world.metrics().add(netkeys::BILLED_BYTES, billed);
+                self.world.metrics().add(netkeys::PAYLOAD_BYTES, payload);
+            } else {
+                self.world.metrics().add(netkeys::HOST_DOWN_DROPS, relayed);
             }
         }
         for h in running {
             let _ = self.recv_reply(h, &Expect::WindowDone { end_us });
         }
+        debug_assert!(
+            self.slots.iter().all(|s| s.peer.retained_len() == 0),
+            "a window left a frame unacknowledged"
+        );
     }
 
     /// One synchronous RPC against a host; `None` if the host is failed
@@ -832,20 +850,18 @@ impl DriverStable for NetState {
     }
 }
 
-fn min_opt(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (x, None) | (None, x) => x,
-    }
-}
-
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
+    use crate::host::{HostExit, HostRuntime, ServeCtl};
+    use crate::proto::frame_msg;
+    use crate::scenarios::TRAVEL;
     use crate::transport::{ChannelAcceptor, Loopback};
 
     /// A host speaking the previous revision cannot read this one's frames,
@@ -869,5 +885,215 @@ mod tests {
             .expect("no host can join");
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert_eq!(recv_ctl(&mut host).unwrap(), None);
+    }
+
+    /// Every frame that crossed a tapped connection, in the driver's order:
+    /// `(host, sent by the driver, message)`.
+    type FrameLog = Arc<Mutex<Vec<(usize, bool, NetMsg)>>>;
+
+    /// The driver's end of one host connection, logging every frame.
+    struct Tap {
+        inner: Loopback,
+        host: usize,
+        log: FrameLog,
+    }
+
+    impl Tap {
+        fn note(&self, sent: bool, frame: &[u8]) -> io::Result<()> {
+            let msg = frame_msg(frame)?;
+            self.log.lock().unwrap().push((self.host, sent, msg));
+            Ok(())
+        }
+    }
+
+    impl Transport for Tap {
+        fn send(&mut self, frame: &[u8]) -> io::Result<()> {
+            self.note(true, frame)?;
+            self.inner.send(frame)
+        }
+
+        fn recv(&mut self) -> io::Result<Option<Vec<u8>>> {
+            let frame = self.inner.recv()?;
+            if let Some(frame) = &frame {
+                self.note(false, frame)?;
+            }
+            Ok(frame)
+        }
+
+        fn set_read_timeout(&mut self, d: Option<Duration>) -> io::Result<()> {
+            self.inner.set_read_timeout(d)
+        }
+    }
+
+    /// One window as the driver sent it: its end, every host's next minimum
+    /// as last reported when it was sent, and per host sent a frame
+    /// `(host, deliveries carried)`.
+    struct Sent {
+        end_us: u64,
+        next_min: Vec<Option<u64>>,
+        frames: Vec<(usize, usize)>,
+    }
+
+    /// Splits a frame log into windows: a window is a run of window frames
+    /// the driver sends with no reply or RPC between them. Every reply's
+    /// minimum is folded into `next_min`, as the driver folds it.
+    fn windows_of(log: &[(usize, bool, NetMsg)], next_min: &mut [Option<u64>]) -> Vec<Sent> {
+        let mut out: Vec<Sent> = Vec::new();
+        let mut open = false;
+        for (h, sent, msg) in log {
+            let window = match (sent, msg) {
+                (true, NetMsg::RunWindow { end_us }) => Some((*end_us, 0)),
+                (true, NetMsg::Inject { end_us, events }) => Some((*end_us, events.len())),
+                (false, NetMsg::Ready { next_min_us, .. })
+                | (false, NetMsg::WindowDone { next_min_us, .. }) => {
+                    next_min[*h] = *next_min_us;
+                    None
+                }
+                _ => None,
+            };
+            match window {
+                Some((end_us, events)) => {
+                    if !open {
+                        out.push(Sent {
+                            end_us,
+                            next_min: next_min.to_vec(),
+                            frames: Vec::new(),
+                        });
+                    }
+                    let w = out.last_mut().unwrap();
+                    assert_eq!(w.end_us, end_us, "one window, one end");
+                    w.frames.push((*h, events));
+                    open = true;
+                }
+                None => open = false,
+            }
+        }
+        out
+    }
+
+    /// A window goes only to the hosts with work in it — deliveries, or an
+    /// event before its end — as one frame each; the window that ends a run
+    /// goes to every host; between windows no session holds a frame its
+    /// host has not acknowledged; and the fleet still equals its in-process
+    /// control.
+    #[test]
+    fn a_window_goes_only_to_the_hosts_with_work_in_it() {
+        const HOSTS: usize = 2;
+        const SEED: u64 = 11;
+        const AGENTS: u32 = 4;
+        let deadline = SimDuration::from_secs(600);
+
+        let mut control = scenarios::builder(TRAVEL, SEED).unwrap().build();
+        let handles = control.launch_fleet(scenarios::fleet(TRAVEL, AGENTS).unwrap());
+        assert!(control.run_until_settled(&handles, deadline));
+        let control_reports: Vec<_> = handles.iter().map(|h| control.report(*h)).collect();
+
+        let log = FrameLog::default();
+        let (tx, acceptor) = ChannelAcceptor::new();
+        let hosts: Vec<_> = (0..HOSTS)
+            .map(|h| {
+                let (host_end, driver_end) = Loopback::pair();
+                let tap = Tap {
+                    inner: driver_end,
+                    host: h,
+                    log: log.clone(),
+                };
+                tx.send(Box::new(tap)).unwrap();
+                std::thread::spawn(move || {
+                    HostRuntime::new(h as u32, None, ServeCtl::default())
+                        .run_conn(Box::new(host_end))
+                })
+            })
+            .collect();
+        let cfg = NetCfg::new(
+            Endpoint::Unix("unbound.sock".into()),
+            HOSTS as u32,
+            TRAVEL,
+            SEED,
+        );
+        let mut p = NetPlatform::start_with(Box::new(acceptor), cfg).unwrap();
+        let handles = p.launch_fleet(scenarios::fleet(TRAVEL, AGENTS).unwrap());
+
+        // `run_until_settled`'s cadence, one run at a time.
+        let end = p.now() + deadline;
+        let mut next_min = [None; HOSTS];
+        let (mut counted, mut injects, mut relayed) = (0u64, 0u64, 0u64);
+        let mut skipped = [0u64; HOSTS];
+        p.drain_reports();
+        while !handles.iter().all(|h| p.core.is_completed(h.id())) {
+            assert!(p.now() < end, "the fleet did not settle");
+            p.run_for(SETTLE_TICK);
+            assert!(
+                p.net.slots.iter().all(|s| s.peer.retained_len() == 0),
+                "a run left a frame unacknowledged"
+            );
+            let frames: Vec<_> = std::mem::take(&mut *log.lock().unwrap());
+            let sent = windows_of(&frames, &mut next_min);
+            let (boundary, windows) = sent.split_last().expect("a run ends in a window");
+            assert_eq!(boundary.end_us, p.now().as_micros() + 1);
+            let mut reached: Vec<usize> = boundary.frames.iter().map(|f| f.0).collect();
+            reached.sort_unstable();
+            assert_eq!(
+                reached,
+                (0..HOSTS).collect::<Vec<_>>(),
+                "the boundary skipped a host"
+            );
+            for w in windows {
+                for (h, skipped) in skipped.iter_mut().enumerate() {
+                    let frames: Vec<_> = w.frames.iter().filter(|f| f.0 == h).collect();
+                    assert!(
+                        frames.len() <= 1,
+                        "host {h} got two frames ending {}",
+                        w.end_us
+                    );
+                    let due = w.next_min[h].is_some_and(|t| t < w.end_us);
+                    match frames.first() {
+                        Some(&&(_, events)) => {
+                            assert!(due || events > 0, "host {h} sent an idle window");
+                            injects += u64::from(events > 0);
+                            relayed += events as u64;
+                        }
+                        None => {
+                            assert!(!due, "host {h} skipped a window with work");
+                            *skipped += 1;
+                        }
+                    }
+                }
+            }
+            relayed += boundary.frames.iter().map(|f| f.1 as u64).sum::<u64>();
+            counted += windows.len() as u64;
+            p.drain_reports();
+        }
+        assert!(injects > 0, "no window carried deliveries");
+        assert!(
+            skipped.iter().all(|&n| n > 0),
+            "every window reached every host: {skipped:?} skipped of {counted}"
+        );
+
+        let reports: Vec<_> = handles.iter().map(|h| p.report(*h)).collect();
+        assert_eq!(reports, control_reports, "reports diverged");
+        assert_eq!(
+            p.money_audit(&[]),
+            control.money_audit(&[]),
+            "money diverged"
+        );
+        let snap = p.snapshot();
+        assert_eq!(snap.counters[netkeys::WINDOWS], counted);
+        assert_eq!(snap.counters[netkeys::EVENTS_RELAYED], relayed);
+        let kernel = |c: &BTreeMap<String, u64>| -> BTreeMap<String, u64> {
+            c.iter()
+                .filter(|(k, _)| !netkeys::is_transport_diag(k))
+                .map(|(k, v)| (k.clone(), *v))
+                .collect()
+        };
+        assert_eq!(
+            kernel(&snap.counters),
+            kernel(&control.snapshot().counters),
+            "kernel counters diverged"
+        );
+        p.shutdown();
+        for host in hosts {
+            assert_eq!(host.join().unwrap().unwrap(), HostExit::Shutdown);
+        }
     }
 }

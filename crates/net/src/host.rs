@@ -4,11 +4,13 @@
 //! A host owns a subset of the world's nodes. It builds the **whole**
 //! world (every node id, so random streams and event keys match every
 //! other process), installs services only on its owned slice, marks the
-//! rest remote, and then obeys the driver: inject diverted deliveries, run
-//! conservative windows, answer stable-storage RPCs at quiescent points.
-//! The host never invents time — every clock advance is a driver message,
-//! which is what keeps the distributed schedule bit-identical to the
-//! single-process one.
+//! rest remote, and then obeys the driver: run conservative windows (each
+//! frame may carry diverted deliveries to inject first), answer
+//! stable-storage RPCs at quiescent points. The host never invents time —
+//! its clock moves only at a driver frame, which is what keeps the
+//! distributed schedule bit-identical to the single-process one. A window
+//! in which the host has nothing due is not sent to it: its clock catches
+//! up at its next frame, and nothing it runs depends on the gap.
 //!
 //! # Living through failures
 //!
@@ -375,19 +377,13 @@ pub fn serve_ctl<T: Transport>(
         };
         last_frame = Instant::now();
         match msg {
-            Some(NetMsg::Inject { events }) => {
+            Some(NetMsg::Inject { end_us, events }) => {
                 for ev in events {
                     world.inject_remote(ev);
                 }
+                run_window(peer, world, end_us)?;
             }
-            Some(NetMsg::RunWindow { end_us }) => {
-                world.run_window(end_us);
-                peer.send(&NetMsg::WindowDone {
-                    end_us,
-                    egress: world.take_remote_egress(),
-                    next_min_us: world.local_min_us(),
-                })?;
-            }
+            Some(NetMsg::RunWindow { end_us }) => run_window(peer, world, end_us)?,
             Some(NetMsg::Rpc { id, op }) => {
                 let reply = apply_rpc(world, op);
                 peer.send(&NetMsg::RpcReply { id, reply })?;
@@ -399,6 +395,17 @@ pub fn serve_ctl<T: Transport>(
             None => return Ok(HostExit::Disconnected),
         }
     }
+}
+
+/// Runs one window and answers it with the window's egress and the
+/// host's next minimum.
+fn run_window<T: Transport>(peer: &mut Peer<T>, world: &mut World, end_us: u64) -> io::Result<()> {
+    world.run_window(end_us);
+    peer.send(&NetMsg::WindowDone {
+        end_us,
+        egress: world.take_remote_egress(),
+        next_min_us: world.local_min_us(),
+    })
 }
 
 /// Executes one driver RPC against the local world.

@@ -52,8 +52,11 @@ use crate::transport::Transport;
 /// each instead of one tagged varint per byte. Revision 5 carries the step
 /// commit in which the last participant decides: a mole's `Tx` message has
 /// a tally, its `Prepare` a `decide` flag, and a `Decision` or `Query` may
-/// go either way between coordinator and participant.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// go either way between coordinator and participant. Revision 6 carries a
+/// window's deliveries on its one frame: [`NetMsg::Inject`] names the window
+/// end and is answered by [`NetMsg::WindowDone`], and a host with nothing
+/// due in a window is sent no frame for it.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Messages exchanged between the driver and a node host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,23 +104,27 @@ pub enum NetMsg {
         /// Earliest pending local event, microseconds.
         next_min_us: Option<u64>,
     },
-    /// Driver → host: deliveries destined to this host's nodes. Sent
-    /// before the window that may process them; per-connection ordering is
-    /// the window barrier.
+    /// Driver → host: a window with deliveries. The host injects the
+    /// deliveries destined to its nodes, then runs as for
+    /// [`NetMsg::RunWindow`] with the same `end_us`, and answers with one
+    /// [`NetMsg::WindowDone`].
     Inject {
+        /// Exclusive window end, microseconds.
+        end_us: u64,
         /// The deliveries, keys included.
         events: Vec<RemoteEvent>,
     },
-    /// Driver → host: process every event strictly before `end_us`. A run
-    /// boundary `t` is the window ending at `t + 1` sent when nothing is due:
-    /// it processes no event and leaves the host's clock at `t`.
+    /// Driver → host: a window without deliveries; process every event
+    /// strictly before `end_us`. A run boundary `t` is the window ending at
+    /// `t + 1` sent when nothing is due: it processes no event and leaves the
+    /// host's clock at `t`.
     RunWindow {
         /// Exclusive window end, microseconds.
         end_us: u64,
     },
     /// Host → driver when the window is done.
     WindowDone {
-        /// Echo of the [`NetMsg::RunWindow`] `end_us` this answers — the
+        /// Echo of the window frame's `end_us` this answers — the
         /// driver pairs replies by it. `0` marks an **unsolicited** flush
         /// (a gracefully terminating host handing over its last egress and
         /// minimum); real window ends are always ≥ 1.
@@ -228,6 +235,13 @@ fn decode_envelope(frame: &[u8]) -> io::Result<Envelope> {
         ));
     }
     Ok(env)
+}
+
+/// The message a frame carries, control or session alike: what a test's
+/// tap on a connection reads.
+#[cfg(test)]
+pub(crate) fn frame_msg(frame: &[u8]) -> io::Result<NetMsg> {
+    decode_envelope(frame).map(|env| env.msg)
 }
 
 /// Sends one **control frame** (sequence 0, not retained) on a raw
@@ -484,6 +498,7 @@ mod tests {
                 resume_ok: true,
             },
             NetMsg::Inject {
+                end_us: 41,
                 events: vec![RemoteEvent {
                     at_us: 40,
                     origin: 2,
@@ -526,6 +541,7 @@ mod tests {
         };
         for msg in [
             NetMsg::Inject {
+                end_us: 1_000_001,
                 events: vec![event.clone()],
             },
             NetMsg::WindowDone {
