@@ -1,6 +1,7 @@
 //! Benchmark scenarios shared by the micro/macro benches and the experiment
 //! report binary. Everything here is deterministic per seed.
 
+pub mod experiments;
 pub mod harness;
 
 use mar_core::{LoggingMode, RollbackMode, RollbackScope};

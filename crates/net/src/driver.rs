@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 
 use mar_core::AgentId;
 use mar_platform::{audit_wallets, AgentHandle, AgentReport, AgentSpec, DriverCore, DriverStable};
-use mar_simnet::{window_end, MetricsSnapshot, NodeId, RemoteEvent, SimDuration, World};
+use mar_simnet::{window_end, Counter, MetricsSnapshot, NodeId, RemoteEvent, SimDuration, World};
 use mar_wire::Bytes;
 
 use crate::proto::{
@@ -81,55 +81,15 @@ use crate::proto::{
 use crate::scenarios;
 use crate::transport::{Accept, Endpoint, Listener, Transport};
 
-/// Transport-diagnostic metric names, recorded on the driver's meter.
-/// These exist **only** in distributed runs; every other counter must sum
-/// (across hosts plus driver) to the single-process control's value.
+/// Transport-diagnostic metric names: the net driver's section of the
+/// counter table.
 pub mod netkeys {
-    /// Protocol frames sent by the driver (replays included).
-    pub const FRAMES_SENT: &str = "net.frames_sent";
-    /// Protocol frames received by the driver (duplicates excluded).
-    pub const FRAMES_RECEIVED: &str = "net.frames_received";
-    /// Simulation deliveries relayed between processes.
-    pub const EVENTS_RELAYED: &str = "net.events_relayed";
-    /// Simulator-billed bytes of relayed deliveries — the byte count the
-    /// schedule and `net.bytes_sent` accounting already charged.
-    pub const BILLED_BYTES: &str = "net.billed_bytes";
-    /// Actual payload bytes of relayed deliveries as shipped in frames
-    /// (≤ billed when reference compression trimmed a payload after
-    /// billing).
-    pub const PAYLOAD_BYTES: &str = "net.payload_bytes";
-    /// Lockstep windows executed.
-    pub const WINDOWS: &str = "net.windows";
-    /// Deliveries dropped because the owning host was down.
-    pub const HOST_DOWN_DROPS: &str = "net.host_down_drops";
-    /// Host re-handshakes after a connection died (resumed or fresh).
-    pub const RECONNECTS: &str = "net.reconnects";
-    /// Re-handshakes that opened a **fresh** session: the host process was
-    /// restarted and recovered from its WAL.
-    pub const RESTARTS: &str = "net.restarts";
-    /// Re-handshakes that **resumed** the existing session: a connection
-    /// outage healed with no simulation-visible effect.
-    pub const PARTITIONS_HEALED: &str = "net.partitions_healed";
-    /// Hosts declared permanently failed after `down_grace` expired.
-    pub const SUPERVISOR_GAVE_UP: &str = "net.supervisor_gave_up";
+    pub use mar_simnet::net_metric_keys::*;
 
-    /// Whether `key` is one of the transport diagnostics above (excluded
-    /// from distributed-vs-control counter comparisons).
+    /// Whether `key` is one of the transport diagnostics (excluded from
+    /// distributed-vs-control counter comparisons).
     pub fn is_transport_diag(key: &str) -> bool {
-        [
-            FRAMES_SENT,
-            FRAMES_RECEIVED,
-            EVENTS_RELAYED,
-            BILLED_BYTES,
-            PAYLOAD_BYTES,
-            WINDOWS,
-            HOST_DOWN_DROPS,
-            RECONNECTS,
-            RESTARTS,
-            PARTITIONS_HEALED,
-            SUPERVISOR_GAVE_UP,
-        ]
-        .contains(&key)
+        ALL.iter().any(|c| c.name() == key)
     }
 }
 
@@ -845,7 +805,7 @@ impl DriverStable for NetState {
         );
     }
 
-    fn metric_inc(&mut self, key: &'static str) {
+    fn metric_inc(&mut self, key: Counter) {
         self.world.metrics().inc(key);
     }
 }
@@ -1078,8 +1038,8 @@ mod tests {
             "money diverged"
         );
         let snap = p.snapshot();
-        assert_eq!(snap.counters[netkeys::WINDOWS], counted);
-        assert_eq!(snap.counters[netkeys::EVENTS_RELAYED], relayed);
+        assert_eq!(snap.counters[netkeys::WINDOWS.name()], counted);
+        assert_eq!(snap.counters[netkeys::EVENTS_RELAYED.name()], relayed);
         let kernel = |c: &BTreeMap<String, u64>| -> BTreeMap<String, u64> {
             c.iter()
                 .filter(|(k, _)| !netkeys::is_transport_diag(k))

@@ -87,10 +87,10 @@ fn assert_equivalent(
     // carry exactly their simulator-billed cost, so the relay subset can
     // never exceed what the kernel billed in total.
     let c = |k: &str| dist.2.counters.get(k).copied().unwrap_or(0);
-    assert!(c(netkeys::EVENTS_RELAYED) > 0);
-    assert!(c(netkeys::WINDOWS) > 0);
-    assert!(c(netkeys::BILLED_BYTES) > 0);
-    assert!(c(netkeys::BILLED_BYTES) <= c("net.bytes_sent"));
+    assert!(c(netkeys::EVENTS_RELAYED.name()) > 0);
+    assert!(c(netkeys::WINDOWS.name()) > 0);
+    assert!(c(netkeys::BILLED_BYTES.name()) > 0);
+    assert!(c(netkeys::BILLED_BYTES.name()) <= c("net.bytes_sent"));
 }
 
 fn uds_path(tag: &str) -> PathBuf {

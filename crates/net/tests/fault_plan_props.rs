@@ -176,8 +176,8 @@ fn assert_byte_identical(faulted: &RunOutput) {
         "kernel metric counters diverged"
     );
     // No process died, so nothing may look like a restart or a give-up.
-    assert_eq!(counter(&faulted.2, netkeys::RESTARTS), 0);
-    assert_eq!(counter(&faulted.2, netkeys::SUPERVISOR_GAVE_UP), 0);
+    assert_eq!(counter(&faulted.2, netkeys::RESTARTS.name()), 0);
+    assert_eq!(counter(&faulted.2, netkeys::SUPERVISOR_GAVE_UP.name()), 0);
 }
 
 fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
@@ -229,11 +229,11 @@ fn scripted_partitions_heal_and_stay_byte_identical() {
     let eaten: u64 = stats.iter().map(|s| s.partition_drops).sum();
     assert!(eaten > 0, "partitions never ate a frame: {stats:?}");
     assert!(
-        counter(&out.2, netkeys::RECONNECTS) > 0,
+        counter(&out.2, netkeys::RECONNECTS.name()) > 0,
         "partition recovery must reconnect"
     );
     assert!(
-        counter(&out.2, netkeys::PARTITIONS_HEALED) > 0,
+        counter(&out.2, netkeys::PARTITIONS_HEALED.name()) > 0,
         "resumed sessions must be counted as healed partitions"
     );
 }
@@ -269,8 +269,8 @@ fn scripted_kill_recovers_from_wal_in_process() {
     assert_eq!(brief(&control.0), brief(&out.0), "outcomes diverged");
     assert_eq!(control.1, out.1, "money audit diverged");
     assert!(
-        counter(&out.2, netkeys::RESTARTS) >= 1,
+        counter(&out.2, netkeys::RESTARTS.name()) >= 1,
         "a fresh session after process death must be counted as a restart"
     );
-    assert_eq!(counter(&out.2, netkeys::SUPERVISOR_GAVE_UP), 0);
+    assert_eq!(counter(&out.2, netkeys::SUPERVISOR_GAVE_UP.name()), 0);
 }

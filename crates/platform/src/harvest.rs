@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mar_core::{AgentId, AgentRecord, DataSpace};
-use mar_simnet::{Address, NodeId, World};
+use mar_simnet::{Address, Counter, NodeId, World};
 
 use crate::driver::AgentHandle;
 use crate::lru::Lru;
@@ -45,7 +45,7 @@ pub trait DriverStable {
     /// [`delete`](DriverStable::delete) returns.
     fn commit_deletes(&mut self) {}
     /// Increments a `driver.*` metric by one on the driver's own meter.
-    fn metric_inc(&mut self, key: &'static str);
+    fn metric_inc(&mut self, key: Counter);
 }
 
 /// A driver's deletes join one open batch per node they touch, and
@@ -74,7 +74,7 @@ impl DriverStable for World {
         }
     }
 
-    fn metric_inc(&mut self, key: &'static str) {
+    fn metric_inc(&mut self, key: Counter) {
         self.metrics().inc(key);
     }
 }

@@ -109,132 +109,8 @@ pub(crate) const OUTBOX_PREFIX: &str = "report-outbox/";
 /// (and deleted) by the driving [`Platform`](crate::Platform).
 pub(crate) const MBOX_PREFIX: &str = "mbox/";
 
-/// Platform metric names.
-pub mod keys {
-    /// Agents accepted for execution.
-    pub const AGENT_LAUNCHED: &str = "agent.launched";
-    /// Agents whose itinerary completed.
-    pub const AGENT_COMPLETED: &str = "agent.completed";
-    /// Agents that gave up.
-    pub const AGENT_FAILED: &str = "agent.failed";
-    /// Agent transfers during forward execution.
-    pub const TRANSFERS_FORWARD: &str = "agent.transfers.forward";
-    /// Agent transfers during rollback (the §4.4.1 optimization target).
-    pub const TRANSFERS_ROLLBACK: &str = "agent.transfers.rollback";
-    /// Bytes of agent records moved forward.
-    pub const TRANSFER_BYTES_FORWARD: &str = "agent.transfer_bytes.forward";
-    /// Bytes of agent records moved during rollback.
-    pub const TRANSFER_BYTES_ROLLBACK: &str = "agent.transfer_bytes.rollback";
-    /// Step transactions committed.
-    pub const STEPS_COMMITTED: &str = "steps.committed";
-    /// Step transactions aborted for transient reasons (lock conflicts).
-    pub const STEPS_ABORTED: &str = "steps.aborted_transient";
-    /// Rollbacks initiated.
-    pub const ROLLBACK_STARTED: &str = "rollback.started";
-    /// Rollbacks that reached their savepoint.
-    pub const ROLLBACK_COMPLETED: &str = "rollback.completed";
-    /// Compensation rounds committed — one per compensated step, whether
-    /// or not several were fused into one transaction (so the count stays
-    /// comparable with unbatched runs).
-    pub const ROLLBACK_ROUNDS: &str = "rollback.rounds";
-    /// Batched compensation transactions committed (each is one 2PC; fuses
-    /// one or more rounds).
-    pub const ROLLBACK_BATCHED_ROUNDS: &str = "rollback.batched_rounds";
-    /// Compensation transactions (and their 2PCs) saved by fusion:
-    /// `rounds - batched_rounds`, accumulated per batch.
-    pub const ROLLBACK_ROUNDS_SAVED: &str = "rollback.rounds_saved";
-    /// Prepared RCE lists that failed when redone after a crash although
-    /// the decision was commit (the heuristic-damage corner of 2PC).
-    pub const ROLLBACK_REDO_FAILED: &str = "rollback.redo_failed";
-    /// RCE lists shipped to resource nodes (optimized mode).
-    pub const RCE_SHIPPED: &str = "rollback.rce_shipped";
-    /// Bytes of shipped RCE lists.
-    pub const RCE_BYTES: &str = "rollback.rce_bytes";
-    /// Compensating operations executed.
-    pub const COMP_OPS: &str = "comp.ops";
-    /// Transient compensation failures (retried).
-    pub const COMP_TRANSIENT: &str = "comp.failures_transient";
-    /// Permanent compensation failures (agent fails).
-    pub const COMP_PERMANENT: &str = "comp.failures_permanent";
-    /// Resource delta records deleted because a fresh base image, written
-    /// by the same commit, contains them.
-    pub const RM_DELTAS_FOLDED: &str = "rm.deltas_folded";
-    /// Whole-log discards at top-level sub-itinerary completion.
-    pub const LOG_DISCARDS: &str = "log.discards";
-    /// Bytes freed by log discards.
-    pub const LOG_DISCARD_BYTES: &str = "log.discard_bytes";
-    /// Savepoint entries removed when sub-itineraries completed.
-    pub const SAVEPOINTS_REMOVED: &str = "log.savepoints_removed";
-    /// Pre-transfer log compaction passes that rewrote at least one
-    /// savepoint payload.
-    pub const LOG_COMPACTIONS: &str = "log.compactions";
-    /// Pre-transfer compaction passes skipped because the log was clean
-    /// since its last pass or the cost model said the CPU time cannot pay
-    /// for the bytes saved.
-    pub const LOG_COMPACTIONS_SKIPPED: &str = "log.compactions_skipped";
-    /// Bytes shaved off rollback logs by pre-transfer compaction.
-    pub const LOG_COMPACTION_SAVED_BYTES: &str = "log.compaction_saved_bytes";
-    /// Transactions committed: counted where each commits — at its
-    /// coordinator when it has no remote branch, at the participant that
-    /// decides otherwise ([`Tally`](crate::Tally) holds the rest of what a
-    /// commit counts).
-    pub const TXN_COMMITTED: &str = "txn.committed";
-    /// Distributed transactions aborted at this coordinator.
-    pub const TXN_ABORTED: &str = "txn.aborted";
-    /// Report retransmissions from a completing node's stable outbox (the
-    /// home node's ack was lost or late).
-    pub const REPORT_RETRANSMITS: &str = "report.retransmits";
-    /// Completion events consumed from driver mailboxes — one per finished
-    /// agent, however long the run.
-    pub const DRIVER_MBOX_EVENTS: &str = "driver.mbox_events";
-    /// Driver passes over home-node mailboxes (each is one bounded prefix
-    /// probe, not a store walk).
-    pub const DRIVER_MBOX_SCANS: &str = "driver.mbox_scans";
-    /// Finished-agent artifacts garbage-collected after the driver drained
-    /// the report: the home `report/<id>` copy, the completing node's
-    /// `done/<id>` record and its outbox entry — one increment per agent.
-    pub const DRIVER_REPORTS_GC: &str = "driver.reports_gc";
-    /// Cached reports dropped by the driver's LRU cap
-    /// ([`PlatformBuilder::report_cache_cap`](crate::PlatformBuilder::report_cache_cap));
-    /// a non-zero value means some finished agents' reports are no longer
-    /// retrievable from memory.
-    pub const DRIVER_REPORTS_EVICTED: &str = "driver.reports_evicted";
-    /// Queue items served from the node's volatile resident-record cache —
-    /// steps that decoded nothing at all.
-    pub const RESIDENT_HITS: &str = "resident.hits";
-    /// Queue items parsed from stable bytes (cache cold, disabled, or the
-    /// agent just arrived / retried).
-    pub const RESIDENT_MISSES: &str = "resident.misses";
-    /// Itinerary intern-table lookups that found the content hash already
-    /// interned (a parsed record adopting the shared decode, or an inbound
-    /// reference resolving).
-    pub const ITINERARY_CACHE_HITS: &str = "itinerary.cache_hits";
-    /// Intern-table lookups that came up empty: a newly interned itinerary,
-    /// or an inbound reference this node could not resolve (NACKed).
-    pub const ITINERARY_CACHE_MISSES: &str = "itinerary.cache_misses";
-    /// Inline retransmits of a `Prepare` after a receiver NACKed its
-    /// itinerary reference ([`MoleMsg::ItineraryMiss`](crate::MoleMsg::ItineraryMiss)).
-    pub const ITINERARY_REFETCHES: &str = "itinerary.refetches";
-    /// Interned itineraries dropped by the intern table's capacity bound.
-    pub const ITINERARY_EVICTIONS: &str = "itinerary.evictions";
-    /// `Prepare` messages that shipped the agent record with its itinerary
-    /// replaced by a content-hash reference frame.
-    pub const ITINERARY_REF_TRANSFERS: &str = "itinerary.ref_transfers";
-    /// Wire bytes the reference form saved versus the inline encoding of
-    /// the same message (the schedule is still billed at the inline size;
-    /// this counter is where the real savings surface).
-    pub const ITINERARY_WIRE_BYTES_SAVED: &str = "itinerary.wire_bytes_saved";
-    /// Actual wire bytes of `Prepare` messages carrying an agent record
-    /// (reference-compressed or not) — the denominator of the
-    /// migration-byte reduction.
-    pub const ITINERARY_MIGRATION_BYTES: &str = "itinerary.migration_bytes";
-    /// Stored resource base images and delta records that recovery could
-    /// not restore (the manager stays at the state before the first one).
-    pub const RECOVERY_RM_RECORDS_REFUSED: &str = "recovery.rm_records_refused";
-    /// Prepared entries that did not read back as what this node stored: one
-    /// that does not decode, or whose stub names a queue key that is gone.
-    pub const RECOVERY_PREPARED_REFUSED: &str = "recovery.prepared_refused";
-}
+/// Platform metric names: the node runtime's section of the counter table.
+pub use mar_simnet::platform_metric_keys as keys;
 
 /// The switches of a node runtime — each has a [`PlatformBuilder`](crate::PlatformBuilder)
 /// setter with a caller; timings, the retry policy, the link cost model and

@@ -1,7 +1,7 @@
 //! Platform wire messages and agent reports.
 
 use mar_core::{AgentId, AgentRecord};
-use mar_simnet::NodeId;
+use mar_simnet::{Counter, NodeId};
 use mar_txn::TxMsg;
 use mar_wire::FieldCursor;
 use serde::{Deserialize, Serialize};
@@ -80,7 +80,7 @@ impl MoleMsg {
 }
 
 /// A counter a transaction adds to when it commits; [`Tally::key`] is its
-/// metric name. A transaction's commit counts its tallies once: at its
+/// handle. A transaction's commit counts its tallies once: at its
 /// coordinator when it commits there alone, at the participant that decides
 /// otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -105,7 +105,7 @@ pub enum Tally {
 
 impl Tally {
     /// The metric the tally adds to.
-    pub fn key(self) -> &'static str {
+    pub fn key(self) -> Counter {
         use crate::mole::keys;
         match self {
             Tally::StepsCommitted => keys::STEPS_COMMITTED,

@@ -214,7 +214,7 @@ pub fn stable_dump(p: &Platform) -> Vec<BTreeMap<String, Vec<u8>>> {
 /// Counters whose values legitimately depend on the engine (sequential vs
 /// windowed) rather than on the simulated scenario.
 pub fn strip_engine_counters(mut counters: BTreeMap<String, u64>) -> BTreeMap<String, u64> {
-    counters.remove(mar_simnet::metric_keys::WINDOWS);
+    counters.remove(mar_simnet::metric_keys::WINDOWS.name());
     counters
 }
 

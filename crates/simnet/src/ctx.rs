@@ -4,7 +4,7 @@
 //! and deterministic randomness, and buffers outgoing effects (messages,
 //! timers) which the kernel applies after the callback returns.
 
-use crate::metrics::{keys, Metrics};
+use crate::metrics::{kernel as keys, Metrics};
 use crate::node::{Address, NodeId};
 use crate::rng::SimRng;
 use crate::stable::StableStore;
@@ -67,7 +67,7 @@ impl Ctx<'_> {
         self.rng
     }
 
-    /// Metrics registry for custom counters.
+    /// The registry this callback counts into, by [`Counter`](crate::Counter).
     pub fn metrics(&self) -> &Metrics {
         self.metrics
     }

@@ -112,7 +112,7 @@ impl FailurePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::keys;
+    use crate::metrics::kernel as keys;
     use crate::world::WorldConfig;
 
     fn world_with_nodes(n: u32, seed: u64) -> World {

@@ -63,7 +63,8 @@ mod world;
 
 pub use ctx::Ctx;
 pub use failure::FailurePlan;
-pub use metrics::{keys as metric_keys, Metrics, MetricsSnapshot};
+pub use metrics::{kernel as metric_keys, Counter, Metrics, MetricsSnapshot};
+pub use metrics::{net as net_metric_keys, platform as platform_metric_keys};
 pub use net::{LatencyModel, Network, MSG_OVERHEAD_BYTES};
 pub use node::{Address, NodeId, Service, ServiceFactory};
 pub use remote::{intern_service_name, RemoteEvent};

@@ -72,7 +72,7 @@ use mar_wire::Bytes;
 
 use crate::ctx::{Command, Ctx};
 use crate::event::{Event, EventKey, EventQueue, DRIVER_ORIGIN};
-use crate::metrics::{keys, Metrics, MetricsSnapshot};
+use crate::metrics::{kernel as keys, Metrics, MetricsSnapshot};
 use crate::net::{LatencyModel, Network};
 use crate::node::{Address, NodeId, NodeSlot, Service};
 use crate::remote::RemoteEvent;
@@ -617,7 +617,7 @@ impl World {
                 queue: EventQueue::new(),
                 slots: Vec::new(),
                 net: net.clone(),
-                metrics: Metrics::new(),
+                metrics: Metrics::default(),
                 trace: Trace::new(cfg.trace, TRACE_CAP),
                 trace_buf: Vec::new(),
                 outbox: Vec::new(),
@@ -634,7 +634,7 @@ impl World {
             net_dirty: false,
             driver_rng: SimRng::seed_from(cfg.seed),
             driver_seq: 0,
-            metrics: Metrics::new(),
+            metrics: Metrics::default(),
             trace: Trace::new(cfg.trace, TRACE_CAP),
             seed: cfg.seed,
             stable_factory: cfg.stable,
@@ -974,8 +974,8 @@ impl World {
         any.downcast_ref::<T>()
     }
 
-    /// The metrics registry. Recording takes `&self`, so read-only probe
-    /// paths can count their own work.
+    /// The registry every shard's counts fold into, by [`Counter`](crate::Counter).
+    /// Recording takes `&self`, so read-only probe paths count their work.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -1691,7 +1691,7 @@ mod tests {
     /// Counters that describe the execution engine rather than the
     /// simulated protocol; they may differ between engines.
     fn strip_engine_counters(m: &mut MetricsSnapshot) {
-        m.counters.remove(keys::WINDOWS);
+        m.counters.remove(keys::WINDOWS.name());
     }
 
     #[test]
