@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the workspace. Runs the formatter check, clippy with warnings
 # denied, the rustdoc gate (broken intra-doc links and missing docs fail the
-# build), tier-1 verify (release build + tests of every crate, each once), and — when
-# invoked with --bench — the benches that refresh BENCH_log.json /
-# BENCH_macro.json. What decides a performance change is benchmark/.
+# build), tier-1 verify (release build + tests of every crate, each once), the
+# suites whose failure shows only in the release profile, the experiment tables
+# and the example and real-process smoke stages. What decides a performance
+# change is benchmark/.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -43,7 +44,8 @@ cargo test -q --release -p mar-txn --test twopc_sim --test store_model_props
 # And the two record suites: release compiles out the cross-check of a sealed
 # log's savepoint bytes in `ResidentLog::materialize`, so the properties are
 # what holds the number there, and the allocator calls of a hop that cannot
-# pay for a compaction pass are counted in the profile the benchmark runs.
+# pay for a compaction pass, of a lazy parse, a spliced encode and savepoint
+# removal are counted in the profile the benchmark runs.
 # With them the batch planner's suite: the planners are generic over the
 # record they run on, and release is the profile the benchmark measures.
 cargo test -q --release -p mar-core --test resident_record_props --test record_reader_props \
@@ -56,12 +58,16 @@ cargo test -q --release -p mar-net --test hostile_frames --test distributed_equi
 # plans drop a host's volatile state and rebuild it from its WAL files, whose
 # barriers reach the device only at the kernel's output-commit syncs.
 cargo test -q --release -p mar-net --test fault_plan_props
+# The sharded kernel's one wall-clock floor: 4 shards at least halve the
+# critical path of a 1000-agent fleet. A timing of optimised code, so it is
+# ignored in debug and runs here.
+cargo test -q --release -p mar-bench --test shard_floor
 # The canonical benchmark's own suite (smoke run, closed-form step and money
 # checks, seed reproducibility): a core change that trips the benchmark's
 # output checks fails here and not in the pipeline.
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "==> paper experiment stage: every report table (E1–E10), release"
+echo "==> paper experiment stage: every report table (E1–E12), release"
 # Every experiment end to end in the profile the benchmark measures, held to
 # EXPERIMENTS.md byte for byte: a panic or a moved number fails here.
 cargo test -q --release -p mar-bench --test experiments
@@ -168,13 +174,5 @@ if [[ "$chaos_ok" != 1 ]] || ! grep -q '^settled=true$' "$chaos_dir/fleet.out" \
 fi
 echo "    $(grep '^mar-fleet: driver exit' "$chaos_dir/fleet.err" | head -1)"
 rm -rf "$chaos_dir"
-
-if [[ "${1:-}" == "--bench" ]]; then
-    echo "==> cargo bench -p mar-bench (writes BENCH_log.json / BENCH_macro.json)"
-    # An arm that measures a number with a floor asserts it itself (the
-    # 4-shard critical-path speedup stays >= 2x), so a failed floor fails
-    # this stage.
-    cargo bench -p mar-bench
-fi
 
 echo "ci: all green"

@@ -1,8 +1,8 @@
-//! Benchmark scenarios shared by the micro/macro benches and the experiment
-//! report binary. Everything here is deterministic per seed.
+//! Benchmark scenarios shared by the experiment tables (`EXPERIMENTS.md`,
+//! printed by the `report` binary) and the tests of this crate. Everything
+//! here is deterministic per seed.
 
 pub mod experiments;
-pub mod harness;
 
 use mar_core::{LoggingMode, RollbackMode, RollbackScope};
 use mar_itinerary::{Itinerary, ItineraryBuilder};
@@ -54,8 +54,8 @@ impl AgentBehavior for BenchAgent {
             "noop" => Ok(StepDecision::Continue),
             "rce" | "rcesp" => {
                 // Typed op: forward transfer + derived RCE in one call
-                // (byte-identical log frame to the raw pair, so the bench
-                // baselines stay comparable).
+                // (byte-identical log frame to the raw pair, so the
+                // experiment tables stay comparable).
                 ctx.invoke(&Transfer::new("ledger", "reserve", "sink", 5))?;
                 if base == "rcesp" {
                     ctx.request_savepoint();
@@ -104,14 +104,14 @@ pub struct Scenario {
     pub steps: Vec<(StepKind, u32)>,
     /// Network latency model.
     pub latency: LatencyModel,
-    /// Compact the rollback log before every remote transfer (the
-    /// `agent.transfer_bytes.*` experiment toggle).
+    /// Compact the rollback log before every remote transfer (table E11's
+    /// toggle).
     pub compact: bool,
     /// Fuse same-destination compensation rounds into one transaction (the
     /// batched-vs-unbatched experiment toggle).
     pub batch: bool,
     /// Keep decoded agent records resident in volatile node memory between
-    /// same-node steps (the `resident/*` toggle; platform default is on).
+    /// same-node steps (table E12's toggle; platform default is on).
     pub resident_cache: bool,
     /// Stable-storage backend every node is built with (the default is the
     /// reference in-memory model).
@@ -196,8 +196,7 @@ impl Scenario {
         }
     }
 
-    /// The batching scenario (`batching/*` in the macro bench; table E10 in
-    /// the `report` binary): `depth` resource steps in *runs* of `run_len`
+    /// The batching scenario (table E10): `depth` resource steps in *runs* of `run_len`
     /// consecutive steps on the same node (cycling through the nodes run
     /// by run), then one rollback of the whole sub. Unbatched, the
     /// rollback commits one compensation transaction (one 2PC) per step;
@@ -233,7 +232,7 @@ impl Scenario {
         self
     }
 
-    /// Toggles the per-node resident-record cache (`resident/*` control arm).
+    /// Toggles the per-node resident-record cache (table E12's control arm).
     pub fn with_resident_cache(mut self, on: bool) -> Scenario {
         self.resident_cache = on;
         self
@@ -377,7 +376,7 @@ impl Scenario {
     }
 }
 
-/// The fleet scenario (`fleet_shards/*`, `resident/fleet100`): `agents`
+/// The fleet scenario (the 4-shard floor of `tests/shard_floor.rs`): `agents`
 /// agents, each walking `steps` ledger-transfer steps round-robin over the
 /// resource nodes, all launched in one [`Platform::launch_fleet`] call and
 /// settled through the home-node driver mailboxes. The stats expose the driver-cost counters
@@ -393,9 +392,6 @@ pub struct FleetScenario {
     pub steps: usize,
     /// World seed.
     pub seed: u64,
-    /// Keep decoded agent records resident between same-node steps (the
-    /// `resident/*` toggle; platform default is on).
-    pub resident_cache: bool,
     /// Worker-thread shards the simulated nodes are partitioned across
     /// (1 = the sequential engine).
     pub shards: usize,
@@ -411,7 +407,6 @@ impl FleetScenario {
     pub fn start(&self) -> (Platform, Vec<AgentHandle>) {
         let mut b = PlatformBuilder::new(self.nodes as usize)
             .seed(self.seed)
-            .resident_cache(self.resident_cache)
             .shards(self.shards)
             .behavior("bench", BenchAgent);
         for n in 1..self.nodes {
@@ -504,7 +499,7 @@ pub struct FleetStats {
     pub metrics: MetricsSnapshot,
 }
 
-/// The itinerary-interning scenario (`itinerary/*`): `agents`
+/// The itinerary-interning scenario (table E12): `agents`
 /// agents all walking the *same* itinerary — `laps` cycles over the
 /// resource nodes, step names padded with `name_pad` bytes so the
 /// itinerary dominates every migration — with content-addressed interning
@@ -688,7 +683,6 @@ mod tests {
             nodes: 4,
             steps: 2,
             seed: 23,
-            resident_cache: true,
             shards: 1,
             home_spread: false,
         }
@@ -749,7 +743,7 @@ mod tests {
 
     #[test]
     fn batching_cuts_compensation_transactions_at_equal_final_state() {
-        // (depth, run length, seed); the second is the `batching/*` bench input.
+        // (depth, run length, seed); the second is E10's run length 8.
         for (depth, run_len, seed) in [(12, 6, 17), (16, 8, 13)] {
             for mode in [RollbackMode::Basic, RollbackMode::Optimized] {
                 let label = format!("{mode:?} chain{depth}x{run_len}");
@@ -773,6 +767,11 @@ mod tests {
                         "{label}: basic-mode batching must save agent hops"
                     );
                     assert!(batched.bytes_rbk < unbatched.bytes_rbk, "{label}");
+                } else {
+                    // Fig. 5's split: the run on the node the rollback
+                    // starts on compensates there, the other run's RCE
+                    // list is shipped to it.
+                    assert_eq!(batched.rce_shipped, 1, "{label}");
                 }
             }
         }

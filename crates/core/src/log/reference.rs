@@ -6,9 +6,7 @@
 //! and every size is recomputed by encoding, which makes its behaviour easy
 //! to audit. The model-based property tests (`crates/core/tests/`) drive
 //! both implementations with identical operation sequences and require
-//! observational equivalence — including byte-identical serialization — and
-//! the micro benches use it as the baseline the segment index is measured
-//! against.
+//! observational equivalence — including byte-identical serialization.
 
 use std::collections::BTreeMap;
 

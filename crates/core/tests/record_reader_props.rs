@@ -14,7 +14,10 @@
 //!   the derive decode `AgentRecord::from_bytes` included;
 //! * a sealed record whose savepoint bytes cannot pay for a compaction pass
 //!   goes through the transfer gate and the transfer encode without an
-//!   allocation per log entry: nothing is decoded to be asked.
+//!   allocation per log entry: nothing is decoded to be asked;
+//! * likewise the lazy parse of a queue item, the spliced encode of a step
+//!   and savepoint removal from the segment-indexed log: each goes to the
+//!   allocator as often on a long log as on a short one.
 
 mod common;
 
@@ -22,9 +25,15 @@ use proptest::prelude::*;
 
 use common::counting_alloc::{bounded, calls_by, sweep, Counting};
 use common::hostile::record_with_deep_data;
-use common::{apply, base_record, op_strategy, Op};
+use common::{apply, base_record, comp_op, op_strategy, Op};
 use mar_core::itinspan::{classify_span, itinerary_span};
-use mar_core::{AgentRecord, CostModel, LazyRecord, LinkParams, LoggingMode, ResidentRecord};
+use mar_core::log::{LogEntry, SpEntry, SroPayload};
+use mar_core::{
+    AgentRecord, CostModel, DataSpace, LazyRecord, LinkParams, LoggingMode, ResidentRecord,
+    RollbackLog, SavepointId, SavepointTable,
+};
+use mar_itinerary::{samples, Cursor};
+use mar_wire::Value;
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -127,6 +136,18 @@ fn a_record_with_a_data_space_nested_past_the_stack_is_refused() {
     bounded(&deep, read_all_and_decode);
 }
 
+/// A long-lived agent's record: one savepoint, then `steps` step frames of
+/// one operation each.
+fn long_log_record(steps: usize) -> Vec<u8> {
+    let mut ops = vec![Op::Savepoint];
+    ops.extend((0..steps).map(|_| Op::Step {
+        node: 2,
+        nops: 1,
+        sro_write: None,
+    }));
+    record_bytes(LoggingMode::State, &ops)
+}
+
 /// The hop of a long-lived agent: hundreds of step frames, one small
 /// savepoint. The log's size could pay for a pass, its savepoint bytes
 /// cannot, and the sealed log says so itself — the gate and the transfer
@@ -138,13 +159,7 @@ fn a_record_with_a_data_space_nested_past_the_stack_is_refused() {
 fn a_log_that_cannot_pay_ships_without_an_allocation_per_entry() {
     let model = CostModel::new(LinkParams::LAN);
     let hop = |steps: usize| {
-        let mut ops = vec![Op::Savepoint];
-        ops.extend((0..steps).map(|_| Op::Step {
-            node: 2,
-            nops: 1,
-            sro_write: None,
-        }));
-        let bytes = record_bytes(LoggingMode::State, &ops);
+        let bytes = long_log_record(steps);
         let mut rec = ResidentRecord::from_bytes(&bytes).unwrap();
         assert_eq!(rec.log.len(), 1 + 3 * steps);
         assert!(rec.log.size_bytes() > 8 * 1024);
@@ -164,6 +179,110 @@ fn a_log_that_cannot_pay_ships_without_an_allocation_per_entry() {
         "allocator calls must not grow with the log"
     );
     assert!(calls <= 4, "{calls} allocator calls for one hop");
+}
+
+/// A queue item is read as a `LazyRecord`: every field but the log is
+/// decoded, and the log is walked for its framing and kept as bytes. So
+/// the parse goes to the allocator as often at 400 steps as at 200, where
+/// the full decode asks once or more per entry.
+#[test]
+fn a_lazy_parse_does_not_allocate_per_log_entry() {
+    let calls = |steps: usize| {
+        let bytes = long_log_record(steps);
+        let (lazy, lazy_calls) = calls_by(|| LazyRecord::parse(&bytes).unwrap());
+        assert_eq!(lazy.step_seq, steps as u64);
+        let (_, full_calls) = calls_by(|| AgentRecord::from_bytes(&bytes).unwrap());
+        (lazy_calls, full_calls)
+    };
+    let (lazy200, full200) = calls(200);
+    let (lazy400, full400) = calls(400);
+    assert_eq!(
+        lazy200, lazy400,
+        "the lazy parse must not grow with the log"
+    );
+    assert!(lazy200 <= 16, "{lazy200} allocator calls for one parse");
+    assert!(
+        full400 > full200 + 3 * 200,
+        "the control decodes every entry: {full200} -> {full400} calls"
+    );
+}
+
+/// A step appends to a sealed log, and its encode splices the new entries
+/// onto the retained bytes: after the first encode of a parsed record, the
+/// next one after an appended step asks the allocator as often at 400 steps
+/// as at 200. No entry of the old log is re-encoded.
+#[test]
+fn a_spliced_encode_does_not_allocate_per_log_entry() {
+    let calls = |steps: usize| {
+        let bytes = long_log_record(steps);
+        let mut full = AgentRecord::from_bytes(&bytes).unwrap();
+        let mut res = ResidentRecord::from_bytes(&bytes).unwrap();
+        let mut subs = 0;
+        let step = Op::Step {
+            node: 3,
+            nops: 2,
+            sro_write: None,
+        };
+        apply(&mut full, &mut res, &mut subs, &step);
+        res.to_bytes().unwrap();
+        apply(&mut full, &mut res, &mut subs, &step);
+        let (spliced, calls) = calls_by(|| res.to_bytes().unwrap());
+        assert!(res.log.is_sealed());
+        assert_eq!(spliced, full.to_bytes().unwrap());
+        calls
+    };
+    let calls200 = calls(200);
+    let calls400 = calls(400);
+    assert_eq!(calls200, calls400, "the splice must not grow with the log");
+    assert!(calls200 <= 4, "{calls200} allocator calls for one encode");
+}
+
+/// The segment index: removing a savepoint is an index probe and a splice
+/// of its segment into the one below; no entry is moved or re-encoded. Seven
+/// removals out of 32 savepoints go to the allocator as often over 10^5
+/// log entries as over 10^3.
+#[test]
+fn removing_savepoints_does_not_touch_every_entry() {
+    let calls = |total: usize| {
+        let mut log = log_of_entries(total, 32);
+        assert!(log.len().abs_diff(total) < 100);
+        let mut data = DataSpace::new();
+        let (_, calls) = calls_by(|| {
+            for id in [16, 15, 17, 14, 18, 13, 19] {
+                assert!(log.remove_savepoint(SavepointId(id), &mut data).unwrap());
+            }
+        });
+        calls
+    };
+    let small = calls(1_000);
+    let large = calls(100_000);
+    assert_eq!(small, large, "savepoint removal must not grow with the log");
+    assert!(small <= 4, "{small} allocator calls for seven removals");
+}
+
+/// A log of about `total` entries: `savepoints` savepoints, each followed by
+/// an equal run of step frames (BOS, one operation, EOS).
+fn log_of_entries(total: usize, savepoints: u64) -> RollbackLog {
+    let main = samples::fig6();
+    let cursor = Cursor::new(&main);
+    let steps_per_segment = (total as u64 / savepoints).saturating_sub(1) / 3;
+    let mut log = RollbackLog::new();
+    let mut seq = 0;
+    for id in 0..savepoints {
+        log.push(LogEntry::Savepoint(SpEntry {
+            id: SavepointId(id),
+            sub_id: Some(format!("S{id}")),
+            explicit: false,
+            cursor: cursor.clone(),
+            table: SavepointTable::new(),
+            sro: SroPayload::Full([("v".to_owned(), Value::from(id as i64))].into()),
+        }));
+        for _ in 0..steps_per_segment {
+            log.append_step(1, seq, "m", [comp_op(seq, 0)], vec![]);
+            seq += 1;
+        }
+    }
+    log
 }
 
 proptest! {

@@ -52,8 +52,9 @@ const TAG_KICK: u64 = 2;
 const ITEM_TAG_BASE: u64 = 1 << 32;
 
 /// CPU cost of one compaction pass per savepoint-payload kilobyte, in
-/// microseconds — the measured `log/compact/segment/*` microbench rate
-/// (~0.75 µs/KiB in `BENCH_log.json`), rounded up.
+/// microseconds: a cost-model constant. It was set when the cost gate was
+/// introduced, from the segment-indexed pass timed at about 0.75 µs/KiB,
+/// rounded up; nothing re-measures it.
 const COMPACTION_CPU_US_PER_KB: u64 = 1;
 
 /// Virtual execution time of one step (or compensation round).
