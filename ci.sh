@@ -37,10 +37,15 @@ cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
 # backend under crash schedules, and its cleaner's bound on a fleet that
 # queues several agents a node; the 2PC host's crash sweep, whose
 # coordinator commits a prepared branch with unforced deletes and whose last
-# participant decides; and the resource managers' model property, whose
-# prepared deltas are written once, outlive folds and are redone in doubt.
+# participant decides; the resource managers' model property, whose
+# prepared deltas are written once, outlive folds and are redone in doubt;
+# and the store's isolation model, whose refusals name the holder no-wait
+# 2PL reports.
 cargo test -q --release -p mar-platform --test stable_backend_props --test wal_cleaner_bound
-cargo test -q --release -p mar-txn --test twopc_sim --test store_model_props
+cargo test -q --release -p mar-txn --test twopc_sim --test store_model_props --test lock_model_props
+# A bank transfer's allocator calls, counted in the profile the benchmark
+# runs: equal on a ledger of 100 and of 10,000 accounts, and at most 30.
+cargo test -q --release -p mar-resources --test alloc_calls
 # And the two record suites: release compiles out the cross-check of a sealed
 # log's savepoint bytes in `ResidentLog::materialize`, so the properties are
 # what holds the number there, and the allocator calls of a hop that cannot

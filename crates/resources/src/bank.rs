@@ -7,7 +7,7 @@
 use mar_core::comp::{CompOp, EntryKind};
 use mar_txn::{OpCtx, ResourceManager, TxStore, TxnError, TxnId};
 use mar_wire::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 
 use crate::util::{p_amount, p_str, peek_t, read_t, rejected, write_t};
 
@@ -76,13 +76,19 @@ impl BankRm {
     }
 
     fn balance(&mut self, txn: TxnId, account: &str) -> Result<i64, TxnError> {
-        read_t::<i64>(&mut self.store, txn, &format!("acct/{account}"))?
+        self.balance_at(txn, account, &format!("acct/{account}"))
+    }
+
+    /// The balance of `account`, whose store key is `key`.
+    fn balance_at(&mut self, txn: TxnId, account: &str, key: &str) -> Result<i64, TxnError> {
+        read_t::<i64>(&mut self.store, txn, key)?
             .ok_or_else(|| rejected(&self.name, format!("no account {account:?}")))
     }
 
     /// Posts `delta` to `account` and appends the audit record.
     fn post(&mut self, txn: TxnId, op: &str, account: &str, delta: i64) -> Result<i64, TxnError> {
-        let cur = self.balance(txn, account)?;
+        let key = format!("acct/{account}");
+        let cur = self.balance_at(txn, account, &key)?;
         let next = cur + delta;
         if next < 0 && !self.allow_overdraft {
             return Err(rejected(
@@ -93,16 +99,64 @@ impl BankRm {
                 ),
             ));
         }
-        write_t(&mut self.store, txn, &format!("acct/{account}"), &next)?;
+        write_t(&mut self.store, txn, &key, &next)?;
         let seq = self.store.next_seq();
-        let rec = BankAudit {
-            op: op.to_owned(),
-            account: account.to_owned(),
+        let rec = AuditRef {
+            op,
+            account,
             delta,
-            txn: txn.key(),
+            txn,
         };
         write_t(&mut self.store, txn, &format!("audit/{seq:012}"), &rec)?;
         Ok(next)
+    }
+}
+
+/// A [`BankAudit`] encoded from borrowed fields: the same bytes, nothing
+/// copied to be encoded.
+struct AuditRef<'a> {
+    op: &'a str,
+    account: &'a str,
+    delta: i64,
+    txn: TxnId,
+}
+
+impl Serialize for AuditRef<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        use std::fmt::Write;
+        // `TxnId::key`, formatted in place: two integers and a dot.
+        let mut txn = KeyBuf::default();
+        write!(txn, "{}.{}", self.txn.coordinator.0, self.txn.seq).expect("fits");
+        let mut rec = serializer.serialize_struct("BankAudit", 4)?;
+        rec.serialize_field("op", self.op)?;
+        rec.serialize_field("account", self.account)?;
+        rec.serialize_field("delta", &self.delta)?;
+        rec.serialize_field("txn", txn.as_str())?;
+        rec.end()
+    }
+}
+
+/// Room for a [`TxnId::key`]: a `u32`, a dot and a `u64`, at most 31 bytes.
+#[derive(Default)]
+struct KeyBuf {
+    buf: [u8; 32],
+    len: usize,
+}
+
+impl KeyBuf {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("written as str")
+    }
+}
+
+impl std::fmt::Write for KeyBuf {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        let room = self.buf.get_mut(self.len..end).ok_or(std::fmt::Error)?;
+        room.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -114,7 +168,7 @@ impl ResourceManager for BankRm {
     fn invoke(&mut self, ctx: OpCtx, op: &str, params: &Value) -> Result<Value, TxnError> {
         match op {
             "open" => {
-                let account = p_str(op, params, "account")?.to_owned();
+                let account = p_str(op, params, "account")?;
                 let initial = params.get("initial").and_then(Value::as_i64).unwrap_or(0);
                 let key = format!("acct/{account}");
                 if read_t::<i64>(&mut self.store, ctx.txn, &key)?.is_some() {
@@ -124,25 +178,25 @@ impl ResourceManager for BankRm {
                 Ok(Value::Null)
             }
             "balance" => {
-                let account = p_str(op, params, "account")?.to_owned();
-                Ok(Value::from(self.balance(ctx.txn, &account)?))
+                let account = p_str(op, params, "account")?;
+                Ok(Value::from(self.balance(ctx.txn, account)?))
             }
             "deposit" => {
-                let account = p_str(op, params, "account")?.to_owned();
+                let account = p_str(op, params, "account")?;
                 let amount = p_amount(op, params, "amount")?;
-                Ok(Value::from(self.post(ctx.txn, op, &account, amount)?))
+                Ok(Value::from(self.post(ctx.txn, op, account, amount)?))
             }
             "withdraw" => {
-                let account = p_str(op, params, "account")?.to_owned();
+                let account = p_str(op, params, "account")?;
                 let amount = p_amount(op, params, "amount")?;
-                Ok(Value::from(self.post(ctx.txn, op, &account, -amount)?))
+                Ok(Value::from(self.post(ctx.txn, op, account, -amount)?))
             }
             "transfer" => {
-                let from = p_str(op, params, "from")?.to_owned();
-                let to = p_str(op, params, "to")?.to_owned();
+                let from = p_str(op, params, "from")?;
+                let to = p_str(op, params, "to")?;
                 let amount = p_amount(op, params, "amount")?;
-                self.post(ctx.txn, op, &from, -amount)?;
-                self.post(ctx.txn, op, &to, amount)?;
+                self.post(ctx.txn, op, from, -amount)?;
+                self.post(ctx.txn, op, to, amount)?;
                 Ok(Value::Null)
             }
             other => Err(TxnError::BadRequest(format!(
@@ -399,6 +453,33 @@ mod tests {
             let after = r.audit();
             assert_eq!(after.len(), kept.len() + 1, "with_delta={with_delta}");
             assert_eq!(after[..kept.len()], kept[..], "with_delta={with_delta}");
+        }
+    }
+
+    /// The audit record is encoded from borrowed fields, to the bytes the
+    /// owned record has, and decodes as one; the longest transaction key
+    /// fits in place.
+    #[test]
+    fn the_borrowed_audit_record_is_a_bank_audit() {
+        for txn in [
+            ctx(7).txn,
+            TxnId::new(mar_simnet::NodeId(u32::MAX), u64::MAX),
+        ] {
+            let owned = BankAudit {
+                op: "transfer".into(),
+                account: "s12".into(),
+                delta: -5,
+                txn: txn.key(),
+            };
+            let borrowed = AuditRef {
+                op: "transfer",
+                account: "s12",
+                delta: -5,
+                txn,
+            };
+            let bytes = mar_wire::to_bytes(&borrowed).unwrap();
+            assert_eq!(bytes, mar_wire::to_bytes(&owned).unwrap());
+            assert_eq!(mar_wire::from_slice::<BankAudit>(&bytes).unwrap(), owned);
         }
     }
 

@@ -144,8 +144,8 @@ impl Ctx<'_> {
     /// Deletes a stable key without making this event a barrier: the delete
     /// becomes durable with the node's next forced barrier, and a crash
     /// before then brings the key back (see
-    /// [`StableStore::delete_unforced`]).
-    pub fn stable_delete_unforced(&mut self, key: &str) -> Option<Vec<u8>> {
+    /// [`StableStore::delete_unforced`]); whether the key was present.
+    pub fn stable_delete_unforced(&mut self, key: &str) -> bool {
         self.metrics.inc(keys::STABLE_WRITES);
         self.stable.delete_unforced(key)
     }

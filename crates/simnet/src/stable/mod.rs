@@ -131,6 +131,13 @@ pub trait StableBackend: Any + Send + fmt::Debug {
     /// absent key is not a mutation (no record, no pending commit work).
     fn delete(&mut self, key: &str) -> Option<Vec<u8>>;
 
+    /// [`delete`](Self::delete) for a caller that does not read the value:
+    /// whether `key` was present. A backend that must keep the removed
+    /// value itself keeps it without a copy.
+    fn discard(&mut self, key: &str) -> bool {
+        self.delete(key).is_some()
+    }
+
     /// Number of entries in the view.
     fn len(&self) -> usize;
 
@@ -243,6 +250,15 @@ impl StableBackend for MemBackend {
         self.undo.push((key.to_owned(), Some(prev.clone())));
         self.stats.records += 1;
         Some(prev)
+    }
+
+    fn discard(&mut self, key: &str) -> bool {
+        let Some(prev) = self.view.remove(key) else {
+            return false;
+        };
+        self.undo.push((key.to_owned(), Some(prev)));
+        self.stats.records += 1;
+        true
     }
 
     fn len(&self) -> usize {
@@ -463,8 +479,9 @@ impl StableStore {
 
     /// Removes `key`, returning the previous value if present.
     pub fn delete(&mut self, key: &str) -> Option<Vec<u8>> {
-        let prev = self.delete_unforced(key);
+        let prev = self.backend.delete(key);
         if prev.is_some() {
+            self.write_ops += 1;
             self.forced_mutation();
         }
         prev
@@ -474,13 +491,12 @@ impl StableStore {
     /// in or out of a batch, until the node's next forced barrier, and a
     /// crash before that brings the key back. Only for a record whose
     /// resurrection the caller tolerates. Accounted like
-    /// [`delete`](StableStore::delete).
-    pub fn delete_unforced(&mut self, key: &str) -> Option<Vec<u8>> {
-        let prev = self.backend.delete(key);
-        if prev.is_some() {
-            self.write_ops += 1;
-        }
-        prev
+    /// [`delete`](StableStore::delete); returns whether `key` was present,
+    /// not its value, which no such caller reads.
+    pub fn delete_unforced(&mut self, key: &str) -> bool {
+        let present = self.backend.discard(key);
+        self.write_ops += u64::from(present);
+        present
     }
 
     /// Returns `true` if `key` is present.
@@ -513,7 +529,7 @@ impl StableStore {
     pub fn delete_prefix(&mut self, prefix: &str) -> usize {
         let keys = self.keys_with_prefix(prefix);
         for k in &keys {
-            self.backend.delete(k);
+            self.backend.discard(k);
         }
         let n = keys.len();
         self.write_ops += n as u64;
@@ -764,7 +780,11 @@ mod tests {
             s.put("decision", vec![1]);
             let (commits, durable) = (s.backend_stats().commits, durable_log_len(&mut s));
             s.begin_batch();
-            assert_eq!(s.delete_unforced("decision"), Some(vec![1]), "{name}");
+            assert!(s.delete_unforced("decision"), "{name}");
+            assert!(
+                !s.delete_unforced("decision"),
+                "{name}: absent, no mutation"
+            );
             assert!(!s.contains("decision"), "{name}: the view has the delete");
             assert!(!s.commit(), "{name}: an unforced delete forces nothing");
             assert_eq!(s.backend_stats().commits, commits, "{name}");

@@ -10,9 +10,10 @@
 //! with the same guarantees (§4.3). This crate supplies exactly those
 //! mechanisms:
 //!
-//! * [`TxStore`] — in-place updates + [`UndoLog`] + [`LockTable`] give
-//!   atomic, isolated local branches ("changes … are undone automatically");
-//!   a commit hands back the transaction's delta record.
+//! * [`TxStore`] — in-place updates, before-images and the locks of
+//!   [`LockTable`], one slot per key, give atomic, isolated local branches
+//!   ("changes … are undone automatically"); a transaction's delta record
+//!   is [`TxStore::delta`], taken at prepare or before commit.
 //! * [`ResourceManager`] / [`RmRegistry`] — named transactional resources
 //!   invoked from steps and compensating operations, made durable as a base
 //!   image plus one delta record per commit ([`RmWrite`]).
@@ -35,7 +36,6 @@ mod msg;
 mod rm;
 mod store;
 pub mod twopc;
-mod undo;
 
 pub use error::TxnError;
 pub use id::{TxnId, TxnIdGen};
@@ -44,4 +44,3 @@ pub use msg::{RemoteWork, TxEnvelope, TxMsg};
 pub use rm::{OpCtx, ResourceManager, RmRegistry, RmWrite};
 pub use store::TxStore;
 pub use twopc::{Action, Coordinator, LocalBranch, Participant, PreparedEntry};
-pub use undo::{UndoLog, UndoRecord};

@@ -101,7 +101,7 @@ pub trait ResourceManager: Send {
         Ok(self.store_mut().restore(bytes)?)
     }
 
-    /// Re-applies a delta record [`commit`](Self::commit) returned, on top
+    /// Re-applies a delta record [`prepare`](Self::prepare) returned, on top
     /// of the restored base and every earlier delta (crash recovery).
     ///
     /// # Errors

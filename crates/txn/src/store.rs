@@ -5,25 +5,26 @@
 //! What survives a crash is what the hosting node persisted: a
 //! [`TxStore::snapshot`] of the committed state as the base image, and on
 //! top of it one delta record per transaction ([`TxStore::delta`]) — the
-//! after-images of the keys in its undo log, written when the transaction
+//! after-images of the keys in its write set, written when the transaction
 //! prepares or commits. Recovery applies a committed transaction's record
 //! ([`TxStore::apply_delta`]) and redoes an in-doubt one under its
 //! transaction ([`TxStore::redo`]); changes that reached no record die with
 //! the node, which *is* the abort.
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use mar_wire::{from_slice, to_bytes, Bytes, WireResult};
-use serde::{Deserialize, Serialize};
+use serde::de::{MapAccess, Visitor};
+use serde::ser::{SerializeMap, SerializeSeq, SerializeStruct};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use crate::error::TxnError;
 use crate::id::TxnId;
-use crate::lock::{LockMode, LockTable};
-use crate::undo::UndoLog;
+use crate::lock::Slots;
 
 /// The stable record of one committed transaction at one store (§2: a
 /// step's resource changes become durable at commit, and only those).
-#[derive(Serialize, Deserialize)]
+#[derive(Deserialize)]
 struct Delta {
     /// After-image per written key, in first-write order; `None` = removed.
     writes: Vec<(String, Option<Bytes>)>,
@@ -32,61 +33,89 @@ struct Delta {
     seq: u64,
 }
 
-/// The committed state of a store with live transactions, encoded as the
-/// map it is without building it: the data in key order, every key a live
-/// transaction wrote at its before-image (`None`: absent).
-struct CommittedView<'a> {
-    data: &'a BTreeMap<String, Vec<u8>>,
-    before: BTreeMap<&'a str, Option<&'a [u8]>>,
+/// A [`Delta`] encoded from a live transaction's write set, keys and
+/// after-images by reference: the same bytes, nothing copied.
+struct DeltaOf<'a> {
+    slots: &'a Slots,
+    txn: TxnId,
+    seq: u64,
 }
 
-impl<'a> CommittedView<'a> {
-    fn entries(&self) -> impl Iterator<Item = (&'a str, &'a [u8])> + '_ {
-        let mut data = self.data.iter().peekable();
-        let mut before = self.before.iter().peekable();
-        std::iter::from_fn(move || loop {
-            let take_data = match (data.peek(), before.peek()) {
-                (None, None) => return None,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some((key, _)), Some((written, _))) => match key.as_str().cmp(written) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Equal => {
-                        data.next();
-                        false
-                    }
-                    std::cmp::Ordering::Greater => false,
-                },
-            };
-            if take_data {
-                let (key, value) = data.next().expect("peeked");
-                return Some((key.as_str(), value.as_slice()));
-            }
-            let (key, value) = before.next().expect("peeked");
-            if let Some(value) = value {
-                return Some((key, value));
-            }
-        })
+/// A byte string by reference, encoded as [`Bytes`] encodes its own.
+struct ByteRef<'a>(&'a [u8]);
+
+impl Serialize for ByteRef<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(self.0)
     }
 }
 
+/// The write set of a [`DeltaOf`].
+struct WritesOf<'a>(&'a DeltaOf<'a>);
+
+impl Serialize for WritesOf<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let writes = self.0.slots.write_set(self.0.txn);
+        let mut seq = serializer.serialize_seq(Some(writes.len()))?;
+        for (key, after) in writes {
+            seq.serialize_element(&(key, after.map(ByteRef)))?;
+        }
+        seq.end()
+    }
+}
+
+impl Serialize for DeltaOf<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut delta = serializer.serialize_struct("Delta", 2)?;
+        delta.serialize_field("writes", &WritesOf(self))?;
+        delta.serialize_field("seq", &self.seq)?;
+        delta.end()
+    }
+}
+
+/// The committed state of a store, encoded as the map it is without
+/// building it: every key in order, the ones a live transaction wrote at
+/// their before-image (values element-wise, as a `Vec<u8>` encodes).
+struct CommittedView<'a>(&'a Slots);
+
 impl Serialize for CommittedView<'_> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeMap;
-        let mut map = serializer.serialize_map(Some(self.entries().count()))?;
-        for (key, value) in self.entries() {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let (len, entries) = self.0.committed_view();
+        let mut map = serializer.serialize_map(Some(len))?;
+        for (key, value) in entries {
             map.serialize_entry(key, value)?;
         }
         map.end()
     }
 }
 
+/// A base image decoded straight into slots.
+struct Image(Slots);
+
+impl<'de> Deserialize<'de> for Image {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        struct ImageVisitor;
+        impl<'de> Visitor<'de> for ImageVisitor {
+            type Value = Image;
+            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("map")
+            }
+            fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Image, A::Error> {
+                let mut slots = Slots::default();
+                while let Some((key, value)) = map.next_entry::<String, Vec<u8>>()? {
+                    slots.assign(key, Some(value));
+                }
+                Ok(Image(slots))
+            }
+        }
+        deserializer.deserialize_map(ImageVisitor)
+    }
+}
+
 /// Transactional byte-value store with per-key locking.
 #[derive(Debug, Default)]
 pub struct TxStore {
-    data: BTreeMap<String, Vec<u8>>,
-    locks: LockTable,
-    undo: BTreeMap<TxnId, UndoLog>,
+    slots: Slots,
     /// High-water mark of [`next_seq`](Self::next_seq). Not transactional:
     /// an aborted transaction's numbers are skipped, never reissued.
     seq: u64,
@@ -105,22 +134,17 @@ impl TxStore {
     /// [`TxnError::WouldBlock`] if another transaction holds a conflicting
     /// lock.
     pub fn read(&mut self, txn: TxnId, key: &str) -> Result<Option<&[u8]>, TxnError> {
-        self.locks.acquire(txn, key, LockMode::Shared)?;
-        Ok(self.data.get(key).map(Vec::as_slice))
+        self.slots.read(txn, key)
     }
 
-    /// Writes `value` under `key` with an exclusive lock, recording the
+    /// Writes `value` under `key` with an exclusive lock, keeping the
     /// before-image for abort.
     ///
     /// # Errors
     ///
     /// [`TxnError::WouldBlock`] on lock conflict.
     pub fn write(&mut self, txn: TxnId, key: &str, value: Vec<u8>) -> Result<(), TxnError> {
-        self.locks.acquire(txn, key, LockMode::Exclusive)?;
-        let before = self.data.get(key).cloned();
-        self.undo.entry(txn).or_default().remember(key, before);
-        self.data.insert(key.to_owned(), value);
-        Ok(())
+        self.slots.put(txn, key, Some(value))
     }
 
     /// Deletes `key` under an exclusive lock.
@@ -129,11 +153,7 @@ impl TxStore {
     ///
     /// [`TxnError::WouldBlock`] on lock conflict.
     pub fn remove(&mut self, txn: TxnId, key: &str) -> Result<(), TxnError> {
-        self.locks.acquire(txn, key, LockMode::Exclusive)?;
-        let before = self.data.get(key).cloned();
-        self.undo.entry(txn).or_default().remember(key, before);
-        self.data.remove(key);
-        Ok(())
+        self.slots.put(txn, key, None)
     }
 
     /// Keys under `prefix`, taking shared locks on each returned key.
@@ -141,18 +161,9 @@ impl TxStore {
     /// # Errors
     ///
     /// [`TxnError::WouldBlock`] if any matching key is locked exclusively by
-    /// another transaction.
+    /// another transaction; the keys before it stay locked.
     pub fn scan_keys(&mut self, txn: TxnId, prefix: &str) -> Result<Vec<String>, TxnError> {
-        let keys: Vec<String> = self
-            .data
-            .range(prefix.to_owned()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &keys {
-            self.locks.acquire(txn, k, LockMode::Shared)?;
-        }
-        Ok(keys)
+        self.slots.scan(txn, prefix)
     }
 
     /// The next number of the owning manager's one id sequence (booking
@@ -163,88 +174,59 @@ impl TxStore {
         self.seq
     }
 
-    /// What `txn` wrote, as a delta record for stable storage — the undo
-    /// log's keys are the write set, so the record is their current values,
-    /// stamped with the sequence high-water mark. `None` if the transaction
-    /// wrote nothing. The transaction stays live: a prepared branch stores
-    /// its record and keeps its locks until the decision.
+    /// What `txn` wrote, as a delta record for stable storage: the current
+    /// value of every key in its write set, stamped with the sequence
+    /// high-water mark. `None` if the transaction wrote nothing. The
+    /// transaction stays live: a prepared branch stores its record and keeps
+    /// its locks until the decision.
     pub fn delta(&self, txn: TxnId) -> Option<Vec<u8>> {
-        let writes: Vec<_> = self
-            .undo
-            .get(&txn)
-            .iter()
-            .flat_map(|log| log.records())
-            .map(|rec| {
-                let after = self.data.get(&rec.key).map(|v| Bytes::from(v.as_slice()));
-                (rec.key.clone(), after)
-            })
-            .collect();
-        if writes.is_empty() {
+        if self.slots.write_set(txn).len() == 0 {
             return None;
         }
-        let delta = Delta {
-            writes,
+        let delta = DeltaOf {
+            slots: &self.slots,
+            txn,
             seq: self.seq,
         };
         Some(to_bytes(&delta).expect("strings, byte strings and integers always encode"))
     }
 
-    /// Commits `txn`: drops its undo log and releases its locks. Its record
-    /// is [`delta`](Self::delta), taken before.
+    /// Commits `txn`: drops its before-images and releases its locks. Its
+    /// record is [`delta`](Self::delta), taken before.
     pub fn commit(&mut self, txn: TxnId) {
-        self.undo.remove(&txn);
-        self.locks.release_all(txn);
+        self.slots.end(txn, true);
     }
 
     /// Aborts `txn`: restores all before-images and releases its locks.
     pub fn abort(&mut self, txn: TxnId) {
-        if let Some(log) = self.undo.remove(&txn) {
-            log.unwind(|key, before| match before {
-                Some(v) => {
-                    self.data.insert(key.to_owned(), v.to_vec());
-                }
-                None => {
-                    self.data.remove(key);
-                }
-            });
-        }
-        self.locks.release_all(txn);
+        self.slots.end(txn, false);
     }
 
     /// Whether `txn` has pending (uncommitted) changes or locks.
     pub fn is_active(&self, txn: TxnId) -> bool {
-        self.undo.contains_key(&txn) || self.locks.has_locks(txn)
+        self.slots.has_locks(txn)
     }
 
     /// Non-transactional write for initial setup before the world starts.
     pub fn seed(&mut self, key: impl Into<String>, value: Vec<u8>) {
-        self.data.insert(key.into(), value);
+        self.slots.assign(key.into(), Some(value));
     }
 
     /// Non-transactional read (test inspection / snapshots).
     pub fn peek(&self, key: &str) -> Option<&[u8]> {
-        self.data.get(key).map(Vec::as_slice)
+        self.slots.get(key)
     }
 
     /// Serializes the committed state and the sequence mark. Live
     /// transactions may hold in-place writes; their keys appear with the
-    /// before-image from the undo log instead (2PL: a key is in at most one
-    /// live undo log), so the image never contains an uncommitted write.
+    /// before-image their transaction keeps instead (2PL: a key has at most
+    /// one live writer), so the image never contains an uncommitted write.
     ///
     /// # Errors
     ///
     /// Codec errors only.
     pub fn snapshot(&self) -> WireResult<Vec<u8>> {
-        if self.undo.is_empty() {
-            return to_bytes(&(&self.data, self.seq));
-        }
-        let before = self.undo.values().flat_map(UndoLog::records);
-        let before = before.map(|rec| (rec.key.as_str(), rec.before.as_deref()));
-        let view = CommittedView {
-            data: &self.data,
-            before: before.collect(),
-        };
-        to_bytes(&(view, self.seq))
+        to_bytes(&(CommittedView(&self.slots), self.seq))
     }
 
     /// Replaces the committed state from a snapshot (crash recovery).
@@ -253,14 +235,13 @@ impl TxStore {
     ///
     /// Codec errors only.
     pub fn restore(&mut self, bytes: &[u8]) -> WireResult<()> {
-        (self.data, self.seq) = from_slice(bytes)?;
-        self.undo.clear();
-        self.locks = LockTable::new();
+        let (Image(slots), seq) = from_slice(bytes)?;
+        (self.slots, self.seq) = (slots, seq);
         Ok(())
     }
 
-    /// Re-applies a delta record [`commit`](Self::commit) returned on top
-    /// of restored state (crash recovery, deltas in commit order), sequence
+    /// Re-applies a delta record [`delta`](Self::delta) returned on top of
+    /// restored state (crash recovery, deltas in commit order), sequence
     /// mark included.
     ///
     /// # Errors
@@ -269,10 +250,7 @@ impl TxStore {
     pub fn apply_delta(&mut self, bytes: &[u8]) -> WireResult<()> {
         let delta: Delta = from_slice(bytes)?;
         for (key, after) in delta.writes {
-            match after {
-                Some(v) => self.data.insert(key, v.into_vec()),
-                None => self.data.remove(&key),
-            };
+            self.slots.assign(key, after.map(Bytes::into_vec));
         }
         self.seq = self.seq.max(delta.seq);
         Ok(())
@@ -280,7 +258,7 @@ impl TxStore {
 
     /// Redoes the delta record of a transaction that is in doubt after a
     /// crash: `txn` takes the exclusive lock on every key the record writes
-    /// and remembers its before-image, as its own writes did, so that the
+    /// and keeps its before-image, as its own writes did, so that the
     /// decision can still go either way — [`commit`](Self::commit) keeps the
     /// after-images, [`abort`](Self::abort) restores what the recovered
     /// state held before. The sequence mark is taken over as by
@@ -294,12 +272,7 @@ impl TxStore {
     pub fn redo(&mut self, txn: TxnId, bytes: &[u8]) -> Result<(), TxnError> {
         let delta: Delta = from_slice(bytes)?;
         for (key, after) in delta.writes {
-            self.locks.acquire(txn, &key, LockMode::Exclusive)?;
-            let before = match after {
-                Some(v) => self.data.insert(key.clone(), v.into_vec()),
-                None => self.data.remove(&key),
-            };
-            self.undo.entry(txn).or_default().remember(&key, before);
+            self.slots.put(txn, &key, after.map(Bytes::into_vec))?;
         }
         self.seq = self.seq.max(delta.seq);
         Ok(())
@@ -307,22 +280,22 @@ impl TxStore {
 
     /// Lock conflict count (for experiments).
     pub fn conflicts(&self) -> u64 {
-        self.locks.conflicts()
+        self.slots.conflicts()
     }
 
     /// Number of keys in the committed + in-flight state.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.slots.len()
     }
 
     /// True if the store holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over all current `(key, value)` pairs (non-transactional).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[u8])> {
-        self.data.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
+        self.slots.iter()
     }
 }
 
