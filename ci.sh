@@ -30,9 +30,14 @@ cargo test -q -p proptest
 cargo test -q --release -p mar-wire -p mar-simnet
 # Likewise the three suites whose failure mode is "an agent is never
 # scheduled": the mole's check of its `ready` set against the store is a
-# debug assertion, and release is the profile the benchmark measures.
+# debug assertion, and release is the profile the benchmark measures. With
+# them the typed-op suite, which is the check that every compensation a typed
+# op derives is registered (the entry kind is looked up there), and the
+# report readers' sweep, whose `MoleMsg` inputs include the `Tx` frame a
+# node decodes for every hop: an allocation bound is profile-dependent, as
+# for the decoders above.
 cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
-    --test step_path_cache_props
+    --test step_path_cache_props --test typed_ops_props --test report_reader_props
 # And the commit path's crash suites: the WAL's equality with the reference
 # backend under crash schedules, and its cleaner's bound on a fleet that
 # queues several agents a node; the 2PC host's crash sweep, whose

@@ -26,7 +26,9 @@ impl CompOpRegistry {
         CompOpRegistry::default()
     }
 
-    /// Registers `handler` under `name` with the given entry kind.
+    /// Registers `handler` under `name` with the given entry kind. This is
+    /// the one place a compensation's kind is stated: the platform reads it
+    /// back with [`kind_of`](CompOpRegistry::kind_of) when it logs an entry.
     ///
     /// # Panics
     ///

@@ -5,11 +5,15 @@
 //! A [`ResourceOp`] is a typed description of one forward operation on a
 //! resource manager: it knows its target resource, its wire-level operation
 //! name, how to encode its parameters, and how to decode its result. A
-//! [`Compensable`] op additionally derives the `(EntryKind, CompOp)` rollback
-//! entry from itself *and its result* — so the platform can execute the
-//! forward call and log its compensation atomically in one
-//! `ctx.invoke(op)` call, with the entry kind fixed at op-definition time
-//! rather than re-validated on every step.
+//! [`Compensable`] op additionally derives its compensating [`CompOp`] from
+//! itself *and its result* — so the platform can execute the forward call
+//! and log its compensation atomically in one `ctx.invoke(op)` call.
+//!
+//! Neither trait states an entry kind (§4.4.1: RCE / ACE / MCE). The kind is
+//! a property of the compensating operation, so it is said once, where its
+//! handler is registered ([`CompOpRegistry::register`]); the platform looks
+//! it up when it logs the entry, and the registry grants access from the
+//! same record when it runs it.
 //!
 //! [`WroOp`] is the agent-state analogue: a typed mutation of the weakly
 //! reversible objects that derives its agent compensation entry (ACE) from
@@ -19,10 +23,12 @@
 //! escape hatch for operations without a typed wrapper; the platform's
 //! property tests pin that a typed invocation and the equivalent raw pair
 //! produce byte-identical rollback-log frames.
+//!
+//! [`CompOpRegistry::register`]: crate::comp::CompOpRegistry::register
 
 use mar_wire::{Value, WireError};
 
-use crate::comp::op::{CompOp, EntryKind};
+use crate::comp::op::CompOp;
 use crate::data::DataSpace;
 
 /// A typed forward operation against a resource manager.
@@ -56,27 +62,15 @@ pub trait ResourceOp {
 
 /// A [`ResourceOp`] whose committed effect has a compensating operation.
 ///
-/// The entry kind is an associated constant: it is part of the *definition*
-/// of the operation, so a miswired kind is impossible at the call site (the
-/// raw `ctx.compensate` path has to re-check the kind against the registry
-/// on every step instead). The compensation itself is derived from the op
-/// *and its result* — e.g. a flight booking's compensation needs the
-/// `booking_id` the forward call returned.
+/// The compensation is derived from the op *and its result* — e.g. a flight
+/// booking's compensation needs the `booking_id` the forward call returned.
 ///
 /// Contract: `compensation(..)` must name a handler registered in the
-/// platform's `CompOpRegistry` under exactly [`KIND`](Compensable::KIND);
-/// `mar-resources` pins this for its own ops with a registry manifest test.
+/// platform's [`CompOpRegistry`](crate::comp::CompOpRegistry); its entry
+/// kind is the one it was registered under.
 pub trait Compensable: ResourceOp {
-    /// Entry kind of the derived compensation (§4.4.1: RCE / ACE / MCE).
-    const KIND: EntryKind;
-
     /// Derives the compensating operation from the op and its result.
     fn compensation(&self, output: &Self::Output) -> CompOp;
-
-    /// The derived rollback-log entry, kind included.
-    fn entry(&self, output: &Self::Output) -> (EntryKind, CompOp) {
-        (Self::KIND, self.compensation(output))
-    }
 }
 
 /// A typed mutation of the agent's weakly reversible objects that derives
@@ -84,15 +78,14 @@ pub trait Compensable: ResourceOp {
 ///
 /// Where [`Compensable`] pairs a *resource* effect with its compensation,
 /// a `WroOp` pairs a *WRO* write with the ACE that semantically undoes it —
-/// applied and logged in one `ctx.apply(op)` call. The derived entry is
-/// always of kind [`EntryKind::Agent`].
+/// applied and logged in one `ctx.apply(op)` call. The compensations it
+/// derives are registered as agent compensation entries (ACEs).
 pub trait WroOp {
     /// The decoded result of the mutation (usually `()` or a before-image).
     type Output;
 
     /// Applies the mutation to the data space and returns the result plus
-    /// the compensating operation (kind [`EntryKind::Agent`] by
-    /// construction).
+    /// the compensating operation.
     fn apply(&self, data: &mut DataSpace) -> (Self::Output, CompOp);
 }
 
@@ -127,23 +120,20 @@ mod tests {
     }
 
     impl Compensable for Ping {
-        const KIND: EntryKind = EntryKind::Resource;
-
         fn compensation(&self, output: &i64) -> CompOp {
             CompOp::new("unping", Value::map([("echo", Value::from(*output))]))
         }
     }
 
     #[test]
-    fn entry_combines_kind_and_derived_op() {
+    fn compensation_derives_from_the_result() {
         let op = Ping {
             target: "svc".into(),
             n: 7,
         };
         assert_eq!(op.resource(), "svc");
         assert_eq!(op.decode(&Value::from(9i64)).unwrap(), 9);
-        let (kind, comp) = op.entry(&9);
-        assert_eq!(kind, EntryKind::Resource);
+        let comp = op.compensation(&9);
         assert_eq!(comp.name, "unping");
         assert_eq!(comp.params.get("echo").and_then(Value::as_i64), Some(9));
     }

@@ -51,10 +51,6 @@ pub enum BuildError {
     /// An agent type was registered twice (the first registration wins
     /// until the build fails).
     DuplicateBehavior(String),
-    /// The typed-op manifest disagrees with the compensation registry — a
-    /// derived compensation is unregistered or registered under a different
-    /// entry kind than its op declares.
-    MiswiredCompensation(String),
 }
 
 impl fmt::Display for BuildError {
@@ -62,9 +58,6 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::DuplicateBehavior(name) => {
                 write!(f, "agent type {name:?} registered twice")
-            }
-            BuildError::MiswiredCompensation(msg) => {
-                write!(f, "typed-op compensation wiring: {msg}")
             }
         }
     }
@@ -122,22 +115,10 @@ impl PlatformBuilder {
 
     /// Partitions the simulated nodes across `n` worker-thread shards.
     /// Results are byte-identical at any shard count; `1` (the default)
-    /// keeps the sequential dispatch loop.
+    /// keeps the sequential dispatch loop. `n` must be at least 1: the
+    /// build panics on 0 ([`World::new`]).
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
-        self
-    }
-
-    /// Picks the shard count automatically from
-    /// [`std::thread::available_parallelism`], clamped to the node count
-    /// (more shards than nodes would only idle). Results are still
-    /// byte-identical to any explicit shard count.
-    pub fn shards_auto(mut self) -> Self {
-        self.shards = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(self.nodes)
-            .max(1);
         self
     }
 
@@ -249,11 +230,8 @@ impl PlatformBuilder {
         self
     }
 
-    /// Builds and starts the platform, surfacing configuration errors as
-    /// values: duplicate behaviour names, and a typed-op manifest that
-    /// disagrees with the compensation registry (the op-definition-time
-    /// kind validation — a miswired compensation fails the build instead of
-    /// a step, or worse, a rollback).
+    /// Builds and starts the platform, surfacing configuration errors
+    /// (duplicate behaviour names) as values.
     ///
     /// # Errors
     ///
@@ -291,9 +269,6 @@ impl PlatformBuilder {
     fn try_build_world(self, owned: Option<&[NodeId]>) -> Result<World, BuildError> {
         if let Some(err) = self.errors.into_iter().next() {
             return Err(err);
-        }
-        if let Err(msg) = mar_resources::validate_typed_ops(&self.comps) {
-            return Err(BuildError::MiswiredCompensation(msg));
         }
         let mut cfg = WorldConfig::with_seed(self.seed);
         cfg.latency = self.latency;
@@ -372,16 +347,5 @@ mod tests {
             .try_build()
             .unwrap();
         assert_eq!(p.world().node_count(), 2);
-    }
-
-    #[test]
-    fn shards_auto_clamps_to_node_count() {
-        let p = PlatformBuilder::new(2)
-            .behavior("a", Nop)
-            .shards_auto()
-            .try_build()
-            .unwrap();
-        let n = p.world().shard_count();
-        assert!((1..=2).contains(&n), "auto shards {n} not clamped");
     }
 }

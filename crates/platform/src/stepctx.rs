@@ -157,25 +157,19 @@ impl<'a> StepCtx<'a> {
     /// discipline); [`StepCtx::call`] + [`StepCtx::compensate`] remain the
     /// raw escape hatch and produce byte-identical log frames.
     ///
-    /// The entry kind comes from the op definition
-    /// ([`Compensable::KIND`]), validated against the registry when the
-    /// platform was built — no per-step registry lookup.
+    /// The entry kind is the one the compensation's handler is registered
+    /// under, looked up in the platform's registry as the entry is logged.
     ///
     /// # Errors
     ///
     /// Forward-call errors as in [`StepCtx::call`];
-    /// [`TxnError::BadRequest`] when the result cannot be decoded (a
-    /// wiring bug in the typed op, not a business refusal).
+    /// [`TxnError::BadRequest`] when the result cannot be decoded or the
+    /// derived compensation is not registered (a wiring bug in the typed
+    /// op, not a business refusal). Nothing is logged; a step that returns
+    /// the error aborts its transaction, the forward call included.
     pub fn invoke<O: Compensable>(&mut self, op: &O) -> Result<O::Output, TxnError> {
-        let raw = self.call(op.resource(), op.op(), &op.params())?;
-        let out = op.decode(&raw).map_err(|e| {
-            TxnError::BadRequest(format!(
-                "{}.{}: result decode failed: {e}",
-                op.resource(),
-                op.op()
-            ))
-        })?;
-        self.pending_comps.push(op.entry(&out));
+        let out = self.query(op)?;
+        self.log(op.compensation(&out))?;
         Ok(out)
     }
 
@@ -201,10 +195,16 @@ impl<'a> StepCtx<'a> {
     /// compensation entry it derives (the ACE analogue of
     /// [`StepCtx::invoke`]): write and undo-entry happen in one call, with
     /// the before-state captured by the op itself.
-    pub fn apply<O: WroOp>(&mut self, op: &O) -> O::Output {
+    ///
+    /// # Errors
+    ///
+    /// [`TxnError::BadRequest`] when the derived compensation is not
+    /// registered. Nothing is logged; a step that returns the error aborts,
+    /// and its writes to the data space go with it.
+    pub fn apply<O: WroOp>(&mut self, op: &O) -> Result<O::Output, TxnError> {
         let (out, comp) = op.apply(self.data);
-        self.pending_comps.push((EntryKind::Agent, comp));
-        out
+        self.log(comp)?;
+        Ok(out)
     }
 
     /// The compensation entries collected so far — what the runtime writes
@@ -250,33 +250,32 @@ impl<'a> StepCtx<'a> {
         self.data.set_wro(name, value);
     }
 
-    /// Logs a compensating operation for this step. The builders in
-    /// `mar-resources` (`comp_*`) produce suitable `(kind, op)` pairs.
-    /// At commit the runtime writes the collected pairs into the rollback
-    /// log as one step frame (`RollbackLog::append_step`), which also
-    /// derives the EOS mixed flag (§4.4.1).
+    /// Logs a compensating operation for this step, under the entry kind its
+    /// handler is registered with. The builders in `mar-resources`
+    /// (`comp_*`) produce suitable operations. At commit the runtime writes
+    /// the collected entries into the rollback log as one step frame
+    /// (`RollbackLog::append_step`), which also derives the EOS mixed flag
+    /// (§4.4.1).
     ///
     /// # Errors
     ///
-    /// [`TxnError::BadRequest`] if the operation is not registered or its
-    /// registered kind differs from `kind` (catching miswired
-    /// compensations at forward time rather than during a rollback).
-    pub fn compensate(&mut self, entry: (EntryKind, CompOp)) -> Result<(), TxnError> {
-        let (kind, op) = entry;
-        match self.comps.kind_of(&op.name) {
-            Some(registered) if registered == kind => {
-                self.pending_comps.push((kind, op));
-                Ok(())
-            }
-            Some(registered) => Err(TxnError::BadRequest(format!(
-                "compensation {:?} is registered as {registered} but logged as {kind}",
-                op.name
-            ))),
-            None => Err(TxnError::BadRequest(format!(
-                "compensation {:?} is not registered",
-                op.name
-            ))),
-        }
+    /// [`TxnError::BadRequest`] if the operation is not registered
+    /// (catching a miswired compensation at forward time rather than during
+    /// a rollback); nothing is logged.
+    pub fn compensate(&mut self, op: CompOp) -> Result<(), TxnError> {
+        self.log(op)
+    }
+
+    /// Pushes `op` onto the step's pending entries under its registered
+    /// kind: the one path [`invoke`](StepCtx::invoke),
+    /// [`apply`](StepCtx::apply) and [`compensate`](StepCtx::compensate)
+    /// log through.
+    fn log(&mut self, op: CompOp) -> Result<(), TxnError> {
+        let kind = self.comps.kind_of(&op.name).ok_or_else(|| {
+            TxnError::BadRequest(format!("compensation {:?} is not registered", op.name))
+        })?;
+        self.pending_comps.push((kind, op));
+        Ok(())
     }
 
     /// Requests an (explicit) agent savepoint to be constituted at the end
@@ -318,20 +317,20 @@ mod tests {
     use mar_core::comp::CompOpRegistry;
     use mar_core::AgentId;
 
-    fn comps() -> CompOpRegistry {
-        let mut reg = CompOpRegistry::new();
-        mar_resources::register_compensations(&mut reg);
-        reg
+    fn with_ctx<R>(f: impl for<'a> FnOnce(StepCtx<'a>) -> R) -> R {
+        let mut comps = CompOpRegistry::new();
+        mar_resources::register_compensations(&mut comps);
+        with_ctx_over(&comps, f)
     }
 
-    fn with_ctx<R>(f: impl for<'a> FnOnce(StepCtx<'a>) -> R) -> R {
+    /// A step context over a one-account bank and the given registry.
+    fn with_ctx_over<R>(comps: &CompOpRegistry, f: impl for<'a> FnOnce(StepCtx<'a>) -> R) -> R {
         let mut rms = RmRegistry::new();
         rms.register(Box::new(
             mar_resources::BankRm::new("bank", false).with_account("a", 100),
         ));
         let mut data = DataSpace::new();
         let mut rng = SimRng::seed_from(1);
-        let comps = comps();
         let ctx = StepCtx::new(
             TxnId::new(NodeId(0), 1),
             SimTime::ZERO,
@@ -341,7 +340,7 @@ mod tests {
             &mut rms,
             &mut data,
             &mut rng,
-            &comps,
+            comps,
         );
         f(ctx)
     }
@@ -370,18 +369,32 @@ mod tests {
     }
 
     #[test]
-    fn compensate_validates_kind() {
-        with_ctx(|mut ctx| {
-            // Correct kind accepted.
-            ctx.compensate(mar_resources::comp_undo_withdraw("bank", "a", 5))
+    fn an_unregistered_compensation_is_a_bad_request_and_logs_nothing() {
+        with_ctx_over(&CompOpRegistry::new(), |mut ctx| {
+            let bad = |r: Result<(), TxnError>| matches!(r, Err(TxnError::BadRequest(_)));
+            let withdraw = mar_resources::ops::Withdraw::new("bank", "a", 5);
+            assert!(bad(ctx.invoke(&withdraw).map(drop)));
+            let add = mar_resources::ops::WroAdd::new("counter", 3);
+            assert!(bad(ctx.apply(&add).map(drop)));
+            assert!(bad(ctx.compensate(CompOp::new("ghost", Value::Null))));
+            assert!(ctx.pending_compensations().is_empty());
+        });
+    }
+
+    #[test]
+    fn the_logged_kind_is_the_registered_kind() {
+        let mut mixed = CompOpRegistry::new();
+        mixed.register("bank.undo_withdraw", EntryKind::Mixed, |_| Ok(()));
+        with_ctx_over(&mixed, |mut ctx| {
+            ctx.invoke(&mar_resources::ops::Withdraw::new("bank", "a", 5))
                 .unwrap();
-            // Wrong kind rejected.
-            let (_, op) = mar_resources::comp_undo_withdraw("bank", "a", 5);
-            assert!(ctx.compensate((EntryKind::Agent, op)).is_err());
-            // Unregistered rejected.
-            assert!(ctx
-                .compensate((EntryKind::Agent, CompOp::new("ghost", Value::Null)))
-                .is_err());
+            assert_eq!(
+                ctx.pending_compensations(),
+                [(
+                    EntryKind::Mixed,
+                    mar_resources::comp_undo_withdraw("bank", "a", 5)
+                )]
+            );
         });
     }
 
@@ -396,7 +409,10 @@ mod tests {
             let (pending, _, _) = ctx.into_effects();
             assert_eq!(
                 pending,
-                vec![mar_resources::comp_undo_withdraw("bank", "a", 30)]
+                vec![(
+                    EntryKind::Resource,
+                    mar_resources::comp_undo_withdraw("bank", "a", 30)
+                )]
             );
         });
     }
@@ -416,11 +432,16 @@ mod tests {
     #[test]
     fn apply_mutates_wro_and_derives_ace() {
         with_ctx(|mut ctx| {
-            let n = ctx.apply(&mar_resources::ops::WroAdd::new("counter", 3));
+            let n = ctx
+                .apply(&mar_resources::ops::WroAdd::new("counter", 3))
+                .unwrap();
             assert_eq!(n, 3);
             assert_eq!(ctx.wro("counter").and_then(Value::as_i64), Some(3));
             let (pending, _, _) = ctx.into_effects();
-            assert_eq!(pending, vec![mar_resources::comp_wro_add("counter", -3)]);
+            assert_eq!(
+                pending,
+                vec![(EntryKind::Agent, mar_resources::comp_wro_add("counter", -3))]
+            );
         });
     }
 

@@ -22,7 +22,9 @@ use counting_alloc::{bounded, sweep, Counting};
 use mar_core::comp::{CompOp, EntryKind};
 use mar_core::log::OpEntry;
 use mar_core::{AgentId, AgentRecord, DataSpace, LoggingMode, RollbackMode};
-use mar_platform::{AgentReport, MoleMsg, RceList, ReportOutcome};
+use mar_platform::{AgentReport, MoleMsg, RceList, ReportOutcome, Tally};
+use mar_simnet::NodeId;
+use mar_txn::{RemoteWork, TxMsg, TxnId};
 use mar_wire::Value;
 
 #[global_allocator]
@@ -124,7 +126,8 @@ fn sample_report() -> AgentReport {
 /// One more family of inputs: the structured sweep every decoder of the
 /// workspace gets (`counting_alloc::sweep` — depth and length bombs on top
 /// of the truncations and flips below), over the report's readers, the mole
-/// message a report or a launch travels in, and a shipped RCE list.
+/// messages a launch and a hop's deciding `Prepare` travel in, and a shipped
+/// RCE list.
 #[test]
 fn the_decoder_sweep_gets_a_value_or_a_typed_error() {
     let report = sample_report().encode();
@@ -136,6 +139,18 @@ fn the_decoder_sweep_gets_a_value_or_a_typed_error() {
         record: sample_report().record.to_bytes().unwrap().into(),
     };
     sweep(&launch.encode(), |b| {
+        let _ = MoleMsg::decode(b);
+    });
+    let prepare = MoleMsg::Tx {
+        from: NodeId(2),
+        msg: TxMsg::Prepare {
+            txn: TxnId::new(NodeId(2), 41),
+            work: RemoteWork::new("enqueue-fwd", sample_report().record.to_bytes().unwrap()),
+            decide: true,
+        },
+        tally: vec![(Tally::StepsCommitted, 1), (Tally::RollbackRounds, 3)],
+    };
+    sweep(&prepare.encode(), |b| {
         let _ = MoleMsg::decode(b);
     });
     let rces = RceList {

@@ -480,7 +480,10 @@ fn an_itinerary_that_frames_but_does_not_decode_surfaces_where_the_rollback_resu
     // Two committed steps to compensate, the newest on node 2, where the
     // record is launched: basic mode runs one round there and moves the
     // agent to node 1 for the other, which gives 40 back from the escrow.
-    let undo = comp_undo_transfer("bank", "alice", "escrow", 40);
+    let undo = (
+        mar_core::comp::EntryKind::Resource,
+        comp_undo_transfer("bank", "alice", "escrow", 40),
+    );
     for (seq, node, ops) in [(0, 1, vec![undo]), (1, 2, vec![])] {
         record.log.append_step(node, seq, "collect", ops, vec![]);
         record.step_seq += 1;

@@ -4,7 +4,7 @@
 //! *sound* (§3.2); without overdraft, compensating a deposit is *failable*
 //! — the compensating withdrawal needs sufficient funds.
 
-use mar_core::comp::{CompOp, EntryKind};
+use mar_core::comp::CompOp;
 use mar_txn::{OpCtx, ResourceManager, TxStore, TxnError, TxnId};
 use mar_wire::Value;
 use serde::{Deserialize, Serialize, Serializer};
@@ -221,50 +221,41 @@ impl ResourceManager for BankRm {
 
 /// Builds the compensating operation for a committed `deposit` (§3.2's
 /// failable example: the withdrawal needs funds to still be there).
-pub fn comp_undo_deposit(bank: &str, account: &str, amount: i64) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Resource,
-        CompOp::new(
-            "bank.undo_deposit",
-            Value::map([
-                ("bank", Value::from(bank)),
-                ("account", Value::from(account)),
-                ("amount", Value::from(amount)),
-            ]),
-        ),
+pub fn comp_undo_deposit(bank: &str, account: &str, amount: i64) -> CompOp {
+    CompOp::new(
+        "bank.undo_deposit",
+        Value::map([
+            ("bank", Value::from(bank)),
+            ("account", Value::from(account)),
+            ("amount", Value::from(amount)),
+        ]),
     )
 }
 
 /// Builds the compensating operation for a committed `withdraw`.
-pub fn comp_undo_withdraw(bank: &str, account: &str, amount: i64) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Resource,
-        CompOp::new(
-            "bank.undo_withdraw",
-            Value::map([
-                ("bank", Value::from(bank)),
-                ("account", Value::from(account)),
-                ("amount", Value::from(amount)),
-            ]),
-        ),
+pub fn comp_undo_withdraw(bank: &str, account: &str, amount: i64) -> CompOp {
+    CompOp::new(
+        "bank.undo_withdraw",
+        Value::map([
+            ("bank", Value::from(bank)),
+            ("account", Value::from(account)),
+            ("amount", Value::from(amount)),
+        ]),
     )
 }
 
 /// Builds the compensating operation for a committed `transfer` — the
 /// paper's §4.4.1 example of a pure resource compensation entry ("all
 /// information necessary … is the two bank accounts and the amount").
-pub fn comp_undo_transfer(bank: &str, from: &str, to: &str, amount: i64) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Resource,
-        CompOp::new(
-            "bank.undo_transfer",
-            Value::map([
-                ("bank", Value::from(bank)),
-                ("from", Value::from(from)),
-                ("to", Value::from(to)),
-                ("amount", Value::from(amount)),
-            ]),
-        ),
+pub fn comp_undo_transfer(bank: &str, from: &str, to: &str, amount: i64) -> CompOp {
+    CompOp::new(
+        "bank.undo_transfer",
+        Value::map([
+            ("bank", Value::from(bank)),
+            ("from", Value::from(from)),
+            ("to", Value::from(to)),
+            ("amount", Value::from(amount)),
+        ]),
     )
 }
 
@@ -485,8 +476,13 @@ mod tests {
 
     #[test]
     fn comp_builders_have_resource_kind() {
-        let (kind, op) = comp_undo_transfer("bank", "a", "b", 10);
-        assert_eq!(kind, EntryKind::Resource);
+        let mut reg = mar_core::comp::CompOpRegistry::new();
+        crate::register_compensations(&mut reg);
+        let op = comp_undo_transfer("bank", "a", "b", 10);
+        assert_eq!(
+            reg.kind_of(&op.name),
+            Some(mar_core::comp::EntryKind::Resource)
+        );
         assert_eq!(op.name, "bank.undo_transfer");
         assert_eq!(op.params.get("amount").and_then(Value::as_i64), Some(10));
     }

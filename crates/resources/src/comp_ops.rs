@@ -1,7 +1,9 @@
 //! Compensating-operation handlers for every resource, plus builders for
-//! the operation entries agents log during forward execution.
+//! the compensating operations agents log during forward execution.
 //!
-//! The registry groups the paper's three entry kinds (§4.4.1):
+//! [`register_all`] is the one place each operation's entry kind is stated
+//! (§4.4.1); a builder names the operation only, and the platform looks the
+//! kind up when it logs the entry:
 //!
 //! * RCEs (`bank.*`, `flight.cancel_booking`, `shop.return_account_order`)
 //!   touch only node resources — they can be shipped to the resource node
@@ -273,26 +275,18 @@ fn write_wallet(ctx: &mut CompCtx<'_>, key: &str, wallet: &Wallet) -> Result<(),
     Ok(())
 }
 
-// ---- operation-entry builders ---------------------------------------------
+// ---- compensating-operation builders --------------------------------------
 
 /// Compensation for an account-paid shop purchase.
-pub fn comp_return_account_order(
-    shop: &str,
-    order_id: &str,
-    bank: &str,
-    account: &str,
-) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Resource,
-        CompOp::new(
-            "shop.return_account_order",
-            Value::map([
-                ("shop", Value::from(shop)),
-                ("order_id", Value::from(order_id)),
-                ("bank", Value::from(bank)),
-                ("account", Value::from(account)),
-            ]),
-        ),
+pub fn comp_return_account_order(shop: &str, order_id: &str, bank: &str, account: &str) -> CompOp {
+    CompOp::new(
+        "shop.return_account_order",
+        Value::map([
+            ("shop", Value::from(shop)),
+            ("order_id", Value::from(order_id)),
+            ("bank", Value::from(bank)),
+            ("account", Value::from(account)),
+        ]),
     )
 }
 
@@ -303,19 +297,16 @@ pub fn comp_return_cash_order(
     order_id: &str,
     wallet_key: &str,
     currency: &str,
-) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Mixed,
-        CompOp::new(
-            "shop.return_cash_order",
-            Value::map([
-                ("shop", Value::from(shop)),
-                ("mint", Value::from(mint)),
-                ("order_id", Value::from(order_id)),
-                ("wallet_key", Value::from(wallet_key)),
-                ("currency", Value::from(currency)),
-            ]),
-        ),
+) -> CompOp {
+    CompOp::new(
+        "shop.return_cash_order",
+        Value::map([
+            ("shop", Value::from(shop)),
+            ("mint", Value::from(mint)),
+            ("order_id", Value::from(order_id)),
+            ("wallet_key", Value::from(wallet_key)),
+            ("currency", Value::from(currency)),
+        ]),
     )
 }
 
@@ -326,40 +317,29 @@ pub fn comp_convert_back(
     to_cur: &str,
     out_amount: i64,
     wallet_key: &str,
-) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Mixed,
-        CompOp::new(
-            "exchange.convert_back",
-            Value::map([
-                ("exchange", Value::from(exchange)),
-                ("from", Value::from(from_cur)),
-                ("to", Value::from(to_cur)),
-                ("out_amount", Value::from(out_amount)),
-                ("wallet_key", Value::from(wallet_key)),
-            ]),
-        ),
+) -> CompOp {
+    CompOp::new(
+        "exchange.convert_back",
+        Value::map([
+            ("exchange", Value::from(exchange)),
+            ("from", Value::from(from_cur)),
+            ("to", Value::from(to_cur)),
+            ("out_amount", Value::from(out_amount)),
+            ("wallet_key", Value::from(wallet_key)),
+        ]),
     )
 }
 
 /// Compensation for a flight booking.
-pub fn comp_cancel_booking(
-    flight_rm: &str,
-    booking_id: &str,
-    bank: &str,
-    account: &str,
-) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Resource,
-        CompOp::new(
-            "flight.cancel_booking",
-            Value::map([
-                ("flight_rm", Value::from(flight_rm)),
-                ("booking_id", Value::from(booking_id)),
-                ("bank", Value::from(bank)),
-                ("account", Value::from(account)),
-            ]),
-        ),
+pub fn comp_cancel_booking(flight_rm: &str, booking_id: &str, bank: &str, account: &str) -> CompOp {
+    CompOp::new(
+        "flight.cancel_booking",
+        Value::map([
+            ("flight_rm", Value::from(flight_rm)),
+            ("booking_id", Value::from(booking_id)),
+            ("bank", Value::from(bank)),
+            ("account", Value::from(account)),
+        ]),
     )
 }
 
@@ -367,55 +347,40 @@ pub fn comp_cancel_booking(
 /// comes from the forward result — the natural fit for the typed
 /// [`IssueCoins`](crate::ops::IssueCoins) op, which derives this entry from
 /// the coin it received.
-pub fn comp_void_coin(mint: &str, serial: &str) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Resource,
-        CompOp::new(
-            "mint.void_coin",
-            Value::map([("mint", Value::from(mint)), ("serial", Value::from(serial))]),
-        ),
+pub fn comp_void_coin(mint: &str, serial: &str) -> CompOp {
+    CompOp::new(
+        "mint.void_coin",
+        Value::map([("mint", Value::from(mint)), ("serial", Value::from(serial))]),
     )
 }
 
 /// Compensation for a directory `publish`: retract the entry again.
-pub fn comp_dir_retract(dir: &str, topic: &str) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Resource,
-        CompOp::new(
-            "dir.retract",
-            Value::map([("dir", Value::from(dir)), ("topic", Value::from(topic))]),
-        ),
+pub fn comp_dir_retract(dir: &str, topic: &str) -> CompOp {
+    CompOp::new(
+        "dir.retract",
+        Value::map([("dir", Value::from(dir)), ("topic", Value::from(topic))]),
     )
 }
 
 /// Generic agent compensation: restore a WRO key to a captured value.
-pub fn comp_wro_set(key: &str, value: Value) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Agent,
-        CompOp::new(
-            "wro.set",
-            Value::map([("key", Value::from(key)), ("value", value)]),
-        ),
+pub fn comp_wro_set(key: &str, value: Value) -> CompOp {
+    CompOp::new(
+        "wro.set",
+        Value::map([("key", Value::from(key)), ("value", value)]),
     )
 }
 
 /// Generic agent compensation: add a delta to an integer WRO key.
-pub fn comp_wro_add(key: &str, delta: i64) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Agent,
-        CompOp::new(
-            "wro.add_i64",
-            Value::map([("key", Value::from(key)), ("delta", Value::from(delta))]),
-        ),
+pub fn comp_wro_add(key: &str, delta: i64) -> CompOp {
+    CompOp::new(
+        "wro.add_i64",
+        Value::map([("key", Value::from(key)), ("delta", Value::from(delta))]),
     )
 }
 
 /// Generic agent compensation: pop the last element pushed to a WRO list.
-pub fn comp_wro_list_pop(key: &str) -> (EntryKind, CompOp) {
-    (
-        EntryKind::Agent,
-        CompOp::new("wro.list_pop", Value::map([("key", Value::from(key))])),
-    )
+pub fn comp_wro_list_pop(key: &str) -> CompOp {
+    CompOp::new("wro.list_pop", Value::map([("key", Value::from(key))]))
 }
 
 #[cfg(test)]
@@ -527,7 +492,7 @@ mod tests {
                 ]),
             )
             .unwrap();
-        let (_, op) = crate::bank::comp_undo_transfer("bank", "alice", "bob", 30);
+        let op = crate::bank::comp_undo_transfer("bank", "alice", "bob", 30);
         reg.execute(&op, 0, Some(&mut acc), None).unwrap();
         let bal = acc
             .call(
@@ -545,7 +510,7 @@ mod tests {
         let mut acc = access();
         // Deposit was committed, but someone drained the account: alice has
         // 100; compensation wants to withdraw 500.
-        let (_, op) = crate::bank::comp_undo_deposit("bank", "alice", 500);
+        let op = crate::bank::comp_undo_deposit("bank", "alice", 500);
         let err = reg.execute(&op, 0, Some(&mut acc), None).unwrap_err();
         assert!(matches!(err, CompError::Failed { .. }));
     }
@@ -578,8 +543,8 @@ mod tests {
         let wallet = Wallet::new(); // coins already spent at purchase time
         wro.insert("wallet".to_owned(), wallet.to_value().unwrap());
 
-        let (kind, op) = comp_return_cash_order("shop", "mint", &order_id, "wallet", "USD");
-        assert_eq!(kind, EntryKind::Mixed);
+        let op = comp_return_cash_order("shop", "mint", &order_id, "wallet", "USD");
+        assert_eq!(reg.kind_of(&op.name), Some(EntryKind::Mixed));
         reg.execute(&op, 0, Some(&mut acc), Some(&mut wro)).unwrap();
 
         let back = Wallet::from_value(wro.get("wallet").unwrap()).unwrap();
@@ -620,7 +585,7 @@ mod tests {
             )
             .unwrap();
 
-        let (_, op) = comp_convert_back("fx", "USD", "EUR", 90, "wallet");
+        let op = comp_convert_back("fx", "USD", "EUR", 90, "wallet");
         reg.execute(&op, 0, Some(&mut acc), Some(&mut wro)).unwrap();
         let back = Wallet::from_value(wro.get("wallet").unwrap()).unwrap();
         assert_eq!(back.cash("EUR"), 0);
@@ -633,7 +598,7 @@ mod tests {
         let mut acc = access();
         let mut wro = ObjectMap::new();
         wro.insert("wallet".to_owned(), Wallet::new().to_value().unwrap());
-        let (_, op) = comp_convert_back("fx", "USD", "EUR", 90, "wallet");
+        let op = comp_convert_back("fx", "USD", "EUR", 90, "wallet");
         reg.execute(&op, 0, Some(&mut acc), Some(&mut wro)).unwrap();
         let back = Wallet::from_value(wro.get("wallet").unwrap()).unwrap();
         assert_eq!(back.cash("USD"), 0, "nothing left to convert back");
@@ -652,7 +617,7 @@ mod tests {
             currency: "EUR".into(),
         }]);
         wro.insert("wallet".to_owned(), wallet.to_value().unwrap());
-        let (_, op) = comp_convert_back("fx", "USD", "EUR", 90, "wallet");
+        let op = comp_convert_back("fx", "USD", "EUR", 90, "wallet");
         reg.execute(&op, 0, Some(&mut acc), Some(&mut wro)).unwrap();
         let back = Wallet::from_value(wro.get("wallet").unwrap()).unwrap();
         assert_eq!(back.cash("EUR"), 0);
@@ -668,13 +633,13 @@ mod tests {
             "log".to_owned(),
             Value::list([Value::from("a"), Value::from("b")]),
         );
-        let (_, add) = comp_wro_add("n", -4);
+        let add = comp_wro_add("n", -4);
         reg.execute(&add, 0, None, Some(&mut wro)).unwrap();
         assert_eq!(wro.get("n").and_then(Value::as_i64), Some(6));
-        let (_, pop) = comp_wro_list_pop("log");
+        let pop = comp_wro_list_pop("log");
         reg.execute(&pop, 0, None, Some(&mut wro)).unwrap();
         assert_eq!(wro.get("log").unwrap().as_list().unwrap().len(), 1);
-        let (_, set) = comp_wro_set("n", Value::from(99i64));
+        let set = comp_wro_set("n", Value::from(99i64));
         reg.execute(&set, 0, None, Some(&mut wro)).unwrap();
         assert_eq!(wro.get("n").and_then(Value::as_i64), Some(99));
     }

@@ -18,9 +18,10 @@
 //!   fees.
 //!
 //! [`register_compensations`] wires every compensating-operation handler
-//! into a [`mar_core::comp::CompOpRegistry`]; the `comp_*` builders produce
-//! the operation entries agents append to their rollback logs during
-//! forward execution.
+//! into a [`mar_core::comp::CompOpRegistry`], each under its entry kind —
+//! the one place a kind is stated. The `comp_*` builders produce the
+//! compensating operations agents log during forward execution; the
+//! platform looks their kind up in the registry.
 //!
 //! The [`ops`] module is the *typed* surface over the same resources: one
 //! struct per operation, with its compensation derived from the op and its
@@ -52,6 +53,5 @@ pub use directory::DirectoryRm;
 pub use exchange::ExchangeRm;
 pub use flight::FlightRm;
 pub use mint::{coin_from_value, MintRm};
-pub use ops::{typed_op_manifest, validate_typed_ops};
 pub use shop::{refund_from_value, RefundOutcome, RefundPolicy, ShopRm};
 pub use wallet::{Coin, CreditNote, Wallet};

@@ -9,10 +9,9 @@
 //! and produces byte-identical rollback-log frames (pinned by the
 //! platform's `typed_ops_props` property test).
 //!
-//! The entry kind of each compensation is part of the op's *definition*
-//! (`Compensable::KIND`), so a miswired kind cannot be written at a call
-//! site; [`validate_typed_ops`] checks the whole manifest against a
-//! [`CompOpRegistry`] once, at platform build time.
+//! No op states an entry kind: each compensation's kind is the one its
+//! handler is registered under ([`register_compensations`]), and the
+//! platform looks it up when it logs the entry.
 //!
 //! Read-only operations ([`Balance`], [`QuoteFlight`], [`QuoteItem`],
 //! [`QuoteRate`], [`VerifyCoin`], [`QueryTopic`]) implement only
@@ -24,8 +23,10 @@
 //! key ([`BuyWithCash`], [`ConvertCash`]) and the generic [`WroOp`]s
 //! ([`WroSet`], [`WroAdd`], [`WroPush`]) that pair a WRO write with its
 //! derived agent compensation entry.
+//!
+//! [`register_compensations`]: crate::register_compensations
 
-use mar_core::comp::{CompOp, CompOpRegistry, Compensable, EntryKind, ResourceOp, WroOp};
+use mar_core::comp::{CompOp, Compensable, ResourceOp, WroOp};
 use mar_core::DataSpace;
 use mar_wire::{Value, WireError};
 
@@ -108,10 +109,8 @@ impl ResourceOp for Deposit {
 }
 
 impl Compensable for Deposit {
-    const KIND: EntryKind = EntryKind::Resource;
-
     fn compensation(&self, _new_balance: &i64) -> CompOp {
-        comp_undo_deposit(&self.bank, &self.account, self.amount).1
+        comp_undo_deposit(&self.bank, &self.account, self.amount)
     }
 }
 
@@ -161,10 +160,8 @@ impl ResourceOp for Withdraw {
 }
 
 impl Compensable for Withdraw {
-    const KIND: EntryKind = EntryKind::Resource;
-
     fn compensation(&self, _new_balance: &i64) -> CompOp {
-        comp_undo_withdraw(&self.bank, &self.account, self.amount).1
+        comp_undo_withdraw(&self.bank, &self.account, self.amount)
     }
 }
 
@@ -224,10 +221,8 @@ impl ResourceOp for Transfer {
 }
 
 impl Compensable for Transfer {
-    const KIND: EntryKind = EntryKind::Resource;
-
     fn compensation(&self, _out: &()) -> CompOp {
-        comp_undo_transfer(&self.bank, &self.from, &self.to, self.amount).1
+        comp_undo_transfer(&self.bank, &self.from, &self.to, self.amount)
     }
 }
 
@@ -347,8 +342,6 @@ impl ResourceOp for BookFlight {
 }
 
 impl Compensable for BookFlight {
-    const KIND: EntryKind = EntryKind::Resource;
-
     fn compensation(&self, booking: &Booking) -> CompOp {
         comp_cancel_booking(
             &self.air,
@@ -356,7 +349,6 @@ impl Compensable for BookFlight {
             &self.refund_bank,
             &self.refund_account,
         )
-        .1
     }
 }
 
@@ -494,8 +486,6 @@ impl ResourceOp for BuyWithAccount {
 }
 
 impl Compensable for BuyWithAccount {
-    const KIND: EntryKind = EntryKind::Resource;
-
     fn compensation(&self, order: &Order) -> CompOp {
         comp_return_account_order(
             &self.shop,
@@ -503,7 +493,6 @@ impl Compensable for BuyWithAccount {
             &self.refund_bank,
             &self.refund_account,
         )
-        .1
     }
 }
 
@@ -577,8 +566,6 @@ impl ResourceOp for BuyWithCash {
 }
 
 impl Compensable for BuyWithCash {
-    const KIND: EntryKind = EntryKind::Mixed;
-
     fn compensation(&self, order: &Order) -> CompOp {
         comp_return_cash_order(
             &self.shop,
@@ -587,7 +574,6 @@ impl Compensable for BuyWithCash {
             &self.wallet_key,
             &self.currency,
         )
-        .1
     }
 }
 
@@ -708,8 +694,6 @@ impl ResourceOp for ConvertCash {
 }
 
 impl Compensable for ConvertCash {
-    const KIND: EntryKind = EntryKind::Mixed;
-
     fn compensation(&self, coin: &Coin) -> CompOp {
         comp_convert_back(
             &self.exchange,
@@ -718,7 +702,6 @@ impl Compensable for ConvertCash {
             coin.value,
             &self.wallet_key,
         )
-        .1
     }
 }
 
@@ -826,10 +809,8 @@ impl ResourceOp for IssueCoins {
 }
 
 impl Compensable for IssueCoins {
-    const KIND: EntryKind = EntryKind::Resource;
-
     fn compensation(&self, coin: &Coin) -> CompOp {
-        comp_void_coin(&self.mint, &coin.serial).1
+        comp_void_coin(&self.mint, &coin.serial)
     }
 }
 
@@ -921,10 +902,8 @@ impl ResourceOp for PublishEntry {
 }
 
 impl Compensable for PublishEntry {
-    const KIND: EntryKind = EntryKind::Resource;
-
     fn compensation(&self, _out: &()) -> CompOp {
-        comp_dir_retract(&self.dir, &self.topic).1
+        comp_dir_retract(&self.dir, &self.topic)
     }
 }
 
@@ -998,7 +977,7 @@ impl WroOp for WroSet {
     fn apply(&self, data: &mut DataSpace) -> (Option<Value>, CompOp) {
         let before = data.wro(&self.key).cloned();
         data.set_wro(self.key.clone(), self.value.clone());
-        let comp = comp_wro_set(&self.key, before.clone().unwrap_or(Value::Null)).1;
+        let comp = comp_wro_set(&self.key, before.clone().unwrap_or(Value::Null));
         (before, comp)
     }
 }
@@ -1035,10 +1014,10 @@ impl WroOp for WroAdd<'_> {
         let comp = match before {
             // Integer (or absent, which the handler reads as 0): the
             // inverse delta restores it exactly.
-            None => comp_wro_add(self.key, -self.delta).1,
-            Some(v) if v.as_i64().is_some() => comp_wro_add(self.key, -self.delta).1,
+            None => comp_wro_add(self.key, -self.delta),
+            Some(v) if v.as_i64().is_some() => comp_wro_add(self.key, -self.delta),
             // Clobbered a non-integer: only the before-image restores it.
-            Some(v) => comp_wro_set(self.key, v).1,
+            Some(v) => comp_wro_set(self.key, v),
         };
         (next, comp)
     }
@@ -1074,91 +1053,24 @@ impl WroOp for WroPush {
     fn apply(&self, data: &mut DataSpace) -> ((), CompOp) {
         if let Some(Value::List(items)) = data.wro_mut(&self.key) {
             items.push(self.value.clone());
-            return ((), comp_wro_list_pop(&self.key).1);
+            return ((), comp_wro_list_pop(&self.key));
         }
         let before = data.wro(&self.key).cloned();
         data.set_wro(self.key.clone(), Value::List(vec![self.value.clone()]));
         let comp = match before {
             // Created the list: popping the only element restores "empty"
             // (the closest state representable without deleting the key).
-            None => comp_wro_list_pop(&self.key).1,
+            None => comp_wro_list_pop(&self.key),
             // Clobbered a non-list: only the before-image restores it.
-            Some(v) => comp_wro_set(&self.key, v).1,
+            Some(v) => comp_wro_set(&self.key, v),
         };
         ((), comp)
     }
 }
 
-// ---- manifest --------------------------------------------------------------
-
-/// The `(compensation name, entry kind)` manifest of every [`Compensable`]
-/// and [`WroOp`] in this crate — the op-definition-time source of truth for
-/// kind validation.
-pub fn typed_op_manifest() -> Vec<(&'static str, EntryKind)> {
-    vec![
-        ("bank.undo_deposit", EntryKind::Resource),
-        ("bank.undo_withdraw", EntryKind::Resource),
-        ("bank.undo_transfer", EntryKind::Resource),
-        ("flight.cancel_booking", EntryKind::Resource),
-        ("shop.return_account_order", EntryKind::Resource),
-        ("shop.return_cash_order", EntryKind::Mixed),
-        ("exchange.convert_back", EntryKind::Mixed),
-        ("mint.void_coin", EntryKind::Resource),
-        ("dir.retract", EntryKind::Resource),
-        ("wro.set", EntryKind::Agent),
-        ("wro.add_i64", EntryKind::Agent),
-        ("wro.list_pop", EntryKind::Agent),
-    ]
-}
-
-/// Checks the typed-op manifest against a compensation registry: every
-/// derived compensation must be registered, under exactly the kind its op
-/// declares. The platform builder runs this once at build time, which is
-/// where a miswired kind surfaces — instead of at step (or worse, rollback)
-/// time.
-///
-/// # Errors
-///
-/// A description of the first mismatch found.
-pub fn validate_typed_ops(reg: &CompOpRegistry) -> Result<(), String> {
-    for (name, kind) in typed_op_manifest() {
-        match reg.kind_of(name) {
-            Some(k) if k == kind => {}
-            Some(k) => {
-                return Err(format!(
-                    "compensation {name:?} is registered as {k} but typed ops derive it as {kind}"
-                ))
-            }
-            None => return Err(format!("compensation {name:?} is not registered")),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::register_compensations;
-
-    #[test]
-    fn manifest_matches_registry() {
-        let mut reg = CompOpRegistry::new();
-        register_compensations(&mut reg);
-        validate_typed_ops(&reg).unwrap();
-    }
-
-    #[test]
-    fn validation_catches_missing_and_miswired() {
-        let reg = CompOpRegistry::new();
-        assert!(validate_typed_ops(&reg)
-            .unwrap_err()
-            .contains("not registered"));
-        let mut reg = CompOpRegistry::new();
-        register_compensations(&mut reg);
-        // Simulate a miswiring by checking a manifest entry against a
-        // registry where the name resolves to a different kind.
-        assert_eq!(reg.kind_of("wro.set"), Some(EntryKind::Agent));
-    }
 
     #[test]
     fn typed_params_match_raw_call_shapes() {
@@ -1173,9 +1085,10 @@ mod tests {
         );
         assert_eq!(t.resource(), "bank");
         assert_eq!(t.op(), "transfer");
-        let (kind, comp) = t.entry(&());
-        assert_eq!(kind, EntryKind::Resource);
-        assert_eq!((kind, comp), comp_undo_transfer("bank", "a", "b", 10));
+        assert_eq!(
+            t.compensation(&()),
+            comp_undo_transfer("bank", "a", "b", 10)
+        );
     }
 
     #[test]
@@ -1185,8 +1098,8 @@ mod tests {
             .decode(&Value::map([("booking_id", Value::from("air-b1"))]))
             .unwrap();
         assert_eq!(booking.booking_id, "air-b1");
-        let entry = b.entry(&booking);
-        assert_eq!(entry, comp_cancel_booking("air", "air-b1", "bank", "alice"));
+        let comp = b.compensation(&booking);
+        assert_eq!(comp, comp_cancel_booking("air", "air-b1", "bank", "alice"));
     }
 
     #[test]
@@ -1194,16 +1107,16 @@ mod tests {
         let mut data = DataSpace::new();
         let (out, comp) = WroAdd::new("n", 5).apply(&mut data);
         assert_eq!(out, 5);
-        assert_eq!((EntryKind::Agent, comp), comp_wro_add("n", -5));
+        assert_eq!(comp, comp_wro_add("n", -5));
 
         let (before, comp) = WroSet::new("flag", Value::Bool(true)).apply(&mut data);
         assert_eq!(before, None);
-        assert_eq!((EntryKind::Agent, comp), comp_wro_set("flag", Value::Null));
+        assert_eq!(comp, comp_wro_set("flag", Value::Null));
         let (before, _) = WroSet::new("flag", Value::Bool(false)).apply(&mut data);
         assert_eq!(before, Some(Value::Bool(true)));
 
         let ((), comp) = WroPush::new("log", Value::from(1i64)).apply(&mut data);
-        assert_eq!((EntryKind::Agent, comp), comp_wro_list_pop("log"));
+        assert_eq!(comp, comp_wro_list_pop("log"));
         assert_eq!(data.wro("log").unwrap().as_list().unwrap().len(), 1);
     }
 
@@ -1216,19 +1129,13 @@ mod tests {
         data.set_wro("s", Value::from("hello"));
         let (out, comp) = WroAdd::new("s", 5).apply(&mut data);
         assert_eq!(out, 5, "absent-as-0 semantics for the clobbered value");
-        assert_eq!(
-            (EntryKind::Agent, comp),
-            comp_wro_set("s", Value::from("hello"))
-        );
+        assert_eq!(comp, comp_wro_set("s", Value::from("hello")));
 
         let mut data = DataSpace::new();
         data.set_wro("n", Value::from(7i64));
         let ((), comp) = WroPush::new("n", Value::from(1i64)).apply(&mut data);
         assert_eq!(data.wro("n").unwrap().as_list().unwrap().len(), 1);
-        assert_eq!(
-            (EntryKind::Agent, comp),
-            comp_wro_set("n", Value::from(7i64))
-        );
+        assert_eq!(comp, comp_wro_set("n", Value::from(7i64)));
     }
 
     #[test]
@@ -1239,7 +1146,7 @@ mod tests {
             value: 25,
             currency: "USD".into(),
         };
-        let entry = op.entry(&coin);
-        assert_eq!(entry, comp_void_coin("mint", "mint-00000001"));
+        let comp = op.compensation(&coin);
+        assert_eq!(comp, comp_void_coin("mint", "mint-00000001"));
     }
 }

@@ -96,11 +96,9 @@ pub struct WorldConfig {
     pub latency: LatencyModel,
     /// Whether to record a kernel trace.
     pub trace: bool,
-    /// Number of shards the nodes are partitioned into. `1` (the default)
-    /// runs the classic sequential dispatch loop; results are identical at
-    /// any value. `0` means **auto**: one shard per available hardware
-    /// thread ([`std::thread::available_parallelism`]), falling back to the
-    /// sequential engine when the latency model has no usable lookahead.
+    /// Number of shards the nodes are partitioned into, at least 1. `1`
+    /// (the default) runs the classic sequential dispatch loop; results are
+    /// identical at any value.
     pub shards: usize,
     /// Stable-storage backend constructor used for every node. The default
     /// is the reference in-memory backend; results are identical with any
@@ -579,30 +577,16 @@ pub struct World {
 impl World {
     /// Creates an empty world.
     ///
-    /// `cfg.shards == 0` selects the shard count automatically: one shard
-    /// per available hardware thread, or the sequential engine when the
-    /// latency model's lookahead is unusable. Results are byte-identical at
-    /// any shard count, so auto mode never changes a simulation.
-    ///
     /// # Panics
     ///
-    /// Panics if an *explicit* `cfg.shards > 1` is combined with a latency
-    /// model whose [`LatencyModel::min_latency`] is below 1µs —
+    /// Panics if `cfg.shards` is 0, or if `cfg.shards > 1` is combined with
+    /// a latency model whose [`LatencyModel::min_latency`] is below 1µs —
     /// conservative parallel windows need strictly positive cross-shard
     /// lookahead.
     pub fn new(cfg: WorldConfig) -> Self {
         let lookahead = cfg.latency.min_latency();
-        let n_shards = if cfg.shards == 0 {
-            if lookahead >= SimDuration::from_micros(1) {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            } else {
-                1
-            }
-        } else {
-            cfg.shards
-        };
+        let n_shards = cfg.shards;
+        assert!(n_shards >= 1, "a world needs at least one shard");
         assert!(
             n_shards == 1 || lookahead >= SimDuration::from_micros(1),
             "sharded runtime needs >= 1us latency lookahead (base * (1 - jitter)); \
@@ -1813,18 +1797,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_shards_resolve_from_parallelism() {
+    #[should_panic(expected = "at least one shard")]
+    fn zero_shards_are_rejected() {
         let mut cfg = WorldConfig::with_seed(1);
         cfg.shards = 0;
-        let w = World::new(cfg);
-        assert!(w.shard_count() >= 1);
-
-        // With a model that cannot guarantee lookahead, auto mode falls back
-        // to sequential instead of panicking like an explicit request would.
-        let mut cfg = WorldConfig::with_seed(1);
-        cfg.latency = LatencyModel::fixed(SimDuration::ZERO, SimDuration::ZERO);
-        cfg.shards = 0;
-        assert_eq!(World::new(cfg).shard_count(), 1);
+        let _ = World::new(cfg);
     }
 
     // ----- remote-egress seam ------------------------------------------------

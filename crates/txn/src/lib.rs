@@ -40,7 +40,7 @@ pub mod twopc;
 pub use error::TxnError;
 pub use id::{TxnId, TxnIdGen};
 pub use lock::{LockMode, LockTable};
-pub use msg::{RemoteWork, TxEnvelope, TxMsg};
+pub use msg::{RemoteWork, TxMsg};
 pub use rm::{OpCtx, ResourceManager, RmRegistry, RmWrite};
 pub use store::TxStore;
 pub use twopc::{Action, Coordinator, LocalBranch, Participant, PreparedEntry};

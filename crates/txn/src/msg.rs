@@ -1,6 +1,5 @@
 //! Wire messages of the distributed commit protocol.
 
-use mar_simnet::NodeId;
 use serde::{Deserialize, Serialize};
 
 use crate::id::TxnId;
@@ -90,19 +89,10 @@ impl TxMsg {
     }
 }
 
-/// Envelope identifying the sender, since the protocol logic needs to know
-/// which node a vote/ack came from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TxEnvelope {
-    /// The sending node.
-    pub from: NodeId,
-    /// The protocol message.
-    pub msg: TxMsg,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mar_simnet::NodeId;
 
     #[test]
     fn messages_roundtrip_on_wire() {
@@ -128,14 +118,10 @@ mod tests {
             },
         ];
         for m in msgs {
-            let env = TxEnvelope {
-                from: NodeId(7),
-                msg: m.clone(),
-            };
-            let bytes = mar_wire::to_bytes(&env).unwrap();
-            let back: TxEnvelope = mar_wire::from_slice(&bytes).unwrap();
-            assert_eq!(back.msg, m);
-            assert_eq!(back.msg.txn(), TxnId::new(NodeId(1), 2));
+            let bytes = mar_wire::to_bytes(&m).unwrap();
+            let back: TxMsg = mar_wire::from_slice(&bytes).unwrap();
+            assert_eq!(back, m);
+            assert_eq!(back.txn(), TxnId::new(NodeId(1), 2));
         }
     }
 }

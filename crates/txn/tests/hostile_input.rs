@@ -11,7 +11,7 @@ mod hostile;
 
 use counting_alloc::{sweep, Counting};
 use mar_simnet::NodeId;
-use mar_txn::{PreparedEntry, RemoteWork, TxEnvelope, TxMsg, TxStore, TxnId};
+use mar_txn::{PreparedEntry, RemoteWork, TxMsg, TxStore, TxnId};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -33,16 +33,13 @@ fn a_prepared_entry_and_a_prepare_survive_the_sweep() {
     sweep(&mar_wire::to_bytes(&entry).unwrap(), |b| {
         let _ = mar_wire::from_slice::<PreparedEntry>(b);
     });
-    let prepare = TxEnvelope {
-        from: NodeId(3),
-        msg: TxMsg::Prepare {
-            txn: TxnId::new(NodeId(3), 41),
-            work: work(),
-            decide: true,
-        },
+    let prepare = TxMsg::Prepare {
+        txn: TxnId::new(NodeId(3), 41),
+        work: work(),
+        decide: true,
     };
     sweep(&mar_wire::to_bytes(&prepare).unwrap(), |b| {
-        let _ = mar_wire::from_slice::<TxEnvelope>(b);
+        let _ = mar_wire::from_slice::<TxMsg>(b);
     });
 }
 

@@ -12,8 +12,7 @@
 
 use mar_simnet::{Address, Ctx, NodeId, Service, SimDuration, World, WorldConfig};
 use mar_txn::{
-    twopc::Action, Coordinator, LocalBranch, Participant, PreparedEntry, RemoteWork, TxEnvelope,
-    TxMsg, TxnId,
+    twopc::Action, Coordinator, LocalBranch, Participant, PreparedEntry, RemoteWork, TxMsg, TxnId,
 };
 use mar_wire::{from_slice, to_bytes};
 
@@ -30,6 +29,14 @@ struct StartCommit {
     /// Key/value each participant writes when the txn commits.
     key: String,
     value: Vec<u8>,
+}
+
+/// A protocol message with its sender: the state machines need to know
+/// which node a vote or an ack came from.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct TxEnvelope {
+    from: NodeId,
+    msg: TxMsg,
 }
 
 #[derive(Default)]

@@ -35,10 +35,11 @@ impl AgentBehavior for Scout {
             }
             // Reserve budget by moving money to an escrow account. The
             // typed op executes the transfer AND logs its compensating
-            // transfer (a pure resource compensation entry, §4.4.1) in one
-            // call — the raw pair `ctx.call(..)` +
-            // `ctx.compensate(comp_undo_transfer(..))` remains available as
-            // the escape hatch and writes the identical log frame.
+            // transfer in one call, under the kind its handler is registered
+            // with (a pure resource compensation entry, §4.4.1) — the raw
+            // pair `ctx.call(..)` + `ctx.compensate(comp_undo_transfer(..))`
+            // remains available as the escape hatch and writes the
+            // identical log frame.
             "reserve_budget" => {
                 ctx.invoke(&Transfer::new("bank", "scout", "escrow", 500))?;
                 // Another checkpoint. No SRO changed since the last one, so
