@@ -26,7 +26,9 @@ cargo test -q
 cargo test -q -p proptest
 # The decoders' hostile-input tests once more in the release profile: what
 # they guard is profile-dependent (stack frames shrink, overflow checks are
-# compiled out), so debug alone does not show it.
+# compiled out), so debug alone does not show it. With them the kernel
+# trace's allocator calls (`trace_alloc`), counted in the profile the
+# benchmark runs: fewer than 64 more traced than untraced, at any run length.
 cargo test -q --release -p mar-wire -p mar-simnet
 # Likewise the three suites whose failure mode is "an agent is never
 # scheduled": the mole's check of its `ready` set against the store is a
@@ -35,9 +37,12 @@ cargo test -q --release -p mar-wire -p mar-simnet
 # op derives is registered (the entry kind is looked up there), and the
 # report readers' sweep, whose `MoleMsg` inputs include the `Tx` frame a
 # node decodes for every hop: an allocation bound is profile-dependent, as
-# for the decoders above.
+# for the decoders above. And the shard-count equivalence suite, which
+# compares whole traces: the threaded engine merges the shards' trace
+# buffers, and release is the profile the benchmark runs.
 cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
-    --test step_path_cache_props --test typed_ops_props --test report_reader_props
+    --test step_path_cache_props --test typed_ops_props --test report_reader_props \
+    --test shard_equivalence_props
 # And the commit path's crash suites: the WAL's equality with the reference
 # backend under crash schedules, and its cleaner's bound on a fleet that
 # queues several agents a node; the 2PC host's crash sweep, whose

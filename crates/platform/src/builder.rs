@@ -51,6 +51,9 @@ pub enum BuildError {
     /// An agent type was registered twice (the first registration wins
     /// until the build fails).
     DuplicateBehavior(String),
+    /// The world cannot run the configuration; the reason is
+    /// [`WorldConfig::check`]'s.
+    World(&'static str),
 }
 
 impl fmt::Display for BuildError {
@@ -59,6 +62,7 @@ impl fmt::Display for BuildError {
             BuildError::DuplicateBehavior(name) => {
                 write!(f, "agent type {name:?} registered twice")
             }
+            BuildError::World(why) => f.write_str(why),
         }
     }
 }
@@ -115,8 +119,9 @@ impl PlatformBuilder {
 
     /// Partitions the simulated nodes across `n` worker-thread shards.
     /// Results are byte-identical at any shard count; `1` (the default)
-    /// keeps the sequential dispatch loop. `n` must be at least 1: the
-    /// build panics on 0 ([`World::new`]).
+    /// keeps the sequential dispatch loop. `n` must be at least 1, and more
+    /// than 1 needs a latency model with a positive minimum: otherwise
+    /// [`PlatformBuilder::try_build`] returns [`BuildError::World`].
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
         self
@@ -230,8 +235,9 @@ impl PlatformBuilder {
         self
     }
 
-    /// Builds and starts the platform, surfacing configuration errors
-    /// (duplicate behaviour names) as values.
+    /// Builds and starts the platform, surfacing configuration errors (a
+    /// duplicate behaviour name, a shard count the world cannot run) as
+    /// values.
     ///
     /// # Errors
     ///
@@ -275,6 +281,7 @@ impl PlatformBuilder {
         cfg.trace = self.trace;
         cfg.shards = if owned.is_some() { 1 } else { self.shards };
         cfg.stable = self.stable;
+        cfg.check().map_err(BuildError::World)?;
         let owned_set: Option<BTreeSet<u32>> = owned.map(|o| o.iter().map(|n| n.0).collect());
         let mut world = World::new(cfg);
         let behaviors = Arc::new(self.behaviors);
@@ -338,6 +345,23 @@ mod tests {
             .try_build()
             .unwrap_err();
         assert_eq!(err, BuildError::DuplicateBehavior("a".to_owned()));
+    }
+
+    #[test]
+    fn zero_shards_fail_the_build() {
+        let err = PlatformBuilder::new(1).shards(0).try_build().unwrap_err();
+        assert!(matches!(err, BuildError::World(why) if why.contains("at least one shard")));
+    }
+
+    #[test]
+    fn shards_without_lookahead_fail_the_build() {
+        let zero = mar_simnet::SimDuration::ZERO;
+        let err = PlatformBuilder::new(2)
+            .latency(LatencyModel::fixed(zero, zero))
+            .shards(2)
+            .try_build()
+            .unwrap_err();
+        assert!(matches!(err, BuildError::World(why) if why.contains("lookahead")));
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! this node's own branches; a branch in doubt asks its decider.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::sync::Arc;
 
 use mar_core::comp::CompOpRegistry;
@@ -418,10 +419,10 @@ impl MoleService {
         key
     }
 
-    /// Counts and traces a prepared entry that does not read back as stored.
-    fn refuse_prepared(ctx: &mut Ctx<'_>, txn: &str, why: String) {
-        ctx.metrics().inc(keys::RECOVERY_PREPARED_REFUSED);
-        ctx.trace("prepared-refused", format!("{txn}: {why}"));
+    /// Reports a prepared entry that does not read back as stored.
+    fn refuse_prepared(ctx: &mut Ctx<'_>, txn: &str, why: impl fmt::Display) {
+        let refused = keys::RECOVERY_PREPARED_REFUSED;
+        ctx.failure(refused, format_args!("{txn}: {why}"));
     }
 
     /// Moves the intern table's counts into the metrics; called at the end
@@ -446,7 +447,7 @@ impl MoleService {
         ctx.set_timer(delay, tag);
     }
 
-    fn schedule_retry(&mut self, ctx: &mut Ctx<'_>, key: &str) {
+    fn schedule_retry(&mut self, ctx: &mut Ctx<'_>, key: &str, why: impl fmt::Display) {
         let attempts = self.attempts.entry(key.to_owned()).or_insert(0);
         *attempts += 1;
         let exp = (*attempts).min(RETRY_MAX_EXP);
@@ -454,7 +455,7 @@ impl MoleService {
         // Randomized backoff desynchronizes no-wait lock retries.
         let jitter = 0.5 + ctx.rng().f64();
         let delay = base.mul_f64(jitter);
-        ctx.metrics().inc(keys::STEPS_ABORTED);
+        ctx.failure(keys::STEPS_ABORTED, why);
         self.schedule_item(ctx, key.to_owned(), delay);
     }
 
@@ -837,7 +838,7 @@ impl MoleService {
             self.kick(ctx);
         } else {
             ctx.metrics().inc(keys::TXN_ABORTED);
-            self.schedule_retry(ctx, &at.queue_key);
+            self.schedule_retry(ctx, &at.queue_key, format_args!("{txn} aborted"));
         }
     }
 
@@ -945,7 +946,7 @@ impl MoleService {
     /// and says so.
     fn apply_work(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, work: RemoteWork) {
         let works = Work::decode_stored(work).unwrap_or_else(|e| {
-            Self::refuse_prepared(ctx, &txn.key(), format!("{e:?}"));
+            Self::refuse_prepared(ctx, &txn.key(), format_args!("{e:?}"));
             Vec::new()
         });
         for work in works {
@@ -961,7 +962,7 @@ impl MoleService {
                             self.itin.intern_record(record);
                             self.ready.insert(key);
                         }
-                        None => Self::refuse_prepared(ctx, &txn.key(), format!("no {key}")),
+                        None => Self::refuse_prepared(ctx, &txn.key(), format_args!("no {key}")),
                     }
                     let (transfers, bytes) = if rollback {
                         (keys::TRANSFERS_ROLLBACK, keys::TRANSFER_BYTES_ROLLBACK)
@@ -974,7 +975,7 @@ impl MoleService {
                 }
                 // `prepare` stores the stub in the record's place.
                 Work::Enqueue { .. } => {
-                    Self::refuse_prepared(ctx, &txn.key(), "an unheld record".to_owned());
+                    Self::refuse_prepared(ctx, &txn.key(), "an unheld record");
                 }
                 Work::Rce(list) => {
                     // Fast path: the tentative execution from the prepare is
@@ -984,8 +985,7 @@ impl MoleService {
                         if let Err(e) = self.execute_rce_list(ctx, txn, &list) {
                             // The decision is commit; a redo failure is the
                             // heuristic-damage corner of 2PC. Record it.
-                            ctx.metrics().inc(keys::ROLLBACK_REDO_FAILED);
-                            ctx.trace("rce-redo-failed", e.to_string());
+                            ctx.failure(keys::ROLLBACK_REDO_FAILED, e);
                         }
                     }
                     self.commit_rms(ctx, txn);
@@ -1021,7 +1021,7 @@ impl MoleService {
                         self.itin.adopt(&mut r.itinerary);
                         r
                     }
-                    Err(e) => return self.drop_item(ctx, key, e.to_string()),
+                    Err(e) => return self.drop_item(ctx, key, e),
                 }
             }
         };
@@ -1042,10 +1042,7 @@ impl MoleService {
         };
         match result {
             Ok(()) => {}
-            Err(ItemError::Transient(reason)) => {
-                ctx.trace("step-retry", reason);
-                self.schedule_retry(ctx, key);
-            }
+            Err(ItemError::Transient(reason)) => self.schedule_retry(ctx, key, reason),
             Err(ItemError::Permanent(reason)) => {
                 // The working copy was consumed by the failed attempt; the
                 // pristine pre-step record is still in stable storage.
@@ -1069,8 +1066,8 @@ impl MoleService {
     }
 
     /// Drops an unreadable queue item (it cannot even fail its agent).
-    fn drop_item(&mut self, ctx: &mut Ctx<'_>, key: &str, why: String) {
-        ctx.trace("bad-queue-item", why);
+    fn drop_item(&mut self, ctx: &mut Ctx<'_>, key: &str, why: impl fmt::Display) {
+        ctx.failure(keys::AGENT_ITEMS_DROPPED, why);
         ctx.stable_delete(key);
         self.attempts.remove(key);
     }
@@ -1618,10 +1615,7 @@ impl Service for MoleService {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Address, payload: &[u8]) {
         let msg = match MoleMsg::decode(payload) {
             Ok(m) => m,
-            Err(e) => {
-                ctx.trace("bad-mole-msg", e.to_string());
-                return;
-            }
+            Err(e) => return ctx.failure(keys::AGENT_MSGS_UNDECODABLE, e),
         };
         match msg {
             MoleMsg::Launch { record } => {
@@ -1755,7 +1749,7 @@ impl Service for MoleService {
                 Ok(held) => {
                     for key in held.queue_keys() {
                         if ctx.stable_get(&key).is_none() {
-                            Self::refuse_prepared(ctx, txn, format!("no {key}"));
+                            Self::refuse_prepared(ctx, txn, format_args!("no {key}"));
                         }
                     }
                     let id = parse_txn_key(txn);
@@ -1763,7 +1757,7 @@ impl Service for MoleService {
                     redo.extend(deltas.map(|(name, seq)| (rm_delta_key(name, *seq), id)));
                     in_doubt.push((id, held.branch));
                 }
-                Err(e) => Self::refuse_prepared(ctx, txn, e.to_string()),
+                Err(e) => Self::refuse_prepared(ctx, txn, e),
             }
         }
 
@@ -1785,8 +1779,8 @@ impl Service for MoleService {
                 None => self.rms.restore_base(record, bytes),
             };
             if let Err(e) = restored {
-                ctx.metrics().inc(keys::RECOVERY_RM_RECORDS_REFUSED);
-                ctx.trace("rm-restore-failed", format!("{key}: {e}"));
+                let refused = keys::RECOVERY_RM_RECORDS_REFUSED;
+                ctx.failure(refused, format_args!("{key}: {e}"));
             }
         }
 
@@ -1817,7 +1811,7 @@ impl Service for MoleService {
                 Ok((entry, held)) => {
                     for key in held {
                         if ctx.stable_get(&key).is_none() {
-                            Self::refuse_prepared(ctx, txn, format!("no {key}"));
+                            Self::refuse_prepared(ctx, txn, format_args!("no {key}"));
                         }
                     }
                     prepared.push((parse_txn_key(txn), entry));

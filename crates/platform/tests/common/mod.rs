@@ -115,7 +115,8 @@ pub fn scripted_builder(nodes: u32, seed: u64, stable: &StableFactory) -> Platfo
 }
 
 /// Builds the standard test platform ([`scripted_builder`]) — parameterized
-/// over shard count, resident-cache mode, and stable backend.
+/// over shard count, resident-cache mode, and stable backend — with kernel
+/// tracing enabled, so suites can compare traces record for record.
 pub fn build_platform(
     nodes: u32,
     seed: u64,
@@ -125,13 +126,13 @@ pub fn build_platform(
 ) -> Platform {
     scripted_builder(nodes, seed, stable)
         .shards(shards)
+        .trace(true)
         .resident_cache(resident_cache)
         .build()
 }
 
 /// Like [`build_platform`], but parameterized over itinerary interning
-/// instead of the resident cache, with kernel tracing enabled so suites can
-/// compare send/deliver timelines byte for byte.
+/// instead of the resident cache.
 pub fn build_platform_itin(
     nodes: u32,
     seed: u64,

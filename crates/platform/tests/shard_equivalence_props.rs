@@ -82,6 +82,8 @@ fn run(
     let stable = stable_dump(&p);
     let counters = strip_engine_counters(p.snapshot().counters);
     let trace = p.world().trace().records().to_vec();
+    assert!(!trace.is_empty(), "the run is traced (shards={shards})");
+    assert_eq!(p.world().trace().dropped(), 0, "the trace is whole");
     RunFingerprint {
         reports,
         stable,

@@ -240,6 +240,21 @@ fn fleet_of_100_settles_with_mailbox_events_only() {
     assert!(m.counter(mk::DRIVER_MBOX_SCANS) > 0);
 }
 
+/// The queue items the run dropped, as traced: `(node, detail)` each. The
+/// same drops are counted under `agent.items_dropped`, trace or no trace.
+fn dropped_items(p: &Platform) -> Vec<(u32, &str)> {
+    let records = p.world().trace().records().iter();
+    let dropped = records.filter_map(|r| match &r.kind {
+        TraceKind::Failure {
+            node,
+            counter,
+            detail,
+        } if *counter == mk::AGENT_ITEMS_DROPPED => Some((*node, detail.as_str())),
+        _ => None,
+    });
+    dropped.collect()
+}
+
 /// A node survives what it is handed: a launched record that is valid but
 /// for a data space nested 100,000 deep (200 KB, far inside the frame limit)
 /// is dropped as an unreadable queue item — it used to overflow the stack of
@@ -281,14 +296,12 @@ fn a_record_nested_past_the_stack_is_dropped_and_the_fleet_completes() {
     for h in &handles {
         assert_eq!(p.report(*h).unwrap().outcome, ReportOutcome::Completed);
     }
-    let dropped = p.world().trace().custom_with_label("bad-queue-item");
-    assert_eq!(dropped.len(), 1, "{dropped:?}");
+    let dropped = dropped_items(&p);
     assert!(
-        matches!(&dropped[0].kind, TraceKind::Custom { node: 0, detail, .. }
-            if detail.contains("nested deeper")),
-        "{:?}",
-        dropped[0]
+        matches!(dropped[..], [(0, detail)] if detail.contains("nested deeper")),
+        "{dropped:?}"
     );
+    assert_eq!(p.snapshot().counter(mk::AGENT_ITEMS_DROPPED), 1);
     assert!(p.queued_agents().is_empty(), "the item left the queue");
 }
 
@@ -419,20 +432,21 @@ fn a_log_that_frames_but_does_not_decode_surfaces_where_its_entries_are_needed()
         for h in &handles {
             assert_eq!(p.report(*h).unwrap().outcome, ReportOutcome::Completed);
         }
-        let dropped = p.world().trace().custom_with_label("bad-queue-item");
+        let dropped = dropped_items(&p);
+        let counted = p.snapshot().counter(mk::AGENT_ITEMS_DROPPED);
         match dropped_on {
             None => {
                 assert!(dropped.is_empty(), "case {n}: {dropped:?}");
+                assert_eq!(counted, 0, "case {n}");
                 assert_eq!(p.snapshot().counter(mk::AGENT_COMPLETED), 7, "case {n}");
             }
             Some(node) => {
-                assert_eq!(dropped.len(), 1, "case {n}: {dropped:?}");
                 assert!(
-                    matches!(&dropped[0].kind, TraceKind::Custom { node: at, detail, .. }
-                        if *at == node && detail.contains("variant index 9")),
-                    "case {n}: {:?}",
-                    dropped[0]
+                    matches!(dropped[..], [(at, detail)]
+                        if at == node && detail.contains("variant index 9")),
+                    "case {n}: {dropped:?}"
                 );
+                assert_eq!(counted, 1, "case {n}");
                 assert_eq!(p.snapshot().counter(mk::AGENT_COMPLETED), 6, "case {n}");
             }
         }
@@ -533,15 +547,13 @@ fn an_itinerary_that_frames_but_does_not_decode_surfaces_where_the_rollback_resu
     for h in &handles {
         assert_eq!(p.report(*h).unwrap().outcome, ReportOutcome::Completed);
     }
-    let dropped = p.world().trace().custom_with_label("bad-queue-item");
-    assert_eq!(dropped.len(), 1, "{dropped:?}");
+    let dropped = dropped_items(&p);
     assert!(
-        matches!(&dropped[0].kind, TraceKind::Custom { node: 1, detail, .. }
-            if detail.contains("variant index 9")),
-        "{:?}",
-        dropped[0]
+        matches!(dropped[..], [(1, detail)] if detail.contains("variant index 9")),
+        "{dropped:?}"
     );
     let m = p.snapshot();
+    assert_eq!(m.counter(mk::AGENT_ITEMS_DROPPED), 1);
     // The round on node 2 committed and moved the agent; the one on node 1
     // planned, compensated, found no cursor to resume at, and aborted.
     assert_eq!(m.counter(mk::COMP_OPS), 1);

@@ -80,6 +80,8 @@ fn settle_fleet(
 }
 
 fn fingerprint(p: &mut Platform, handles: &[AgentHandle]) -> FleetFingerprint {
+    assert!(!p.world().trace().records().is_empty(), "the run is traced");
+    assert_eq!(p.world().trace().dropped(), 0, "the trace is whole");
     let reports = handles
         .iter()
         .map(|&h| {

@@ -4,12 +4,12 @@
 //! and deterministic randomness, and buffers outgoing effects (messages,
 //! timers) which the kernel applies after the callback returns.
 
-use crate::metrics::{kernel as keys, Metrics};
+use crate::metrics::{kernel as keys, Counter, Metrics};
 use crate::node::{Address, NodeId};
 use crate::rng::SimRng;
 use crate::stable::StableStore;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceKind};
+use crate::trace::{ShardTrace, TraceKind};
 
 #[derive(Debug)]
 pub(crate) enum Command {
@@ -41,7 +41,7 @@ pub struct Ctx<'a> {
     pub(crate) stable: &'a mut StableStore,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) metrics: &'a Metrics,
-    pub(crate) trace: &'a mut Trace,
+    pub(crate) trace: &'a mut ShardTrace,
     pub(crate) commands: &'a mut Vec<Command>,
 }
 
@@ -91,16 +91,14 @@ impl Ctx<'_> {
     /// caller.
     pub fn send_billed(&mut self, to: Address, payload: Vec<u8>, billed: usize) {
         let from = self.self_address();
-        if self.trace.enabled() {
-            self.trace.record(
-                self.now,
-                TraceKind::MsgSent {
-                    from: (from.node.0, from.service.to_owned()),
-                    to: (to.node.0, to.service.to_owned()),
-                    bytes: billed,
-                },
-            );
-        }
+        self.trace.record(
+            self.now,
+            TraceKind::MsgSent {
+                from: (from.node.0, from.service),
+                to: (to.node.0, to.service),
+                bytes: billed,
+            },
+        );
         self.metrics.add(keys::BYTES_SENT, billed as u64);
         self.commands.push(Command::Send {
             from,
@@ -155,15 +153,18 @@ impl Ctx<'_> {
         self.stable
     }
 
-    /// Emits an application-level trace marker.
-    pub fn trace(&mut self, label: &'static str, detail: impl Into<String>) {
+    /// Reports a failure this service handled: counts it under `counter`
+    /// and, while the kernel trace is on, records a [`TraceKind::Failure`]
+    /// with `detail`, which is formatted only then.
+    pub fn failure(&mut self, counter: Counter, detail: impl std::fmt::Display) {
+        self.metrics.inc(counter);
         if self.trace.enabled() {
             self.trace.record(
                 self.now,
-                TraceKind::Custom {
+                TraceKind::Failure {
                     node: self.node.0,
-                    label: label.to_owned(),
-                    detail: detail.into(),
+                    counter,
+                    detail: detail.to_string(),
                 },
             );
         }

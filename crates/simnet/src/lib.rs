@@ -20,7 +20,9 @@
 //! * [`Network`] / [`LatencyModel`] — size-dependent latencies, link
 //!   outages, partitions.
 //! * [`FailurePlan`] — deterministic crash/outage schedules.
-//! * [`Metrics`] / [`Trace`] — the raw material of every experiment table.
+//! * [`Metrics`] / [`Trace`] — the raw material of every experiment table;
+//!   a failure a service handles is one [`Ctx::failure`]: always a counter,
+//!   and a typed [`TraceKind::Failure`] while the trace is on.
 //!
 //! # Examples
 //!

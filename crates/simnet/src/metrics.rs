@@ -114,6 +114,10 @@ counters! {
         AGENT_COMPLETED = "agent.completed";
         /// Agents that gave up.
         AGENT_FAILED = "agent.failed";
+        /// Queue items dropped unread: they could not even fail their agent.
+        AGENT_ITEMS_DROPPED = "agent.items_dropped";
+        /// Messages to a node's runtime that did not decode (ignored).
+        AGENT_MSGS_UNDECODABLE = "agent.msgs_undecodable";
         /// Agent transfers during forward execution.
         TRANSFERS_FORWARD = "agent.transfers.forward";
         /// Agent transfers during rollback (the §4.4.1 optimization target).
@@ -394,7 +398,9 @@ mod tests {
             [
                 "agent.completed",
                 "agent.failed",
+                "agent.items_dropped",
                 "agent.launched",
+                "agent.msgs_undecodable",
                 "agent.transfer_bytes.forward",
                 "agent.transfer_bytes.rollback",
                 "agent.transfers.forward",

@@ -1,27 +1,28 @@
-//! Event trace for debugging, golden tests, and determinism checks.
+//! Event trace for debugging, golden tests, and determinism checks. A record
+//! names services by their `&'static str`, so it allocates nothing of its own.
 
-use serde::{Deserialize, Serialize};
-
+use crate::event::EventKey;
+use crate::metrics::Counter;
 use crate::time::SimTime;
 
 /// One traced kernel event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceKind {
     /// A message was handed to the network.
     MsgSent {
         /// Sending (node, service).
-        from: (u32, String),
+        from: (u32, &'static str),
         /// Destination (node, service).
-        to: (u32, String),
+        to: (u32, &'static str),
         /// Payload size in bytes.
         bytes: usize,
     },
     /// A message reached its destination service.
     MsgDelivered {
         /// Sending (node, service).
-        from: (u32, String),
+        from: (u32, &'static str),
         /// Destination (node, service).
-        to: (u32, String),
+        to: (u32, &'static str),
         /// Payload size in bytes.
         bytes: usize,
     },
@@ -42,7 +43,7 @@ pub enum TraceKind {
         /// Node the timer belongs to.
         node: u32,
         /// Owning service.
-        service: String,
+        service: &'static str,
         /// Caller-chosen tag.
         tag: u64,
     },
@@ -65,19 +66,20 @@ pub enum TraceKind {
         /// New state.
         up: bool,
     },
-    /// Application-level marker emitted through [`crate::Ctx::trace`].
-    Custom {
-        /// Node that emitted the marker.
+    /// A service handled a failure, reported through [`crate::Ctx::failure`],
+    /// which also counted it under `counter` (with the trace on or off).
+    Failure {
+        /// Node the failure was handled on.
         node: u32,
-        /// Short machine-readable label.
-        label: String,
-        /// Free-form detail.
+        /// The counter the failure was counted under; it names the kind.
+        counter: Counter,
+        /// What failed, in words.
         detail: String,
     },
 }
 
 /// A trace record with its virtual timestamp.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// When the event happened.
     pub at: SimTime,
@@ -105,11 +107,6 @@ impl Trace {
         }
     }
 
-    /// Whether recording is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub(crate) fn record(&mut self, at: SimTime, kind: TraceKind) {
         if !self.enabled {
             return;
@@ -126,54 +123,53 @@ impl Trace {
         &self.records
     }
 
-    /// Drains all records, leaving the trace empty but enabled. Used by the
-    /// sharded runtime to move per-shard records into the global merge
-    /// buffer after each event.
-    pub(crate) fn take_records(&mut self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.records)
-    }
-
-    /// Appends an already-built record, subject to the cap. Used when
-    /// folding shard-local records into the world trace.
-    pub(crate) fn push_record(&mut self, rec: TraceRecord) {
-        if !self.enabled {
-            return;
-        }
-        if self.records.len() >= self.cap {
-            self.dropped += 1;
-            return;
-        }
-        self.records.push(rec);
-    }
-
-    /// Adds externally counted drops (shard-local cap overflow).
-    pub(crate) fn add_dropped(&mut self, n: u64) {
-        self.dropped += n;
-    }
-
-    /// Number of records that did not fit under the cap.
+    /// Number of records that did not fit under the cap: a trace with any
+    /// is not the whole run.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Records whose label matches `label` (for `Custom` markers).
-    pub fn custom_with_label(&self, label: &str) -> Vec<&TraceRecord> {
-        self.records
-            .iter()
-            .filter(|r| matches!(&r.kind, TraceKind::Custom { label: l, .. } if l == label))
-            .collect()
-    }
-
-    /// Clears all records.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
-    }
 }
 
-impl Default for Trace {
-    fn default() -> Self {
-        Trace::new(false, 0)
+/// A shard's records since the world last merged them, each tagged with the
+/// `(origin, seq)` of the event that produced it. The buffer is drained at
+/// every merge and keeps its capacity, so it grows only to the most records
+/// one run between merges produces; the world's [`Trace`] applies the cap.
+#[derive(Debug)]
+pub(crate) struct ShardTrace {
+    enabled: bool,
+    /// `(origin, seq)` of the event being processed.
+    event: (u64, u64),
+    records: Vec<(u64, u64, TraceRecord)>,
+}
+
+impl ShardTrace {
+    pub(crate) fn new(enabled: bool) -> Self {
+        ShardTrace {
+            enabled,
+            event: (0, 0),
+            records: Vec::new(),
+        }
+    }
+
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Tags the records that follow with the key of the event `key`.
+    pub(crate) fn begin_event(&mut self, (_, origin, seq): EventKey) {
+        self.event = (origin, seq);
+    }
+
+    pub(crate) fn record(&mut self, at: SimTime, kind: TraceKind) {
+        if self.enabled {
+            let (origin, seq) = self.event;
+            self.records.push((origin, seq, TraceRecord { at, kind }));
+        }
+    }
+
+    /// Every record since the last drain, in the order they were made.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u64, u64, TraceRecord)> + '_ {
+        self.records.drain(..)
     }
 }
 
@@ -187,6 +183,9 @@ mod tests {
         t.record(SimTime::ZERO, TraceKind::NodeCrashed { node: 1 });
         assert!(t.records().is_empty());
         assert_eq!(t.dropped(), 0);
+        let mut s = ShardTrace::new(false);
+        s.record(SimTime::ZERO, TraceKind::NodeCrashed { node: 1 });
+        assert_eq!(s.drain().count(), 0);
     }
 
     #[test]
@@ -200,36 +199,5 @@ mod tests {
         }
         assert_eq!(t.records().len(), 2);
         assert_eq!(t.dropped(), 3);
-    }
-
-    #[test]
-    fn custom_label_filter() {
-        let mut t = Trace::new(true, 10);
-        t.record(
-            SimTime::ZERO,
-            TraceKind::Custom {
-                node: 0,
-                label: "step".into(),
-                detail: "i=1".into(),
-            },
-        );
-        t.record(SimTime::ZERO, TraceKind::NodeCrashed { node: 0 });
-        assert_eq!(t.custom_with_label("step").len(), 1);
-        assert_eq!(t.custom_with_label("other").len(), 0);
-    }
-
-    #[test]
-    fn records_serialize() {
-        let r = TraceRecord {
-            at: SimTime::from_micros(3),
-            kind: TraceKind::LinkChanged {
-                a: 1,
-                b: 2,
-                up: false,
-            },
-        };
-        let bytes = mar_wire::to_bytes(&r).unwrap();
-        let back: TraceRecord = mar_wire::from_slice(&bytes).unwrap();
-        assert_eq!(back, r);
     }
 }

@@ -79,7 +79,7 @@ use crate::remote::RemoteEvent;
 use crate::rng::SimRng;
 use crate::stable::{StableFactory, StableStore};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceKind, TraceRecord};
+use crate::trace::{ShardTrace, Trace, TraceKind};
 
 /// Maximum number of trace records a trace keeps.
 const TRACE_CAP: usize = 100_000;
@@ -124,6 +124,27 @@ impl WorldConfig {
         WorldConfig {
             seed,
             ..WorldConfig::default()
+        }
+    }
+
+    /// Why a world cannot run this configuration, if it cannot: `shards` is
+    /// 0, or above 1 with a latency model whose
+    /// [`LatencyModel::min_latency`] is below 1µs — conservative parallel
+    /// windows need strictly positive cross-shard lookahead.
+    ///
+    /// # Errors
+    ///
+    /// The reason, in words.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.shards == 0 {
+            Err("a world needs at least one shard")
+        } else if self.shards > 1 && self.latency.min_latency() < SimDuration::from_micros(1) {
+            Err(
+                "sharded runtime needs >= 1us latency lookahead (base * (1 - jitter)); \
+                 use shards = 1 with zero-latency models",
+            )
+        } else {
+            Ok(())
         }
     }
 }
@@ -171,10 +192,9 @@ struct Shard {
     /// so replicas never diverge.
     net: Network,
     metrics: Metrics,
-    trace: Trace,
-    /// Records drained from `trace` after each event, tagged with the key
-    /// of the event that produced them for the deterministic global merge.
-    trace_buf: Vec<(SimTime, u64, u64, TraceRecord)>,
+    /// Records tagged with the key of the event that produced them, for the
+    /// deterministic global merge.
+    trace: ShardTrace,
     /// Cross-shard events created while processing: `(dest_shard, key, ev)`.
     outbox: Vec<(usize, EventKey, Event)>,
     /// Nodes owned by another process (see [`World::mark_remote`]); events
@@ -240,6 +260,7 @@ impl Shard {
         if !is_link || self.id == 0 {
             self.metrics.inc(keys::EVENTS);
         }
+        self.trace.begin_event(key);
         match ev {
             Event::Deliver {
                 from,
@@ -257,17 +278,6 @@ impl Shard {
             Event::NodeUp { node } => self.recover_now_internal(now, node),
             Event::LinkDown { a, b } => self.set_link_internal(now, a, b, false),
             Event::LinkUp { a, b } => self.set_link_internal(now, a, b, true),
-        }
-        self.drain_trace(key);
-    }
-
-    /// Moves records produced while handling the event keyed `key` into the
-    /// merge buffer.
-    fn drain_trace(&mut self, key: EventKey) {
-        if self.trace.enabled() {
-            for rec in self.trace.take_records() {
-                self.trace_buf.push((rec.at, key.1, key.2, rec));
-            }
         }
     }
 
@@ -437,16 +447,14 @@ impl Shard {
                 .record(now, TraceKind::MsgDroppedNodeDown { node: to.node.0 });
             return;
         }
-        if self.trace.enabled() {
-            self.trace.record(
-                now,
-                TraceKind::MsgDelivered {
-                    from: (from.node.0, from.service.to_owned()),
-                    to: (to.node.0, to.service.to_owned()),
-                    bytes: billed,
-                },
-            );
-        }
+        self.trace.record(
+            now,
+            TraceKind::MsgDelivered {
+                from: (from.node.0, from.service),
+                to: (to.node.0, to.service),
+                bytes: billed,
+            },
+        );
         let delivered = self.with_service(now, to.node, to.service, |svc, ctx| {
             svc.on_message(ctx, from, &payload)
         });
@@ -476,16 +484,9 @@ impl Shard {
         let fired = self.with_service(now, node, service, |svc, ctx| svc.on_timer(ctx, tag));
         if fired {
             self.metrics.inc(keys::TIMERS_FIRED);
-            if self.trace.enabled() {
-                self.trace.record(
-                    now,
-                    TraceKind::TimerFired {
-                        node: node.0,
-                        service: service.to_owned(),
-                        tag,
-                    },
-                );
-            }
+            let node = node.0;
+            self.trace
+                .record(now, TraceKind::TimerFired { node, service, tag });
         }
     }
 
@@ -579,19 +580,13 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.shards` is 0, or if `cfg.shards > 1` is combined with
-    /// a latency model whose [`LatencyModel::min_latency`] is below 1µs —
-    /// conservative parallel windows need strictly positive cross-shard
-    /// lookahead.
+    /// Panics on a configuration [`WorldConfig::check`] refuses.
     pub fn new(cfg: WorldConfig) -> Self {
+        if let Err(why) = cfg.check() {
+            panic!("{why}");
+        }
         let lookahead = cfg.latency.min_latency();
         let n_shards = cfg.shards;
-        assert!(n_shards >= 1, "a world needs at least one shard");
-        assert!(
-            n_shards == 1 || lookahead >= SimDuration::from_micros(1),
-            "sharded runtime needs >= 1us latency lookahead (base * (1 - jitter)); \
-             use shards = 1 with zero-latency models"
-        );
         let net = Network::new(cfg.latency);
         let shards = (0..n_shards)
             .map(|id| Shard {
@@ -602,8 +597,7 @@ impl World {
                 slots: Vec::new(),
                 net: net.clone(),
                 metrics: Metrics::default(),
-                trace: Trace::new(cfg.trace, TRACE_CAP),
-                trace_buf: Vec::new(),
+                trace: ShardTrace::new(cfg.trace),
                 outbox: Vec::new(),
                 remote: Vec::new(),
                 egress: Vec::new(),
@@ -1151,12 +1145,12 @@ impl World {
     }
 
     /// Runs a driver-initiated action on one shard and files any trace
-    /// records it produced under a fresh driver key.
+    /// records it produces under a fresh driver key.
     fn driver_call_on_shard(&mut self, s: usize, f: impl FnOnce(&mut Shard)) {
         let key = self.next_driver_key(self.time);
         let shard = &mut self.shards[s];
+        shard.trace.begin_event(key);
         f(shard);
-        shard.drain_trace(key);
         self.drain_outboxes();
     }
 
@@ -1367,21 +1361,13 @@ impl World {
         for sh in &self.shards {
             self.metrics.absorb(&sh.metrics);
         }
-        if self.trace.enabled() {
-            let mut recs: Vec<(SimTime, u64, u64, TraceRecord)> = Vec::new();
-            for sh in &mut self.shards {
-                self.trace.add_dropped(sh.trace.dropped());
-                sh.trace.clear();
-                recs.append(&mut sh.trace_buf);
-            }
-            recs.sort_by_key(|r| (r.0, r.1, r.2));
-            for (_, _, _, rec) in recs {
-                self.trace.push_record(rec);
-            }
-        } else {
-            for sh in &mut self.shards {
-                sh.trace_buf.clear();
-            }
+        let mut recs = Vec::new();
+        for sh in &mut self.shards {
+            recs.extend(sh.trace.drain());
+        }
+        recs.sort_by_key(|(origin, seq, rec)| (rec.at, *origin, *seq));
+        for (_, _, rec) in recs {
+            self.trace.record(rec.at, rec.kind);
         }
         if let Some(sh) = self.shards.first() {
             self.net = sh.net.clone();
@@ -1608,7 +1594,7 @@ mod tests {
     /// and a per-node stable-store dump.
     type ScenarioOutcome = (
         MetricsSnapshot,
-        Vec<TraceRecord>,
+        Vec<crate::trace::TraceRecord>,
         Vec<Vec<(String, Vec<u8>)>>,
     );
 
