@@ -26,9 +26,14 @@ cargo test -q
 cargo test -q -p proptest
 # The decoders' hostile-input tests once more in the release profile: what
 # they guard is profile-dependent (stack frames shrink, overflow checks are
-# compiled out), so debug alone does not show it. With them the kernel
-# trace's allocator calls (`trace_alloc`), counted in the profile the
-# benchmark runs: fewer than 64 more traced than untraced, at any run length.
+# compiled out), so debug alone does not show it. With them the allocator
+# counts of the two crates, in the profile the benchmark runs: the kernel
+# trace's (`trace_alloc`: fewer than 64 calls more traced than untraced, at
+# any run length) and a callback's (`trace_alloc`: the shard's command list
+# is reused, so 1,000 and 2,000 timer callbacks make fewer than 64 calls),
+# and an encode's (`encode_alloc`: a warm `to_bytes` asks once and returns no
+# slack, `encoded_size` asks never, a buffer grown past 64 KiB is released,
+# a nested encode encodes correctly).
 cargo test -q --release -p mar-wire -p mar-simnet
 # Likewise the three suites whose failure mode is "an agent is never
 # scheduled": the mole's check of its `ready` set against the store is a
@@ -39,10 +44,12 @@ cargo test -q --release -p mar-wire -p mar-simnet
 # node decodes for every hop: an allocation bound is profile-dependent, as
 # for the decoders above. And the shard-count equivalence suite, which
 # compares whole traces: the threaded engine merges the shards' trace
-# buffers, and release is the profile the benchmark runs.
+# buffers, and release is the profile the benchmark runs. And a warmed
+# hop's allocator calls per committed step (`hop_alloc`), which depend on
+# the profile as every allocator count does.
 cargo test -q --release -p mar-platform --test smoke --test crash_window_props \
     --test step_path_cache_props --test typed_ops_props --test report_reader_props \
-    --test shard_equivalence_props
+    --test shard_equivalence_props --test hop_alloc
 # And the commit path's crash suites: the WAL's equality with the reference
 # backend under crash schedules, and its cleaner's bound on a fleet that
 # queues several agents a node; the 2PC host's crash sweep, whose

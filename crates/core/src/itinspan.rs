@@ -77,10 +77,12 @@ pub fn classify_span(span: &[u8]) -> Result<SpanKind, CoreError> {
 /// Encodes the by-reference framing for `hash`.
 #[must_use]
 pub fn encode_ref(hash: u64) -> Vec<u8> {
-    let mut ser = mar_wire::BinSerializer::with_capacity(12);
-    ser.begin_struct(REF_FIELDS as usize);
-    ser.value(&hash).expect("u64 always encodes");
-    ser.into_bytes()
+    mar_wire::to_bytes_with(|ser| {
+        ser.begin_struct(REF_FIELDS as usize);
+        ser.value(&hash)
+    })
+    .expect("u64 always encodes")
+    .0
 }
 
 /// Rebuilds `record` with `span` (from [`itinerary_span`]) replaced by

@@ -631,87 +631,97 @@ impl ResidentRecord {
     ///
     /// Codec errors only.
     pub fn to_bytes(&mut self) -> Result<Vec<u8>, CoreError> {
-        self.encode(true)
+        Ok(self.encode(true)?.0)
     }
 
     /// Like [`ResidentRecord::to_bytes`], for a record that is about to
     /// leave this memory (remote transfer): identical output bytes, but the
     /// fold/reseal cache-priming — an O(log) copy whose beneficiary would
-    /// be the next local encode — is skipped.
+    /// be the next local encode — is skipped. With the bytes comes the span
+    /// the itinerary was written at, which is
+    /// [`itinerary_span`](crate::itinspan::itinerary_span) of them without
+    /// the walk.
     ///
     /// # Errors
     ///
     /// Codec errors only.
-    pub fn to_transfer_bytes(&mut self) -> Result<Vec<u8>, CoreError> {
+    pub fn to_transfer_bytes(&mut self) -> Result<(Vec<u8>, Range<usize>), CoreError> {
         self.encode(false)
     }
 
-    fn encode(&mut self, retain: bool) -> Result<Vec<u8>, CoreError> {
-        // A hint: the log is most of a record; the rest grows the buffer
-        // once or twice at worst.
-        let cap = 256 + self.log.size_bytes();
-        let mut ser = mar_wire::BinSerializer::with_capacity(cap);
-        ser.begin_struct(RECORD_FIELDS as usize);
-        ser.value(&self.id)?;
-        ser.value(&self.agent_type)?;
-        ser.value(&self.home)?;
-        ser.value(&self.data)?;
-        // The itinerary is immutable: its captured wire span is spliced in
-        // verbatim (identical bytes to re-encoding, without the encode).
-        ser.raw_value_bytes(self.itinerary.as_bytes());
-        ser.value(&self.cursor)?;
-        ser.value(&self.table)?;
-        // The log field: splice for sealed logs, entry-by-entry (the log's
-        // flat wire layout) for materialized ones.
-        let mut fold: Option<(usize, usize)> = None;
-        let mut reseal: Option<(Range<usize>, usize, usize, usize)> = None;
-        match &self.log {
-            ResidentLog::Full(log) => {
-                let size = log.size_bytes();
-                ser.begin_struct(LOG_FIELDS as usize);
-                ser.begin_seq(log.len());
-                let entries_start = ser.len();
-                // The new seal's savepoint bytes are the spans written here;
-                // asking `stats()` would encode every entry a second time.
-                let mut savepoint_bytes = 0;
-                for entry in log.iter() {
-                    let at = ser.len();
-                    ser.value(entry)?;
-                    if entry.as_savepoint().is_some() {
-                        savepoint_bytes += ser.len() - at;
+    fn encode(&mut self, retain: bool) -> Result<(Vec<u8>, Range<usize>), CoreError> {
+        // Encoded in the thread's encode buffer, and copied out at its
+        // length: the buffer keeps its capacity, the bytes carry no slack.
+        let (out, (itinerary, fold, reseal)) = mar_wire::to_bytes_with(|ser| {
+            // A hint for a buffer that is short: the log is most of a
+            // record; the rest grows the buffer once or twice at worst.
+            ser.reserve(256 + self.log.size_bytes());
+            ser.begin_struct(RECORD_FIELDS as usize);
+            ser.value(&self.id)?;
+            ser.value(&self.agent_type)?;
+            ser.value(&self.home)?;
+            ser.value(&self.data)?;
+            // The itinerary is immutable: its captured wire span is spliced
+            // in verbatim (identical bytes to re-encoding, without the
+            // encode).
+            let itinerary_start = ser.len();
+            ser.raw_value_bytes(self.itinerary.as_bytes());
+            let itinerary = itinerary_start..ser.len();
+            ser.value(&self.cursor)?;
+            ser.value(&self.table)?;
+            // The log field: splice for sealed logs, entry-by-entry (the
+            // log's flat wire layout) for materialized ones.
+            let mut fold: Option<(usize, usize)> = None;
+            let mut reseal: Option<(Range<usize>, usize, usize, usize)> = None;
+            match &self.log {
+                ResidentLog::Full(log) => {
+                    let size = log.size_bytes();
+                    ser.begin_struct(LOG_FIELDS as usize);
+                    ser.begin_seq(log.len());
+                    let entries_start = ser.len();
+                    // The new seal's savepoint bytes are the spans written
+                    // here; asking `stats()` would encode every entry a
+                    // second time.
+                    let mut savepoint_bytes = 0;
+                    for entry in log.iter() {
+                        let at = ser.len();
+                        ser.value(entry)?;
+                        if entry.as_savepoint().is_some() {
+                            savepoint_bytes += ser.len() - at;
+                        }
+                    }
+                    let entries = entries_start..ser.len();
+                    ser.value(&size)?;
+                    if retain && matches!(self.status, AgentStatus::Forward) {
+                        reseal = Some((entries, log.len(), size, savepoint_bytes));
                     }
                 }
-                let entries = entries_start..ser.len();
-                ser.value(&size)?;
-                if retain && matches!(self.status, AgentStatus::Forward) {
-                    reseal = Some((entries, log.len(), size, savepoint_bytes));
+                ResidentLog::Sealed(s) => {
+                    let delta_len = s.appended.size_bytes();
+                    let total_entries = s.retained_entries + s.appended.len();
+                    let total_size = s.retained_size + delta_len;
+                    ser.begin_struct(LOG_FIELDS as usize);
+                    ser.begin_seq(total_entries);
+                    ser.raw_value_bytes(&s.retained);
+                    let delta_start = ser.len();
+                    for entry in s.appended.iter() {
+                        ser.value(entry)?;
+                    }
+                    debug_assert_eq!(
+                        ser.len() - delta_start,
+                        delta_len,
+                        "cached entry sizes must delimit the spliced span exactly"
+                    );
+                    fold = Some((delta_start, delta_len));
+                    ser.value(&total_size)?;
                 }
             }
-            ResidentLog::Sealed(s) => {
-                let delta_len = s.appended.size_bytes();
-                let total_entries = s.retained_entries + s.appended.len();
-                let total_size = s.retained_size + delta_len;
-                ser.begin_struct(LOG_FIELDS as usize);
-                ser.begin_seq(total_entries);
-                ser.raw_value_bytes(&s.retained);
-                let delta_start = ser.len();
-                for entry in s.appended.iter() {
-                    ser.value(entry)?;
-                }
-                debug_assert_eq!(
-                    ser.len() - delta_start,
-                    delta_len,
-                    "cached entry sizes must delimit the spliced span exactly"
-                );
-                fold = Some((delta_start, delta_len));
-                ser.value(&total_size)?;
-            }
-        }
-        ser.value(&self.step_seq)?;
-        ser.value(&self.status)?;
-        ser.value(&self.logging_mode)?;
-        ser.value(&self.rollback_mode)?;
-        let out = ser.into_bytes();
+            ser.value(&self.step_seq)?;
+            ser.value(&self.status)?;
+            ser.value(&self.logging_mode)?;
+            ser.value(&self.rollback_mode)?;
+            Ok::<_, CoreError>((itinerary, fold, reseal))
+        })?;
         let fold = if retain { fold } else { None };
         if let (Some((delta_start, delta_len)), ResidentLog::Sealed(s)) = (fold, &mut self.log) {
             // Fold the freshly encoded entries into the retained bytes: the
@@ -732,7 +742,7 @@ impl ResidentRecord {
                 appended: RollbackLog::new(),
             });
         }
-        Ok(out)
+        Ok((out, itinerary))
     }
 }
 

@@ -152,9 +152,10 @@ fn long_log_record(steps: usize) -> Vec<u8> {
 /// savepoint. The log's size could pay for a pass, its savepoint bytes
 /// cannot, and the sealed log says so itself — the gate and the transfer
 /// encode go to the allocator the same few times whether the log holds 200
-/// steps or 400: twice here, the output buffer and one growth. (Decoding the
-/// log to ask, as the gate once did, is eight allocations per entry — 4,773
-/// and 9,774 calls on these two records.)
+/// steps or 400: once here, for the output, since the encode runs in the
+/// thread's warm encode buffer. (Decoding the log to ask, as the gate once
+/// did, is eight allocations per entry — 4,773 and 9,774 calls on these two
+/// records.)
 #[test]
 fn a_log_that_cannot_pay_ships_without_an_allocation_per_entry() {
     let model = CostModel::new(LinkParams::LAN);
@@ -166,7 +167,7 @@ fn a_log_that_cannot_pay_ships_without_an_allocation_per_entry() {
         let (shipped, calls) = calls_by(|| {
             let report = rec.compact_for_transfer(&model, 1).unwrap();
             assert_eq!(report, None);
-            rec.to_transfer_bytes().unwrap()
+            rec.to_transfer_bytes().unwrap().0
         });
         assert_eq!(shipped, bytes);
         assert!(rec.log.is_sealed());

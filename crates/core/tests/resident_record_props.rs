@@ -17,13 +17,17 @@
 //! * know its savepoint bytes without decoding — `log.savepoint_bytes()`
 //!   is what the materialized log measures, in every form the log takes —
 //!   and decide on a pre-transfer compaction pass exactly as the
-//!   decode-and-ask gate it replaced did, shipping the same bytes.
+//!   decode-and-ask gate it replaced did, shipping the same bytes;
+//! * report, with a transfer encode, the span it wrote the itinerary at:
+//!   the span a walk of the bytes finds, sealed or materialized, compacted
+//!   or not.
 
 mod common;
 
 use proptest::prelude::*;
 
 use common::{apply, base_record, op_strategy, Op};
+use mar_core::itinspan::itinerary_span;
 use mar_core::{AgentRecord, CompactionReport, CostModel, LinkParams, LoggingMode, ResidentRecord};
 use mar_wire::Value;
 
@@ -169,6 +173,39 @@ proptest! {
             if !model.compaction_pays(measured, 1) {
                 prop_assert_eq!(gated.log.is_sealed(), res.log.is_sealed());
             }
+        }
+    }
+
+    #[test]
+    fn the_transfer_encode_reports_the_span_a_walk_finds(
+        logging in prop_oneof![Just(LoggingMode::State), Just(LoggingMode::Transition)],
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+    ) {
+        let mut full = base_record(logging);
+        let mut res = ResidentRecord::from_bytes(&full.to_bytes().unwrap()).unwrap();
+        let mut subs = 0u32;
+        let (mut sealed, mut materialized) = (0, 0);
+        for op in &ops {
+            apply(&mut full, &mut res, &mut subs, op);
+            let mut as_is = res.clone();
+            let mut opened = res.clone();
+            opened.log.materialize().unwrap();
+            let mut compacted = res.clone();
+            compacted.compact_log().unwrap();
+            for (form, rec) in [("as is", &mut as_is), ("materialized", &mut opened), ("compacted", &mut compacted)] {
+                if rec.log.is_sealed() {
+                    sealed += 1;
+                } else {
+                    materialized += 1;
+                }
+                let (bytes, span) = rec.to_transfer_bytes().unwrap();
+                prop_assert_eq!(&span, &itinerary_span(&bytes).unwrap(), "{} after {:?}", form, op);
+                prop_assert_eq!(&bytes[span], rec.itinerary.as_bytes());
+            }
+        }
+        prop_assert!(materialized > 0);
+        if ops.iter().any(|op| matches!(op, Op::Reseal)) {
+            prop_assert!(sealed > 0);
         }
     }
 }

@@ -9,6 +9,7 @@
 //! true for exactly the records it still holds.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use mar_core::itinspan::{classify_span, encode_ref, itinerary_span, splice_span, SpanKind};
 use mar_core::ItinerarySlot;
@@ -113,20 +114,24 @@ impl ItinTable {
 
     /// Swaps the slot of a freshly parsed record for the table's copy. The
     /// value is the same (same hash, same bytes); only the decode is shared.
+    /// Also how a decider interns the slot [`ItinTable::expand`] found: the
+    /// record's span is not walked a second time.
     pub(crate) fn adopt(&mut self, slot: &mut ItinerarySlot) {
         if self.enabled {
             *slot = self.intern(slot);
         }
     }
 
-    /// Sender half: `record`, carrying the itinerary `slot`, is about to
-    /// ship to `dest`. If `dest` is known to hold the itinerary, returns the
-    /// record with a reference in its place. `None` if the table is off.
+    /// Sender half: `record`, carrying the itinerary `slot` at `span`, is
+    /// about to ship to `dest`. If `dest` is known to hold the itinerary,
+    /// returns the record with a reference in its place. `None` if the
+    /// table is off.
     pub(crate) fn compress(
         &mut self,
         dest: NodeId,
         slot: &ItinerarySlot,
         record: &[u8],
+        span: Range<usize>,
     ) -> Option<(Note, Option<Vec<u8>>)> {
         if !self.enabled {
             return None;
@@ -136,8 +141,7 @@ impl ItinTable {
             .known
             .get(&dest)
             .filter(|held| held.contains(&hash))
-            .and_then(|_| itinerary_span(record).ok())
-            .map(|span| splice_span(record, span, &encode_ref(hash)));
+            .map(|_| splice_span(record, span, &encode_ref(hash)));
         let note = Note {
             dest,
             hash,
@@ -146,18 +150,30 @@ impl ItinTable {
         Some((note, by_ref))
     }
 
-    /// Receiver half: `Ok(Some(_))` is `record` with its itinerary reference
-    /// replaced by the interned bytes, so that everything downstream — and
-    /// stable storage above all — sees only the inline form. `Ok(None)`: the
-    /// record is inline already, or not framed like a record (its parse
-    /// reports that). `Err(hash)`: a reference this table cannot expand; a
-    /// garbled reference cannot name its hash and reports 0.
-    pub(crate) fn expand(&mut self, record: &[u8]) -> Result<Option<Vec<u8>>, u64> {
+    /// Receiver half, one walk of `record`. `Ok((Some(_), _))` is `record`
+    /// with its itinerary reference replaced by the interned bytes, so that
+    /// everything downstream — and stable storage above all — sees only the
+    /// inline form; `Ok((None, _))`: the record is inline already, or not
+    /// framed like a record (its parse reports that). With it comes the
+    /// itinerary's slot, for [`ItinTable::adopt`]: the table's for a
+    /// reference, the inline span's otherwise, and none for a record not
+    /// framed like one or from a table that is off. `Err(hash)`: a
+    /// reference this table cannot expand; a garbled reference cannot name
+    /// its hash and reports 0.
+    pub(crate) fn expand(
+        &mut self,
+        record: &[u8],
+    ) -> Result<(Option<Vec<u8>>, Option<ItinerarySlot>), u64> {
         let Ok(span) = itinerary_span(record) else {
-            return Ok(None);
+            return Ok((None, None));
         };
         let hash = match classify_span(&record[span.clone()]) {
-            Ok(SpanKind::Inline) => return Ok(None),
+            Ok(SpanKind::Inline) => {
+                let slot = self
+                    .enabled
+                    .then(|| ItinerarySlot::from_span(&record[span]));
+                return Ok((None, slot.and_then(Result::ok)));
+            }
             Ok(SpanKind::Ref(hash)) => hash,
             Err(_) => return Err(0),
         };
@@ -167,7 +183,8 @@ impl ItinTable {
         };
         self.tally.hits += 1;
         self.lru.touch(hash);
-        Ok(Some(splice_span(record, span, slot.as_bytes())))
+        let expanded = splice_span(record, span, slot.as_bytes());
+        Ok((Some(expanded), Some(slot.clone())))
     }
 
     /// The transaction that shipped the record committed: a destination that
@@ -224,10 +241,17 @@ mod tests {
         (bytes, slot)
     }
 
+    /// Where `bytes` carries its itinerary, as the sender's encoder says.
+    fn span(bytes: &[u8]) -> Range<usize> {
+        itinerary_span(bytes).unwrap()
+    }
+
     /// Ships `record` to `dest` in a transaction that commits.
     fn ship(table: &mut ItinTable, dest: NodeId, tag: u32) -> Option<Vec<u8>> {
         let (bytes, slot) = record(tag);
-        let (note, by_ref) = table.compress(dest, &slot, &bytes).expect("table is on");
+        let (note, by_ref) = table
+            .compress(dest, &slot, &bytes, span(&bytes))
+            .expect("table is on");
         table.learn(&note);
         by_ref
     }
@@ -242,9 +266,21 @@ mod tests {
         let by_ref = ship(&mut sender, B, 1).expect("B holds the itinerary now");
         assert!(by_ref.len() < bytes.len());
         assert_eq!(ship(&mut sender, C, 1), None, "what B holds, C need not");
-        assert_eq!(receiver.expand(&by_ref), Ok(Some(bytes.clone())));
-        assert_eq!(receiver.expand(&bytes), Ok(None), "inline stays as it is");
-        assert_eq!(receiver.expand(&[0xff, 0x01]), Ok(None), "not a record");
+        let interned = receiver.slots[&slot.hash()].clone();
+        assert_eq!(
+            receiver.expand(&by_ref),
+            Ok((Some(bytes.clone()), Some(interned)))
+        );
+        assert_eq!(
+            receiver.expand(&bytes),
+            Ok((None, Some(slot.clone()))),
+            "inline stays as it is"
+        );
+        assert_eq!(
+            receiver.expand(&[0xff, 0x01]),
+            Ok((None, None)),
+            "not a record"
+        );
         // Neither an itinerary (three fields) nor a reference (one).
         let span = itinerary_span(&bytes).unwrap();
         let garbled = splice_span(&bytes, span, &mar_wire::to_bytes(&(1u64, 2u64)).unwrap());
@@ -274,7 +310,7 @@ mod tests {
         let by_ref = ship(&mut sender, B, 1).expect("by reference");
         for valid in [&by_ref, &bytes] {
             crate::hostile::each(valid, |b| {
-                if let Ok(Some(expanded)) = receiver.expand(b) {
+                if let Ok((Some(expanded), _)) = receiver.expand(b) {
                     let span = itinerary_span(&expanded).expect("still a record");
                     assert_eq!(&expanded[span], slot.as_bytes());
                 }
@@ -312,7 +348,7 @@ mod tests {
         let by_ref = ship(&mut peer, B, 2).expect("by reference");
         assert_eq!(t.expand(&by_ref), Err(slot.hash()));
         assert_eq!(t.take_tally().misses, 1);
-        assert_eq!(t.expand(&bytes), Ok(None));
+        assert_eq!(t.expand(&bytes), Ok((None, Some(slot))));
     }
 
     #[test]
@@ -336,13 +372,13 @@ mod tests {
         let mut t = ItinTable::new(true, 8);
         ship(&mut t, B, 1);
         ship(&mut t, C, 1);
-        let (note, by_ref) = t.compress(B, &slot, &bytes).unwrap();
+        let (note, by_ref) = t.compress(B, &slot, &bytes, span(&bytes)).unwrap();
         assert!(by_ref.is_some());
         assert!(note.by_ref);
         // B NACKs; the transaction later commits with the inline form.
         t.forget(&note, slot.hash());
         t.learn(&note);
-        let (again, by_ref) = t.compress(B, &slot, &bytes).unwrap();
+        let (again, by_ref) = t.compress(B, &slot, &bytes, span(&bytes)).unwrap();
         assert_eq!((again.by_ref, by_ref), (false, None));
         assert!(ship(&mut t, C, 1).is_some(), "C was not asked to forget");
         t.learn(&again);
@@ -356,8 +392,8 @@ mod tests {
         t.intern_record(&bytes);
         let mut adopted = slot.clone();
         t.adopt(&mut adopted);
-        assert!(t.compress(B, &slot, &bytes).is_none());
-        assert!(t.compress(B, &slot, &bytes).is_none());
+        assert!(t.compress(B, &slot, &bytes, span(&bytes)).is_none());
+        assert!(t.compress(B, &slot, &bytes, span(&bytes)).is_none());
         assert!(t.slots.is_empty() && t.known.is_empty());
         // It cannot expand a reference, and says so.
         let mut peer = ItinTable::new(true, 8);
@@ -383,8 +419,14 @@ mod tests {
         for bytes in &queued {
             recovered.intern_record(bytes);
         }
-        assert_eq!(recovered.expand(&refs[0]), Ok(Some(queued[0].clone())));
-        assert_eq!(recovered.expand(&refs[1]), Ok(Some(queued[1].clone())));
+        assert_eq!(
+            recovered.expand(&refs[0]).unwrap().0,
+            Some(queued[0].clone())
+        );
+        assert_eq!(
+            recovered.expand(&refs[1]).unwrap().0,
+            Some(queued[1].clone())
+        );
         assert_eq!(recovered.expand(&refs[2]), Err(left.1.hash()));
         assert_eq!(recovered.slots.len(), 2);
     }

@@ -25,6 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use mar_core::comp::CompOpRegistry;
@@ -186,11 +187,25 @@ struct Shipment {
     dest: NodeId,
     /// What the intern table assumed about, or will learn of, `dest`.
     note: Option<itin::Note>,
-    /// For a branch that went out with an itinerary reference: the
-    /// self-contained work that answers a NACK without depending on the
-    /// (evictable) intern table, and the size of the `Prepare` carrying it,
-    /// at which the reference form is billed.
-    inline: Option<(RemoteWork, usize)>,
+    /// For a branch that went out with an itinerary reference: its inline
+    /// form, which answers a NACK without depending on the (evictable)
+    /// intern table and prices the reference form.
+    inline: Option<InlineForm>,
+}
+
+/// The inline form of a branch sent with an itinerary reference, kept
+/// unencoded: it is encoded only if the destination NACKs the reference,
+/// and priced by arithmetic ([`Work::inline_growth`]).
+struct InlineForm {
+    /// The branch's other works (none on a forward hop) and, last, the
+    /// record with its itinerary inline, moved here from the encode.
+    works: Vec<Work>,
+    /// How much longer the inline record's `Bytes` run is than the
+    /// reference record's ([`Work::record_growth`]).
+    growth: isize,
+    /// A NACK had the coordinator take the inline form in place of the
+    /// reference form: from then on the branch goes out as it is billed.
+    sent: bool,
 }
 
 struct ActiveTxn {
@@ -288,6 +303,10 @@ pub struct MoleService {
     /// The volatile itinerary intern table and reference protocol state; a
     /// crash leaves it cold by design (`itinerary_intern_props.rs` pins it).
     itin: ItinTable,
+    /// The deciding transaction whose arriving records `prepare` interned,
+    /// from the slots [`ItinTable::expand`] found: its `apply_work`, next in
+    /// the same callback, does not walk them again.
+    interned: Option<TxnId>,
 }
 
 impl MoleService {
@@ -319,6 +338,7 @@ impl MoleService {
             outbox_sent: BTreeMap::new(),
             resident: BTreeMap::new(),
             itin: ItinTable::new(cfg.itinerary_interning, ITINERARY_CACHE),
+            interned: None,
             cfg,
         }
     }
@@ -350,11 +370,12 @@ impl MoleService {
             TxMsg::Prepare { work, .. } => active
                 .and_then(|at| at.shipment.as_ref())
                 .filter(|shipment| shipment.dest == to)
-                // The size to bill, if `work` is the reference form (after
-                // a NACK the inline work itself goes out).
+                // What the inline form adds to the message, if `work` is the
+                // reference form (after a NACK the inline work itself goes
+                // out).
                 .map(|shipment| match &shipment.inline {
-                    Some((inline, billed)) if inline != work => Some(*billed),
-                    _ => None,
+                    Some(form) if !form.sent => Work::inline_growth(work, form.growth),
+                    _ => 0,
                 }),
             _ => None,
         };
@@ -365,18 +386,17 @@ impl MoleService {
         }
         .encode();
         let to = Address::new(to, MOLE);
-        let Some(billed) = shipped else {
+        let Some(growth) = shipped else {
             return ctx.send(to, payload);
         };
         ctx.metrics()
             .add(keys::ITINERARY_MIGRATION_BYTES, payload.len() as u64);
-        match billed {
-            Some(billed) if billed > payload.len() => {
+        match usize::try_from(growth) {
+            Ok(saved) if saved > 0 => {
                 ctx.metrics().inc(keys::ITINERARY_REF_TRANSFERS);
-                ctx.metrics().add(
-                    keys::ITINERARY_WIRE_BYTES_SAVED,
-                    (billed - payload.len()) as u64,
-                );
+                ctx.metrics()
+                    .add(keys::ITINERARY_WIRE_BYTES_SAVED, saved as u64);
+                let billed = payload.len() + saved;
                 ctx.send_billed(to, payload, billed);
             }
             _ => ctx.send(to, payload),
@@ -869,13 +889,18 @@ impl MoleService {
         let Ok(mut works) = Work::decode(work) else {
             return self.pa.on_prepare(txn, from, None, decide);
         };
+        let mut slots = Vec::new();
         for work in &mut works {
             let Work::Enqueue { record, .. } = work else {
                 continue;
             };
             match self.itin.expand(record) {
-                Ok(Some(inline)) => *record = inline.into(),
-                Ok(None) => {}
+                Ok((inline, slot)) => {
+                    if let Some(inline) = inline {
+                        *record = inline.into();
+                    }
+                    slots.extend(slot);
+                }
                 Err(hash) => {
                     // Not a refusal (that would abort the transaction): ask
                     // for the inline form and hold the answer.
@@ -898,7 +923,15 @@ impl MoleService {
             }
             self.live_branches.insert(txn);
         }
-        // Nothing below refuses: the answer is yes, a vote or a commit.
+        // Nothing below refuses: the answer is yes, a vote or a commit. A
+        // decider commits in this callback, and interns the itineraries of
+        // the records it queues as `apply_work` would, in the same order.
+        if decide {
+            for mut slot in slots {
+                self.itin.adopt(&mut slot);
+            }
+            self.interned = Some(txn);
+        }
         for work in &mut works {
             if let Work::Enqueue { rollback, record } = work {
                 let len = record.len() as u64;
@@ -949,6 +982,7 @@ impl MoleService {
             Self::refuse_prepared(ctx, &txn.key(), format_args!("{e:?}"));
             Vec::new()
         });
+        let interned = self.interned.take() == Some(txn);
         for work in works {
             match work {
                 Work::Held { rollback, key, len } => {
@@ -956,10 +990,13 @@ impl MoleService {
                     // its entry gone, or never written at a decider
                     // (`MarkDone` comes next), it is queued. Interned before
                     // the decision is sent: by the time the sender learns
-                    // that this node holds the itinerary, it does.
+                    // that this node holds the itinerary, it does. A
+                    // decider's `prepare` interned it already.
                     match ctx.stable_get(&key) {
                         Some(record) => {
-                            self.itin.intern_record(record);
+                            if !interned {
+                                self.itin.intern_record(record);
+                            }
                             self.ready.insert(key);
                         }
                         None => Self::refuse_prepared(ctx, &txn.key(), format_args!("no {key}")),
@@ -1197,7 +1234,7 @@ impl MoleService {
             }
             Exit::Move { to, rollback } => {
                 let dest = NodeId(to);
-                let record = self.encode_for_transfer(ctx, &mut rec)?;
+                let (record, span) = self.encode_for_transfer(ctx, &mut rec)?;
                 let enqueue = |record: Vec<u8>| Work::Enqueue {
                     rollback,
                     record: record.into(),
@@ -1210,23 +1247,23 @@ impl MoleService {
                 let works = &mut branches.last_mut().expect("the branch to dest").1;
                 // Content-address the outgoing record: a destination that
                 // already holds the itinerary is sent an 8-byte reference,
-                // and the inline form is priced once, here.
-                let (note, by_ref) = self.itin.compress(dest, &rec.itinerary, &record).unzip();
+                // and the inline form is kept, unencoded, for a NACK.
+                let (note, by_ref) = self
+                    .itin
+                    .compress(dest, &rec.itinerary, &record, span)
+                    .unzip();
                 let inline = match by_ref.flatten() {
                     Some(by_ref) => {
+                        let growth = Work::record_growth(by_ref.len(), record.len());
+                        // The branch's other works: none on a forward hop.
                         let mut inline = works.clone();
                         inline.push(enqueue(record));
                         works.push(enqueue(by_ref));
-                        let inline = Work::encode(inline);
-                        // The record's branch is the last: it decides.
-                        let msg = TxMsg::Prepare {
-                            txn,
-                            work: inline.clone(),
-                            decide: true,
-                        };
-                        let from = ctx.node();
-                        let tally = metrics.clone();
-                        Some((inline, MoleMsg::Tx { from, msg, tally }.encode().len()))
+                        Some(InlineForm {
+                            works: inline,
+                            growth,
+                            sent: false,
+                        })
                     }
                     None => {
                         works.push(enqueue(record));
@@ -1295,7 +1332,7 @@ impl MoleService {
         &self,
         ctx: &mut Ctx<'_>,
         rec: &mut ResidentRecord,
-    ) -> Result<Vec<u8>, ItemError> {
+    ) -> Result<(Vec<u8>, Range<usize>), ItemError> {
         if self.cfg.compact_on_transfer {
             match rec
                 .compact_for_transfer(&COST_MODEL, COMPACTION_CPU_US_PER_KB)
@@ -1646,14 +1683,16 @@ impl Service for MoleService {
                 // silently.
                 let by_ref = self
                     .active
-                    .get(&txn)
-                    .and_then(|at| at.shipment.as_ref())
+                    .get_mut(&txn)
+                    .and_then(|at| at.shipment.as_mut())
                     .filter(|shipment| shipment.dest == from.node)
-                    .and_then(|shipment| shipment.note.as_ref().zip(shipment.inline.as_ref()));
-                if let Some((note, (inline, _))) = by_ref {
+                    .and_then(|shipment| shipment.note.as_ref().zip(shipment.inline.as_mut()));
+                if let Some((note, form)) = by_ref {
                     self.itin.forget(note, hash);
-                    let actions = self.co.replace_work(txn, from.node, inline.clone());
+                    let inline = Work::encode(form.works.clone());
+                    let actions = self.co.replace_work(txn, from.node, inline);
                     if !actions.is_empty() {
+                        form.sent = true;
                         ctx.metrics().inc(keys::ITINERARY_REFETCHES);
                     }
                     self.run_actions(ctx, actions);

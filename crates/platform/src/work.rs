@@ -14,6 +14,7 @@
 //! can name a queue key; [`Work::decode_stored`] reads it back.
 
 use mar_txn::RemoteWork;
+use mar_wire::varint::uvarint_len;
 use mar_wire::Bytes;
 
 const ENQUEUE_FWD: &str = "enqueue-fwd";
@@ -59,6 +60,29 @@ impl Work {
         }
         let items: Vec<RemoteWork> = works.into_iter().map(Work::into_item).collect();
         RemoteWork::new(BATCH, mar_wire::to_bytes(&items).expect("batch encodes"))
+    }
+
+    /// How much longer a record's `Bytes` run is at `inline` bytes than at
+    /// `by_ref` bytes: the lengths and their varint prefixes. Negative when
+    /// the inline record is the shorter.
+    pub(crate) fn record_growth(by_ref: usize, inline: usize) -> isize {
+        bytes_run(inline) - bytes_run(by_ref)
+    }
+
+    /// How much longer a message carrying the branch `work` is once the
+    /// record in it grows by `growth` ([`Work::record_growth`]). Nothing
+    /// else in the message moves except, in a `"batch"`, the varint prefix
+    /// of the payload around the record, so this prices the inline form of
+    /// a branch sent by reference without encoding it.
+    pub(crate) fn inline_growth(work: &RemoteWork, growth: isize) -> isize {
+        if work.kind != BATCH {
+            return growth;
+        }
+        let payload = work.payload.len();
+        let grown = payload
+            .checked_add_signed(growth)
+            .expect("a record fits its batch");
+        bytes_run(grown) - bytes_run(payload)
     }
 
     /// The branch a [`RemoteWork`] off the wire stands for.
@@ -112,6 +136,11 @@ impl Work {
             record: item.payload,
         })
     }
+}
+
+/// The length of a `Bytes` run of `len` bytes, less its constant tag.
+fn bytes_run(len: usize) -> isize {
+    (len + uvarint_len(len as u64)) as isize
 }
 
 #[cfg(test)]
@@ -257,7 +286,64 @@ mod tests {
         }
     }
 
+    /// A record, or an RCE list, whose length is short or lands on either
+    /// side of a varint boundary of its `Bytes` run: 127/128 and
+    /// 16,383/16,384 bytes.
+    fn payload_strategy() -> impl Strategy<Value = Vec<u8>> {
+        let bytes = |len| proptest::collection::vec(any::<u8>(), len);
+        prop_oneof![bytes(0..40), bytes(100..160), bytes(16_300..16_450)]
+    }
+
+    /// The `Tx` a hop's record branch goes out in: the last branch, which
+    /// decides and carries the tally.
+    fn prepare_len(rce: &Option<Vec<u8>>, record: &[u8], steps: u64) -> (RemoteWork, usize) {
+        let mut works = Vec::from_iter(rce.clone().map(|list| Work::Rce(list.into())));
+        works.push(Work::Enqueue {
+            rollback: rce.is_some(),
+            record: record.to_vec().into(),
+        });
+        let work = Work::encode(works);
+        let msg = crate::msg::MoleMsg::Tx {
+            from: mar_simnet::NodeId(3),
+            msg: mar_txn::TxMsg::Prepare {
+                txn: mar_txn::TxnId::new(mar_simnet::NodeId(3), steps),
+                work: work.clone(),
+                decide: true,
+            },
+            tally: vec![(crate::msg::Tally::StepsCommitted, steps)],
+        };
+        (work, msg.encode().len())
+    }
+
     proptest! {
+        /// The price `send_tx` bills a branch sent by reference at is the
+        /// length of the same `Prepare` encoded with the other record, in
+        /// either direction: single works and batches with an RCE list,
+        /// across the varint boundaries of the record's and the batch's
+        /// `Bytes` runs.
+        #[test]
+        fn the_computed_inline_price_is_the_encoded_length(
+            by_ref in payload_strategy(),
+            inline in payload_strategy(),
+            with_rce: bool,
+            rce in payload_strategy(),
+            steps in 0u64..1_000_000,
+        ) {
+            let rce = with_rce.then_some(rce);
+            let (ref_work, ref_len) = prepare_len(&rce, &by_ref, steps);
+            let (inline_work, inline_len) = prepare_len(&rce, &inline, steps);
+            let growth = Work::record_growth(by_ref.len(), inline.len());
+            prop_assert_eq!(
+                ref_len as isize + Work::inline_growth(&ref_work, growth),
+                inline_len as isize,
+                "{} -> {} bytes, rce {:?}", by_ref.len(), inline.len(), rce.as_ref().map(Vec::len)
+            );
+            prop_assert_eq!(
+                inline_len as isize + Work::inline_growth(&inline_work, -growth),
+                ref_len as isize
+            );
+        }
+
         /// The stub is stored only: off the wire it is an unknown kind, alone
         /// or in a batch, so a `Prepare` cannot name a queue key.
         #[test]

@@ -207,6 +207,9 @@ struct Shard {
     /// nodes whose bytes await a device sync; [`ALL_SYNCED`] when none.
     /// Only a backend with something to sync sets it.
     unsynced_since: u64,
+    /// The commands of the callback in progress: empty between callbacks,
+    /// and kept with its capacity so a callback does not allocate a list.
+    commands: Vec<Command>,
 }
 
 impl Shard {
@@ -296,7 +299,7 @@ impl Shard {
     where
         F: FnOnce(&mut Box<dyn Service>, &mut Ctx<'_>),
     {
-        let mut commands = Vec::new();
+        let mut commands = std::mem::take(&mut self.commands);
         let idx = self
             .local_slot(node)
             .expect("node not hosted on this shard");
@@ -336,12 +339,14 @@ impl Shard {
                 None => false,
             }
         };
-        self.apply(now, commands);
+        self.apply(now, &mut commands);
+        self.commands = commands;
         found
     }
 
-    fn apply(&mut self, now: SimTime, commands: Vec<Command>) {
-        for cmd in commands {
+    /// Carries out a callback's `commands`, leaving the list empty.
+    fn apply(&mut self, now: SimTime, commands: &mut Vec<Command>) {
+        for cmd in commands.drain(..) {
             match cmd {
                 Command::Send {
                     from,
@@ -602,6 +607,7 @@ impl World {
                 remote: Vec::new(),
                 egress: Vec::new(),
                 unsynced_since: ALL_SYNCED,
+                commands: Vec::new(),
             })
             .collect();
         World {

@@ -4,6 +4,10 @@
 //! record holds no copy of a service name and the shard's buffer keeps its
 //! capacity, so the difference is the buffers' growth — a few dozen calls,
 //! the same at every `n` — and not a few calls per record.
+//!
+//! And what a callback costs it: the shard hands every callback the same
+//! command list, so a service that only re-arms a timer runs `n` callbacks
+//! on a bounded number of allocator calls.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -128,6 +132,42 @@ fn tracing_costs_the_allocator_a_bounded_number_of_calls_at_any_run_length() {
             extra < 64,
             "n={n}: {extra} more allocator calls traced ({with_trace}) than untraced ({plain}) \
              for {traced} records"
+        );
+    }
+}
+
+/// Re-arms a 1 ms timer until it has fired `left` times.
+struct Ticker {
+    left: u32,
+}
+
+impl Service for Ticker {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(SimDuration::from_millis(1), 0);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: Address, _payload: &[u8]) {}
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
+        if self.left > 0 {
+            self.left -= 1;
+            ctx.set_timer(SimDuration::from_millis(1), tag + 1);
+        }
+    }
+}
+
+#[test]
+fn a_callback_reuses_the_shards_command_list() {
+    for n in [1_000, 2_000] {
+        let mut w = World::new(WorldConfig::with_seed(7));
+        let node = w.add_node();
+        w.add_service(node, "tick", move || Box::new(Ticker { left: n }));
+        w.start();
+        let (events, calls) = calls_by(|| w.run_to_quiescence(u64::MAX));
+        assert_eq!(events, u64::from(n) + 1, "n={n}");
+        assert!(
+            calls < 64,
+            "n={n}: {calls} allocator calls for {n} timer callbacks"
         );
     }
 }

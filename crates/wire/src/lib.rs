@@ -45,7 +45,7 @@ pub use de::{from_slice, from_slice_prefix, BinDeserializer};
 pub use error::{WireError, WireResult};
 pub use fields::FieldCursor;
 pub use hash::content_hash64;
-pub use ser::{encoded_size, to_bytes, BinSerializer};
+pub use ser::{encoded_size, to_bytes, to_bytes_with, BinSerializer};
 pub use value::Value;
 
 /// Converts any serializable value into a [`Value`] by transcoding.
@@ -128,12 +128,15 @@ mod tests {
             // Assemble Vec<Value> out of individually encoded elements via
             // the splice API; must be byte-identical to the direct encoding.
             let direct = to_bytes(&vs).unwrap();
-            let mut ser = BinSerializer::new();
-            ser.begin_seq(vs.len());
-            for v in &vs {
-                ser.raw_value_bytes(&to_bytes(v).unwrap());
-            }
-            prop_assert_eq!(ser.into_bytes(), direct);
+            let (spliced, ()) = to_bytes_with(|ser| {
+                ser.begin_seq(vs.len());
+                for v in &vs {
+                    ser.raw_value_bytes(&to_bytes(v)?);
+                }
+                Ok::<_, WireError>(())
+            })
+            .unwrap();
+            prop_assert_eq!(spliced, direct);
         }
 
         #[test]

@@ -6,6 +6,8 @@
 //! names are omitted; order is the declaration order), and enum variants are
 //! encoded by index.
 
+use std::cell::Cell;
+
 use serde::ser::{self, Serialize};
 
 use crate::error::{WireError, WireResult};
@@ -29,7 +31,11 @@ pub(crate) const TAG_NEWTYPE_VARIANT: u8 = 0x0e;
 pub(crate) const TAG_TUPLE_VARIANT: u8 = 0x0f;
 pub(crate) const TAG_STRUCT_VARIANT: u8 = 0x10;
 
-/// Encodes `value` into a fresh byte vector.
+/// Encodes `value` into a fresh byte vector of exactly its length.
+///
+/// The encode runs in a per-thread buffer that keeps its capacity between
+/// calls (up to 64 KiB), so a warm thread reaches the allocator once, for
+/// the returned copy, and the value carries no slack.
 ///
 /// # Errors
 ///
@@ -42,48 +48,89 @@ pub(crate) const TAG_STRUCT_VARIANT: u8 = 0x10;
 /// let bytes = mar_wire::to_bytes(&(1u8, "hi")).unwrap();
 /// let back: (u8, String) = mar_wire::from_slice(&bytes).unwrap();
 /// assert_eq!(back, (1, "hi".to_owned()));
+/// assert_eq!(bytes.len(), bytes.capacity());
 /// ```
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> WireResult<Vec<u8>> {
-    let mut ser = BinSerializer::new();
-    value.serialize(&mut ser)?;
-    Ok(ser.into_bytes())
+    Ok(to_bytes_with(|ser| value.serialize(ser))?.0)
+}
+
+/// Runs `encode` on an empty serializer over [`to_bytes`]'s per-thread
+/// buffer, and returns an exact-length copy of what it wrote with what it
+/// returned: an encoder that writes a value piece by piece (the splice API
+/// below) gets [`to_bytes`]'s one allocation and no slack.
+///
+/// # Errors
+///
+/// Whatever `encode` returns.
+pub fn to_bytes_with<R, E>(
+    encode: impl FnOnce(&mut BinSerializer) -> Result<R, E>,
+) -> Result<(Vec<u8>, R), E> {
+    with_scratch(|ser| {
+        let extra = encode(ser)?;
+        Ok((ser.out.to_vec(), extra))
+    })
 }
 
 /// Returns the number of bytes [`to_bytes`] would produce for `value`.
+///
+/// The value is encoded into [`to_bytes`]'s per-thread buffer and nothing
+/// is copied out, so a warm thread does not reach the allocator. It is
+/// still an encode: a caller on a per-step path wants a number it already
+/// has, not this.
 ///
 /// # Errors
 ///
 /// Same conditions as [`to_bytes`].
 pub fn encoded_size<T: Serialize + ?Sized>(value: &T) -> WireResult<usize> {
-    // A full encode, thrown away: a log entry is measured this way once,
-    // when it is pushed (or first asked about after a decode), and the log
-    // keeps the number. A caller on a per-step path wants a number it
-    // already has, not this.
-    Ok(to_bytes(value)?.len())
+    with_scratch(|ser| {
+        value.serialize(&mut *ser)?;
+        Ok(ser.len())
+    })
 }
 
-/// Streaming binary serializer. Usually used through [`to_bytes`].
-#[derive(Debug, Default)]
+/// A per-thread encode buffer that grew past this many bytes is released
+/// after use rather than kept for the next encode.
+const SCRATCH_KEEP_MAX: usize = 64 * 1024;
+
+thread_local! {
+    /// The buffer [`to_bytes`] and [`encoded_size`] encode into, empty
+    /// while one of them runs.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on an empty serializer over the thread's [`SCRATCH`] buffer,
+/// and keeps the buffer for the next call. A call nested in `f` (a
+/// `Serialize` impl that encodes something itself) finds the buffer taken
+/// and starts from a fresh one.
+fn with_scratch<R>(f: impl FnOnce(&mut BinSerializer) -> R) -> R {
+    let mut ser = BinSerializer {
+        out: SCRATCH.try_with(Cell::take).unwrap_or_default(),
+    };
+    let result = f(&mut ser);
+    if ser.out.capacity() <= SCRATCH_KEEP_MAX {
+        ser.out.clear();
+        // Gone only while the thread tears down: then the buffer is dropped.
+        let _ = SCRATCH.try_with(|scratch| scratch.set(ser.out));
+    }
+    result
+}
+
+/// Streaming binary serializer, reached through [`to_bytes`] and
+/// [`to_bytes_with`].
+#[derive(Debug)]
 pub struct BinSerializer {
     out: Vec<u8>,
 }
 
 impl BinSerializer {
-    /// Creates an empty serializer.
-    pub fn new() -> Self {
+    fn new() -> Self {
         BinSerializer { out: Vec::new() }
     }
 
-    /// Creates an empty serializer with `cap` bytes of reserved output.
-    pub fn with_capacity(cap: usize) -> Self {
-        BinSerializer {
-            out: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Consumes the serializer, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.out
+    /// Reserves room for at least `additional` more bytes: one allocation
+    /// for an encode whose size is about known, on a buffer that is short.
+    pub fn reserve(&mut self, additional: usize) {
+        self.out.reserve(additional);
     }
 
     /// Bytes written so far.
