@@ -10,9 +10,13 @@ cd "$(dirname "$0")"
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+# The benchmark package is its own workspace, so `--all` and `--workspace`
+# do not reach it: it is formatted and linted by its manifest.
+cargo fmt --manifest-path benchmark/Cargo.toml --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps \

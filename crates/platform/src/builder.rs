@@ -80,7 +80,6 @@ pub struct PlatformBuilder {
     comps: CompOpRegistry,
     resources: BTreeMap<u32, Arc<dyn Fn() -> RmRegistry + Send + Sync>>,
     shards: usize,
-    report_cache_cap: usize,
     stable: StableFactory,
     errors: Vec<BuildError>,
 }
@@ -102,7 +101,6 @@ impl PlatformBuilder {
             comps,
             resources: BTreeMap::new(),
             shards: 1,
-            report_cache_cap: crate::DriverCore::DEFAULT_REPORT_CAP,
             stable: StableFactory::default(),
             errors: Vec::new(),
         }
@@ -124,16 +122,6 @@ impl PlatformBuilder {
     /// [`PlatformBuilder::try_build`] returns [`BuildError::World`].
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
-        self
-    }
-
-    /// Caps the driver's in-memory report cache; least-recently-used
-    /// reports are evicted (and counted under `driver.reports_evicted`)
-    /// once the cap is exceeded. Evicted reports remain recoverable only if
-    /// their stable artifacts still exist; see [`Platform::forget`] for
-    /// explicit release.
-    pub fn report_cache_cap(mut self, cap: usize) -> Self {
-        self.report_cache_cap = cap;
         self
     }
 
@@ -243,10 +231,9 @@ impl PlatformBuilder {
     ///
     /// The first [`BuildError`] recorded while configuring.
     pub fn try_build(self) -> Result<Platform, BuildError> {
-        let report_cache_cap = self.report_cache_cap;
         let mut world = self.try_build_world(None)?;
         world.start();
-        Ok(Platform::with_report_cache_cap(world, report_cache_cap))
+        Ok(Platform::new(world))
     }
 
     /// Builds the world for **one process** of a distributed deployment:

@@ -74,10 +74,10 @@ pub struct Platform {
 }
 
 impl Platform {
-    pub(crate) fn with_report_cache_cap(world: World, report_cap: usize) -> Self {
+    pub(crate) fn new(world: World) -> Self {
         Platform {
             world,
-            core: DriverCore::new(report_cap),
+            core: DriverCore::new(DriverCore::DEFAULT_REPORT_CAP),
         }
     }
 
@@ -240,5 +240,71 @@ impl std::fmt::Debug for Platform {
             .field("launched", &self.core.launched_count())
             .field("reports", &self.core.cached_count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{metric_keys as mk, AgentBehavior, PlatformBuilder, StepCtx, StepDecision};
+    use mar_itinerary::ItineraryBuilder;
+    use mar_resources::DirectoryRm;
+    use mar_txn::{RmRegistry, TxnError};
+    use mar_wire::Value;
+
+    struct Collector;
+
+    impl AgentBehavior for Collector {
+        fn step(&self, _method: &str, ctx: &mut StepCtx<'_>) -> Result<StepDecision, TxnError> {
+            let found = ctx.call(
+                "dir",
+                "query",
+                &Value::map([("topic", Value::from("offers"))]),
+            )?;
+            ctx.sro_push("notes", found);
+            Ok(StepDecision::Continue)
+        }
+    }
+
+    /// The driver's report cache is bounded: beyond its cap, the
+    /// least-recently-used reports are dropped (their stable artifacts were
+    /// already garbage-collected on drain, so they are gone for good) and
+    /// the loss is visible in `driver.reports_evicted`.
+    #[test]
+    fn report_cache_evicts_least_recently_used_beyond_cap() {
+        const FLEET: usize = 5;
+        const CAP: usize = 2;
+        let mut b = PlatformBuilder::new(4)
+            .seed(19)
+            .behavior("collector", Collector);
+        for n in 1..4u32 {
+            b = b.resources(NodeId(n), move || {
+                let mut rms = RmRegistry::new();
+                rms.register(Box::new(
+                    DirectoryRm::new("dir")
+                        .with_entry("offers", Value::from(format!("offer-from-node-{n}"))),
+                ));
+                rms
+            });
+        }
+        let mut p = b.build();
+        p.core = DriverCore::new(CAP);
+        let it = || {
+            ItineraryBuilder::main("I")
+                .sub("gather", |s| {
+                    s.step("collect1", 1);
+                })
+                .build()
+                .unwrap()
+        };
+        let handles =
+            p.launch_fleet((0..FLEET).map(|_| AgentSpec::new("collector", NodeId(0), it())));
+        assert!(p.run_until_settled(&handles, SimDuration::from_secs(600)));
+        assert_eq!(
+            p.snapshot().counter(mk::DRIVER_REPORTS_EVICTED),
+            (FLEET - CAP) as u64
+        );
+        let cached = handles.iter().filter(|h| p.report(**h).is_some()).count();
+        assert_eq!(cached, CAP, "exactly the cap's worth of reports survive");
     }
 }

@@ -648,51 +648,6 @@ fn optimized_mode_moves_agent_less() {
     assert_eq!(optimized, 0, "optimized transfers: {optimized}");
 }
 
-fn capped_platform(seed: u64, cap: usize) -> Platform {
-    let mut b = PlatformBuilder::new(4)
-        .seed(seed)
-        .report_cache_cap(cap)
-        .behavior("collector", Collector);
-    for n in 1..4u32 {
-        b = b.resources(NodeId(n), move || {
-            let mut rms = RmRegistry::new();
-            rms.register(Box::new(
-                DirectoryRm::new("dir")
-                    .with_entry("offers", Value::from(format!("offer-from-node-{n}"))),
-            ));
-            rms
-        });
-    }
-    b.build()
-}
-
-/// The driver's report cache is bounded: beyond the configured cap, the
-/// least-recently-used reports are dropped (their stable artifacts were
-/// already garbage-collected on drain, so they are gone for good) and the
-/// loss is visible in `driver.reports_evicted`.
-#[test]
-fn report_cache_evicts_least_recently_used_beyond_cap() {
-    const FLEET: usize = 5;
-    const CAP: usize = 2;
-    let mut p = capped_platform(19, CAP);
-    let it = || {
-        ItineraryBuilder::main("I")
-            .sub("gather", |s| {
-                s.step("collect1", 1);
-            })
-            .build()
-            .unwrap()
-    };
-    let handles = p.launch_fleet((0..FLEET).map(|_| AgentSpec::new("collector", NodeId(0), it())));
-    assert!(p.run_until_settled(&handles, SimDuration::from_secs(600)));
-    assert_eq!(
-        p.snapshot().counter(mk::DRIVER_REPORTS_EVICTED),
-        (FLEET - CAP) as u64
-    );
-    let cached = handles.iter().filter(|h| p.report(**h).is_some()).count();
-    assert_eq!(cached, CAP, "exactly the cap's worth of reports survive");
-}
-
 /// `Platform::forget` releases a report and every trace the driver keeps
 /// of the agent; under the (large) default cap nothing is ever evicted.
 #[test]

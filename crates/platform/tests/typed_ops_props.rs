@@ -5,7 +5,9 @@
 //! **byte-identical rollback-log frames** (the wire-compatibility guarantee
 //! that makes the typed layer a pure convenience, not a format change).
 //! Typed WRO ops (`ctx.apply`) are held to the same bar against manual
-//! `set_wro` + `comp_wro_*` sequences.
+//! `set_wro` + `comp_wro_*` sequences, and every read-only op's
+//! `ctx.query(&op)` against the raw `ctx.call` plus the same decode: the
+//! same result, the same effects, and nothing logged.
 //!
 //! It is also the check that every compensation a typed op derives is
 //! registered: the typed path runs against the registry
@@ -14,12 +16,13 @@
 
 use proptest::prelude::*;
 
-use mar_core::comp::{CompOp, CompOpRegistry};
+use mar_core::comp::{CompOp, CompOpRegistry, ResourceOp};
 use mar_core::{DataSpace, RollbackLog};
 use mar_platform::StepCtx;
 use mar_resources::ops::{
-    BookFlight, BuyWithAccount, BuyWithCash, ConvertCash, Deposit, IssueCoins, PublishEntry,
-    Transfer, Withdraw, WroAdd, WroPush, WroSet,
+    Balance, BookFlight, BuyWithAccount, BuyWithCash, ConvertCash, Deposit, IssueCoins,
+    PublishEntry, QueryTopic, QuoteFlight, QuoteItem, QuoteRate, Transfer, VerifyCoin, Withdraw,
+    WroAdd, WroPush, WroSet,
 };
 use mar_resources::{
     comp_cancel_booking, comp_convert_back, comp_dir_retract, comp_return_account_order,
@@ -116,6 +119,39 @@ fn registry() -> CompOpRegistry {
     let mut reg = CompOpRegistry::new();
     mar_resources::register_compensations(&mut reg);
     reg
+}
+
+/// One generated read-only case: a typed query and the raw call it stands
+/// for.
+#[derive(Debug, Clone)]
+enum Lookup {
+    Balance {
+        account: &'static str,
+    },
+    QuoteFlight,
+    QuoteItem,
+    QuoteRate {
+        from: &'static str,
+        to: &'static str,
+    },
+    VerifyCoin {
+        serial: String,
+    },
+    QueryTopic {
+        topic: &'static str,
+    },
+}
+
+fn lookup_strategy() -> impl Strategy<Value = Lookup> {
+    prop_oneof![
+        prop_oneof![Just("alice"), Just("bob")].prop_map(|account| Lookup::Balance { account }),
+        Just(Lookup::QuoteFlight),
+        Just(Lookup::QuoteItem),
+        prop_oneof![Just(("USD", "EUR")), Just(("EUR", "USD"))]
+            .prop_map(|(from, to)| Lookup::QuoteRate { from, to }),
+        "[a-z0-9-]{1,12}".prop_map(|serial| Lookup::VerifyCoin { serial }),
+        prop_oneof![Just("news"), Just("none")].prop_map(|topic| Lookup::QueryTopic { topic }),
+    ]
 }
 
 /// Runs one step body against a fresh, identically-seeded harness and
@@ -399,6 +435,67 @@ proptest! {
         prop_assert_eq!(frame_t, frame_r, "rollback-log frame differs: {:?}", case);
         prop_assert_eq!(snaps_t, snaps_r, "resource effects differ: {:?}", case);
         prop_assert_eq!(data_t, data_r, "data-space effects differ: {:?}", case);
+    }
+}
+
+/// Runs `op` through `ctx.query` and its raw call (`resource`, `name`,
+/// `params`, decoded by the op) in two identical harnesses.
+fn query_matches_raw_call<O: ResourceOp>(op: &O, resource: &str, name: &str, params: Value)
+where
+    O::Output: PartialEq + std::fmt::Debug,
+{
+    let mut typed = None;
+    let obs_t = run_step(|ctx| typed = Some(ctx.query(op)));
+    let mut raw = None;
+    let obs_r = run_step(|ctx| {
+        let out = ctx
+            .call(resource, name, &params)
+            .expect("raw call succeeds");
+        raw = Some(op.decode(&out).expect("raw result decodes"));
+    });
+    assert_eq!(
+        typed.expect("query ran").ok(),
+        raw,
+        "{resource}.{name}: result"
+    );
+    assert_eq!(obs_t, obs_r, "{resource}.{name}: effects");
+    assert_eq!(obs_t.0, run_step(|_| {}).0, "{resource}.{name} logged");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every read-only op: `ctx.query` returns what the raw call decodes
+    /// to, has the raw call's effects, and logs nothing.
+    #[test]
+    fn typed_query_equals_raw_call(lookup in lookup_strategy()) {
+        let map = |k: &str, v: &str| Value::map([(k, Value::from(v))]);
+        match lookup {
+            Lookup::Balance { account } => query_matches_raw_call(
+                &Balance::new("bank", account), "bank", "balance", map("account", account),
+            ),
+            Lookup::QuoteFlight => query_matches_raw_call(
+                &QuoteFlight::new("air", "LH1"), "air", "quote", map("flight", "LH1"),
+            ),
+            Lookup::QuoteItem => query_matches_raw_call(
+                &QuoteItem::new("shop", "cd"), "shop", "quote", map("sku", "cd"),
+            ),
+            Lookup::QuoteRate { from, to } => query_matches_raw_call(
+                &QuoteRate::new("fx", from, to),
+                "fx",
+                "rate",
+                Value::map([("from", Value::from(from)), ("to", Value::from(to))]),
+            ),
+            Lookup::VerifyCoin { serial } => query_matches_raw_call(
+                &VerifyCoin::new("mint", serial.as_str()),
+                "mint",
+                "verify",
+                map("serial", &serial),
+            ),
+            Lookup::QueryTopic { topic } => query_matches_raw_call(
+                &QueryTopic::new("dir", topic), "dir", "query", map("topic", topic),
+            ),
+        }
     }
 }
 

@@ -24,10 +24,10 @@
 //! platform looks their kind up in the registry.
 //!
 //! The [`ops`] module is the *typed* surface over the same resources: one
-//! struct per operation, with its compensation derived from the op and its
-//! result ([`mar_core::comp::Compensable`]). `ctx.invoke(&op)` executes and
-//! logs in one call; the raw `ctx.call` + `comp_*` pair remains the escape
-//! hatch and produces byte-identical rollback-log frames.
+//! struct per operation, declared once as one macro entry, with its
+//! compensation derived from the op and its result
+//! ([`mar_core::comp::Compensable`]). `ctx.invoke(&op)` executes and logs in
+//! one call; the raw `ctx.call` + `comp_*` pair remains the escape hatch.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

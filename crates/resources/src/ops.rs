@@ -9,6 +9,12 @@
 //! and produces byte-identical rollback-log frames (pinned by the
 //! platform's `typed_ops_props` property test).
 //!
+//! Each resource op is declared once, as one `resource_ops!` entry: its
+//! struct and documented fields, the field naming the resource, the wire
+//! op and its `Output`, the fields sent as params, the decode and, for a
+//! compensable op, the compensation over the op and its result. The macro
+//! emits the struct, `new`, [`ResourceOp`] and [`Compensable`].
+//!
 //! No op states an entry kind: each compensation's kind is the one its
 //! handler is registered under ([`register_compensations`]), and the
 //! platform looks it up when it logs the entry.
@@ -37,12 +43,52 @@ use crate::comp_ops::{
 };
 use crate::wallet::Coin;
 
-fn map_err(what: &str) -> WireError {
-    WireError::Message(format!("unexpected result shape: {what}"))
+/// Declares resource ops. An entry is the struct (its fields each a
+/// `String`, an `i64` or a `Value`; `new` takes them in field order), then
+/// `resource <field>, op "<name>" -> <Output>, params [<field>, …];`,
+/// `decode |raw| <expr>;` and, if compensable, `compensation |op, out| <expr>;`.
+macro_rules! resource_ops {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: $fty:ident, )+
+        }
+        resource $res:ident, op $wire:literal -> $out:ty, params [$($param:ident),+];
+        decode |$raw:pat_param| $decode:expr;
+        $( compensation |$op:ident, $result:pat_param| $comp:expr; )?
+    )+) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $fty, )+
+        }
+
+        impl $name {
+            /// Constructs the op.
+            pub fn new($($field: resource_ops!(@arg $fty)),+) -> Self {
+                $name { $($field: $field.into()),+ }
+            }
+        }
+
+        impl ResourceOp for $name {
+            type Output = $out;
+            fn resource(&self) -> &str { &self.$res }
+            fn op(&self) -> &str { $wire }
+            fn params(&self) -> Value {
+                Value::map([$((stringify!($param), Value::from(self.$param.clone()))),+])
+            }
+            fn decode(&self, $raw: &Value) -> Result<$out, WireError> { $decode }
+        }
+
+        $(impl Compensable for $name {
+            fn compensation(&self, $result: &$out) -> CompOp { let $op = self; $comp }
+        })?
+    )+};
+    (@arg String) => { impl Into<String> };
+    (@arg $fty:ident) => { $fty };
 }
 
-fn decode_i64(raw: &Value, what: &str) -> Result<i64, WireError> {
-    raw.as_i64().ok_or_else(|| map_err(what))
+fn map_err(what: &str) -> WireError {
+    WireError::Message(format!("unexpected result shape: {what}"))
 }
 
 fn decode_str_field(raw: &Value, field: &str) -> Result<String, WireError> {
@@ -60,209 +106,65 @@ fn decode_i64_field(raw: &Value, field: &str) -> Result<i64, WireError> {
 
 // ---- bank ------------------------------------------------------------------
 
-/// Typed `bank.deposit`: credits `amount` to `account`.
-///
-/// Compensation: `bank.undo_deposit` — §3.2's *failable* example (the
-/// compensating withdrawal needs the funds to still be there).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Deposit {
-    /// Bank resource name.
-    pub bank: String,
-    /// Target account.
-    pub account: String,
-    /// Amount to credit.
-    pub amount: i64,
-}
-
-impl Deposit {
-    /// Constructs the op.
-    pub fn new(bank: impl Into<String>, account: impl Into<String>, amount: i64) -> Self {
-        Deposit {
-            bank: bank.into(),
-            account: account.into(),
-            amount,
-        }
+resource_ops! {
+    /// Typed `bank.deposit`: credits `amount` to `account`.
+    ///
+    /// Compensation: `bank.undo_deposit` — §3.2's *failable* example (the
+    /// compensating withdrawal needs the funds to still be there).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Deposit {
+        /// Bank resource name.
+        pub bank: String,
+        /// Target account.
+        pub account: String,
+        /// Amount to credit.
+        pub amount: i64,
     }
-}
+    resource bank, op "deposit" -> i64, params [account, amount];
+    decode |raw| raw.as_i64().ok_or_else(|| map_err("deposit balance"));
+    compensation |op, _new_balance| comp_undo_deposit(&op.bank, &op.account, op.amount);
 
-impl ResourceOp for Deposit {
-    type Output = i64;
-
-    fn resource(&self) -> &str {
-        &self.bank
+    /// Typed `bank.withdraw`: debits `amount` from `account`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Withdraw {
+        /// Bank resource name.
+        pub bank: String,
+        /// Source account.
+        pub account: String,
+        /// Amount to debit.
+        pub amount: i64,
     }
+    resource bank, op "withdraw" -> i64, params [account, amount];
+    decode |raw| raw.as_i64().ok_or_else(|| map_err("withdraw balance"));
+    compensation |op, _new_balance| comp_undo_withdraw(&op.bank, &op.account, op.amount);
 
-    fn op(&self) -> &str {
-        "deposit"
+    /// Typed `bank.transfer`: moves `amount` from `from` to `to` — the paper's
+    /// §4.4.1 example of a pure resource compensation entry.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Transfer {
+        /// Bank resource name.
+        pub bank: String,
+        /// Source account.
+        pub from: String,
+        /// Destination account.
+        pub to: String,
+        /// Amount to move.
+        pub amount: i64,
     }
+    resource bank, op "transfer" -> (), params [from, to, amount];
+    decode |_raw| Ok(());
+    compensation |op, _out| comp_undo_transfer(&op.bank, &op.from, &op.to, op.amount);
 
-    fn params(&self) -> Value {
-        Value::map([
-            ("account", Value::from(self.account.as_str())),
-            ("amount", Value::from(self.amount)),
-        ])
+    /// Typed read-only `bank.balance`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Balance {
+        /// Bank resource name.
+        pub bank: String,
+        /// Account to inspect.
+        pub account: String,
     }
-
-    fn decode(&self, raw: &Value) -> Result<i64, WireError> {
-        decode_i64(raw, "deposit balance")
-    }
-}
-
-impl Compensable for Deposit {
-    fn compensation(&self, _new_balance: &i64) -> CompOp {
-        comp_undo_deposit(&self.bank, &self.account, self.amount)
-    }
-}
-
-/// Typed `bank.withdraw`: debits `amount` from `account`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Withdraw {
-    /// Bank resource name.
-    pub bank: String,
-    /// Source account.
-    pub account: String,
-    /// Amount to debit.
-    pub amount: i64,
-}
-
-impl Withdraw {
-    /// Constructs the op.
-    pub fn new(bank: impl Into<String>, account: impl Into<String>, amount: i64) -> Self {
-        Withdraw {
-            bank: bank.into(),
-            account: account.into(),
-            amount,
-        }
-    }
-}
-
-impl ResourceOp for Withdraw {
-    type Output = i64;
-
-    fn resource(&self) -> &str {
-        &self.bank
-    }
-
-    fn op(&self) -> &str {
-        "withdraw"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([
-            ("account", Value::from(self.account.as_str())),
-            ("amount", Value::from(self.amount)),
-        ])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<i64, WireError> {
-        decode_i64(raw, "withdraw balance")
-    }
-}
-
-impl Compensable for Withdraw {
-    fn compensation(&self, _new_balance: &i64) -> CompOp {
-        comp_undo_withdraw(&self.bank, &self.account, self.amount)
-    }
-}
-
-/// Typed `bank.transfer`: moves `amount` from `from` to `to` — the paper's
-/// §4.4.1 example of a pure resource compensation entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Transfer {
-    /// Bank resource name.
-    pub bank: String,
-    /// Source account.
-    pub from: String,
-    /// Destination account.
-    pub to: String,
-    /// Amount to move.
-    pub amount: i64,
-}
-
-impl Transfer {
-    /// Constructs the op.
-    pub fn new(
-        bank: impl Into<String>,
-        from: impl Into<String>,
-        to: impl Into<String>,
-        amount: i64,
-    ) -> Self {
-        Transfer {
-            bank: bank.into(),
-            from: from.into(),
-            to: to.into(),
-            amount,
-        }
-    }
-}
-
-impl ResourceOp for Transfer {
-    type Output = ();
-
-    fn resource(&self) -> &str {
-        &self.bank
-    }
-
-    fn op(&self) -> &str {
-        "transfer"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([
-            ("from", Value::from(self.from.as_str())),
-            ("to", Value::from(self.to.as_str())),
-            ("amount", Value::from(self.amount)),
-        ])
-    }
-
-    fn decode(&self, _raw: &Value) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-impl Compensable for Transfer {
-    fn compensation(&self, _out: &()) -> CompOp {
-        comp_undo_transfer(&self.bank, &self.from, &self.to, self.amount)
-    }
-}
-
-/// Typed read-only `bank.balance`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Balance {
-    /// Bank resource name.
-    pub bank: String,
-    /// Account to inspect.
-    pub account: String,
-}
-
-impl Balance {
-    /// Constructs the op.
-    pub fn new(bank: impl Into<String>, account: impl Into<String>) -> Self {
-        Balance {
-            bank: bank.into(),
-            account: account.into(),
-        }
-    }
-}
-
-impl ResourceOp for Balance {
-    type Output = i64;
-
-    fn resource(&self) -> &str {
-        &self.bank
-    }
-
-    fn op(&self) -> &str {
-        "balance"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([("account", Value::from(self.account.as_str()))])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<i64, WireError> {
-        decode_i64(raw, "balance")
-    }
+    resource bank, op "balance" -> i64, params [account];
+    decode |raw| raw.as_i64().ok_or_else(|| map_err("balance"));
 }
 
 // ---- flight ----------------------------------------------------------------
@@ -274,84 +176,6 @@ pub struct Booking {
     pub booking_id: String,
 }
 
-/// Typed `flight.book`: books a seat, paying `paid` already withdrawn from
-/// `refund_account`. The compensation — derived from the *result's*
-/// `booking_id` — cancels the booking and refunds the fare (minus the
-/// cancellation fee) back to that account.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BookFlight {
-    /// Flight resource name.
-    pub air: String,
-    /// Flight identifier.
-    pub flight: String,
-    /// Passenger name.
-    pub passenger: String,
-    /// Fare paid.
-    pub paid: i64,
-    /// Bank holding the refund account.
-    pub refund_bank: String,
-    /// Account refunds go back to.
-    pub refund_account: String,
-}
-
-impl BookFlight {
-    /// Constructs the op.
-    pub fn new(
-        air: impl Into<String>,
-        flight: impl Into<String>,
-        passenger: impl Into<String>,
-        paid: i64,
-        refund_bank: impl Into<String>,
-        refund_account: impl Into<String>,
-    ) -> Self {
-        BookFlight {
-            air: air.into(),
-            flight: flight.into(),
-            passenger: passenger.into(),
-            paid,
-            refund_bank: refund_bank.into(),
-            refund_account: refund_account.into(),
-        }
-    }
-}
-
-impl ResourceOp for BookFlight {
-    type Output = Booking;
-
-    fn resource(&self) -> &str {
-        &self.air
-    }
-
-    fn op(&self) -> &str {
-        "book"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([
-            ("flight", Value::from(self.flight.as_str())),
-            ("passenger", Value::from(self.passenger.as_str())),
-            ("paid", Value::from(self.paid)),
-        ])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<Booking, WireError> {
-        Ok(Booking {
-            booking_id: decode_str_field(raw, "booking_id")?,
-        })
-    }
-}
-
-impl Compensable for BookFlight {
-    fn compensation(&self, booking: &Booking) -> CompOp {
-        comp_cancel_booking(
-            &self.air,
-            &booking.booking_id,
-            &self.refund_bank,
-            &self.refund_account,
-        )
-    }
-}
-
 /// A flight quote (result of [`QuoteFlight`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightQuote {
@@ -361,46 +185,47 @@ pub struct FlightQuote {
     pub seats: i64,
 }
 
-/// Typed read-only `flight.quote`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuoteFlight {
-    /// Flight resource name.
-    pub air: String,
-    /// Flight identifier.
-    pub flight: String,
-}
-
-impl QuoteFlight {
-    /// Constructs the op.
-    pub fn new(air: impl Into<String>, flight: impl Into<String>) -> Self {
-        QuoteFlight {
-            air: air.into(),
-            flight: flight.into(),
-        }
+resource_ops! {
+    /// Typed `flight.book`: books a seat, paying `paid` already withdrawn from
+    /// `refund_account`. The compensation — derived from the *result's*
+    /// `booking_id` — cancels the booking and refunds the fare (minus the
+    /// cancellation fee) back to that account.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BookFlight {
+        /// Flight resource name.
+        pub air: String,
+        /// Flight identifier.
+        pub flight: String,
+        /// Passenger name.
+        pub passenger: String,
+        /// Fare paid.
+        pub paid: i64,
+        /// Bank holding the refund account.
+        pub refund_bank: String,
+        /// Account refunds go back to.
+        pub refund_account: String,
     }
-}
+    resource air, op "book" -> Booking, params [flight, passenger, paid];
+    decode |raw| Ok(Booking {
+        booking_id: decode_str_field(raw, "booking_id")?,
+    });
+    compensation |op, booking| {
+        comp_cancel_booking(&op.air, &booking.booking_id, &op.refund_bank, &op.refund_account)
+    };
 
-impl ResourceOp for QuoteFlight {
-    type Output = FlightQuote;
-
-    fn resource(&self) -> &str {
-        &self.air
+    /// Typed read-only `flight.quote`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct QuoteFlight {
+        /// Flight resource name.
+        pub air: String,
+        /// Flight identifier.
+        pub flight: String,
     }
-
-    fn op(&self) -> &str {
-        "quote"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([("flight", Value::from(self.flight.as_str()))])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<FlightQuote, WireError> {
-        Ok(FlightQuote {
-            price: decode_i64_field(raw, "price")?,
-            seats: decode_i64_field(raw, "seats")?,
-        })
-    }
+    resource air, op "quote" -> FlightQuote, params [flight];
+    decode |raw| Ok(FlightQuote {
+        price: decode_i64_field(raw, "price")?,
+        seats: decode_i64_field(raw, "seats")?,
+    });
 }
 
 // ---- shop ------------------------------------------------------------------
@@ -421,162 +246,6 @@ fn decode_order(raw: &Value) -> Result<Order, WireError> {
     })
 }
 
-/// Typed `shop.buy_paid` for account-paid purchases: the price was withdrawn
-/// from `refund_bank`/`refund_account` in the same step transaction.
-/// Compensation returns the order and deposits the cash refund back.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuyWithAccount {
-    /// Shop resource name.
-    pub shop: String,
-    /// Item SKU.
-    pub sku: String,
-    /// Quantity.
-    pub qty: i64,
-    /// Amount paid (must equal price × qty).
-    pub paid: i64,
-    /// Bank holding the refund account.
-    pub refund_bank: String,
-    /// Account refunds go back to.
-    pub refund_account: String,
-}
-
-impl BuyWithAccount {
-    /// Constructs the op.
-    pub fn new(
-        shop: impl Into<String>,
-        sku: impl Into<String>,
-        qty: i64,
-        paid: i64,
-        refund_bank: impl Into<String>,
-        refund_account: impl Into<String>,
-    ) -> Self {
-        BuyWithAccount {
-            shop: shop.into(),
-            sku: sku.into(),
-            qty,
-            paid,
-            refund_bank: refund_bank.into(),
-            refund_account: refund_account.into(),
-        }
-    }
-}
-
-impl ResourceOp for BuyWithAccount {
-    type Output = Order;
-
-    fn resource(&self) -> &str {
-        &self.shop
-    }
-
-    fn op(&self) -> &str {
-        "buy_paid"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([
-            ("sku", Value::from(self.sku.as_str())),
-            ("qty", Value::from(self.qty)),
-            ("paid", Value::from(self.paid)),
-        ])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<Order, WireError> {
-        decode_order(raw)
-    }
-}
-
-impl Compensable for BuyWithAccount {
-    fn compensation(&self, order: &Order) -> CompOp {
-        comp_return_account_order(
-            &self.shop,
-            &order.order_id,
-            &self.refund_bank,
-            &self.refund_account,
-        )
-    }
-}
-
-/// Typed `shop.buy_paid` for cash purchases: coins already left the wallet
-/// under `wallet_key`. The compensation is *mixed* — returning the order
-/// refunds freshly minted coins (different serials!) or a credit note into
-/// the wallet, so the agent must be at the shop's node to run it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuyWithCash {
-    /// Shop resource name.
-    pub shop: String,
-    /// Mint issuing refund coins.
-    pub mint: String,
-    /// Item SKU.
-    pub sku: String,
-    /// Quantity.
-    pub qty: i64,
-    /// Amount paid (must equal price × qty).
-    pub paid: i64,
-    /// Weakly reversible object holding the wallet.
-    pub wallet_key: String,
-    /// Currency of refunds and credit notes.
-    pub currency: String,
-}
-
-impl BuyWithCash {
-    /// Constructs the op.
-    pub fn new(
-        shop: impl Into<String>,
-        mint: impl Into<String>,
-        sku: impl Into<String>,
-        qty: i64,
-        paid: i64,
-        wallet_key: impl Into<String>,
-        currency: impl Into<String>,
-    ) -> Self {
-        BuyWithCash {
-            shop: shop.into(),
-            mint: mint.into(),
-            sku: sku.into(),
-            qty,
-            paid,
-            wallet_key: wallet_key.into(),
-            currency: currency.into(),
-        }
-    }
-}
-
-impl ResourceOp for BuyWithCash {
-    type Output = Order;
-
-    fn resource(&self) -> &str {
-        &self.shop
-    }
-
-    fn op(&self) -> &str {
-        "buy_paid"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([
-            ("sku", Value::from(self.sku.as_str())),
-            ("qty", Value::from(self.qty)),
-            ("paid", Value::from(self.paid)),
-        ])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<Order, WireError> {
-        decode_order(raw)
-    }
-}
-
-impl Compensable for BuyWithCash {
-    fn compensation(&self, order: &Order) -> CompOp {
-        comp_return_cash_order(
-            &self.shop,
-            &self.mint,
-            &order.order_id,
-            &self.wallet_key,
-            &self.currency,
-        )
-    }
-}
-
 /// An item quote (result of [`QuoteItem`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ItemQuote {
@@ -586,124 +255,74 @@ pub struct ItemQuote {
     pub stock: i64,
 }
 
-/// Typed read-only `shop.quote`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuoteItem {
-    /// Shop resource name.
-    pub shop: String,
-    /// Item SKU.
-    pub sku: String,
-}
-
-impl QuoteItem {
-    /// Constructs the op.
-    pub fn new(shop: impl Into<String>, sku: impl Into<String>) -> Self {
-        QuoteItem {
-            shop: shop.into(),
-            sku: sku.into(),
-        }
+resource_ops! {
+    /// Typed `shop.buy_paid` for account-paid purchases: the price was withdrawn
+    /// from `refund_bank`/`refund_account` in the same step transaction.
+    /// Compensation returns the order and deposits the cash refund back.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BuyWithAccount {
+        /// Shop resource name.
+        pub shop: String,
+        /// Item SKU.
+        pub sku: String,
+        /// Quantity.
+        pub qty: i64,
+        /// Amount paid (must equal price × qty).
+        pub paid: i64,
+        /// Bank holding the refund account.
+        pub refund_bank: String,
+        /// Account refunds go back to.
+        pub refund_account: String,
     }
-}
+    resource shop, op "buy_paid" -> Order, params [sku, qty, paid];
+    decode |raw| decode_order(raw);
+    compensation |op, order| {
+        comp_return_account_order(&op.shop, &order.order_id, &op.refund_bank, &op.refund_account)
+    };
 
-impl ResourceOp for QuoteItem {
-    type Output = ItemQuote;
-
-    fn resource(&self) -> &str {
-        &self.shop
+    /// Typed `shop.buy_paid` for cash purchases: coins already left the wallet
+    /// under `wallet_key`. The compensation is *mixed* — returning the order
+    /// refunds freshly minted coins (different serials!) or a credit note into
+    /// the wallet, so the agent must be at the shop's node to run it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BuyWithCash {
+        /// Shop resource name.
+        pub shop: String,
+        /// Mint issuing refund coins.
+        pub mint: String,
+        /// Item SKU.
+        pub sku: String,
+        /// Quantity.
+        pub qty: i64,
+        /// Amount paid (must equal price × qty).
+        pub paid: i64,
+        /// Weakly reversible object holding the wallet.
+        pub wallet_key: String,
+        /// Currency of refunds and credit notes.
+        pub currency: String,
     }
+    resource shop, op "buy_paid" -> Order, params [sku, qty, paid];
+    decode |raw| decode_order(raw);
+    compensation |op, order| {
+        comp_return_cash_order(&op.shop, &op.mint, &order.order_id, &op.wallet_key, &op.currency)
+    };
 
-    fn op(&self) -> &str {
-        "quote"
+    /// Typed read-only `shop.quote`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct QuoteItem {
+        /// Shop resource name.
+        pub shop: String,
+        /// Item SKU.
+        pub sku: String,
     }
-
-    fn params(&self) -> Value {
-        Value::map([("sku", Value::from(self.sku.as_str()))])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<ItemQuote, WireError> {
-        Ok(ItemQuote {
-            price: decode_i64_field(raw, "price")?,
-            stock: decode_i64_field(raw, "stock")?,
-        })
-    }
+    resource shop, op "quote" -> ItemQuote, params [sku];
+    decode |raw| Ok(ItemQuote {
+        price: decode_i64_field(raw, "price")?,
+        stock: decode_i64_field(raw, "stock")?,
+    });
 }
 
 // ---- exchange --------------------------------------------------------------
-
-/// Typed `exchange.convert`: converts `amount` of `from`-currency (already
-/// surrendered from the wallet) into a fresh coin of `to`-currency. The
-/// compensation is the paper's §4.4.1 *mixed* example: converting back
-/// needs the exchange **and** the wallet, and the amount converted back is
-/// whatever the wallet still holds of the received coin's value — derived
-/// here from the result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConvertCash {
-    /// Exchange resource name.
-    pub exchange: String,
-    /// Source currency.
-    pub from: String,
-    /// Target currency.
-    pub to: String,
-    /// Amount of source currency surrendered.
-    pub amount: i64,
-    /// Weakly reversible object holding the wallet.
-    pub wallet_key: String,
-}
-
-impl ConvertCash {
-    /// Constructs the op.
-    pub fn new(
-        exchange: impl Into<String>,
-        from: impl Into<String>,
-        to: impl Into<String>,
-        amount: i64,
-        wallet_key: impl Into<String>,
-    ) -> Self {
-        ConvertCash {
-            exchange: exchange.into(),
-            from: from.into(),
-            to: to.into(),
-            amount,
-            wallet_key: wallet_key.into(),
-        }
-    }
-}
-
-impl ResourceOp for ConvertCash {
-    type Output = Coin;
-
-    fn resource(&self) -> &str {
-        &self.exchange
-    }
-
-    fn op(&self) -> &str {
-        "convert"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([
-            ("from", Value::from(self.from.as_str())),
-            ("to", Value::from(self.to.as_str())),
-            ("amount", Value::from(self.amount)),
-        ])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<Coin, WireError> {
-        mar_wire::from_value(raw)
-    }
-}
-
-impl Compensable for ConvertCash {
-    fn compensation(&self, coin: &Coin) -> CompOp {
-        comp_convert_back(
-            &self.exchange,
-            &self.from,
-            &self.to,
-            coin.value,
-            &self.wallet_key,
-        )
-    }
-}
 
 /// A conversion rate (result of [`QuoteRate`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -714,238 +333,108 @@ pub struct RateQuote {
     pub den: i64,
 }
 
-/// Typed read-only `exchange.rate`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuoteRate {
-    /// Exchange resource name.
-    pub exchange: String,
-    /// Source currency.
-    pub from: String,
-    /// Target currency.
-    pub to: String,
-}
-
-impl QuoteRate {
-    /// Constructs the op.
-    pub fn new(
-        exchange: impl Into<String>,
-        from: impl Into<String>,
-        to: impl Into<String>,
-    ) -> Self {
-        QuoteRate {
-            exchange: exchange.into(),
-            from: from.into(),
-            to: to.into(),
-        }
+resource_ops! {
+    /// Typed `exchange.convert`: converts `amount` of `from`-currency (already
+    /// surrendered from the wallet) into a fresh coin of `to`-currency. The
+    /// compensation is the paper's §4.4.1 *mixed* example: converting back
+    /// needs the exchange **and** the wallet, and the amount converted back is
+    /// whatever the wallet still holds of the received coin's value — derived
+    /// here from the result.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ConvertCash {
+        /// Exchange resource name.
+        pub exchange: String,
+        /// Source currency.
+        pub from: String,
+        /// Target currency.
+        pub to: String,
+        /// Amount of source currency surrendered.
+        pub amount: i64,
+        /// Weakly reversible object holding the wallet.
+        pub wallet_key: String,
     }
-}
+    resource exchange, op "convert" -> Coin, params [from, to, amount];
+    decode |raw| mar_wire::from_value(raw);
+    compensation |op, coin| {
+        comp_convert_back(&op.exchange, &op.from, &op.to, coin.value, &op.wallet_key)
+    };
 
-impl ResourceOp for QuoteRate {
-    type Output = RateQuote;
-
-    fn resource(&self) -> &str {
-        &self.exchange
+    /// Typed read-only `exchange.rate`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct QuoteRate {
+        /// Exchange resource name.
+        pub exchange: String,
+        /// Source currency.
+        pub from: String,
+        /// Target currency.
+        pub to: String,
     }
-
-    fn op(&self) -> &str {
-        "rate"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([
-            ("from", Value::from(self.from.as_str())),
-            ("to", Value::from(self.to.as_str())),
-        ])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<RateQuote, WireError> {
-        Ok(RateQuote {
-            num: decode_i64_field(raw, "num")?,
-            den: decode_i64_field(raw, "den")?,
-        })
-    }
+    resource exchange, op "rate" -> RateQuote, params [from, to];
+    decode |raw| Ok(RateQuote {
+        num: decode_i64_field(raw, "num")?,
+        den: decode_i64_field(raw, "den")?,
+    });
 }
 
 // ---- mint ------------------------------------------------------------------
 
-/// Typed `mint.issue`: issues a fresh coin worth `amount`. The compensation
-/// — derived from the issued coin's serial — voids that exact coin again.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IssueCoins {
-    /// Mint resource name.
-    pub mint: String,
-    /// Face value to issue.
-    pub amount: i64,
-}
-
-impl IssueCoins {
-    /// Constructs the op.
-    pub fn new(mint: impl Into<String>, amount: i64) -> Self {
-        IssueCoins {
-            mint: mint.into(),
-            amount,
-        }
+resource_ops! {
+    /// Typed `mint.issue`: issues a fresh coin worth `amount`. The compensation
+    /// — derived from the issued coin's serial — voids that exact coin again.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct IssueCoins {
+        /// Mint resource name.
+        pub mint: String,
+        /// Face value to issue.
+        pub amount: i64,
     }
-}
+    resource mint, op "issue" -> Coin, params [amount];
+    decode |raw| mar_wire::from_value(raw);
+    compensation |op, coin| comp_void_coin(&op.mint, &coin.serial);
 
-impl ResourceOp for IssueCoins {
-    type Output = Coin;
-
-    fn resource(&self) -> &str {
-        &self.mint
+    /// Typed read-only `mint.verify`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct VerifyCoin {
+        /// Mint resource name.
+        pub mint: String,
+        /// Serial to check.
+        pub serial: String,
     }
-
-    fn op(&self) -> &str {
-        "issue"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([("amount", Value::from(self.amount))])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<Coin, WireError> {
-        mar_wire::from_value(raw)
-    }
-}
-
-impl Compensable for IssueCoins {
-    fn compensation(&self, coin: &Coin) -> CompOp {
-        comp_void_coin(&self.mint, &coin.serial)
-    }
-}
-
-/// Typed read-only `mint.verify`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifyCoin {
-    /// Mint resource name.
-    pub mint: String,
-    /// Serial to check.
-    pub serial: String,
-}
-
-impl VerifyCoin {
-    /// Constructs the op.
-    pub fn new(mint: impl Into<String>, serial: impl Into<String>) -> Self {
-        VerifyCoin {
-            mint: mint.into(),
-            serial: serial.into(),
-        }
-    }
-}
-
-impl ResourceOp for VerifyCoin {
-    type Output = bool;
-
-    fn resource(&self) -> &str {
-        &self.mint
-    }
-
-    fn op(&self) -> &str {
-        "verify"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([("serial", Value::from(self.serial.as_str()))])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<bool, WireError> {
-        raw.as_bool().ok_or_else(|| map_err("verify flag"))
-    }
+    resource mint, op "verify" -> bool, params [serial];
+    decode |raw| raw.as_bool().ok_or_else(|| map_err("verify flag"));
 }
 
 // ---- directory -------------------------------------------------------------
 
-/// Typed `dir.publish`: appends `entry` under `topic`. Compensation
-/// retracts the most recent entry of the topic again.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PublishEntry {
-    /// Directory resource name.
-    pub dir: String,
-    /// Topic to publish under.
-    pub topic: String,
-    /// The published entry.
-    pub entry: Value,
-}
-
-impl PublishEntry {
-    /// Constructs the op.
-    pub fn new(dir: impl Into<String>, topic: impl Into<String>, entry: Value) -> Self {
-        PublishEntry {
-            dir: dir.into(),
-            topic: topic.into(),
-            entry,
-        }
+resource_ops! {
+    /// Typed `dir.publish`: appends `entry` under `topic`. Compensation
+    /// retracts the most recent entry of the topic again.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PublishEntry {
+        /// Directory resource name.
+        pub dir: String,
+        /// Topic to publish under.
+        pub topic: String,
+        /// The published entry.
+        pub entry: Value,
     }
-}
+    resource dir, op "publish" -> (), params [topic, entry];
+    decode |_raw| Ok(());
+    compensation |op, _out| comp_dir_retract(&op.dir, &op.topic);
 
-impl ResourceOp for PublishEntry {
-    type Output = ();
-
-    fn resource(&self) -> &str {
-        &self.dir
+    /// Typed read-only `dir.query`: all entries under a topic.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct QueryTopic {
+        /// Directory resource name.
+        pub dir: String,
+        /// Topic to query.
+        pub topic: String,
     }
-
-    fn op(&self) -> &str {
-        "publish"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([
-            ("topic", Value::from(self.topic.as_str())),
-            ("entry", self.entry.clone()),
-        ])
-    }
-
-    fn decode(&self, _raw: &Value) -> Result<(), WireError> {
-        Ok(())
-    }
-}
-
-impl Compensable for PublishEntry {
-    fn compensation(&self, _out: &()) -> CompOp {
-        comp_dir_retract(&self.dir, &self.topic)
-    }
-}
-
-/// Typed read-only `dir.query`: all entries under a topic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryTopic {
-    /// Directory resource name.
-    pub dir: String,
-    /// Topic to query.
-    pub topic: String,
-}
-
-impl QueryTopic {
-    /// Constructs the op.
-    pub fn new(dir: impl Into<String>, topic: impl Into<String>) -> Self {
-        QueryTopic {
-            dir: dir.into(),
-            topic: topic.into(),
-        }
-    }
-}
-
-impl ResourceOp for QueryTopic {
-    type Output = Vec<Value>;
-
-    fn resource(&self) -> &str {
-        &self.dir
-    }
-
-    fn op(&self) -> &str {
-        "query"
-    }
-
-    fn params(&self) -> Value {
-        Value::map([("topic", Value::from(self.topic.as_str()))])
-    }
-
-    fn decode(&self, raw: &Value) -> Result<Vec<Value>, WireError> {
-        raw.as_list()
-            .map(<[Value]>::to_vec)
-            .ok_or_else(|| map_err("query list"))
-    }
+    resource dir, op "query" -> Vec<Value>, params [topic];
+    decode |raw| raw
+        .as_list()
+        .map(<[Value]>::to_vec)
+        .ok_or_else(|| map_err("query list"));
 }
 
 // ---- weakly reversible objects ---------------------------------------------
@@ -1072,34 +561,134 @@ impl WroOp for WroPush {
 mod tests {
     use super::*;
 
-    #[test]
-    fn typed_params_match_raw_call_shapes() {
-        let t = Transfer::new("bank", "a", "b", 10);
-        assert_eq!(
-            t.params(),
-            Value::map([
-                ("from", Value::from("a")),
-                ("to", Value::from("b")),
-                ("amount", Value::from(10i64)),
-            ])
-        );
-        assert_eq!(t.resource(), "bank");
-        assert_eq!(t.op(), "transfer");
-        assert_eq!(
-            t.compensation(&()),
-            comp_undo_transfer("bank", "a", "b", 10)
-        );
+    /// An op's resource, wire name and params: the raw call it stands for.
+    fn call<O: ResourceOp>(op: &O) -> (&str, &str, Value) {
+        (op.resource(), op.op(), op.params())
     }
 
+    fn m<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+        Value::map(pairs)
+    }
+
+    fn s(v: &str) -> Value {
+        Value::from(v)
+    }
+
+    fn i(v: i64) -> Value {
+        Value::from(v)
+    }
+
+    /// Every op against its raw call, the decode of one sample result and
+    /// the `comp_*` entry it derives. Each argument is a distinct value, so
+    /// two swapped constructor arguments fail here.
     #[test]
-    fn book_flight_derives_comp_from_result() {
-        let b = BookFlight::new("air", "LH1", "alice", 300, "bank", "alice");
-        let booking = b
-            .decode(&Value::map([("booking_id", Value::from("air-b1"))]))
-            .unwrap();
-        assert_eq!(booking.booking_id, "air-b1");
-        let comp = b.compensation(&booking);
-        assert_eq!(comp, comp_cancel_booking("air", "air-b1", "bank", "alice"));
+    fn typed_params_match_raw_call_shapes() {
+        let p = m([("account", s("acct")), ("amount", i(10))]);
+        let op = Deposit::new("bank", "acct", 10);
+        assert_eq!(call(&op), ("bank", "deposit", p.clone()));
+        assert_eq!(op.decode(&i(110)), Ok(110));
+        let comp = comp_undo_deposit("bank", "acct", 10);
+        assert_eq!(op.compensation(&110), comp);
+        let op = Withdraw::new("bank", "acct", 10);
+        assert_eq!(call(&op), ("bank", "withdraw", p));
+        assert_eq!(op.decode(&i(90)), Ok(90));
+        let comp = comp_undo_withdraw("bank", "acct", 10);
+        assert_eq!(op.compensation(&90), comp);
+
+        let op = Transfer::new("bank", "a", "b", 10);
+        let p = m([("from", s("a")), ("to", s("b")), ("amount", i(10))]);
+        assert_eq!(call(&op), ("bank", "transfer", p));
+        assert_eq!(op.decode(&Value::Null), Ok(()));
+        let comp = comp_undo_transfer("bank", "a", "b", 10);
+        assert_eq!(op.compensation(&()), comp);
+
+        let op = Balance::new("bank", "acct");
+        let p = m([("account", s("acct"))]);
+        assert_eq!(call(&op), ("bank", "balance", p));
+        assert_eq!(op.decode(&i(70)), Ok(70));
+
+        let op = BookFlight::new("air", "LH1", "pax", 300, "rb", "ra");
+        let p = m([
+            ("flight", s("LH1")),
+            ("passenger", s("pax")),
+            ("paid", i(300)),
+        ]);
+        assert_eq!(call(&op), ("air", "book", p));
+        let booking = op.decode(&m([("booking_id", s("b1"))])).unwrap();
+        assert_eq!(booking.booking_id, "b1");
+        let comp = comp_cancel_booking("air", "b1", "rb", "ra");
+        assert_eq!(op.compensation(&booking), comp);
+
+        let op = QuoteFlight::new("air", "LH1");
+        let p = m([("flight", s("LH1"))]);
+        assert_eq!(call(&op), ("air", "quote", p));
+        let quote = op.decode(&m([("price", i(300)), ("seats", i(7))]));
+        assert_eq!(quote.map(|q| (q.price, q.seats)), Ok((300, 7)));
+
+        let p = m([("sku", s("cd")), ("qty", i(2)), ("paid", i(100))]);
+        let raw = m([("order_id", s("o1")), ("cost", i(100))]);
+        let op = BuyWithAccount::new("shop", "cd", 2, 100, "rb", "ra");
+        assert_eq!(call(&op), ("shop", "buy_paid", p.clone()));
+        let order = op.decode(&raw).unwrap();
+        assert_eq!((order.order_id.as_str(), order.cost), ("o1", 100));
+        let comp = comp_return_account_order("shop", "o1", "rb", "ra");
+        assert_eq!(op.compensation(&order), comp);
+        let op = BuyWithCash::new("shop", "mint", "cd", 2, 100, "wallet", "USD");
+        assert_eq!(call(&op), ("shop", "buy_paid", p));
+        assert_eq!(op.decode(&raw).as_ref(), Ok(&order));
+        let comp = comp_return_cash_order("shop", "mint", "o1", "wallet", "USD");
+        assert_eq!(op.compensation(&order), comp);
+
+        let op = QuoteItem::new("shop", "cd");
+        let p = m([("sku", s("cd"))]);
+        assert_eq!(call(&op), ("shop", "quote", p));
+        let quote = op.decode(&m([("price", i(50)), ("stock", i(9))]));
+        assert_eq!(quote.map(|q| (q.price, q.stock)), Ok((50, 9)));
+
+        let coin = |value, currency: &str| Coin {
+            serial: "c1".into(),
+            value,
+            currency: currency.into(),
+        };
+        let op = ConvertCash::new("fx", "USD", "EUR", 100, "wallet");
+        let p = m([("from", s("USD")), ("to", s("EUR")), ("amount", i(100))]);
+        assert_eq!(call(&op), ("fx", "convert", p));
+        let out = op.decode(&mar_wire::to_value(&coin(90, "EUR")).unwrap());
+        assert_eq!(out, Ok(coin(90, "EUR")));
+        let comp = comp_convert_back("fx", "USD", "EUR", 90, "wallet");
+        assert_eq!(op.compensation(&coin(90, "EUR")), comp);
+
+        let op = QuoteRate::new("fx", "USD", "EUR");
+        let p = m([("from", s("USD")), ("to", s("EUR"))]);
+        assert_eq!(call(&op), ("fx", "rate", p));
+        let rate = op.decode(&m([("num", i(9)), ("den", i(10))]));
+        assert_eq!(rate.map(|r| (r.num, r.den)), Ok((9, 10)));
+
+        let op = IssueCoins::new("mint", 25);
+        let p = m([("amount", i(25))]);
+        assert_eq!(call(&op), ("mint", "issue", p));
+        let out = op.decode(&mar_wire::to_value(&coin(25, "USD")).unwrap());
+        assert_eq!(out, Ok(coin(25, "USD")));
+        let comp = comp_void_coin("mint", "c1");
+        assert_eq!(op.compensation(&coin(25, "USD")), comp);
+
+        let op = VerifyCoin::new("mint", "c1");
+        let p = m([("serial", s("c1"))]);
+        assert_eq!(call(&op), ("mint", "verify", p));
+        assert_eq!(op.decode(&Value::Bool(true)), Ok(true));
+
+        let op = PublishEntry::new("dir", "news", i(3));
+        let p = m([("topic", s("news")), ("entry", i(3))]);
+        assert_eq!(call(&op), ("dir", "publish", p));
+        assert_eq!(op.decode(&Value::Null), Ok(()));
+        let comp = comp_dir_retract("dir", "news");
+        assert_eq!(op.compensation(&()), comp);
+
+        let op = QueryTopic::new("dir", "news");
+        let p = m([("topic", s("news"))]);
+        assert_eq!(call(&op), ("dir", "query", p));
+        let out = op.decode(&Value::list([s("a"), i(1)]));
+        assert_eq!(out, Ok(vec![s("a"), i(1)]));
     }
 
     #[test]
@@ -1136,6 +725,17 @@ mod tests {
         let ((), comp) = WroPush::new("n", Value::from(1i64)).apply(&mut data);
         assert_eq!(data.wro("n").unwrap().as_list().unwrap().len(), 1);
         assert_eq!(comp, comp_wro_set("n", Value::from(7i64)));
+    }
+
+    #[test]
+    fn book_flight_derives_comp_from_result() {
+        let b = BookFlight::new("air", "LH1", "alice", 300, "bank", "alice");
+        let booking = b
+            .decode(&Value::map([("booking_id", Value::from("air-b1"))]))
+            .unwrap();
+        assert_eq!(booking.booking_id, "air-b1");
+        let comp = b.compensation(&booking);
+        assert_eq!(comp, comp_cancel_booking("air", "air-b1", "bank", "alice"));
     }
 
     #[test]

@@ -196,7 +196,7 @@ counters! {
         /// `done/<id>` record and its outbox entry — one increment per agent.
         DRIVER_REPORTS_GC = "driver.reports_gc";
         /// Cached reports dropped by the driver's LRU cap
-        /// (`PlatformBuilder::report_cache_cap`);
+        /// (`DriverCore::DEFAULT_REPORT_CAP`);
         /// a non-zero value means some finished agents' reports are no longer
         /// retrievable from memory.
         DRIVER_REPORTS_EVICTED = "driver.reports_evicted";

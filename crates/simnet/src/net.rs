@@ -41,15 +41,6 @@ impl LatencyModel {
         }
     }
 
-    /// A 40 ms / 1 ms-per-KB WAN-like model with 20% jitter.
-    pub fn wan() -> Self {
-        LatencyModel {
-            base: SimDuration::from_millis(40),
-            per_kb: SimDuration::from_millis(1),
-            jitter: 0.20,
-        }
-    }
-
     /// Deterministic zero-jitter model, handy in unit tests.
     pub fn fixed(base: SimDuration, per_kb: SimDuration) -> Self {
         LatencyModel {

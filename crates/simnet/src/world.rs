@@ -998,11 +998,6 @@ impl World {
         self.shards.iter().map(|s| s.queue.len()).sum()
     }
 
-    /// Number of shards the world was configured with.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Enables critical-path profiling. While on, `run_until`/`run_for`
     /// execute the same conservative windows as the threaded engine but
     /// process shards one at a time under a timer, accumulating per-shard

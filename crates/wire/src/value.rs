@@ -80,11 +80,6 @@ impl Value {
         matches!(self, Value::Map(_))
     }
 
-    /// Returns `true` if this is a [`Value::List`].
-    pub fn is_list(&self) -> bool {
-        matches!(self, Value::List(_))
-    }
-
     /// Returns the boolean if this is a [`Value::Bool`].
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -157,14 +152,6 @@ impl Value {
     pub fn as_map_mut(&mut self) -> Option<&mut BTreeMap<String, Value>> {
         match self {
             Value::Map(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Returns a mutable list if this is a [`Value::List`].
-    pub fn as_list_mut(&mut self) -> Option<&mut Vec<Value>> {
-        match self {
-            Value::List(l) => Some(l),
             _ => None,
         }
     }
